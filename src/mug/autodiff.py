@@ -3,7 +3,9 @@
 Every value is a 2-D numpy array (row-major, float64); scalars are 1x1.
 Forward functions evaluate eagerly and build a computation graph of Node
 objects; backward() walks the graph once in reverse topological order.
-The op set is fixed: exactly what the training losses need, nothing more.
+The op set is fixed: exactly what the training losses and the gradient
+suite's expressions use (logsigmoid serves only the suite's skip-gram pair
+loss), nothing more.
 """
 
 from __future__ import annotations
@@ -263,32 +265,6 @@ def _bw_power(node, g):
     a.grad += g * p * np.power(a.value, p - 1.0)
 
 
-def log(a: Node) -> Node:
-    a = as_node(a)
-    if (a.value <= 0).any():
-        raise DomainError("log: non-positive input")
-    return Node("log", (a,), np.log(a.value))
-
-
-@_backward_rule("log")
-def _bw_log(node, g):
-    node.inputs[0].grad += g / node.inputs[0].value
-
-
-def row_norm(a: Node) -> Node:
-    """Row-wise L2 norms, NxK -> Nx1."""
-    a = as_node(a)
-    return Node("row_norm", (a,), np.linalg.norm(a.value, axis=1, keepdims=True))
-
-
-@_backward_rule("row_norm")
-def _bw_row_norm(node, g):
-    a = node.inputs[0]
-    r = node.value
-    safe = np.where(r > 0, r, 1.0)
-    a.grad += g * np.where(r > 0, a.value / safe, 0.0)
-
-
 def row_cosine(a: Node, b: Node) -> Node:
     """Row-wise cosine similarity, NxK x NxK -> Nx1. Zero rows give 0."""
     a, b = as_node(a), as_node(b)
@@ -315,17 +291,6 @@ def _bw_row_cosine(node, g):
     gb = np.where(valid, a.value / safe_den - cos * b.value / safe_nb2, 0.0)
     a.grad += g * ga
     b.grad += g * gb
-
-
-def row_mean(a: Node) -> Node:
-    a = as_node(a)
-    return Node("row_mean", (a,), a.value.mean(axis=1, keepdims=True))
-
-
-@_backward_rule("row_mean")
-def _bw_row_mean(node, g):
-    a = node.inputs[0]
-    a.grad += np.broadcast_to(g / a.shape[1], a.shape)
 
 
 def col_mean(a: Node) -> Node:

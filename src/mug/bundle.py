@@ -54,6 +54,15 @@ def _read_rows(path: str):
         yield lineno, line.split("\t")
 
 
+def _entries(schema: dict, key: str, fields: tuple, path: str) -> List[tuple]:
+    """The required fields of every object in the schema list schema[key]."""
+    try:
+        return [tuple(entry[f] for f in fields) for entry in schema[key]]
+    except (KeyError, TypeError):
+        raise MalformedRowError(
+            f"'{key}' must be a list of objects with {', '.join(fields)}", path)
+
+
 def load_bundle(path: str) -> HetGraph:
     """Load and fully validate a bundle directory."""
     schema_path = os.path.join(path, "schema.json")
@@ -68,10 +77,14 @@ def load_bundle(path: str) -> HetGraph:
     for key in ("node_types", "relations", "target_type", "metapaths"):
         if key not in schema:
             raise MalformedRowError(f"schema missing key '{key}'", schema_path)
+    if not isinstance(schema["node_types"], list):
+        raise MalformedRowError("'node_types' must be a list", schema_path)
     node_types: List[str] = list(schema["node_types"])
-    relations = [Relation(r["name"], r["src"], r["dst"]) for r in schema["relations"]]
+    relations = [Relation(*r) for r in
+                 _entries(schema, "relations", ("name", "src", "dst"), schema_path)]
     rel_names = {r.name for r in relations}
-    metapaths = [MetaPath.from_steps(m["name"], m["steps"]) for m in schema["metapaths"]]
+    metapaths = [MetaPath.from_steps(*m) for m in
+                 _entries(schema, "metapaths", ("name", "steps"), schema_path)]
 
     # nodes.tsv: id -> (type, local index)
     nodes_path = os.path.join(path, "nodes.tsv")

@@ -13,8 +13,6 @@ import os
 import sys
 from typing import Dict, Optional
 
-import numpy as np
-
 from . import bundle as bio
 from . import config as cfgmod
 from . import evalkit, fusion, gradsuite, synth

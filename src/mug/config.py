@@ -1,7 +1,9 @@
 """Flat key=value run configuration with three-layer precedence.
 
-Defaults (below) < config file < command-line flags. Unknown keys are
-rejected, and every run writes a resolved echo file that can replay it.
+Defaults < config file < command-line flags. The defaults and value types
+live on the dataclasses (TrainConfig, WalkConfig, MaskSpec, SplitSpec); this
+module only maps each flat key to its field. Unknown keys are rejected, and
+every run writes a resolved echo file that can replay it.
 """
 
 from __future__ import annotations
@@ -9,9 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from .evalkit import SplitSpec
-from .fusion import TrainConfig
-from .metamae import MaskSpec
-from .structenc import WalkConfig
+from .fusion import TrainConfig, config_fields
 
 
 class ConfigError(ValueError):
@@ -27,46 +27,48 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got '{text}'")
 
 
-# key -> (converter, default)
-SCHEMA = {
-    "walks_per_node": (int, 10),
-    "walk_length": (int, 20),
-    "window": (int, 5),
-    "negatives": (int, 5),
-    "struct_dim": (int, 64),
-    "struct_epochs": (int, 5),
-    "struct_lr": (float, 0.025),
-    "struct_lr_min": (float, 0.0001),
-    "neg_distribution": (str, "uniform"),
-    "sample_size": (int, 128),
-    "unified_dim": (int, 64),
-    "edge_mask_rate": (float, 0.5),
-    "resample_mask": (_bool, True),
-    "gamma": (float, 2.0),
-    "lambda_align": (float, 1.0),
-    "lambda_recon": (float, 1.0),
-    "lambda_scatter": (float, 0.1),
-    "epochs": (int, 400),
-    "learning_rate": (float, 1e-3),
-    "optimizer": (str, "adam"),
-    "seed": (int, 0),
-    "threads": (int, 1),
-    "per_class_train": (int, 60),
-    "val_size": (int, 1000),
-    "test_size": (int, 1000),
-    "repeats": (int, 50),
-    "kshot_repeats": (int, 20),
-    "no_cse": (_bool, False),
-    "no_align": (_bool, False),
-    "no_scatter": (_bool, False),
+# flat key -> TrainConfig field key, as config_fields names it
+TRAIN_FIELDS = {
+    "walks_per_node": "walk.walks_per_node",
+    "walk_length": "walk.walk_length",
+    "window": "walk.window",
+    "negatives": "walk.negatives",
+    "struct_dim": "walk.dim",
+    "struct_epochs": "walk.epochs",
+    "struct_lr": "walk.lr",
+    "struct_lr_min": "walk.lr_min",
+    "neg_distribution": "walk.neg_distribution",
+    "sample_size": "sample_size",
+    "unified_dim": "unified_dim",
+    "edge_mask_rate": "mask.edge_mask_rate",
+    "resample_mask": "mask.resample_per_epoch",
+    "gamma": "gamma",
+    "lambda_align": "lambda_align",
+    "lambda_recon": "lambda_recon",
+    "lambda_scatter": "lambda_scatter",
+    "epochs": "epochs",
+    "learning_rate": "learning_rate",
+    "optimizer": "optimizer",
+    "seed": "seed",
+    "no_cse": "no_cse",
+    "no_align": "no_align",
+    "no_scatter": "no_scatter",
 }
+
+# flat keys that are SplitSpec fields of the same name (seed is shared)
+SPLIT_FIELDS = ("per_class_train", "val_size", "test_size", "repeats")
 
 
 def defaults() -> Dict[str, object]:
-    return {k: v for k, (_, v) in SCHEMA.items()}
+    train = {path: value for path, _, _, value in config_fields(TrainConfig())}
+    out = {key: train[path] for key, path in TRAIN_FIELDS.items()}
+    out.update({key: getattr(SplitSpec(), key) for key in SPLIT_FIELDS})
+    out["kshot_repeats"] = SplitSpec.kshot(1).repeats
+    return out
 
 
 def parse_config_file(path: str) -> Dict[str, object]:
+    known = defaults()
     out: Dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -76,9 +78,9 @@ def parse_config_file(path: str) -> Dict[str, object]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in SCHEMA:
+            if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            conv = SCHEMA[key][0]
+            conv = _bool if isinstance(known[key], bool) else type(known[key])
             try:
                 out[key] = conv(value)
             except ConfigError:
@@ -103,46 +105,15 @@ def write_echo(cfg: Dict[str, object], path: str) -> None:
 
 
 def to_train_config(cfg: Dict[str, object]) -> TrainConfig:
-    return TrainConfig(
-        lambda_align=cfg["lambda_align"],
-        lambda_recon=cfg["lambda_recon"],
-        lambda_scatter=cfg["lambda_scatter"],
-        epochs=cfg["epochs"],
-        learning_rate=cfg["learning_rate"],
-        optimizer=cfg["optimizer"],
-        seed=cfg["seed"],
-        no_cse=cfg["no_cse"],
-        no_align=cfg["no_align"],
-        no_scatter=cfg["no_scatter"],
-        sample_size=cfg["sample_size"],
-        unified_dim=cfg["unified_dim"],
-        gamma=cfg["gamma"],
-        walk=WalkConfig(
-            walks_per_node=cfg["walks_per_node"],
-            walk_length=cfg["walk_length"],
-            window=cfg["window"],
-            negatives=cfg["negatives"],
-            dim=cfg["struct_dim"],
-            epochs=cfg["struct_epochs"],
-            lr=cfg["struct_lr"],
-            lr_min=cfg["struct_lr_min"],
-            neg_distribution=cfg["neg_distribution"],
-        ),
-        mask=MaskSpec(
-            edge_mask_rate=cfg["edge_mask_rate"],
-            resample_per_epoch=cfg["resample_mask"],
-        ),
-    )
+    out = TrainConfig()
+    owners = {path: (owner, name) for path, owner, name, _ in config_fields(out)}
+    for key, path in TRAIN_FIELDS.items():
+        setattr(*owners[path], cfg[key])
+    return out
 
 
 def to_split_spec(cfg: Dict[str, object], shots: int = 0) -> SplitSpec:
     if shots:
         return SplitSpec.kshot(shots, repeats=cfg["kshot_repeats"],
                                seed=cfg["seed"])
-    return SplitSpec(
-        per_class_train=cfg["per_class_train"],
-        val_size=cfg["val_size"],
-        test_size=cfg["test_size"],
-        repeats=cfg["repeats"],
-        seed=cfg["seed"],
-    )
+    return SplitSpec(**{key: cfg[key] for key in SPLIT_FIELDS}, seed=cfg["seed"])

@@ -18,10 +18,10 @@ from .rng import RngStream
 
 @dataclass
 class DimEncoder:
-    sample_size: int = 128      # rows fed to the shared affine map
-    unified_dim: int = 64       # k
-    weight: np.ndarray = None   # sample_size x k
-    bias: np.ndarray = None     # 1 x k
+    sample_size: int            # rows fed to the shared affine map
+    unified_dim: int            # k
+    weight: np.ndarray          # sample_size x k
+    bias: np.ndarray            # 1 x k
 
 
 def glorot(rng: RngStream, fan_in: int, fan_out: int) -> np.ndarray:

@@ -10,7 +10,7 @@ retrained per graph and are deliberately absent.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,14 +30,6 @@ class Attention:
     q: np.ndarray   # k x 1
     weight: np.ndarray   # k x k
     bias: np.ndarray     # 1 x k
-
-
-def init_attention(k: int, rng: RngStream) -> Attention:
-    return Attention(
-        q=dimalign.glorot(rng, k, 1),
-        weight=dimalign.glorot(rng, k, k),
-        bias=np.zeros((1, k)),
-    )
 
 
 @dataclass
@@ -109,12 +101,6 @@ def attention_weights(q: ad.Node, weight: ad.Node, bias: ad.Node,
     if not views:
         raise ValueError("need at least one view")
     return ad.softmax(ad.stack_scalars(attention_scores(q, weight, bias, views)))
-
-
-def attention_weights_np(att: Attention, views: Sequence[np.ndarray]) -> np.ndarray:
-    beta = attention_weights(ad.leaf(att.q), ad.leaf(att.weight), ad.leaf(att.bias),
-                             [ad.leaf(z) for z in views])
-    return beta.value[:, 0].copy()
 
 
 def fuse(beta: ad.Node, views: Sequence[ad.Node]) -> ad.Node:
@@ -233,19 +219,20 @@ def _forward(params_nodes: Dict[str, ad.Node], unified: np.ndarray,
     return l_align, beta, bundles, l_scatter, fused
 
 
-def config_echo(cfg: TrainConfig) -> Dict[str, str]:
-    flat: Dict[str, str] = {"format": CHECKPOINT_MAGIC}
-    for f in fields(TrainConfig):
-        v = getattr(cfg, f.name)
-        if f.name == "walk":
-            for wf in fields(WalkConfig):
-                flat[f"walk.{wf.name}"] = str(getattr(v, wf.name))
-        elif f.name == "mask":
-            flat["mask.edge_mask_rate"] = str(v.edge_mask_rate)
-            flat["mask.resample_per_epoch"] = str(v.resample_per_epoch)
+def config_fields(cfg):
+    """(key, owner, field name, value) per scalar field; nested keys read 'walk.dim'."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            for key, owner, name, v in config_fields(value):
+                yield f"{f.name}.{key}", owner, name, v
         else:
-            flat[f.name] = str(v)
-    return flat
+            yield f.name, cfg, f.name, value
+
+
+def config_echo(cfg: TrainConfig) -> Dict[str, str]:
+    flat = {key: str(value) for key, _, _, value in config_fields(cfg)}
+    return {"format": CHECKPOINT_MAGIC, **flat}
 
 
 @dataclass
@@ -254,26 +241,28 @@ class _GraphState:
     view_names: List[str]
     targets: List[np.ndarray]
     sample_idx: np.ndarray
-    cached_masks: Optional[List[np.ndarray]] = None
 
 
-def _prepare_graph(g: HetGraph, cfg: TrainConfig, graph_idx: int) -> _GraphState:
+def _prepare_graph(g: HetGraph, cfg: TrainConfig) -> _GraphState:
+    """The per-graph inputs that pre-training and frozen embedding share.
+
+    Struct table (unless ablated), unified attributes, meta-path views and
+    the dimension-encoder node sample, all keyed by cfg.seed.
+    """
     if not g.metapaths:
         raise ValueError("graph declares no meta-paths")
     table = None
     if not cfg.no_cse:
-        table = structenc.train_struct_table(
-            g, cfg.walk, RngStream(cfg.seed, 1 + graph_idx))
+        table = structenc.train_struct_table(g, cfg.walk, RngStream(cfg.seed, 1))
     unified = structenc.unify_attrs(g, table)
     views = all_views(g)
     sample_idx = dimalign.draw_node_sample(
-        g.counts[g.target_type], cfg.sample_size,
-        RngStream(cfg.seed, STREAM_SAMPLE + graph_idx))
+        g.counts[g.target_type], cfg.sample_size, RngStream(cfg.seed, STREAM_SAMPLE))
     return _GraphState(unified=unified, view_names=list(views),
                        targets=list(views.values()), sample_idx=sample_idx)
 
 
-def _train(states: Sequence[_GraphState], cfg: TrainConfig,
+def _train(state: _GraphState, cfg: TrainConfig,
            trace: Optional[List[Dict[str, float]]]) -> MugModel:
     seed = cfg.seed
     params = _init_params(cfg, seed)
@@ -281,16 +270,14 @@ def _train(states: Sequence[_GraphState], cfg: TrainConfig,
                  if not (cfg.no_align and k.startswith("dim."))]
     opt = Optimizer(params, cfg, trainable)
 
+    masked = None
     for epoch in range(cfg.epochs):
-        state = states[epoch % len(states)]
-        if cfg.mask.resample_per_epoch or state.cached_masks is None:
+        if cfg.mask.resample_per_epoch or masked is None:
             masked = []
             for i, adj in enumerate(state.targets):
                 stream = RngStream(seed, STREAM_MASK + epoch * 64 + i)
                 m, _ = metamae.mask_edges(adj, cfg.mask, stream)
                 masked.append(m)
-            state.cached_masks = masked
-        masked = state.cached_masks
 
         nodes = {k: ad.leaf(v) for k, v in params.items()}
         try:
@@ -328,37 +315,20 @@ def pretrain(g: HetGraph, cfg: TrainConfig,
     offending epoch if the loss goes non-finite.
     """
     cfg.validate()
-    return _train([_prepare_graph(g, cfg, 0)], cfg, trace)
-
-
-def pretrain_roundrobin(graphs: Sequence[HetGraph], cfg: TrainConfig,
-                        trace: Optional[List[Dict[str, float]]] = None) -> MugModel:
-    """Extension: one shared model trained over several graphs, one per epoch."""
-    cfg.validate()
-    if not graphs:
-        raise ValueError("need at least one graph")
-    states = [_prepare_graph(g, cfg, i) for i, g in enumerate(graphs)]
-    return _train(states, cfg, trace)
+    return _train(_prepare_graph(g, cfg), cfg, trace)
 
 
 # -- frozen-encoder embedding ----------------------------------------------------
 
 
 def _cfg_from_meta(meta: Dict[str, str]) -> TrainConfig:
-    """Recover the walk settings and ablation flags echoed into a checkpoint."""
+    """Invert config_echo; a field missing from the meta keeps its default."""
     cfg = TrainConfig()
-    for name in ("walks_per_node", "walk_length", "window", "negatives", "dim",
-                 "epochs"):
-        key = f"walk.{name}"
+    for key, owner, name, default in config_fields(cfg):
         if key in meta:
-            setattr(cfg.walk, name, int(float(meta[key])))
-    for name in ("lr", "lr_min"):
-        key = f"walk.{name}"
-        if key in meta:
-            setattr(cfg.walk, name, float(meta[key]))
-    if "walk.neg_distribution" in meta:
-        cfg.walk.neg_distribution = meta["walk.neg_distribution"]
-    cfg.no_cse = meta.get("no_cse", "False") == "True"
+            text = meta[key]
+            setattr(owner, name, text == "True" if isinstance(default, bool)
+                    else type(default)(text))
     return cfg
 
 
@@ -368,26 +338,18 @@ def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.n
     Returns (fused embedding |V_target| x k, per-view attention weights).
     No masking at embedding time and no parameter updates of any kind.
     """
-    if not g.metapaths:
-        raise ValueError("graph declares no meta-paths")
     cfg = _cfg_from_meta(model.meta)
-
-    table = None
-    if not cfg.no_cse:
-        table = structenc.train_struct_table(g, cfg.walk, RngStream(seed, 1))
-    unified = structenc.unify_attrs(g, table)
-
-    n_target = g.counts[g.target_type]
-    sample_idx = dimalign.draw_node_sample(
-        n_target, model.dim_encoder.sample_size, RngStream(seed, STREAM_SAMPLE))
+    cfg.seed = seed
+    cfg.sample_size = model.dim_encoder.sample_size
+    state = _prepare_graph(g, cfg)
 
     basis = dimalign.basis_vectors(ad.leaf(model.dim_encoder.weight),
                                    ad.leaf(model.dim_encoder.bias),
-                                   unified[sample_idx])
-    x_unify = dimalign.project(basis, unified)
+                                   state.unified[state.sample_idx])
+    x_unify = dimalign.project(basis, state.unified)
 
     z_views = []
-    for adj in all_views(g).values():
+    for adj in state.targets:
         op = metamae.normalized_operator(adj)
         z_views.append(metamae.encode(op, x_unify, ad.leaf(model.encoder.weight),
                                       ad.leaf(model.encoder.bias)))
@@ -456,9 +418,10 @@ def load_checkpoint(path: str) -> MugModel:
             raise CheckpointError(f"{path}: content before first section")
         else:
             sections[current].append(line)
-    for required in ("dimalign", "encoder", "decoder", "attention", "meta"):
-        if required not in sections:
-            raise CheckpointError(f"{path}: missing section [{required}]")
+    required = ("dimalign", "encoder", "decoder", "attention", "meta")
+    for name in required:
+        if name not in sections:
+            raise CheckpointError(f"{path}: missing section [{name}]")
 
     def parse(section: List[str]) -> Dict[str, object]:
         out: Dict[str, object] = {}
@@ -467,6 +430,8 @@ def load_checkpoint(path: str) -> MugModel:
             parts = section[i].split(" ")
             if len(parts) == 3 and parts[1].isdigit() and parts[2].isdigit():
                 name, r, c = parts[0], int(parts[1]), int(parts[2])
+                if i + 1 + r > len(section):
+                    raise CheckpointError(f"{path}: matrix '{name}' is cut short")
                 rows = [[float(v) for v in section[i + 1 + j].split(" ")]
                         for j in range(r)]
                 mat = np.array(rows)
@@ -479,16 +444,22 @@ def load_checkpoint(path: str) -> MugModel:
                 i += 1
         return out
 
-    da = parse(sections["dimalign"])
-    enc = parse(sections["encoder"])
-    dec = parse(sections["decoder"])
-    att = parse(sections["attention"])
-    meta = {k: str(v) for k, v in parse(sections["meta"]).items()}
+    parsed = {name: parse(sections[name]) for name in required}
+
+    def get(section: str, key: str):
+        if key not in parsed[section]:
+            raise CheckpointError(f"{path}: [{section}] has no '{key}'")
+        return parsed[section][key]
+
     return MugModel(
-        dim_encoder=dimalign.DimEncoder(int(da["sample_size"]), int(da["unified_dim"]),
-                                        da["weight"], da["bias"]),
-        encoder=GnnLayer(enc["weight"], enc["bias"], str(enc["activation"])),
-        decoder=GnnLayer(dec["weight"], dec["bias"], str(dec["activation"])),
-        attention=Attention(att["q"], att["weight"], att["bias"]),
-        meta=meta,
+        dim_encoder=dimalign.DimEncoder(int(get("dimalign", "sample_size")),
+                                        int(get("dimalign", "unified_dim")),
+                                        get("dimalign", "weight"), get("dimalign", "bias")),
+        encoder=GnnLayer(get("encoder", "weight"), get("encoder", "bias"),
+                         str(get("encoder", "activation"))),
+        decoder=GnnLayer(get("decoder", "weight"), get("decoder", "bias"),
+                         str(get("decoder", "activation"))),
+        attention=Attention(get("attention", "q"), get("attention", "weight"),
+                            get("attention", "bias")),
+        meta={k: str(v) for k, v in parsed["meta"].items()},
     )

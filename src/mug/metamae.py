@@ -15,7 +15,6 @@ from typing import Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .dimalign import glorot
 from .rng import RngStream
 
 
@@ -29,15 +28,6 @@ class GnnLayer:
     bias: np.ndarray            # 1 x out_dim
     activation: str = "leaky_relu"   # or "identity"
     leak: float = 0.25
-
-
-def init_gnn_layer(in_dim: int, out_dim: int, activation: str,
-                   rng: RngStream) -> GnnLayer:
-    return GnnLayer(
-        weight=glorot(rng, in_dim, out_dim),
-        bias=np.zeros((1, out_dim)),
-        activation=activation,
-    )
 
 
 @dataclass
@@ -108,8 +98,6 @@ class ViewBundle:
     """Everything one meta-path view contributes to an epoch."""
 
     name: str
-    adjacency: np.ndarray        # original binary view
-    masked: np.ndarray           # view after edge masking
     z: ad.Node                   # encoder output
     z_hat: ad.Node               # decoder output
     a_hat: ad.Node               # reconstructed adjacency, entries in (0,1)
@@ -124,8 +112,7 @@ def autoencode_view(name: str, adj: np.ndarray, masked: np.ndarray, x: ad.Node,
     op = normalized_operator(masked)
     z = encode(op, x, enc_weight, enc_bias)
     z_hat, a_hat = reconstruct(op, z, dec_weight, dec_bias)
-    return ViewBundle(name=name, adjacency=adj, masked=masked, z=z,
-                      z_hat=z_hat, a_hat=a_hat,
+    return ViewBundle(name=name, z=z, z_hat=z_hat, a_hat=a_hat,
                       loss=recon_loss(adj, a_hat, gamma))
 
 

@@ -19,7 +19,6 @@ STREAM_MASK = 3 << 32
 STREAM_INIT = 4 << 32
 STREAM_SPLIT = 5 << 32
 STREAM_SAMPLE = 6 << 32
-STREAM_SYNTH = 7 << 32
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,6 +52,3 @@ class RngStream:
 
     def choice(self, n: int, size: int, replace: bool) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
-
-    def shuffle(self, arr: np.ndarray) -> None:
-        self._gen.shuffle(arr)

@@ -9,7 +9,6 @@ is never part of the transferable checkpoint.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -46,7 +45,6 @@ class WalkConfig:
 @dataclass
 class StructTable:
     embeddings: np.ndarray   # num_nodes x dim, global index order
-    frozen: bool = True
 
 
 def _step_csr(g: HetGraph, mp: MetaPath, step: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -165,7 +163,7 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
                                   cfg.lr, cfg.lr_min, epoch * len(centers), total)
         if loss_trace is not None:
             loss_trace.append(loss / len(centers))
-    return StructTable(embeddings=center, frozen=True)
+    return StructTable(embeddings=center)
 
 
 def train_struct_table(g: HetGraph, cfg: WalkConfig, rng: RngStream,
@@ -190,36 +188,9 @@ def unify_attrs(g: HetGraph, table: Optional[StructTable]) -> np.ndarray:
     if attrs is not None and attrs.shape[1] > 0:
         blocks.append(_normalize_rows(attrs))
     if table is not None:
-        if not table.frozen:
-            raise ValueError("struct table must be frozen before use")
         off = g.offset(g.target_type)
         rows = table.embeddings[off:off + g.counts[g.target_type]]
         blocks.append(_normalize_rows(rows))
     if not blocks:
         raise ValueError("no attributes and no struct table: nothing to encode")
     return np.concatenate(blocks, axis=1)
-
-
-def save_struct_table(table: StructTable, g: HetGraph, path: str) -> None:
-    """TSV: header with the dimension, then node_id + decimal floats per node."""
-    dim = table.embeddings.shape[1]
-    ids = [nid for t in g.node_types for nid in g.node_ids[t]]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_id\t" + "\t".join(f"d{i}" for i in range(dim)) + "\n")
-        for nid, row in zip(ids, table.embeddings):
-            fh.write(nid + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_struct_table(path: str) -> StructTable:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        dim = len(header) - 1
-        rows = []
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != dim + 1:
-                raise ValueError(f"{path}: row width {len(parts)} != {dim + 1}")
-            rows.append([float(v) for v in parts[1:]])
-    return StructTable(embeddings=np.array(rows), frozen=True)

@@ -309,3 +309,50 @@ def test_usage_error_exit_code():
 
 def test_missing_bundle_exit_code(tmp_path):
     assert main(["homophily", "--data", str(tmp_path / "nope")]) == EXIT_DATA
+
+
+def _without_matrix(lines, section, name):
+    start = lines.index(f"[{section}]")
+    i = next(j for j in range(start, len(lines)) if lines[j].startswith(name + " "))
+    return lines[:i] + lines[i + 1 + int(lines[i].split(" ")[1]):]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda lines: lines[:lines.index("[meta]") - 1] + lines[lines.index("[meta]"):],
+    lambda lines: _without_matrix(lines, "attention", "q"),
+], ids=["matrix-cut-short", "matrix-missing"])
+def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, damage):
+    lines = open(checkpoint).read().split("\n")
+    bad = str(tmp_path / "bad.ckpt")
+    with open(bad, "w") as fh:
+        fh.write("\n".join(damage(lines)))
+    assert main(["embed", "--model", bad, "--data", bundle,
+                 "--out", str(tmp_path / "z.tsv")]) == EXIT_DATA
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda s: s["relations"][0].pop("src"),
+    lambda s: s["relations"][0].pop("dst"),
+    lambda s: s["metapaths"][0].pop("steps"),
+    lambda s: s.update(node_types=7),
+], ids=["relation-no-src", "relation-no-dst", "metapath-no-steps", "node-types-not-list"])
+def test_malformed_schema_exit_code(bundle, capsys, damage):
+    path = os.path.join(bundle, "schema.json")
+    with open(path) as fh:
+        schema = json.load(fh)
+    damage(schema)
+    with open(path, "w") as fh:
+        json.dump(schema, fh)
+    assert main(["homophily", "--data", bundle]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "schema.json" in err
+
+
+def test_threads_config_key_rejected(tmp_path, bundle, capsys):
+    path = str(tmp_path / "old.cfg")
+    with open(path, "w") as fh:
+        fh.write("threads = 1\n")
+    assert main(["pretrain", "--data", bundle, "--config", path,
+                 "--out", str(tmp_path / "x.ckpt")]) == EXIT_DATA
+    assert "unknown key 'threads'" in capsys.readouterr().err

@@ -9,10 +9,8 @@ import pytest
 from mug import autodiff as ad
 from mug import fusion, synth
 from mug.fusion import (
-    Attention,
     TrainConfig,
     attention_weights,
-    attention_weights_np,
     embed,
     fuse,
     load_checkpoint,
@@ -87,7 +85,8 @@ def test_attention_matches_hand_computation():
         cs.append((t @ q).mean())
     e = np.exp(np.array(cs) - max(cs))
     want = e / e.sum()
-    got = attention_weights_np(Attention(q, w, b), [z1, z2])
+    got = attention_weights(ad.leaf(q), ad.leaf(w), ad.leaf(b),
+                            [ad.leaf(z1), ad.leaf(z2)]).value[:, 0]
     assert np.allclose(got, want)
     assert got.sum() == pytest.approx(1.0)
 

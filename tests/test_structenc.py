@@ -242,7 +242,7 @@ def _graph_with_attrs(attrs):
 
 def test_unify_width():
     g = _graph_with_attrs(np.ones((3, 3)))
-    table = StructTable(np.ones((4, 64)), frozen=True)
+    table = StructTable(np.ones((4, 64)))
     out = unify_attrs(g, table)
     assert out.shape == (3, 67)
 
@@ -250,7 +250,7 @@ def test_unify_width():
 def test_unify_zero_attr_row_keeps_normalized_struct_block():
     attrs = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
     g = _graph_with_attrs(attrs)
-    table = StructTable(np.arange(1, 17, dtype=float).reshape(4, 4), frozen=True)
+    table = StructTable(np.arange(1, 17, dtype=float).reshape(4, 4))
     out = unify_attrs(g, table)
     assert np.all(out[0, :2] == 0.0)
     assert np.linalg.norm(out[0, 2:]) == pytest.approx(1.0)
@@ -259,7 +259,7 @@ def test_unify_zero_attr_row_keeps_normalized_struct_block():
 def test_unify_block_norms_zero_or_one():
     rng = np.random.default_rng(3)
     g = _graph_with_attrs(rng.normal(size=(3, 5)))
-    table = StructTable(rng.normal(size=(4, 7)), frozen=True)
+    table = StructTable(rng.normal(size=(4, 7)))
     out = unify_attrs(g, table)
     for row in out:
         for block in (row[:5], row[5:]):
@@ -267,23 +267,8 @@ def test_unify_block_norms_zero_or_one():
             assert min(abs(n - 0.0), abs(n - 1.0)) <= 1e-9
 
 
-def test_unify_requires_frozen_table():
-    g = _graph_with_attrs(np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        unify_attrs(g, StructTable(np.ones((4, 4)), frozen=False))
-
-
 def test_unify_without_attrs_is_struct_block_alone():
     g = star_graph()
-    table = StructTable(np.ones((4, 6)), frozen=True)
+    table = StructTable(np.ones((4, 6)))
     out = unify_attrs(g, table)
     assert out.shape == (3, 6)
-
-
-def test_struct_table_round_trip(tmp_path):
-    g = star_graph()
-    table = StructTable(np.random.default_rng(0).normal(size=(4, 5)), frozen=True)
-    path = str(tmp_path / "struct.tsv")
-    structenc.save_struct_table(table, g, path)
-    back = structenc.load_struct_table(path)
-    assert np.array_equal(table.embeddings, back.embeddings)
