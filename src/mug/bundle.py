@@ -54,13 +54,24 @@ def _read_rows(path: str):
         yield lineno, line.split("\t")
 
 
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _entries(schema: dict, key: str, fields: tuple, path: str) -> List[tuple]:
-    """The required fields of every object in the schema list schema[key]."""
+    """The required fields of every object in the schema list schema[key].
+
+    Every field is a name, except 'steps', which is a list of names.
+    """
     try:
-        return [tuple(entry[f] for f in fields) for entry in schema[key]]
+        rows = [tuple(entry[f] for f in fields) for entry in schema[key]]
     except (KeyError, TypeError):
+        rows = None
+    if rows is None or not all(_is_names(v) if f == "steps" else isinstance(v, str)
+                               for row in rows for f, v in zip(fields, row)):
         raise MalformedRowError(
             f"'{key}' must be a list of objects with {', '.join(fields)}", path)
+    return rows
 
 
 def load_bundle(path: str) -> HetGraph:
@@ -77,8 +88,10 @@ def load_bundle(path: str) -> HetGraph:
     for key in ("node_types", "relations", "target_type", "metapaths"):
         if key not in schema:
             raise MalformedRowError(f"schema missing key '{key}'", schema_path)
-    if not isinstance(schema["node_types"], list):
-        raise MalformedRowError("'node_types' must be a list", schema_path)
+    if not _is_names(schema["node_types"]):
+        raise MalformedRowError("'node_types' must be a list of names", schema_path)
+    if not isinstance(schema["target_type"], str):
+        raise MalformedRowError("'target_type' must be a name", schema_path)
     node_types: List[str] = list(schema["node_types"])
     relations = [Relation(*r) for r in
                  _entries(schema, "relations", ("name", "src", "dst"), schema_path)]

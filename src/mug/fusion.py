@@ -423,20 +423,27 @@ def load_checkpoint(path: str) -> MugModel:
         if name not in sections:
             raise CheckpointError(f"{path}: missing section [{name}]")
 
-    def parse(section: List[str]) -> Dict[str, object]:
+    def parse(title: str, section: List[str]) -> Dict[str, object]:
         out: Dict[str, object] = {}
         i = 0
         while i < len(section):
             parts = section[i].split(" ")
             if len(parts) == 3 and parts[1].isdigit() and parts[2].isdigit():
                 name, r, c = parts[0], int(parts[1]), int(parts[2])
+                where = f"{path}: [{title}] matrix '{name}'"
                 if i + 1 + r > len(section):
-                    raise CheckpointError(f"{path}: matrix '{name}' is cut short")
-                rows = [[float(v) for v in section[i + 1 + j].split(" ")]
-                        for j in range(r)]
-                mat = np.array(rows)
+                    raise CheckpointError(f"{where} is cut short")
+                rows = [section[i + 1 + j].split(" ") for j in range(r)]
+                for j, row in enumerate(rows):
+                    if len(row) != c:
+                        raise CheckpointError(
+                            f"{where}: row {j + 1} has {len(row)} values, expected {c}")
+                try:
+                    mat = np.array([[float(v) for v in row] for row in rows])
+                except ValueError as exc:
+                    raise CheckpointError(f"{where}: {exc}") from None
                 if mat.shape != (r, c):
-                    raise CheckpointError(f"{path}: bad matrix shape for '{name}'")
+                    raise CheckpointError(f"{where}: bad shape")
                 out[name] = mat
                 i += 1 + r
             else:
@@ -444,16 +451,24 @@ def load_checkpoint(path: str) -> MugModel:
                 i += 1
         return out
 
-    parsed = {name: parse(sections[name]) for name in required}
+    parsed = {name: parse(name, sections[name]) for name in required}
 
     def get(section: str, key: str):
         if key not in parsed[section]:
             raise CheckpointError(f"{path}: [{section}] has no '{key}'")
         return parsed[section][key]
 
+    def get_int(section: str, key: str) -> int:
+        value = get(section, key)
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise CheckpointError(
+                f"{path}: [{section}] '{key}' is not an integer") from None
+
     return MugModel(
-        dim_encoder=dimalign.DimEncoder(int(get("dimalign", "sample_size")),
-                                        int(get("dimalign", "unified_dim")),
+        dim_encoder=dimalign.DimEncoder(get_int("dimalign", "sample_size"),
+                                        get_int("dimalign", "unified_dim"),
                                         get("dimalign", "weight"), get("dimalign", "bias")),
         encoder=GnnLayer(get("encoder", "weight"), get("encoder", "bias"),
                          str(get("encoder", "activation"))),

@@ -1,110 +1,80 @@
 """Hot inner loops: meta-path walks and skip-gram negative-sampling updates.
 
-Each kernel is written once as plain Python over numpy arrays and compiled
-with numba when available. Set MUG_DISABLE_NUMBA=1 to force the interpreted
-path (same source, bit-identical results, much slower at scale). All
-randomness is pre-drawn into arrays by the caller, so the two paths consume
-the exact same random sequence.
+Both kernels are plain NumPy and reproduce the sequential scalar reference
+(tests/oracles.py) bit for bit. All randomness is pre-drawn into arrays by
+the caller. Exactness rests on keeping the scalar order of every floating
+point operation:
 
-benchmarks/bench_kernels.py compares the two paths.
+- a sum is the last entry of a cumulative sum (``np.add.accumulate``, which
+  ``np.cumsum`` calls), which adds left to right like the scalar loop;
+  ``@``, ``np.dot`` and ``.sum()`` reorder the adds through BLAS or pairwise
+  summation and change bits;
+- sigmoids and log-sigmoids are computed on Python floats with ``math``,
+  as NumPy's SIMD ``exp`` may differ from libm in the last place.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-if os.environ.get("MUG_DISABLE_NUMBA"):
-    USING_NUMBA = False
-else:
-    try:
-        import numba
+USING_NUMBA = False   # recorded by the benchmark; there is one NumPy path
 
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
+_CHUNK = 4096         # SGNS pairs whose targets are gathered at once
 
 
-def _jit(fn):
-    if USING_NUMBA:
-        return numba.njit(cache=True)(fn)
-    return fn
-
-
-@_jit
-def run_walks(flat_indptr, indptr_start, flat_indices, indices_start,
-              type_off, starts, walks_per_node, walk_len, uniforms,
-              out_nodes, out_lens):
+def run_walks(steps, type_off, starts, uniforms):
     """Meta-path-guided walks; the step pattern repeats cyclically.
 
-    Step j moves from a node of pattern type j to a uniformly chosen
-    neighbor under step j's CSR. A node with no conforming neighbor ends
-    the walk early. out_nodes rows are global node ids, -1 padded.
+    steps[j] is the (indptr, indices) CSR of pattern step j, from local ids
+    of type j to local ids of type j+1. Walk r starts at local target id
+    starts[r]; at step k it moves to neighbor int(uniforms[r, k] * deg) of
+    its current node under steps[k % period]. A node with no conforming
+    neighbor ends the walk early. Returns (walks, lens): walks rows are
+    global node ids (local id + type_off of the node's pattern position),
+    -1 padded.
     """
-    period = indptr_start.shape[0]
-    n_starts = starts.shape[0]
-    for s in range(n_starts):
-        for w in range(walks_per_node):
-            row = s * walks_per_node + w
-            cur = starts[s]
-            out_nodes[row, 0] = type_off[0] + cur
-            length = 1
-            for step in range(walk_len):
-                j = step % period
-                base = indptr_start[j]
-                lo = flat_indptr[base + cur]
-                deg = flat_indptr[base + cur + 1] - lo
-                if deg == 0:
-                    break
-                pick = int(uniforms[s, w, step] * deg)
-                if pick >= deg:
-                    pick = deg - 1
-                cur = flat_indices[indices_start[j] + lo + pick]
-                out_nodes[row, length] = type_off[(step + 1) % period] + cur
-                length += 1
-            out_lens[row] = length
+    n_walks, walk_len = uniforms.shape
+    period = len(steps)
+    walks = np.full((n_walks, walk_len + 1), -1, dtype=np.int64)
+    lens = np.ones(n_walks, dtype=np.int64)
+    rows = np.arange(n_walks)
+    cur = np.asarray(starts, dtype=np.int64)
+    walks[:, 0] = type_off[0] + cur
+    for step in range(walk_len):
+        indptr, indices = steps[step % period]
+        lo = indptr[cur]
+        deg = indptr[cur + 1] - lo
+        alive = deg > 0
+        if not alive.all():
+            rows, lo, deg = rows[alive], lo[alive], deg[alive]
+            if rows.size == 0:
+                break
+        pick = (uniforms[rows, step] * deg).astype(np.int64)
+        np.minimum(pick, deg - 1, out=pick)
+        cur = indices[lo + pick]
+        walks[rows, step + 1] = type_off[(step + 1) % period] + cur
+        lens[rows] += 1
+    return walks, lens
 
 
-@_jit
-def count_window_pairs(lens, window):
-    total = 0
-    for w in range(lens.shape[0]):
-        n = lens[w]
-        for i in range(n):
-            lo = i - window
-            if lo < 0:
-                lo = 0
-            hi = i + window
-            if hi > n - 1:
-                hi = n - 1
-            total += hi - lo
-    return total
+def _target(score, positive, lr):
+    """Loss term and step (label - sigmoid(score)) * lr of one target."""
+    if score >= 0.0:
+        e = math.exp(-score)
+        sig = 1.0 / (1.0 + e)
+        logsig = -math.log1p(e)
+    else:
+        e = math.exp(score)
+        sig = e / (1.0 + e)
+        logsig = score - math.log1p(e)
+    if positive:
+        return logsig, (1.0 - sig) * lr
+    # -log(1 - sigmoid(score)) = -logsigmoid(-score)
+    return logsig - score, (0.0 - sig) * lr
 
 
-@_jit
-def fill_window_pairs(walks, lens, window, centers, contexts):
-    k = 0
-    for w in range(lens.shape[0]):
-        n = lens[w]
-        for i in range(n):
-            lo = i - window
-            if lo < 0:
-                lo = 0
-            hi = i + window
-            if hi > n - 1:
-                hi = n - 1
-            for j in range(lo, hi + 1):
-                if j == i:
-                    continue
-                centers[k] = walks[w, i]
-                contexts[k] = walks[w, j]
-                k += 1
-    return k
-
-
-@_jit
 def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
                lr_start, lr_end, pair_offset, total_pairs):
     """One sequential pass of skip-gram SGD with negative sampling.
@@ -113,44 +83,46 @@ def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
     tables, the center row update is applied after all targets (word2vec
     update order). The learning rate decays linearly over total_pairs.
     Returns the summed pair loss (computed before the updates).
+
+    Pairs run one after another; the targets of a pair run at once. All
+    their scores read the context rows as they were when the pair began,
+    which is the sequential order unless a node repeats among the targets;
+    such a pair runs target by target, so a later score sees the earlier
+    update. The center update is a left-to-right sum of the target terms
+    (``+ 0.0`` gives the sign of zero a sum started at 0.0 would have).
     """
-    n_pairs = centers_idx.shape[0]
-    n_neg = negatives.shape[1]
-    dim = center.shape[1]
-    buf = np.zeros(dim)
+    n_pairs = negatives.shape[0]
     loss = 0.0
-    for p in range(n_pairs):
-        frac = (pair_offset + p) / total_pairs
-        lr = lr_start + (lr_end - lr_start) * frac
-        v = centers_idx[p]
-        for d in range(dim):
-            buf[d] = 0.0
-        for t in range(n_neg + 1):
-            if t == 0:
-                target = contexts_idx[p]
-                label = 1.0
-            else:
-                target = negatives[p, t - 1]
-                label = 0.0
-            score = 0.0
-            for d in range(dim):
-                score += center[v, d] * context[target, d]
-            if score >= 0.0:
-                sig = 1.0 / (1.0 + math.exp(-score))
-                logsig = -math.log1p(math.exp(-score))
-            else:
-                e = math.exp(score)
-                sig = e / (1.0 + e)
-                logsig = score - math.log1p(e)
-            if label == 1.0:
-                loss -= logsig
-            else:
-                # -log(1 - sigmoid(score)) = -logsigmoid(-score)
-                loss -= logsig - score
-            g = (label - sig) * lr
-            for d in range(dim):
-                buf[d] += g * context[target, d]
-                context[target, d] += g * center[v, d]
-        for d in range(dim):
-            center[v, d] += buf[d]
+    for start in range(0, n_pairs, _CHUNK):
+        stop = min(start + _CHUNK, n_pairs)
+        targets = np.concatenate(
+            [contexts_idx[start:stop, None], negatives[start:stop]], axis=1)
+        ordered = np.sort(targets, axis=1)
+        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).tolist()
+        for p, v, tg, rep in zip(range(start, stop),
+                                 centers_idx[start:stop].tolist(), targets, repeats):
+            frac = (pair_offset + p) / total_pairs
+            lr = lr_start + (lr_end - lr_start) * frac
+            cv = center[v]
+            if rep:
+                buf = np.zeros_like(cv)
+                for t, target in enumerate(tg.tolist()):
+                    ctx = context[target]
+                    term, g = _target(float(np.add.accumulate(cv * ctx)[-1]), t == 0, lr)
+                    loss -= term
+                    buf += g * ctx
+                    ctx += g * cv
+                cv += buf
+                continue
+            ctx = context.take(tg, axis=0)
+            scores = np.add.accumulate(ctx * cv, axis=1)[:, -1].tolist()
+            steps = []
+            for t, score in enumerate(scores):
+                term, g = _target(score, t == 0, lr)
+                loss -= term
+                steps.append(g)
+            g = np.array(steps)[:, None]
+            buf = np.add.accumulate(g * ctx, axis=0)[-1] + 0.0
+            context[tg] = ctx + g * cv
+            cv += buf
     return loss

@@ -66,33 +66,19 @@ def sample_walks(g: HetGraph, mp: MetaPath, cfg: WalkConfig,
     meta-paths get independent walks.
     """
     cfg.validate()
-    period = mp.length
-    indptrs, indiceses = zip(*(_step_csr(g, mp, j) for j in range(period)))
-    indptr_start = np.zeros(period, dtype=np.int64)
-    indices_start = np.zeros(period, dtype=np.int64)
-    for j in range(1, period):
-        indptr_start[j] = indptr_start[j - 1] + len(indptrs[j - 1])
-        indices_start[j] = indices_start[j - 1] + len(indiceses[j - 1])
-    flat_indptr = np.concatenate(indptrs)
-    flat_indices = (np.concatenate(indiceses) if any(len(x) for x in indiceses)
-                    else np.zeros(0, dtype=np.int64))
+    steps = [_step_csr(g, mp, j) for j in range(mp.length)]
     type_off = np.array([g.offset(t) for t in mp.types[:-1]], dtype=np.int64)
 
     n_starts = g.counts[g.target_type]
-    starts = np.arange(n_starts, dtype=np.int64)
     uniforms = np.empty((n_starts, cfg.walks_per_node, cfg.walk_length))
     base = STREAM_WALKS + (rng.stream_id << 20)
     for s in range(n_starts):
         uniforms[s] = RngStream(rng.seed, base + s).uniform(
             (cfg.walks_per_node, cfg.walk_length)
         )
-
-    walks = np.full((n_starts * cfg.walks_per_node, cfg.walk_length + 1), -1,
-                    dtype=np.int64)
-    lens = np.zeros(n_starts * cfg.walks_per_node, dtype=np.int64)
-    kernels.run_walks(flat_indptr, indptr_start, flat_indices, indices_start,
-                      type_off, starts, cfg.walks_per_node, cfg.walk_length,
-                      uniforms, walks, lens)
+    starts = np.repeat(np.arange(n_starts, dtype=np.int64), cfg.walks_per_node)
+    walks, lens = kernels.run_walks(steps, type_off, starts,
+                                    uniforms.reshape(len(starts), cfg.walk_length))
     return walks, lens
 
 
@@ -110,11 +96,24 @@ def sample_all_walks(g: HetGraph, cfg: WalkConfig,
 
 def _window_pairs(walks: np.ndarray, lens: np.ndarray,
                   window: int) -> Tuple[np.ndarray, np.ndarray]:
-    total = kernels.count_window_pairs(lens, window)
-    centers = np.empty(total, dtype=np.int64)
-    contexts = np.empty(total, dtype=np.int64)
-    kernels.fill_window_pairs(walks, lens, window, centers, contexts)
-    return centers, contexts
+    """Skip-gram (center, context) pairs in (walk, i, j) order.
+
+    Position j pairs with center position i when 0 < |i - j| <= window and
+    both lie inside the walk. Candidate j = i + k - window comes from a
+    window-padded copy of each walk, so all pairs are selected at once.
+    """
+    n_walks, width = walks.shape
+    span = 2 * window + 1
+    padded = np.full((n_walks, width + 2 * window), -1, dtype=np.int64)
+    padded[:, window:window + width] = walks
+    cand = np.lib.stride_tricks.sliding_window_view(padded, span, axis=1)[:, :width]
+    pos = np.arange(width)
+    j = pos[:, None] + np.arange(span) - window          # (width, span)
+    n = lens[:, None, None]
+    keep = ((pos[None, :, None] < n) & (j >= 0) & (j < n)
+            & (j != pos[:, None]))
+    centers = np.broadcast_to(walks[:, :, None], keep.shape)[keep]
+    return centers, cand[keep]
 
 
 def _negative_sampler(walks, lens, n_nodes, cfg):
@@ -140,8 +139,9 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
     """Skip-gram with negative sampling over window pairs from the walks.
 
     Center table is the published embedding; the context table is discarded.
-    Sequential single-threaded SGD: same (walks, cfg, seed) gives identical
-    tables.
+    Sequential SGD, one pair after another (kernels.sgns_epoch). Every dot
+    product is a left-to-right ``cumsum`` and every sigmoid a ``math`` scalar,
+    so the same (walks, cfg, seed) gives bit-identical tables on any BLAS.
     """
     cfg.validate()
     if walks.size == 0 or lens.sum() == 0:

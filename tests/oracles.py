@@ -1,5 +1,6 @@
 """Independent oracles shared by the unit and acceptance suites."""
 
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -29,3 +30,93 @@ def enumerate_pairs(g, mp):
             if end != start:
                 adj[start, end] = True
     return adj
+
+
+# -- scalar kernel references ----------------------------------------------------
+# The sequential loops mug.kernels reproduces bit for bit, one element at a time.
+
+
+def run_walks(steps, type_off, starts, uniforms):
+    """Scalar reference for kernels.run_walks (same arguments and result)."""
+    n_walks, walk_len = uniforms.shape
+    period = len(steps)
+    out_nodes = np.full((n_walks, walk_len + 1), -1, dtype=np.int64)
+    out_lens = np.zeros(n_walks, dtype=np.int64)
+    for row in range(n_walks):
+        cur = starts[row]
+        out_nodes[row, 0] = type_off[0] + cur
+        length = 1
+        for step in range(walk_len):
+            indptr, indices = steps[step % period]
+            lo = indptr[cur]
+            deg = indptr[cur + 1] - lo
+            if deg == 0:
+                break
+            pick = int(uniforms[row, step] * deg)
+            if pick >= deg:
+                pick = deg - 1
+            cur = indices[lo + pick]
+            out_nodes[row, length] = type_off[(step + 1) % period] + cur
+            length += 1
+        out_lens[row] = length
+    return out_nodes, out_lens
+
+
+def window_pairs(walks, lens, window):
+    """Scalar reference for structenc._window_pairs: (walk, i, j) order."""
+    centers, contexts = [], []
+    for w in range(lens.shape[0]):
+        n = lens[w]
+        for i in range(n):
+            lo = max(i - window, 0)
+            hi = min(i + window, n - 1)
+            for j in range(lo, hi + 1):
+                if j == i:
+                    continue
+                centers.append(walks[w, i])
+                contexts.append(walks[w, j])
+    return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
+
+
+def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
+               lr_start, lr_end, pair_offset, total_pairs):
+    """Scalar reference for kernels.sgns_epoch (updates the tables in place)."""
+    n_pairs = centers_idx.shape[0]
+    n_neg = negatives.shape[1]
+    dim = center.shape[1]
+    buf = np.zeros(dim)
+    loss = 0.0
+    for p in range(n_pairs):
+        frac = (pair_offset + p) / total_pairs
+        lr = lr_start + (lr_end - lr_start) * frac
+        v = centers_idx[p]
+        for d in range(dim):
+            buf[d] = 0.0
+        for t in range(n_neg + 1):
+            if t == 0:
+                target = contexts_idx[p]
+                label = 1.0
+            else:
+                target = negatives[p, t - 1]
+                label = 0.0
+            score = 0.0
+            for d in range(dim):
+                score += center[v, d] * context[target, d]
+            if score >= 0.0:
+                sig = 1.0 / (1.0 + math.exp(-score))
+                logsig = -math.log1p(math.exp(-score))
+            else:
+                e = math.exp(score)
+                sig = e / (1.0 + e)
+                logsig = score - math.log1p(e)
+            if label == 1.0:
+                loss -= logsig
+            else:
+                loss -= logsig - score
+            g = (label - sig) * lr
+            for d in range(dim):
+                buf[d] += g * context[target, d]
+                context[target, d] += g * center[v, d]
+        for d in range(dim):
+            center[v, d] += buf[d]
+    return loss

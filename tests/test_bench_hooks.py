@@ -1,0 +1,39 @@
+"""The benchmark's traced run still finds the struct-encoder stages it times.
+
+perfbench/tracer.py wraps functions by name; if one of these is renamed, the
+per-layer walk, pair and SGNS metrics read zero without any other failure.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+from mug import synth
+from mug.bundle import save_bundle
+from mug.rng import RngStream
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_traced_pretrain_records_struct_encoder_spans(tmp_path):
+    spec = synth.two_view_spec(attr_dim=4, centroid_scale=1.0, targets_per_class=10)
+    bundle = str(tmp_path / "bundle")
+    save_bundle(synth.generate(synth.SynthSpec.from_dict(spec), RngStream(3)), bundle)
+    config = str(tmp_path / "run.cfg")
+    with open(config, "w") as fh:
+        fh.write("struct_epochs = 1\nwalks_per_node = 1\nwalk_length = 4\n"
+                 "struct_dim = 8\nsample_size = 8\nunified_dim = 8\n")
+    trace = str(tmp_path / "trace.json")
+    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), trace, "0", "--",
+           "pretrain", "--data", bundle, "--config", config, "--epochs", "2",
+           "--out", str(tmp_path / "m.ckpt")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(trace) as fh:
+        record = json.load(fh)
+    names = {span[0] for span in record["spans"]}
+    for stage in ("structenc.sample_all_walks", "structenc._window_pairs",
+                  "structenc.train_sgns"):
+        assert stage in names, stage
+    assert record["counts"]["structenc.pairs"] > 0

@@ -311,16 +311,34 @@ def test_missing_bundle_exit_code(tmp_path):
     assert main(["homophily", "--data", str(tmp_path / "nope")]) == EXIT_DATA
 
 
-def _without_matrix(lines, section, name):
+def _entry_line(lines, section, name):
     start = lines.index(f"[{section}]")
-    i = next(j for j in range(start, len(lines)) if lines[j].startswith(name + " "))
+    return next(j for j in range(start, len(lines)) if lines[j].startswith(name + " "))
+
+
+def _edit_line(lines, section, name, text):
+    i = _entry_line(lines, section, name)
+    return lines[:i] + [text] + lines[i + 1:]
+
+
+def _edit_matrix_row(lines, section, name, edit):
+    i = _entry_line(lines, section, name) + 1
+    return lines[:i] + [" ".join(edit(lines[i].split(" ")))] + lines[i + 1:]
+
+
+def _without_matrix(lines, section, name):
+    i = _entry_line(lines, section, name)
     return lines[:i] + lines[i + 1 + int(lines[i].split(" ")[1]):]
 
 
 @pytest.mark.parametrize("damage", [
     lambda lines: lines[:lines.index("[meta]") - 1] + lines[lines.index("[meta]"):],
     lambda lines: _without_matrix(lines, "attention", "q"),
-], ids=["matrix-cut-short", "matrix-missing"])
+    lambda lines: _edit_matrix_row(lines, "encoder", "weight", lambda row: ["abc"] + row[1:]),
+    lambda lines: _edit_matrix_row(lines, "decoder", "bias", lambda row: row + row),
+    lambda lines: _edit_line(lines, "dimalign", "sample_size", "sample_size x"),
+], ids=["matrix-cut-short", "matrix-missing", "matrix-non-numeric", "matrix-ragged-row",
+        "sample-size-not-int"])
 def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, damage):
     lines = open(checkpoint).read().split("\n")
     bad = str(tmp_path / "bad.ckpt")
@@ -328,7 +346,8 @@ def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, da
         fh.write("\n".join(damage(lines)))
     assert main(["embed", "--model", bad, "--data", bundle,
                  "--out", str(tmp_path / "z.tsv")]) == EXIT_DATA
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ["), err
 
 
 @pytest.mark.parametrize("damage", [
@@ -336,7 +355,10 @@ def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, da
     lambda s: s["relations"][0].pop("dst"),
     lambda s: s["metapaths"][0].pop("steps"),
     lambda s: s.update(node_types=7),
-], ids=["relation-no-src", "relation-no-dst", "metapath-no-steps", "node-types-not-list"])
+    lambda s: s["metapaths"][0].update(steps=5),
+    lambda s: s.update(target_type=[s["target_type"]]),
+], ids=["relation-no-src", "relation-no-dst", "metapath-no-steps", "node-types-not-list",
+        "metapath-steps-not-list", "target-type-list"])
 def test_malformed_schema_exit_code(bundle, capsys, damage):
     path = os.path.join(bundle, "schema.json")
     with open(path) as fh:

@@ -1,8 +1,10 @@
-"""Walk sampling, skip-gram training, input unification, kernel path parity."""
+"""Walk sampling, skip-gram training, input unification, kernel parity with the
+scalar oracles."""
 
 import numpy as np
 import pytest
 
+import oracles
 from mug import kernels, structenc, synth
 from mug.hetgraph import HetGraph, MetaPath, Relation
 from mug.rng import RngStream
@@ -108,38 +110,136 @@ def test_walks_deterministic():
 # -- kernels -------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba disabled; single path only")
-def test_kernel_paths_bit_identical():
-    rng = np.random.default_rng(0)
-    n_nodes, dim, n_pairs, n_neg = 12, 8, 200, 4
-    center = (rng.random((n_nodes, dim)) - 0.5) / dim
-    context = rng.random((n_nodes, dim)) * 0.01
-    centers = rng.integers(0, n_nodes, n_pairs)
-    contexts = rng.integers(0, n_nodes, n_pairs)
-    negatives = rng.integers(0, n_nodes, (n_pairs, n_neg))
-
+def _sgns_both(center, context, centers, contexts, negatives, lr_start=0.025,
+               lr_end=0.0001, pair_offset=0, total_pairs=None):
+    """Run the kernel and the scalar oracle on copies; assert identical bits."""
+    total = len(centers) if total_pairs is None else total_pairs
+    args = (np.asarray(centers, dtype=np.int64), np.asarray(contexts, dtype=np.int64),
+            np.asarray(negatives, dtype=np.int64), lr_start, lr_end, pair_offset, total)
     c1, x1 = center.copy(), context.copy()
-    loss1 = kernels.sgns_epoch(c1, x1, centers, contexts, negatives,
-                               0.025, 0.0001, 0, n_pairs)
+    loss1 = oracles.sgns_epoch(c1, x1, *args)
     c2, x2 = center.copy(), context.copy()
-    loss2 = kernels.sgns_epoch.py_func(c2, x2, centers, contexts, negatives,
-                                       0.025, 0.0001, 0, n_pairs)
+    loss2 = kernels.sgns_epoch(c2, x2, *args)
     assert loss1 == loss2
-    assert np.array_equal(c1, c2)
-    assert np.array_equal(x1, x2)
+    assert c1.tobytes() == c2.tobytes()
+    assert x1.tobytes() == x2.tobytes()
+    return c2, x2
 
 
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba disabled; single path only")
-def test_walk_kernel_paths_bit_identical():
+def _tables(seed, n_nodes=12, dim=8):
+    rng = np.random.default_rng(seed)
+    return (rng.random((n_nodes, dim)) - 0.5) / dim, (rng.random((n_nodes, dim)) - 0.5) * 0.1
+
+
+def test_sgns_matches_scalar_oracle_on_random_pairs():
+    rng = np.random.default_rng(0)
+    n_nodes, n_pairs = 12, 300
+    center, context = _tables(0, n_nodes)
+    # 12 nodes and 5 targets per pair: many pairs repeat a target
+    _sgns_both(center, context, rng.integers(0, n_nodes, n_pairs),
+               rng.integers(0, n_nodes, n_pairs),
+               rng.integers(0, n_nodes, (n_pairs, 4)), lr_start=0.5)
+
+
+def test_sgns_matches_oracle_with_positive_among_negatives():
+    center, context = _tables(1)
+    _sgns_both(center, context, [0, 1], [3, 4], [[3, 5, 3], [6, 4, 7]], lr_start=0.5)
+
+
+def test_sgns_matches_oracle_with_negative_drawn_twice():
+    center, context = _tables(2)
+    _sgns_both(center, context, [0, 2, 2], [1, 3, 3], [[5, 5, 6], [7, 8, 7], [9, 9, 9]],
+               lr_start=0.5)
+
+
+def test_sgns_matches_oracle_on_zero_context_table():
+    center, _ = _tables(3)
+    _sgns_both(center, np.zeros_like(center), [0, 1, 0, 5], [1, 2, 3, 0],
+               [[4, 5], [6, 7], [8, 9], [10, 11]])
+
+
+def test_sgns_matches_oracle_on_signed_zeros():
+    # Every term of node 0's center update is -0.0; the oracle's sum starts at
+    # +0.0, so -0.0 center entries must come out +0.0.
+    center, _ = _tables(3)
+    center[0, ::2] = -0.0
+    context = np.zeros_like(center)
+    context[1] = -0.0
+    c, _ = _sgns_both(center, context, [0], [1], [[4, 5]])
+    assert not np.signbit(c[0, ::2]).any()
+
+
+def test_sgns_matches_oracle_across_lr_decay_with_pair_offset():
+    rng = np.random.default_rng(4)
+    center, context = _tables(4, n_nodes=40)
+    _sgns_both(center, context, rng.integers(0, 40, 50), rng.integers(0, 40, 50),
+               rng.integers(0, 40, (50, 5)), lr_start=1.0, lr_end=0.001,
+               pair_offset=100, total_pairs=150)
+
+
+def test_sgns_matches_oracle_across_chunks(monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK", 7)
+    rng = np.random.default_rng(5)
+    center, context = _tables(5, n_nodes=20)
+    _sgns_both(center, context, rng.integers(0, 20, 60), rng.integers(0, 20, 60),
+               rng.integers(0, 20, (60, 3)), lr_start=0.5)
+
+
+def _walk_steps(adjacencies):
+    """(indptr, indices) per pattern step from dense 0/1 matrices."""
+    out = []
+    for m in adjacencies:
+        m = np.asarray(m, dtype=bool)
+        indptr = np.concatenate([[0], np.cumsum(m.sum(axis=1))]).astype(np.int64)
+        out.append((indptr, np.nonzero(m)[1].astype(np.int64)))
+    return out
+
+
+def test_run_walks_matches_oracle_with_dead_ends_and_isolated_start():
+    # T0 -> A{0,1}, T1 -> A1, T2 isolated; A0 leads back to T0 only, A1 to nothing
+    steps = _walk_steps([[[1, 1], [0, 1], [0, 0]], [[1, 0, 0], [0, 0, 0]]])
+    type_off = np.array([0, 3], dtype=np.int64)
+    starts = np.repeat(np.arange(3, dtype=np.int64), 4)
+    uniforms = np.random.default_rng(6).random((12, 7))
+    uniforms[0] = np.nextafter(1.0, 0.0)   # int(u * deg) == deg - 1 at the top edge
+    walks, lens = kernels.run_walks(steps, type_off, starts, uniforms)
+    ref_walks, ref_lens = oracles.run_walks(steps, type_off, starts, uniforms)
+    assert np.array_equal(walks, ref_walks) and np.array_equal(lens, ref_lens)
+    assert walks.dtype == lens.dtype == np.int64
+    assert np.all(lens[8:] == 1) and np.all(walks[8:, 1:] == -1)   # isolated T2
+    assert np.all(lens[:8] < 8)                                     # all dead-end early
+
+
+def test_run_walks_matches_oracle_on_planted_graph():
     g = planted_graph(4)
-    cfg = WalkConfig(walks_per_node=2, walk_length=6)
-    w1, l1 = sample_walks(g, g.metapaths[0], cfg, RngStream(2))
-    try:
-        kernels.run_walks, jitted = kernels.run_walks.py_func, kernels.run_walks
-        w2, l2 = sample_walks(g, g.metapaths[0], cfg, RngStream(2))
-    finally:
-        kernels.run_walks = jitted
-    assert np.array_equal(w1, w2) and np.array_equal(l1, l2)
+    mp = g.metapaths[0]
+    steps = [structenc._step_csr(g, mp, j) for j in range(mp.length)]
+    type_off = np.array([g.offset(t) for t in mp.types[:-1]], dtype=np.int64)
+    starts = np.repeat(np.arange(g.counts["T"], dtype=np.int64), 2)
+    uniforms = np.random.default_rng(7).random((len(starts), 9))
+    out = kernels.run_walks(steps, type_off, starts, uniforms)
+    ref = oracles.run_walks(steps, type_off, starts, uniforms)
+    assert all(np.array_equal(a, b) for a, b in zip(out, ref))
+
+
+@pytest.mark.parametrize("window", [1, 2, 5])
+def test_window_pairs_match_oracle(window):
+    rng = np.random.default_rng(window)
+    lens = np.array([1, 2, 3, 7, 1, 4], dtype=np.int64)   # length 1 and < window
+    walks = np.full((len(lens), 7), -1, dtype=np.int64)
+    for w, n in enumerate(lens):
+        walks[w, :n] = rng.integers(0, 30, n)
+    centers, contexts = structenc._window_pairs(walks, lens, window)
+    ref_centers, ref_contexts = oracles.window_pairs(walks, lens, window)
+    assert np.array_equal(centers, ref_centers)
+    assert np.array_equal(contexts, ref_contexts)
+    assert centers.dtype == contexts.dtype == np.int64
+
+
+def test_window_pairs_of_single_node_walks_are_empty():
+    walks = np.array([[3, -1, -1], [4, -1, -1]], dtype=np.int64)
+    centers, contexts = structenc._window_pairs(walks, np.array([1, 1]), 2)
+    assert centers.shape == contexts.shape == (0,)
 
 
 def test_sgns_loss_at_zero_embeddings():
@@ -195,8 +295,6 @@ def test_sgns_single_pair_gradient_matches_fd():
 # -- training behaviour --------------------------------------------------------
 
 
-@pytest.mark.skipif(not kernels.USING_NUMBA,
-                    reason="full-size SGNS is too slow on the interpreted path")
 def test_sgns_separates_planted_blocks():
     g = planted_graph(0)
     cfg = WalkConfig(dim=32, epochs=5)
