@@ -113,21 +113,14 @@ def _bw_transpose(node, g):
     node.inputs[0].grad += g.T
 
 
-def _broadcast_kind(base, other):
-    if other == base:
-        return "same"
-    if other == (1, base[1]):
-        return "row"
-    if other == (1, 1):
-        return "scalar"
-    return None
-
-
 def add(a: Node, b: Node) -> Node:
-    """Elementwise add; b may be a 1xK row (broadcast over rows) or 1x1."""
+    """Elementwise add; b may be a 1xK row, broadcast over rows."""
     a, b = as_node(a), as_node(b)
-    kind = _broadcast_kind(a.shape, b.shape)
-    if kind is None:
+    if a.shape == b.shape:
+        kind = "same"
+    elif b.shape == (1, a.shape[1]):
+        kind = "row"
+    else:
         raise ShapeError(f"add: {a.shape} + {b.shape}")
     return Node("add", (a, b), a.value + b.value, extra=kind)
 
@@ -138,21 +131,17 @@ def _bw_add(node, g):
     a.grad += g
     if node.extra == "same":
         b.grad += g
-    elif node.extra == "row":
-        b.grad += g.sum(axis=0, keepdims=True)
     else:
-        b.grad += g.sum().reshape(1, 1)
+        b.grad += g.sum(axis=0, keepdims=True)
 
 
 def mul(a: Node, b: Node) -> Node:
-    """Elementwise multiply; either operand may be 1x1 (scalar broadcast)."""
+    """Elementwise multiply; b may be 1x1 (scalar broadcast)."""
     a, b = as_node(a), as_node(b)
     if a.shape == b.shape:
         kind = "same"
     elif b.shape == (1, 1):
-        kind = "bscalar"
-    elif a.shape == (1, 1):
-        kind = "ascalar"
+        kind = "scalar"
     else:
         raise ShapeError(f"mul: {a.shape} * {b.shape}")
     return Node("mul", (a, b), a.value * b.value, extra=kind)
@@ -164,12 +153,9 @@ def _bw_mul(node, g):
     if node.extra == "same":
         a.grad += g * b.value
         b.grad += g * a.value
-    elif node.extra == "bscalar":
+    else:
         a.grad += g * b.value[0, 0]
         b.grad += (g * a.value).sum().reshape(1, 1)
-    else:
-        a.grad += (g * b.value).sum().reshape(1, 1)
-        b.grad += g * a.value[0, 0]
 
 
 def smul(a: Node, c: float) -> Node:

@@ -8,34 +8,15 @@ is drawn on every graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .rng import RngStream
 
 
-@dataclass
-class DimEncoder:
-    sample_size: int            # rows fed to the shared affine map
-    unified_dim: int            # k
-    weight: np.ndarray          # sample_size x k
-    bias: np.ndarray            # 1 x k
-
-
 def glorot(rng: RngStream, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform((fan_in, fan_out)) * 2 * limit - limit
-
-
-def init_dim_encoder(sample_size: int, unified_dim: int, rng: RngStream) -> DimEncoder:
-    return DimEncoder(
-        sample_size=sample_size,
-        unified_dim=unified_dim,
-        weight=glorot(rng, sample_size, unified_dim),
-        bias=np.zeros((1, unified_dim)),
-    )
 
 
 def draw_node_sample(n_target: int, sample_size: int, rng: RngStream) -> np.ndarray:

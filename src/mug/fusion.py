@@ -1,16 +1,32 @@
 """Semantic attention over views, scattering regularizer, training loop, checkpoints.
 
-The transferable parameter set is exactly what the checkpoint stores: the
-dimension encoder, the shared graph-conv encoder, the decoder, and the
-attention head. All shapes depend only on the unified dimension k, never on
-a dataset's attribute width or view count. Structural embeddings are
-retrained per graph and are deliberately absent.
+A MugModel is its named parameters plus the TrainConfig they were trained
+with. param_shapes names them: the dimension encoder, the encoder shared by
+every view, the decoder and the attention head. Their shapes depend only on
+the sample size and the unified dimension k, never on a dataset's attribute
+width or view count. Structural embeddings are retrained per graph and are
+not part of the model.
+
+Checkpoint format (UTF-8 text):
+
+    MUG-CKPT v2
+    [meta]
+    <key> <value>          one line per TrainConfig field, in field order;
+                           nested fields read walk.dim, mask.edge_mask_rate
+    [params]
+    <name> <rows> <cols>   one header per param_shapes entry, in that order,
+    <row values>           each followed by its rows of repr(float) values
+
+load_checkpoint parses [meta] into a TrainConfig first, then requires the
+matrix headers to equal param_shapes of that config. Any fault raises
+CheckpointError naming the file and the section; other versions are refused.
 """
 
 from __future__ import annotations
 
+import copy
 import io
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,18 +34,11 @@ import numpy as np
 from . import autodiff as ad
 from . import dimalign, metamae, structenc
 from .hetgraph import HetGraph, all_views
-from .metamae import GnnLayer, MaskSpec
+from .metamae import MaskSpec
 from .rng import RngStream, STREAM_INIT, STREAM_MASK, STREAM_SAMPLE
 from .structenc import WalkConfig
 
-CHECKPOINT_MAGIC = "MUG-CKPT v1"
-
-
-@dataclass
-class Attention:
-    q: np.ndarray   # k x 1
-    weight: np.ndarray   # k x k
-    bias: np.ndarray     # 1 x k
+CHECKPOINT_MAGIC = "MUG-CKPT v2"
 
 
 @dataclass
@@ -63,17 +72,25 @@ class TrainConfig:
         self.mask.validate()
 
 
+def param_shapes(cfg: TrainConfig) -> List[Tuple[str, Tuple[int, int]]]:
+    """(name, shape) of every transferable parameter, in checkpoint order."""
+    k, ns = cfg.unified_dim, cfg.sample_size
+    return [
+        ("dim.weight", (ns, k)), ("dim.bias", (1, k)),
+        ("enc.weight", (k, k)), ("enc.bias", (1, k)),
+        ("dec.weight", (k, k)), ("dec.bias", (1, k)),
+        ("att.q", (k, 1)), ("att.weight", (k, k)), ("att.bias", (1, k)),
+    ]
+
+
 @dataclass
 class MugModel:
-    dim_encoder: dimalign.DimEncoder
-    encoder: GnnLayer
-    decoder: GnnLayer
-    attention: Attention
-    meta: Dict[str, str]
+    params: Dict[str, np.ndarray]    # keyed as param_shapes names them
+    cfg: TrainConfig                 # the config the parameters were trained with
 
     @property
     def unified_dim(self) -> int:
-        return self.dim_encoder.unified_dim
+        return self.cfg.unified_dim
 
 
 class DivergenceError(ad.NumericsError):
@@ -162,61 +179,36 @@ class Optimizer:
 
 
 def _init_params(cfg: TrainConfig, seed: int) -> Dict[str, np.ndarray]:
-    k, ns = cfg.unified_dim, cfg.sample_size
-    specs = [
-        ("dim.weight", ns, k), ("dim.bias", 1, k),
-        ("enc.weight", k, k), ("enc.bias", 1, k),
-        ("dec.weight", k, k), ("dec.bias", 1, k),
-        ("att.q", k, 1), ("att.weight", k, k), ("att.bias", 1, k),
-    ]
     params = {}
-    for i, (name, fi, fo) in enumerate(specs):
+    for i, (name, shape) in enumerate(param_shapes(cfg)):
         if name.endswith(".bias"):
-            params[name] = np.zeros((fi, fo))
+            params[name] = np.zeros(shape)
         else:
-            params[name] = dimalign.glorot(RngStream(seed, STREAM_INIT + i), fi, fo)
+            params[name] = dimalign.glorot(RngStream(seed, STREAM_INIT + i), *shape)
     return params
 
 
-def _params_to_model(params: Dict[str, np.ndarray], cfg: TrainConfig,
-                     meta: Dict[str, str]) -> MugModel:
-    return MugModel(
-        dim_encoder=dimalign.DimEncoder(cfg.sample_size, cfg.unified_dim,
-                                        params["dim.weight"].copy(),
-                                        params["dim.bias"].copy()),
-        encoder=GnnLayer(params["enc.weight"].copy(), params["enc.bias"].copy(),
-                         "leaky_relu"),
-        decoder=GnnLayer(params["dec.weight"].copy(), params["dec.bias"].copy(),
-                         "identity"),
-        attention=Attention(params["att.q"].copy(), params["att.weight"].copy(),
-                            params["att.bias"].copy()),
-        meta=meta,
-    )
-
-
 def _forward(params_nodes: Dict[str, ad.Node], unified: np.ndarray,
-             sample_idx: np.ndarray, view_names: Sequence[str],
-             targets: Sequence[np.ndarray], masked: Sequence[np.ndarray],
-             cfg: TrainConfig):
-    """One full differentiable pass; returns the loss nodes and view bundles."""
+             sample_idx: np.ndarray, targets: Sequence[np.ndarray],
+             masked: Sequence[np.ndarray], cfg: TrainConfig):
+    """One full differentiable pass: (l_align, beta, per-view losses, l_scatter)."""
     basis = dimalign.basis_vectors(params_nodes["dim.weight"],
                                    params_nodes["dim.bias"], unified[sample_idx])
     l_align = dimalign.align_loss(basis)
     x_unify = dimalign.project(basis, unified)
 
-    bundles = [
-        metamae.autoencode_view(name, adj, m, x_unify,
+    views = [
+        metamae.autoencode_view(adj, m, x_unify,
                                 params_nodes["enc.weight"], params_nodes["enc.bias"],
                                 params_nodes["dec.weight"], params_nodes["dec.bias"],
                                 cfg.gamma)
-        for name, adj, m in zip(view_names, targets, masked)
+        for adj, m in zip(targets, masked)
     ]
-    z_views = [vb.z for vb in bundles]
+    z_views = [z for z, _ in views]
     beta = attention_weights(params_nodes["att.q"], params_nodes["att.weight"],
                              params_nodes["att.bias"], z_views)
-    fused = fuse(beta, z_views)
-    l_scatter = scatter_loss(fused)
-    return l_align, beta, bundles, l_scatter, fused
+    l_scatter = scatter_loss(fuse(beta, z_views))
+    return l_align, beta, [loss for _, loss in views], l_scatter
 
 
 def config_fields(cfg):
@@ -231,14 +223,12 @@ def config_fields(cfg):
 
 
 def config_echo(cfg: TrainConfig) -> Dict[str, str]:
-    flat = {key: str(value) for key, _, _, value in config_fields(cfg)}
-    return {"format": CHECKPOINT_MAGIC, **flat}
+    return {key: str(value) for key, _, _, value in config_fields(cfg)}
 
 
 @dataclass
 class _GraphState:
     unified: np.ndarray
-    view_names: List[str]
     targets: List[np.ndarray]
     sample_idx: np.ndarray
 
@@ -258,8 +248,8 @@ def _prepare_graph(g: HetGraph, cfg: TrainConfig) -> _GraphState:
     views = all_views(g)
     sample_idx = dimalign.draw_node_sample(
         g.counts[g.target_type], cfg.sample_size, RngStream(cfg.seed, STREAM_SAMPLE))
-    return _GraphState(unified=unified, view_names=list(views),
-                       targets=list(views.values()), sample_idx=sample_idx)
+    return _GraphState(unified=unified, targets=list(views.values()),
+                       sample_idx=sample_idx)
 
 
 def _train(state: _GraphState, cfg: TrainConfig,
@@ -276,15 +266,12 @@ def _train(state: _GraphState, cfg: TrainConfig,
             masked = []
             for i, adj in enumerate(state.targets):
                 stream = RngStream(seed, STREAM_MASK + epoch * 64 + i)
-                m, _ = metamae.mask_edges(adj, cfg.mask, stream)
-                masked.append(m)
+                masked.append(metamae.mask_edges(adj, cfg.mask, stream))
 
         nodes = {k: ad.leaf(v) for k, v in params.items()}
         try:
-            l_align, beta, bundles, l_scatter, _ = _forward(
-                nodes, state.unified, state.sample_idx, state.view_names,
-                state.targets, masked, cfg)
-            view_losses = [vb.loss for vb in bundles]
+            l_align, beta, view_losses, l_scatter = _forward(
+                nodes, state.unified, state.sample_idx, state.targets, masked, cfg)
             loss = total_loss(l_align, beta, view_losses, l_scatter, cfg)
         except ad.NumericsError:
             raise DivergenceError(epoch)
@@ -304,7 +291,7 @@ def _train(state: _GraphState, cfg: TrainConfig,
                 "total": float(loss.value[0, 0]),
             })
 
-    return _params_to_model(params, cfg, config_echo(cfg))
+    return MugModel(params, copy.deepcopy(cfg))
 
 
 def pretrain(g: HetGraph, cfg: TrainConfig,
@@ -321,41 +308,21 @@ def pretrain(g: HetGraph, cfg: TrainConfig,
 # -- frozen-encoder embedding ----------------------------------------------------
 
 
-def _cfg_from_meta(meta: Dict[str, str]) -> TrainConfig:
-    """Invert config_echo; a field missing from the meta keeps its default."""
-    cfg = TrainConfig()
-    for key, owner, name, default in config_fields(cfg):
-        if key in meta:
-            text = meta[key]
-            setattr(owner, name, text == "True" if isinstance(default, bool)
-                    else type(default)(text))
-    return cfg
-
-
 def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Frozen transfer: retrain the struct table on g, apply frozen parameters.
 
     Returns (fused embedding |V_target| x k, per-view attention weights).
     No masking at embedding time and no parameter updates of any kind.
     """
-    cfg = _cfg_from_meta(model.meta)
-    cfg.seed = seed
-    cfg.sample_size = model.dim_encoder.sample_size
-    state = _prepare_graph(g, cfg)
-
-    basis = dimalign.basis_vectors(ad.leaf(model.dim_encoder.weight),
-                                   ad.leaf(model.dim_encoder.bias),
+    state = _prepare_graph(g, replace(model.cfg, seed=seed))
+    p = {name: ad.leaf(value) for name, value in model.params.items()}
+    basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"],
                                    state.unified[state.sample_idx])
     x_unify = dimalign.project(basis, state.unified)
-
-    z_views = []
-    for adj in state.targets:
-        op = metamae.normalized_operator(adj)
-        z_views.append(metamae.encode(op, x_unify, ad.leaf(model.encoder.weight),
-                                      ad.leaf(model.encoder.bias)))
-    beta = attention_weights(ad.leaf(model.attention.q),
-                             ad.leaf(model.attention.weight),
-                             ad.leaf(model.attention.bias), z_views)
+    z_views = [metamae.encode(metamae.normalized_operator(adj), x_unify,
+                              p["enc.weight"], p["enc.bias"])
+               for adj in state.targets]
+    beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], z_views)
     fused = fuse(beta, z_views)
     return fused.value.copy(), beta.value[:, 0].copy()
 
@@ -363,35 +330,17 @@ def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.n
 # -- checkpoint I/O ---------------------------------------------------------------
 
 
-def _write_matrix(fh, name: str, mat: np.ndarray) -> None:
-    fh.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n")
-    for row in mat:
-        fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
 def save_checkpoint(model: MugModel, path: str) -> None:
     buf = io.StringIO()
-    buf.write(CHECKPOINT_MAGIC + "\n")
-    buf.write("[dimalign]\n")
-    buf.write(f"sample_size {model.dim_encoder.sample_size}\n")
-    buf.write(f"unified_dim {model.dim_encoder.unified_dim}\n")
-    _write_matrix(buf, "weight", model.dim_encoder.weight)
-    _write_matrix(buf, "bias", model.dim_encoder.bias)
-    buf.write("[encoder]\n")
-    buf.write(f"activation {model.encoder.activation}\n")
-    _write_matrix(buf, "weight", model.encoder.weight)
-    _write_matrix(buf, "bias", model.encoder.bias)
-    buf.write("[decoder]\n")
-    buf.write(f"activation {model.decoder.activation}\n")
-    _write_matrix(buf, "weight", model.decoder.weight)
-    _write_matrix(buf, "bias", model.decoder.bias)
-    buf.write("[attention]\n")
-    _write_matrix(buf, "q", model.attention.q)
-    _write_matrix(buf, "weight", model.attention.weight)
-    _write_matrix(buf, "bias", model.attention.bias)
-    buf.write("[meta]\n")
-    for key in sorted(model.meta):
-        buf.write(f"{key} {model.meta[key]}\n")
+    buf.write(CHECKPOINT_MAGIC + "\n[meta]\n")
+    for key, value in config_echo(model.cfg).items():
+        buf.write(f"{key} {value}\n")
+    buf.write("[params]\n")
+    for name, _ in param_shapes(model.cfg):
+        mat = model.params[name]
+        buf.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n")
+        for row in mat:
+            buf.write(" ".join(repr(float(v)) for v in row) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
 
@@ -400,81 +349,69 @@ class CheckpointError(ValueError):
     pass
 
 
+def _read_meta(path: str, lines: List[str]) -> TrainConfig:
+    """Invert config_echo: every TrainConfig field exactly once."""
+    cfg = TrainConfig()
+    todo = {key: (owner, name, default) for key, owner, name, default in config_fields(cfg)}
+    for line in lines:
+        key, _, text = line.partition(" ")
+        if key not in todo:
+            raise CheckpointError(f"{path}: [meta] unknown or repeated key '{key}'")
+        owner, name, default = todo.pop(key)
+        try:
+            if isinstance(default, bool):
+                value = {"True": True, "False": False}[text]
+            else:
+                value = type(default)(text)
+        except (KeyError, ValueError):
+            raise CheckpointError(f"{path}: [meta] bad value for '{key}': '{text}'") from None
+        setattr(owner, name, value)
+    if todo:
+        raise CheckpointError(f"{path}: [meta] has no '{next(iter(todo))}'")
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: [meta] {exc}") from None
+    return cfg
+
+
+def _read_params(path: str, lines: List[str], cfg: TrainConfig) -> Dict[str, np.ndarray]:
+    """The param_shapes(cfg) matrices, in order, each with exactly its shape."""
+    params: Dict[str, np.ndarray] = {}
+    i = 0
+    for name, (r, c) in param_shapes(cfg):
+        header = lines[i] if i < len(lines) else "the end of the file"
+        if header != f"{name} {r} {c}":
+            raise CheckpointError(f"{path}: [params] expected matrix header "
+                                  f"'{name} {r} {c}' (shape from [meta]), found '{header}'")
+        where = f"{path}: [params] matrix '{name}'"
+        rows = [row.split(" ") for row in lines[i + 1:i + 1 + r]]
+        if len(rows) < r:
+            raise CheckpointError(f"{where} is cut short")
+        for j, row in enumerate(rows):
+            if len(row) != c:
+                raise CheckpointError(
+                    f"{where}: row {j + 1} has {len(row)} values, expected {c}")
+        try:
+            params[name] = np.array([[float(v) for v in row] for row in rows])
+        except ValueError as exc:
+            raise CheckpointError(f"{where}: {exc}") from None
+        i += 1 + r
+    if i < len(lines):
+        raise CheckpointError(f"{path}: [params] unexpected line after the last "
+                              f"matrix: '{lines[i]}'")
+    return params
+
+
 def load_checkpoint(path: str) -> MugModel:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+    if lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a '{CHECKPOINT_MAGIC}' checkpoint")
 
-    sections: Dict[str, List[str]] = {}
-    current = None
-    for line in lines[1:]:
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            sections[current] = []
-        elif current is None:
-            raise CheckpointError(f"{path}: content before first section")
-        else:
-            sections[current].append(line)
-    required = ("dimalign", "encoder", "decoder", "attention", "meta")
-    for name in required:
-        if name not in sections:
-            raise CheckpointError(f"{path}: missing section [{name}]")
-
-    def parse(title: str, section: List[str]) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        i = 0
-        while i < len(section):
-            parts = section[i].split(" ")
-            if len(parts) == 3 and parts[1].isdigit() and parts[2].isdigit():
-                name, r, c = parts[0], int(parts[1]), int(parts[2])
-                where = f"{path}: [{title}] matrix '{name}'"
-                if i + 1 + r > len(section):
-                    raise CheckpointError(f"{where} is cut short")
-                rows = [section[i + 1 + j].split(" ") for j in range(r)]
-                for j, row in enumerate(rows):
-                    if len(row) != c:
-                        raise CheckpointError(
-                            f"{where}: row {j + 1} has {len(row)} values, expected {c}")
-                try:
-                    mat = np.array([[float(v) for v in row] for row in rows])
-                except ValueError as exc:
-                    raise CheckpointError(f"{where}: {exc}") from None
-                if mat.shape != (r, c):
-                    raise CheckpointError(f"{where}: bad shape")
-                out[name] = mat
-                i += 1 + r
-            else:
-                out[parts[0]] = " ".join(parts[1:])
-                i += 1
-        return out
-
-    parsed = {name: parse(name, sections[name]) for name in required}
-
-    def get(section: str, key: str):
-        if key not in parsed[section]:
-            raise CheckpointError(f"{path}: [{section}] has no '{key}'")
-        return parsed[section][key]
-
-    def get_int(section: str, key: str) -> int:
-        value = get(section, key)
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise CheckpointError(
-                f"{path}: [{section}] '{key}' is not an integer") from None
-
-    return MugModel(
-        dim_encoder=dimalign.DimEncoder(get_int("dimalign", "sample_size"),
-                                        get_int("dimalign", "unified_dim"),
-                                        get("dimalign", "weight"), get("dimalign", "bias")),
-        encoder=GnnLayer(get("encoder", "weight"), get("encoder", "bias"),
-                         str(get("encoder", "activation"))),
-        decoder=GnnLayer(get("decoder", "weight"), get("decoder", "bias"),
-                         str(get("decoder", "activation"))),
-        attention=Attention(get("attention", "q"), get("attention", "weight"),
-                            get("attention", "bias")),
-        meta={k: str(v) for k, v in parsed["meta"].items()},
-    )
+    body = [line for line in lines[1:] if line]
+    if body[:1] != ["[meta]"] or "[params]" not in body:
+        raise CheckpointError(f"{path}: expected a [meta] and then a [params] section")
+    split = body.index("[params]")
+    cfg = _read_meta(path, body[1:split])
+    return MugModel(_read_params(path, body[split + 1:], cfg), cfg)

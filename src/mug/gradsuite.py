@@ -113,8 +113,7 @@ def _recon_check() -> Check:
 
         def build(nodes):
             z = metamae.encode(op, ad.leaf(x), nodes["enc.weight"], nodes["enc.bias"])
-            _, a_hat = metamae.reconstruct(op, z, nodes["dec.weight"],
-                                           nodes["dec.bias"])
+            a_hat = metamae.reconstruct(op, z, nodes["dec.weight"], nodes["dec.bias"])
             return metamae.recon_loss(adj, a_hat, 2.0)
 
         return build
@@ -161,10 +160,8 @@ def _total_check() -> Check:
         sample_idx = rng.choice(n, size=ns, replace=False)
 
         def build(nodes):
-            l_align, beta, bundles, l_scatter, _ = fusion._forward(
-                nodes, unified, sample_idx, ["v0", "v1"], adjs, masked, cfg)
-            return fusion.total_loss(l_align, beta, [vb.loss for vb in bundles],
-                                     l_scatter, cfg)
+            return fusion.total_loss(
+                *fusion._forward(nodes, unified, sample_idx, adjs, masked, cfg), cfg)
 
         return build
 

@@ -23,14 +23,6 @@ class DegenerateViewError(ValueError):
 
 
 @dataclass
-class GnnLayer:
-    weight: np.ndarray          # in_dim x out_dim
-    bias: np.ndarray            # 1 x out_dim
-    activation: str = "leaky_relu"   # or "identity"
-    leak: float = 0.25
-
-
-@dataclass
 class MaskSpec:
     edge_mask_rate: float = 0.5
     resample_per_epoch: bool = True
@@ -40,13 +32,11 @@ class MaskSpec:
             raise ValueError(f"edge_mask_rate must be in [0,1], got {self.edge_mask_rate}")
 
 
-def mask_edges(adj: np.ndarray, spec: MaskSpec,
-               rng: RngStream) -> Tuple[np.ndarray, np.ndarray]:
-    """Keep each present edge with probability 1 - edge_mask_rate.
+def mask_edges(adj: np.ndarray, spec: MaskSpec, rng: RngStream) -> np.ndarray:
+    """The adjacency with each present edge kept with probability 1 - edge_mask_rate.
 
-    Returns (masked adjacency, keep mask). Symmetric views flip one coin per
-    unordered pair so the masked view stays symmetric; absent entries are
-    never created.
+    Symmetric views flip one coin per unordered pair so the masked view stays
+    symmetric; absent entries are never created.
     """
     spec.validate()
     adj = adj.astype(bool)
@@ -55,7 +45,7 @@ def mask_edges(adj: np.ndarray, spec: MaskSpec,
     if np.array_equal(adj, adj.T):
         upper = np.triu(keep, k=1)
         keep = upper | upper.T
-    return adj & keep, keep
+    return adj & keep
 
 
 def normalized_operator(adj: np.ndarray) -> np.ndarray:
@@ -65,55 +55,37 @@ def normalized_operator(adj: np.ndarray) -> np.ndarray:
     return dinv[:, None] * a * dinv[None, :]
 
 
-def graph_conv(adj_op: np.ndarray, x: ad.Node, weight: ad.Node, bias: ad.Node,
-               activation: str = "leaky_relu", leak: float = 0.25) -> ad.Node:
-    """act(adj_op @ x @ W + b) with adj_op held constant."""
+def graph_conv(adj_op: np.ndarray, x: ad.Node, weight: ad.Node, bias: ad.Node) -> ad.Node:
+    """adj_op @ x @ W + b with adj_op held constant."""
     if x.shape[1] != weight.shape[0]:
         raise ad.ShapeError(
             f"graph_conv: input width {x.shape[1]} != weight rows {weight.shape[0]}"
         )
-    h = ad.add(ad.matmul(ad.leaf(adj_op), ad.matmul(x, weight)), bias)
-    if activation == "leaky_relu":
-        return ad.leaky_relu(h, leak)
-    if activation == "identity":
-        return h
-    raise ValueError(f"unknown activation '{activation}'")
+    return ad.add(ad.matmul(ad.leaf(adj_op), ad.matmul(x, weight)), bias)
 
 
-def encode(adj_op: np.ndarray, x: ad.Node, weight: ad.Node, bias: ad.Node,
-           leak: float = 0.25) -> ad.Node:
-    return graph_conv(adj_op, x, weight, bias, "leaky_relu", leak)
+def encode(adj_op: np.ndarray, x: ad.Node, weight: ad.Node, bias: ad.Node) -> ad.Node:
+    """The shared encoder: leaky_relu (slope 0.25) over one graph convolution."""
+    return ad.leaky_relu(graph_conv(adj_op, x, weight, bias), 0.25)
 
 
-def reconstruct(adj_op: np.ndarray, z: ad.Node, weight: ad.Node,
-                bias: ad.Node) -> Tuple[ad.Node, ad.Node]:
+def reconstruct(adj_op: np.ndarray, z: ad.Node, weight: ad.Node, bias: ad.Node) -> ad.Node:
     """Decoder pass over the same (masked) operator, then sigmoid outer product."""
-    z_hat = graph_conv(adj_op, z, weight, bias, "identity")
-    a_hat = ad.sigmoid(ad.matmul(z_hat, ad.transpose(z_hat)))
-    return z_hat, a_hat
+    z_hat = graph_conv(adj_op, z, weight, bias)
+    return ad.sigmoid(ad.matmul(z_hat, ad.transpose(z_hat)))
 
 
-@dataclass
-class ViewBundle:
-    """Everything one meta-path view contributes to an epoch."""
-
-    name: str
-    z: ad.Node                   # encoder output
-    z_hat: ad.Node               # decoder output
-    a_hat: ad.Node               # reconstructed adjacency, entries in (0,1)
-    loss: ad.Node
-
-
-def autoencode_view(name: str, adj: np.ndarray, masked: np.ndarray, x: ad.Node,
+def autoencode_view(adj: np.ndarray, masked: np.ndarray, x: ad.Node,
                     enc_weight: ad.Node, enc_bias: ad.Node,
                     dec_weight: ad.Node, dec_bias: ad.Node,
-                    gamma: float = 2.0) -> ViewBundle:
-    """Mask-encode-decode-reconstruct one view against its unmasked adjacency."""
+                    gamma: float = 2.0) -> Tuple[ad.Node, ad.Node]:
+    """Mask-encode-decode-reconstruct one view; returns (encoder output, loss).
+
+    The loss compares the reconstruction against the unmasked adjacency.
+    """
     op = normalized_operator(masked)
     z = encode(op, x, enc_weight, enc_bias)
-    z_hat, a_hat = reconstruct(op, z, dec_weight, dec_bias)
-    return ViewBundle(name=name, z=z, z_hat=z_hat, a_hat=a_hat,
-                      loss=recon_loss(adj, a_hat, gamma))
+    return z, recon_loss(adj, reconstruct(op, z, dec_weight, dec_bias), gamma)
 
 
 def recon_loss(adj: np.ndarray, a_hat: ad.Node, gamma: float = 2.0) -> ad.Node:

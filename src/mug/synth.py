@@ -13,7 +13,7 @@ labels attribute-independent (structure-only signal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -55,7 +55,6 @@ class SynthSpec:
     centroid_scale: float = 1.0
     noise: float = 0.5
     aux_centroid_scale: float = 0.0
-    extra: Dict = field(default_factory=dict)
 
     @staticmethod
     def from_dict(d: Dict) -> "SynthSpec":

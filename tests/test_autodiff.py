@@ -216,7 +216,6 @@ OP_CASES = {
     "transpose": lambda n, rng: ad.transpose(n["a"]),
     "add_same": lambda n, rng: ad.add(n["a"], n["b"]),
     "add_row": lambda n, rng: ad.add(n["a"], n["row"]),
-    "add_scalar": lambda n, rng: ad.add(n["a"], n["s"]),
     "mul_same": lambda n, rng: ad.mul(n["a"], n["b"]),
     "mul_scalar": lambda n, rng: ad.mul(n["a"], n["s"]),
     "smul": lambda n, rng: ad.smul(n["a"], -1.7),

@@ -331,15 +331,42 @@ def _without_matrix(lines, section, name):
     return lines[:i] + lines[i + 1 + int(lines[i].split(" ")[1]):]
 
 
-@pytest.mark.parametrize("damage", [
-    lambda lines: lines[:lines.index("[meta]") - 1] + lines[lines.index("[meta]"):],
-    lambda lines: _without_matrix(lines, "attention", "q"),
-    lambda lines: _edit_matrix_row(lines, "encoder", "weight", lambda row: ["abc"] + row[1:]),
-    lambda lines: _edit_matrix_row(lines, "decoder", "bias", lambda row: row + row),
-    lambda lines: _edit_line(lines, "dimalign", "sample_size", "sample_size x"),
+def _swap_matrices(lines, section, first, second):
+    i = _entry_line(lines, section, first)
+    j = i + 1 + int(lines[i].split(" ")[1])
+    k = j + 1 + int(lines[j].split(" ")[1])
+    return lines[:i] + lines[j:k] + lines[i:j] + lines[k:]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda lines: lines[:_entry_line(lines, "params", "att.bias") + 1],
+     "[params] matrix 'att.bias' is cut short"),
+    (lambda lines: _without_matrix(lines, "params", "att.q"),
+     "[params] expected matrix header 'att.q 16 1' (shape from [meta]), "
+     "found 'att.weight 16 16'"),
+    (lambda lines: _edit_matrix_row(lines, "params", "enc.weight",
+                                    lambda row: ["abc"] + row[1:]),
+     "[params] matrix 'enc.weight': could not convert"),
+    (lambda lines: _edit_matrix_row(lines, "params", "dec.bias", lambda row: row + row),
+     "[params] matrix 'dec.bias': row 1 has 32 values, expected 16"),
+    (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size x"),
+     "[meta] bad value for 'sample_size': 'x'"),
+    (lambda lines: _edit_line(lines, "meta", "walk.dim", "walk.dim x"),
+     "[meta] bad value for 'walk.dim': 'x'"),
+    (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size 15"),
+     "[params] expected matrix header 'dim.weight 15 16' (shape from [meta]), "
+     "found 'dim.weight 16 16'"),
+    (lambda lines: _edit_line(lines, "params", "enc.bias", "enc.gain 1 16"),
+     "[params] expected matrix header 'enc.bias 1 16'"),
+    (lambda lines: _swap_matrices(lines, "params", "enc.weight", "enc.bias"),
+     "[params] expected matrix header 'enc.weight 16 16' (shape from [meta]), "
+     "found 'enc.bias 1 16'"),
+    (lambda lines: ["MUG-CKPT v1"] + lines[1:], "not a 'MUG-CKPT v2' checkpoint"),
 ], ids=["matrix-cut-short", "matrix-missing", "matrix-non-numeric", "matrix-ragged-row",
-        "sample-size-not-int"])
-def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, damage):
+        "sample-size-not-int", "meta-walk-dim-not-int", "meta-sample-size-disagrees",
+        "params-unknown-name", "params-out-of-order", "v1-header"])
+def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, damage,
+                                        message):
     lines = open(checkpoint).read().split("\n")
     bad = str(tmp_path / "bad.ckpt")
     with open(bad, "w") as fh:
@@ -347,7 +374,7 @@ def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, da
     assert main(["embed", "--model", bad, "--data", bundle,
                  "--out", str(tmp_path / "z.tsv")]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ["), err
+    assert err.startswith(f"error: {bad}: {message}"), err
 
 
 @pytest.mark.parametrize("damage", [

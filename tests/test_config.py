@@ -4,7 +4,14 @@ from dataclasses import asdict
 
 from mug import config
 from mug.evalkit import SplitSpec
-from mug.fusion import TrainConfig, _cfg_from_meta, config_echo
+from mug.fusion import (
+    MugModel,
+    TrainConfig,
+    _init_params,
+    config_echo,
+    load_checkpoint,
+    save_checkpoint,
+)
 from mug.metamae import MaskSpec
 from mug.structenc import WalkConfig
 
@@ -37,9 +44,11 @@ def test_off_default_config_differs_in_every_field():
     assert [k for k in got if got[k] == want[k]] == []
 
 
-def test_checkpoint_echo_round_trips_every_field():
+def test_checkpoint_echo_round_trips_every_field(tmp_path):
     cfg = off_default_config()
-    assert _cfg_from_meta(config_echo(cfg)) == cfg
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(MugModel(_init_params(cfg, 0), cfg), path)
+    assert load_checkpoint(path).cfg == cfg
 
 
 def test_echo_keys_name_nested_fields():

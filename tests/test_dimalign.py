@@ -112,11 +112,11 @@ def test_node_sample_replacement_rule():
 
 
 def test_transfer_shape_law_same_encoder_two_widths():
-    enc = dimalign.init_dim_encoder(8, 5, RngStream(0, 3))
+    weight, bias = dimalign.glorot(RngStream(0, 3), 8, 5), np.zeros((1, 5))
     rng = np.random.default_rng(4)
     for d in (7, 19):
         x = rng.normal(size=(12, d))
         idx = dimalign.draw_node_sample(12, 8, RngStream(0, 4))
-        s = dimalign.basis_vectors(ad.leaf(enc.weight), ad.leaf(enc.bias), x[idx])
+        s = dimalign.basis_vectors(ad.leaf(weight), ad.leaf(bias), x[idx])
         out = dimalign.project(s, x)
         assert out.shape == (12, 5)

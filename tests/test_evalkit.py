@@ -205,9 +205,8 @@ def test_cross_domain_eval_diagonal_and_frozen():
 
     def digest(m):
         h = hashlib.sha256()
-        for arr in (m.dim_encoder.weight, m.encoder.weight, m.decoder.weight,
-                    m.attention.q):
-            h.update(arr.tobytes())
+        for name in ("dim.weight", "enc.weight", "dec.weight", "att.q"):
+            h.update(m.params[name].tobytes())
         return h.hexdigest()
 
     before = digest(model)

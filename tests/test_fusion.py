@@ -1,5 +1,6 @@
 """Attention aggregation, scattering, total objective, pre-training, transfer."""
 
+import copy
 import hashlib
 import os
 
@@ -41,11 +42,8 @@ def planted(seed=0, spec=None):
 
 def model_digest(model):
     h = hashlib.sha256()
-    for arr in (model.dim_encoder.weight, model.dim_encoder.bias,
-                model.encoder.weight, model.encoder.bias,
-                model.decoder.weight, model.decoder.bias,
-                model.attention.q, model.attention.weight, model.attention.bias):
-        h.update(arr.tobytes())
+    for name, _ in fusion.param_shapes(model.cfg):
+        h.update(model.params[name].tobytes())
     return h.hexdigest()
 
 
@@ -206,10 +204,8 @@ def test_full_objective_gradient_matches_fd_on_toy_instance():
                       sample_size=ns, unified_dim=k)
 
     def build(nodes):
-        l_align, beta, bundles, l_scatter, _ = fusion._forward(
-            nodes, unified, sample_idx, ["v0", "v1"], adjs, masked, cfg)
-        return total_loss(l_align, beta, [vb.loss for vb in bundles],
-                          l_scatter, cfg)
+        return total_loss(*fusion._forward(nodes, unified, sample_idx, adjs, masked, cfg),
+                          cfg)
 
     params = {
         "dim.weight": rng.uniform(-1, 1, size=(ns, k)),
@@ -236,7 +232,7 @@ def test_pretrain_zero_epochs_gives_initialized_checkpoint(tmp_path):
     assert trace == []
     path = str(tmp_path / "init.ckpt")
     save_checkpoint(model, path)
-    assert load_checkpoint(path).dim_encoder.weight.shape == (16, 16)
+    assert load_checkpoint(path).params["dim.weight"].shape == (16, 16)
 
 
 def test_pretrain_loss_decreases():
@@ -269,8 +265,8 @@ def test_pretrain_no_align_freezes_dim_encoder():
     g = planted()
     m = pretrain(g, small_cfg(epochs=4, no_align=True))
     init = fusion._init_params(small_cfg(epochs=4, no_align=True), 0)
-    assert np.array_equal(m.dim_encoder.weight, init["dim.weight"])
-    assert not np.array_equal(m.encoder.weight, init["enc.weight"])
+    assert np.array_equal(m.params["dim.weight"], init["dim.weight"])
+    assert not np.array_equal(m.params["enc.weight"], init["enc.weight"])
 
 
 def test_scatter_alone_spreads_embeddings():
@@ -308,6 +304,18 @@ def test_embed_transfers_to_different_schema():
     assert z.shape == (75, 16)
     assert len(beta) == 3
     assert model_digest(model) == before
+
+
+def test_model_keeps_its_own_copy_of_the_config():
+    g = planted()
+    cfg = small_cfg(epochs=2)
+    model = pretrain(g, cfg)
+    z1, b1 = embed(model, g, seed=1)
+    want = copy.deepcopy(cfg)
+    cfg.sample_size, cfg.unified_dim, cfg.no_cse, cfg.walk.dim = 4, 8, True, 4
+    assert model.cfg == want
+    z2, b2 = embed(model, g, seed=1)
+    assert np.array_equal(z1, z2) and np.array_equal(b1, b2)
 
 
 def test_checkpoint_round_trip_byte_identical(tmp_path):

@@ -30,13 +30,13 @@ def sym_adj(n, pairs):
 
 def test_mask_rate_zero_keeps_everything():
     adj = sym_adj(5, [(0, 1), (1, 2), (3, 4)])
-    masked, _ = mask_edges(adj, MaskSpec(edge_mask_rate=0.0), RngStream(0))
+    masked = mask_edges(adj, MaskSpec(edge_mask_rate=0.0), RngStream(0))
     assert np.array_equal(masked, adj)
 
 
 def test_mask_rate_one_removes_everything():
     adj = sym_adj(5, [(0, 1), (1, 2), (3, 4)])
-    masked, _ = mask_edges(adj, MaskSpec(edge_mask_rate=1.0), RngStream(0))
+    masked = mask_edges(adj, MaskSpec(edge_mask_rate=1.0), RngStream(0))
     assert masked.sum() == 0
 
 
@@ -47,7 +47,7 @@ def test_mask_half_removes_half_within_binomial_band():
     adj = adj | adj.T
     n_edges = np.triu(adj, 1).sum()
     assert n_edges >= 10_000
-    masked, _ = mask_edges(adj, MaskSpec(edge_mask_rate=0.5), RngStream(7))
+    masked = mask_edges(adj, MaskSpec(edge_mask_rate=0.5), RngStream(7))
     removed = 1.0 - np.triu(masked, 1).sum() / n_edges
     assert 0.48 <= removed <= 0.52
 
@@ -56,7 +56,7 @@ def test_mask_symmetric_view_stays_symmetric():
     rng = np.random.default_rng(1)
     adj = sym_adj(30, [(i, j) for i in range(30) for j in range(i + 1, 30)
                        if rng.random() < 0.3])
-    masked, _ = mask_edges(adj, MaskSpec(edge_mask_rate=0.5), RngStream(3))
+    masked = mask_edges(adj, MaskSpec(edge_mask_rate=0.5), RngStream(3))
     assert np.array_equal(masked, masked.T)
     assert not (masked & ~adj).any()  # never creates edges
 
@@ -69,7 +69,7 @@ def test_single_isolated_node_identity_conv():
     op = normalized_operator(adj)
     assert op[0, 0] == 1.0  # self-loop over degree one
     x = ad.leaf(np.array([[2.0, -3.0]]))
-    out = graph_conv(op, x, ad.leaf(np.eye(2)), ad.leaf(np.zeros((1, 2))), "identity")
+    out = graph_conv(op, x, ad.leaf(np.eye(2)), ad.leaf(np.zeros((1, 2))))
     assert np.array_equal(out.value, [[2.0, -3.0]])
 
 
@@ -92,7 +92,7 @@ def test_three_node_path_matches_hand_computation():
     w = np.array([[2.0, -1.0], [0.5, 1.5]])
     want = hand_op @ x @ w
     out = graph_conv(normalized_operator(adj), ad.leaf(x), ad.leaf(w),
-                     ad.leaf(np.zeros((1, 2))), "identity")
+                     ad.leaf(np.zeros((1, 2))))
     assert np.allclose(out.value, want)
 
 
@@ -104,15 +104,15 @@ def test_zero_decoded_embeddings_give_half_everywhere():
     op = normalized_operator(adj)
     z = ad.leaf(np.random.default_rng(0).normal(size=(3, 2)))
     # zero decoder weight forces z_hat = 0
-    _, a_hat = reconstruct(op, z, ad.leaf(np.zeros((2, 2))), ad.leaf(np.zeros((1, 2))))
+    a_hat = reconstruct(op, z, ad.leaf(np.zeros((2, 2))), ad.leaf(np.zeros((1, 2))))
     assert np.allclose(a_hat.value, 0.5)
 
 
 def test_orthonormal_rows_give_half_offdiag_sigma1_diag():
     adj = np.zeros((2, 2), dtype=bool)   # identity operator
     z = ad.leaf(np.eye(2))
-    _, a_hat = reconstruct(normalized_operator(adj), z, ad.leaf(np.eye(2)),
-                           ad.leaf(np.zeros((1, 2))))
+    a_hat = reconstruct(normalized_operator(adj), z, ad.leaf(np.eye(2)),
+                        ad.leaf(np.zeros((1, 2))))
     sig1 = 1.0 / (1.0 + np.exp(-1.0))
     assert a_hat.value[0, 1] == pytest.approx(0.5)
     assert a_hat.value[0, 0] == pytest.approx(sig1)
@@ -122,8 +122,8 @@ def test_reconstruction_is_sigmoid_outer_product():
     rng = np.random.default_rng(5)
     zv = rng.normal(size=(4, 2))
     adj = np.zeros((4, 4), dtype=bool)
-    _, a_hat = reconstruct(normalized_operator(adj), ad.leaf(zv), ad.leaf(np.eye(2)),
-                           ad.leaf(np.zeros((1, 2))))
+    a_hat = reconstruct(normalized_operator(adj), ad.leaf(zv), ad.leaf(np.eye(2)),
+                        ad.leaf(np.zeros((1, 2))))
     want = 1.0 / (1.0 + np.exp(-(zv @ zv.T)))
     assert np.allclose(a_hat.value, want)
 
@@ -187,14 +187,14 @@ def test_full_view_pipeline_gradient_matches_fd():
     rng = np.random.default_rng(10)
     n, d, k = 6, 4, 3
     adj = sym_adj(n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-    masked, _ = mask_edges(adj, MaskSpec(edge_mask_rate=0.5), RngStream(2))
+    masked = mask_edges(adj, MaskSpec(edge_mask_rate=0.5), RngStream(2))
     op = normalized_operator(masked)
     x_in = rng.uniform(-1, 1, size=(n, d))
 
     def build(nodes):
         x = ad.matmul(ad.leaf(x_in), nodes["proj"])  # stand-in for unified input
         z = encode(op, x, nodes["enc_w"], nodes["enc_b"])
-        _, a_hat = reconstruct(op, z, nodes["dec_w"], nodes["dec_b"])
+        a_hat = reconstruct(op, z, nodes["dec_w"], nodes["dec_b"])
         return recon_loss(adj, a_hat, 2.0)
 
     params = {
