@@ -17,7 +17,7 @@ from .hetgraph import HetGraph, MetaPath, Relation
 
 
 class BundleError(Exception):
-    """Base for bundle I/O problems; carries file and line number."""
+    """Base for problems reading a bundle or another text input; carries file and line."""
 
     def __init__(self, message: str, file: str, line: int = 0):
         super().__init__(f"{file}:{line}: {message}" if line else f"{file}: {message}")
@@ -41,11 +41,19 @@ class UnknownNodeError(BundleError):
     """A row references a node id that does not exist (or has the wrong type)."""
 
 
+def read_text(path: str) -> str:
+    """The whole of a UTF-8 text file; any other bytes raise an error naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise BundleError(f"not UTF-8 text: {exc}", path) from None
+
+
 def _read_rows(path: str):
     if not os.path.exists(path):
         raise MissingFileError("file not found", path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -79,11 +87,10 @@ def load_bundle(path: str) -> HetGraph:
     schema_path = os.path.join(path, "schema.json")
     if not os.path.exists(schema_path):
         raise MissingFileError("file not found", schema_path)
-    with open(schema_path, encoding="utf-8") as fh:
-        try:
-            schema = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedRowError(f"invalid JSON: {exc.msg}", schema_path, exc.lineno)
+    try:
+        schema = json.loads(read_text(schema_path))
+    except json.JSONDecodeError as exc:
+        raise MalformedRowError(f"invalid JSON: {exc.msg}", schema_path, exc.lineno)
 
     for key in ("node_types", "relations", "target_type", "metapaths"):
         if key not in schema:

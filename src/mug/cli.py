@@ -16,7 +16,7 @@ from typing import Dict, Optional
 from . import bundle as bio
 from . import config as cfgmod
 from . import evalkit, fusion, gradsuite, synth
-from .hetgraph import SchemaError, class_frequency_baseline, homophily_report
+from .hetgraph import class_frequency_baseline, homophily_report
 from .rng import RngStream
 
 EXIT_OK = 0
@@ -48,13 +48,11 @@ def _resolved(args, flag_keys: Dict[str, str]) -> Dict[str, object]:
 
 def cmd_synth(args) -> int:
     if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                print(f"{args.spec}:{exc.lineno}: invalid JSON: {exc.msg}",
-                      file=sys.stderr)
-                return EXIT_DATA
+        try:
+            raw = json.loads(bio.read_text(args.spec))
+        except json.JSONDecodeError as exc:
+            print(f"{args.spec}:{exc.lineno}: invalid JSON: {exc.msg}", file=sys.stderr)
+            return EXIT_DATA
     else:
         raw = synth.two_view_spec(centroid_scale=1.0)
     spec = synth.SynthSpec.from_dict(raw)
@@ -262,17 +260,10 @@ def main(argv: Optional[list] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (bio.BundleError, SchemaError, synth.SynthSpecError,
-            cfgmod.ConfigError, fusion.CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except fusion.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (bio.BundleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

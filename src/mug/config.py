@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from .bundle import read_text
 from .evalkit import SplitSpec
 from .fusion import TrainConfig, config_fields
 
@@ -70,23 +71,22 @@ def defaults() -> Dict[str, object]:
 def parse_config_file(path: str) -> Dict[str, object]:
     known = defaults()
     out: Dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            conv = _bool if isinstance(known[key], bool) else type(known[key])
-            try:
-                out[key] = conv(value)
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for '{key}': '{value}'")
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        conv = _bool if isinstance(known[key], bool) else type(known[key])
+        try:
+            out[key] = conv(value)
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value for '{key}': '{value}'")
     return out
 
 

@@ -93,13 +93,13 @@ def f1_scores(predictions: Sequence[int], truth: Sequence[int],
     if len(pred) != len(true):
         raise ValueError(f"length mismatch: {len(pred)} vs {len(true)}")
     c = num_classes or int(max(pred.max(), true.max())) + 1
-    tp = np.zeros(c)
-    fp = np.zeros(c)
-    fn = np.zeros(c)
-    for cls in range(c):
-        tp[cls] = np.sum((pred == cls) & (true == cls))
-        fp[cls] = np.sum((pred == cls) & (true != cls))
-        fn[cls] = np.sum((pred != cls) & (true == cls))
+
+    def count(x):   # occurrences of each class 0..c-1; other values are ignored
+        return np.bincount(x[(x >= 0) & (x < c)], minlength=c).astype(np.float64)
+
+    tp = count(true[pred == true])
+    fp = count(pred) - tp
+    fn = count(true) - tp
     denom = 2 * tp + fp + fn
     per_class = np.where(denom > 0, 2 * tp / np.where(denom > 0, denom, 1.0), 0.0)
     macro = float(per_class.mean())
@@ -108,16 +108,13 @@ def f1_scores(predictions: Sequence[int], truth: Sequence[int],
     return macro, micro
 
 
-@dataclass
-class ProbeConfig:
-    steps: int = 500
-    lr: float = 0.5
-    lr_end: float = 0.01
-    l2: float = 1e-4
+PROBE_STEPS = 500       # full-batch gradient steps
+PROBE_LR = 0.5          # learning rate, decayed linearly towards PROBE_LR_END
+PROBE_LR_END = 0.01
+PROBE_L2 = 1e-4         # weight decay on the probe weights
 
 
-def linear_probe(z: np.ndarray, labels: np.ndarray, splits: Splits,
-                 cfg: ProbeConfig = ProbeConfig()) -> np.ndarray:
+def linear_probe(z: np.ndarray, labels: np.ndarray, splits: Splits) -> np.ndarray:
     """Train the probe on the train rows, pick the best-val step, predict test."""
     y = np.asarray(labels)
     train_classes = np.unique(y[splits.train])
@@ -134,14 +131,14 @@ def linear_probe(z: np.ndarray, labels: np.ndarray, splits: Splits,
     b = np.zeros((1, n_classes))
     best = (-1.0, w.copy(), b.copy())
     n = len(x_train)
-    for t in range(cfg.steps):
+    for t in range(PROBE_STEPS):
         logits = x_train @ w + b
         logits -= logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
         p = e / e.sum(axis=1, keepdims=True)
-        gw = x_train.T @ (p - onehot) / n + cfg.l2 * w
+        gw = x_train.T @ (p - onehot) / n + PROBE_L2 * w
         gb = (p - onehot).mean(axis=0, keepdims=True)
-        lr = cfg.lr + (cfg.lr_end - cfg.lr) * (t / cfg.steps)
+        lr = PROBE_LR + (PROBE_LR_END - PROBE_LR) * (t / PROBE_STEPS)
         w -= lr * gw
         b -= lr * gb
         if len(x_val):

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dimalign, metamae, structenc
+from .bundle import read_text
 from .hetgraph import HetGraph, all_views
 from .metamae import MaskSpec
 from .rng import RngStream, STREAM_INIT, STREAM_MASK, STREAM_SAMPLE
@@ -133,7 +134,7 @@ def fuse(beta: ad.Node, views: Sequence[ad.Node]) -> ad.Node:
 def scatter_loss(z: ad.Node) -> ad.Node:
     """Negative mean squared distance to the embedding centroid."""
     n = z.shape[0]
-    centered = ad.add(z, ad.neg(ad.col_mean(z)))
+    centered = ad.add(z, ad.smul(ad.col_mean(z), -1.0))
     return ad.smul(ad.sum_all(ad.power(centered, 2.0)), -1.0 / n)
 
 
@@ -404,8 +405,7 @@ def _read_params(path: str, lines: List[str], cfg: TrainConfig) -> Dict[str, np.
 
 
 def load_checkpoint(path: str) -> MugModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     if lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a '{CHECKPOINT_MAGIC}' checkpoint")
 

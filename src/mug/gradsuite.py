@@ -1,8 +1,10 @@
-"""Finite-difference verification suite over every training loss expression.
+"""Finite-difference verification of the gradients that update parameters.
 
-Each named check builds one loss as a differentiable expression on random
-toy instances and compares analytic gradients against central differences.
-The CLI runs this suite; the acceptance tests pin its tolerances.
+Each named check builds one training loss on random toy instances as an
+autodiff expression, and autodiff.grad_check compares the gradients its
+backward closures give with central differences. The skip-gram check's
+closure runs the SGNS kernel itself. The CLI runs this suite; the acceptance
+tests pin its tolerances.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import dimalign, fusion, metamae
+from . import dimalign, fusion, kernels, metamae
 
 TOLERANCE = 1e-4
 
@@ -37,17 +39,16 @@ class Check:
     builder_for: Callable[[np.random.Generator], Callable]
 
 
-def _onehot(i, n):
-    v = np.zeros((1, n))
-    v[0, i] = 1.0
-    return v
-
-
 def _struct_pair_check() -> Check:
-    """Skip-gram pair objective over center/context tables."""
-    n, d = 6, 3
-    pairs = [(0, 1), (2, 3), (4, 5), (1, 0)]
-    negs = [(2, 4), (5, 0), (1, 3), (3, 5)]
+    """One kernels.sgns_epoch step on one pair equals -lr x the pair loss gradient.
+
+    The node's value is the pair's skip-gram loss, -log sigmoid(c_v . x_u)
+    minus the sum over negatives n of log sigmoid(-c_v . x_n). Its backward
+    closure runs the kernel on copies of both tables and reads the gradient
+    off the step. The targets are distinct: repeats run target by target,
+    which the oracle parity tests cover.
+    """
+    n, d, lr = 6, 3, 0.025
 
     def make_params(rng):
         return {
@@ -56,18 +57,23 @@ def _struct_pair_check() -> Check:
         }
 
     def builder_for(rng):
+        v = int(rng.integers(n))
+        targets = rng.choice(n, size=4, replace=False)   # positive, then negatives
+        sign = np.array([1.0, -1.0, -1.0, -1.0])
+
         def build(nodes):
-            total = None
-            for (v, u), neg_ids in zip(pairs, negs):
-                zv = ad.matmul(ad.leaf(_onehot(v, n)), nodes["center"])
-                zu = ad.matmul(ad.leaf(_onehot(u, n)), nodes["context"])
-                term = ad.neg(ad.logsigmoid(ad.matmul(zv, ad.transpose(zu))))
-                for nb in neg_ids:
-                    zn = ad.matmul(ad.leaf(_onehot(nb, n)), nodes["context"])
-                    score = ad.matmul(zv, ad.transpose(zn))
-                    term = ad.add(term, ad.neg(ad.logsigmoid(ad.neg(score))))
-                total = term if total is None else ad.add(total, term)
-            return ad.smul(total, 1.0 / len(pairs))
+            center, context = nodes["center"], nodes["context"]
+            scores = context.value[targets] @ center.value[v]
+            loss = np.logaddexp(0.0, -sign * scores).sum()
+
+            def back(g):
+                c, x = center.value.copy(), context.value.copy()
+                kernels.sgns_epoch(c, x, np.array([v]), targets[:1], targets[None, 1:],
+                                   lr, lr, 0, 1)
+                center.grad += g[0, 0] * (center.value - c) / lr
+                context.grad += g[0, 0] * (context.value - x) / lr
+
+            return ad.Node(np.array([[loss]]), (center, context), back, "sgns_pair")
 
         return build
 

@@ -102,6 +102,6 @@ def recon_loss(adj: np.ndarray, a_hat: ad.Node, gamma: float = 2.0) -> ad.Node:
     if n_valid == 0:
         raise DegenerateViewError("view has no non-empty rows")
     cos = ad.row_cosine(ad.leaf(target), a_hat)
-    per_row = ad.power(ad.add(ad.neg(cos), ad.leaf(np.ones((len(target), 1)))), gamma)
+    per_row = ad.power(ad.add(ad.smul(cos, -1.0), ad.leaf(np.ones((len(target), 1)))), gamma)
     kept = ad.mul(per_row, ad.leaf(valid.astype(np.float64).reshape(-1, 1)))
     return ad.smul(ad.sum_all(kept), 1.0 / n_valid)

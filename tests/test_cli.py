@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mug import autodiff as ad
-from mug import gradsuite, synth
+from mug import gradsuite, kernels, synth
 from mug.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -266,11 +266,9 @@ def test_gradcheck_passes_and_covers_five_expressions(capsys):
 
 
 def test_gradcheck_detects_injected_wrong_gradient():
-    # a fake op whose backward rule is deliberately wrong
+    # a fake op whose backward closure is deliberately wrong: it drops the gradient
     def broken_scale(a):
-        return ad.Node("broken_scale", (a,), a.value * 2.0)
-
-    ad._BACKWARD["broken_scale"] = lambda node, g: None  # drops the gradient
+        return ad.Node(a.value * 2.0, (a,), lambda g: None, "broken_scale")
 
     def make_params(rng):
         return {"X": rng.uniform(-1, 1, size=(2, 2))}
@@ -278,11 +276,8 @@ def test_gradcheck_detects_injected_wrong_gradient():
     def builder_for(rng):
         return lambda nodes: ad.sum_all(broken_scale(nodes["X"]))
 
-    try:
-        results = gradsuite.run_suite(
-            [gradsuite.Check("broken", make_params, builder_for)], instances=1)
-    finally:
-        del ad._BACKWARD["broken_scale"]
+    results = gradsuite.run_suite(
+        [gradsuite.Check("broken", make_params, builder_for)], instances=1)
     assert not results[0].passed
     # and the CLI maps failures to the numerical-failure exit code
     from mug import cli
@@ -297,6 +292,19 @@ def test_gradcheck_detects_injected_wrong_gradient():
         assert cli.cmd_gradcheck(FakeArgs()) == EXIT_NUMERIC
     finally:
         gradsuite.run_suite = original
+
+
+def test_sgns_check_fails_on_a_wrong_kernel_step(monkeypatch):
+    checks = [c for c in gradsuite.default_checks() if c.name == "struct_sgns_pair_loss"]
+    assert gradsuite.run_suite(checks, instances=3)[0].passed
+    real = kernels.sgns_epoch
+
+    def scaled(center, context, centers, contexts, negatives, lr_start, lr_end, *rest):
+        return real(center, context, centers, contexts, negatives,
+                    lr_start * 1.01, lr_end * 1.01, *rest)
+
+    monkeypatch.setattr(kernels, "sgns_epoch", scaled)
+    assert not gradsuite.run_suite(checks, instances=3)[0].passed
 
 
 # -- usage ----------------------------------------------------------------------
@@ -405,3 +413,39 @@ def test_threads_config_key_rejected(tmp_path, bundle, capsys):
     assert main(["pretrain", "--data", bundle, "--config", path,
                  "--out", str(tmp_path / "x.ckpt")]) == EXIT_DATA
     assert "unknown key 'threads'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--model", "--out", "--config"])
+def test_directory_path_exit_code(tmp_path, bundle, checkpoint, capsys, flag):
+    folder = str(tmp_path / "a_directory")
+    os.mkdir(folder)
+    argv = {
+        "--model": ["embed", "--model", folder, "--data", bundle,
+                    "--out", str(tmp_path / "z.tsv")],
+        "--out": ["embed", "--model", checkpoint, "--data", bundle, "--out", folder],
+        "--config": ["pretrain", "--data", bundle, "--config", folder,
+                     "--out", str(tmp_path / "x.ckpt")],
+    }[flag]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and folder in err, err
+
+
+@pytest.mark.parametrize("which", ["checkpoint", "nodes.tsv", "config", "spec"])
+def test_non_utf8_input_names_its_file(tmp_path, bundle, checkpoint, capsys, which):
+    bad = str(tmp_path / "binary")
+    argv = {
+        "checkpoint": ["embed", "--model", bad, "--data", bundle,
+                       "--out", str(tmp_path / "z.tsv")],
+        "nodes.tsv": ["homophily", "--data", bundle],
+        "config": ["pretrain", "--data", bundle, "--config", bad,
+                   "--out", str(tmp_path / "x.ckpt")],
+        "spec": ["synth", "--spec", bad, "--out", str(tmp_path / "b2")],
+    }[which]
+    if which == "nodes.tsv":
+        bad = os.path.join(bundle, "nodes.tsv")
+    with open(bad, "wb") as fh:
+        fh.write(b"\xff\xfe\x00bin")
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text: "), err

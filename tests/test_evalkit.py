@@ -8,7 +8,6 @@ import pytest
 from mug import evalkit, fusion, synth
 from mug.evalkit import (
     EvalReport,
-    ProbeConfig,
     SplitSpec,
     Splits,
     cross_domain_eval,
