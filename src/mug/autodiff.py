@@ -104,6 +104,17 @@ def matmul(a: Node, b: Node) -> Node:
     return Node(a.value @ b.value, (a, b), back, "matmul")
 
 
+def propagate(op: np.ndarray, x: Node) -> Node:
+    """op @ x for a constant operator op: only x gets a gradient."""
+    if op.shape[1] != x.shape[0]:
+        raise ShapeError(f"propagate: {op.shape} x {x.shape}")
+
+    def back(g):
+        x.grad += op.T @ g
+
+    return Node(op @ x.value, (x,), back, "propagate")
+
+
 def transpose(a: Node) -> Node:
     def back(g):
         a.grad += g.T
@@ -151,18 +162,6 @@ def smul(a: Node, c: float) -> Node:
     return Node(a.value * c, (a,), back, "smul")
 
 
-def sigmoid(a: Node) -> Node:
-    # branch on sign so exp never overflows
-    x = a.value
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def back(g):
-        a.grad += g * s * (1.0 - s)
-
-    return Node(s, (a,), back, "sigmoid")
-
-
 def tanh(a: Node) -> Node:
     t = np.tanh(a.value)
 
@@ -194,29 +193,6 @@ def power(a: Node, p: float) -> Node:
         a.grad += g * p * np.power(a.value, p - 1.0)
 
     return Node(np.power(a.value, p), (a,), back, "power")
-
-
-def row_cosine(a: Node, b: Node) -> Node:
-    """Row-wise cosine similarity, NxK x NxK -> Nx1. Zero rows give 0."""
-    if a.shape != b.shape:
-        raise ShapeError(f"row_cosine: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a.value, axis=1, keepdims=True)
-    nb = np.linalg.norm(b.value, axis=1, keepdims=True)
-    dot = (a.value * b.value).sum(axis=1, keepdims=True)
-    denom = na * nb
-    cos = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
-
-    def back(g):
-        valid = denom > 0
-        safe_den = np.where(valid, denom, 1.0)
-        safe_na2 = np.where(na > 0, na * na, 1.0)
-        safe_nb2 = np.where(nb > 0, nb * nb, 1.0)
-        ga = np.where(valid, b.value / safe_den - cos * a.value / safe_na2, 0.0)
-        gb = np.where(valid, a.value / safe_den - cos * b.value / safe_nb2, 0.0)
-        a.grad += g * ga
-        b.grad += g * gb
-
-    return Node(cos, (a, b), back, "row_cosine")
 
 
 def col_mean(a: Node) -> Node:

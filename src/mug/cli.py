@@ -37,6 +37,15 @@ def _echo_path(out_path: str) -> str:
     return stem + ".config.txt"
 
 
+def _check_outputs(*paths: str) -> None:
+    """Refuse, before any work, an output path that is a directory or has no parent."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise ValueError(f"{path}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{path}: parent directory does not exist")
+
+
 def _resolved(args, flag_keys: Dict[str, str]) -> Dict[str, object]:
     file_values = cfgmod.parse_config_file(args.config) if getattr(args, "config", None) else {}
     flags = {key: getattr(args, attr) for attr, key in flag_keys.items()}
@@ -51,8 +60,8 @@ def cmd_synth(args) -> int:
         try:
             raw = json.loads(bio.read_text(args.spec))
         except json.JSONDecodeError as exc:
-            print(f"{args.spec}:{exc.lineno}: invalid JSON: {exc.msg}", file=sys.stderr)
-            return EXIT_DATA
+            raise bio.MalformedRowError(f"invalid JSON: {exc.msg}", args.spec,
+                                        exc.lineno) from None
     else:
         raw = synth.two_view_spec(centroid_scale=1.0)
     spec = synth.SynthSpec.from_dict(raw)
@@ -70,6 +79,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_homophily(args) -> int:
+    if args.out:
+        _check_outputs(args.out)
     g = bio.load_bundle(args.data)
     if g.labels is None:
         print(f"error: bundle {args.data} has no labels.tsv", file=sys.stderr)
@@ -102,6 +113,8 @@ _PRETRAIN_FLAGS = {"seed": "seed", "epochs": "epochs", "no_cse": "no_cse",
 
 
 def cmd_pretrain(args) -> int:
+    stem, _ = os.path.splitext(args.out)
+    _check_outputs(args.out, stem + ".trace.csv", _echo_path(args.out))
     cfg = _resolved(args, _PRETRAIN_FLAGS)
     g = bio.load_bundle(args.data)
     train_cfg = cfgmod.to_train_config(cfg)
@@ -109,7 +122,6 @@ def cmd_pretrain(args) -> int:
     model = fusion.pretrain(g, train_cfg, trace=trace)
     fusion.save_checkpoint(model, args.out)
 
-    stem, _ = os.path.splitext(args.out)
     with open(stem + ".trace.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,l_align,l_recon_weighted,l_scatter,total\n")
         for row in trace:
@@ -126,6 +138,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    stem, _ = os.path.splitext(args.out)
+    _check_outputs(args.out, stem + ".beta.csv", _echo_path(args.out))
     model = fusion.load_checkpoint(args.model)
     g = bio.load_bundle(args.data)
     z, beta = fusion.embed(model, g, seed=args.seed)
@@ -135,7 +149,6 @@ def cmd_embed(args) -> int:
         fh.write("node_id\t" + "\t".join(f"z{i}" for i in range(z.shape[1])) + "\n")
         for nid, row in zip(ids, z):
             fh.write(nid + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
-    stem, _ = os.path.splitext(args.out)
     with open(stem + ".beta.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(repr(float(b)) for b in beta) + "\n")
     cfgmod.write_echo({"seed": args.seed, "model": args.model, "data": args.data},
@@ -152,6 +165,8 @@ _EVAL_FLAGS = {"seed": "seed", "repeats": "repeats"}
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_outputs(args.out, _echo_path(args.out))
     cfg = _resolved(args, _EVAL_FLAGS)
     model = fusion.load_checkpoint(args.model)
     spec = cfgmod.to_split_spec(cfg, shots=args.shots or 0)

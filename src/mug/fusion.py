@@ -63,7 +63,11 @@ class TrainConfig:
     walk: WalkConfig = field(default_factory=WalkConfig)
     mask: MaskSpec = field(default_factory=MaskSpec)
 
-    def validate(self):
+    def validate(self, n_views: int = 1):
+        """Check the settings; n_views is the view count of the graph to train on."""
+        if self.epochs * n_views >= 1 << 32:
+            raise ValueError(f"epochs x views must be < 2**32 to key the mask streams, "
+                             f"got {self.epochs} x {n_views}")
         for lam in (self.lambda_align, self.lambda_recon, self.lambda_scatter):
             if lam < 0:
                 raise ValueError("loss weights must be >= 0")
@@ -266,7 +270,7 @@ def _train(state: _GraphState, cfg: TrainConfig,
         if cfg.mask.resample_per_epoch or masked is None:
             masked = []
             for i, adj in enumerate(state.targets):
-                stream = RngStream(seed, STREAM_MASK + epoch * 64 + i)
+                stream = RngStream(seed, STREAM_MASK + epoch * len(state.targets) + i)
                 masked.append(metamae.mask_edges(adj, cfg.mask, stream))
 
         nodes = {k: ad.leaf(v) for k, v in params.items()}
@@ -302,7 +306,7 @@ def pretrain(g: HetGraph, cfg: TrainConfig,
     The per-epoch trace rows hold the loss parts; training aborts with the
     offending epoch if the loss goes non-finite.
     """
-    cfg.validate()
+    cfg.validate(len(g.metapaths))
     return _train(_prepare_graph(g, cfg), cfg, trace)
 
 

@@ -42,8 +42,8 @@ class Check:
 def _struct_pair_check() -> Check:
     """One kernels.sgns_epoch step on one pair equals -lr x the pair loss gradient.
 
-    The node's value is the pair's skip-gram loss, -log sigmoid(c_v . x_u)
-    minus the sum over negatives n of log sigmoid(-c_v . x_n). Its backward
+    The node's value is the pair's skip-gram loss, -log σ(c_v . x_u)
+    minus the sum over negatives n of log σ(-c_v . x_n). Its backward
     closure runs the kernel on copies of both tables and reads the gradient
     off the step. The targets are distinct: repeats run target by target,
     which the oracle parity tests cover.
@@ -114,13 +114,13 @@ def _recon_check() -> Check:
         adj = _random_view(rng, n)
         keep = rng.random((n, n)) >= 0.5
         keep = np.triu(keep, 1) | np.triu(keep, 1).T
-        op = metamae.normalized_operator(adj & keep)
         x = rng.uniform(-1, 1, size=(n, d))
 
         def build(nodes):
-            z = metamae.encode(op, ad.leaf(x), nodes["enc.weight"], nodes["enc.bias"])
-            a_hat = metamae.reconstruct(op, z, nodes["dec.weight"], nodes["dec.bias"])
-            return metamae.recon_loss(adj, a_hat, 2.0)
+            _, loss = metamae.autoencode_view(
+                adj, adj & keep, ad.leaf(x), nodes["enc.weight"], nodes["enc.bias"],
+                nodes["dec.weight"], nodes["dec.bias"], 2.0)
+            return loss
 
         return build
 

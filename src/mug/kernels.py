@@ -60,7 +60,7 @@ def run_walks(steps, type_off, starts, uniforms):
 
 
 def _target(score, positive, lr):
-    """Loss term and step (label - sigmoid(score)) * lr of one target."""
+    """Loss term and step (label - σ(score)) * lr of one target."""
     if score >= 0.0:
         e = math.exp(-score)
         sig = 1.0 / (1.0 + e)
@@ -71,7 +71,7 @@ def _target(score, positive, lr):
         logsig = score - math.log1p(e)
     if positive:
         return logsig, (1.0 - sig) * lr
-    # -log(1 - sigmoid(score)) = -logsigmoid(-score)
+    # -log(1 - σ(score)) = -log σ(-score)
     return logsig - score, (0.0 - sig) * lr
 
 

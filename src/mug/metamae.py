@@ -3,8 +3,15 @@
 One symmetric-normalized graph-convolution layer each for encoder and
 decoder; the encoder is shared across every view (same parameter object).
 Masking removes each present edge with probability edge_mask_rate, one coin
-per unordered pair on symmetric views. The reconstruction is compared
-row-wise against the full unmasked adjacency with a scaled cosine loss.
+per unordered pair on symmetric views. The decoded embeddings Ẑ are scored
+by σ(ẐẐᵀ), compared row-wise against the full unmasked adjacency with a
+scaled cosine loss.
+
+Cost model: a view is a dense N x N bool matrix and its normalized operator
+a dense N x N float64 matrix, held for the epoch. Masking draws one uniform
+per stored edge. The loss never forms σ(ẐẐᵀ) whole: recon_loss computes it
+in blocks of RECON_BLOCK rows, in the forward pass and again in the
+backward pass, so its memory beyond the operators is O(N * RECON_BLOCK).
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .rng import RngStream
+
+RECON_BLOCK = 128   # rows of σ(ẐẐᵀ) that recon_loss holds at once
 
 
 class DegenerateViewError(ValueError):
@@ -35,24 +44,34 @@ class MaskSpec:
 def mask_edges(adj: np.ndarray, spec: MaskSpec, rng: RngStream) -> np.ndarray:
     """The adjacency with each present edge kept with probability 1 - edge_mask_rate.
 
-    Symmetric views flip one coin per unordered pair so the masked view stays
-    symmetric; absent entries are never created.
+    One uniform per stored edge, in row-major edge order. Symmetric views
+    draw one per upper-triangle edge and keep both directions together (the
+    diagonal is dropped); absent entries are never created.
     """
     spec.validate()
-    adj = adj.astype(bool)
-    u = rng.uniform(adj.shape)
-    keep = u >= spec.edge_mask_rate
-    if np.array_equal(adj, adj.T):
-        upper = np.triu(keep, k=1)
-        keep = upper | upper.T
-    return adj & keep
+    adj = np.asarray(adj, dtype=bool)
+    rows, cols = np.nonzero(adj)
+    symmetric = np.array_equal(adj, adj.T)
+    if symmetric:
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
+    keep = rng.uniform(len(rows)) >= spec.edge_mask_rate
+    rows, cols = rows[keep], cols[keep]
+    out = np.zeros(adj.shape, dtype=bool)
+    out[rows, cols] = True
+    if symmetric:
+        out[cols, rows] = True
+    return out
 
 
 def normalized_operator(adj: np.ndarray) -> np.ndarray:
     """Symmetric normalization with self-loops: D^-1/2 (A + I) D^-1/2."""
-    a = adj.astype(np.float64) + np.eye(adj.shape[0])
-    dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    return dinv[:, None] * a * dinv[None, :]
+    op = adj.astype(np.float64)
+    op[np.diag_indices_from(op)] += 1.0
+    dinv = 1.0 / np.sqrt(op.sum(axis=1))
+    op *= dinv[:, None]
+    op *= dinv[None, :]
+    return op
 
 
 def graph_conv(adj_op: np.ndarray, x: ad.Node, weight: ad.Node, bias: ad.Node) -> ad.Node:
@@ -61,18 +80,12 @@ def graph_conv(adj_op: np.ndarray, x: ad.Node, weight: ad.Node, bias: ad.Node) -
         raise ad.ShapeError(
             f"graph_conv: input width {x.shape[1]} != weight rows {weight.shape[0]}"
         )
-    return ad.add(ad.matmul(ad.leaf(adj_op), ad.matmul(x, weight)), bias)
+    return ad.add(ad.propagate(adj_op, ad.matmul(x, weight)), bias)
 
 
 def encode(adj_op: np.ndarray, x: ad.Node, weight: ad.Node, bias: ad.Node) -> ad.Node:
     """The shared encoder: leaky_relu (slope 0.25) over one graph convolution."""
     return ad.leaky_relu(graph_conv(adj_op, x, weight, bias), 0.25)
-
-
-def reconstruct(adj_op: np.ndarray, z: ad.Node, weight: ad.Node, bias: ad.Node) -> ad.Node:
-    """Decoder pass over the same (masked) operator, then sigmoid outer product."""
-    z_hat = graph_conv(adj_op, z, weight, bias)
-    return ad.sigmoid(ad.matmul(z_hat, ad.transpose(z_hat)))
 
 
 def autoencode_view(adj: np.ndarray, masked: np.ndarray, x: ad.Node,
@@ -81,27 +94,69 @@ def autoencode_view(adj: np.ndarray, masked: np.ndarray, x: ad.Node,
                     gamma: float = 2.0) -> Tuple[ad.Node, ad.Node]:
     """Mask-encode-decode-reconstruct one view; returns (encoder output, loss).
 
-    The loss compares the reconstruction against the unmasked adjacency.
+    The decoder is one graph convolution over the same masked operator; the
+    loss compares σ(ẐẐᵀ) of its output against the unmasked adjacency.
     """
     op = normalized_operator(masked)
     z = encode(op, x, enc_weight, enc_bias)
-    return z, recon_loss(adj, reconstruct(op, z, dec_weight, dec_bias), gamma)
+    return z, recon_loss(adj, graph_conv(op, z, dec_weight, dec_bias), gamma)
 
 
-def recon_loss(adj: np.ndarray, a_hat: ad.Node, gamma: float = 2.0) -> ad.Node:
-    """Mean of (1 - cos(row of A, row of Â))^gamma over rows of A with edges.
+def _sigmoid_rows(z: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of σ(z zᵀ), with one exp; the sign split keeps exp from overflowing."""
+    e = z[lo:hi] @ z.T
+    positive = e >= 0
+    np.exp(np.negative(np.abs(e, out=e), out=e), out=e)
+    s = np.where(positive, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
+
+
+def recon_loss(adj: np.ndarray, z_hat: ad.Node, gamma: float = 2.0) -> ad.Node:
+    """Mean of (1 - cos(row of A, row of σ(ẐẐᵀ)))^gamma over rows of A with edges.
 
     Rows with no original edges have no defined direction and are excluded;
-    the normalizer is the count of the remaining rows.
+    the normalizer is the count of the remaining rows. Both passes work on
+    RECON_BLOCK rows of S = σ(ẐẐᵀ) at a time; the backward pass recomputes
+    them and adds dX_blk Ẑ to the block's rows and dX_blkᵀ Ẑ_blk to all rows,
+    where dX = dS * S * (1 - S).
     """
     if gamma < 1.0:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    target = adj.astype(np.float64)
-    valid = target.sum(axis=1) > 0
+    adj = np.asarray(adj, dtype=bool)
+    deg = adj.sum(axis=1)
+    valid = deg > 0
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise DegenerateViewError("view has no non-empty rows")
-    cos = ad.row_cosine(ad.leaf(target), a_hat)
-    per_row = ad.power(ad.add(ad.smul(cos, -1.0), ad.leaf(np.ones((len(target), 1)))), gamma)
-    kept = ad.mul(per_row, ad.leaf(valid.astype(np.float64).reshape(-1, 1)))
-    return ad.smul(ad.sum_all(kept), 1.0 / n_valid)
+    z = z_hat.value
+    n = len(adj)
+    blocks = [(lo, min(lo + RECON_BLOCK, n)) for lo in range(0, n, RECON_BLOCK)]
+    dot = np.empty(n)
+    norm = np.empty(n)
+    for lo, hi in blocks:
+        s = _sigmoid_rows(z, lo, hi)
+        dot[lo:hi] = (adj[lo:hi] * s).sum(axis=1)
+        norm[lo:hi] = np.sqrt(np.multiply(s, s, out=s).sum(axis=1))
+    denom = np.sqrt(deg) * norm
+    defined = denom > 0
+    cos = np.where(defined, dot / np.where(defined, denom, 1.0), 0.0)
+    base = np.maximum(1.0 - cos, 0.0)
+    loss = (np.power(base, gamma) * valid).sum() * (1.0 / n_valid)
+
+    def back(g):
+        d_cos = (-g[0, 0] / n_valid) * gamma * np.power(base, gamma - 1.0) * valid
+        d_cos = np.where(defined, d_cos, 0.0)
+        on_edge = d_cos / np.where(defined, denom, 1.0)
+        on_self = d_cos * cos / np.where(defined, norm * norm, 1.0)
+        for lo, hi in blocks:
+            s = _sigmoid_rows(z, lo, hi)
+            dx = s * -on_self[lo:hi, None]
+            np.add(dx, on_edge[lo:hi, None], out=dx, where=adj[lo:hi])
+            dx *= s
+            dx *= np.subtract(1.0, s, out=s)
+            z_hat.grad[lo:hi] += dx @ z
+            z_hat.grad += dx.T @ z[lo:hi]
+
+    return ad.Node(np.array([[loss]]), (z_hat,), back, "recon_loss")

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .hetgraph import HetGraph, MetaPath
+from .hetgraph import HetGraph, MetaPath, step_csr
 from .rng import RngStream, STREAM_INIT, STREAM_SGNS, STREAM_WALKS
 
 
@@ -47,14 +47,6 @@ class StructTable:
     embeddings: np.ndarray   # num_nodes x dim, global index order
 
 
-def _step_csr(g: HetGraph, mp: MetaPath, step: int) -> Tuple[np.ndarray, np.ndarray]:
-    m = g.step_matrix(mp.relations[step], mp.types[step], mp.types[step + 1])
-    counts = m.sum(axis=1)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    indices = np.nonzero(m)[1].astype(np.int64)
-    return indptr, indices
-
-
 def sample_walks(g: HetGraph, mp: MetaPath, cfg: WalkConfig,
                  rng: RngStream) -> Tuple[np.ndarray, np.ndarray]:
     """walks_per_node walks from every target node, following mp cyclically.
@@ -66,7 +58,7 @@ def sample_walks(g: HetGraph, mp: MetaPath, cfg: WalkConfig,
     meta-paths get independent walks.
     """
     cfg.validate()
-    steps = [_step_csr(g, mp, j) for j in range(mp.length)]
+    steps = [step_csr(g, mp, j) for j in range(mp.length)]
     type_off = np.array([g.offset(t) for t in mp.types[:-1]], dtype=np.int64)
 
     n_starts = g.counts[g.target_type]

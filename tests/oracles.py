@@ -120,3 +120,18 @@ def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
         for d in range(dim):
             center[v, d] += buf[d]
     return loss
+
+
+# -- dense reconstruction-loss reference --------------------------------------------
+
+
+def recon_loss(adj, z_hat, gamma):
+    """Dense reference for metamae.recon_loss: the whole of σ(ẐẐᵀ) at once.
+
+    Mean over rows of adj with edges of (1 - cos(row of adj, row of S))^gamma.
+    """
+    s = 1.0 / (1.0 + np.exp(-(z_hat @ z_hat.T)))
+    valid = adj.sum(axis=1) > 0
+    a, s = adj[valid].astype(np.float64), s[valid]
+    cos = (a * s).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(s, axis=1))
+    return float(np.mean((1.0 - cos) ** gamma))

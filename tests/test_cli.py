@@ -105,6 +105,14 @@ def test_synth_bad_spec_json_reports_line(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+def test_synth_bad_spec_json_has_the_error_prefix(tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        fh.write("{bad")
+    assert main(["synth", "--spec", path, "--out", str(tmp_path / "x")]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {path}:1: invalid JSON: ")
+
+
 # -- homophily ------------------------------------------------------------------
 
 
@@ -449,3 +457,40 @@ def test_non_utf8_input_names_its_file(tmp_path, bundle, checkpoint, capsys, whi
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not UTF-8 text: "), err
+
+
+# -- outputs are checked before any work -----------------------------------------------
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command started its work before checking its outputs")
+
+
+@pytest.mark.parametrize("case", [
+    "pretrain --out", "pretrain trace", "pretrain echo", "pretrain no parent",
+    "embed --out", "embed beta", "embed echo", "eval --out", "eval echo", "homophily --out",
+])
+def test_unwritable_output_fails_before_the_work(tmp_path, monkeypatch, capsys, case):
+    from mug import bundle, cli, fusion
+    for owner, name in ((fusion, "pretrain"), (fusion, "embed"),
+                        (fusion, "load_checkpoint"), (bundle, "load_bundle"),
+                        (cli, "homophily_report")):
+        monkeypatch.setattr(owner, name, _no_work)
+    data, model = str(tmp_path / "bundle"), str(tmp_path / "model.ckpt")
+    command, what = case.split(" ", 1)
+    out = str(tmp_path / ("nope/out.x" if what == "no parent" else "out.x"))
+    blocked = {"--out": out, "trace": str(tmp_path / "out.trace.csv"),
+               "echo": str(tmp_path / "out.config.txt"), "beta": str(tmp_path / "out.beta.csv"),
+               "no parent": out}[what]
+    if what != "no parent":
+        os.mkdir(blocked)
+    argv = {
+        "pretrain": ["pretrain", "--data", data, "--out", out],
+        "embed": ["embed", "--model", model, "--data", data, "--out", out],
+        "eval": ["eval", "--model", model, "--train-data", data, "--eval-data", data,
+                 "--out", out],
+        "homophily": ["homophily", "--data", data, "--out", out],
+    }[command]
+    assert main(argv) == EXIT_DATA
+    reason = "parent directory does not exist" if what == "no parent" else "is a directory"
+    assert capsys.readouterr().err == f"error: {blocked}: {reason}\n"

@@ -3,12 +3,13 @@
 import copy
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mug import autodiff as ad
-from mug import fusion, synth
+from mug import fusion, metamae, synth
 from mug.fusion import (
     TrainConfig,
     attention_weights,
@@ -344,3 +345,45 @@ def test_pretrain_requires_metapaths():
     g.metapaths = []
     with pytest.raises(ValueError):
         pretrain(g, small_cfg(epochs=1))
+
+
+# -- mask streams and memory ---------------------------------------------------------
+
+
+def test_mask_streams_are_distinct_for_70_views_over_3_epochs(monkeypatch):
+    rng = np.random.default_rng(3)
+    n, n_views, epochs = 6, 70, 3
+    adj = np.triu(rng.random((n, n)) < 0.5, 1)
+    adj = adj | adj.T
+    adj[0, 1] = adj[1, 0] = True
+    state = fusion._GraphState(unified=rng.normal(size=(n, 5)), targets=[adj] * n_views,
+                               sample_idx=np.arange(4))
+    seen = []
+    mask_edges = metamae.mask_edges
+
+    def recording(view, spec, stream):
+        seen.append(stream.stream_id)
+        return mask_edges(view, spec, stream)
+
+    monkeypatch.setattr(metamae, "mask_edges", recording)
+    fusion._train(state, small_cfg(epochs=epochs, sample_size=4, unified_dim=3), None)
+    assert len(seen) == len(set(seen)) == n_views * epochs
+
+
+def test_validate_rejects_mask_stream_overflow():
+    small_cfg(epochs=2**31).validate(n_views=1)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        small_cfg(epochs=2**31).validate(n_views=2)
+
+
+def test_one_epoch_peak_memory_is_at_most_eight_n_by_n_arrays():
+    spec = synth.two_view_spec(centroid_scale=1.0, targets_per_class=334)
+    g = synth.generate(synth.SynthSpec.from_dict(spec), RngStream(0))
+    n = g.counts[g.target_type]
+    tracemalloc.start()
+    try:
+        pretrain(g, TrainConfig(epochs=1, no_cse=True, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (8 * n * n), f"peak {peak / (8 * n * n):.1f} N x N float64 arrays"

@@ -18,6 +18,7 @@ from mug.hetgraph import (
     homophily_ratio,
     homophily_report,
     metapath_adjacency,
+    step_csr,
 )
 from mug.rng import RngStream
 
@@ -99,6 +100,28 @@ def test_adjacency_matches_enumeration_oracle_100_graphs():
             got = metapath_adjacency(g, mp)
             want = enumerate_pairs(g, mp)
             assert np.array_equal(got, want), mp.name
+
+
+def test_step_csr_rows_are_sorted_and_deduplicated():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        g = _random_graph(rng)
+        for name in g.edges:   # shuffled, with every edge stored twice
+            e = np.concatenate([g.edges[name], g.edges[name]])
+            g.edges[name] = e[rng.permutation(len(e))]
+        rel_by_name = {r.name: r for r in g.relations}
+        for mp in g.metapaths:
+            for step in range(mp.length):
+                indptr, indices = step_csr(g, mp, step)
+                src, dst = mp.types[step], mp.types[step + 1]
+                rel = rel_by_name[mp.relations[step]]
+                edges = g.edges[rel.name]
+                pairs = edges if (rel.src, rel.dst) == (src, dst) else edges[:, ::-1]
+                rows = [sorted({int(v) for u, v in pairs if u == node})
+                        for node in range(g.counts[src])]
+                assert indptr.dtype == indices.dtype == np.int64
+                assert indptr.tolist() == [0] + np.cumsum([len(r) for r in rows]).tolist()
+                assert indices.tolist() == [v for r in rows for v in r]
 
 
 def test_palindromic_views_are_symmetric():

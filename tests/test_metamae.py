@@ -1,8 +1,9 @@
-"""Edge masking, shared graph-conv encode/decode, scaled cosine reconstruction."""
+"""Edge masking, shared graph-conv encode/decode, fused scaled cosine reconstruction."""
 
 import numpy as np
 import pytest
 
+import oracles
 from mug import autodiff as ad
 from mug import metamae
 from mug.metamae import (
@@ -13,7 +14,6 @@ from mug.metamae import (
     mask_edges,
     normalized_operator,
     recon_loss,
-    reconstruct,
 )
 from mug.rng import RngStream
 
@@ -97,6 +97,12 @@ def test_three_node_path_matches_hand_computation():
 
 
 # -- reconstruction ---------------------------------------------------------------
+# recon_loss(adj, Ẑ) scores S = σ(ẐẐᵀ) row-blocked; these pin S itself.
+
+
+def decoded_scores(z_hat):
+    """All rows of S = σ(ẐẐᵀ) as the fused loss computes them."""
+    return metamae._sigmoid_rows(z_hat, 0, len(z_hat))
 
 
 def test_zero_decoded_embeddings_give_half_everywhere():
@@ -104,67 +110,69 @@ def test_zero_decoded_embeddings_give_half_everywhere():
     op = normalized_operator(adj)
     z = ad.leaf(np.random.default_rng(0).normal(size=(3, 2)))
     # zero decoder weight forces z_hat = 0
-    a_hat = reconstruct(op, z, ad.leaf(np.zeros((2, 2))), ad.leaf(np.zeros((1, 2))))
-    assert np.allclose(a_hat.value, 0.5)
+    z_hat = graph_conv(op, z, ad.leaf(np.zeros((2, 2))), ad.leaf(np.zeros((1, 2))))
+    assert np.allclose(decoded_scores(z_hat.value), 0.5)
 
 
 def test_orthonormal_rows_give_half_offdiag_sigma1_diag():
-    adj = np.zeros((2, 2), dtype=bool)   # identity operator
-    z = ad.leaf(np.eye(2))
-    a_hat = reconstruct(normalized_operator(adj), z, ad.leaf(np.eye(2)),
-                        ad.leaf(np.zeros((1, 2))))
+    s = decoded_scores(np.eye(2))
     sig1 = 1.0 / (1.0 + np.exp(-1.0))
-    assert a_hat.value[0, 1] == pytest.approx(0.5)
-    assert a_hat.value[0, 0] == pytest.approx(sig1)
+    assert s[0, 1] == pytest.approx(0.5)
+    assert s[0, 0] == pytest.approx(sig1)
 
 
 def test_reconstruction_is_sigmoid_outer_product():
     rng = np.random.default_rng(5)
     zv = rng.normal(size=(4, 2))
-    adj = np.zeros((4, 4), dtype=bool)
-    a_hat = reconstruct(normalized_operator(adj), ad.leaf(zv), ad.leaf(np.eye(2)),
-                        ad.leaf(np.zeros((1, 2))))
     want = 1.0 / (1.0 + np.exp(-(zv @ zv.T)))
-    assert np.allclose(a_hat.value, want)
+    assert np.allclose(decoded_scores(zv), want)
+
+
+def test_sigmoid_extreme_inputs_stay_finite():
+    zv = np.array([[np.sqrt(800.0)], [-np.sqrt(800.0)]])   # ẐẐᵀ = ±800
+    s = decoded_scores(zv)
+    assert np.all(np.isfinite(s))
+    assert s[0, 1] == pytest.approx(0.0, abs=1e-300)
+    assert s[0, 0] == pytest.approx(1.0)
 
 
 # -- reconstruction loss -----------------------------------------------------------
 
 
 def test_recon_loss_zero_for_proportional_rows():
-    adj = sym_adj(3, [(0, 1), (1, 2)])
-    a_hat = ad.leaf(adj.astype(float) * 0.37)  # same direction per row
-    assert recon_loss(adj, a_hat, 2.0).value[0, 0] == pytest.approx(0.0, abs=1e-12)
+    adj = np.ones((3, 3), dtype=bool)
+    z_hat = ad.leaf(np.full((3, 2), 10.0))   # σ(200) == 1.0: S equals A
+    assert recon_loss(adj, z_hat, 2.0).value[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_recon_loss_orthogonal_row_contributes_one():
     adj = np.array([[0, 1], [1, 0]], dtype=bool)
-    a_hat = ad.leaf(np.array([[1.0, 0.0], [0.0, 1.0]]))  # orthogonal to each row
-    assert recon_loss(adj, a_hat, 2.0).value[0, 0] == pytest.approx(1.0)
+    z_hat = ad.leaf(np.array([[10.0], [-10.0]]))   # S ~ identity: orthogonal to each row
+    assert recon_loss(adj, z_hat, 2.0).value[0, 0] == pytest.approx(1.0)
 
 
 def test_recon_loss_hand_case_with_zero_row_and_fd():
     adj = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 0]], dtype=bool)  # row 2 empty
     rng = np.random.default_rng(8)
-    a_hat_arr = rng.uniform(0.1, 0.9, size=(3, 3))
+    z_arr = rng.uniform(-1, 1, size=(3, 2))
     gamma = 2.0
+    a_hat = 1.0 / (1.0 + np.exp(-(z_arr @ z_arr.T)))
 
     def cos(u, v):
         return (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
 
-    hand = np.mean([(1 - cos(adj[i].astype(float), a_hat_arr[i])) ** gamma
+    hand = np.mean([(1 - cos(adj[i].astype(float), a_hat[i])) ** gamma
                     for i in range(2)])
-    got = recon_loss(adj, ad.leaf(a_hat_arr), gamma).value[0, 0]
+    got = recon_loss(adj, ad.leaf(z_arr), gamma).value[0, 0]
     assert got == pytest.approx(hand)
 
-    report = ad.grad_check(lambda n: recon_loss(adj, n["A"], gamma),
-                           {"A": a_hat_arr})
-    assert report["A"] <= 1e-4
+    report = ad.grad_check(lambda n: recon_loss(adj, n["Z"], gamma), {"Z": z_arr})
+    assert report["Z"] <= 1e-4
 
 
 def test_recon_loss_degenerate_view_errors():
     with pytest.raises(DegenerateViewError):
-        recon_loss(np.zeros((3, 3), dtype=bool), ad.leaf(np.ones((3, 3))), 2.0)
+        recon_loss(np.zeros((3, 3), dtype=bool), ad.leaf(np.ones((3, 2))), 2.0)
 
 
 def test_recon_loss_bounds():
@@ -175,9 +183,53 @@ def test_recon_loss_bounds():
         np.fill_diagonal(adj, False)
         if not adj.sum(axis=1).any():
             continue
-        a_hat = rng.uniform(0.01, 0.99, size=(4, 4))
-        val = recon_loss(adj, ad.leaf(a_hat), gamma).value[0, 0]
+        z_hat = rng.uniform(-3, 3, size=(4, 2))
+        val = recon_loss(adj, ad.leaf(z_hat), gamma).value[0, 0]
         assert 0.0 <= val <= 2.0**gamma
+
+
+def _views(n, rng):
+    sym = rng.random((n, n)) < 0.4
+    sym = np.triu(sym, 1) | np.triu(sym, 1).T
+    sym[2:4] = sym[:, 2:4] = False                 # two zero-degree rows
+    sym[0, 1] = sym[1, 0] = True
+    asym = rng.random((n, n)) < 0.3
+    np.fill_diagonal(asym, False)
+    asym[0, 1], asym[1, 0], asym[4] = True, False, False
+    return {"zero_rows": sym, "asymmetric": asym}
+
+
+@pytest.mark.parametrize("block", ["1", "3", "n-1", "n", "n+5"])
+def test_fused_recon_loss_matches_dense_oracle(block, monkeypatch):
+    n, k = 9, 3
+    monkeypatch.setattr(metamae, "RECON_BLOCK", {"1": 1, "3": 3, "n-1": n - 1,
+                                                 "n": n, "n+5": n + 5}[block])
+    rng = np.random.default_rng(12)
+    for name, adj in _views(n, rng).items():
+        for gamma in (1.0, 2.0, 2.5):
+            z_arr = rng.uniform(-1.5, 1.5, size=(n, k))
+            got = recon_loss(adj, ad.leaf(z_arr), gamma).value[0, 0]
+            assert abs(got - oracles.recon_loss(adj, z_arr, gamma)) <= 1e-12, (name, gamma)
+            report = ad.grad_check(lambda nodes: recon_loss(adj, nodes["Z"], gamma),
+                                   {"Z": z_arr})
+            assert report["Z"] <= 1e-4, (name, gamma, report)
+    with pytest.raises(DegenerateViewError):
+        recon_loss(np.zeros((n, n), dtype=bool), ad.leaf(np.ones((n, k))), 2.0)
+
+
+def test_fused_recon_gradient_does_not_depend_on_block(monkeypatch):
+    n, k = 11, 4
+    rng = np.random.default_rng(13)
+    adj = _views(n, rng)["zero_rows"]
+    z_arr = rng.normal(size=(n, k))
+    grads = []
+    for block in (1, 4, n, 64):
+        monkeypatch.setattr(metamae, "RECON_BLOCK", block)
+        z = ad.leaf(z_arr)
+        ad.backward(recon_loss(adj, z, 2.0))
+        grads.append(z.grad)
+    for g in grads[1:]:
+        assert np.max(np.abs(g - grads[0])) <= 1e-12 * np.max(np.abs(grads[0]))
 
 
 # -- pipeline gradient and smoke training -------------------------------------------
@@ -194,8 +246,8 @@ def test_full_view_pipeline_gradient_matches_fd():
     def build(nodes):
         x = ad.matmul(ad.leaf(x_in), nodes["proj"])  # stand-in for unified input
         z = encode(op, x, nodes["enc_w"], nodes["enc_b"])
-        a_hat = reconstruct(op, z, nodes["dec_w"], nodes["dec_b"])
-        return recon_loss(adj, a_hat, 2.0)
+        z_hat = graph_conv(op, z, nodes["dec_w"], nodes["dec_b"])
+        return recon_loss(adj, z_hat, 2.0)
 
     params = {
         "proj": rng.uniform(-1, 1, size=(d, k)),

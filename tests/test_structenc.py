@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from mug import kernels, structenc, synth
-from mug.hetgraph import HetGraph, MetaPath, Relation
+from mug.hetgraph import HetGraph, MetaPath, Relation, step_csr
 from mug.rng import RngStream
 from mug.structenc import StructTable, WalkConfig, sample_walks, train_sgns, unify_attrs
 
@@ -213,7 +213,7 @@ def test_run_walks_matches_oracle_with_dead_ends_and_isolated_start():
 def test_run_walks_matches_oracle_on_planted_graph():
     g = planted_graph(4)
     mp = g.metapaths[0]
-    steps = [structenc._step_csr(g, mp, j) for j in range(mp.length)]
+    steps = [step_csr(g, mp, j) for j in range(mp.length)]
     type_off = np.array([g.offset(t) for t in mp.types[:-1]], dtype=np.int64)
     starts = np.repeat(np.arange(g.counts["T"], dtype=np.int64), 2)
     uniforms = np.random.default_rng(7).random((len(starts), 9))
