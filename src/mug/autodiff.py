@@ -115,13 +115,6 @@ def propagate(op: np.ndarray, x: Node) -> Node:
     return Node(op @ x.value, (x,), back, "propagate")
 
 
-def transpose(a: Node) -> Node:
-    def back(g):
-        a.grad += g.T
-
-    return Node(a.value.T.copy(), (a,), back, "transpose")
-
-
 def add(a: Node, b: Node) -> Node:
     """Elementwise add; b may be a 1xK row, broadcast over rows."""
     if a.shape == b.shape:

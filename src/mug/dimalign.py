@@ -31,7 +31,7 @@ def basis_vectors(weight: ad.Node, bias: ad.Node, sample_values: np.ndarray) -> 
         raise ad.ShapeError(
             f"sample has {sample_values.shape[0]} rows, weight expects {weight.shape[0]}"
         )
-    return ad.add(ad.matmul(ad.transpose(ad.leaf(sample_values)), weight), bias)
+    return ad.add(ad.matmul(ad.leaf(sample_values.T), weight), bias)
 
 
 def project(basis: ad.Node, unified_attrs) -> ad.Node:

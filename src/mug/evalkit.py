@@ -9,7 +9,7 @@ streams; everything downstream of the embedding is deterministic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -117,8 +117,7 @@ PROBE_L2 = 1e-4         # weight decay on the probe weights
 def linear_probe(z: np.ndarray, labels: np.ndarray, splits: Splits) -> np.ndarray:
     """Train the probe on the train rows, pick the best-val step, predict test."""
     y = np.asarray(labels)
-    train_classes = np.unique(y[splits.train])
-    if len(train_classes) < 2:
+    if np.count_nonzero(np.bincount(y[splits.train])) < 2:
         raise ValueError("probe needs at least two classes in the train split")
     n_classes = int(y.max()) + 1
     x_train = z[splits.train]
@@ -217,26 +216,3 @@ def cross_domain_eval(model: fusion.MugModel, bundles: Dict[str, HetGraph],
         reports.append(evaluate_embedding(z, g.labels, spec, report))
     return reports
 
-
-ABLATION_VARIANTS = ("full", "no-cse", "no-align", "no-scatter")
-
-
-def ablation_run(train_graph: HetGraph, eval_bundles: Dict[str, HetGraph],
-                 cfg: fusion.TrainConfig, spec: SplitSpec,
-                 train_bundle: str = "train",
-                 variants: Sequence[str] = ABLATION_VARIANTS,
-                 embed_seed: int = 0) -> List[EvalReport]:
-    """Pre-train once per ablation variant (shared seeds) and evaluate each."""
-    reports = []
-    for variant in variants:
-        if variant not in ABLATION_VARIANTS:
-            raise ValueError(f"unknown ablation variant '{variant}'")
-        vcfg = replace(cfg,
-                       no_cse=variant == "no-cse",
-                       no_align=variant == "no-align",
-                       no_scatter=variant == "no-scatter")
-        model = fusion.pretrain(train_graph, vcfg)
-        reports.extend(cross_domain_eval(model, eval_bundles, spec,
-                                         train_bundle=train_bundle,
-                                         variant=variant, embed_seed=embed_seed))
-    return reports

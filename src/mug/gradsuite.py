@@ -45,8 +45,8 @@ def _struct_pair_check() -> Check:
     The node's value is the pair's skip-gram loss, -log σ(c_v . x_u)
     minus the sum over negatives n of log σ(-c_v . x_n). Its backward
     closure runs the kernel on copies of both tables and reads the gradient
-    off the step. The targets are distinct: repeats run target by target,
-    which the oracle parity tests cover.
+    off the step. Targets may repeat: the kernel sums a repeated row's
+    steps, as the gradient does.
     """
     n, d, lr = 6, 3, 0.025
 
@@ -58,7 +58,7 @@ def _struct_pair_check() -> Check:
 
     def builder_for(rng):
         v = int(rng.integers(n))
-        targets = rng.choice(n, size=4, replace=False)   # positive, then negatives
+        targets = rng.integers(n, size=4)   # positive, then negatives
         sign = np.array([1.0, -1.0, -1.0, -1.0])
 
         def build(nodes):

@@ -51,9 +51,6 @@ class MetaPath:
             out.extend([rel, typ])
         return tuple(out)
 
-    def is_palindromic(self) -> bool:
-        return self.types == self.types[::-1] and self.relations == self.relations[::-1]
-
     @staticmethod
     def from_steps(name: str, steps: Sequence[str]) -> "MetaPath":
         if len(steps) < 3 or len(steps) % 2 == 0:
@@ -148,19 +145,6 @@ class HetGraph:
             off += self.counts[t]
         raise SchemaError(f"unknown node type '{node_type}'")
 
-    def type_of_global(self, g_idx: int) -> str:
-        off = 0
-        for t in self.node_types:
-            if g_idx < off + self.counts[t]:
-                return t
-            off += self.counts[t]
-        raise SchemaError(f"global index {g_idx} out of range")
-
-    def metapath(self, name: str) -> MetaPath:
-        for mp in self.metapaths:
-            if mp.name == name:
-                return mp
-        raise SchemaError(f"meta-path '{name}' not declared")
 
 
 def step_csr(g: HetGraph, mp: MetaPath, step: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -262,6 +246,7 @@ def homophily_report(g: HetGraph) -> Tuple[Dict[str, Optional[float]], Optional[
 
 def class_frequency_baseline(labels: np.ndarray) -> float:
     """Expected homophily of a label-blind wiring: sum of squared class frequencies."""
-    _, counts = np.unique(labels, return_counts=True)
+    counts = np.bincount(labels)
+    counts = counts[counts > 0]
     freq = counts / counts.sum()
     return float((freq**2).sum())

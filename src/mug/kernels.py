@@ -1,27 +1,20 @@
 """Hot inner loops: meta-path walks and skip-gram negative-sampling updates.
 
-Both kernels are plain NumPy and reproduce the sequential scalar reference
-(tests/oracles.py) bit for bit. All randomness is pre-drawn into arrays by
-the caller. Exactness rests on keeping the scalar order of every floating
-point operation:
-
-- a sum is the last entry of a cumulative sum (``np.add.accumulate``, which
-  ``np.cumsum`` calls), which adds left to right like the scalar loop;
-  ``@``, ``np.dot`` and ``.sum()`` reorder the adds through BLAS or pairwise
-  summation and change bits;
-- sigmoids and log-sigmoids are computed on Python floats with ``math``,
-  as NumPy's SIMD ``exp`` may differ from libm in the last place.
+Both kernels are plain NumPy, and the caller pre-draws all their randomness
+into arrays. The walk kernel reproduces its scalar reference
+(tests/oracles.py) bit for bit. The skip-gram kernel updates the tables in
+mini-batches; its scores are elementwise products summed with ``.sum``, not
+``@``, so no BLAS call is involved, and the same inputs give the same bits
+on one machine.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 USING_NUMBA = False   # recorded by the benchmark; there is one NumPy path
 
-_CHUNK = 4096         # SGNS pairs whose targets are gathered at once
+SGNS_BATCH = 512      # SGNS pairs whose scores read the same table state
 
 
 def run_walks(steps, type_off, starts, uniforms):
@@ -59,70 +52,50 @@ def run_walks(steps, type_off, starts, uniforms):
     return walks, lens
 
 
-def _target(score, positive, lr):
-    """Loss term and step (label - σ(score)) * lr of one target."""
-    if score >= 0.0:
-        e = math.exp(-score)
-        sig = 1.0 / (1.0 + e)
-        logsig = -math.log1p(e)
-    else:
-        e = math.exp(score)
-        sig = e / (1.0 + e)
-        logsig = score - math.log1p(e)
-    if positive:
-        return logsig, (1.0 - sig) * lr
-    # -log(1 - σ(score)) = -log σ(-score)
-    return logsig - score, (0.0 - sig) * lr
+def _scatter_add(table, rows, steps):
+    """table[r] += sum of the steps of row r, for every r in rows (repeats too).
+
+    A stable sort groups equal rows in their original order and
+    ``np.add.reduceat`` sums each group, so the result does not depend on
+    anything but the inputs.
+    """
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    table[rows[starts]] += np.add.reduceat(steps[order], starts, axis=0)
 
 
 def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
                lr_start, lr_end, pair_offset, total_pairs):
-    """One sequential pass of skip-gram SGD with negative sampling.
+    """One mini-batch pass of skip-gram SGD with negative sampling.
 
-    Per pair: positive target then each negative; scores use the current
-    tables, the center row update is applied after all targets (word2vec
-    update order). The learning rate decays linearly over total_pairs.
+    Pairs run in consecutive batches of SGNS_BATCH. Every score in a batch
+    reads the tables as they were when the batch began; each pair's positive
+    target has label 1 and its negatives label 0, and a target's step is
+    (label - σ(score)) * lr, with lr decaying linearly over total_pairs pair
+    by pair. A center row then gains the sum over its pairs and targets of
+    step * context row, and a context row the sum of step * center row.
     Returns the summed pair loss (computed before the updates).
-
-    Pairs run one after another; the targets of a pair run at once. All
-    their scores read the context rows as they were when the pair began,
-    which is the sequential order unless a node repeats among the targets;
-    such a pair runs target by target, so a later score sees the earlier
-    update. The center update is a left-to-right sum of the target terms
-    (``+ 0.0`` gives the sign of zero a sum started at 0.0 would have).
     """
-    n_pairs = negatives.shape[0]
+    n_pairs, n_neg = negatives.shape
+    dim = center.shape[1]
+    sign = np.full(n_neg + 1, -1.0)
+    sign[0] = 1.0
     loss = 0.0
-    for start in range(0, n_pairs, _CHUNK):
-        stop = min(start + _CHUNK, n_pairs)
+    for start in range(0, n_pairs, SGNS_BATCH):
+        stop = min(start + SGNS_BATCH, n_pairs)
+        rows = centers_idx[start:stop]
         targets = np.concatenate(
             [contexts_idx[start:stop, None], negatives[start:stop]], axis=1)
-        ordered = np.sort(targets, axis=1)
-        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).tolist()
-        for p, v, tg, rep in zip(range(start, stop),
-                                 centers_idx[start:stop].tolist(), targets, repeats):
-            frac = (pair_offset + p) / total_pairs
-            lr = lr_start + (lr_end - lr_start) * frac
-            cv = center[v]
-            if rep:
-                buf = np.zeros_like(cv)
-                for t, target in enumerate(tg.tolist()):
-                    ctx = context[target]
-                    term, g = _target(float(np.add.accumulate(cv * ctx)[-1]), t == 0, lr)
-                    loss -= term
-                    buf += g * ctx
-                    ctx += g * cv
-                cv += buf
-                continue
-            ctx = context.take(tg, axis=0)
-            scores = np.add.accumulate(ctx * cv, axis=1)[:, -1].tolist()
-            steps = []
-            for t, score in enumerate(scores):
-                term, g = _target(score, t == 0, lr)
-                loss -= term
-                steps.append(g)
-            g = np.array(steps)[:, None]
-            buf = np.add.accumulate(g * ctx, axis=0)[-1] + 0.0
-            context[tg] = ctx + g * cv
-            cv += buf
+        lr = lr_start + (lr_end - lr_start) * (
+            (pair_offset + np.arange(start, stop)) / total_pairs)
+        cv = center[rows]
+        ctx = context[targets]
+        z = sign * (ctx * cv[:, None, :]).sum(axis=-1)
+        loss += float(np.logaddexp(0.0, -z).sum())        # -log σ(z)
+        # label - σ(score) = sign * σ(-z)
+        g = sign * np.exp(-np.logaddexp(0.0, z)) * lr[:, None]
+        _scatter_add(center, rows, (g[:, :, None] * ctx).sum(axis=1))
+        _scatter_add(context, targets.ravel(),
+                     (g[:, :, None] * cv[:, None, :]).reshape(-1, dim))
     return loss

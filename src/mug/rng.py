@@ -47,8 +47,5 @@ class RngStream:
     def integers(self, low: int, high: int, size=None) -> np.ndarray:
         return self._gen.integers(low, high, size=size)
 
-    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        return self._gen.normal(loc, scale, size)
-
     def choice(self, n: int, size: int, replace: bool) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)

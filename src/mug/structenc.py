@@ -108,15 +108,12 @@ def _window_pairs(walks: np.ndarray, lens: np.ndarray,
     return centers, cand[keep]
 
 
-def _negative_sampler(walks, lens, n_nodes, cfg):
+def _negative_sampler(walks, n_nodes, cfg):
     if cfg.neg_distribution == "uniform":
         def draw(stream: RngStream, shape):
             return stream.integers(0, n_nodes, shape).astype(np.int64)
     else:
-        counts = np.zeros(n_nodes)
-        flat = walks[walks >= 0]
-        np.add.at(counts, flat, 1.0)
-        weights = counts**0.75
+        weights = np.bincount(walks[walks >= 0], minlength=n_nodes) ** 0.75
         cum = np.cumsum(weights / weights.sum())
 
         def draw(stream: RngStream, shape):
@@ -131,9 +128,9 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
     """Skip-gram with negative sampling over window pairs from the walks.
 
     Center table is the published embedding; the context table is discarded.
-    Sequential SGD, one pair after another (kernels.sgns_epoch). Every dot
-    product is a left-to-right ``cumsum`` and every sigmoid a ``math`` scalar,
-    so the same (walks, cfg, seed) gives bit-identical tables on any BLAS.
+    Mini-batch SGD over the pairs in walk order (kernels.sgns_epoch). No
+    score goes through BLAS, so the same (walks, cfg, seed) gives
+    bit-identical tables on one machine.
     """
     cfg.validate()
     if walks.size == 0 or lens.sum() == 0:
@@ -146,7 +143,7 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
     center = (init.uniform((n_nodes, cfg.dim)) - 0.5) / cfg.dim
     context = np.zeros((n_nodes, cfg.dim))
 
-    draw_negatives = _negative_sampler(walks, lens, n_nodes, cfg)
+    draw_negatives = _negative_sampler(walks, n_nodes, cfg)
     total = len(centers) * cfg.epochs
     for epoch in range(cfg.epochs):
         stream = RngStream(rng.seed, STREAM_SGNS + (rng.stream_id << 20) + epoch)

@@ -189,36 +189,3 @@ def two_view_spec(attr_dim: int = 7, centroid_scale: float = 0.0,
             {"name": "PSP", "steps": ["paper", "ps", "subject", "ps", "paper"]},
         ],
     }
-
-
-def three_view_spec(attr_dim: int = 19, centroid_scale: float = 0.0,
-                    targets_per_class: int = 100, intra: float = 0.9,
-                    inter: float = 0.1) -> Dict:
-    """Four node types, three relations (one reverse-oriented), three views."""
-    return {
-        "classes": 3,
-        "target_type": "movie",
-        "targets_per_class": targets_per_class,
-        "attr_dim": attr_dim,
-        "centroid_scale": centroid_scale,
-        "noise": 0.5,
-        "aux_types": [
-            {"name": "actor", "size": 75},
-            {"name": "director", "size": 24},
-            {"name": "writer", "size": 45},
-        ],
-        "relations": [
-            {"name": "ma", "src": "movie", "dst": "actor",
-             "intra": intra, "inter": inter, "degree": 3.0},
-            # reverse-declared on purpose: steps traverse it dst -> src
-            {"name": "dm", "src": "director", "dst": "movie",
-             "intra": intra, "inter": inter, "degree": 20.0},
-            {"name": "mw", "src": "movie", "dst": "writer",
-             "intra": intra, "inter": inter, "degree": 2.0},
-        ],
-        "metapaths": [
-            {"name": "MAM", "steps": ["movie", "ma", "actor", "ma", "movie"]},
-            {"name": "MDM", "steps": ["movie", "dm", "director", "dm", "movie"]},
-            {"name": "MWM", "steps": ["movie", "mw", "writer", "mw", "movie"]},
-        ],
-    }

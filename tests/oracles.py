@@ -33,7 +33,9 @@ def enumerate_pairs(g, mp):
 
 
 # -- scalar kernel references ----------------------------------------------------
-# The sequential loops mug.kernels reproduces bit for bit, one element at a time.
+# The kernels' rules written one element at a time. Walks and window pairs
+# match their references bit for bit; the batched SGNS kernel adds in another
+# order, so it matches its reference to rounding.
 
 
 def run_walks(steps, type_off, starts, uniforms):
@@ -79,46 +81,47 @@ def window_pairs(walks, lens, window):
 
 
 def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
-               lr_start, lr_end, pair_offset, total_pairs):
-    """Scalar reference for kernels.sgns_epoch (updates the tables in place)."""
+               lr_start, lr_end, pair_offset, total_pairs, batch):
+    """Scalar reference for kernels.sgns_epoch with SGNS_BATCH = batch.
+
+    Each batch copies the tables, computes every pair's and target's step
+    from that copy one element at a time, and adds each step to the tables.
+    """
     n_pairs = centers_idx.shape[0]
     n_neg = negatives.shape[1]
     dim = center.shape[1]
-    buf = np.zeros(dim)
     loss = 0.0
-    for p in range(n_pairs):
-        frac = (pair_offset + p) / total_pairs
-        lr = lr_start + (lr_end - lr_start) * frac
-        v = centers_idx[p]
-        for d in range(dim):
-            buf[d] = 0.0
-        for t in range(n_neg + 1):
-            if t == 0:
-                target = contexts_idx[p]
-                label = 1.0
-            else:
-                target = negatives[p, t - 1]
-                label = 0.0
-            score = 0.0
-            for d in range(dim):
-                score += center[v, d] * context[target, d]
-            if score >= 0.0:
-                sig = 1.0 / (1.0 + math.exp(-score))
-                logsig = -math.log1p(math.exp(-score))
-            else:
-                e = math.exp(score)
-                sig = e / (1.0 + e)
-                logsig = score - math.log1p(e)
-            if label == 1.0:
-                loss -= logsig
-            else:
-                loss -= logsig - score
-            g = (label - sig) * lr
-            for d in range(dim):
-                buf[d] += g * context[target, d]
-                context[target, d] += g * center[v, d]
-        for d in range(dim):
-            center[v, d] += buf[d]
+    for start in range(0, n_pairs, batch):
+        cen, ctx = center.copy(), context.copy()
+        for p in range(start, min(start + batch, n_pairs)):
+            frac = (pair_offset + p) / total_pairs
+            lr = lr_start + (lr_end - lr_start) * frac
+            v = centers_idx[p]
+            for t in range(n_neg + 1):
+                if t == 0:
+                    target = contexts_idx[p]
+                    label = 1.0
+                else:
+                    target = negatives[p, t - 1]
+                    label = 0.0
+                score = 0.0
+                for d in range(dim):
+                    score += cen[v, d] * ctx[target, d]
+                if score >= 0.0:
+                    sig = 1.0 / (1.0 + math.exp(-score))
+                    logsig = -math.log1p(math.exp(-score))
+                else:
+                    e = math.exp(score)
+                    sig = e / (1.0 + e)
+                    logsig = score - math.log1p(e)
+                if label == 1.0:
+                    loss -= logsig
+                else:
+                    loss -= logsig - score
+                g = (label - sig) * lr
+                for d in range(dim):
+                    center[v, d] += g * ctx[target, d]
+                    context[target, d] += g * cen[v, d]
     return loss
 
 

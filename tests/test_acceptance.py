@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import three_view_spec
 from oracles import enumerate_pairs
 
 from mug import evalkit, fusion, gradsuite, synth
@@ -33,15 +34,6 @@ from mug import autodiff as ad
 warnings.filterwarnings("ignore", message=".*shrunk.*")
 
 TIMINGS = {}
-
-# At default walk settings graph A's struct table takes 4.96M sequential SGNS
-# pair updates and graph B's 7.19M: about 150 s and 220 s at the exact
-# kernel's ~33k pairs/s on a 2-core VM, which leaves criterion 7 little of its
-# 600 s budget. A batched SGNS (ROADMAP item 1) brings these criteria back.
-needs_batched_sgns = pytest.mark.skip(
-    reason="A and B struct tables take 4.96M + 7.19M sequential SGNS updates "
-           "(~6 min at ~33k pairs/s); they wait for the batched SGNS",
-)
 
 
 def report(criterion, ok, detail):
@@ -69,8 +61,7 @@ def graph_a():
 
 @pytest.fixture(scope="module")
 def graph_b():
-    spec = synth.SynthSpec.from_dict(synth.three_view_spec(attr_dim=19,
-                                                           centroid_scale=0.0))
+    spec = synth.SynthSpec.from_dict(three_view_spec(attr_dim=19, centroid_scale=0.0))
     return synth.generate(spec, RngStream(200))
 
 
@@ -182,7 +173,6 @@ def test_criterion_5_attention_contract():
                   f"argmax invariant under constant score shifts")
 
 
-@needs_batched_sgns
 def test_criterion_6_transfer_shape_law(model_full, graph_a, graph_b, z_b_full):
     d_a = graph_a.attrs[graph_a.target_type].shape[1]
     d_b = graph_b.attrs[graph_b.target_type].shape[1]
@@ -199,7 +189,6 @@ def test_criterion_6_transfer_shape_law(model_full, graph_a, graph_b, z_b_full):
                   f"parameter hash unchanged")
 
 
-@needs_batched_sgns
 def test_criterion_7_cross_domain_transfer(model_full, model_nocse, graph_b,
                                            z_b_full):
     t0 = time.monotonic()
@@ -220,7 +209,6 @@ def test_criterion_7_cross_domain_transfer(model_full, model_nocse, graph_b,
                   f"total runtime {total:.0f}s < 600s")
 
 
-@needs_batched_sgns
 def test_criterion_8_few_shot_protocol(graph_b, z_b_full):
     n_classes = int(graph_b.labels.max()) + 1
     sizes_ok = True

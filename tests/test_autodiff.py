@@ -173,7 +173,6 @@ OP_CASES = {
     "matmul": lambda n, rng: ad.matmul(n["a"], n["b"]),
     "propagate": lambda n, rng: ad.propagate(np.arange(12.0).reshape(4, 3) / 7.0 - 0.8,
                                              n["a"]),
-    "transpose": lambda n, rng: ad.transpose(n["a"]),
     "add_same": lambda n, rng: ad.add(n["a"], n["b"]),
     "add_row": lambda n, rng: ad.add(n["a"], n["row"]),
     "mul_same": lambda n, rng: ad.mul(n["a"], n["b"]),

@@ -19,12 +19,6 @@ SRC = os.path.dirname(mug.__file__)
 
 # Public names kept without a caller in src/mug, each for a stated reason.
 ALLOWED = {
-    "hetgraph.HetGraph.type_of_global": "walk-conformance oracle in test_structenc",
-    "hetgraph.MetaPath.is_palindromic": "meta-path oracle in test_hetgraph",
-    "hetgraph.HetGraph.metapath": "lookup by name for test_hetgraph's loader checks",
-    "rng.RngStream.normal": "test_metamae draws its test weights from a named stream",
-    "synth.three_view_spec": "three-view acceptance graph in the tests",
-    "evalkit.ablation_run": "library API for the ablation study",
     "cli._Parser.error": "argparse calls it on a usage error",
 }
 
@@ -104,6 +98,13 @@ def test_every_public_function_has_a_caller():
 def test_allowlist_names_real_functions():
     defined = {qual for qual, *_ in _definitions(_modules())}
     assert set(ALLOWED) <= defined
+
+
+def test_allowlist_entries_still_have_no_caller():
+    modules = _modules()
+    stale = [qual for qual, mod, cls, fn in _definitions(modules)
+             if qual in ALLOWED and _is_called(modules, mod, cls, fn)]
+    assert not stale, f"allowlisted functions that now have a caller: {stale}"
 
 
 def test_every_import_is_used():

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mug import evalkit, fusion, synth
+from mug import fusion, synth
 from mug.evalkit import (
     EvalReport,
     SplitSpec,
@@ -193,14 +193,13 @@ def small_model_and_graphs():
     cfg = fusion.TrainConfig(
         epochs=10, seed=0, sample_size=16, unified_dim=16,
         walk=WalkConfig(dim=8, epochs=2, walks_per_node=4, walk_length=8))
-    model = fusion.pretrain(g_a, cfg)
-    return model, cfg, g_a
+    return fusion.pretrain(g_a, cfg), g_a
 
 
 def test_cross_domain_eval_diagonal_and_frozen():
     import hashlib
 
-    model, _, g_a = small_model_and_graphs()
+    model, g_a = small_model_and_graphs()
 
     def digest(m):
         h = hashlib.sha256()
@@ -219,7 +218,7 @@ def test_cross_domain_eval_diagonal_and_frozen():
 
 
 def test_cross_domain_eval_skips_unlabeled_bundle():
-    model, _, g_a = small_model_and_graphs()
+    model, g_a = small_model_and_graphs()
     g_u = synth.generate(
         synth.SynthSpec.from_dict(synth.two_view_spec(targets_per_class=20)),
         RngStream(3))
@@ -230,17 +229,6 @@ def test_cross_domain_eval_skips_unlabeled_bundle():
         reports = cross_domain_eval(model, {"u": g_u, "a": g_a}, spec)
     assert len(reports) == 1
     assert any("skipped" in str(w.message) for w in caught)
-
-
-def test_ablation_run_produces_tagged_reports():
-    model, cfg, g_a = small_model_and_graphs()
-    spec = SplitSpec(per_class_train=5, val_size=15, test_size=15, repeats=2)
-    reports = evalkit.ablation_run(g_a, {"a": g_a}, cfg, spec,
-                                   variants=("full", "no-cse"))
-    tags = [r.variant for r in reports]
-    assert tags == ["full", "no-cse"]
-    for r in reports:
-        assert 0.0 <= r.macro_mean <= 1.0
 
 
 def test_report_csv_row_format():

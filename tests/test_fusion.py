@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import three_view_spec
+
 from mug import autodiff as ad
 from mug import fusion, metamae, synth
 from mug.fusion import (
@@ -298,8 +300,7 @@ def test_embed_deterministic_and_frozen():
 def test_embed_transfers_to_different_schema():
     g_a = planted()
     model = pretrain(g_a, small_cfg(epochs=3))
-    g_b = planted(seed=1, spec=synth.three_view_spec(attr_dim=19,
-                                                     targets_per_class=25))
+    g_b = planted(seed=1, spec=three_view_spec(attr_dim=19, targets_per_class=25))
     before = model_digest(model)
     z, beta = embed(model, g_b, seed=2)
     assert z.shape == (75, 16)

@@ -39,6 +39,7 @@ def make_graph(counts, relations, edges, metapaths=(), target="T", labels=None, 
 
 
 from oracles import enumerate_pairs  # noqa: E402  (shared with acceptance suite)
+from helpers import is_palindromic, metapath, three_view_spec  # noqa: E402
 
 
 # -- meta-path adjacency ------------------------------------------------------
@@ -129,7 +130,7 @@ def test_palindromic_views_are_symmetric():
     for _ in range(25):
         g = _random_graph(rng)
         for mp in g.metapaths:
-            if mp.is_palindromic():
+            if is_palindromic(mp):
                 adj = metapath_adjacency(g, mp)
                 assert np.array_equal(adj, adj.T)
                 assert not adj.diagonal().any()
@@ -275,7 +276,7 @@ def test_load_dblp_style_bundle(tmp_path):
         fh.write("a0\tap\tp0\na1\tap\tp0\np0\tpc\tc0\np0\tpt\tt0\n")
     g = bio.load_bundle(d)
     assert len(g.metapaths) == 3
-    adj = metapath_adjacency(g, g.metapath("APCPA"))
+    adj = metapath_adjacency(g, metapath(g, "APCPA"))
     assert adj[0, 1] and adj[1, 0]
 
 
@@ -375,7 +376,7 @@ def test_generator_deterministic():
 
 
 def test_three_view_spec_loads_and_composes():
-    spec = synth.SynthSpec.from_dict(synth.three_view_spec())
+    spec = synth.SynthSpec.from_dict(three_view_spec())
     g = synth.generate(spec, RngStream(3))
     assert len(g.metapaths) == 3
     ratios, avg = homophily_report(g)

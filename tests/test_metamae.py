@@ -77,8 +77,7 @@ def test_two_connected_equal_nodes_give_equal_rows():
     adj = sym_adj(2, [(0, 1)])
     op = normalized_operator(adj)
     x = ad.leaf(np.array([[1.0, 2.0], [1.0, 2.0]]))
-    rng = RngStream(0, 9)
-    w = ad.leaf(rng.normal(size=(2, 3)))
+    w = ad.leaf(np.random.default_rng(9).normal(size=(2, 3)))
     out = encode(op, x, w, ad.leaf(np.zeros((1, 3))))
     assert np.allclose(out.value[0], out.value[1])
 

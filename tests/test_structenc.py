@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import type_of_global
 from mug import kernels, structenc, synth
 from mug.hetgraph import HetGraph, MetaPath, Relation, step_csr
 from mug.rng import RngStream
@@ -50,7 +51,7 @@ def test_star_walks_alternate_types():
     for row in walks:
         for pos, node in enumerate(row):
             expected = "paper" if pos % 2 == 0 else "author"
-            assert g.type_of_global(node) == expected
+            assert type_of_global(g, node) == expected
 
 
 def test_isolated_node_walk_is_singleton():
@@ -71,7 +72,7 @@ def test_walks_are_type_conforming_on_random_graph():
     pattern = ["T", "A"]
     for row, n in zip(walks, lens):
         for pos in range(n):
-            assert g.type_of_global(row[pos]) == pattern[pos % 2]
+            assert type_of_global(g, row[pos]) == pattern[pos % 2]
 
 
 def test_first_step_distribution_matches_uniform_neighbors():
@@ -112,17 +113,17 @@ def test_walks_deterministic():
 
 def _sgns_both(center, context, centers, contexts, negatives, lr_start=0.025,
                lr_end=0.0001, pair_offset=0, total_pairs=None):
-    """Run the kernel and the scalar oracle on copies; assert identical bits."""
+    """Run the kernel and the scalar oracle on copies; assert equal to rounding."""
     total = len(centers) if total_pairs is None else total_pairs
     args = (np.asarray(centers, dtype=np.int64), np.asarray(contexts, dtype=np.int64),
             np.asarray(negatives, dtype=np.int64), lr_start, lr_end, pair_offset, total)
     c1, x1 = center.copy(), context.copy()
-    loss1 = oracles.sgns_epoch(c1, x1, *args)
+    loss1 = oracles.sgns_epoch(c1, x1, *args, kernels.SGNS_BATCH)
     c2, x2 = center.copy(), context.copy()
     loss2 = kernels.sgns_epoch(c2, x2, *args)
-    assert loss1 == loss2
-    assert c1.tobytes() == c2.tobytes()
-    assert x1.tobytes() == x2.tobytes()
+    assert np.allclose(loss2, loss1, rtol=1e-12, atol=0)
+    assert np.allclose(c2, c1, rtol=1e-12, atol=0)
+    assert np.allclose(x2, x1, rtol=1e-12, atol=0)
     return c2, x2
 
 
@@ -152,21 +153,17 @@ def test_sgns_matches_oracle_with_negative_drawn_twice():
                lr_start=0.5)
 
 
+def test_sgns_matches_oracle_with_center_repeated_in_a_batch():
+    center, context = _tables(6)
+    c, _ = _sgns_both(center, context, [4, 1, 4, 4], [2, 3, 5, 2],
+                      [[6, 7], [8, 9], [10, 11], [6, 0]], lr_start=0.5)
+    assert not np.array_equal(c[4], center[4])
+
+
 def test_sgns_matches_oracle_on_zero_context_table():
     center, _ = _tables(3)
     _sgns_both(center, np.zeros_like(center), [0, 1, 0, 5], [1, 2, 3, 0],
                [[4, 5], [6, 7], [8, 9], [10, 11]])
-
-
-def test_sgns_matches_oracle_on_signed_zeros():
-    # Every term of node 0's center update is -0.0; the oracle's sum starts at
-    # +0.0, so -0.0 center entries must come out +0.0.
-    center, _ = _tables(3)
-    center[0, ::2] = -0.0
-    context = np.zeros_like(center)
-    context[1] = -0.0
-    c, _ = _sgns_both(center, context, [0], [1], [[4, 5]])
-    assert not np.signbit(c[0, ::2]).any()
 
 
 def test_sgns_matches_oracle_across_lr_decay_with_pair_offset():
@@ -177,8 +174,8 @@ def test_sgns_matches_oracle_across_lr_decay_with_pair_offset():
                pair_offset=100, total_pairs=150)
 
 
-def test_sgns_matches_oracle_across_chunks(monkeypatch):
-    monkeypatch.setattr(kernels, "_CHUNK", 7)
+def test_sgns_matches_oracle_across_batches(monkeypatch):
+    monkeypatch.setattr(kernels, "SGNS_BATCH", 7)
     rng = np.random.default_rng(5)
     center, context = _tables(5, n_nodes=20)
     _sgns_both(center, context, rng.integers(0, 20, 60), rng.integers(0, 20, 60),
