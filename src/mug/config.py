@@ -49,7 +49,6 @@ TRAIN_FIELDS = {
     "lambda_scatter": "lambda_scatter",
     "epochs": "epochs",
     "learning_rate": "learning_rate",
-    "optimizer": "optimizer",
     "seed": "seed",
     "no_cse": "no_cse",
     "no_align": "no_align",

@@ -8,9 +8,10 @@ is drawn on every graph.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
-from . import autodiff as ad
 from .rng import RngStream
 
 
@@ -24,22 +25,19 @@ def draw_node_sample(n_target: int, sample_size: int, rng: RngStream) -> np.ndar
     return rng.choice(n_target, size=sample_size, replace=n_target < sample_size)
 
 
-def basis_vectors(weight: ad.Node, bias: ad.Node, sample_values: np.ndarray) -> ad.Node:
+def basis_vectors(weight: np.ndarray, bias: np.ndarray,
+                  sample_values: np.ndarray) -> np.ndarray:
     """Row i of the result encodes attribute dimension i: (values over sample)ᵀ W + b."""
-    sample_values = np.asarray(sample_values, dtype=np.float64)
-    if sample_values.shape[0] != weight.shape[0]:
-        raise ad.ShapeError(
-            f"sample has {sample_values.shape[0]} rows, weight expects {weight.shape[0]}"
-        )
-    return ad.add(ad.matmul(ad.leaf(sample_values.T), weight), bias)
+    return sample_values.T @ weight + bias
 
 
-def project(basis: ad.Node, unified_attrs) -> ad.Node:
+def project(basis: np.ndarray, unified_attrs: np.ndarray) -> np.ndarray:
     """Weighted sum of basis vectors by dimension values: X @ S."""
-    x = unified_attrs if isinstance(unified_attrs, ad.Node) else ad.leaf(unified_attrs)
-    return ad.matmul(x, basis)
+    return unified_attrs @ basis
 
 
-def align_loss(basis: ad.Node) -> ad.Node:
-    """Squared norm of the basis mean; zero iff the basis is centered."""
-    return ad.sum_all(ad.power(ad.col_mean(basis), 2.0))
+def align_loss(basis: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Squared norm of the basis mean, zero iff the basis is centered; and its gradient."""
+    mean = basis.mean(axis=0, keepdims=True)
+    grad = np.broadcast_to(mean * (2.0 / len(basis)), basis.shape)
+    return float(np.power(mean, 2.0).sum()), grad

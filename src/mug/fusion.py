@@ -1,4 +1,4 @@
-"""Semantic attention over views, scattering regularizer, training loop, checkpoints.
+"""MUG's pre-training objective and its gradient, training loop, frozen embedding, checkpoints.
 
 A MugModel is its named parameters plus the TrainConfig they were trained
 with. param_shapes names them: the dimension encoder, the encoder shared by
@@ -7,9 +7,16 @@ the sample size and the unified dimension k, never on a dataset's attribute
 width or view count. Structural embeddings are retrained per graph and are
 not part of the model.
 
+objective runs the forward helpers that embed runs too (dimalign's basis
+and projection, metamae's encoder, the semantic attention and fusion here),
+adds the alignment, reconstruction and scattering terms, and then computes
+the gradient of their weighted total by hand, in reverse order. _train hands
+that gradient to Adam once per epoch; a non-finite total or gradient stops
+training with DivergenceError before the parameters change.
+
 Checkpoint format (UTF-8 text):
 
-    MUG-CKPT v2
+    MUG-CKPT v3
     [meta]
     <key> <value>          one line per TrainConfig field, in field order;
                            nested fields read walk.dim, mask.edge_mask_rate
@@ -31,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import autodiff as ad
 from . import dimalign, metamae, structenc
 from .bundle import read_text
 from .hetgraph import HetGraph, all_views
@@ -39,7 +45,7 @@ from .metamae import MaskSpec
 from .rng import RngStream, STREAM_INIT, STREAM_MASK, STREAM_SAMPLE
 from .structenc import WalkConfig
 
-CHECKPOINT_MAGIC = "MUG-CKPT v2"
+CHECKPOINT_MAGIC = "MUG-CKPT v3"
 
 
 @dataclass
@@ -49,10 +55,6 @@ class TrainConfig:
     lambda_scatter: float = 0.1
     epochs: int = 400
     learning_rate: float = 1e-3
-    optimizer: str = "adam"          # or "sgd"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     no_cse: bool = False
     no_align: bool = False
@@ -71,8 +73,6 @@ class TrainConfig:
         for lam in (self.lambda_align, self.lambda_recon, self.lambda_scatter):
             if lam < 0:
                 raise ValueError("loss weights must be >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer '{self.optimizer}'")
         self.walk.validate()
         self.mask.validate()
 
@@ -98,7 +98,7 @@ class MugModel:
         return self.cfg.unified_dim
 
 
-class DivergenceError(ad.NumericsError):
+class DivergenceError(FloatingPointError):
     def __init__(self, epoch: int):
         super().__init__(f"training diverged (non-finite loss) at epoch {epoch}")
         self.epoch = epoch
@@ -107,55 +107,134 @@ class DivergenceError(ad.NumericsError):
 # -- attention / fusion / losses ----------------------------------------------
 
 
-def attention_scores(q: ad.Node, weight: ad.Node, bias: ad.Node,
-                     views: Sequence[ad.Node]) -> List[ad.Node]:
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over a vector, max-subtracted for stability."""
+    e = np.exp(scores - scores.max())
+    return e / e.sum()
+
+
+def attention_scores(q: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                     views: Sequence[np.ndarray]) -> np.ndarray:
     """Per-view scalar: node-mean of qᵀ tanh(z W + b)."""
-    out = []
-    for z in views:
-        t = ad.tanh(ad.add(ad.matmul(z, weight), bias))
-        out.append(ad.mean_all(ad.matmul(t, q)))
-    return out
+    return np.array([(np.tanh(z @ weight + bias) @ q).mean() for z in views])
 
 
-def attention_weights(q: ad.Node, weight: ad.Node, bias: ad.Node,
-                      views: Sequence[ad.Node]) -> ad.Node:
-    """Softmax over the per-view scores; an Lx1 node summing to one."""
+def attention_weights(q: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                      views: Sequence[np.ndarray]) -> np.ndarray:
+    """Softmax over the per-view scores; one weight per view, summing to one."""
     if not views:
         raise ValueError("need at least one view")
-    return ad.softmax(ad.stack_scalars(attention_scores(q, weight, bias, views)))
+    return softmax(attention_scores(q, weight, bias, views))
 
 
-def fuse(beta: ad.Node, views: Sequence[ad.Node]) -> ad.Node:
+def fuse(beta: np.ndarray, views: Sequence[np.ndarray]) -> np.ndarray:
     """Convex combination of the view embeddings."""
-    if beta.shape[0] != len(views):
-        raise ad.ShapeError(f"{beta.shape[0]} weights for {len(views)} views")
-    acc = ad.mul(views[0], ad.take(beta, 0))
+    if len(beta) != len(views):
+        raise ValueError(f"{len(beta)} weights for {len(views)} views")
+    acc = views[0] * beta[0]
     for i in range(1, len(views)):
-        acc = ad.add(acc, ad.mul(views[i], ad.take(beta, i)))
+        acc = acc + views[i] * beta[i]
     return acc
 
 
-def scatter_loss(z: ad.Node) -> ad.Node:
-    """Negative mean squared distance to the embedding centroid."""
-    n = z.shape[0]
-    centered = ad.add(z, ad.smul(ad.col_mean(z), -1.0))
-    return ad.smul(ad.sum_all(ad.power(centered, 2.0)), -1.0 / n)
+def scatter_loss(z: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Negative mean squared distance to the embedding centroid; and its gradient."""
+    n = len(z)
+    centered = z + z.mean(axis=0, keepdims=True) * -1.0
+    return float(np.power(centered, 2.0).sum() * (-1.0 / n)), centered * (-2.0 / n)
 
 
-def total_loss(l_align: ad.Node, beta: ad.Node, view_losses: Sequence[ad.Node],
-               l_scatter: ad.Node, cfg: TrainConfig) -> ad.Node:
+def _lambdas(cfg: TrainConfig) -> Tuple[float, float, float]:
+    """The weights of the align, reconstruction and scatter terms; ablated terms weigh 0."""
+    return (0.0 if cfg.no_align else cfg.lambda_align, cfg.lambda_recon,
+            0.0 if cfg.no_scatter else cfg.lambda_scatter)
+
+
+def total_loss(l_align: float, beta: np.ndarray, view_losses: np.ndarray,
+               l_scatter: float, cfg: TrainConfig) -> float:
     """lambda1 * align + lambda2 * sum(beta * per-view) + lambda3 * scatter."""
-    recon = ad.sum_all(ad.mul(beta, ad.stack_scalars(view_losses)))
-    lam1 = 0.0 if cfg.no_align else cfg.lambda_align
-    lam3 = 0.0 if cfg.no_scatter else cfg.lambda_scatter
-    return ad.add(ad.add(ad.smul(l_align, lam1), ad.smul(recon, cfg.lambda_recon)),
-                  ad.smul(l_scatter, lam3))
+    lam1, lam2, lam3 = _lambdas(cfg)
+    return float(l_align * lam1 + (beta * view_losses).sum() * lam2 + l_scatter * lam3)
+
+
+@dataclass
+class LossParts:
+    """The terms of one objective evaluation, before the loss weights."""
+
+    l_align: float
+    beta: np.ndarray           # attention weight per view
+    view_losses: np.ndarray    # reconstruction loss per view
+    l_scatter: float
+    total: float
+
+
+def objective(params: Dict[str, np.ndarray], state: _GraphState,
+              masked: Sequence[np.ndarray],
+              cfg: TrainConfig) -> Tuple[LossParts, Dict[str, np.ndarray]]:
+    """The pre-training loss parts and the gradient of their total.
+
+    masked holds each view's masked adjacency. The forward pass runs the
+    helpers embed runs too; the gradient then runs through them in reverse
+    order. Returns (parts, grads), grads keyed like params.
+    """
+    p = params
+    sample = state.unified[state.sample_idx]
+    basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"], sample)
+    l_align, d_align = dimalign.align_loss(basis)
+    x = dimalign.project(basis, state.unified)
+    xw = x @ p["enc.weight"]
+    ops, zs, backs, losses = [], [], [], []
+    for adj, m in zip(state.targets, masked):
+        ops.append(metamae.normalized_operator(m))
+        zs.append(metamae.encode(ops[-1], xw, p["enc.bias"]))
+        z_hat = metamae.graph_conv(ops[-1], zs[-1] @ p["dec.weight"], p["dec.bias"])
+        loss, back = metamae.recon_loss(adj, z_hat, cfg.gamma)
+        losses.append(loss)
+        backs.append(back)
+    beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], zs)
+    l_scatter, d_fused = scatter_loss(fuse(beta, zs))
+    view_losses = np.array(losses)
+    parts = LossParts(l_align, beta, view_losses, l_scatter,
+                      total_loss(l_align, beta, view_losses, l_scatter, cfg))
+
+    lam_align, lam_recon, lam_scatter = _lambdas(cfg)
+    d_fused *= lam_scatter
+    d_beta = lam_recon * view_losses + np.array([(d_fused * z).sum() for z in zs])
+    d_score = beta * (d_beta - (d_beta * beta).sum())   # through the softmax
+    g = {name: np.zeros_like(value) for name, value in p.items()}
+    d_xw = np.zeros_like(xw)
+    for i, (op, z, back) in enumerate(zip(ops, zs, backs)):
+        t = np.tanh(z @ p["att.weight"] + p["att.bias"])
+        d_pre = (d_score[i] / len(z)) * p["att.q"].T * (1.0 - t * t)
+        g["att.q"] += (d_score[i] / len(z)) * t.sum(axis=0)[:, None]
+        g["att.weight"] += z.T @ d_pre
+        g["att.bias"] += d_pre.sum(axis=0, keepdims=True)
+        d_z = beta[i] * d_fused + d_pre @ p["att.weight"].T
+        d_z_hat = back(lam_recon * beta[i])
+        d_zw = op.T @ d_z_hat
+        g["dec.weight"] += z.T @ d_zw
+        g["dec.bias"] += d_z_hat.sum(axis=0, keepdims=True)
+        d_z += d_zw @ p["dec.weight"].T
+        d_h = d_z * np.where(z > 0, 1.0, metamae.LEAKY_SLOPE)
+        g["enc.bias"] += d_h.sum(axis=0, keepdims=True)
+        d_xw += op.T @ d_h
+    g["enc.weight"] = x.T @ d_xw
+    d_basis = state.unified.T @ (d_xw @ p["enc.weight"].T) + lam_align * d_align
+    g["dim.weight"] = sample @ d_basis
+    g["dim.bias"] = d_basis.sum(axis=0, keepdims=True)
+    return parts, g
 
 
 # -- optimizer ------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Optimizer:
+    """Adam over the trainable parameters, updated in place."""
+
     def __init__(self, params: Dict[str, np.ndarray], cfg: TrainConfig,
                  trainable: Sequence[str]):
         self.params = params
@@ -166,18 +245,14 @@ class Optimizer:
         self.v = {k: np.zeros_like(params[k]) for k in self.trainable}
 
     def step(self, grads: Dict[str, np.ndarray]) -> None:
-        cfg = self.cfg
         self.t += 1
         for k in self.trainable:
             g = grads[k]
-            if cfg.optimizer == "sgd":
-                self.params[k] -= cfg.learning_rate * g
-                continue
-            self.m[k] = cfg.adam_beta1 * self.m[k] + (1 - cfg.adam_beta1) * g
-            self.v[k] = cfg.adam_beta2 * self.v[k] + (1 - cfg.adam_beta2) * g * g
-            m_hat = self.m[k] / (1 - cfg.adam_beta1**self.t)
-            v_hat = self.v[k] / (1 - cfg.adam_beta2**self.t)
-            self.params[k] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[k] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[k] / (1 - ADAM_BETA2**self.t)
+            self.params[k] -= self.cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- pre-training ----------------------------------------------------------------
@@ -191,29 +266,6 @@ def _init_params(cfg: TrainConfig, seed: int) -> Dict[str, np.ndarray]:
         else:
             params[name] = dimalign.glorot(RngStream(seed, STREAM_INIT + i), *shape)
     return params
-
-
-def _forward(params_nodes: Dict[str, ad.Node], unified: np.ndarray,
-             sample_idx: np.ndarray, targets: Sequence[np.ndarray],
-             masked: Sequence[np.ndarray], cfg: TrainConfig):
-    """One full differentiable pass: (l_align, beta, per-view losses, l_scatter)."""
-    basis = dimalign.basis_vectors(params_nodes["dim.weight"],
-                                   params_nodes["dim.bias"], unified[sample_idx])
-    l_align = dimalign.align_loss(basis)
-    x_unify = dimalign.project(basis, unified)
-
-    views = [
-        metamae.autoencode_view(adj, m, x_unify,
-                                params_nodes["enc.weight"], params_nodes["enc.bias"],
-                                params_nodes["dec.weight"], params_nodes["dec.bias"],
-                                cfg.gamma)
-        for adj, m in zip(targets, masked)
-    ]
-    z_views = [z for z, _ in views]
-    beta = attention_weights(params_nodes["att.q"], params_nodes["att.weight"],
-                             params_nodes["att.bias"], z_views)
-    l_scatter = scatter_loss(fuse(beta, z_views))
-    return l_align, beta, [loss for _, loss in views], l_scatter
 
 
 def config_fields(cfg):
@@ -273,27 +325,22 @@ def _train(state: _GraphState, cfg: TrainConfig,
                 stream = RngStream(seed, STREAM_MASK + epoch * len(state.targets) + i)
                 masked.append(metamae.mask_edges(adj, cfg.mask, stream))
 
-        nodes = {k: ad.leaf(v) for k, v in params.items()}
-        try:
-            l_align, beta, view_losses, l_scatter = _forward(
-                nodes, state.unified, state.sample_idx, state.targets, masked, cfg)
-            loss = total_loss(l_align, beta, view_losses, l_scatter, cfg)
-        except ad.NumericsError:
+        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+            parts, grads = objective(params, state, masked, cfg)
+        finite = np.isfinite(parts.total) and all(np.isfinite(g).all()
+                                                  for g in grads.values())
+        if not finite:
             raise DivergenceError(epoch)
-        if not np.isfinite(loss.value[0, 0]):
-            raise DivergenceError(epoch)
-        ad.backward(loss)
-        opt.step({k: n.grad for k, n in nodes.items()})
+        opt.step(grads)
 
         if trace is not None:
-            recon_w = float(sum(b * l.value[0, 0] for b, l in
-                                zip(beta.value[:, 0], view_losses)))
             trace.append({
                 "epoch": epoch,
-                "l_align": 0.0 if cfg.no_align else float(l_align.value[0, 0]),
-                "l_recon_weighted": recon_w,
-                "l_scatter": 0.0 if cfg.no_scatter else float(l_scatter.value[0, 0]),
-                "total": float(loss.value[0, 0]),
+                "l_align": 0.0 if cfg.no_align else parts.l_align,
+                "l_recon_weighted": float(sum(b * l for b, l in
+                                              zip(parts.beta, parts.view_losses))),
+                "l_scatter": 0.0 if cfg.no_scatter else parts.l_scatter,
+                "total": parts.total,
             })
 
     return MugModel(params, copy.deepcopy(cfg))
@@ -320,16 +367,14 @@ def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.n
     No masking at embedding time and no parameter updates of any kind.
     """
     state = _prepare_graph(g, replace(model.cfg, seed=seed))
-    p = {name: ad.leaf(value) for name, value in model.params.items()}
+    p = model.params
     basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"],
                                    state.unified[state.sample_idx])
-    x_unify = dimalign.project(basis, state.unified)
-    z_views = [metamae.encode(metamae.normalized_operator(adj), x_unify,
-                              p["enc.weight"], p["enc.bias"])
+    xw = dimalign.project(basis, state.unified) @ p["enc.weight"]
+    z_views = [metamae.encode(metamae.normalized_operator(adj), xw, p["enc.bias"])
                for adj in state.targets]
     beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], z_views)
-    fused = fuse(beta, z_views)
-    return fused.value.copy(), beta.value[:, 0].copy()
+    return fuse(beta, z_views), beta
 
 
 # -- checkpoint I/O ---------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Finite-difference verification of the gradients that update parameters.
 
-Each named check builds one training loss on random toy instances as an
-autodiff expression, and autodiff.grad_check compares the gradients its
-backward closures give with central differences. The skip-gram check's
-closure runs the SGNS kernel itself. The CLI runs this suite; the acceptance
-tests pin its tolerances.
+Each named check draws random toy instances and a function that maps the
+parameters to (loss, gradients) exactly as training computes them;
+autodiff.grad_check compares those gradients with central differences. The
+four loss checks run fusion.objective, each loss alone with the other two
+weights at zero and then all three together; the skip-gram check runs the
+SGNS kernel itself. The CLI runs this suite; the acceptance tests pin its
+tolerances.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import dimalign, fusion, kernels, metamae
+from . import fusion, kernels
 
 TOLERANCE = 1e-4
 
@@ -36,17 +38,16 @@ class CheckResult:
 class Check:
     name: str
     make_params: Callable[[np.random.Generator], Dict[str, np.ndarray]]
-    builder_for: Callable[[np.random.Generator], Callable]
+    function_for: Callable[[np.random.Generator], Callable]
 
 
 def _struct_pair_check() -> Check:
     """One kernels.sgns_epoch step on one pair equals -lr x the pair loss gradient.
 
-    The node's value is the pair's skip-gram loss, -log σ(c_v . x_u)
-    minus the sum over negatives n of log σ(-c_v . x_n). Its backward
-    closure runs the kernel on copies of both tables and reads the gradient
-    off the step. Targets may repeat: the kernel sums a repeated row's
-    steps, as the gradient does.
+    The loss is the pair's skip-gram loss, -log σ(c_v . x_u) minus the sum
+    over negatives n of log σ(-c_v . x_n). Its gradient is read off a kernel
+    step on copies of both tables. Targets may repeat: the kernel sums a
+    repeated row's steps, as the gradient does.
     """
     n, d, lr = 6, 3, 0.025
 
@@ -56,38 +57,22 @@ def _struct_pair_check() -> Check:
             "context": rng.uniform(-1, 1, size=(n, d)),
         }
 
-    def builder_for(rng):
+    def function_for(rng):
         v = int(rng.integers(n))
         targets = rng.integers(n, size=4)   # positive, then negatives
         sign = np.array([1.0, -1.0, -1.0, -1.0])
 
-        def build(nodes):
-            center, context = nodes["center"], nodes["context"]
-            scores = context.value[targets] @ center.value[v]
-            loss = np.logaddexp(0.0, -sign * scores).sum()
+        def fn(p):
+            scores = p["context"][targets] @ p["center"][v]
+            c, x = p["center"].copy(), p["context"].copy()
+            kernels.sgns_epoch(c, x, np.array([v]), targets[:1], targets[None, 1:],
+                               lr, lr, 0, 1)
+            return (np.logaddexp(0.0, -sign * scores).sum(),
+                    {"center": (p["center"] - c) / lr, "context": (p["context"] - x) / lr})
 
-            def back(g):
-                c, x = center.value.copy(), context.value.copy()
-                kernels.sgns_epoch(c, x, np.array([v]), targets[:1], targets[None, 1:],
-                                   lr, lr, 0, 1)
-                center.grad += g[0, 0] * (center.value - c) / lr
-                context.grad += g[0, 0] * (context.value - x) / lr
+        return fn
 
-            return ad.Node(np.array([[loss]]), (center, context), back, "sgns_pair")
-
-        return build
-
-    return Check("struct_sgns_pair_loss", make_params, builder_for)
-
-
-def _align_check() -> Check:
-    def make_params(rng):
-        return {"S": rng.uniform(-1, 1, size=(6, 3))}
-
-    def builder_for(rng):
-        return lambda nodes: dimalign.align_loss(nodes["S"])
-
-    return Check("dim_align_loss", make_params, builder_for)
+    return Check("struct_sgns_pair_loss", make_params, function_for)
 
 
 def _random_view(rng, n):
@@ -98,85 +83,42 @@ def _random_view(rng, n):
     return adj
 
 
-def _recon_check() -> Check:
-    """Masked-view reconstruction loss through encoder and decoder."""
-    n, d, k = 6, 4, 3
-
-    def make_params(rng):
-        return {
-            "enc.weight": rng.uniform(-1, 1, size=(d, k)),
-            "enc.bias": rng.uniform(-1, 1, size=(1, k)),
-            "dec.weight": rng.uniform(-1, 1, size=(k, k)),
-            "dec.bias": rng.uniform(-1, 1, size=(1, k)),
-        }
-
-    def builder_for(rng):
-        adj = _random_view(rng, n)
-        keep = rng.random((n, n)) >= 0.5
-        keep = np.triu(keep, 1) | np.triu(keep, 1).T
-        x = rng.uniform(-1, 1, size=(n, d))
-
-        def build(nodes):
-            _, loss = metamae.autoencode_view(
-                adj, adj & keep, ad.leaf(x), nodes["enc.weight"], nodes["enc.bias"],
-                nodes["dec.weight"], nodes["dec.bias"], 2.0)
-            return loss
-
-        return build
-
-    return Check("view_recon_loss", make_params, builder_for)
-
-
-def _scatter_check() -> Check:
-    def make_params(rng):
-        return {"Z": rng.uniform(-1, 1, size=(5, 4))}
-
-    def builder_for(rng):
-        return lambda nodes: fusion.scatter_loss(nodes["Z"])
-
-    return Check("scatter_loss", make_params, builder_for)
-
-
-def _total_check() -> Check:
-    """Full objective: alignment + attention-weighted reconstruction + scatter."""
+def _objective_check(name: str, n_views: int, lambda_align: float,
+                     lambda_recon: float, lambda_scatter: float) -> Check:
+    """fusion.objective on a random toy graph, with the given loss weights."""
     n, d, k, ns = 6, 4, 3, 4
-    cfg = fusion.TrainConfig(sample_size=ns, unified_dim=k)
+    cfg = fusion.TrainConfig(sample_size=ns, unified_dim=k, lambda_align=lambda_align,
+                             lambda_recon=lambda_recon, lambda_scatter=lambda_scatter)
 
     def make_params(rng):
-        return {
-            "dim.weight": rng.uniform(-1, 1, size=(ns, k)),
-            "dim.bias": rng.uniform(-1, 1, size=(1, k)),
-            "enc.weight": rng.uniform(-1, 1, size=(k, k)),
-            "enc.bias": rng.uniform(-1, 1, size=(1, k)),
-            "dec.weight": rng.uniform(-1, 1, size=(k, k)),
-            "dec.bias": rng.uniform(-1, 1, size=(1, k)),
-            "att.q": rng.uniform(-1, 1, size=(k, 1)),
-            "att.weight": rng.uniform(-1, 1, size=(k, k)),
-            "att.bias": rng.uniform(-1, 1, size=(1, k)),
-        }
+        return {key: rng.uniform(-1, 1, size=shape)
+                for key, shape in fusion.param_shapes(cfg)}
 
-    def builder_for(rng):
-        adjs = [_random_view(rng, n) for _ in range(2)]
+    def function_for(rng):
+        adjs = [_random_view(rng, n) for _ in range(n_views)]
         masked = []
         for a in adjs:
             keep = rng.random((n, n)) >= 0.5
             keep = np.triu(keep, 1) | np.triu(keep, 1).T
             masked.append(a & keep)
-        unified = rng.uniform(-1, 1, size=(n, d))
-        sample_idx = rng.choice(n, size=ns, replace=False)
+        state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)), targets=adjs,
+                                   sample_idx=rng.choice(n, size=ns, replace=False))
 
-        def build(nodes):
-            return fusion.total_loss(
-                *fusion._forward(nodes, unified, sample_idx, adjs, masked, cfg), cfg)
+        def fn(p):
+            parts, grads = fusion.objective(p, state, masked, cfg)
+            return parts.total, grads
 
-        return build
+        return fn
 
-    return Check("total_objective", make_params, builder_for)
+    return Check(name, make_params, function_for)
 
 
 def default_checks() -> List[Check]:
-    return [_struct_pair_check(), _align_check(), _recon_check(),
-            _scatter_check(), _total_check()]
+    return [_struct_pair_check(),
+            _objective_check("dim_align_loss", 2, 1.0, 0.0, 0.0),
+            _objective_check("view_recon_loss", 1, 0.0, 1.0, 0.0),
+            _objective_check("scatter_loss", 2, 0.0, 0.0, 1.0),
+            _objective_check("total_objective", 2, 1.0, 1.0, 0.1)]
 
 
 def run_suite(checks: Sequence[Check] = (), instances: int = 20,
@@ -187,8 +129,7 @@ def run_suite(checks: Sequence[Check] = (), instances: int = 20,
         for i in range(instances):
             rng = np.random.default_rng(seed + 1000 * i + zlib.crc32(check.name.encode()) % 997)
             params = check.make_params(rng)
-            builder = check.builder_for(rng)
-            report = ad.grad_check(builder, params)
+            report = ad.grad_check(check.function_for(rng), params)
             worst = max(worst, max(report.values()))
         results.append(CheckResult(check.name, instances, worst))
     return results

@@ -3,9 +3,9 @@
 Both kernels are plain NumPy, and the caller pre-draws all their randomness
 into arrays. The walk kernel reproduces its scalar reference
 (tests/oracles.py) bit for bit. The skip-gram kernel updates the tables in
-mini-batches; its scores are elementwise products summed with ``.sum``, not
-``@``, so no BLAS call is involved, and the same inputs give the same bits
-on one machine.
+mini-batches; its scores and center steps are ``np.einsum`` contractions
+without ``optimize``, so no BLAS call is involved, and the same inputs give
+the same bits on one machine.
 """
 
 from __future__ import annotations
@@ -91,11 +91,11 @@ def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
             (pair_offset + np.arange(start, stop)) / total_pairs)
         cv = center[rows]
         ctx = context[targets]
-        z = sign * (ctx * cv[:, None, :]).sum(axis=-1)
+        z = sign * np.einsum("ptd,pd->pt", ctx, cv)
         loss += float(np.logaddexp(0.0, -z).sum())        # -log σ(z)
         # label - σ(score) = sign * σ(-z)
         g = sign * np.exp(-np.logaddexp(0.0, z)) * lr[:, None]
-        _scatter_add(center, rows, (g[:, :, None] * ctx).sum(axis=1))
+        _scatter_add(center, rows, np.einsum("pt,ptd->pd", g, ctx))
         _scatter_add(context, targets.ravel(),
                      (g[:, :, None] * cv[:, None, :]).reshape(-1, dim))
     return loss

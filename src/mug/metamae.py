@@ -1,7 +1,7 @@
 """Masked adjacency autoencoding per meta-path view.
 
 One symmetric-normalized graph-convolution layer each for encoder and
-decoder; the encoder is shared across every view (same parameter object).
+decoder; every view uses the same encoder and decoder parameters.
 Masking removes each present edge with probability edge_mask_rate, one coin
 per unordered pair on symmetric views. The decoded embeddings Ẑ are scored
 by σ(ẐẐᵀ), compared row-wise against the full unmasked adjacency with a
@@ -10,21 +10,21 @@ scaled cosine loss.
 Cost model: a view is a dense N x N bool matrix and its normalized operator
 a dense N x N float64 matrix, held for the epoch. Masking draws one uniform
 per stored edge. The loss never forms σ(ẐẐᵀ) whole: recon_loss computes it
-in blocks of RECON_BLOCK rows, in the forward pass and again in the
-backward pass, so its memory beyond the operators is O(N * RECON_BLOCK).
+in blocks of RECON_BLOCK rows, once for the loss and again for its
+gradient, so its memory beyond the operators is O(N * RECON_BLOCK).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .rng import RngStream
 
 RECON_BLOCK = 128   # rows of σ(ẐẐᵀ) that recon_loss holds at once
+LEAKY_SLOPE = 0.25  # the encoder's negative slope
 
 
 class DegenerateViewError(ValueError):
@@ -74,32 +74,15 @@ def normalized_operator(adj: np.ndarray) -> np.ndarray:
     return op
 
 
-def graph_conv(adj_op: np.ndarray, x: ad.Node, weight: ad.Node, bias: ad.Node) -> ad.Node:
-    """adj_op @ x @ W + b with adj_op held constant."""
-    if x.shape[1] != weight.shape[0]:
-        raise ad.ShapeError(
-            f"graph_conv: input width {x.shape[1]} != weight rows {weight.shape[0]}"
-        )
-    return ad.add(ad.propagate(adj_op, ad.matmul(x, weight)), bias)
+def graph_conv(adj_op: np.ndarray, xw: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """adj_op @ xw + b, where xw is the layer input already multiplied by its weight."""
+    return adj_op @ xw + bias
 
 
-def encode(adj_op: np.ndarray, x: ad.Node, weight: ad.Node, bias: ad.Node) -> ad.Node:
-    """The shared encoder: leaky_relu (slope 0.25) over one graph convolution."""
-    return ad.leaky_relu(graph_conv(adj_op, x, weight, bias), 0.25)
-
-
-def autoencode_view(adj: np.ndarray, masked: np.ndarray, x: ad.Node,
-                    enc_weight: ad.Node, enc_bias: ad.Node,
-                    dec_weight: ad.Node, dec_bias: ad.Node,
-                    gamma: float = 2.0) -> Tuple[ad.Node, ad.Node]:
-    """Mask-encode-decode-reconstruct one view; returns (encoder output, loss).
-
-    The decoder is one graph convolution over the same masked operator; the
-    loss compares σ(ẐẐᵀ) of its output against the unmasked adjacency.
-    """
-    op = normalized_operator(masked)
-    z = encode(op, x, enc_weight, enc_bias)
-    return z, recon_loss(adj, graph_conv(op, z, dec_weight, dec_bias), gamma)
+def encode(adj_op: np.ndarray, xw: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The shared encoder: leaky_relu (slope LEAKY_SLOPE) over one graph convolution."""
+    h = graph_conv(adj_op, xw, bias)
+    return np.where(h > 0, h, LEAKY_SLOPE * h)
 
 
 def _sigmoid_rows(z: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -113,13 +96,15 @@ def _sigmoid_rows(z: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return s
 
 
-def recon_loss(adj: np.ndarray, z_hat: ad.Node, gamma: float = 2.0) -> ad.Node:
+def recon_loss(adj: np.ndarray, z_hat: np.ndarray,
+               gamma: float = 2.0) -> Tuple[float, Callable[[float], np.ndarray]]:
     """Mean of (1 - cos(row of A, row of σ(ẐẐᵀ)))^gamma over rows of A with edges.
 
     Rows with no original edges have no defined direction and are excluded;
-    the normalizer is the count of the remaining rows. Both passes work on
-    RECON_BLOCK rows of S = σ(ẐẐᵀ) at a time; the backward pass recomputes
-    them and adds dX_blk Ẑ to the block's rows and dX_blkᵀ Ẑ_blk to all rows,
+    the normalizer is the count of the remaining rows. Returns (loss, back):
+    back(g) gives g times the loss gradient with respect to Ẑ. Both passes
+    work on RECON_BLOCK rows of S = σ(ẐẐᵀ) at a time; back recomputes them
+    and adds dX_blk Ẑ to the block's rows and dX_blkᵀ Ẑ_blk to all rows,
     where dX = dS * S * (1 - S).
     """
     if gamma < 1.0:
@@ -130,13 +115,12 @@ def recon_loss(adj: np.ndarray, z_hat: ad.Node, gamma: float = 2.0) -> ad.Node:
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise DegenerateViewError("view has no non-empty rows")
-    z = z_hat.value
     n = len(adj)
     blocks = [(lo, min(lo + RECON_BLOCK, n)) for lo in range(0, n, RECON_BLOCK)]
     dot = np.empty(n)
     norm = np.empty(n)
     for lo, hi in blocks:
-        s = _sigmoid_rows(z, lo, hi)
+        s = _sigmoid_rows(z_hat, lo, hi)
         dot[lo:hi] = (adj[lo:hi] * s).sum(axis=1)
         norm[lo:hi] = np.sqrt(np.multiply(s, s, out=s).sum(axis=1))
     denom = np.sqrt(deg) * norm
@@ -145,18 +129,20 @@ def recon_loss(adj: np.ndarray, z_hat: ad.Node, gamma: float = 2.0) -> ad.Node:
     base = np.maximum(1.0 - cos, 0.0)
     loss = (np.power(base, gamma) * valid).sum() * (1.0 / n_valid)
 
-    def back(g):
-        d_cos = (-g[0, 0] / n_valid) * gamma * np.power(base, gamma - 1.0) * valid
+    def back(g: float) -> np.ndarray:
+        d_cos = (-g / n_valid) * gamma * np.power(base, gamma - 1.0) * valid
         d_cos = np.where(defined, d_cos, 0.0)
         on_edge = d_cos / np.where(defined, denom, 1.0)
         on_self = d_cos * cos / np.where(defined, norm * norm, 1.0)
+        grad = np.zeros_like(z_hat)
         for lo, hi in blocks:
-            s = _sigmoid_rows(z, lo, hi)
+            s = _sigmoid_rows(z_hat, lo, hi)
             dx = s * -on_self[lo:hi, None]
             np.add(dx, on_edge[lo:hi, None], out=dx, where=adj[lo:hi])
             dx *= s
             dx *= np.subtract(1.0, s, out=s)
-            z_hat.grad[lo:hi] += dx @ z
-            z_hat.grad += dx.T @ z[lo:hi]
+            grad[lo:hi] += dx @ z_hat
+            grad += dx.T @ z_hat[lo:hi]
+        return grad
 
-    return ad.Node(np.array([[loss]]), (z_hat,), back, "recon_loss")
+    return float(loss), back

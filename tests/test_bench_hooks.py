@@ -1,7 +1,8 @@
-"""The benchmark's traced run still finds the struct-encoder stages it times.
+"""The benchmark's traced run still finds the stages it times.
 
 perfbench/tracer.py wraps functions by name; if one of these is renamed, the
-per-layer walk, pair and SGNS metrics read zero without any other failure.
+per-layer walk, pair, SGNS, mask, operator and epoch metrics read zero
+without any other failure.
 """
 
 import json
@@ -32,8 +33,14 @@ def test_traced_pretrain_records_struct_encoder_spans(tmp_path):
     assert proc.returncode == 0, proc.stderr
     with open(trace) as fh:
         record = json.load(fh)
-    names = {span[0] for span in record["spans"]}
+    spans = record["spans"]
+    names = {span[0] for span in spans}
     for stage in ("structenc.sample_all_walks", "structenc._window_pairs",
-                  "structenc.train_sgns"):
+                  "structenc.train_sgns", "fusion._train", "metamae.mask_edges",
+                  "metamae.normalized_operator"):
         assert stage in names, stage
     assert record["counts"]["structenc.pairs"] > 0
+    # fusion.epoch_s times each epoch up to the end of its optimizer step
+    steps = [span for span in spans if span[0] == "fusion.Optimizer.step"]
+    assert len(steps) == 2
+    assert all(spans[parent][0] == "fusion._train" for _, parent, *_ in steps)

@@ -7,7 +7,6 @@ import os
 import numpy as np
 import pytest
 
-from mug import autodiff as ad
 from mug import gradsuite, kernels, synth
 from mug.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -186,6 +185,16 @@ def test_pretrain_writes_config_echo(tmp_path, bundle):
     assert "edge_mask_rate = 0.5" in echo  # default
 
 
+def test_diverging_pretrain_exits_numeric(tmp_path, bundle, capsys):
+    path = str(tmp_path / "diverge.cfg")
+    with open(path, "w") as fh:
+        fh.write("epochs = 3\nlearning_rate = 1e300\nno_cse = true\n")
+    assert main(["pretrain", "--data", bundle, "--config", path,
+                 "--out", str(tmp_path / "x.ckpt")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: training diverged (non-finite loss) at epoch 1", err
+
+
 def test_unknown_config_key_rejected(tmp_path, bundle, capsys):
     path = str(tmp_path / "bad.cfg")
     with open(path, "w") as fh:
@@ -274,18 +283,15 @@ def test_gradcheck_passes_and_covers_five_expressions(capsys):
 
 
 def test_gradcheck_detects_injected_wrong_gradient():
-    # a fake op whose backward closure is deliberately wrong: it drops the gradient
-    def broken_scale(a):
-        return ad.Node(a.value * 2.0, (a,), lambda g: None, "broken_scale")
-
+    # a loss of 2 * sum(X) whose gradient is deliberately wrong: it is dropped
     def make_params(rng):
         return {"X": rng.uniform(-1, 1, size=(2, 2))}
 
-    def builder_for(rng):
-        return lambda nodes: ad.sum_all(broken_scale(nodes["X"]))
+    def function_for(rng):
+        return lambda p: (2.0 * p["X"].sum(), {"X": np.zeros_like(p["X"])})
 
     results = gradsuite.run_suite(
-        [gradsuite.Check("broken", make_params, builder_for)], instances=1)
+        [gradsuite.Check("broken", make_params, function_for)], instances=1)
     assert not results[0].passed
     # and the CLI maps failures to the numerical-failure exit code
     from mug import cli
@@ -377,10 +383,11 @@ def _swap_matrices(lines, section, first, second):
     (lambda lines: _swap_matrices(lines, "params", "enc.weight", "enc.bias"),
      "[params] expected matrix header 'enc.weight 16 16' (shape from [meta]), "
      "found 'enc.bias 1 16'"),
-    (lambda lines: ["MUG-CKPT v1"] + lines[1:], "not a 'MUG-CKPT v2' checkpoint"),
+    (lambda lines: ["MUG-CKPT v1"] + lines[1:], "not a 'MUG-CKPT v3' checkpoint"),
+    (lambda lines: ["MUG-CKPT v2"] + lines[1:], "not a 'MUG-CKPT v3' checkpoint"),
 ], ids=["matrix-cut-short", "matrix-missing", "matrix-non-numeric", "matrix-ragged-row",
         "sample-size-not-int", "meta-walk-dim-not-int", "meta-sample-size-disagrees",
-        "params-unknown-name", "params-out-of-order", "v1-header"])
+        "params-unknown-name", "params-out-of-order", "v1-header", "v2-header"])
 def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, damage,
                                         message):
     lines = open(checkpoint).read().split("\n")

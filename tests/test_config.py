@@ -27,8 +27,7 @@ def _leaves(d, prefix=""):
 def off_default_config():
     return TrainConfig(
         lambda_align=0.5, lambda_recon=2.0, lambda_scatter=0.3, epochs=7,
-        learning_rate=0.01, optimizer="sgd", adam_beta1=0.8, adam_beta2=0.99,
-        adam_eps=1e-6, seed=11, no_cse=True, no_align=True, no_scatter=True,
+        learning_rate=0.01, seed=11, no_cse=True, no_align=True, no_scatter=True,
         sample_size=32, unified_dim=24, gamma=3.0,
         walk=WalkConfig(walks_per_node=3, walk_length=9, window=2, negatives=4,
                         dim=16, epochs=2, lr=0.05, lr_min=0.001,

@@ -21,6 +21,7 @@ from mug.fusion import (
     pretrain,
     save_checkpoint,
     scatter_loss,
+    softmax,
     total_loss,
 )
 from mug.metamae import MaskSpec
@@ -51,8 +52,26 @@ def model_digest(model):
 
 
 def rand_attention(rng, k):
-    return (ad.leaf(rng.normal(size=(k, 1))), ad.leaf(rng.normal(size=(k, k))),
-            ad.leaf(rng.normal(size=(1, k))))
+    return rng.normal(size=(k, 1)), rng.normal(size=(k, k)), rng.normal(size=(1, k))
+
+
+# -- softmax --------------------------------------------------------------------
+
+
+def test_softmax_equal_logits():
+    out = softmax(np.array([3.7, 3.7, 3.7]))
+    assert np.allclose(out, 1.0 / 3.0)
+
+
+def test_softmax_simplex_and_shift_invariance():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = rng.uniform(-5, 5, size=6)
+        s = softmax(x)
+        assert np.all(s > 0) and np.all(s < 1)
+        assert abs(s.sum() - 1.0) <= 1e-12
+        shifted = softmax(x + 123.456)
+        assert np.max(np.abs(s - shifted)) <= 1e-12
 
 
 # -- attention ------------------------------------------------------------------
@@ -63,15 +82,15 @@ def test_identical_views_get_uniform_weights():
     z = rng.normal(size=(4, 3))
     q, w, b = rand_attention(rng, 3)
     for n_views in (2, 3, 5):
-        beta = attention_weights(q, w, b, [ad.leaf(z)] * n_views)
-        assert np.allclose(beta.value, 1.0 / n_views)
+        beta = attention_weights(q, w, b, [z] * n_views)
+        assert np.allclose(beta, 1.0 / n_views)
 
 
 def test_single_view_weight_is_one():
     rng = np.random.default_rng(1)
     q, w, b = rand_attention(rng, 3)
-    beta = attention_weights(q, w, b, [ad.leaf(rng.normal(size=(5, 3)))])
-    assert beta.value[0, 0] == pytest.approx(1.0)
+    beta = attention_weights(q, w, b, [rng.normal(size=(5, 3))])
+    assert beta[0] == pytest.approx(1.0)
 
 
 def test_attention_matches_hand_computation():
@@ -86,8 +105,7 @@ def test_attention_matches_hand_computation():
         cs.append((t @ q).mean())
     e = np.exp(np.array(cs) - max(cs))
     want = e / e.sum()
-    got = attention_weights(ad.leaf(q), ad.leaf(w), ad.leaf(b),
-                            [ad.leaf(z1), ad.leaf(z2)]).value[:, 0]
+    got = attention_weights(q, w, b, [z1, z2])
     assert np.allclose(got, want)
     assert got.sum() == pytest.approx(1.0)
 
@@ -97,15 +115,13 @@ def test_beta_simplex_and_argmax_shift_invariance_for_any_view_count():
     k = 4
     q, w, b = rand_attention(rng, k)
     for n_views in range(1, 6):
-        views = [ad.leaf(rng.normal(size=(6, k))) for _ in range(n_views)]
-        beta = attention_weights(q, w, b, views)
-        vals = beta.value[:, 0]
+        views = [rng.normal(size=(6, k)) for _ in range(n_views)]
+        vals = attention_weights(q, w, b, views)
         assert np.all(vals > 0) and np.all(vals < 1 + 1e-15)
         assert abs(vals.sum() - 1.0) <= 1e-12
-        scores = [s.value[0, 0] for s in
-                  fusion.attention_scores(q, w, b, views)]
-        shifted = ad.softmax(ad.leaf(np.array(scores).reshape(-1, 1) + 55.5))
-        assert np.argmax(vals) == np.argmax(shifted.value[:, 0])
+        scores = fusion.attention_scores(q, w, b, views)
+        shifted = softmax(scores + 55.5)
+        assert np.argmax(vals) == np.argmax(shifted)
 
 
 # -- fuse -----------------------------------------------------------------------
@@ -113,77 +129,76 @@ def test_beta_simplex_and_argmax_shift_invariance_for_any_view_count():
 
 def test_fuse_single_view_passthrough():
     z = np.random.default_rng(3).normal(size=(4, 2))
-    beta = ad.softmax(ad.leaf(np.array([[0.0]])))
-    out = fuse(beta, [ad.leaf(z)])
-    assert np.allclose(out.value, z)
+    beta = softmax(np.array([0.0]))
+    out = fuse(beta, [z])
+    assert np.allclose(out, z)
 
 
 def test_fuse_identical_views_independent_of_beta():
     z = np.random.default_rng(4).normal(size=(4, 2))
-    beta = ad.leaf(np.array([[0.3], [0.7]]))
-    out = fuse(beta, [ad.leaf(z), ad.leaf(z)])
-    assert np.allclose(out.value, z)
+    beta = np.array([0.3, 0.7])
+    out = fuse(beta, [z, z])
+    assert np.allclose(out, z)
 
 
 def test_fuse_hand_weighted_sum():
     z1 = np.array([[1.0, 2.0], [3.0, 4.0]])
     z2 = np.array([[-1.0, 0.0], [1.0, 1.0]])
-    beta = ad.leaf(np.array([[0.25], [0.75]]))
-    out = fuse(beta, [ad.leaf(z1), ad.leaf(z2)])
-    assert np.allclose(out.value, 0.25 * z1 + 0.75 * z2)
+    beta = np.array([0.25, 0.75])
+    out = fuse(beta, [z1, z2])
+    assert np.allclose(out, 0.25 * z1 + 0.75 * z2)
 
 
 # -- scatter ----------------------------------------------------------------------
 
 
 def test_scatter_identical_rows_zero():
-    z = ad.leaf(np.tile([1.0, -2.0], (5, 1)))
-    assert scatter_loss(z).value[0, 0] == pytest.approx(0.0, abs=1e-12)
+    z = np.tile([1.0, -2.0], (5, 1))
+    assert scatter_loss(z)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_scatter_antipodal_rows():
     a = np.array([1.5, -0.5, 2.0])
-    z = ad.leaf(np.vstack([a, -a]))
-    assert scatter_loss(z).value[0, 0] == pytest.approx(-(a**2).sum())
+    z = np.vstack([a, -a])
+    assert scatter_loss(z)[0] == pytest.approx(-(a**2).sum())
 
 
 def test_scatter_matches_direct_and_fd():
     rng = np.random.default_rng(5)
     arr = rng.uniform(-1, 1, size=(5, 3))
     want = -np.mean(np.sum((arr - arr.mean(0)) ** 2, axis=1))
-    assert scatter_loss(ad.leaf(arr)).value[0, 0] == pytest.approx(want)
-    report = ad.grad_check(lambda n: scatter_loss(n["Z"]), {"Z": arr})
+    assert scatter_loss(arr)[0] == pytest.approx(want)
+
+    def fn(params):
+        loss, grad = scatter_loss(params["Z"])
+        return loss, {"Z": grad}
+
+    report = ad.grad_check(fn, {"Z": arr})
     assert report["Z"] <= 1e-4
 
 
 # -- total loss -------------------------------------------------------------------
 
 
-def _scalar(x):
-    return ad.leaf(np.array([[x]]))
-
-
 def test_total_loss_single_view_recon_only():
     cfg = TrainConfig(lambda_align=0.0, lambda_recon=1.0, lambda_scatter=0.0)
-    beta = ad.softmax(ad.leaf(np.array([[0.0]])))
-    out = total_loss(_scalar(0.9), beta, [_scalar(1.7)], _scalar(-3.0), cfg)
-    assert out.value[0, 0] == pytest.approx(1.7)
+    beta = softmax(np.array([0.0]))
+    out = total_loss(0.9, beta, np.array([1.7]), -3.0, cfg)
+    assert out == pytest.approx(1.7)
 
 
 def test_total_loss_all_zero_weights():
     cfg = TrainConfig(lambda_align=0.0, lambda_recon=0.0, lambda_scatter=0.0)
-    beta = ad.softmax(ad.leaf(np.array([[0.0], [0.0]])))
-    out = total_loss(_scalar(0.9), beta, [_scalar(1.0), _scalar(2.0)],
-                     _scalar(-3.0), cfg)
-    assert out.value[0, 0] == 0.0
+    beta = softmax(np.array([0.0, 0.0]))
+    out = total_loss(0.9, beta, np.array([1.0, 2.0]), -3.0, cfg)
+    assert out == 0.0
 
 
 def test_total_loss_hand_arithmetic():
     cfg = TrainConfig(lambda_align=1.0, lambda_recon=1.0, lambda_scatter=0.1)
-    beta = ad.leaf(np.array([[0.5], [0.5]]))
-    out = total_loss(_scalar(0.2), beta, [_scalar(1.0), _scalar(3.0)],
-                     _scalar(-4.0), cfg)
-    assert out.value[0, 0] == pytest.approx(0.2 + 2.0 - 0.4)
+    beta = np.array([0.5, 0.5])
+    out = total_loss(0.2, beta, np.array([1.0, 3.0]), -4.0, cfg)
+    assert out == pytest.approx(0.2 + 2.0 - 0.4)
 
 
 def test_full_objective_gradient_matches_fd_on_toy_instance():
@@ -201,14 +216,14 @@ def test_full_objective_gradient_matches_fd_on_toy_instance():
         keep = rng.random((n, n)) >= 0.5
         keep = np.triu(keep, 1) | np.triu(keep, 1).T
         masked.append(a & keep)
-    unified = rng.uniform(-1, 1, size=(n, d))
-    sample_idx = np.array([0, 2, 3, 5])
+    state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)), targets=adjs,
+                               sample_idx=np.array([0, 2, 3, 5]))
     cfg = TrainConfig(lambda_align=1.0, lambda_recon=1.0, lambda_scatter=0.1,
                       sample_size=ns, unified_dim=k)
 
-    def build(nodes):
-        return total_loss(*fusion._forward(nodes, unified, sample_idx, adjs, masked, cfg),
-                          cfg)
+    def fn(params):
+        parts, grads = fusion.objective(params, state, masked, cfg)
+        return parts.total, grads
 
     params = {
         "dim.weight": rng.uniform(-1, 1, size=(ns, k)),
@@ -221,7 +236,7 @@ def test_full_objective_gradient_matches_fd_on_toy_instance():
         "att.weight": rng.uniform(-1, 1, size=(k, k)),
         "att.bias": rng.uniform(-1, 1, size=(1, k)),
     }
-    report = ad.grad_check(build, params)
+    report = ad.grad_check(fn, params)
     assert max(report.values()) <= 1e-4, report
 
 
@@ -270,6 +285,26 @@ def test_pretrain_no_align_freezes_dim_encoder():
     init = fusion._init_params(small_cfg(epochs=4, no_align=True), 0)
     assert np.array_equal(m.params["dim.weight"], init["dim.weight"])
     assert not np.array_equal(m.params["enc.weight"], init["enc.weight"])
+
+
+def test_train_stops_on_a_non_finite_gradient_before_any_step(monkeypatch):
+    cfg = small_cfg(epochs=3, no_cse=True)
+    state = fusion._prepare_graph(planted(), cfg)
+    seen = []
+    real = fusion.objective
+
+    def poisoned(params, *args):
+        seen.append(params)
+        parts, grads = real(params, *args)
+        grads["enc.weight"][0, 0] = np.nan
+        return parts, grads
+
+    monkeypatch.setattr(fusion, "objective", poisoned)
+    with pytest.raises(fusion.DivergenceError) as exc:
+        fusion._train(state, cfg, None)
+    assert exc.value.epoch == 0 and len(seen) == 1
+    init = fusion._init_params(cfg, cfg.seed)
+    assert all(np.array_equal(seen[0][k], init[k]) for k in init)
 
 
 def test_scatter_alone_spreads_embeddings():
@@ -377,7 +412,7 @@ def test_validate_rejects_mask_stream_overflow():
         small_cfg(epochs=2**31).validate(n_views=2)
 
 
-def test_one_epoch_peak_memory_is_at_most_eight_n_by_n_arrays():
+def test_one_epoch_peak_memory_is_at_most_six_n_by_n_arrays():
     spec = synth.two_view_spec(centroid_scale=1.0, targets_per_class=334)
     g = synth.generate(synth.SynthSpec.from_dict(spec), RngStream(0))
     n = g.counts[g.target_type]
@@ -387,4 +422,4 @@ def test_one_epoch_peak_memory_is_at_most_eight_n_by_n_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (8 * n * n), f"peak {peak / (8 * n * n):.1f} N x N float64 arrays"
+    assert peak <= 6 * (8 * n * n), f"peak {peak / (8 * n * n):.1f} N x N float64 arrays"

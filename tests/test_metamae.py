@@ -18,6 +18,14 @@ from mug.metamae import (
 from mug.rng import RngStream
 
 
+def recon_fn(adj, gamma):
+    """recon_loss as a function of Ẑ for grad_check: (loss, {"Z": gradient})."""
+    def fn(params):
+        loss, back = recon_loss(adj, params["Z"], gamma)
+        return loss, {"Z": back(1.0)}
+    return fn
+
+
 def sym_adj(n, pairs):
     a = np.zeros((n, n), dtype=bool)
     for u, v in pairs:
@@ -68,18 +76,18 @@ def test_single_isolated_node_identity_conv():
     adj = np.zeros((1, 1), dtype=bool)
     op = normalized_operator(adj)
     assert op[0, 0] == 1.0  # self-loop over degree one
-    x = ad.leaf(np.array([[2.0, -3.0]]))
-    out = graph_conv(op, x, ad.leaf(np.eye(2)), ad.leaf(np.zeros((1, 2))))
-    assert np.array_equal(out.value, [[2.0, -3.0]])
+    x = np.array([[2.0, -3.0]])
+    out = graph_conv(op, x @ np.eye(2), np.zeros((1, 2)))
+    assert np.array_equal(out, [[2.0, -3.0]])
 
 
 def test_two_connected_equal_nodes_give_equal_rows():
     adj = sym_adj(2, [(0, 1)])
     op = normalized_operator(adj)
-    x = ad.leaf(np.array([[1.0, 2.0], [1.0, 2.0]]))
-    w = ad.leaf(np.random.default_rng(9).normal(size=(2, 3)))
-    out = encode(op, x, w, ad.leaf(np.zeros((1, 3))))
-    assert np.allclose(out.value[0], out.value[1])
+    x = np.array([[1.0, 2.0], [1.0, 2.0]])
+    w = np.random.default_rng(9).normal(size=(2, 3))
+    out = encode(op, x @ w, np.zeros((1, 3)))
+    assert np.allclose(out[0], out[1])
 
 
 def test_three_node_path_matches_hand_computation():
@@ -90,9 +98,8 @@ def test_three_node_path_matches_hand_computation():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     w = np.array([[2.0, -1.0], [0.5, 1.5]])
     want = hand_op @ x @ w
-    out = graph_conv(normalized_operator(adj), ad.leaf(x), ad.leaf(w),
-                     ad.leaf(np.zeros((1, 2))))
-    assert np.allclose(out.value, want)
+    out = graph_conv(normalized_operator(adj), x @ w, np.zeros((1, 2)))
+    assert np.allclose(out, want)
 
 
 # -- reconstruction ---------------------------------------------------------------
@@ -107,10 +114,10 @@ def decoded_scores(z_hat):
 def test_zero_decoded_embeddings_give_half_everywhere():
     adj = np.zeros((3, 3), dtype=bool)
     op = normalized_operator(adj)
-    z = ad.leaf(np.random.default_rng(0).normal(size=(3, 2)))
+    z = np.random.default_rng(0).normal(size=(3, 2))
     # zero decoder weight forces z_hat = 0
-    z_hat = graph_conv(op, z, ad.leaf(np.zeros((2, 2))), ad.leaf(np.zeros((1, 2))))
-    assert np.allclose(decoded_scores(z_hat.value), 0.5)
+    z_hat = graph_conv(op, z @ np.zeros((2, 2)), np.zeros((1, 2)))
+    assert np.allclose(decoded_scores(z_hat), 0.5)
 
 
 def test_orthonormal_rows_give_half_offdiag_sigma1_diag():
@@ -140,14 +147,14 @@ def test_sigmoid_extreme_inputs_stay_finite():
 
 def test_recon_loss_zero_for_proportional_rows():
     adj = np.ones((3, 3), dtype=bool)
-    z_hat = ad.leaf(np.full((3, 2), 10.0))   # σ(200) == 1.0: S equals A
-    assert recon_loss(adj, z_hat, 2.0).value[0, 0] == pytest.approx(0.0, abs=1e-12)
+    z_hat = np.full((3, 2), 10.0)   # σ(200) == 1.0: S equals A
+    assert recon_loss(adj, z_hat, 2.0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_recon_loss_orthogonal_row_contributes_one():
     adj = np.array([[0, 1], [1, 0]], dtype=bool)
-    z_hat = ad.leaf(np.array([[10.0], [-10.0]]))   # S ~ identity: orthogonal to each row
-    assert recon_loss(adj, z_hat, 2.0).value[0, 0] == pytest.approx(1.0)
+    z_hat = np.array([[10.0], [-10.0]])   # S ~ identity: orthogonal to each row
+    assert recon_loss(adj, z_hat, 2.0)[0] == pytest.approx(1.0)
 
 
 def test_recon_loss_hand_case_with_zero_row_and_fd():
@@ -162,16 +169,16 @@ def test_recon_loss_hand_case_with_zero_row_and_fd():
 
     hand = np.mean([(1 - cos(adj[i].astype(float), a_hat[i])) ** gamma
                     for i in range(2)])
-    got = recon_loss(adj, ad.leaf(z_arr), gamma).value[0, 0]
+    got = recon_loss(adj, z_arr, gamma)[0]
     assert got == pytest.approx(hand)
 
-    report = ad.grad_check(lambda n: recon_loss(adj, n["Z"], gamma), {"Z": z_arr})
+    report = ad.grad_check(recon_fn(adj, gamma), {"Z": z_arr})
     assert report["Z"] <= 1e-4
 
 
 def test_recon_loss_degenerate_view_errors():
     with pytest.raises(DegenerateViewError):
-        recon_loss(np.zeros((3, 3), dtype=bool), ad.leaf(np.ones((3, 2))), 2.0)
+        recon_loss(np.zeros((3, 3), dtype=bool), np.ones((3, 2)), 2.0)
 
 
 def test_recon_loss_bounds():
@@ -183,7 +190,7 @@ def test_recon_loss_bounds():
         if not adj.sum(axis=1).any():
             continue
         z_hat = rng.uniform(-3, 3, size=(4, 2))
-        val = recon_loss(adj, ad.leaf(z_hat), gamma).value[0, 0]
+        val = recon_loss(adj, z_hat, gamma)[0]
         assert 0.0 <= val <= 2.0**gamma
 
 
@@ -207,13 +214,12 @@ def test_fused_recon_loss_matches_dense_oracle(block, monkeypatch):
     for name, adj in _views(n, rng).items():
         for gamma in (1.0, 2.0, 2.5):
             z_arr = rng.uniform(-1.5, 1.5, size=(n, k))
-            got = recon_loss(adj, ad.leaf(z_arr), gamma).value[0, 0]
+            got = recon_loss(adj, z_arr, gamma)[0]
             assert abs(got - oracles.recon_loss(adj, z_arr, gamma)) <= 1e-12, (name, gamma)
-            report = ad.grad_check(lambda nodes: recon_loss(adj, nodes["Z"], gamma),
-                                   {"Z": z_arr})
+            report = ad.grad_check(recon_fn(adj, gamma), {"Z": z_arr})
             assert report["Z"] <= 1e-4, (name, gamma, report)
     with pytest.raises(DegenerateViewError):
-        recon_loss(np.zeros((n, n), dtype=bool), ad.leaf(np.ones((n, k))), 2.0)
+        recon_loss(np.zeros((n, n), dtype=bool), np.ones((n, k)), 2.0)
 
 
 def test_fused_recon_gradient_does_not_depend_on_block(monkeypatch):
@@ -224,9 +230,7 @@ def test_fused_recon_gradient_does_not_depend_on_block(monkeypatch):
     grads = []
     for block in (1, 4, n, 64):
         monkeypatch.setattr(metamae, "RECON_BLOCK", block)
-        z = ad.leaf(z_arr)
-        ad.backward(recon_loss(adj, z, 2.0))
-        grads.append(z.grad)
+        grads.append(recon_loss(adj, z_arr, 2.0)[1](1.0))
     for g in grads[1:]:
         assert np.max(np.abs(g - grads[0])) <= 1e-12 * np.max(np.abs(grads[0]))
 
@@ -235,27 +239,25 @@ def test_fused_recon_gradient_does_not_depend_on_block(monkeypatch):
 
 
 def test_full_view_pipeline_gradient_matches_fd():
+    from mug import fusion
+
     rng = np.random.default_rng(10)
-    n, d, k = 6, 4, 3
+    n, d, k, ns = 6, 4, 3, 4
     adj = sym_adj(n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
     masked = mask_edges(adj, MaskSpec(edge_mask_rate=0.5), RngStream(2))
-    op = normalized_operator(masked)
-    x_in = rng.uniform(-1, 1, size=(n, d))
+    # the reconstruction term alone, on one view
+    cfg = fusion.TrainConfig(lambda_align=0.0, lambda_scatter=0.0, sample_size=ns,
+                             unified_dim=k)
+    state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)), targets=[adj],
+                               sample_idx=np.array([0, 1, 3, 4]))
 
-    def build(nodes):
-        x = ad.matmul(ad.leaf(x_in), nodes["proj"])  # stand-in for unified input
-        z = encode(op, x, nodes["enc_w"], nodes["enc_b"])
-        z_hat = graph_conv(op, z, nodes["dec_w"], nodes["dec_b"])
-        return recon_loss(adj, z_hat, 2.0)
+    def fn(params):
+        parts, grads = fusion.objective(params, state, [masked], cfg)
+        return parts.total, grads
 
-    params = {
-        "proj": rng.uniform(-1, 1, size=(d, k)),
-        "enc_w": rng.uniform(-1, 1, size=(k, k)),
-        "enc_b": rng.uniform(-1, 1, size=(1, k)),
-        "dec_w": rng.uniform(-1, 1, size=(k, k)),
-        "dec_b": rng.uniform(-1, 1, size=(1, k)),
-    }
-    report = ad.grad_check(build, params)
+    params = {name: rng.uniform(-1, 1, size=shape)
+              for name, shape in fusion.param_shapes(cfg)}
+    report = ad.grad_check(fn, params)
     assert max(report.values()) <= 1e-4, report
 
 
