@@ -1,9 +1,13 @@
-"""The finite-difference oracle over functions that return (loss, gradients)."""
+"""The finite-difference oracle over functions that return (loss, gradients),
+and the objective's reverse pass checked one derivative at a time."""
+
+import zlib
 
 import numpy as np
+import pytest
 
 from mug import autodiff as ad
-from mug import dimalign, fusion
+from mug import dimalign, fusion, gradsuite
 
 TOL = 1e-4
 
@@ -39,3 +43,47 @@ def test_grad_check_constant_expression():
     assert np.all(fn({"X": np.ones((2, 2))})[1]["X"] == 0.0)
     assert report["X"] == 0.0
 
+
+# Each case names one derivative of fusion.objective's reverse pass. It checks
+# the gradient of parameters whose every path to the loss runs through that
+# derivative, under loss weights (align, recon, scatter) that keep the path
+# live, so a wrong derivative fails its own case and not only the total.
+OP_CASES = {
+    # β = softmax(scores); one view would make β constant
+    "softmax": (2, (0.0, 0.0, 1.0), ("att.q",)),
+    # scores = mean over nodes of qᵀ tanh(z W + b)
+    "tanh": (2, (0.0, 0.0, 1.0), ("att.weight",)),
+    # z = leaky_relu(Â x W_enc + b)
+    "leaky_relu": (1, (0.0, 1.0, 0.0), ("enc.bias",)),
+    # Ẑ = Â z W_dec + b: the backward multiplies by Âᵀ
+    "propagate": (1, (0.0, 1.0, 0.0), ("dec.weight",)),
+    # x W_enc, computed once for all views
+    "matmul": (2, (0.0, 0.0, 1.0), ("enc.weight",)),
+    # the align loss: squared column mean of the basis
+    "col_mean": (1, (1.0, 0.0, 0.0), ("dim.weight",)),
+    # every bias is one row added to all rows
+    "add_row": (2, (1.0, 1.0, 1.0), ("dim.bias", "enc.bias", "dec.bias", "att.bias")),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+def test_op_gradient_matches_finite_differences(op):
+    n_views, weights, names = OP_CASES[op]
+    check = gradsuite._objective_check(op, n_views, *weights)
+    largest = dict.fromkeys(names, 0.0)
+    for trial in range(5):
+        rng = np.random.default_rng(zlib.crc32(op.encode()) + trial)
+        params = check.make_params(rng)
+        fn = check.function_for(rng)
+
+        def restricted(sub):
+            loss, grads = fn({**params, **sub})
+            return loss, {k: grads[k] for k in sub}
+
+        _, grads = restricted({k: params[k] for k in names})
+        for k in names:
+            largest[k] = max(largest[k], np.abs(grads[k]).max())
+        report = ad.grad_check(restricted, {k: params[k] for k in names})
+        assert max(report.values()) <= TOL, (op, trial, report)
+    # the path is live: its gradient is well above the oracle's 1e-6 floor
+    assert min(largest.values()) > 1e-3, (op, largest)
