@@ -168,8 +168,8 @@ def cmd_eval(args) -> int:
     if args.out:
         _check_outputs(args.out, _echo_path(args.out))
     cfg = _resolved(args, _EVAL_FLAGS)
-    model = fusion.load_checkpoint(args.model)
     spec = cfgmod.to_split_spec(cfg, shots=args.shots or 0)
+    model = fusion.load_checkpoint(args.model)
     bundles = {os.path.basename(os.path.normpath(d)) or d: bio.load_bundle(d)
                for d in args.eval_data}
     train_name = os.path.basename(os.path.normpath(args.train_data))

@@ -112,7 +112,10 @@ def to_train_config(cfg: Dict[str, object]) -> TrainConfig:
 
 
 def to_split_spec(cfg: Dict[str, object], shots: int = 0) -> SplitSpec:
+    """The eval split protocol, validated (ValueError naming the bad key)."""
     if shots:
-        return SplitSpec.kshot(shots, repeats=cfg["kshot_repeats"],
-                               seed=cfg["seed"])
-    return SplitSpec(**{key: cfg[key] for key in SPLIT_FIELDS}, seed=cfg["seed"])
+        spec = SplitSpec.kshot(shots, repeats=cfg["kshot_repeats"], seed=cfg["seed"])
+    else:
+        spec = SplitSpec(**{key: cfg[key] for key in SPLIT_FIELDS}, seed=cfg["seed"])
+    spec.validate()
+    return spec

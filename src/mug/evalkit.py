@@ -4,6 +4,13 @@ The probe is L2-regularized multinomial logistic regression trained by
 full-batch gradient descent on frozen embeddings, with model selection on
 validation Macro-F1. Repeats draw fresh splits from per-repeat random
 streams; everything downstream of the embedding is deterministic.
+
+All repeats of an evaluation train as one stack: make_splits gives every
+repeat of a spec the same train, val and test sizes, so each gradient step
+is one stacked matmul over (repeats, rows, dims) and every repeat's
+validation Macro-F1 comes from one bincount. Per slice, the stacked matmul
+runs the same BLAS product as a single probe would, so predictions keep
+their bits.
 """
 
 from __future__ import annotations
@@ -33,6 +40,19 @@ class SplitSpec:
         if k not in (1, 3, 5):
             raise ValueError("k-shot evaluation supports k in {1, 3, 5}")
         return SplitSpec(mode="kshot", per_class_train=k, repeats=repeats, seed=seed)
+
+    def validate(self):
+        """Reject settings that leave no probe to train or no test row to score.
+
+        Errors name the config key; a k-shot run takes its repeats from kshot_repeats.
+        """
+        repeats_key = "kshot_repeats" if self.mode == "kshot" else "repeats"
+        for key, value, low in ((repeats_key, self.repeats, 1),
+                                ("per_class_train", self.per_class_train, 1),
+                                ("val_size", self.val_size, 0),
+                                ("test_size", self.test_size, 1)):
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -100,12 +120,16 @@ def f1_scores(predictions: Sequence[int], truth: Sequence[int],
     tp = count(true[pred == true])
     fp = count(pred) - tp
     fn = count(true) - tp
-    denom = 2 * tp + fp + fn
-    per_class = np.where(denom > 0, 2 * tp / np.where(denom > 0, denom, 1.0), 0.0)
-    macro = float(per_class.mean())
+    macro = float(_per_class_f1(tp, fp, fn).mean())
     micro_denom = 2 * tp.sum() + fp.sum() + fn.sum()
     micro = float(2 * tp.sum() / micro_denom) if micro_denom else 0.0
     return macro, micro
+
+
+def _per_class_f1(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
+    """2tp / (2tp + fp + fn) per class, 0 where the class is in neither input."""
+    denom = 2 * tp + fp + fn
+    return np.where(denom > 0, 2 * tp / np.where(denom > 0, denom, 1.0), 0.0)
 
 
 PROBE_STEPS = 500       # full-batch gradient steps
@@ -114,41 +138,72 @@ PROBE_LR_END = 0.01
 PROBE_L2 = 1e-4         # weight decay on the probe weights
 
 
-def linear_probe(z: np.ndarray, labels: np.ndarray, splits: Splits) -> np.ndarray:
-    """Train the probe on the train rows, pick the best-val step, predict test."""
-    y = np.asarray(labels)
-    if np.count_nonzero(np.bincount(y[splits.train])) < 2:
-        raise ValueError("probe needs at least two classes in the train split")
-    n_classes = int(y.max()) + 1
-    x_train = z[splits.train]
-    y_train = y[splits.train]
-    onehot = np.eye(n_classes)[y_train]
-    x_val, y_val = z[splits.val], y[splits.val]
+def linear_probe(z: np.ndarray, labels: np.ndarray,
+                 splits: Sequence[Splits]) -> np.ndarray:
+    """Train one probe per split as one stack; (R, n_test) test predictions.
 
-    d = z.shape[1]
-    w = np.zeros((d, n_classes))
-    b = np.zeros((1, n_classes))
-    best = (-1.0, w.copy(), b.copy())
-    n = len(x_train)
+    Each probe trains on its train rows and keeps the step with the best
+    validation Macro-F1 (the first such step), or its final step when there
+    is no validation set. Every split must have the same train, val and test
+    sizes, which make_splits gives all repeats of a spec.
+    """
+    y = np.asarray(labels)
+    if len({(len(s.train), len(s.val), len(s.test)) for s in splits}) != 1:
+        raise ValueError("the probe needs one or more splits of equal "
+                         "train, val and test sizes")
+    for s in splits:
+        if np.count_nonzero(np.bincount(y[s.train])) < 2:
+            raise ValueError("probe needs at least two classes in the train split")
+    n_classes, repeats = int(y.max()) + 1, len(splits)
+    train = np.stack([s.train for s in splits])
+    val = np.stack([s.val for s in splits])
+    test = np.stack([s.test for s in splits])
+    x_train = z[train]                                  # (R, n, d)
+    x_train_t = x_train.transpose(0, 2, 1)             # a view, as x.T is: a copy changes bits
+    onehot = np.eye(n_classes)[y[train]]
+    x_val = z[val]
+    # bincount slots repeat * n_classes + class score every repeat at once
+    slot = np.arange(repeats)[:, None] * n_classes
+    val_slots = slot + y[val]
+    val_true = np.bincount(val_slots.ravel(), minlength=repeats * n_classes)
+
+    w = np.zeros((repeats, z.shape[1], n_classes))
+    b = np.zeros((repeats, 1, n_classes))
+    best_macro = np.full(repeats, -1.0)
+    best_w, best_b = w.copy(), b.copy()
+    n = train.shape[1]
     for t in range(PROBE_STEPS):
         logits = x_train @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
+        logits -= logits.max(axis=2, keepdims=True)
         e = np.exp(logits)
-        p = e / e.sum(axis=1, keepdims=True)
-        gw = x_train.T @ (p - onehot) / n + PROBE_L2 * w
-        gb = (p - onehot).mean(axis=0, keepdims=True)
+        p = e / e.sum(axis=2, keepdims=True)
+        gw = x_train_t @ (p - onehot) / n + PROBE_L2 * w
+        gb = (p - onehot).mean(axis=1, keepdims=True)
         lr = PROBE_LR + (PROBE_LR_END - PROBE_LR) * (t / PROBE_STEPS)
         w -= lr * gw
         b -= lr * gb
-        if len(x_val):
-            val_pred = np.argmax(x_val @ w + b, axis=1)
-            macro, _ = f1_scores(val_pred, y_val, n_classes)
-            if macro > best[0]:
-                best = (macro, w.copy(), b.copy())
-    if best[0] < 0:  # no validation set: use the final parameters
-        best = (0.0, w, b)
-    _, w, b = best
-    return np.argmax(z[splits.test] @ w + b, axis=1)
+        if val.shape[1]:
+            macro = _stacked_macro(slot + np.argmax(x_val @ w + b, axis=2),
+                                   val_slots, val_true, n_classes)
+            better = macro > best_macro
+            best_macro[better] = macro[better]
+            best_w[better] = w[better]
+            best_b[better] = b[better]
+    if not val.shape[1]:  # no validation set: use the final parameters
+        best_w, best_b = w, b
+    del x_val, x_train, x_train_t, onehot   # so the test stack reuses their memory
+    return np.argmax(z[test] @ best_w + best_b, axis=2)
+
+
+def _stacked_macro(pred_slots: np.ndarray, true_slots: np.ndarray,
+                   true_counts: np.ndarray, n_classes: int) -> np.ndarray:
+    """f1_scores' macro for every repeat, from (R, n) repeat * n_classes + class slots."""
+    size = len(true_counts)
+    tp = np.bincount(true_slots[pred_slots == true_slots], minlength=size)
+    pred_counts = np.bincount(pred_slots.ravel(), minlength=size)
+    tp, fp, fn = (np.asarray(c, dtype=np.float64).reshape(-1, n_classes)
+                  for c in (tp, pred_counts - tp, true_counts - tp))
+    return _per_class_f1(tp, fp, fn).mean(axis=1)
 
 
 @dataclass
@@ -189,12 +244,10 @@ CSV_HEADER = ("variant,train_bundle,eval_bundle,shots,"
 def evaluate_embedding(z: np.ndarray, labels: np.ndarray, spec: SplitSpec,
                        report: EvalReport) -> EvalReport:
     """Repeated split/probe/score rounds appended to the report."""
-    for r in range(spec.repeats):
-        stream = RngStream(spec.seed, STREAM_SPLIT + r)
-        splits = make_splits(labels, spec, stream)
-        pred = linear_probe(z, labels, splits)
-        macro, micro = f1_scores(pred, labels[splits.test],
-                                 int(labels.max()) + 1)
+    splits = [make_splits(labels, spec, RngStream(spec.seed, STREAM_SPLIT + r))
+              for r in range(spec.repeats)]
+    for s, pred in zip(splits, linear_probe(z, labels, splits)):
+        macro, micro = f1_scores(pred, labels[s.test], int(labels.max()) + 1)
         report.macro.append(macro)
         report.micro.append(micro)
     return report

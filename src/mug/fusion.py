@@ -317,13 +317,14 @@ def _train(state: _GraphState, cfg: TrainConfig,
                  if not (cfg.no_align and k.startswith("dim."))]
     opt = Optimizer(params, cfg, trainable)
 
+    edges = [metamae.edge_list(adj) for adj in state.targets]
     masked = None
     for epoch in range(cfg.epochs):
         if cfg.mask.resample_per_epoch or masked is None:
             masked = []
-            for i, adj in enumerate(state.targets):
-                stream = RngStream(seed, STREAM_MASK + epoch * len(state.targets) + i)
-                masked.append(metamae.mask_edges(adj, cfg.mask, stream))
+            for i, view_edges in enumerate(edges):
+                stream = RngStream(seed, STREAM_MASK + epoch * len(edges) + i)
+                masked.append(metamae.mask_edges(view_edges, cfg.mask, stream))
 
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             parts, grads = objective(params, state, masked, cfg)

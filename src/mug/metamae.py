@@ -9,9 +9,10 @@ scaled cosine loss.
 
 Cost model: a view is a dense N x N bool matrix and its normalized operator
 a dense N x N float64 matrix, held for the epoch. Masking draws one uniform
-per stored edge. The loss never forms σ(ẐẐᵀ) whole: recon_loss computes it
-in blocks of RECON_BLOCK rows, once for the loss and again for its
-gradient, so its memory beyond the operators is O(N * RECON_BLOCK).
+per stored edge, from an edge list found once per training run. The loss
+never forms σ(ẐẐᵀ) whole: recon_loss computes it in blocks of RECON_BLOCK
+rows, once for the loss and again for its gradient, so its memory beyond
+the operators is O(N * RECON_BLOCK).
 """
 
 from __future__ import annotations
@@ -41,25 +42,40 @@ class MaskSpec:
             raise ValueError(f"edge_mask_rate must be in [0,1], got {self.edge_mask_rate}")
 
 
-def mask_edges(adj: np.ndarray, spec: MaskSpec, rng: RngStream) -> np.ndarray:
-    """The adjacency with each present edge kept with probability 1 - edge_mask_rate.
+@dataclass(frozen=True)
+class EdgeList:
+    """A view's stored edges in row-major order; upper triangle only if symmetric."""
+    shape: Tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    symmetric: bool
 
-    One uniform per stored edge, in row-major edge order. Symmetric views
-    draw one per upper-triangle edge and keep both directions together (the
-    diagonal is dropped); absent entries are never created.
-    """
-    spec.validate()
+
+def edge_list(adj: np.ndarray) -> EdgeList:
+    """The edges mask_edges draws over; a view is fixed, so one list serves every epoch."""
     adj = np.asarray(adj, dtype=bool)
     rows, cols = np.nonzero(adj)
     symmetric = np.array_equal(adj, adj.T)
     if symmetric:
         upper = rows < cols
         rows, cols = rows[upper], cols[upper]
-    keep = rng.uniform(len(rows)) >= spec.edge_mask_rate
-    rows, cols = rows[keep], cols[keep]
-    out = np.zeros(adj.shape, dtype=bool)
+    # int32 halves what pre-training holds for the whole run; a dense view has < 2**31 rows
+    return EdgeList(adj.shape, rows.astype(np.int32), cols.astype(np.int32), symmetric)
+
+
+def mask_edges(edges: EdgeList, spec: MaskSpec, rng: RngStream) -> np.ndarray:
+    """The adjacency with each present edge kept with probability 1 - edge_mask_rate.
+
+    One uniform per listed edge, in row-major edge order. Symmetric views
+    draw one per upper-triangle edge and keep both directions together (the
+    diagonal is dropped); absent entries are never created.
+    """
+    spec.validate()
+    keep = rng.uniform(len(edges.rows)) >= spec.edge_mask_rate
+    rows, cols = edges.rows[keep], edges.cols[keep]
+    out = np.zeros(edges.shape, dtype=bool)
     out[rows, cols] = True
-    if symmetric:
+    if edges.symmetric:
         out[cols, rows] = True
     return out
 

@@ -138,3 +138,45 @@ def recon_loss(adj, z_hat, gamma):
     a, s = adj[valid].astype(np.float64), s[valid]
     cos = (a * s).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(s, axis=1))
     return float(np.mean((1.0 - cos) ** gamma))
+
+
+# -- per-repeat linear probe ----------------------------------------------------------
+
+
+def linear_probe(z, labels, splits):
+    """Per-repeat reference for evalkit.linear_probe: one split, one probe."""
+    from mug.evalkit import PROBE_L2, PROBE_LR, PROBE_LR_END, PROBE_STEPS, f1_scores
+
+    y = np.asarray(labels)
+    if np.count_nonzero(np.bincount(y[splits.train])) < 2:
+        raise ValueError("probe needs at least two classes in the train split")
+    n_classes = int(y.max()) + 1
+    x_train = z[splits.train]
+    y_train = y[splits.train]
+    onehot = np.eye(n_classes)[y_train]
+    x_val, y_val = z[splits.val], y[splits.val]
+
+    d = z.shape[1]
+    w = np.zeros((d, n_classes))
+    b = np.zeros((1, n_classes))
+    best = (-1.0, w.copy(), b.copy())
+    n = len(x_train)
+    for t in range(PROBE_STEPS):
+        logits = x_train @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        e = np.exp(logits)
+        p = e / e.sum(axis=1, keepdims=True)
+        gw = x_train.T @ (p - onehot) / n + PROBE_L2 * w
+        gb = (p - onehot).mean(axis=0, keepdims=True)
+        lr = PROBE_LR + (PROBE_LR_END - PROBE_LR) * (t / PROBE_STEPS)
+        w -= lr * gw
+        b -= lr * gb
+        if len(x_val):
+            val_pred = np.argmax(x_val @ w + b, axis=1)
+            macro, _ = f1_scores(val_pred, y_val, n_classes)
+            if macro > best[0]:
+                best = (macro, w.copy(), b.copy())
+    if best[0] < 0:  # no validation set: use the final parameters
+        best = (0.0, w, b)
+    _, w, b = best
+    return np.argmax(z[splits.test] @ w + b, axis=1)

@@ -1,8 +1,8 @@
 """The benchmark's traced run still finds the stages it times.
 
 perfbench/tracer.py wraps functions by name; if one of these is renamed, the
-per-layer walk, pair, SGNS, mask, operator and epoch metrics read zero
-without any other failure.
+per-layer walk, pair, SGNS, mask, operator, epoch and probe metrics read
+zero without any other failure.
 """
 
 import json
@@ -12,27 +12,40 @@ import sys
 
 from mug import synth
 from mug.bundle import save_bundle
+from mug.cli import main
 from mug.rng import RngStream
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_pretrain_records_struct_encoder_spans(tmp_path):
+def small_inputs(tmp_path):
+    """A bundle and a config small enough to pre-train in a few seconds."""
     spec = synth.two_view_spec(attr_dim=4, centroid_scale=1.0, targets_per_class=10)
     bundle = str(tmp_path / "bundle")
     save_bundle(synth.generate(synth.SynthSpec.from_dict(spec), RngStream(3)), bundle)
     config = str(tmp_path / "run.cfg")
     with open(config, "w") as fh:
         fh.write("struct_epochs = 1\nwalks_per_node = 1\nwalk_length = 4\n"
-                 "struct_dim = 8\nsample_size = 8\nunified_dim = 8\n")
+                 "struct_dim = 8\nsample_size = 8\nunified_dim = 8\n"
+                 "per_class_train = 3\nval_size = 6\ntest_size = 6\n")
+    return bundle, config
+
+
+def traced(tmp_path, *argv):
+    """The trace record of one mug command run through perfbench/child.py."""
     trace = str(tmp_path / "trace.json")
     cmd = [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), trace, "0", "--",
-           "pretrain", "--data", bundle, "--config", config, "--epochs", "2",
-           "--out", str(tmp_path / "m.ckpt")]
+           *argv]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     with open(trace) as fh:
-        record = json.load(fh)
+        return json.load(fh)
+
+
+def test_traced_pretrain_records_struct_encoder_spans(tmp_path):
+    bundle, config = small_inputs(tmp_path)
+    record = traced(tmp_path, "pretrain", "--data", bundle, "--config", config,
+                    "--epochs", "2", "--out", str(tmp_path / "m.ckpt"))
     spans = record["spans"]
     names = {span[0] for span in spans}
     for stage in ("structenc.sample_all_walks", "structenc._window_pairs",
@@ -44,3 +57,16 @@ def test_traced_pretrain_records_struct_encoder_spans(tmp_path):
     steps = [span for span in spans if span[0] == "fusion.Optimizer.step"]
     assert len(steps) == 2
     assert all(spans[parent][0] == "fusion._train" for _, parent, *_ in steps)
+
+
+def test_traced_eval_records_probe_spans(tmp_path):
+    bundle, config = small_inputs(tmp_path)
+    model = str(tmp_path / "m.ckpt")
+    assert main(["pretrain", "--data", bundle, "--config", config, "--epochs", "1",
+                 "--out", model]) == 0
+    record = traced(tmp_path, "eval", "--model", model, "--train-data", bundle,
+                    "--eval-data", bundle, "--config", config, "--repeats", "3")
+    names = {span[0] for span in record["spans"]}
+    # perfbench's evalkit.probe_s, splits_s and f1_s read these spans
+    for stage in ("evalkit.linear_probe", "evalkit.make_splits", "evalkit.f1_scores"):
+        assert stage in names, stage

@@ -273,6 +273,30 @@ def test_eval_multiple_bundles_model_untouched(tmp_path, checkpoint, capsys):
     assert len(rows) == 4  # header + 3 bundles
 
 
+@pytest.mark.parametrize("setting, key, value", [
+    ("--repeats 0", "repeats", 0),
+    ("--repeats -1", "repeats", -1),
+    ("test_size = 0", "test_size", 0),
+    ("kshot_repeats = 0", "kshot_repeats", 0),
+])
+def test_bad_split_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
+                                                 setting, key, value):
+    from mug import fusion
+    monkeypatch.setattr(fusion, "load_checkpoint", _no_work)
+    data = str(tmp_path / "bundle")
+    argv = ["eval", "--model", str(tmp_path / "model.ckpt"), "--train-data", data,
+            "--eval-data", data]
+    if setting.startswith("--"):
+        argv += setting.split()
+    else:
+        config = str(tmp_path / "split.cfg")
+        with open(config, "w") as fh:
+            fh.write(setting + "\n")
+        argv += ["--config", config] + (["--shots", "1"] if key == "kshot_repeats" else [])
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {key} must be >= 1, got {value}\n"
+
+
 # -- gradcheck ---------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from mug import fusion, synth
 from mug.evalkit import (
     EvalReport,
@@ -135,7 +136,7 @@ def test_probe_perfect_on_separable_data():
     z, labels = separable_embedding()
     spec = SplitSpec(per_class_train=10, val_size=20, test_size=20, repeats=1)
     splits = make_splits(labels, spec, RngStream(2))
-    pred = linear_probe(z, labels, splits)
+    pred = linear_probe(z, labels, [splits])[0]
     macro, micro = f1_scores(pred, labels[splits.test], 2)
     assert macro == 1.0 and micro == 1.0
 
@@ -146,7 +147,7 @@ def test_probe_on_zero_embedding_predicts_majority():
     z = np.zeros((100, 5))
     spec = SplitSpec(per_class_train=20, val_size=20, test_size=30, repeats=1)
     splits = make_splits(labels, spec, RngStream(5))
-    pred = linear_probe(z, labels, splits)
+    pred = linear_probe(z, labels, [splits])[0]
     # bias-only model: constant prediction; micro tracks that class's prior
     assert len(np.unique(pred)) == 1
     _, micro = f1_scores(pred, labels[splits.test], 2)
@@ -158,10 +159,10 @@ def test_probe_invariant_to_training_row_order():
     z, labels = separable_embedding()
     spec = SplitSpec(per_class_train=10, val_size=20, test_size=20, repeats=1)
     splits = make_splits(labels, spec, RngStream(6))
-    pred1 = linear_probe(z, labels, splits)
+    pred1 = linear_probe(z, labels, [splits])[0]
     shuffled = Splits(train=splits.train[::-1].copy(), val=splits.val,
                       test=splits.test)
-    pred2 = linear_probe(z, labels, shuffled)
+    pred2 = linear_probe(z, labels, [shuffled])[0]
     assert np.array_equal(pred1, pred2)
 
 
@@ -170,7 +171,7 @@ def test_probe_single_class_train_errors():
     labels = np.array([0] * 5 + [1] * 5)
     splits = Splits(train=np.arange(3), val=np.arange(5, 7), test=np.arange(7, 10))
     with pytest.raises(ValueError):
-        linear_probe(z, labels, splits)
+        linear_probe(z, labels, [splits])[0]
 
 
 def test_probe_never_mutates_embedding():
@@ -178,8 +179,94 @@ def test_probe_never_mutates_embedding():
     snapshot = z.copy()
     spec = SplitSpec(per_class_train=10, val_size=20, test_size=20, repeats=1)
     splits = make_splits(labels, spec, RngStream(7))
-    linear_probe(z, labels, splits)
+    linear_probe(z, labels, [splits])[0]
     assert np.array_equal(z, snapshot)
+
+
+# -- the stacked probe against the per-repeat oracle ----------------------------------
+
+
+def noisy_embedding(counts, d=8, seed=0):
+    # class means on the first dimensions, under noise that makes some rows hard
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(len(counts)), counts)
+    z = rng.normal(size=(len(labels), d))
+    z[np.arange(len(labels)), labels] += 1.5
+    return z, labels
+
+
+def oracle_case(name):
+    """(z, labels, splits) for one probe case; every case stacks several repeats."""
+    z, labels = noisy_embedding([50, 50, 50])
+    spec = SplitSpec(per_class_train=10, val_size=30, test_size=30, repeats=5)
+    if name == "one_shot":     # 3 train rows and 20 val rows: val-F1 ties are common
+        spec = SplitSpec(mode="kshot", per_class_train=1, val_size=20, test_size=40,
+                         repeats=6)
+    elif name == "no_val":
+        spec = SplitSpec(per_class_train=10, val_size=0, test_size=40, repeats=4)
+    elif name == "unbalanced_4_classes":
+        z, labels = noisy_embedding([60, 30, 15, 8], seed=1)
+        spec = SplitSpec(per_class_train=5, val_size=30, test_size=30, repeats=5)
+    elif name == "zero_embedding":
+        z, labels = np.zeros((100, 5)), np.array([0] * 70 + [1] * 30)
+        spec = SplitSpec(per_class_train=20, val_size=20, test_size=30, repeats=4)
+    elif name == "mirror_classes":
+        return mirror_case()
+    splits = [make_splits(labels, spec, RngStream(11, r)) for r in range(spec.repeats)]
+    return z, labels, splits
+
+
+def mirror_case(d=8, pairs=60):
+    """Class 1 is class 0 with coordinate pairs swapped; the mirror plane is split evenly.
+
+    Trained on mirror pairs, a probe ties the two classes exactly on the plane,
+    so only rounding picks the class there: every product must keep its bits.
+    """
+    rng = np.random.default_rng(0)
+    swap = np.arange(d).reshape(-1, 2)[:, ::-1].ravel()
+    base = rng.normal(size=(pairs, d))
+    base[:, 0] += 1.0
+    plane = rng.normal(size=(pairs, d // 2)).repeat(2, axis=1)
+    z = np.concatenate([base, base[:, swap], plane])
+    labels = np.concatenate([np.zeros(pairs, int), np.ones(pairs, int),
+                             np.arange(pairs) % 2])
+    splits = []
+    for _ in range(4):
+        pick, on_plane = rng.permutation(pairs), 2 * pairs + rng.permutation(pairs)
+        train, val = pick[:8], pick[8:30]
+        splits.append(Splits(train=np.sort(np.concatenate([train, train + pairs])),
+                             val=np.sort(np.concatenate([val, val + pairs, on_plane[:30]])),
+                             test=np.sort(on_plane[30:])))
+    return z, labels, splits
+
+
+ORACLE_CASES = ["standard", "one_shot", "no_val", "unbalanced_4_classes", "zero_embedding",
+                "mirror_classes"]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_stacked_probe_matches_per_repeat_oracle(name):
+    z, labels, splits = oracle_case(name)
+    got = linear_probe(z, labels, splits)
+    assert got.shape == (len(splits), len(splits[0].test))
+    for r, s in enumerate(splits):
+        assert np.array_equal(got[r], oracles.linear_probe(z, labels, s)), r
+
+
+def test_reversed_splits_reverse_the_predictions():
+    z, labels, splits = oracle_case("one_shot")
+    assert np.array_equal(linear_probe(z, labels, splits[::-1]),
+                          linear_probe(z, labels, splits)[::-1])
+
+
+def test_probe_rejects_splits_it_cannot_stack():
+    z, labels = separable_embedding()
+    a = Splits(train=np.array([0, 40]), val=np.array([1, 41]), test=np.array([2, 42]))
+    b = Splits(train=np.array([3, 43]), val=np.array([4]), test=np.array([5, 45]))
+    with pytest.raises(ValueError, match="equal"):
+        linear_probe(z, labels, [a, b])
+    with pytest.raises(ValueError, match="equal"):
+        linear_probe(z, labels, [])
 
 
 # -- protocols ---------------------------------------------------------------------

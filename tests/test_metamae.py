@@ -9,6 +9,7 @@ from mug import metamae
 from mug.metamae import (
     DegenerateViewError,
     MaskSpec,
+    edge_list,
     encode,
     graph_conv,
     mask_edges,
@@ -38,13 +39,13 @@ def sym_adj(n, pairs):
 
 def test_mask_rate_zero_keeps_everything():
     adj = sym_adj(5, [(0, 1), (1, 2), (3, 4)])
-    masked = mask_edges(adj, MaskSpec(edge_mask_rate=0.0), RngStream(0))
+    masked = mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.0), RngStream(0))
     assert np.array_equal(masked, adj)
 
 
 def test_mask_rate_one_removes_everything():
     adj = sym_adj(5, [(0, 1), (1, 2), (3, 4)])
-    masked = mask_edges(adj, MaskSpec(edge_mask_rate=1.0), RngStream(0))
+    masked = mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=1.0), RngStream(0))
     assert masked.sum() == 0
 
 
@@ -55,7 +56,7 @@ def test_mask_half_removes_half_within_binomial_band():
     adj = adj | adj.T
     n_edges = np.triu(adj, 1).sum()
     assert n_edges >= 10_000
-    masked = mask_edges(adj, MaskSpec(edge_mask_rate=0.5), RngStream(7))
+    masked = mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.5), RngStream(7))
     removed = 1.0 - np.triu(masked, 1).sum() / n_edges
     assert 0.48 <= removed <= 0.52
 
@@ -64,9 +65,23 @@ def test_mask_symmetric_view_stays_symmetric():
     rng = np.random.default_rng(1)
     adj = sym_adj(30, [(i, j) for i in range(30) for j in range(i + 1, 30)
                        if rng.random() < 0.3])
-    masked = mask_edges(adj, MaskSpec(edge_mask_rate=0.5), RngStream(3))
+    masked = mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.5), RngStream(3))
     assert np.array_equal(masked, masked.T)
     assert not (masked & ~adj).any()  # never creates edges
+
+
+def test_mask_asymmetric_view_draws_one_uniform_per_edge_in_row_major_order():
+    rng = np.random.default_rng(2)
+    adj = rng.random((12, 12)) < 0.4
+    adj[0, 1], adj[1, 0] = True, False
+    edges = edge_list(adj)
+    assert not edges.symmetric
+    masked = mask_edges(edges, MaskSpec(edge_mask_rate=0.5), RngStream(4))
+    rows, cols = np.nonzero(adj)
+    keep = RngStream(4).uniform(len(rows)) >= 0.5
+    expected = np.zeros_like(adj)
+    expected[rows[keep], cols[keep]] = True
+    assert np.array_equal(masked, expected)
 
 
 # -- graph convolution -----------------------------------------------------------
@@ -244,7 +259,7 @@ def test_full_view_pipeline_gradient_matches_fd():
     rng = np.random.default_rng(10)
     n, d, k, ns = 6, 4, 3, 4
     adj = sym_adj(n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-    masked = mask_edges(adj, MaskSpec(edge_mask_rate=0.5), RngStream(2))
+    masked = mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.5), RngStream(2))
     # the reconstruction term alone, on one view
     cfg = fusion.TrainConfig(lambda_align=0.0, lambda_scatter=0.0, sample_size=ns,
                              unified_dim=k)
