@@ -116,8 +116,9 @@ def cmd_pretrain(args) -> int:
     stem, _ = os.path.splitext(args.out)
     _check_outputs(args.out, stem + ".trace.csv", _echo_path(args.out))
     cfg = _resolved(args, _PRETRAIN_FLAGS)
-    g = bio.load_bundle(args.data)
     train_cfg = cfgmod.to_train_config(cfg)
+    train_cfg.validate()
+    g = bio.load_bundle(args.data)
     trace: list = []
     model = fusion.pretrain(g, train_cfg, trace=trace)
     fusion.save_checkpoint(model, args.out)
@@ -169,9 +170,14 @@ def cmd_eval(args) -> int:
         _check_outputs(args.out, _echo_path(args.out))
     cfg = _resolved(args, _EVAL_FLAGS)
     spec = cfgmod.to_split_spec(cfg, shots=args.shots or 0)
+    paths: Dict[str, str] = {}   # reports are keyed by bundle name
+    for d in args.eval_data:
+        name = os.path.basename(os.path.normpath(d)) or d
+        if name in paths:
+            raise ValueError(f"--eval-data {paths[name]} and {d} share the bundle name '{name}'")
+        paths[name] = d
     model = fusion.load_checkpoint(args.model)
-    bundles = {os.path.basename(os.path.normpath(d)) or d: bio.load_bundle(d)
-               for d in args.eval_data}
+    bundles = {name: bio.load_bundle(d) for name, d in paths.items()}
     train_name = os.path.basename(os.path.normpath(args.train_data))
     reports = evalkit.cross_domain_eval(model, bundles, spec,
                                         train_bundle=train_name,

@@ -67,12 +67,15 @@ class TrainConfig:
 
     def validate(self, n_views: int = 1):
         """Check the settings; n_views is the view count of the graph to train on."""
+        for key, least in (("epochs", 0), ("sample_size", 1), ("unified_dim", 1), ("gamma", 1),
+                           ("lambda_align", 0), ("lambda_recon", 0), ("lambda_scatter", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs * n_views >= 1 << 32:
             raise ValueError(f"epochs x views must be < 2**32 to key the mask streams, "
                              f"got {self.epochs} x {n_views}")
-        for lam in (self.lambda_align, self.lambda_recon, self.lambda_scatter):
-            if lam < 0:
-                raise ValueError("loss weights must be >= 0")
         self.walk.validate()
         self.mask.validate()
 
@@ -169,13 +172,14 @@ class LossParts:
 
 
 def objective(params: Dict[str, np.ndarray], state: _GraphState,
-              masked: Sequence[np.ndarray],
+              masked: Sequence[metamae.EdgeList],
               cfg: TrainConfig) -> Tuple[LossParts, Dict[str, np.ndarray]]:
     """The pre-training loss parts and the gradient of their total.
 
-    masked holds each view's masked adjacency. The forward pass runs the
-    helpers embed runs too; the gradient then runs through them in reverse
-    order. Returns (parts, grads), grads keyed like params.
+    masked holds each view's kept edges. Every view's encoder runs, then the
+    attention β, then each decoder with recon_loss weighted by λ_recon·βᵢ, so
+    one pass gives a view's loss and Ẑ gradient; the rest of the gradient runs
+    in reverse order. Returns (parts, grads), grads keyed like params.
     """
     p = params
     sample = state.unified[state.sample_idx]
@@ -183,34 +187,31 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
     l_align, d_align = dimalign.align_loss(basis)
     x = dimalign.project(basis, state.unified)
     xw = x @ p["enc.weight"]
-    ops, zs, backs, losses = [], [], [], []
-    for adj, m in zip(state.targets, masked):
-        ops.append(metamae.normalized_operator(m))
-        zs.append(metamae.encode(ops[-1], xw, p["enc.bias"]))
-        z_hat = metamae.graph_conv(ops[-1], zs[-1] @ p["dec.weight"], p["dec.bias"])
-        loss, back = metamae.recon_loss(adj, z_hat, cfg.gamma)
-        losses.append(loss)
-        backs.append(back)
+    ops = [metamae.normalized_operator(m) for m in masked]
+    zs = [metamae.encode(op, xw, p["enc.bias"]) for op in ops]
     beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], zs)
+    lam_align, lam_recon, lam_scatter = _lambdas(cfg)
+    # per view: (loss, λ_recon·βᵢ times its gradient with respect to Ẑ)
+    recon = [metamae.recon_loss(adj, metamae.graph_conv(op, z @ p["dec.weight"], p["dec.bias"]),
+                                cfg.gamma, lam_recon * b)
+             for adj, op, z, b in zip(state.targets, ops, zs, beta)]
     l_scatter, d_fused = scatter_loss(fuse(beta, zs))
-    view_losses = np.array(losses)
+    view_losses = np.array([loss for loss, _ in recon])
     parts = LossParts(l_align, beta, view_losses, l_scatter,
                       total_loss(l_align, beta, view_losses, l_scatter, cfg))
 
-    lam_align, lam_recon, lam_scatter = _lambdas(cfg)
     d_fused *= lam_scatter
     d_beta = lam_recon * view_losses + np.array([(d_fused * z).sum() for z in zs])
     d_score = beta * (d_beta - (d_beta * beta).sum())   # through the softmax
     g = {name: np.zeros_like(value) for name, value in p.items()}
     d_xw = np.zeros_like(xw)
-    for i, (op, z, back) in enumerate(zip(ops, zs, backs)):
+    for i, (op, z, (_, d_z_hat)) in enumerate(zip(ops, zs, recon)):
         t = np.tanh(z @ p["att.weight"] + p["att.bias"])
         d_pre = (d_score[i] / len(z)) * p["att.q"].T * (1.0 - t * t)
         g["att.q"] += (d_score[i] / len(z)) * t.sum(axis=0)[:, None]
         g["att.weight"] += z.T @ d_pre
         g["att.bias"] += d_pre.sum(axis=0, keepdims=True)
         d_z = beta[i] * d_fused + d_pre @ p["att.weight"].T
-        d_z_hat = back(lam_recon * beta[i])
         d_zw = op.T @ d_z_hat
         g["dec.weight"] += z.T @ d_zw
         g["dec.bias"] += d_z_hat.sum(axis=0, keepdims=True)
@@ -288,6 +289,10 @@ class _GraphState:
     unified: np.ndarray
     targets: List[np.ndarray]
     sample_idx: np.ndarray
+    edges: List[metamae.EdgeList] = field(init=False)   # one per target view
+
+    def __post_init__(self):
+        self.edges = [metamae.edge_list(adj) for adj in self.targets]
 
 
 def _prepare_graph(g: HetGraph, cfg: TrainConfig) -> _GraphState:
@@ -311,19 +316,17 @@ def _prepare_graph(g: HetGraph, cfg: TrainConfig) -> _GraphState:
 
 def _train(state: _GraphState, cfg: TrainConfig,
            trace: Optional[List[Dict[str, float]]]) -> MugModel:
-    seed = cfg.seed
-    params = _init_params(cfg, seed)
+    params = _init_params(cfg, cfg.seed)
     trainable = [k for k in params
                  if not (cfg.no_align and k.startswith("dim."))]
     opt = Optimizer(params, cfg, trainable)
 
-    edges = [metamae.edge_list(adj) for adj in state.targets]
     masked = None
     for epoch in range(cfg.epochs):
         if cfg.mask.resample_per_epoch or masked is None:
             masked = []
-            for i, view_edges in enumerate(edges):
-                stream = RngStream(seed, STREAM_MASK + epoch * len(edges) + i)
+            for i, view_edges in enumerate(state.edges):
+                stream = RngStream(cfg.seed, STREAM_MASK + epoch * len(state.edges) + i)
                 masked.append(metamae.mask_edges(view_edges, cfg.mask, stream))
 
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
@@ -372,8 +375,8 @@ def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.n
     basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"],
                                    state.unified[state.sample_idx])
     xw = dimalign.project(basis, state.unified) @ p["enc.weight"]
-    z_views = [metamae.encode(metamae.normalized_operator(adj), xw, p["enc.bias"])
-               for adj in state.targets]
+    z_views = [metamae.encode(metamae.normalized_operator(edges), xw, p["enc.bias"])
+               for edges in state.edges]
     beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], z_views)
     return fuse(beta, z_views), beta
 

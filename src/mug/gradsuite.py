@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import fusion, kernels
+from . import fusion, kernels, metamae
 
 TOLERANCE = 1e-4
 
@@ -100,7 +100,7 @@ def _objective_check(name: str, n_views: int, lambda_align: float,
         for a in adjs:
             keep = rng.random((n, n)) >= 0.5
             keep = np.triu(keep, 1) | np.triu(keep, 1).T
-            masked.append(a & keep)
+            masked.append(metamae.edge_list(a & keep))
         state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)), targets=adjs,
                                    sample_idx=rng.choice(n, size=ns, replace=False))
 

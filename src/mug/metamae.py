@@ -7,18 +7,18 @@ per unordered pair on symmetric views. The decoded embeddings Ẑ are scored
 by σ(ẐẐᵀ), compared row-wise against the full unmasked adjacency with a
 scaled cosine loss.
 
-Cost model: a view is a dense N x N bool matrix and its normalized operator
-a dense N x N float64 matrix, held for the epoch. Masking draws one uniform
-per stored edge, from an edge list found once per training run. The loss
-never forms σ(ẐẐᵀ) whole: recon_loss computes it in blocks of RECON_BLOCK
-rows, once for the loss and again for its gradient, so its memory beyond
-the operators is O(N * RECON_BLOCK).
+Cost model: a view is a dense N x N bool matrix, listed once per graph as
+an EdgeList. Masking keeps a shorter list, one uniform per listed edge, and
+the normalized operator, a dense N x N float64 matrix held for the epoch,
+is scattered from it. recon_loss computes σ(ẐẐᵀ) once per call, RECON_BLOCK
+rows at a time, and takes the loss and its gradient from each block, so its
+memory beyond the operators is O(N * RECON_BLOCK).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -52,9 +52,9 @@ class EdgeList:
 
 
 def edge_list(adj: np.ndarray) -> EdgeList:
-    """The edges mask_edges draws over; a view is fixed, so one list serves every epoch."""
+    """The edges of a view; a view is fixed, so one list serves every epoch."""
     adj = np.asarray(adj, dtype=bool)
-    rows, cols = np.nonzero(adj)
+    rows, cols = np.divmod(np.flatnonzero(adj), adj.shape[1])
     symmetric = np.array_equal(adj, adj.T)
     if symmetric:
         upper = rows < cols
@@ -63,8 +63,8 @@ def edge_list(adj: np.ndarray) -> EdgeList:
     return EdgeList(adj.shape, rows.astype(np.int32), cols.astype(np.int32), symmetric)
 
 
-def mask_edges(edges: EdgeList, spec: MaskSpec, rng: RngStream) -> np.ndarray:
-    """The adjacency with each present edge kept with probability 1 - edge_mask_rate.
+def mask_edges(edges: EdgeList, spec: MaskSpec, rng: RngStream) -> EdgeList:
+    """The edges kept, each with probability 1 - edge_mask_rate.
 
     One uniform per listed edge, in row-major edge order. Symmetric views
     draw one per upper-triangle edge and keep both directions together (the
@@ -72,21 +72,21 @@ def mask_edges(edges: EdgeList, spec: MaskSpec, rng: RngStream) -> np.ndarray:
     """
     spec.validate()
     keep = rng.uniform(len(edges.rows)) >= spec.edge_mask_rate
-    rows, cols = edges.rows[keep], edges.cols[keep]
-    out = np.zeros(edges.shape, dtype=bool)
-    out[rows, cols] = True
+    return EdgeList(edges.shape, edges.rows[keep], edges.cols[keep], edges.symmetric)
+
+
+def normalized_operator(edges: EdgeList) -> np.ndarray:
+    """D^-1/2 (A + I) D^-1/2 of the listed A, built by scattering onto its edges.
+
+    The diagonal's 1/dᵢ is added to what is scattered, so a listed (i, i) weighs 2/dᵢ.
+    """
+    op = np.zeros(edges.shape)
+    rows, cols = edges.rows, edges.cols
     if edges.symmetric:
-        out[cols, rows] = True
-    return out
-
-
-def normalized_operator(adj: np.ndarray) -> np.ndarray:
-    """Symmetric normalization with self-loops: D^-1/2 (A + I) D^-1/2."""
-    op = adj.astype(np.float64)
-    op[np.diag_indices_from(op)] += 1.0
-    dinv = 1.0 / np.sqrt(op.sum(axis=1))
-    op *= dinv[:, None]
-    op *= dinv[None, :]
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    dinv = 1.0 / np.sqrt(np.bincount(rows, minlength=len(op)) + 1.0)
+    op[rows, cols] = dinv[rows] * dinv[cols]
+    op.flat[::len(op) + 1] += dinv * dinv
     return op
 
 
@@ -106,25 +106,21 @@ def _sigmoid_rows(z: np.ndarray, lo: int, hi: int) -> np.ndarray:
     e = z[lo:hi] @ z.T
     positive = e >= 0
     np.exp(np.negative(np.abs(e, out=e), out=e), out=e)
-    s = np.where(positive, 1.0, e)
+    s = np.maximum(e, positive)   # exp(-|x|) <= 1, so this is 1 where x >= 0
     e += 1.0
     s /= e
     return s
 
 
-def recon_loss(adj: np.ndarray, z_hat: np.ndarray,
-               gamma: float = 2.0) -> Tuple[float, Callable[[float], np.ndarray]]:
+def recon_loss(adj: np.ndarray, z_hat: np.ndarray, gamma: float = 2.0,
+               g: float = 1.0) -> Tuple[float, np.ndarray]:
     """Mean of (1 - cos(row of A, row of σ(ẐẐᵀ)))^gamma over rows of A with edges.
 
-    Rows with no original edges have no defined direction and are excluded;
-    the normalizer is the count of the remaining rows. Returns (loss, back):
-    back(g) gives g times the loss gradient with respect to Ẑ. Both passes
-    work on RECON_BLOCK rows of S = σ(ẐẐᵀ) at a time; back recomputes them
-    and adds dX_blk Ẑ to the block's rows and dX_blkᵀ Ẑ_blk to all rows,
-    where dX = dS * S * (1 - S).
+    Rows with no original edges have no direction and are excluded, also from
+    the normalizer. Returns (loss, g times its gradient with respect to Ẑ).
+    Each block of RECON_BLOCK rows of S = σ(ẐẐᵀ) gives its rows' cosines, then
+    adds dX_blk Ẑ to its rows and dX_blkᵀ Ẑ_blk to all rows; dX = dS * S * (1 - S).
     """
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
     adj = np.asarray(adj, dtype=bool)
     deg = adj.sum(axis=1)
     valid = deg > 0
@@ -132,33 +128,28 @@ def recon_loss(adj: np.ndarray, z_hat: np.ndarray,
     if n_valid == 0:
         raise DegenerateViewError("view has no non-empty rows")
     n = len(adj)
-    blocks = [(lo, min(lo + RECON_BLOCK, n)) for lo in range(0, n, RECON_BLOCK)]
-    dot = np.empty(n)
-    norm = np.empty(n)
-    for lo, hi in blocks:
+    scale = (-g / n_valid) * gamma
+    base = np.empty(n)
+    grad = np.zeros_like(z_hat)
+    for lo in range(0, n, RECON_BLOCK):
+        hi = min(lo + RECON_BLOCK, n)
         s = _sigmoid_rows(z_hat, lo, hi)
-        dot[lo:hi] = (adj[lo:hi] * s).sum(axis=1)
-        norm[lo:hi] = np.sqrt(np.multiply(s, s, out=s).sum(axis=1))
-    denom = np.sqrt(deg) * norm
-    defined = denom > 0
-    cos = np.where(defined, dot / np.where(defined, denom, 1.0), 0.0)
-    base = np.maximum(1.0 - cos, 0.0)
-    loss = (np.power(base, gamma) * valid).sum() * (1.0 / n_valid)
-
-    def back(g: float) -> np.ndarray:
-        d_cos = (-g / n_valid) * gamma * np.power(base, gamma - 1.0) * valid
+        tmp = adj[lo:hi] * s
+        dot = tmp.sum(axis=1)
+        norm = np.sqrt(np.multiply(s, s, out=tmp).sum(axis=1))
+        denom = np.sqrt(deg[lo:hi]) * norm
+        defined = denom > 0
+        cos = np.where(defined, dot / np.where(defined, denom, 1.0), 0.0)
+        base[lo:hi] = np.maximum(1.0 - cos, 0.0)
+        d_cos = scale * np.power(base[lo:hi], gamma - 1.0) * valid[lo:hi]
         d_cos = np.where(defined, d_cos, 0.0)
         on_edge = d_cos / np.where(defined, denom, 1.0)
         on_self = d_cos * cos / np.where(defined, norm * norm, 1.0)
-        grad = np.zeros_like(z_hat)
-        for lo, hi in blocks:
-            s = _sigmoid_rows(z_hat, lo, hi)
-            dx = s * -on_self[lo:hi, None]
-            np.add(dx, on_edge[lo:hi, None], out=dx, where=adj[lo:hi])
-            dx *= s
-            dx *= np.subtract(1.0, s, out=s)
-            grad[lo:hi] += dx @ z_hat
-            grad += dx.T @ z_hat[lo:hi]
-        return grad
-
-    return float(loss), back
+        dx = np.multiply(s, -on_self[:, None], out=tmp)
+        dx += adj[lo:hi] * on_edge[:, None]
+        dx *= s
+        dx *= np.subtract(1.0, s, out=s)
+        grad[lo:hi] += dx @ z_hat
+        grad += dx.T @ z_hat[lo:hi]
+    loss = (np.power(base, gamma) * valid).sum() * (1.0 / n_valid)
+    return float(loss), grad

@@ -140,6 +140,83 @@ def recon_loss(adj, z_hat, gamma):
     return float(np.mean((1.0 - cos) ** gamma))
 
 
+# -- two-pass reconstruction loss and dense operator, as they were ------------------
+# The loss once over every row block, then back(g) over every block again,
+# and the operator normalized in place on a dense float64 copy of the view.
+# The fused pass and the scattered operator must equal them byte for byte.
+
+
+def _sigmoid_rows_two_pass(z, lo, hi):
+    e = z[lo:hi] @ z.T
+    positive = e >= 0
+    np.exp(np.negative(np.abs(e, out=e), out=e), out=e)
+    s = np.where(positive, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
+
+
+def recon_loss_two_pass(adj, z_hat, gamma):
+    """(loss, back) as two passes over rows of σ(ẐẐᵀ) in metamae.RECON_BLOCK blocks."""
+    from mug import metamae
+
+    adj = np.asarray(adj, dtype=bool)
+    deg = adj.sum(axis=1)
+    valid = deg > 0
+    n_valid = int(valid.sum())
+    n = len(adj)
+    block = metamae.RECON_BLOCK
+    blocks = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    dot = np.empty(n)
+    norm = np.empty(n)
+    for lo, hi in blocks:
+        s = _sigmoid_rows_two_pass(z_hat, lo, hi)
+        dot[lo:hi] = (adj[lo:hi] * s).sum(axis=1)
+        norm[lo:hi] = np.sqrt(np.multiply(s, s, out=s).sum(axis=1))
+    denom = np.sqrt(deg) * norm
+    defined = denom > 0
+    cos = np.where(defined, dot / np.where(defined, denom, 1.0), 0.0)
+    base = np.maximum(1.0 - cos, 0.0)
+    loss = (np.power(base, gamma) * valid).sum() * (1.0 / n_valid)
+
+    def back(g):
+        d_cos = (-g / n_valid) * gamma * np.power(base, gamma - 1.0) * valid
+        d_cos = np.where(defined, d_cos, 0.0)
+        on_edge = d_cos / np.where(defined, denom, 1.0)
+        on_self = d_cos * cos / np.where(defined, norm * norm, 1.0)
+        grad = np.zeros_like(z_hat)
+        for lo, hi in blocks:
+            s = _sigmoid_rows_two_pass(z_hat, lo, hi)
+            dx = s * -on_self[lo:hi, None]
+            np.add(dx, on_edge[lo:hi, None], out=dx, where=adj[lo:hi])
+            dx *= s
+            dx *= np.subtract(1.0, s, out=s)
+            grad[lo:hi] += dx @ z_hat
+            grad += dx.T @ z_hat[lo:hi]
+        return grad
+
+    return float(loss), back
+
+
+def dense_normalized_operator(adj):
+    """D^-1/2 (A + I) D^-1/2 from a dense bool adjacency."""
+    op = adj.astype(np.float64)
+    op[np.diag_indices_from(op)] += 1.0
+    dinv = 1.0 / np.sqrt(op.sum(axis=1))
+    op *= dinv[:, None]
+    op *= dinv[None, :]
+    return op
+
+
+def dense_edges(edges):
+    """The bool adjacency an EdgeList stands for (both directions if symmetric)."""
+    out = np.zeros(edges.shape, dtype=bool)
+    out[edges.rows, edges.cols] = True
+    if edges.symmetric:
+        out[edges.cols, edges.rows] = True
+    return out
+
+
 # -- per-repeat linear probe ----------------------------------------------------------
 
 

@@ -297,6 +297,41 @@ def test_bad_split_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err == f"error: {key} must be >= 1, got {value}\n"
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("--epochs -3", "epochs must be >= 0, got -3"),
+    ("learning_rate = -1", "learning_rate must be > 0, got -1.0"),
+    ("learning_rate = 0", "learning_rate must be > 0, got 0.0"),
+    ("sample_size = 0", "sample_size must be >= 1, got 0"),
+    ("unified_dim = 0", "unified_dim must be >= 1, got 0"),
+    ("gamma = 0.5", "gamma must be >= 1, got 0.5"),
+])
+def test_bad_train_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
+                                                 setting, message):
+    from mug import bundle
+    monkeypatch.setattr(bundle, "load_bundle", _no_work)
+    argv = ["pretrain", "--data", str(tmp_path / "bundle"), "--out", str(tmp_path / "m.ckpt")]
+    if setting.startswith("--"):
+        argv += setting.split()
+    else:
+        config = str(tmp_path / "train.cfg")
+        with open(config, "w") as fh:
+            fh.write(setting + "\n")
+        argv += ["--config", config]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_eval_bundles_sharing_a_name_fail_before_the_work(tmp_path, monkeypatch, capsys):
+    from mug import fusion
+    monkeypatch.setattr(fusion, "load_checkpoint", _no_work)
+    first, second = str(tmp_path / "x" / "B"), str(tmp_path / "y" / "B") + os.sep
+    argv = ["eval", "--model", str(tmp_path / "model.ckpt"), "--train-data", first,
+            "--eval-data", first, second]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (f"error: --eval-data {first} and {second} "
+                                       f"share the bundle name 'B'\n")
+
+
 # -- gradcheck ---------------------------------------------------------------------
 
 

@@ -215,7 +215,7 @@ def test_full_objective_gradient_matches_fd_on_toy_instance():
     for a in adjs:
         keep = rng.random((n, n)) >= 0.5
         keep = np.triu(keep, 1) | np.triu(keep, 1).T
-        masked.append(a & keep)
+        masked.append(metamae.edge_list(a & keep))
     state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)), targets=adjs,
                                sample_idx=np.array([0, 2, 3, 5]))
     cfg = TrainConfig(lambda_align=1.0, lambda_recon=1.0, lambda_scatter=0.1,
@@ -412,7 +412,7 @@ def test_validate_rejects_mask_stream_overflow():
         small_cfg(epochs=2**31).validate(n_views=2)
 
 
-def test_one_epoch_peak_memory_is_at_most_six_n_by_n_arrays():
+def test_one_epoch_peak_memory_is_at_most_four_n_by_n_arrays():
     spec = synth.two_view_spec(centroid_scale=1.0, targets_per_class=334)
     g = synth.generate(synth.SynthSpec.from_dict(spec), RngStream(0))
     n = g.counts[g.target_type]
@@ -422,4 +422,30 @@ def test_one_epoch_peak_memory_is_at_most_six_n_by_n_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * (8 * n * n), f"peak {peak / (8 * n * n):.1f} N x N float64 arrays"
+    assert peak <= 4 * (8 * n * n), f"peak {peak / (8 * n * n):.1f} N x N float64 arrays"
+
+
+def test_objective_computes_each_row_block_of_scores_once_per_view(monkeypatch):
+    rng = np.random.default_rng(8)
+    n, n_views = 2 * metamae.RECON_BLOCK + 1, 2
+    adjs = []
+    for _ in range(n_views):
+        a = np.triu(rng.random((n, n)) < 0.1, 1)
+        adjs.append(a | a.T)
+    state = fusion._GraphState(unified=rng.normal(size=(n, 5)), targets=adjs,
+                               sample_idx=np.arange(4))
+    masked = [metamae.mask_edges(e, MaskSpec(), RngStream(0, i))
+              for i, e in enumerate(state.edges)]
+    cfg = small_cfg(sample_size=4, unified_dim=3)
+    calls = []
+    sigmoid_rows = metamae._sigmoid_rows
+
+    def counting(z, lo, hi):
+        calls.append((lo, hi))
+        return sigmoid_rows(z, lo, hi)
+
+    monkeypatch.setattr(metamae, "_sigmoid_rows", counting)
+    fusion.objective(fusion._init_params(cfg, 0), state, masked, cfg)
+    blocks = -(-n // metamae.RECON_BLOCK)
+    assert len(calls) == n_views * blocks
+    assert len(set(calls)) == blocks

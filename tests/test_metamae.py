@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from oracles import dense_edges
 from mug import autodiff as ad
 from mug import metamae
 from mug.metamae import (
@@ -22,8 +25,8 @@ from mug.rng import RngStream
 def recon_fn(adj, gamma):
     """recon_loss as a function of Ẑ for grad_check: (loss, {"Z": gradient})."""
     def fn(params):
-        loss, back = recon_loss(adj, params["Z"], gamma)
-        return loss, {"Z": back(1.0)}
+        loss, grad = recon_loss(adj, params["Z"], gamma)
+        return loss, {"Z": grad}
     return fn
 
 
@@ -39,13 +42,13 @@ def sym_adj(n, pairs):
 
 def test_mask_rate_zero_keeps_everything():
     adj = sym_adj(5, [(0, 1), (1, 2), (3, 4)])
-    masked = mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.0), RngStream(0))
+    masked = dense_edges(mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.0), RngStream(0)))
     assert np.array_equal(masked, adj)
 
 
 def test_mask_rate_one_removes_everything():
     adj = sym_adj(5, [(0, 1), (1, 2), (3, 4)])
-    masked = mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=1.0), RngStream(0))
+    masked = dense_edges(mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=1.0), RngStream(0)))
     assert masked.sum() == 0
 
 
@@ -56,7 +59,7 @@ def test_mask_half_removes_half_within_binomial_band():
     adj = adj | adj.T
     n_edges = np.triu(adj, 1).sum()
     assert n_edges >= 10_000
-    masked = mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.5), RngStream(7))
+    masked = dense_edges(mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.5), RngStream(7)))
     removed = 1.0 - np.triu(masked, 1).sum() / n_edges
     assert 0.48 <= removed <= 0.52
 
@@ -65,7 +68,7 @@ def test_mask_symmetric_view_stays_symmetric():
     rng = np.random.default_rng(1)
     adj = sym_adj(30, [(i, j) for i in range(30) for j in range(i + 1, 30)
                        if rng.random() < 0.3])
-    masked = mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.5), RngStream(3))
+    masked = dense_edges(mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.5), RngStream(3)))
     assert np.array_equal(masked, masked.T)
     assert not (masked & ~adj).any()  # never creates edges
 
@@ -76,7 +79,7 @@ def test_mask_asymmetric_view_draws_one_uniform_per_edge_in_row_major_order():
     adj[0, 1], adj[1, 0] = True, False
     edges = edge_list(adj)
     assert not edges.symmetric
-    masked = mask_edges(edges, MaskSpec(edge_mask_rate=0.5), RngStream(4))
+    masked = dense_edges(mask_edges(edges, MaskSpec(edge_mask_rate=0.5), RngStream(4)))
     rows, cols = np.nonzero(adj)
     keep = RngStream(4).uniform(len(rows)) >= 0.5
     expected = np.zeros_like(adj)
@@ -89,7 +92,7 @@ def test_mask_asymmetric_view_draws_one_uniform_per_edge_in_row_major_order():
 
 def test_single_isolated_node_identity_conv():
     adj = np.zeros((1, 1), dtype=bool)
-    op = normalized_operator(adj)
+    op = normalized_operator(edge_list(adj))
     assert op[0, 0] == 1.0  # self-loop over degree one
     x = np.array([[2.0, -3.0]])
     out = graph_conv(op, x @ np.eye(2), np.zeros((1, 2)))
@@ -98,7 +101,7 @@ def test_single_isolated_node_identity_conv():
 
 def test_two_connected_equal_nodes_give_equal_rows():
     adj = sym_adj(2, [(0, 1)])
-    op = normalized_operator(adj)
+    op = normalized_operator(edge_list(adj))
     x = np.array([[1.0, 2.0], [1.0, 2.0]])
     w = np.random.default_rng(9).normal(size=(2, 3))
     out = encode(op, x @ w, np.zeros((1, 3)))
@@ -113,7 +116,7 @@ def test_three_node_path_matches_hand_computation():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     w = np.array([[2.0, -1.0], [0.5, 1.5]])
     want = hand_op @ x @ w
-    out = graph_conv(normalized_operator(adj), x @ w, np.zeros((1, 2)))
+    out = graph_conv(normalized_operator(edge_list(adj)), x @ w, np.zeros((1, 2)))
     assert np.allclose(out, want)
 
 
@@ -128,7 +131,7 @@ def decoded_scores(z_hat):
 
 def test_zero_decoded_embeddings_give_half_everywhere():
     adj = np.zeros((3, 3), dtype=bool)
-    op = normalized_operator(adj)
+    op = normalized_operator(edge_list(adj))
     z = np.random.default_rng(0).normal(size=(3, 2))
     # zero decoder weight forces z_hat = 0
     z_hat = graph_conv(op, z @ np.zeros((2, 2)), np.zeros((1, 2)))
@@ -245,9 +248,82 @@ def test_fused_recon_gradient_does_not_depend_on_block(monkeypatch):
     grads = []
     for block in (1, 4, n, 64):
         monkeypatch.setattr(metamae, "RECON_BLOCK", block)
-        grads.append(recon_loss(adj, z_arr, 2.0)[1](1.0))
+        grads.append(recon_loss(adj, z_arr, 2.0)[1])
     for g in grads[1:]:
         assert np.max(np.abs(g - grads[0])) <= 1e-12 * np.max(np.abs(grads[0]))
+
+
+# -- byte-level oracles: the two-pass loss and the dense operator ----------------------
+# tobytes(), not array_equal: -0.0 == 0.0 would hide a sign flip.
+
+
+def _oracle_views(n, rng):
+    sym = rng.random((n, n)) < 0.3
+    sym = np.triu(sym, 1) | np.triu(sym, 1).T
+    asym = rng.random((n, n)) < 0.3
+    np.fill_diagonal(asym, False)
+    asym[0, 1], asym[1, 0] = True, False
+    diag = asym.copy()
+    diag[np.arange(0, n, 3), np.arange(0, n, 3)] = True
+    empty = sym.copy()
+    empty[1::4] = empty[:, 1::4] = False
+    return {"symmetric": sym, "asymmetric": asym, "asymmetric_diagonal": diag,
+            "empty_rows": empty}
+
+
+def _assert_fused_equals_two_pass(adj, z_arr, gamma, g):
+    loss, grad = recon_loss(adj, z_arr, gamma, g)
+    want_loss, back = oracles.recon_loss_two_pass(adj, z_arr, gamma)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == back(g).tobytes()
+
+
+def _assert_operator_equals_dense(edges):
+    want = oracles.dense_normalized_operator(dense_edges(edges))
+    assert normalized_operator(edges).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_fused_recon_loss_and_scattered_operator_equal_the_oracles_bytewise(offset):
+    n = 2 * metamae.RECON_BLOCK + offset
+    rng = np.random.default_rng(20 + offset)
+    for name, adj in _oracle_views(n, rng).items():
+        edges = edge_list(adj)
+        assert np.array_equal(dense_edges(edges), adj), name
+        _assert_operator_equals_dense(edges)
+        _assert_operator_equals_dense(mask_edges(edges, MaskSpec(edge_mask_rate=0.5),
+                                                 RngStream(offset + 1)))
+        z_arr = rng.uniform(-1.5, 1.5, size=(n, 4))
+        for gamma in (1.0, 2.0, 2.5):
+            for g in (0.0, 1.0, 0.73):
+                _assert_fused_equals_two_pass(adj, z_arr, gamma, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), density=st.floats(0.0, 1.0), symmetric=st.booleans(),
+       diagonal=st.booleans(), block=st.integers(1, 8), gamma=st.floats(1.0, 3.0),
+       g=st.sampled_from([0.0, 1.0, 0.73, -2.5]), seed=st.integers(0, 2**16))
+def test_fused_pass_and_operator_match_the_oracles_on_random_views(
+        n, density, symmetric, diagonal, block, gamma, g, seed):
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < density
+    if symmetric:
+        adj = np.triu(adj, 1) | np.triu(adj, 1).T
+    elif not diagonal:
+        np.fill_diagonal(adj, False)
+    edges = edge_list(adj)
+    _assert_operator_equals_dense(edges)
+    _assert_operator_equals_dense(mask_edges(edges, MaskSpec(edge_mask_rate=0.5),
+                                             RngStream(seed)))
+    if not adj.any():
+        return
+    z_arr = rng.normal(scale=2.0, size=(n, 3))
+    old = metamae.RECON_BLOCK
+    metamae.RECON_BLOCK = block
+    try:
+        _assert_fused_equals_two_pass(adj, z_arr, gamma, g)
+    finally:
+        metamae.RECON_BLOCK = old
 
 
 # -- pipeline gradient and smoke training -------------------------------------------
