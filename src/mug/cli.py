@@ -2,7 +2,8 @@
 
 Subcommands: synth, homophily, pretrain, embed, eval, gradcheck.
 Exit codes: 0 success, 1 usage, 2 data/validation error, 3 numerical failure.
-Every run with outputs writes a resolved-config echo next to them.
+Every run with outputs writes a resolved-config echo next to them. Each
+warning a run raises is printed as one "warning: <message>" line on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from typing import Dict, Optional
 
 from . import bundle as bio
@@ -279,14 +281,16 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.fn(args)
-    except fusion.DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (bio.BundleError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.fn(args)
+        except fusion.DivergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except (bio.BundleError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -74,9 +74,7 @@ def make_splits(labels: np.ndarray, spec: SplitSpec, rng: RngStream) -> Splits:
     k = spec.per_class_train
     if counts.min() < k:
         k = int(counts.min())
-        warnings.warn(
-            f"per-class train size reduced to {k} (smallest class)", stacklevel=2
-        )
+        warnings.warn(f"per-class train size reduced to {k} (smallest class)")
     train_parts = []
     for c in range(n_classes):
         idx = np.where(labels == c)[0]
@@ -90,10 +88,7 @@ def make_splits(labels: np.ndarray, spec: SplitSpec, rng: RngStream) -> Splits:
         total = val_n + test_n
         val_n = len(rest) * spec.val_size // total
         test_n = len(rest) - val_n
-        warnings.warn(
-            f"val/test shrunk to {val_n}/{test_n} ({len(rest)} labeled nodes left)",
-            stacklevel=2,
-        )
+        warnings.warn(f"val/test shrunk to {val_n}/{test_n} ({len(rest)} labeled nodes left)")
     pick = rng.choice(len(rest), size=val_n + test_n, replace=False)
     val = rest[pick[:val_n]]
     test = rest[pick[val_n:]]
@@ -171,6 +166,7 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     b = np.zeros((repeats, 1, n_classes))
     best_macro = np.full(repeats, -1.0)
     best_w, best_b = w.copy(), b.copy()
+    val_scores = np.empty((repeats, val.shape[1], n_classes))   # reused: fresh ones page-fault
     n = train.shape[1]
     for t in range(PROBE_STEPS):
         logits = x_train @ w + b
@@ -183,7 +179,8 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
         w -= lr * gw
         b -= lr * gb
         if val.shape[1]:
-            macro = _stacked_macro(slot + np.argmax(x_val @ w + b, axis=2),
+            np.add(np.matmul(x_val, w, out=val_scores), b, out=val_scores)
+            macro = _stacked_macro(slot + np.argmax(val_scores, axis=2),
                                    val_slots, val_true, n_classes)
             better = macro > best_macro
             best_macro[better] = macro[better]

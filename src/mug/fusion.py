@@ -40,7 +40,7 @@ import numpy as np
 
 from . import dimalign, metamae, structenc
 from .bundle import read_text
-from .hetgraph import HetGraph, all_views
+from .hetgraph import EdgeList, HetGraph, metapath_edges
 from .metamae import MaskSpec
 from .rng import RngStream, STREAM_INIT, STREAM_MASK, STREAM_SAMPLE
 from .structenc import WalkConfig
@@ -172,7 +172,7 @@ class LossParts:
 
 
 def objective(params: Dict[str, np.ndarray], state: _GraphState,
-              masked: Sequence[metamae.EdgeList],
+              masked: Sequence[EdgeList],
               cfg: TrainConfig) -> Tuple[LossParts, Dict[str, np.ndarray]]:
     """The pre-training loss parts and the gradient of their total.
 
@@ -192,9 +192,9 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
     beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], zs)
     lam_align, lam_recon, lam_scatter = _lambdas(cfg)
     # per view: (loss, λ_recon·βᵢ times its gradient with respect to Ẑ)
-    recon = [metamae.recon_loss(adj, metamae.graph_conv(op, z @ p["dec.weight"], p["dec.bias"]),
+    recon = [metamae.recon_loss(view, metamae.graph_conv(op, z @ p["dec.weight"], p["dec.bias"]),
                                 cfg.gamma, lam_recon * b)
-             for adj, op, z, b in zip(state.targets, ops, zs, beta)]
+             for view, op, z, b in zip(state.views, ops, zs, beta)]
     l_scatter, d_fused = scatter_loss(fuse(beta, zs))
     view_losses = np.array([loss for loss, _ in recon])
     parts = LossParts(l_align, beta, view_losses, l_scatter,
@@ -287,12 +287,8 @@ def config_echo(cfg: TrainConfig) -> Dict[str, str]:
 @dataclass
 class _GraphState:
     unified: np.ndarray
-    targets: List[np.ndarray]
+    views: List[EdgeList]    # one per meta-path, in row-major order
     sample_idx: np.ndarray
-    edges: List[metamae.EdgeList] = field(init=False)   # one per target view
-
-    def __post_init__(self):
-        self.edges = [metamae.edge_list(adj) for adj in self.targets]
 
 
 def _prepare_graph(g: HetGraph, cfg: TrainConfig) -> _GraphState:
@@ -307,11 +303,10 @@ def _prepare_graph(g: HetGraph, cfg: TrainConfig) -> _GraphState:
     if not cfg.no_cse:
         table = structenc.train_struct_table(g, cfg.walk, RngStream(cfg.seed, 1))
     unified = structenc.unify_attrs(g, table)
-    views = all_views(g)
+    views = [metapath_edges(g, mp) for mp in g.metapaths]
     sample_idx = dimalign.draw_node_sample(
         g.counts[g.target_type], cfg.sample_size, RngStream(cfg.seed, STREAM_SAMPLE))
-    return _GraphState(unified=unified, targets=list(views.values()),
-                       sample_idx=sample_idx)
+    return _GraphState(unified=unified, views=views, sample_idx=sample_idx)
 
 
 def _train(state: _GraphState, cfg: TrainConfig,
@@ -325,9 +320,9 @@ def _train(state: _GraphState, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         if cfg.mask.resample_per_epoch or masked is None:
             masked = []
-            for i, view_edges in enumerate(state.edges):
-                stream = RngStream(cfg.seed, STREAM_MASK + epoch * len(state.edges) + i)
-                masked.append(metamae.mask_edges(view_edges, cfg.mask, stream))
+            for i, view in enumerate(state.views):
+                stream = RngStream(cfg.seed, STREAM_MASK + epoch * len(state.views) + i)
+                masked.append(metamae.mask_edges(view, cfg.mask, stream))
 
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             parts, grads = objective(params, state, masked, cfg)
@@ -375,8 +370,8 @@ def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.n
     basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"],
                                    state.unified[state.sample_idx])
     xw = dimalign.project(basis, state.unified) @ p["enc.weight"]
-    z_views = [metamae.encode(metamae.normalized_operator(edges), xw, p["enc.bias"])
-               for edges in state.edges]
+    z_views = [metamae.encode(metamae.normalized_operator(view), xw, p["enc.bias"])
+               for view in state.views]
     beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], z_views)
     return fuse(beta, z_views), beta
 

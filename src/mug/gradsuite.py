@@ -18,7 +18,8 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import fusion, kernels, metamae
+from . import fusion, kernels
+from .hetgraph import EdgeList
 
 TOLERANCE = 1e-4
 
@@ -75,12 +76,10 @@ def _struct_pair_check() -> Check:
     return Check("struct_sgns_pair_loss", make_params, function_for)
 
 
-def _random_view(rng, n):
-    adj = rng.random((n, n)) < 0.45
-    adj = adj | adj.T
-    np.fill_diagonal(adj, False)
-    adj[0, 1] = adj[1, 0] = True
-    return adj
+def _toy_view(n, on):
+    """The symmetric view of the i < j pairs, in np.triu_indices order, where on holds."""
+    rows, cols = (index[on] for index in np.triu_indices(n, 1))
+    return EdgeList.from_pairs(n, np.concatenate([rows, cols]), np.concatenate([cols, rows]))
 
 
 def _objective_check(name: str, n_views: int, lambda_align: float,
@@ -95,13 +94,14 @@ def _objective_check(name: str, n_views: int, lambda_align: float,
                 for key, shape in fusion.param_shapes(cfg)}
 
     def function_for(rng):
-        adjs = [_random_view(rng, n) for _ in range(n_views)]
-        masked = []
-        for a in adjs:
-            keep = rng.random((n, n)) >= 0.5
-            keep = np.triu(keep, 1) | np.triu(keep, 1).T
-            masked.append(metamae.edge_list(a & keep))
-        state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)), targets=adjs,
+        upper, ons = np.triu_indices(n, 1), []
+        for _ in range(n_views):   # a pair is an edge where either of its draws is < 0.45
+            drawn = rng.random((n, n)) < 0.45
+            ons.append((drawn | drawn.T)[upper])
+            ons[-1][0] = True   # pair (0, 1) comes first, so no view is empty
+        masked = [_toy_view(n, on & (rng.random((n, n)) >= 0.5)[upper]) for on in ons]
+        state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)),
+                                   views=[_toy_view(n, on) for on in ons],
                                    sample_idx=rng.choice(n, size=ns, replace=False))
 
         def fn(p):

@@ -5,11 +5,11 @@ index (type offset + local) addresses every node in the whole graph, which
 is the ordering the structural embedding table uses.
 
 Cost model: one meta-path step is a CSR built from its relation's edge list
-(step_csr), the one step representation that walks and views share.
-Meta-path adjacency views are dense boolean target x target matrices, built
-by joining the steps' edge lists, so a view costs time in proportion to its
-path instances plus N x M bool scatters (M the size of a middle type); no
-float matrix product is formed.
+(step_csr), the one step representation that walks and views share. A
+meta-path view is an EdgeList of target x target pairs, joined step by step
+and deduplicated by sorting keys, so it costs time in proportion to its path
+instances (times a log factor) and memory in proportion to its edges; only
+all_views, for readers that want matrices, forms an N x N matrix.
 """
 
 from __future__ import annotations
@@ -82,10 +82,7 @@ class HetGraph:
         if self.target_type not in self.node_types:
             raise SchemaError(f"target type '{self.target_type}' not declared")
         if len(self.node_types) + len(self.relations) <= 2:
-            warnings.warn(
-                "graph has a single node and relation type; it is homogeneous",
-                stacklevel=2,
-            )
+            warnings.warn("graph has a single node and relation type; it is homogeneous")
         for rel in self.relations:
             for t in (rel.src, rel.dst):
                 if t not in self.node_types:
@@ -147,6 +144,39 @@ class HetGraph:
 
 
 
+@dataclass(frozen=True)
+class EdgeList:
+    """A view's directed entries, each once; symmetric if every entry's transpose is listed.
+
+    from_pairs lists them in row-major order, which recon_loss relies on.
+    """
+    shape: Tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    symmetric: bool
+
+    @staticmethod
+    def from_pairs(n: int, rows: np.ndarray, cols: np.ndarray) -> "EdgeList":
+        """The n x n view of the given (row, col) pairs, deduplicated, in row-major order."""
+        key = np.int32 if n * n <= 2**31 else np.int64   # int32 keys sort twice as fast
+        keys = _sorted_unique(np.asarray(rows, dtype=key) * key(n) + np.asarray(cols, dtype=key))
+        rows, cols = np.divmod(keys, key(n))
+        symmetric = np.array_equal(np.sort(cols * key(n) + rows), keys)
+        # int32 halves what pre-training holds for the whole run; a view has < 2**31 rows
+        return EdgeList((n, n), rows.astype(np.int32), cols.astype(np.int32), symmetric)
+
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) with each symmetric pair once, as its row < col entry."""
+        listed = self.rows < self.cols if self.symmetric else slice(None)
+        return self.rows[listed], self.cols[listed]
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The non-negative keys sorted, each once (not np.unique: its first call costs ~10 ms)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
 def step_csr(g: HetGraph, mp: MetaPath, step: int) -> Tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of one meta-path step, oriented types[step] -> types[step+1].
 
@@ -168,20 +198,17 @@ def step_csr(g: HetGraph, mp: MetaPath, step: int) -> Tuple[np.ndarray, np.ndarr
             f"{src} -> {dst}"
         )
     n_src, n_dst = g.counts[src], g.counts[dst]
-    keys = np.sort(rows * n_dst + cols)
-    keys = keys[np.diff(keys, prepend=-1) != 0]   # not np.unique: its first call costs ~10 ms
+    keys = _sorted_unique(rows * n_dst + cols)
     indptr = np.zeros(n_src + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n_dst, minlength=n_src), out=indptr[1:])
     return indptr, keys % n_dst
 
 
-def metapath_adjacency(g: HetGraph, mp: MetaPath) -> np.ndarray:
-    """Binary target x target adjacency: (u,v)=1 iff some path instance joins them.
+def metapath_edges(g: HetGraph, mp: MetaPath) -> EdgeList:
+    """Target x target view: (u, v) is listed iff some path instance joins u to v, u != v.
 
-    The steps are joined as edge lists: every (start, node) pair reached so
-    far is extended by the node's neighbours under the next step's CSR, then
-    deduplicated by a boolean scatter. Path counts are discarded and the
-    diagonal is cleared (self-reachability via a palindromic path is trivial).
+    Every (start, node) pair reached so far is extended by the node's neighbours
+    under the next step's CSR, then deduplicated by key; path counts are discarded.
     """
     g._validate_metapath(mp)
     n = g.counts[g.target_type]
@@ -194,36 +221,32 @@ def metapath_adjacency(g: HetGraph, mp: MetaPath) -> np.ndarray:
         src = np.repeat(src, deg)
         dst = indices[np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(len(src))]
         if i + 1 < mp.length:   # dedupe before the next join
-            seen = np.zeros((n, g.counts[mp.types[i + 1]]), dtype=bool)
-            seen[src, dst] = True
-            src, dst = np.nonzero(seen)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[src, dst] = True
-    np.fill_diagonal(adj, False)
-    return adj
+            m = g.counts[mp.types[i + 1]]
+            src, dst = np.divmod(_sorted_unique(src * m + dst), m)
+    off = src != dst
+    return EdgeList.from_pairs(n, src[off], dst[off])
 
 
 def all_views(g: HetGraph) -> Dict[str, np.ndarray]:
-    return {mp.name: metapath_adjacency(g, mp) for mp in g.metapaths}
+    """Every view as a dense bool target x target matrix, built from its EdgeList."""
+    views = {}
+    for mp in g.metapaths:
+        edges = metapath_edges(g, mp)
+        views[mp.name] = np.zeros(edges.shape, dtype=bool)
+        views[mp.name][edges.rows, edges.cols] = True
+    return views
 
 
 class UndefinedRatioError(ValueError):
     """Homophily ratio is undefined for an edgeless view."""
 
 
-def homophily_ratio(adj: np.ndarray, labels: np.ndarray) -> float:
+def homophily_ratio(edges: EdgeList, labels: np.ndarray) -> float:
     """Fraction of view edges joining same-label nodes (unordered pairs if symmetric)."""
-    if labels is None:
-        raise ValueError("labels required for the homophily ratio")
-    symmetric = np.array_equal(adj, adj.T)
-    if symmetric:
-        iu, iv = np.where(np.triu(adj, k=1))
-    else:
-        iu, iv = np.where(adj)
-    if len(iu) == 0:
+    rows, cols = edges.pairs()
+    if len(rows) == 0:
         raise UndefinedRatioError("view has no edges; homophily undefined")
-    same = labels[iu] == labels[iv]
-    return float(same.mean())
+    return float((labels[rows] == labels[cols]).mean())
 
 
 def homophily_report(g: HetGraph) -> Tuple[Dict[str, Optional[float]], Optional[float]]:
@@ -231,15 +254,12 @@ def homophily_report(g: HetGraph) -> Tuple[Dict[str, Optional[float]], Optional[
     if g.labels is None:
         raise ValueError("graph has no labels")
     ratios: Dict[str, Optional[float]] = {}
-    defined: List[float] = []
-    for name, adj in all_views(g).items():
+    for mp in g.metapaths:
         try:
-            r = homophily_ratio(adj, g.labels)
+            ratios[mp.name] = homophily_ratio(metapath_edges(g, mp), g.labels)
         except UndefinedRatioError:
-            ratios[name] = None
-            continue
-        ratios[name] = r
-        defined.append(r)
+            ratios[mp.name] = None
+    defined = [r for r in ratios.values() if r is not None]
     avg = float(np.mean(defined)) if defined else None
     return ratios, avg
 

@@ -7,11 +7,11 @@ per unordered pair on symmetric views. The decoded embeddings Ẑ are scored
 by σ(ẐẐᵀ), compared row-wise against the full unmasked adjacency with a
 scaled cosine loss.
 
-Cost model: a view is a dense N x N bool matrix, listed once per graph as
-an EdgeList. Masking keeps a shorter list, one uniform per listed edge, and
-the normalized operator, a dense N x N float64 matrix held for the epoch,
-is scattered from it. recon_loss computes σ(ẐẐᵀ) once per call, RECON_BLOCK
-rows at a time, and takes the loss and its gradient from each block, so its
+Cost model: a view is an EdgeList built once per graph by hetgraph. Masking
+keeps a shorter list, one uniform per listed pair, and the normalized
+operator, a dense N x N float64 matrix held for the epoch, is scattered from
+it. recon_loss computes σ(ẐẐᵀ) once per call, RECON_BLOCK rows at a time,
+with the same rows of the view as a bool block built from the list, so its
 memory beyond the operators is O(N * RECON_BLOCK).
 """
 
@@ -22,6 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .hetgraph import EdgeList
 from .rng import RngStream
 
 RECON_BLOCK = 128   # rows of σ(ẐẐᵀ) that recon_loss holds at once
@@ -42,37 +43,18 @@ class MaskSpec:
             raise ValueError(f"edge_mask_rate must be in [0,1], got {self.edge_mask_rate}")
 
 
-@dataclass(frozen=True)
-class EdgeList:
-    """A view's stored edges in row-major order; upper triangle only if symmetric."""
-    shape: Tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    symmetric: bool
-
-
-def edge_list(adj: np.ndarray) -> EdgeList:
-    """The edges of a view; a view is fixed, so one list serves every epoch."""
-    adj = np.asarray(adj, dtype=bool)
-    rows, cols = np.divmod(np.flatnonzero(adj), adj.shape[1])
-    symmetric = np.array_equal(adj, adj.T)
-    if symmetric:
-        upper = rows < cols
-        rows, cols = rows[upper], cols[upper]
-    # int32 halves what pre-training holds for the whole run; a dense view has < 2**31 rows
-    return EdgeList(adj.shape, rows.astype(np.int32), cols.astype(np.int32), symmetric)
-
-
 def mask_edges(edges: EdgeList, spec: MaskSpec, rng: RngStream) -> EdgeList:
-    """The edges kept, each with probability 1 - edge_mask_rate.
+    """The edges kept, each with probability 1 - edge_mask_rate; never an absent one.
 
-    One uniform per listed edge, in row-major edge order. Symmetric views
-    draw one per upper-triangle edge and keep both directions together (the
-    diagonal is dropped); absent entries are never created.
+    One uniform per edges.pairs() entry, in their order. A kept symmetric pair
+    is listed as its row < col entry and then, after all of those, its transpose.
     """
-    spec.validate()
-    keep = rng.uniform(len(edges.rows)) >= spec.edge_mask_rate
-    return EdgeList(edges.shape, edges.rows[keep], edges.cols[keep], edges.symmetric)
+    rows, cols = edges.pairs()
+    keep = rng.uniform(len(rows)) >= spec.edge_mask_rate
+    rows, cols = rows[keep], cols[keep]
+    if edges.symmetric:
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    return EdgeList(edges.shape, rows, cols, edges.symmetric)
 
 
 def normalized_operator(edges: EdgeList) -> np.ndarray:
@@ -81,11 +63,8 @@ def normalized_operator(edges: EdgeList) -> np.ndarray:
     The diagonal's 1/dᵢ is added to what is scattered, so a listed (i, i) weighs 2/dᵢ.
     """
     op = np.zeros(edges.shape)
-    rows, cols = edges.rows, edges.cols
-    if edges.symmetric:
-        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    dinv = 1.0 / np.sqrt(np.bincount(rows, minlength=len(op)) + 1.0)
-    op[rows, cols] = dinv[rows] * dinv[cols]
+    dinv = 1.0 / np.sqrt(np.bincount(edges.rows, minlength=len(op)) + 1.0)
+    op[edges.rows, edges.cols] = dinv[edges.rows] * dinv[edges.cols]
     op.flat[::len(op) + 1] += dinv * dinv
     return op
 
@@ -112,29 +91,32 @@ def _sigmoid_rows(z: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return s
 
 
-def recon_loss(adj: np.ndarray, z_hat: np.ndarray, gamma: float = 2.0,
+def recon_loss(view: EdgeList, z_hat: np.ndarray, gamma: float = 2.0,
                g: float = 1.0) -> Tuple[float, np.ndarray]:
     """Mean of (1 - cos(row of A, row of σ(ẐẐᵀ)))^gamma over rows of A with edges.
 
-    Rows with no original edges have no direction and are excluded, also from
-    the normalizer. Returns (loss, g times its gradient with respect to Ẑ).
-    Each block of RECON_BLOCK rows of S = σ(ẐẐᵀ) gives its rows' cosines, then
-    adds dX_blk Ẑ to its rows and dX_blkᵀ Ẑ_blk to all rows; dX = dS * S * (1 - S).
+    A is the view, in row-major order. Rows with no edges have no direction
+    and are excluded, also from the normalizer. Returns (loss, g times its
+    gradient with respect to Ẑ). Each block of RECON_BLOCK rows of S = σ(ẐẐᵀ)
+    gives its rows' cosines, then adds dX_blk Ẑ to its rows and dX_blkᵀ Ẑ_blk
+    to all rows; dX = dS * S * (1 - S).
     """
-    adj = np.asarray(adj, dtype=bool)
-    deg = adj.sum(axis=1)
+    n = view.shape[0]
+    deg = np.bincount(view.rows, minlength=n)
     valid = deg > 0
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise DegenerateViewError("view has no non-empty rows")
-    n = len(adj)
     scale = (-g / n_valid) * gamma
     base = np.empty(n)
     grad = np.zeros_like(z_hat)
     for lo in range(0, n, RECON_BLOCK):
         hi = min(lo + RECON_BLOCK, n)
+        adj = np.zeros((hi - lo, n), dtype=bool)
+        a, b = np.searchsorted(view.rows, [lo, hi])   # the block's entries
+        adj[view.rows[a:b] - lo, view.cols[a:b]] = True
         s = _sigmoid_rows(z_hat, lo, hi)
-        tmp = adj[lo:hi] * s
+        tmp = adj * s
         dot = tmp.sum(axis=1)
         norm = np.sqrt(np.multiply(s, s, out=tmp).sum(axis=1))
         denom = np.sqrt(deg[lo:hi]) * norm
@@ -146,7 +128,7 @@ def recon_loss(adj: np.ndarray, z_hat: np.ndarray, gamma: float = 2.0,
         on_edge = d_cos / np.where(defined, denom, 1.0)
         on_self = d_cos * cos / np.where(defined, norm * norm, 1.0)
         dx = np.multiply(s, -on_self[:, None], out=tmp)
-        dx += adj[lo:hi] * on_edge[:, None]
+        dx += adj * on_edge[:, None]
         dx *= s
         dx *= np.subtract(1.0, s, out=s)
         grad[lo:hi] += dx @ z_hat

@@ -33,10 +33,6 @@ class RngStream:
             np.random.Philox(key=[self.seed, self.stream_id])
         )
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """Fresh stream under the same seed. Does not advance this one."""
-        return RngStream(self.seed, stream_id)
-
     @property
     def generator(self) -> np.random.Generator:
         return self._gen

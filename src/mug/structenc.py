@@ -80,7 +80,7 @@ def sample_all_walks(g: HetGraph, cfg: WalkConfig,
     walks_parts: List[np.ndarray] = []
     lens_parts: List[np.ndarray] = []
     for i, mp in enumerate(g.metapaths):
-        w, l = sample_walks(g, mp, cfg, rng.substream(i))
+        w, l = sample_walks(g, mp, cfg, RngStream(rng.seed, i))
         walks_parts.append(w)
         lens_parts.append(l)
     return np.concatenate(walks_parts), np.concatenate(lens_parts)

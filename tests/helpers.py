@@ -1,9 +1,12 @@
 """Graph helpers the test suites share: lookups by name and global index, a
-meta-path property, and the three-view acceptance graph spec."""
+meta-path property, views from dense matrices, and the three-view acceptance
+graph spec."""
 
 from typing import Dict
 
-from mug.hetgraph import HetGraph, MetaPath
+import numpy as np
+
+from mug.hetgraph import EdgeList, HetGraph, MetaPath
 
 
 def type_of_global(g: HetGraph, g_idx: int) -> str:
@@ -22,6 +25,11 @@ def is_palindromic(mp: MetaPath) -> bool:
 
 def metapath(g: HetGraph, name: str) -> MetaPath:
     return next(mp for mp in g.metapaths if mp.name == name)
+
+
+def view_of(adj: np.ndarray) -> EdgeList:
+    """The EdgeList of a square bool matrix's entries."""
+    return EdgeList.from_pairs(len(adj), *np.nonzero(adj))
 
 
 def three_view_spec(attr_dim: int = 19, centroid_scale: float = 0.0,

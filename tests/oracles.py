@@ -209,12 +209,60 @@ def dense_normalized_operator(adj):
 
 
 def dense_edges(edges):
-    """The bool adjacency an EdgeList stands for (both directions if symmetric)."""
+    """The bool adjacency an EdgeList stands for."""
     out = np.zeros(edges.shape, dtype=bool)
     out[edges.rows, edges.cols] = True
-    if edges.symmetric:
-        out[edges.cols, edges.rows] = True
     return out
+
+
+# -- dense view builder, as it was ---------------------------------------------------
+# The join scattered into a dense N x N bool matrix, and the edge list was read
+# back out of it, upper triangle only when the matrix equalled its transpose.
+# hetgraph.metapath_edges must list the same entries with the same flag.
+
+
+def metapath_adjacency(g, mp):
+    """Binary target x target adjacency: (u,v)=1 iff some path instance joins them.
+
+    The steps are joined as edge lists: every (start, node) pair reached so
+    far is extended by the node's neighbours under the next step's CSR, then
+    deduplicated by a boolean scatter. Path counts are discarded and the
+    diagonal is cleared (self-reachability via a palindromic path is trivial).
+    """
+    from mug.hetgraph import step_csr
+
+    g._validate_metapath(mp)
+    n = g.counts[g.target_type]
+    indptr, dst = step_csr(g, mp, 0)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    for i in range(1, mp.length):
+        indptr, indices = step_csr(g, mp, i)
+        lo = indptr[dst]
+        deg = indptr[dst + 1] - lo
+        src = np.repeat(src, deg)
+        dst = indices[np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(len(src))]
+        if i + 1 < mp.length:   # dedupe before the next join
+            seen = np.zeros((n, g.counts[mp.types[i + 1]]), dtype=bool)
+            seen[src, dst] = True
+            src, dst = np.nonzero(seen)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[src, dst] = True
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def edge_list(adj):
+    """The edges of a view; a view is fixed, so one list serves every epoch."""
+    from mug.hetgraph import EdgeList
+
+    adj = np.asarray(adj, dtype=bool)
+    rows, cols = np.divmod(np.flatnonzero(adj), adj.shape[1])
+    symmetric = np.array_equal(adj, adj.T)
+    if symmetric:
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
+    # int32 halves what pre-training holds for the whole run; a dense view has < 2**31 rows
+    return EdgeList(adj.shape, rows.astype(np.int32), cols.astype(np.int32), symmetric)
 
 
 # -- per-repeat linear probe ----------------------------------------------------------

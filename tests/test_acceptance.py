@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import three_view_spec
+from helpers import three_view_spec, view_of
 from oracles import enumerate_pairs
 
 from mug import evalkit, fusion, gradsuite, synth
@@ -22,12 +22,8 @@ from mug.bundle import save_bundle
 from mug.cli import main as cli_main
 from mug.evalkit import SplitSpec, evaluate_embedding, f1_scores, make_splits
 from mug.fusion import TrainConfig, attention_scores, attention_weights, softmax
-from mug.hetgraph import (
-    class_frequency_baseline,
-    homophily_report,
-    metapath_adjacency,
-)
-from mug.metamae import MaskSpec, edge_list, mask_edges
+from mug.hetgraph import all_views, class_frequency_baseline, homophily_report
+from mug.metamae import MaskSpec, mask_edges
 from mug.rng import RngStream
 
 warnings.filterwarnings("ignore", message=".*shrunk.*")
@@ -113,8 +109,7 @@ def test_criterion_2_metapath_oracle():
     checked = 0
     for _ in range(100):
         g = _random_graph(rng)
-        for mp in g.metapaths:
-            got = metapath_adjacency(g, mp)
+        for mp, got in zip(g.metapaths, all_views(g).values()):
             want = enumerate_pairs(g, mp)
             assert np.array_equal(got, want), mp.name
             checked += 1
@@ -140,11 +135,11 @@ def test_criterion_4_mask_statistics():
     adj = adj | adj.T
     n_edges = int(np.triu(adj, 1).sum())
     assert n_edges >= 10_000
-    edges = edge_list(adj)
+    edges = view_of(adj)
     hits = 0
     for trial in range(100):
         masked = mask_edges(edges, MaskSpec(edge_mask_rate=0.5), RngStream(trial))
-        removed = 1.0 - len(masked.rows) / n_edges   # kept upper-triangle edges
+        removed = 1.0 - len(masked.pairs()[0]) / n_edges   # kept upper-triangle edges
         hits += 0.48 <= removed <= 0.52
     ok = hits >= 99
     report(4, ok, f"p_e=0.5 over {n_edges} edges: removed fraction in "

@@ -3,12 +3,17 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mug
 from mug import gradsuite, kernels, synth
 from mug.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def file_sha(path):
@@ -22,6 +27,15 @@ def dir_sha(path):
         h.update(name.encode())
         h.update(file_sha(os.path.join(path, name)).encode())
     return h.hexdigest()
+
+
+def run_child(args, threads=None):
+    """``python -m mug.cli`` in a child process; threads=None leaves every BLAS variable unset."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update({var: str(threads) for var in BLAS_VARS} if threads is not None else {})
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mug.__file__))
+    return subprocess.run([sys.executable, "-m", "mug.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=600)
 
 
 def tiny_spec(tmp_path, **overrides):
@@ -330,6 +344,37 @@ def test_eval_bundles_sharing_a_name_fail_before_the_work(tmp_path, monkeypatch,
     assert main(argv) == EXIT_DATA
     assert capsys.readouterr().err == (f"error: --eval-data {first} and {second} "
                                        f"share the bundle name 'B'\n")
+
+
+def test_eval_prints_each_warning_as_one_line(tmp_path, bundle, checkpoint):
+    config = str(tmp_path / "shrink.cfg")
+    with open(config, "w") as fh:   # 45 nodes left after the train draw: val/test shrink
+        fh.write("per_class_train = 5\nval_size = 40\ntest_size = 40\n")
+    proc = run_child(["eval", "--model", checkpoint, "--train-data", bundle,
+                      "--eval-data", bundle, "--repeats", "2", "--config", config])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "UserWarning" not in proc.stderr and "splits = [" not in proc.stderr
+    assert proc.stderr.splitlines() == ["warning: val/test shrunk to 22/23 "
+                                        "(45 labeled nodes left)"]
+
+
+# -- determinism across BLAS thread counts --------------------------------------------
+
+
+def test_pretrain_and_embed_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS's products change bits with its thread count from ~600 rows up
+    spec = tiny_spec(tmp_path, targets_per_class=334)
+    data = str(tmp_path / "k1")
+    assert main(["synth", "--spec", spec, "--out", data, "--seed", "1"]) == EXIT_OK
+    digests = set()
+    for threads in (None, 1, 2):
+        ckpt, emb = str(tmp_path / f"{threads}.ckpt"), str(tmp_path / f"{threads}.tsv")
+        for args in (["pretrain", "--data", data, "--out", ckpt, "--no-cse", "--epochs", "2"],
+                     ["embed", "--model", ckpt, "--data", data, "--out", emb]):
+            proc = run_child(args, threads)
+            assert proc.returncode == EXIT_OK, proc.stderr
+        digests.add((file_sha(ckpt), file_sha(emb)))
+    assert len(digests) == 1
 
 
 # -- gradcheck ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import three_view_spec
+from helpers import three_view_spec, view_of
 
 from mug import autodiff as ad
 from mug import fusion, metamae, synth
@@ -215,8 +215,9 @@ def test_full_objective_gradient_matches_fd_on_toy_instance():
     for a in adjs:
         keep = rng.random((n, n)) >= 0.5
         keep = np.triu(keep, 1) | np.triu(keep, 1).T
-        masked.append(metamae.edge_list(a & keep))
-    state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)), targets=adjs,
+        masked.append(view_of(a & keep))
+    state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)),
+                               views=[view_of(a) for a in adjs],
                                sample_idx=np.array([0, 2, 3, 5]))
     cfg = TrainConfig(lambda_align=1.0, lambda_recon=1.0, lambda_scatter=0.1,
                       sample_size=ns, unified_dim=k)
@@ -392,7 +393,7 @@ def test_mask_streams_are_distinct_for_70_views_over_3_epochs(monkeypatch):
     adj = np.triu(rng.random((n, n)) < 0.5, 1)
     adj = adj | adj.T
     adj[0, 1] = adj[1, 0] = True
-    state = fusion._GraphState(unified=rng.normal(size=(n, 5)), targets=[adj] * n_views,
+    state = fusion._GraphState(unified=rng.normal(size=(n, 5)), views=[view_of(adj)] * n_views,
                                sample_idx=np.arange(4))
     seen = []
     mask_edges = metamae.mask_edges
@@ -432,10 +433,10 @@ def test_objective_computes_each_row_block_of_scores_once_per_view(monkeypatch):
     for _ in range(n_views):
         a = np.triu(rng.random((n, n)) < 0.1, 1)
         adjs.append(a | a.T)
-    state = fusion._GraphState(unified=rng.normal(size=(n, 5)), targets=adjs,
-                               sample_idx=np.arange(4))
+    state = fusion._GraphState(unified=rng.normal(size=(n, 5)),
+                               views=[view_of(a) for a in adjs], sample_idx=np.arange(4))
     masked = [metamae.mask_edges(e, MaskSpec(), RngStream(0, i))
-              for i, e in enumerate(state.edges)]
+              for i, e in enumerate(state.views)]
     cfg = small_cfg(sample_size=4, unified_dim=3)
     calls = []
     sigmoid_rows = metamae._sigmoid_rows

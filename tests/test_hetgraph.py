@@ -5,7 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from mug import bundle as bio
 from mug import synth
 from mug.hetgraph import (
@@ -14,10 +17,11 @@ from mug.hetgraph import (
     Relation,
     SchemaError,
     UndefinedRatioError,
+    all_views,
     class_frequency_baseline,
     homophily_ratio,
     homophily_report,
-    metapath_adjacency,
+    metapath_edges,
     step_csr,
 )
 from mug.rng import RngStream
@@ -39,10 +43,14 @@ def make_graph(counts, relations, edges, metapaths=(), target="T", labels=None, 
 
 
 from oracles import enumerate_pairs  # noqa: E402  (shared with acceptance suite)
-from helpers import is_palindromic, metapath, three_view_spec  # noqa: E402
+from helpers import is_palindromic, metapath, three_view_spec, view_of  # noqa: E402
 
 
-# -- meta-path adjacency ------------------------------------------------------
+# -- meta-path views -----------------------------------------------------------
+
+
+def dense_view(g, mp):
+    return oracles.dense_edges(metapath_edges(g, mp))
 
 
 def test_two_papers_one_author():
@@ -52,7 +60,7 @@ def test_two_papers_one_author():
         {"pa": [(0, 0), (1, 0)]},
         metapaths=[("PAP", ["T", "pa", "A", "pa", "T"])],
     )
-    adj = metapath_adjacency(g, g.metapaths[0])
+    adj = dense_view(g, g.metapaths[0])
     assert adj.tolist() == [[False, True], [True, False]]
 
 
@@ -63,7 +71,7 @@ def test_disjoint_relations_give_zero_matrix():
         {"pa": [(0, 0), (1, 1)]},  # no shared intermediate with node 2
         metapaths=[("PAP", ["T", "pa", "A", "pa", "T"])],
     )
-    adj = metapath_adjacency(g, g.metapaths[0])
+    adj = dense_view(g, g.metapaths[0])
     assert adj[2].sum() == 0 and adj[:, 2].sum() == 0
     assert not adj[0, 1]  # different authors
 
@@ -98,7 +106,7 @@ def test_adjacency_matches_enumeration_oracle_100_graphs():
     for _ in range(100):
         g = _random_graph(rng)
         for mp in g.metapaths:
-            got = metapath_adjacency(g, mp)
+            got = dense_view(g, mp)
             want = enumerate_pairs(g, mp)
             assert np.array_equal(got, want), mp.name
 
@@ -131,9 +139,81 @@ def test_palindromic_views_are_symmetric():
         g = _random_graph(rng)
         for mp in g.metapaths:
             if is_palindromic(mp):
-                adj = metapath_adjacency(g, mp)
+                adj = dense_view(g, mp)
+                assert metapath_edges(g, mp).symmetric
                 assert np.array_equal(adj, adj.T)
                 assert not adj.diagonal().any()
+
+
+def assert_equals_dense_builder(g, mp):
+    """metapath_edges lists what the dense builder's matrix holds, field for field.
+
+    The full list is the matrix's np.nonzero; its pairs() are the dense
+    builder's edge list (upper triangle when symmetric), in the same order.
+    """
+    adj = oracles.metapath_adjacency(g, mp)
+    want = oracles.edge_list(adj)
+    got = metapath_edges(g, mp)
+    assert got.shape == want.shape
+    assert got.symmetric == want.symmetric, mp.name
+    rows, cols = got.pairs()
+    assert rows.dtype == cols.dtype == want.rows.dtype == want.cols.dtype == np.int32
+    assert rows.tobytes() == want.rows.tobytes(), mp.name
+    assert cols.tobytes() == want.cols.tobytes(), mp.name
+    full_rows, full_cols = np.nonzero(adj)
+    assert np.array_equal(got.rows, full_rows) and np.array_equal(got.cols, full_cols)
+    return got
+
+
+def test_views_equal_the_dense_builder_on_acceptance_graphs_a_and_b():
+    graph_a = synth.generate(synth.SynthSpec.from_dict(
+        synth.two_view_spec(attr_dim=7, centroid_scale=0.0)), RngStream(100))
+    graph_b = synth.generate(synth.SynthSpec.from_dict(
+        three_view_spec(attr_dim=19, centroid_scale=0.0)), RngStream(200))
+    for g in (graph_a, graph_b):
+        for mp in g.metapaths:
+            assert assert_equals_dense_builder(g, mp).symmetric
+    mdm = metapath(graph_b, "MDM")   # its relation is declared director -> movie
+    assert assert_equals_dense_builder(graph_b, mdm).rows.size > 0
+
+
+def test_views_equal_the_dense_builder_on_non_palindromic_paths():
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(30):
+        g = _random_graph(rng)
+        for mp in g.metapaths:   # "three" and "mix" have three steps
+            seen.add((mp.length, assert_equals_dense_builder(g, mp).symmetric))
+    assert (3, False) in seen
+    pairs = [(0, 0), (1, 0), (2, 1), (3, 1), (3, 0)]
+
+    def two_relation_graph(tb_pairs):
+        return make_graph({"T": 5, "A": 2}, [("ta", "T", "A"), ("tb", "T", "A")],
+                          {"ta": pairs, "tb": tb_pairs},
+                          metapaths=[("TAT", ["T", "ta", "A", "tb", "T"])])
+
+    same = two_relation_graph(pairs)   # every instance reversed is an instance
+    assert not is_palindromic(same.metapaths[0])
+    assert assert_equals_dense_builder(same, same.metapaths[0]).symmetric
+    fewer = two_relation_graph(pairs[:-1])   # 3 reaches 0, 0 does not reach 3
+    assert not assert_equals_dense_builder(fewer, fewer.metapaths[0]).symmetric
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_views_equal_the_dense_builder_on_random_graphs(seed):
+    g = _random_graph(np.random.default_rng(seed))
+    for mp in g.metapaths:
+        assert_equals_dense_builder(g, mp)
+
+
+def test_all_views_densify_the_lists():
+    g = _random_graph(np.random.default_rng(8))
+    views = all_views(g)
+    assert list(views) == [mp.name for mp in g.metapaths]
+    for mp in g.metapaths:
+        assert views[mp.name].dtype == bool
+        assert np.array_equal(views[mp.name], oracles.metapath_adjacency(g, mp))
 
 
 def test_metapath_must_be_target_to_target():
@@ -168,18 +248,18 @@ def _sym(n, pairs):
 
 def test_homophily_uniform_labels():
     adj = _sym(4, [(0, 1), (1, 2), (2, 3)])
-    assert homophily_ratio(adj, np.zeros(4, dtype=int)) == 1.0
+    assert homophily_ratio(view_of(adj), np.zeros(4, dtype=int)) == 1.0
 
 
 def test_homophily_hand_case_two_thirds():
     adj = _sym(4, [(0, 1), (2, 3), (0, 2)])
     labels = np.array([0, 0, 1, 1])
-    assert homophily_ratio(adj, labels) == pytest.approx(2.0 / 3.0)
+    assert homophily_ratio(view_of(adj), labels) == pytest.approx(2.0 / 3.0)
 
 
 def test_homophily_edgeless_view():
     with pytest.raises(UndefinedRatioError):
-        homophily_ratio(np.zeros((3, 3), dtype=bool), np.array([0, 1, 2]))
+        homophily_ratio(view_of(np.zeros((3, 3), dtype=bool)), np.array([0, 1, 2]))
 
 
 def test_homophily_report_excludes_undefined_view():
@@ -276,7 +356,7 @@ def test_load_dblp_style_bundle(tmp_path):
         fh.write("a0\tap\tp0\na1\tap\tp0\np0\tpc\tc0\np0\tpt\tt0\n")
     g = bio.load_bundle(d)
     assert len(g.metapaths) == 3
-    adj = metapath_adjacency(g, metapath(g, "APCPA"))
+    adj = dense_view(g, metapath(g, "APCPA"))
     assert adj[0, 1] and adj[1, 0]
 
 

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import view_of
 from oracles import dense_edges
 from mug import autodiff as ad
 from mug import metamae
 from mug.metamae import (
     DegenerateViewError,
     MaskSpec,
-    edge_list,
     encode,
     graph_conv,
     mask_edges,
@@ -25,7 +25,7 @@ from mug.rng import RngStream
 def recon_fn(adj, gamma):
     """recon_loss as a function of Ẑ for grad_check: (loss, {"Z": gradient})."""
     def fn(params):
-        loss, grad = recon_loss(adj, params["Z"], gamma)
+        loss, grad = recon_loss(view_of(adj), params["Z"], gamma)
         return loss, {"Z": grad}
     return fn
 
@@ -42,13 +42,13 @@ def sym_adj(n, pairs):
 
 def test_mask_rate_zero_keeps_everything():
     adj = sym_adj(5, [(0, 1), (1, 2), (3, 4)])
-    masked = dense_edges(mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.0), RngStream(0)))
+    masked = dense_edges(mask_edges(view_of(adj), MaskSpec(edge_mask_rate=0.0), RngStream(0)))
     assert np.array_equal(masked, adj)
 
 
 def test_mask_rate_one_removes_everything():
     adj = sym_adj(5, [(0, 1), (1, 2), (3, 4)])
-    masked = dense_edges(mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=1.0), RngStream(0)))
+    masked = dense_edges(mask_edges(view_of(adj), MaskSpec(edge_mask_rate=1.0), RngStream(0)))
     assert masked.sum() == 0
 
 
@@ -59,7 +59,7 @@ def test_mask_half_removes_half_within_binomial_band():
     adj = adj | adj.T
     n_edges = np.triu(adj, 1).sum()
     assert n_edges >= 10_000
-    masked = dense_edges(mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.5), RngStream(7)))
+    masked = dense_edges(mask_edges(view_of(adj), MaskSpec(edge_mask_rate=0.5), RngStream(7)))
     removed = 1.0 - np.triu(masked, 1).sum() / n_edges
     assert 0.48 <= removed <= 0.52
 
@@ -68,7 +68,7 @@ def test_mask_symmetric_view_stays_symmetric():
     rng = np.random.default_rng(1)
     adj = sym_adj(30, [(i, j) for i in range(30) for j in range(i + 1, 30)
                        if rng.random() < 0.3])
-    masked = dense_edges(mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.5), RngStream(3)))
+    masked = dense_edges(mask_edges(view_of(adj), MaskSpec(edge_mask_rate=0.5), RngStream(3)))
     assert np.array_equal(masked, masked.T)
     assert not (masked & ~adj).any()  # never creates edges
 
@@ -77,7 +77,7 @@ def test_mask_asymmetric_view_draws_one_uniform_per_edge_in_row_major_order():
     rng = np.random.default_rng(2)
     adj = rng.random((12, 12)) < 0.4
     adj[0, 1], adj[1, 0] = True, False
-    edges = edge_list(adj)
+    edges = view_of(adj)
     assert not edges.symmetric
     masked = dense_edges(mask_edges(edges, MaskSpec(edge_mask_rate=0.5), RngStream(4)))
     rows, cols = np.nonzero(adj)
@@ -92,7 +92,7 @@ def test_mask_asymmetric_view_draws_one_uniform_per_edge_in_row_major_order():
 
 def test_single_isolated_node_identity_conv():
     adj = np.zeros((1, 1), dtype=bool)
-    op = normalized_operator(edge_list(adj))
+    op = normalized_operator(view_of(adj))
     assert op[0, 0] == 1.0  # self-loop over degree one
     x = np.array([[2.0, -3.0]])
     out = graph_conv(op, x @ np.eye(2), np.zeros((1, 2)))
@@ -101,7 +101,7 @@ def test_single_isolated_node_identity_conv():
 
 def test_two_connected_equal_nodes_give_equal_rows():
     adj = sym_adj(2, [(0, 1)])
-    op = normalized_operator(edge_list(adj))
+    op = normalized_operator(view_of(adj))
     x = np.array([[1.0, 2.0], [1.0, 2.0]])
     w = np.random.default_rng(9).normal(size=(2, 3))
     out = encode(op, x @ w, np.zeros((1, 3)))
@@ -116,12 +116,12 @@ def test_three_node_path_matches_hand_computation():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     w = np.array([[2.0, -1.0], [0.5, 1.5]])
     want = hand_op @ x @ w
-    out = graph_conv(normalized_operator(edge_list(adj)), x @ w, np.zeros((1, 2)))
+    out = graph_conv(normalized_operator(view_of(adj)), x @ w, np.zeros((1, 2)))
     assert np.allclose(out, want)
 
 
 # -- reconstruction ---------------------------------------------------------------
-# recon_loss(adj, Ẑ) scores S = σ(ẐẐᵀ) row-blocked; these pin S itself.
+# recon_loss(view, Ẑ) scores S = σ(ẐẐᵀ) row-blocked; these pin S itself.
 
 
 def decoded_scores(z_hat):
@@ -131,7 +131,7 @@ def decoded_scores(z_hat):
 
 def test_zero_decoded_embeddings_give_half_everywhere():
     adj = np.zeros((3, 3), dtype=bool)
-    op = normalized_operator(edge_list(adj))
+    op = normalized_operator(view_of(adj))
     z = np.random.default_rng(0).normal(size=(3, 2))
     # zero decoder weight forces z_hat = 0
     z_hat = graph_conv(op, z @ np.zeros((2, 2)), np.zeros((1, 2)))
@@ -166,13 +166,13 @@ def test_sigmoid_extreme_inputs_stay_finite():
 def test_recon_loss_zero_for_proportional_rows():
     adj = np.ones((3, 3), dtype=bool)
     z_hat = np.full((3, 2), 10.0)   # σ(200) == 1.0: S equals A
-    assert recon_loss(adj, z_hat, 2.0)[0] == pytest.approx(0.0, abs=1e-12)
+    assert recon_loss(view_of(adj), z_hat, 2.0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_recon_loss_orthogonal_row_contributes_one():
     adj = np.array([[0, 1], [1, 0]], dtype=bool)
     z_hat = np.array([[10.0], [-10.0]])   # S ~ identity: orthogonal to each row
-    assert recon_loss(adj, z_hat, 2.0)[0] == pytest.approx(1.0)
+    assert recon_loss(view_of(adj), z_hat, 2.0)[0] == pytest.approx(1.0)
 
 
 def test_recon_loss_hand_case_with_zero_row_and_fd():
@@ -187,7 +187,7 @@ def test_recon_loss_hand_case_with_zero_row_and_fd():
 
     hand = np.mean([(1 - cos(adj[i].astype(float), a_hat[i])) ** gamma
                     for i in range(2)])
-    got = recon_loss(adj, z_arr, gamma)[0]
+    got = recon_loss(view_of(adj), z_arr, gamma)[0]
     assert got == pytest.approx(hand)
 
     report = ad.grad_check(recon_fn(adj, gamma), {"Z": z_arr})
@@ -196,7 +196,7 @@ def test_recon_loss_hand_case_with_zero_row_and_fd():
 
 def test_recon_loss_degenerate_view_errors():
     with pytest.raises(DegenerateViewError):
-        recon_loss(np.zeros((3, 3), dtype=bool), np.ones((3, 2)), 2.0)
+        recon_loss(view_of(np.zeros((3, 3), dtype=bool)), np.ones((3, 2)), 2.0)
 
 
 def test_recon_loss_bounds():
@@ -208,7 +208,7 @@ def test_recon_loss_bounds():
         if not adj.sum(axis=1).any():
             continue
         z_hat = rng.uniform(-3, 3, size=(4, 2))
-        val = recon_loss(adj, z_hat, gamma)[0]
+        val = recon_loss(view_of(adj), z_hat, gamma)[0]
         assert 0.0 <= val <= 2.0**gamma
 
 
@@ -232,12 +232,12 @@ def test_fused_recon_loss_matches_dense_oracle(block, monkeypatch):
     for name, adj in _views(n, rng).items():
         for gamma in (1.0, 2.0, 2.5):
             z_arr = rng.uniform(-1.5, 1.5, size=(n, k))
-            got = recon_loss(adj, z_arr, gamma)[0]
+            got = recon_loss(view_of(adj), z_arr, gamma)[0]
             assert abs(got - oracles.recon_loss(adj, z_arr, gamma)) <= 1e-12, (name, gamma)
             report = ad.grad_check(recon_fn(adj, gamma), {"Z": z_arr})
             assert report["Z"] <= 1e-4, (name, gamma, report)
     with pytest.raises(DegenerateViewError):
-        recon_loss(np.zeros((n, n), dtype=bool), np.ones((n, k)), 2.0)
+        recon_loss(view_of(np.zeros((n, n), dtype=bool)), np.ones((n, k)), 2.0)
 
 
 def test_fused_recon_gradient_does_not_depend_on_block(monkeypatch):
@@ -248,7 +248,7 @@ def test_fused_recon_gradient_does_not_depend_on_block(monkeypatch):
     grads = []
     for block in (1, 4, n, 64):
         monkeypatch.setattr(metamae, "RECON_BLOCK", block)
-        grads.append(recon_loss(adj, z_arr, 2.0)[1])
+        grads.append(recon_loss(view_of(adj), z_arr, 2.0)[1])
     for g in grads[1:]:
         assert np.max(np.abs(g - grads[0])) <= 1e-12 * np.max(np.abs(grads[0]))
 
@@ -272,7 +272,7 @@ def _oracle_views(n, rng):
 
 
 def _assert_fused_equals_two_pass(adj, z_arr, gamma, g):
-    loss, grad = recon_loss(adj, z_arr, gamma, g)
+    loss, grad = recon_loss(view_of(adj), z_arr, gamma, g)
     want_loss, back = oracles.recon_loss_two_pass(adj, z_arr, gamma)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert grad.tobytes() == back(g).tobytes()
@@ -288,7 +288,7 @@ def test_fused_recon_loss_and_scattered_operator_equal_the_oracles_bytewise(offs
     n = 2 * metamae.RECON_BLOCK + offset
     rng = np.random.default_rng(20 + offset)
     for name, adj in _oracle_views(n, rng).items():
-        edges = edge_list(adj)
+        edges = view_of(adj)
         assert np.array_equal(dense_edges(edges), adj), name
         _assert_operator_equals_dense(edges)
         _assert_operator_equals_dense(mask_edges(edges, MaskSpec(edge_mask_rate=0.5),
@@ -311,7 +311,7 @@ def test_fused_pass_and_operator_match_the_oracles_on_random_views(
         adj = np.triu(adj, 1) | np.triu(adj, 1).T
     elif not diagonal:
         np.fill_diagonal(adj, False)
-    edges = edge_list(adj)
+    edges = view_of(adj)
     _assert_operator_equals_dense(edges)
     _assert_operator_equals_dense(mask_edges(edges, MaskSpec(edge_mask_rate=0.5),
                                              RngStream(seed)))
@@ -335,11 +335,11 @@ def test_full_view_pipeline_gradient_matches_fd():
     rng = np.random.default_rng(10)
     n, d, k, ns = 6, 4, 3, 4
     adj = sym_adj(n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-    masked = mask_edges(edge_list(adj), MaskSpec(edge_mask_rate=0.5), RngStream(2))
+    masked = mask_edges(view_of(adj), MaskSpec(edge_mask_rate=0.5), RngStream(2))
     # the reconstruction term alone, on one view
     cfg = fusion.TrainConfig(lambda_align=0.0, lambda_scatter=0.0, sample_size=ns,
                              unified_dim=k)
-    state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)), targets=[adj],
+    state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)), views=[view_of(adj)],
                                sample_idx=np.array([0, 1, 3, 4]))
 
     def fn(params):
