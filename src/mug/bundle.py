@@ -196,9 +196,13 @@ def load_bundle(path: str) -> HetGraph:
             if got is None or got[0] != target:
                 raise UnknownNodeError(f"node id '{nid}' is not a target node", lpath, lineno)
             try:
-                lab[got[1]] = int(cls)
+                c = int(cls)
             except ValueError:
                 raise MalformedRowError(f"non-integer class id '{cls}'", lpath, lineno)
+            if not 0 <= c < len(lab):
+                raise MalformedRowError(f"class id {c} is outside [0, {len(lab)})",
+                                        lpath, lineno)
+            lab[got[1]] = c
         if (lab < 0).any():
             raise MalformedRowError(
                 f"labels cover {(lab >= 0).sum()} of {len(lab)} target nodes", lpath

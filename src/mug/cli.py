@@ -19,7 +19,7 @@ from . import bundle as bio
 from . import config as cfgmod
 from . import evalkit, fusion, gradsuite, synth
 from .hetgraph import class_frequency_baseline, homophily_report
-from .rng import RngStream
+from .rng import SYNTH, RngStream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,7 +67,7 @@ def cmd_synth(args) -> int:
     else:
         raw = synth.two_view_spec(centroid_scale=1.0)
     spec = synth.SynthSpec.from_dict(raw)
-    g = synth.generate(spec, RngStream(args.seed))
+    g = synth.generate(spec, RngStream(args.seed, SYNTH))
     bio.save_bundle(g, args.out)
     cfg = {"seed": args.seed, "spec": args.spec or "<built-in two-view default>"}
     cfgmod.write_echo(cfg, os.path.join(args.out, "synth.config.txt"))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fusion
 from .hetgraph import HetGraph
-from .rng import RngStream, STREAM_SPLIT
+from .rng import SPLIT, RngStream
 
 
 @dataclass
@@ -241,7 +241,7 @@ CSV_HEADER = ("variant,train_bundle,eval_bundle,shots,"
 def evaluate_embedding(z: np.ndarray, labels: np.ndarray, spec: SplitSpec,
                        report: EvalReport) -> EvalReport:
     """Repeated split/probe/score rounds appended to the report."""
-    splits = [make_splits(labels, spec, RngStream(spec.seed, STREAM_SPLIT + r))
+    splits = [make_splits(labels, spec, RngStream(spec.seed, SPLIT, r))
               for r in range(spec.repeats)]
     for s, pred in zip(splits, linear_probe(z, labels, splits)):
         macro, micro = f1_scores(pred, labels[s.test], int(labels.max()) + 1)

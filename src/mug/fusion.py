@@ -42,7 +42,7 @@ from . import dimalign, metamae, structenc
 from .bundle import read_text
 from .hetgraph import EdgeList, HetGraph, metapath_edges
 from .metamae import MaskSpec
-from .rng import RngStream, STREAM_INIT, STREAM_MASK, STREAM_SAMPLE
+from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream
 from .structenc import WalkConfig
 
 CHECKPOINT_MAGIC = "MUG-CKPT v3"
@@ -65,17 +65,13 @@ class TrainConfig:
     walk: WalkConfig = field(default_factory=WalkConfig)
     mask: MaskSpec = field(default_factory=MaskSpec)
 
-    def validate(self, n_views: int = 1):
-        """Check the settings; n_views is the view count of the graph to train on."""
+    def validate(self):
         for key, least in (("epochs", 0), ("sample_size", 1), ("unified_dim", 1), ("gamma", 1),
                            ("lambda_align", 0), ("lambda_recon", 0), ("lambda_scatter", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs * n_views >= 1 << 32:
-            raise ValueError(f"epochs x views must be < 2**32 to key the mask streams, "
-                             f"got {self.epochs} x {n_views}")
         self.walk.validate()
         self.mask.validate()
 
@@ -265,7 +261,7 @@ def _init_params(cfg: TrainConfig, seed: int) -> Dict[str, np.ndarray]:
         if name.endswith(".bias"):
             params[name] = np.zeros(shape)
         else:
-            params[name] = dimalign.glorot(RngStream(seed, STREAM_INIT + i), *shape)
+            params[name] = dimalign.glorot(RngStream(seed, INIT, i), *shape)
     return params
 
 
@@ -301,11 +297,11 @@ def _prepare_graph(g: HetGraph, cfg: TrainConfig) -> _GraphState:
         raise ValueError("graph declares no meta-paths")
     table = None
     if not cfg.no_cse:
-        table = structenc.train_struct_table(g, cfg.walk, RngStream(cfg.seed, 1))
+        table = structenc.train_struct_table(g, cfg.walk, RngStream(cfg.seed, STRUCT))
     unified = structenc.unify_attrs(g, table)
     views = [metapath_edges(g, mp) for mp in g.metapaths]
     sample_idx = dimalign.draw_node_sample(
-        g.counts[g.target_type], cfg.sample_size, RngStream(cfg.seed, STREAM_SAMPLE))
+        g.counts[g.target_type], cfg.sample_size, RngStream(cfg.seed, SAMPLE))
     return _GraphState(unified=unified, views=views, sample_idx=sample_idx)
 
 
@@ -319,10 +315,8 @@ def _train(state: _GraphState, cfg: TrainConfig,
     masked = None
     for epoch in range(cfg.epochs):
         if cfg.mask.resample_per_epoch or masked is None:
-            masked = []
-            for i, view in enumerate(state.views):
-                stream = RngStream(cfg.seed, STREAM_MASK + epoch * len(state.views) + i)
-                masked.append(metamae.mask_edges(view, cfg.mask, stream))
+            masked = [metamae.mask_edges(view, cfg.mask, RngStream(cfg.seed, MASK, epoch, i))
+                      for i, view in enumerate(state.views)]
 
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             parts, grads = objective(params, state, masked, cfg)
@@ -352,7 +346,7 @@ def pretrain(g: HetGraph, cfg: TrainConfig,
     The per-epoch trace rows hold the loss parts; training aborts with the
     offending epoch if the loss goes non-finite.
     """
-    cfg.validate(len(g.metapaths))
+    cfg.validate()
     return _train(_prepare_graph(g, cfg), cfg, trace)
 
 

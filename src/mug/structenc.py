@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .hetgraph import HetGraph, MetaPath, step_csr
-from .rng import RngStream, STREAM_INIT, STREAM_SGNS, STREAM_WALKS
+from .rng import SGNS, SGNS_INIT, WALKS, RngStream
 
 
 @dataclass
@@ -53,34 +53,26 @@ def sample_walks(g: HetGraph, mp: MetaPath, cfg: WalkConfig,
 
     Returns (walks, lengths): walks is (n_starts*walks_per_node, walk_length+1)
     of global node ids, -1 padded; a dead end just ends the walk early.
-    One random stream per start node keeps the draw order schedule-free;
-    the caller's stream id namespaces the per-node streams so different
-    meta-paths get independent walks.
+    Rows come in start-node order, walks_per_node rows per node, and all their
+    uniforms are one draw of shape (rows, walk_length) from rng.
     """
     cfg.validate()
     steps = [step_csr(g, mp, j) for j in range(mp.length)]
     type_off = np.array([g.offset(t) for t in mp.types[:-1]], dtype=np.int64)
 
-    n_starts = g.counts[g.target_type]
-    uniforms = np.empty((n_starts, cfg.walks_per_node, cfg.walk_length))
-    base = STREAM_WALKS + (rng.stream_id << 20)
-    for s in range(n_starts):
-        uniforms[s] = RngStream(rng.seed, base + s).uniform(
-            (cfg.walks_per_node, cfg.walk_length)
-        )
-    starts = np.repeat(np.arange(n_starts, dtype=np.int64), cfg.walks_per_node)
-    walks, lens = kernels.run_walks(steps, type_off, starts,
-                                    uniforms.reshape(len(starts), cfg.walk_length))
-    return walks, lens
+    starts = np.repeat(np.arange(g.counts[g.target_type], dtype=np.int64),
+                       cfg.walks_per_node)
+    uniforms = rng.uniform((len(starts), cfg.walk_length))
+    return kernels.run_walks(steps, type_off, starts, uniforms)
 
 
 def sample_all_walks(g: HetGraph, cfg: WalkConfig,
                      rng: RngStream) -> Tuple[np.ndarray, np.ndarray]:
-    """Pooled walk multiset over all declared meta-paths."""
+    """Pooled walk multiset over all declared meta-paths, view i from stream (WALKS, i)."""
     walks_parts: List[np.ndarray] = []
     lens_parts: List[np.ndarray] = []
     for i, mp in enumerate(g.metapaths):
-        w, l = sample_walks(g, mp, cfg, RngStream(rng.seed, i))
+        w, l = sample_walks(g, mp, cfg, RngStream(rng.seed, WALKS, i))
         walks_parts.append(w)
         lens_parts.append(l)
     return np.concatenate(walks_parts), np.concatenate(lens_parts)
@@ -139,14 +131,14 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
     if len(centers) == 0:
         raise ValueError("walks contain no context pairs (all walks length 1?)")
 
-    init = RngStream(rng.seed, STREAM_INIT + rng.stream_id)
+    init = RngStream(rng.seed, SGNS_INIT)
     center = (init.uniform((n_nodes, cfg.dim)) - 0.5) / cfg.dim
     context = np.zeros((n_nodes, cfg.dim))
 
     draw_negatives = _negative_sampler(walks, n_nodes, cfg)
     total = len(centers) * cfg.epochs
     for epoch in range(cfg.epochs):
-        stream = RngStream(rng.seed, STREAM_SGNS + (rng.stream_id << 20) + epoch)
+        stream = RngStream(rng.seed, SGNS, epoch)
         negatives = draw_negatives(stream, (len(centers), cfg.negatives))
         loss = kernels.sgns_epoch(center, context, centers, contexts, negatives,
                                   cfg.lr, cfg.lr_min, epoch * len(centers), total)

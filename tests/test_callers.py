@@ -160,3 +160,29 @@ def test_every_dataclass_field_is_read():
 
 def test_field_allowlist_names_real_fields():
     assert set(ALLOWED_FIELDS) <= {qual for qual, *_ in _fields(_modules())}
+
+
+def _rng_names(tree):
+    """Names a module imports with ``from .rng import ...``."""
+    return {a.asname or a.name for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "rng"
+            for a in n.names}
+
+
+def test_every_stream_is_keyed_by_a_named_purpose_without_arithmetic():
+    """RngStream(seed, PURPOSE, *path): a purpose imported from .rng, no packed index."""
+    bad = []
+    for mod, tree in _modules().items():
+        purposes = _rng_names(tree) - {"RngStream"}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "RngStream"):
+                continue
+            where = f"{mod}:{node.lineno}"
+            purpose = node.args[1] if len(node.args) > 1 else None
+            if not (isinstance(purpose, ast.Name) and purpose.id in purposes):
+                bad.append(f"{where}: purpose is not a name imported from .rng")
+            if node.keywords or any(isinstance(n, ast.BinOp)
+                                    for arg in node.args for n in ast.walk(arg)):
+                bad.append(f"{where}: arithmetic or keywords in the key")
+    assert not bad, bad

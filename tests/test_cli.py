@@ -3,11 +3,15 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mug
 from mug import gradsuite, kernels, synth
@@ -155,6 +159,18 @@ def test_homophily_average_is_mean_of_views(tmp_path, capsys, bundle):
 def test_homophily_unlabeled_bundle_errors(tmp_path, bundle):
     os.remove(os.path.join(bundle, "labels.tsv"))
     assert main(["homophily", "--data", bundle]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("cls", ["100000000000", "-5", "60"])
+def test_homophily_class_id_out_of_range_names_its_line(bundle, capsys, cls):
+    path = os.path.join(bundle, "labels.tsv")
+    lines = open(path).read().splitlines()
+    lines[2] = lines[2].split("\t")[0] + "\t" + cls
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert main(["homophily", "--data", bundle]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: class id {cls} is outside [0, 60)"), err
 
 
 # -- pretrain -------------------------------------------------------------------
@@ -502,6 +518,78 @@ def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, da
                  "--out", str(tmp_path / "z.tsv")]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {message}"), err
+
+
+# -- malformed input, at random ----------------------------------------------------
+
+
+TABLES = ("nodes.tsv", "edges.tsv", "features.paper.tsv", "labels.tsv")
+TOKENS = st.one_of(st.text(max_size=8), st.integers().map(str),
+                   st.sampled_from(["", "nan", "inf", "-0", "paper", "author", "pa",
+                                    "p0", "a0", "1e400", "\t", "\n", "\r"]))
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A 21-node bundle and a 1-epoch --no-cse checkpoint with 4 x 3 weights."""
+    root = tmp_path_factory.mktemp("tiny")
+    out = str(root / "bundle")
+    aux = [{"name": "author", "size": 6}, {"name": "subject", "size": 3}]
+    assert main(["synth", "--spec", tiny_spec(root, targets_per_class=4, aux_types=aux),
+                 "--out", out]) == EXIT_OK
+    cfg = str(root / "run.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("epochs = 1\nsample_size = 4\nunified_dim = 3\n")
+    ckpt = str(root / "model.ckpt")
+    assert main(["pretrain", "--data", out, "--config", cfg, "--no-cse",
+                 "--out", ckpt]) == EXIT_OK
+    return out, ckpt
+
+
+@settings(max_examples=50, deadline=None)
+@given(table=st.sampled_from(TABLES), line=st.integers(0, 10**6),
+       cell=st.integers(0, 10**6), token=TOKENS)
+def test_homophily_on_a_bundle_with_one_random_cell_never_raises(tiny_run, table, line,
+                                                                  cell, token):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = shutil.copytree(tiny_run[0], os.path.join(tmp, "b"))
+        path = os.path.join(data, table)
+        with open(path, encoding="utf-8") as fh:
+            rows = [r.split("\t") for r in fh.read().splitlines()]
+        row = rows[line % len(rows)]
+        row[cell % len(row)] = token
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join("\t".join(r) + "\n" for r in rows))
+        assert main(["homophily", "--data", data]) in (EXIT_OK, EXIT_DATA)
+
+
+def _not_a_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=50, deadline=None)
+@given(line=st.integers(0, 10**6),
+       token=st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
+                     min_size=1, max_size=12).filter(_not_a_number))
+def test_embed_with_one_corrupt_checkpoint_line_exits_with_data_error(tiny_run, line,
+                                                                      token):
+    """A non-numeric token without spaces leaves no checkpoint line valid: not a
+    header, a section name, a 'key value' pair or a row of numbers."""
+    data, ckpt = tiny_run
+    with open(ckpt, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")[:-1]
+    i = line % len(lines)
+    assume(token != lines[i])
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "bad.ckpt")
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines[:i] + [token] + lines[i + 1:]) + "\n")
+        assert main(["embed", "--model", bad, "--data", data,
+                     "--out", os.path.join(tmp, "z.tsv")]) == EXIT_DATA
 
 
 @pytest.mark.parametrize("damage", [

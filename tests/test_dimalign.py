@@ -5,7 +5,7 @@ import pytest
 
 from mug import autodiff as ad
 from mug import dimalign
-from mug.rng import RngStream
+from mug.rng import INIT, SAMPLE, RngStream
 
 
 def test_zero_column_gives_bias():
@@ -110,18 +110,18 @@ def test_align_loss_nonnegative_zero_iff_centered():
 
 
 def test_node_sample_replacement_rule():
-    small = dimalign.draw_node_sample(5, 16, RngStream(0, 1))
+    small = dimalign.draw_node_sample(5, 16, RngStream(0, SAMPLE))
     assert len(small) == 16 and small.max() < 5
-    big = dimalign.draw_node_sample(100, 16, RngStream(0, 2))
+    big = dimalign.draw_node_sample(100, 16, RngStream(1, SAMPLE))
     assert len(big) == 16 and len(set(big.tolist())) == 16  # without replacement
 
 
 def test_transfer_shape_law_same_encoder_two_widths():
-    weight, bias = dimalign.glorot(RngStream(0, 3), 8, 5), np.zeros((1, 5))
+    weight, bias = dimalign.glorot(RngStream(0, INIT, 0), 8, 5), np.zeros((1, 5))
     rng = np.random.default_rng(4)
     for d in (7, 19):
         x = rng.normal(size=(12, d))
-        idx = dimalign.draw_node_sample(12, 8, RngStream(0, 4))
+        idx = dimalign.draw_node_sample(12, 8, RngStream(2, SAMPLE))
         s = dimalign.basis_vectors(weight, bias, x[idx])
         out = dimalign.project(s, x)
         assert out.shape == (12, 5)

@@ -16,7 +16,7 @@ from mug.evalkit import (
     linear_probe,
     make_splits,
 )
-from mug.rng import RngStream
+from mug.rng import SPLIT, RngStream
 from mug.structenc import WalkConfig
 
 
@@ -212,7 +212,7 @@ def oracle_case(name):
         spec = SplitSpec(per_class_train=20, val_size=20, test_size=30, repeats=4)
     elif name == "mirror_classes":
         return mirror_case()
-    splits = [make_splits(labels, spec, RngStream(11, r)) for r in range(spec.repeats)]
+    splits = [make_splits(labels, spec, RngStream(11, SPLIT, r)) for r in range(spec.repeats)]
     return z, labels, splits
 
 
