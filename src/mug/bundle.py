@@ -8,6 +8,7 @@ load/save cycle is bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Dict, List, Optional
 
@@ -173,6 +174,8 @@ def load_bundle(path: str) -> HetGraph:
                 rows[got[1]] = [float(v) for v in vals]
             except ValueError:
                 raise MalformedRowError("non-numeric feature value", fpath, lineno)
+            if not all(map(math.isfinite, rows[got[1]])):
+                raise MalformedRowError("non-finite feature value", fpath, lineno)
         if len(rows) != counts[t]:
             raise MalformedRowError(
                 f"features cover {len(rows)} of {counts[t]} '{t}' nodes", fpath

@@ -19,7 +19,7 @@ from . import bundle as bio
 from . import config as cfgmod
 from . import evalkit, fusion, gradsuite, synth
 from .hetgraph import class_frequency_baseline, homophily_report
-from .rng import SYNTH, RngStream
+from .rng import SYNTH, RngStream, check_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,6 +58,7 @@ def _resolved(args, flag_keys: Dict[str, str]) -> Dict[str, object]:
 
 
 def cmd_synth(args) -> int:
+    check_seed(args.seed)
     if args.spec:
         try:
             raw = json.loads(bio.read_text(args.spec))
@@ -143,6 +144,7 @@ def cmd_pretrain(args) -> int:
 def cmd_embed(args) -> int:
     stem, _ = os.path.splitext(args.out)
     _check_outputs(args.out, stem + ".beta.csv", _echo_path(args.out))
+    check_seed(args.seed)
     model = fusion.load_checkpoint(args.model)
     g = bio.load_bundle(args.data)
     z, beta = fusion.embed(model, g, seed=args.seed)

@@ -5,16 +5,21 @@ full-batch gradient descent on frozen embeddings, with model selection on
 validation Macro-F1. Repeats draw fresh splits from per-repeat random
 streams; everything downstream of the embedding is deterministic.
 
-All repeats of an evaluation train as one stack: make_splits gives every
-repeat of a spec the same train, val and test sizes, so each gradient step
-is one stacked matmul over (repeats, rows, dims) and every repeat's
-validation Macro-F1 comes from one bincount. Per slice, the stacked matmul
-runs the same BLAS product as a single probe would, so predictions keep
-their bits.
+The repeats of an evaluation are cut into one contiguous group per core the
+process may use, when each group has enough rows to pay for its thread, and
+each group trains as one stack on its own thread: make_splits gives every repeat of a spec the same train, val and test sizes,
+so each gradient step is one stacked matmul over (repeats, rows, dims). Per
+slice, the stacked matmul runs the same BLAS product as a single probe
+would. The softmax, the bias add, the argmax and the F1 counts run column by
+column over the few classes, with the bits of NumPy's reductions over that
+axis. So every repeat's predictions have the same bytes at any group count.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import fusion
 from .hetgraph import HetGraph
-from .rng import SPLIT, RngStream
+from .rng import SPLIT, RngStream, check_seed
 
 
 @dataclass
@@ -53,6 +58,7 @@ class SplitSpec:
                                 ("test_size", self.test_size, 1)):
             if value < low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -131,16 +137,24 @@ PROBE_STEPS = 500       # full-batch gradient steps
 PROBE_LR = 0.5          # learning rate, decayed linearly towards PROBE_LR_END
 PROBE_LR_END = 0.01
 PROBE_L2 = 1e-4         # weight decay on the probe weights
+# Train + val rows a step that each thread needs. With fewer, waits for the
+# interpreter lock cost more than a core gives: on 2 cores, two groups of
+# 5,700 rows took 1.2x one thread's time, and two of 7,200 rows 0.93x.
+PROBE_GROUP_ROWS = 8000
 
 
 def linear_probe(z: np.ndarray, labels: np.ndarray,
                  splits: Sequence[Splits]) -> np.ndarray:
-    """Train one probe per split as one stack; (R, n_test) test predictions.
+    """Train one probe per split; (R, n_test) test predictions, in split order.
 
     Each probe trains on its train rows and keeps the step with the best
     validation Macro-F1 (the first such step), or its final step when there
     is no validation set. Every split must have the same train, val and test
-    sizes, which make_splits gives all repeats of a spec.
+    sizes, which make_splits gives all repeats of a spec. The repeats are cut
+    into one contiguous group per core this process may use, at most one per
+    repeat and per PROBE_GROUP_ROWS rows a step, and each group trains as one
+    stack on its own thread; the predictions have the same bytes at any
+    group count.
     """
     y = np.asarray(labels)
     if len({(len(s.train), len(s.val), len(s.test)) for s in splits}) != 1:
@@ -149,39 +163,82 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     for s in splits:
         if np.count_nonzero(np.bincount(y[s.train])) < 2:
             raise ValueError("probe needs at least two classes in the train split")
-    n_classes, repeats = int(y.max()) + 1, len(splits)
-    train = np.stack([s.train for s in splits])
-    val = np.stack([s.val for s in splits])
-    test = np.stack([s.test for s in splits])
+    rows = len(splits) * (len(splits[0].train) + len(splits[0].val))
+    groups = max(1, min(_cores(), len(splits), rows // PROBE_GROUP_ROWS))
+    n_classes = int(y.max()) + 1
+    jobs = list(zip(*(np.array_split(np.stack([getattr(s, part) for s in splits]), groups)
+                      for part in ("train", "val", "test"))))
+    out: list = [None] * groups
+
+    def work(i):
+        try:
+            out[i] = _probe_stack(z, y, n_classes, *jobs[i])
+        except BaseException as exc:   # raised again in the caller's thread
+            out[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, groups)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    for o in out:
+        if isinstance(o, BaseException):
+            raise o
+    return np.concatenate(out)
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _probe_stack(z: np.ndarray, y: np.ndarray, n_classes: int, train: np.ndarray,
+                 val: np.ndarray, test: np.ndarray) -> np.ndarray:
+    """linear_probe for one group of repeats; train, val and test are (R, rows) indices.
+
+    Over the class axis it works on the C column views, with the bits of
+    NumPy's reductions: those are slow over a short last axis.
+    """
     x_train = z[train]                                  # (R, n, d)
     x_train_t = x_train.transpose(0, 2, 1)             # a view, as x.T is: a copy changes bits
     onehot = np.eye(n_classes)[y[train]]
     x_val = z[val]
-    # bincount slots repeat * n_classes + class score every repeat at once
-    slot = np.arange(repeats)[:, None] * n_classes
-    val_slots = slot + y[val]
-    val_true = np.bincount(val_slots.ravel(), minlength=repeats * n_classes)
+    val_true = [y[val] == c for c in range(n_classes)]
+    true_counts = np.stack([np.count_nonzero(t, axis=1) for t in val_true], axis=1)
 
+    repeats, n = train.shape
     w = np.zeros((repeats, z.shape[1], n_classes))
     b = np.zeros((repeats, 1, n_classes))
     best_macro = np.full(repeats, -1.0)
     best_w, best_b = w.copy(), b.copy()
     val_scores = np.empty((repeats, val.shape[1], n_classes))   # reused: fresh ones page-fault
-    n = train.shape[1]
+    tp, predicted = np.empty((2, repeats, n_classes))
     for t in range(PROBE_STEPS):
         logits = x_train @ w + b
-        logits -= logits.max(axis=2, keepdims=True)
-        e = np.exp(logits)
-        p = e / e.sum(axis=2, keepdims=True)
-        gw = x_train_t @ (p - onehot) / n + PROBE_L2 * w
-        gb = (p - onehot).mean(axis=1, keepdims=True)
+        cols = list(np.moveaxis(logits, -1, 0))
+        peak = functools.reduce(np.maximum, cols)
+        for col in cols:
+            col -= peak
+        p = np.exp(logits)
+        total = _sum_last(p)
+        for col in np.moveaxis(p, -1, 0):
+            col /= total
+        p -= onehot                                     # now p - onehot
+        gw = x_train_t @ p / n + PROBE_L2 * w
+        gb = p.mean(axis=1, keepdims=True)
         lr = PROBE_LR + (PROBE_LR_END - PROBE_LR) * (t / PROBE_STEPS)
         w -= lr * gw
         b -= lr * gb
         if val.shape[1]:
-            np.add(np.matmul(x_val, w, out=val_scores), b, out=val_scores)
-            macro = _stacked_macro(slot + np.argmax(val_scores, axis=2),
-                                   val_slots, val_true, n_classes)
+            cols = list(np.moveaxis(np.matmul(x_val, w, out=val_scores), -1, 0))
+            for col, bias in zip(cols, np.moveaxis(b, -1, 0)):
+                col += bias
+            for c, (hit, truth) in enumerate(zip(_first_max(cols), val_true)):
+                predicted[:, c] = np.count_nonzero(hit, axis=1)
+                tp[:, c] = np.count_nonzero(hit & truth, axis=1)
+            macro = _per_class_f1(tp, predicted - tp, true_counts - tp).mean(axis=1)
             better = macro > best_macro
             best_macro[better] = macro[better]
             best_w[better] = w[better]
@@ -192,15 +249,20 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     return np.argmax(z[test] @ best_w + best_b, axis=2)
 
 
-def _stacked_macro(pred_slots: np.ndarray, true_slots: np.ndarray,
-                   true_counts: np.ndarray, n_classes: int) -> np.ndarray:
-    """f1_scores' macro for every repeat, from (R, n) repeat * n_classes + class slots."""
-    size = len(true_counts)
-    tp = np.bincount(true_slots[pred_slots == true_slots], minlength=size)
-    pred_counts = np.bincount(pred_slots.ravel(), minlength=size)
-    tp, fp, fn = (np.asarray(c, dtype=np.float64).reshape(-1, n_classes)
-                  for c in (tp, pred_counts - tp, true_counts - tp))
-    return _per_class_f1(tp, fp, fn).mean(axis=1)
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1), bit for bit: NumPy adds fewer than 8 terms left to right."""
+    if a.shape[-1] >= 8:    # and more pairwise
+        return a.sum(axis=-1)
+    return functools.reduce(np.add, np.moveaxis(a, -1, 0))
+
+
+def _first_max(cols: List[np.ndarray]) -> List[np.ndarray]:
+    """Per column c, where np.argmax over the columns is c; a row with a NaN has none."""
+    top, seen, hits = functools.reduce(np.maximum, cols), False, []
+    for col in cols:
+        hits.append((col == top) > seen)    # a maximum, and no earlier column was
+        seen = seen | hits[-1]
+    return hits
 
 
 @dataclass

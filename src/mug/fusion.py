@@ -42,7 +42,7 @@ from . import dimalign, metamae, structenc
 from .bundle import read_text
 from .hetgraph import EdgeList, HetGraph, metapath_edges
 from .metamae import MaskSpec
-from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream
+from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream, check_seed
 from .structenc import WalkConfig
 
 CHECKPOINT_MAGIC = "MUG-CKPT v3"
@@ -72,6 +72,7 @@ class TrainConfig:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        check_seed(self.seed)
         self.walk.validate()
         self.mask.validate()
 

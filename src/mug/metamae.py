@@ -110,10 +110,12 @@ def recon_loss(view: EdgeList, z_hat: np.ndarray, gamma: float = 2.0,
     scale = (-g / n_valid) * gamma
     base = np.empty(n)
     grad = np.zeros_like(z_hat)
-    for lo in range(0, n, RECON_BLOCK):
+    starts = range(0, n, RECON_BLOCK)
+    # each block's entries; a needle of the rows' dtype spares a cast of the whole list
+    bounds = np.searchsorted(view.rows, np.array([*starts, n], dtype=view.rows.dtype))
+    for lo, a, b in zip(starts, bounds[:-1], bounds[1:]):
         hi = min(lo + RECON_BLOCK, n)
         adj = np.zeros((hi - lo, n), dtype=bool)
-        a, b = np.searchsorted(view.rows, [lo, hi])   # the block's entries
         adj[view.rows[a:b] - lo, view.cols[a:b]] = True
         s = _sigmoid_rows(z_hat, lo, hi)
         tmp = adj * s

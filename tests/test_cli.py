@@ -303,6 +303,49 @@ def test_eval_multiple_bundles_model_untouched(tmp_path, checkpoint, capsys):
     assert len(rows) == 4  # header + 3 bundles
 
 
+def test_eval_csv_bytes_do_not_depend_on_the_probe_worker_count(tmp_path, monkeypatch,
+                                                                bundle, checkpoint):
+    from mug import evalkit
+    digests = set()
+    for count in (1, 2):
+        monkeypatch.setattr(evalkit, "_cores", lambda: count)
+        monkeypatch.setattr(evalkit, "PROBE_GROUP_ROWS", 1)
+        out = str(tmp_path / f"report{count}.csv")
+        assert main(["eval", "--model", checkpoint, "--train-data", bundle,
+                     "--eval-data", bundle, "--repeats", "5", "--config",
+                     tiny_config(tmp_path), "--out", out]) == EXIT_OK
+        digests.add(file_sha(out))
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["synth", "pretrain", "embed", "eval", "eval --shots"])
+def test_seed_outside_64_bits_fails_before_the_work(tmp_path, monkeypatch, capsys, command,
+                                                     seed):
+    # RngStream keys on the seed mod 2**64: -1 would alias 2**64 - 1, and 2**64 alias 0
+    from mug import bundle, fusion
+    monkeypatch.setattr(bundle, "load_bundle", _no_work)
+    monkeypatch.setattr(fusion, "load_checkpoint", _no_work)
+    monkeypatch.setattr(synth, "generate", _no_work)
+    data, model = str(tmp_path / "bundle"), str(tmp_path / "model.ckpt")
+    argv = {
+        "synth": ["synth", "--out", data],
+        "pretrain": ["pretrain", "--data", data, "--out", model],
+        "embed": ["embed", "--model", model, "--data", data, "--out", str(tmp_path / "z.tsv")],
+        "eval": ["eval", "--model", model, "--train-data", data, "--eval-data", data],
+        "eval --shots": ["eval", "--model", model, "--train-data", data, "--eval-data", data,
+                         "--shots", "1"],
+    }[command]
+    assert main(argv + ["--seed", str(seed)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_the_ends_of_the_range_are_accepted(tmp_path, seed):
+    assert main(["synth", "--spec", tiny_spec(tmp_path), "--out", str(tmp_path / "b"),
+                 "--seed", str(seed)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("setting, key, value", [
     ("--repeats 0", "repeats", 0),
     ("--repeats -1", "repeats", -1),
@@ -372,6 +415,20 @@ def test_eval_prints_each_warning_as_one_line(tmp_path, bundle, checkpoint):
     assert "UserWarning" not in proc.stderr and "splits = [" not in proc.stderr
     assert proc.stderr.splitlines() == ["warning: val/test shrunk to 22/23 "
                                         "(45 labeled nodes left)"]
+
+
+# -- process start --------------------------------------------------------------------
+
+
+def test_cli_import_loads_no_heavy_module():
+    # every command pays its imports: scipy.sparse alone costs ~0.2 s and ~22 MB RSS
+    code = ("import sys, mug.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'multiprocessing') or m.startswith('concurrent.futures')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mug.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- determinism across BLAS thread counts --------------------------------------------
@@ -590,6 +647,19 @@ def test_embed_with_one_corrupt_checkpoint_line_exits_with_data_error(tiny_run, 
             fh.write("\n".join(lines[:i] + [token] + lines[i + 1:]) + "\n")
         assert main(["embed", "--model", bad, "--data", data,
                      "--out", os.path.join(tmp, "z.tsv")]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1e999"])
+def test_non_finite_feature_names_its_file_and_line(tmp_path, bundle, capsys, value):
+    path = os.path.join(bundle, "features.paper.tsv")
+    with open(path) as fh:
+        rows = fh.read().splitlines()
+    cells = rows[5].split("\t")
+    rows[5] = "\t".join(cells[:2] + [value] + cells[3:])
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    assert main(["pretrain", "--data", bundle, "--out", str(tmp_path / "m.ckpt")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}:6: non-finite feature value\n"
 
 
 @pytest.mark.parametrize("damage", [
