@@ -5,21 +5,19 @@ full-batch gradient descent on frozen embeddings, with model selection on
 validation Macro-F1. Repeats draw fresh splits from per-repeat random
 streams; everything downstream of the embedding is deterministic.
 
-The repeats of an evaluation are cut into one contiguous group per core the
-process may use, when each group has enough rows to pay for its thread, and
-each group trains as one stack on its own thread: make_splits gives every repeat of a spec the same train, val and test sizes,
-so each gradient step is one stacked matmul over (repeats, rows, dims). Per
-slice, the stacked matmul runs the same BLAS product as a single probe
-would. The softmax, the bias add, the argmax and the F1 counts run column by
-column over the few classes, with the bits of NumPy's reductions over that
-axis. So every repeat's predictions have the same bytes at any group count.
+All repeats of an evaluation train as one stack on one thread: make_splits
+gives every repeat of a spec the same train, val and test sizes, so each
+gradient step is one stacked matmul over (repeats, rows, dims). Per slice,
+the stacked matmul runs the same BLAS product as a single probe would. The
+softmax, the bias add and the validation argmax run on the few class columns
+one at a time, with the bits of NumPy's reductions over that axis, and every
+repeat's validation Macro-F1 comes from one bincount of confusion slots. So
+every repeat's predictions have the bytes a probe trained alone would give.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -137,24 +135,16 @@ PROBE_STEPS = 500       # full-batch gradient steps
 PROBE_LR = 0.5          # learning rate, decayed linearly towards PROBE_LR_END
 PROBE_LR_END = 0.01
 PROBE_L2 = 1e-4         # weight decay on the probe weights
-# Train + val rows a step that each thread needs. With fewer, waits for the
-# interpreter lock cost more than a core gives: on 2 cores, two groups of
-# 5,700 rows took 1.2x one thread's time, and two of 7,200 rows 0.93x.
-PROBE_GROUP_ROWS = 8000
 
 
 def linear_probe(z: np.ndarray, labels: np.ndarray,
                  splits: Sequence[Splits]) -> np.ndarray:
-    """Train one probe per split; (R, n_test) test predictions, in split order.
+    """Train one probe per split as one stack; (R, n_test) test predictions.
 
     Each probe trains on its train rows and keeps the step with the best
     validation Macro-F1 (the first such step), or its final step when there
     is no validation set. Every split must have the same train, val and test
-    sizes, which make_splits gives all repeats of a spec. The repeats are cut
-    into one contiguous group per core this process may use, at most one per
-    repeat and per PROBE_GROUP_ROWS rows a step, and each group trains as one
-    stack on its own thread; the predictions have the same bytes at any
-    group count.
+    sizes, which make_splits gives all repeats of a spec.
     """
     y = np.asarray(labels)
     if len({(len(s.train), len(s.val), len(s.test)) for s in splits}) != 1:
@@ -163,67 +153,44 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     for s in splits:
         if np.count_nonzero(np.bincount(y[s.train])) < 2:
             raise ValueError("probe needs at least two classes in the train split")
-    rows = len(splits) * (len(splits[0].train) + len(splits[0].val))
-    groups = max(1, min(_cores(), len(splits), rows // PROBE_GROUP_ROWS))
-    n_classes = int(y.max()) + 1
-    jobs = list(zip(*(np.array_split(np.stack([getattr(s, part) for s in splits]), groups)
-                      for part in ("train", "val", "test"))))
-    out: list = [None] * groups
-
-    def work(i):
-        try:
-            out[i] = _probe_stack(z, y, n_classes, *jobs[i])
-        except BaseException as exc:   # raised again in the caller's thread
-            out[i] = exc
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, groups)]
-    for t in threads:
-        t.start()
-    work(0)
-    for t in threads:
-        t.join()
-    for o in out:
-        if isinstance(o, BaseException):
-            raise o
-    return np.concatenate(out)
-
-
-def _cores() -> int:
-    """The number of cores this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _probe_stack(z: np.ndarray, y: np.ndarray, n_classes: int, train: np.ndarray,
-                 val: np.ndarray, test: np.ndarray) -> np.ndarray:
-    """linear_probe for one group of repeats; train, val and test are (R, rows) indices.
-
-    Over the class axis it works on the C column views, with the bits of
-    NumPy's reductions: those are slow over a short last axis.
-    """
+    n_classes, repeats = int(y.max()) + 1, len(splits)
+    train = np.stack([s.train for s in splits])
+    val = np.stack([s.val for s in splits])
+    test = np.stack([s.test for s in splits])
     x_train = z[train]                                  # (R, n, d)
     x_train_t = x_train.transpose(0, 2, 1)             # a view, as x.T is: a copy changes bits
     onehot = np.eye(n_classes)[y[train]]
     x_val = z[val]
-    val_true = [y[val] == c for c in range(n_classes)]
-    true_counts = np.stack([np.count_nonzero(t, axis=1) for t in val_true], axis=1)
+    # bincount slots repeat * n_classes + class count every repeat at once, and
+    # slots (repeat * n_classes + true class) * n_classes + predicted class give
+    # every repeat's confusion matrix
+    true_slots = np.arange(repeats)[:, None] * n_classes + y[val]
+    true_counts = np.bincount(true_slots.ravel(), minlength=repeats * n_classes)
+    true_counts = true_counts.reshape(repeats, n_classes)
+    confusion_slots = true_slots * n_classes
 
-    repeats, n = train.shape
     w = np.zeros((repeats, z.shape[1], n_classes))
     b = np.zeros((repeats, 1, n_classes))
     best_macro = np.full(repeats, -1.0)
     best_w, best_b = w.copy(), b.copy()
-    val_scores = np.empty((repeats, val.shape[1], n_classes))   # reused: fresh ones page-fault
-    tp, predicted = np.empty((2, repeats, n_classes))
+    n, b_cols = train.shape[1], list(np.moveaxis(b, -1, 0))
+    # The loop's large arrays are made once: until a large block has been freed,
+    # malloc maps fresh pages for each one, and a step would fault on them all.
+    p = np.empty((repeats, n, n_classes))                       # logits, then probabilities
+    p_cols = list(np.moveaxis(p, -1, 0))
+    val_scores = np.empty((repeats, val.shape[1], n_classes))
+    val_cols = np.empty((n_classes, repeats, val.shape[1]))     # class-major: contiguous columns
+    top, slots = np.empty(val.shape), np.empty(val.shape, dtype=np.intp)
     for t in range(PROBE_STEPS):
-        logits = x_train @ w + b
-        cols = list(np.moveaxis(logits, -1, 0))
-        peak = functools.reduce(np.maximum, cols)
-        for col in cols:
+        np.matmul(x_train, w, out=p)
+        for col, bias in zip(p_cols, b_cols):
+            col += bias
+        peak = functools.reduce(np.maximum, p_cols)
+        for col in p_cols:
             col -= peak
-        p = np.exp(logits)
+        np.exp(p, out=p)
         total = _sum_last(p)
-        for col in np.moveaxis(p, -1, 0):
+        for col in p_cols:
             col /= total
         p -= onehot                                     # now p - onehot
         gw = x_train_t @ p / n + PROBE_L2 * w
@@ -232,13 +199,14 @@ def _probe_stack(z: np.ndarray, y: np.ndarray, n_classes: int, train: np.ndarray
         w -= lr * gw
         b -= lr * gb
         if val.shape[1]:
-            cols = list(np.moveaxis(np.matmul(x_val, w, out=val_scores), -1, 0))
-            for col, bias in zip(cols, np.moveaxis(b, -1, 0)):
-                col += bias
-            for c, (hit, truth) in enumerate(zip(_first_max(cols), val_true)):
-                predicted[:, c] = np.count_nonzero(hit, axis=1)
-                tp[:, c] = np.count_nonzero(hit & truth, axis=1)
-            macro = _per_class_f1(tp, predicted - tp, true_counts - tp).mean(axis=1)
+            np.matmul(x_val, w, out=val_scores)
+            np.add(val_scores.transpose(2, 0, 1), b.transpose(2, 0, 1), out=val_cols)
+            _argmax_cols(val_cols, slots, top)
+            slots += confusion_slots
+            confusion = np.bincount(slots.ravel(), minlength=repeats * n_classes ** 2)
+            confusion = confusion.reshape(repeats, n_classes, n_classes)
+            tp = np.diagonal(confusion, axis1=1, axis2=2)
+            macro = _per_class_f1(tp, confusion.sum(axis=1) - tp, true_counts - tp).mean(axis=1)
             better = macro > best_macro
             best_macro[better] = macro[better]
             best_w[better] = w[better]
@@ -256,13 +224,19 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, np.moveaxis(a, -1, 0))
 
 
-def _first_max(cols: List[np.ndarray]) -> List[np.ndarray]:
-    """Per column c, where np.argmax over the columns is c; a row with a NaN has none."""
-    top, seen, hits = functools.reduce(np.maximum, cols), False, []
-    for col in cols:
-        hits.append((col == top) > seen)    # a maximum, and no earlier column was
-        seen = seen | hits[-1]
-    return hits
+def _argmax_cols(cols: np.ndarray, out: np.ndarray, top: np.ndarray) -> None:
+    """Write np.argmax(cols, axis=0) into out, from the contiguous slices of cols.
+
+    NumPy's argmax is slow over a short axis. As in it, the first maximum wins,
+    and the first NaN wins over any number. top is scratch shaped as out.
+    """
+    np.copyto(top, cols[0])
+    out.fill(0)
+    for c in range(1, len(cols)):
+        later = ~(cols[c] <= top)     # larger, or a NaN
+        later &= top == top           # and no NaN came before
+        np.maximum(out, later * c, out=out)     # c is above every earlier index
+        np.maximum(top, cols[c], out=top)
 
 
 @dataclass

@@ -303,21 +303,6 @@ def test_eval_multiple_bundles_model_untouched(tmp_path, checkpoint, capsys):
     assert len(rows) == 4  # header + 3 bundles
 
 
-def test_eval_csv_bytes_do_not_depend_on_the_probe_worker_count(tmp_path, monkeypatch,
-                                                                bundle, checkpoint):
-    from mug import evalkit
-    digests = set()
-    for count in (1, 2):
-        monkeypatch.setattr(evalkit, "_cores", lambda: count)
-        monkeypatch.setattr(evalkit, "PROBE_GROUP_ROWS", 1)
-        out = str(tmp_path / f"report{count}.csv")
-        assert main(["eval", "--model", checkpoint, "--train-data", bundle,
-                     "--eval-data", bundle, "--repeats", "5", "--config",
-                     tiny_config(tmp_path), "--out", out]) == EXIT_OK
-        digests.add(file_sha(out))
-    assert len(digests) == 1
-
-
 @pytest.mark.parametrize("seed", [-1, 2**64])
 @pytest.mark.parametrize("command", ["synth", "pretrain", "embed", "eval", "eval --shots"])
 def test_seed_outside_64_bits_fails_before_the_work(tmp_path, monkeypatch, capsys, command,

@@ -1,6 +1,5 @@
 """Split protocols, probe behaviour, F1 arithmetic, frozen-model evaluation."""
 
-import sys
 import warnings
 
 import numpy as np
@@ -254,81 +253,11 @@ def test_stacked_probe_matches_per_repeat_oracle(name):
         assert np.array_equal(got[r], oracles.linear_probe(z, labels, s)), r
 
 
-def workers(monkeypatch, count):
-    """Make linear_probe see `count` cores, and let it give a thread any rows at all."""
-    monkeypatch.setattr(evalkit, "_cores", lambda: count)
-    monkeypatch.setattr(evalkit, "PROBE_GROUP_ROWS", 1)
-
-
-@pytest.mark.parametrize("name", ORACLE_CASES)
-def test_probe_predictions_do_not_depend_on_the_worker_count(monkeypatch, name):
-    z, labels, splits = oracle_case(name)
-    got = set()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)     # switch threads often: more groups than cores
-    try:
-        for count in sorted({1, 2, 3, len(splits)}):
-            workers(monkeypatch, count)
-            got.add(linear_probe(z, labels, splits).tobytes())
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(got) == 1
-
-
-@pytest.mark.parametrize("cores, group_rows, threads", [
-    (64, 1, 3),       # at most one group per repeat; the caller's thread trains one
-    (64, 60, 1),      # 4 repeats x 30 rows a step: two groups of at least 60 rows
-    (1, 1, 0),
-    (64, evalkit.PROBE_GROUP_ROWS, 0),
-])
-def test_probe_threads_are_bounded_by_cores_repeats_and_rows(monkeypatch, cores, group_rows,
-                                                              threads):
-    started = []
-
-    class Counted(evalkit.threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(evalkit.threading, "Thread", Counted)
-    monkeypatch.setattr(evalkit, "_cores", lambda: cores)
-    monkeypatch.setattr(evalkit, "PROBE_GROUP_ROWS", group_rows)
-    z, labels, splits = oracle_case("no_val")    # 4 repeats, 30 train and 0 val rows
-    linear_probe(z, labels, splits)
-    assert len(started) == threads
-
-
-def test_probe_errors_reach_the_caller_at_every_worker_count(monkeypatch):
-    z, labels = separable_embedding()
-    a = Splits(train=np.array([0, 40]), val=np.array([1, 41]), test=np.array([2, 42]))
-    b = Splits(train=np.array([3, 43]), val=np.array([4]), test=np.array([5, 45]))
-    one_class = Splits(train=np.array([0, 1]), val=np.array([4, 44]), test=np.array([5, 45]))
-    train_on = evalkit._probe_stack
-
-    def fails_on_a_later_group(z, y, n_classes, train, *rest):
-        if train[0, 0] != 0:
-            raise MemoryError("second group")
-        return train_on(z, y, n_classes, train, *rest)
-
-    for count in (1, 2):
-        workers(monkeypatch, count)
-        with pytest.raises(ValueError, match="equal"):
-            linear_probe(z, labels, [a, b])
-        with pytest.raises(ValueError, match="two classes"):
-            linear_probe(z, labels, [a, one_class])
-    monkeypatch.setattr(evalkit, "_probe_stack", fails_on_a_later_group)
-    workers(monkeypatch, 2)
-    with pytest.raises(MemoryError, match="second group"):   # raised in a worker thread
-        linear_probe(z, labels, [a, Splits(train=np.array([3, 43]), val=np.array([4, 44]),
-                                           test=np.array([5, 45]))])
-
-
-def test_probe_with_eight_or_more_classes_matches_per_repeat_oracle(monkeypatch):
+def test_probe_with_eight_or_more_classes_matches_per_repeat_oracle():
     # from 8 classes NumPy sums a row of probabilities pairwise, not left to right
     z, labels = noisy_embedding([20] * 9, d=10, seed=2)
     spec = SplitSpec(per_class_train=3, val_size=40, test_size=40, repeats=3)
     splits = [make_splits(labels, spec, RngStream(5, SPLIT, r)) for r in range(spec.repeats)]
-    workers(monkeypatch, 2)
     got = linear_probe(z, labels, splits)
     for r, s in enumerate(splits):
         assert np.array_equal(got[r], oracles.linear_probe(z, labels, s)), r
@@ -341,13 +270,16 @@ def test_column_sum_has_the_bits_of_numpys_sum(width):
 
 
 @pytest.mark.parametrize("width", [2, 3, 4, 9])
-def test_first_max_marks_where_argmax_lands(width):
-    scores = np.round(np.random.default_rng(width).normal(size=(4, 60, width)), 1)
-    scores[0, :, 1] = scores[0, :, 0]     # exact ties: the first column wins
-    hits = evalkit._first_max(list(np.moveaxis(scores, -1, 0)))
-    assert np.array_equal(sum(c * hit for c, hit in enumerate(hits)),
-                          np.argmax(scores, axis=-1))
-    assert np.array_equal(sum(hits), np.ones(scores.shape[:-1]))
+def test_argmax_cols_matches_numpys_argmax(width):
+    rng = np.random.default_rng(width)
+    scores = np.round(rng.normal(size=(width, 4, 60)), 1)
+    scores[1, 0] = scores[0, 0]           # exact ties: the first column wins
+    for _ in range(20):                   # the first NaN wins, and inf is a number
+        scores[rng.integers(width), rng.integers(1, 4), rng.integers(60)] = rng.choice(
+            [np.nan, np.inf, -np.inf])
+    out = np.empty(scores.shape[1:], dtype=np.intp)
+    evalkit._argmax_cols(scores, out, np.empty(scores.shape[1:]))
+    assert np.array_equal(out, np.argmax(np.moveaxis(scores, 0, -1), axis=-1))
 
 
 def test_reversed_splits_reverse_the_predictions():
