@@ -164,6 +164,8 @@ def load_bundle(path: str) -> HetGraph:
             got = lookup.get(nid)
             if got is None or got[0] != t:
                 raise UnknownNodeError(f"node id '{nid}' is not a '{t}' node", fpath, lineno)
+            if got[1] in rows:
+                raise MalformedRowError(f"second feature row for node '{nid}'", fpath, lineno)
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
@@ -198,6 +200,8 @@ def load_bundle(path: str) -> HetGraph:
             got = lookup.get(nid)
             if got is None or got[0] != target:
                 raise UnknownNodeError(f"node id '{nid}' is not a target node", lpath, lineno)
+            if lab[got[1]] >= 0:
+                raise MalformedRowError(f"second label row for node '{nid}'", lpath, lineno)
             try:
                 c = int(cls)
             except ValueError:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from .bundle import read_text
-from .evalkit import SplitSpec
+from .evalkit import KSHOT_REPEATS, SplitSpec
 from .fusion import TrainConfig, config_fields
 
 
@@ -63,7 +63,7 @@ def defaults() -> Dict[str, object]:
     train = {path: value for path, _, _, value in config_fields(TrainConfig())}
     out = {key: train[path] for key, path in TRAIN_FIELDS.items()}
     out.update({key: getattr(SplitSpec(), key) for key in SPLIT_FIELDS})
-    out["kshot_repeats"] = SplitSpec.kshot(1).repeats
+    out["kshot_repeats"] = KSHOT_REPEATS
     return out
 
 
@@ -112,10 +112,14 @@ def to_train_config(cfg: Dict[str, object]) -> TrainConfig:
 
 
 def to_split_spec(cfg: Dict[str, object], shots: int = 0) -> SplitSpec:
-    """The eval split protocol, validated (ValueError naming the bad key)."""
-    if shots:
-        spec = SplitSpec.kshot(shots, repeats=cfg["kshot_repeats"], seed=cfg["seed"])
-    else:
-        spec = SplitSpec(**{key: cfg[key] for key in SPLIT_FIELDS}, seed=cfg["seed"])
-    spec.validate()
+    """The eval split protocol, validated (ValueError naming the bad key).
+
+    A k-shot run (shots = k) trains on k nodes per class and takes its repeats
+    from kshot_repeats; every other setting is the standard protocol's.
+    """
+    repeats_key = "kshot_repeats" if shots else "repeats"
+    spec = SplitSpec(per_class_train=shots or cfg["per_class_train"],
+                     val_size=cfg["val_size"], test_size=cfg["test_size"],
+                     repeats=cfg[repeats_key], seed=cfg["seed"])
+    spec.validate(repeats_key)
     return spec

@@ -1,5 +1,8 @@
 """Frozen-embedding evaluation: stratified splits, linear probe, Macro/Micro-F1.
 
+evaluate_embedding maps (embedding, labels, SplitSpec) to per-repeat scores;
+it never sees a model or a graph, and its caller names and formats the report.
+
 The probe is L2-regularized multinomial logistic regression trained by
 full-batch gradient descent on frozen embeddings, with model selection on
 validation Macro-F1. Repeats draw fresh splits from per-repeat random
@@ -19,37 +22,31 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import fusion
-from .hetgraph import HetGraph
 from .rng import SPLIT, RngStream, check_seed
+
+KSHOT_REPEATS = 20      # the default of config key kshot_repeats
 
 
 @dataclass
 class SplitSpec:
-    mode: str = "standard"          # "standard" or "kshot"
-    per_class_train: int = 60       # k when mode == "kshot"
+    """One evaluation protocol; a k-shot run has per_class_train = k."""
+
+    per_class_train: int = 60
     val_size: int = 1000
     test_size: int = 1000
-    repeats: int = 50               # convention: 20 for kshot
+    repeats: int = 50
     seed: int = 0
 
-    @staticmethod
-    def kshot(k: int, repeats: int = 20, seed: int = 0) -> "SplitSpec":
-        if k not in (1, 3, 5):
-            raise ValueError("k-shot evaluation supports k in {1, 3, 5}")
-        return SplitSpec(mode="kshot", per_class_train=k, repeats=repeats, seed=seed)
-
-    def validate(self):
+    def validate(self, repeats_key: str):
         """Reject settings that leave no probe to train or no test row to score.
 
-        Errors name the config key; a k-shot run takes its repeats from kshot_repeats.
+        Errors name the config key; repeats_key is the one the repeats came from.
         """
-        repeats_key = "kshot_repeats" if self.mode == "kshot" else "repeats"
         for key, value, low in ((repeats_key, self.repeats, 1),
                                 ("per_class_train", self.per_class_train, 1),
                                 ("val_size", self.val_size, 0),
@@ -97,8 +94,7 @@ def make_splits(labels: np.ndarray, spec: SplitSpec, rng: RngStream) -> Splits:
     val = rest[pick[:val_n]]
     test = rest[pick[val_n:]]
 
-    assert not (set(train) & set(val)) and not (set(train) & set(test))
-    assert not (set(val) & set(test))
+    assert np.bincount(np.concatenate([train, val, test])).max() <= 1, "splits overlap"
     return Splits(train=np.sort(train), val=np.sort(val), test=np.sort(test))
 
 
@@ -239,66 +235,13 @@ def _argmax_cols(cols: np.ndarray, out: np.ndarray, top: np.ndarray) -> None:
         np.maximum(top, cols[c], out=top)
 
 
-@dataclass
-class EvalReport:
-    variant: str
-    train_bundle: str
-    eval_bundle: str
-    shots: int                      # 0 for the standard protocol
-    macro: List[float] = field(default_factory=list)
-    micro: List[float] = field(default_factory=list)
-
-    @property
-    def macro_mean(self) -> float:
-        return float(np.mean(self.macro))
-
-    @property
-    def macro_std(self) -> float:
-        return float(np.std(self.macro))
-
-    @property
-    def micro_mean(self) -> float:
-        return float(np.mean(self.micro))
-
-    @property
-    def micro_std(self) -> float:
-        return float(np.std(self.micro))
-
-    def csv_row(self) -> str:
-        return (f"{self.variant},{self.train_bundle},{self.eval_bundle},"
-                f"{self.shots},{self.macro_mean:.6f},{self.macro_std:.6f},"
-                f"{self.micro_mean:.6f},{self.micro_std:.6f}")
-
-
-CSV_HEADER = ("variant,train_bundle,eval_bundle,shots,"
-              "macro_mean,macro_std,micro_mean,micro_std")
-
-
-def evaluate_embedding(z: np.ndarray, labels: np.ndarray, spec: SplitSpec,
-                       report: EvalReport) -> EvalReport:
-    """Repeated split/probe/score rounds appended to the report."""
+def evaluate_embedding(z: np.ndarray, labels: np.ndarray,
+                       spec: SplitSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-repeat (Macro-F1, Micro-F1) arrays of spec.repeats split/probe/score rounds."""
     splits = [make_splits(labels, spec, RngStream(spec.seed, SPLIT, r))
               for r in range(spec.repeats)]
-    for s, pred in zip(splits, linear_probe(z, labels, splits)):
-        macro, micro = f1_scores(pred, labels[s.test], int(labels.max()) + 1)
-        report.macro.append(macro)
-        report.micro.append(micro)
-    return report
-
-
-def cross_domain_eval(model: fusion.MugModel, bundles: Dict[str, HetGraph],
-                      spec: SplitSpec, train_bundle: str = "train",
-                      variant: str = "full", embed_seed: int = 0) -> List[EvalReport]:
-    """Frozen-encoder evaluation of one model on every labeled bundle."""
-    reports = []
-    shots = spec.per_class_train if spec.mode == "kshot" else 0
-    for name, g in bundles.items():
-        if g.labels is None:
-            warnings.warn(f"bundle '{name}' has no labels; skipped", stacklevel=2)
-            continue
-        z, _ = fusion.embed(model, g, seed=embed_seed)
-        report = EvalReport(variant=variant, train_bundle=train_bundle,
-                            eval_bundle=name, shots=shots)
-        reports.append(evaluate_embedding(z, g.labels, spec, report))
-    return reports
-
+    n_classes = int(labels.max()) + 1
+    scores = [f1_scores(pred, labels[s.test], n_classes)
+              for s, pred in zip(splits, linear_probe(z, labels, splits))]
+    macro, micro = np.array(scores).T
+    return macro, micro

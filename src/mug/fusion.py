@@ -25,8 +25,9 @@ Checkpoint format (UTF-8 text):
     <row values>           each followed by its rows of repr(float) values
 
 load_checkpoint parses [meta] into a TrainConfig first, then requires the
-matrix headers to equal param_shapes of that config. Any fault raises
-CheckpointError naming the file and the section; other versions are refused.
+matrix headers to equal param_shapes of that config, and every value to be
+finite. Any fault raises CheckpointError naming the file and the section;
+other versions are refused.
 """
 
 from __future__ import annotations
@@ -440,6 +441,9 @@ def _read_params(path: str, lines: List[str], cfg: TrainConfig) -> Dict[str, np.
             params[name] = np.array([[float(v) for v in row] for row in rows])
         except ValueError as exc:
             raise CheckpointError(f"{where}: {exc}") from None
+        bad = np.flatnonzero(~np.isfinite(params[name]).all(axis=1))
+        if len(bad):
+            raise CheckpointError(f"{where}: row {bad[0] + 1} has a non-finite value")
         i += 1 + r
     if i < len(lines):
         raise CheckpointError(f"{path}: [params] unexpected line after the last "

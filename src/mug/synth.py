@@ -58,6 +58,8 @@ class SynthSpec:
 
     @staticmethod
     def from_dict(d: Dict) -> "SynthSpec":
+        if not isinstance(d, dict):
+            raise SynthSpecError(f"spec must be a JSON object, got {type(d).__name__}")
         try:
             aux = [AuxType(a["name"], int(a["size"]), int(a.get("attr_dim", 0)))
                    for a in d.get("aux_types", [])]
@@ -79,7 +81,9 @@ class SynthSpec:
                 aux_centroid_scale=float(d.get("aux_centroid_scale", 0.0)),
             )
         except KeyError as exc:
-            raise SynthSpecError(f"spec missing key {exc}")
+            raise SynthSpecError(f"spec missing key {exc}") from None
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise SynthSpecError(f"malformed spec: {exc}") from None
         spec.validate()
         return spec
 
@@ -90,7 +94,13 @@ class SynthSpec:
             raise SynthSpecError("need at least 1 target node per class")
         if self.attr_dim < 0:
             raise SynthSpecError("attr_dim must be >= 0")
-        declared = {self.target_type} | {a.name for a in self.aux_types}
+        names = [self.target_type] + [a.name for a in self.aux_types]
+        if not all(isinstance(n, str) for n in names):
+            raise SynthSpecError("type names must be strings")
+        for a in self.aux_types:
+            if min(a.size, a.attr_dim) < 0:
+                raise SynthSpecError(f"aux type '{a.name}': size and attr_dim must be >= 0")
+        declared = set(names)
         if len(declared) != 1 + len(self.aux_types):
             raise SynthSpecError("duplicate type names")
         for r in self.relations:

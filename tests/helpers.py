@@ -1,12 +1,17 @@
 """Graph helpers the test suites share: lookups by name and global index, a
-meta-path property, views from dense matrices, and the three-view acceptance
-graph spec."""
+meta-path property, views from dense matrices, the three-view acceptance
+graph spec, and a strategy for the finite floats that files must round-trip."""
 
 from typing import Dict
 
 import numpy as np
+from hypothesis import strategies as st
 
 from mug.hetgraph import EdgeList, HetGraph, MetaPath
+
+# finite floats, with -0.0, subnormals and the extremes drawn often
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-320, 1e308, -1e308, 1.7976931348623157e308])
 
 
 def type_of_global(g: HetGraph, g_idx: int) -> str:

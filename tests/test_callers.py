@@ -144,6 +144,17 @@ def _fields(modules):
                         yield f"{mod}.{node.name}.{item.target.id}", mod, item.target.id
 
 
+def test_evalkit_imports_neither_fusion_nor_hetgraph():
+    # evalkit scores a frozen embedding: embedding a graph is its caller's work
+    names = set()
+    for node in ast.walk(_modules()["evalkit"]):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.name for a in node.names)
+    assert not {part for name in names for part in name.split(".")} & {"fusion", "hetgraph"}
+
+
 def test_every_dataclass_field_is_read():
     modules = _modules()
     unread = []

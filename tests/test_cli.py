@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -128,6 +129,27 @@ def test_synth_bad_spec_json_has_the_error_prefix(tmp_path, capsys):
         fh.write("{bad")
     assert main(["synth", "--spec", path, "--out", str(tmp_path / "x")]) == EXIT_DATA
     assert capsys.readouterr().err.startswith(f"error: {path}:1: invalid JSON: ")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda s: dict(s, relations=5), "malformed spec: 'int' object is not iterable"),
+    (lambda s: [s], "spec must be a JSON object, got list"),
+    (lambda s: dict(s, aux_types=[{"name": "author", "size": -4},
+                                  {"name": "subject", "size": 3}]),
+     "aux type 'author': size and attr_dim must be >= 0"),
+    (lambda s: dict(s, aux_types=[{"name": "author", "size": 4},
+                                  {"name": "subject", "size": 3, "attr_dim": -2}]),
+     "aux type 'subject': size and attr_dim must be >= 0"),
+    (lambda s: dict(s, target_type=["paper"]), "type names must be strings"),
+], ids=["relations-not-a-list", "top-level-list", "negative-aux-size",
+        "negative-aux-attr-dim", "target-type-list"])
+def test_synth_malformed_spec_exits_with_data_error(tmp_path, capsys, damage, message):
+    path, out = str(tmp_path / "spec.json"), str(tmp_path / "b")
+    with open(path, "w") as fh:
+        json.dump(damage(synth.two_view_spec(targets_per_class=5)), fh)
+    assert main(["synth", "--spec", path, "--out", out]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
 
 
 # -- homophily ------------------------------------------------------------------
@@ -301,6 +323,89 @@ def test_eval_multiple_bundles_model_untouched(tmp_path, checkpoint, capsys):
     assert file_sha(checkpoint) == before
     rows = open(str(tmp_path / "report.csv")).read().splitlines()
     assert len(rows) == 4  # header + 3 bundles
+
+
+def test_eval_reports_a_bundle_against_itself_and_leaves_the_model_untouched(
+        tmp_path, bundle, checkpoint, capsys, monkeypatch):
+    from mug import evalkit, fusion
+    loaded, scored = [], []
+    load, evaluate = fusion.load_checkpoint, evalkit.evaluate_embedding
+
+    def load_and_keep(path):
+        model = load(path)
+        loaded.append((model, {k: v.copy() for k, v in model.params.items()}))
+        return model
+
+    monkeypatch.setattr(fusion, "load_checkpoint", load_and_keep)
+    monkeypatch.setattr(evalkit, "evaluate_embedding",
+                        lambda *args: scored.append(evaluate(*args)) or scored[-1])
+    assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,
+                 "--repeats", "3", "--config", tiny_config(tmp_path)]) == EXIT_OK
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines() if l.startswith("full,")]
+    assert [row[:4] for row in rows] == [["full", "bundle", "bundle", "0"]]
+    assert [(len(macro), len(micro)) for macro, micro in scored] == [(3, 3)]
+    (model, params), = loaded
+    assert all(np.array_equal(model.params[name], value) for name, value in params.items())
+
+
+def test_eval_skips_an_unlabeled_bundle_with_a_warning(tmp_path, bundle, checkpoint, capsys):
+    unlabeled = shutil.copytree(bundle, str(tmp_path / "u"))
+    os.remove(os.path.join(unlabeled, "labels.tsv"))
+    argv = ["eval", "--model", checkpoint, "--train-data", bundle, "--repeats", "2",
+            "--config", tiny_config(tmp_path), "--eval-data", unlabeled]
+    assert main(argv + [bundle]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert [l.split(",")[2] for l in out.splitlines() if l.startswith("full,")] == ["bundle"]
+    assert err == "warning: bundle 'u' has no labels; skipped\n"
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == ("warning: bundle 'u' has no labels; skipped\n"
+                                       "error: no labeled eval bundles\n")
+
+
+def test_eval_csv_row_format(tmp_path, bundle, checkpoint):
+    out = str(tmp_path / "report.csv")
+    assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,
+                 "--repeats", "2", "--config", tiny_config(tmp_path), "--out", out]) == EXIT_OK
+    header, row = open(out).read().splitlines()
+    assert header == ("variant,train_bundle,eval_bundle,shots,"
+                      "macro_mean,macro_std,micro_mean,micro_std")
+    cells = row.split(",")
+    assert cells[:4] == ["full", "bundle", "bundle", "0"] and len(cells) == 8
+    assert all(re.fullmatch(r"\d\.\d{6}", cell) for cell in cells[4:]), row
+
+
+def split_sizes(monkeypatch):
+    """(train, val, test) sizes of every split the run draws, in order."""
+    from mug import evalkit
+    sizes, make = [], evalkit.make_splits
+
+    def spy(*args):
+        s = make(*args)
+        sizes.append((len(s.train), len(s.val), len(s.test)))
+        return s
+
+    monkeypatch.setattr(evalkit, "make_splits", spy)
+    return sizes
+
+
+def test_eval_shots_take_val_and_test_sizes_from_the_config(tmp_path, bundle, checkpoint,
+                                                            capsys, monkeypatch):
+    sizes = split_sizes(monkeypatch)
+    assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,
+                 "--shots", "1", "--config", tiny_config(tmp_path)]) == EXIT_OK
+    assert sizes == [(3, 20, 20)] * 20      # 3 classes x 1 shot; kshot_repeats' default
+    assert capsys.readouterr().err == ""
+
+
+def test_eval_shots_repeats_flag_sets_kshot_repeats(tmp_path, bundle, checkpoint, monkeypatch):
+    sizes = split_sizes(monkeypatch)
+    out = str(tmp_path / "report.csv")
+    assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,
+                 "--shots", "1", "--repeats", "2", "--config", tiny_config(tmp_path),
+                 "--out", out]) == EXIT_OK
+    assert len(sizes) == 2
+    echo = open(str(tmp_path / "report.config.txt")).read().splitlines()
+    assert "kshot_repeats = 2" in echo and "repeats = 50" in echo
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -533,6 +638,11 @@ def _swap_matrices(lines, section, first, second):
      "[params] matrix 'enc.weight': could not convert"),
     (lambda lines: _edit_matrix_row(lines, "params", "dec.bias", lambda row: row + row),
      "[params] matrix 'dec.bias': row 1 has 32 values, expected 16"),
+    (lambda lines: _edit_matrix_row(lines, "params", "enc.weight",
+                                    lambda row: row[:3] + ["nan"] + row[4:]),
+     "[params] matrix 'enc.weight': row 1 has a non-finite value"),
+    (lambda lines: _edit_matrix_row(lines, "params", "att.q", lambda row: ["-1e400"]),
+     "[params] matrix 'att.q': row 1 has a non-finite value"),
     (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size x"),
      "[meta] bad value for 'sample_size': 'x'"),
     (lambda lines: _edit_line(lines, "meta", "walk.dim", "walk.dim x"),
@@ -548,6 +658,7 @@ def _swap_matrices(lines, section, first, second):
     (lambda lines: ["MUG-CKPT v1"] + lines[1:], "not a 'MUG-CKPT v3' checkpoint"),
     (lambda lines: ["MUG-CKPT v2"] + lines[1:], "not a 'MUG-CKPT v3' checkpoint"),
 ], ids=["matrix-cut-short", "matrix-missing", "matrix-non-numeric", "matrix-ragged-row",
+        "matrix-nan", "matrix-overflow",
         "sample-size-not-int", "meta-walk-dim-not-int", "meta-sample-size-disagrees",
         "params-unknown-name", "params-out-of-order", "v1-header", "v2-header"])
 def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, damage,
@@ -645,6 +756,24 @@ def test_non_finite_feature_names_its_file_and_line(tmp_path, bundle, capsys, va
         fh.write("\n".join(rows) + "\n")
     assert main(["pretrain", "--data", bundle, "--out", str(tmp_path / "m.ckpt")]) == EXIT_DATA
     assert capsys.readouterr().err == f"error: {path}:6: non-finite feature value\n"
+
+
+@pytest.mark.parametrize("table, message", [
+    ("labels.tsv", "second label row for node 'paper0'"),
+    ("features.paper.tsv", "second feature row for node 'paper0'"),
+])
+def test_second_row_for_a_node_names_its_line(bundle, capsys, table, message):
+    path = os.path.join(bundle, table)
+    with open(path) as fh:
+        rows = fh.read().splitlines()
+    again = rows[1].split("\t")
+    if table == "labels.tsv":    # a different class: the last row must not win
+        again[1] = str((int(again[1]) + 1) % 3)
+    rows.append("\t".join(again))
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    assert main(["homophily", "--data", bundle]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}:{len(rows)}: {message}\n"
 
 
 @pytest.mark.parametrize("damage", [

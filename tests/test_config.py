@@ -65,7 +65,7 @@ def test_defaults_give_default_split_spec():
 
 def test_kshot_repeats_default_comes_from_split_spec():
     spec = config.to_split_spec(config.defaults(), shots=3)
-    assert spec == SplitSpec.kshot(3)
+    assert spec == SplitSpec(per_class_train=3, repeats=20)
 
 
 def test_flat_keys_reach_their_fields(tmp_path):

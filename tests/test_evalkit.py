@@ -1,4 +1,4 @@
-"""Split protocols, probe behaviour, F1 arithmetic, frozen-model evaluation."""
+"""Split protocols, probe behaviour, F1 arithmetic, per-repeat scores of an embedding."""
 
 import warnings
 
@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 import oracles
-from mug import evalkit, fusion, synth
+from mug import evalkit
 from mug.evalkit import (
-    EvalReport,
     SplitSpec,
     Splits,
-    cross_domain_eval,
+    evaluate_embedding,
     f1_scores,
     linear_probe,
     make_splits,
 )
 from mug.rng import SPLIT, RngStream
-from mug.structenc import WalkConfig
 
 
 def balanced_labels(per_class, n_classes=3):
@@ -29,7 +27,7 @@ def balanced_labels(per_class, n_classes=3):
 
 def test_one_shot_split_size():
     labels = balanced_labels(50)
-    s = make_splits(labels, SplitSpec.kshot(1, repeats=1), RngStream(0))
+    s = make_splits(labels, SplitSpec(per_class_train=1, repeats=1), RngStream(0))
     assert len(s.train) == 3
     assert len(np.unique(labels[s.train])) == 3
 
@@ -64,7 +62,7 @@ def test_splits_disjoint_and_shrunk_with_warning():
 def test_split_error_on_empty_class():
     labels = np.array([0, 0, 2, 2])  # class 1 missing
     with pytest.raises(ValueError):
-        make_splits(labels, SplitSpec.kshot(1), RngStream(0))
+        make_splits(labels, SplitSpec(per_class_train=1), RngStream(0))
 
 
 # -- F1 -------------------------------------------------------------------------
@@ -200,8 +198,7 @@ def oracle_case(name):
     z, labels = noisy_embedding([50, 50, 50])
     spec = SplitSpec(per_class_train=10, val_size=30, test_size=30, repeats=5)
     if name == "one_shot":     # 3 train rows and 20 val rows: val-F1 ties are common
-        spec = SplitSpec(mode="kshot", per_class_train=1, val_size=20, test_size=40,
-                         repeats=6)
+        spec = SplitSpec(per_class_train=1, val_size=20, test_size=40, repeats=6)
     elif name == "no_val":
         spec = SplitSpec(per_class_train=10, val_size=0, test_size=40, repeats=4)
     elif name == "unbalanced_4_classes":
@@ -298,57 +295,16 @@ def test_probe_rejects_splits_it_cannot_stack():
         linear_probe(z, labels, [])
 
 
-# -- protocols ---------------------------------------------------------------------
+# -- per-repeat scores ----------------------------------------------------------------
 
 
-def small_model_and_graphs():
-    g_a = synth.generate(
-        synth.SynthSpec.from_dict(
-            synth.two_view_spec(attr_dim=5, centroid_scale=1.0, targets_per_class=30)),
-        RngStream(0))
-    cfg = fusion.TrainConfig(
-        epochs=10, seed=0, sample_size=16, unified_dim=16,
-        walk=WalkConfig(dim=8, epochs=2, walks_per_node=4, walk_length=8))
-    return fusion.pretrain(g_a, cfg), g_a
-
-
-def test_cross_domain_eval_diagonal_and_frozen():
-    import hashlib
-
-    model, g_a = small_model_and_graphs()
-
-    def digest(m):
-        h = hashlib.sha256()
-        for name in ("dim.weight", "enc.weight", "dec.weight", "att.q"):
-            h.update(m.params[name].tobytes())
-        return h.hexdigest()
-
-    before = digest(model)
-    spec = SplitSpec(per_class_train=5, val_size=20, test_size=20, repeats=3)
-    reports = cross_domain_eval(model, {"self": g_a}, spec, train_bundle="self")
-    assert len(reports) == 1
-    r = reports[0]
-    assert r.train_bundle == r.eval_bundle == "self"
-    assert len(r.macro) == 3
-    assert digest(model) == before
-
-
-def test_cross_domain_eval_skips_unlabeled_bundle():
-    model, g_a = small_model_and_graphs()
-    g_u = synth.generate(
-        synth.SynthSpec.from_dict(synth.two_view_spec(targets_per_class=20)),
-        RngStream(3))
-    g_u.labels = None
-    spec = SplitSpec(per_class_train=5, val_size=10, test_size=10, repeats=2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        reports = cross_domain_eval(model, {"u": g_u, "a": g_a}, spec)
-    assert len(reports) == 1
-    assert any("skipped" in str(w.message) for w in caught)
-
-
-def test_report_csv_row_format():
-    r = EvalReport("full", "a", "b", 0, macro=[0.5, 0.7], micro=[0.6, 0.8])
-    row = r.csv_row()
-    assert row.startswith("full,a,b,0,")
-    assert len(row.split(",")) == 8
+def test_evaluate_embedding_scores_each_repeat_of_the_spec():
+    z, labels = noisy_embedding([40, 40, 40])
+    spec = SplitSpec(per_class_train=5, val_size=20, test_size=30, repeats=4, seed=3)
+    snapshot = z.copy()
+    macro, micro = evaluate_embedding(z, labels, spec)
+    splits = [make_splits(labels, spec, RngStream(3, SPLIT, r)) for r in range(4)]
+    want = [f1_scores(pred, labels[s.test], 3)
+            for s, pred in zip(splits, linear_probe(z, labels, splits))]
+    assert macro.tolist() == [m for m, _ in want] and micro.tolist() == [u for _, u in want]
+    assert np.array_equal(z, snapshot)

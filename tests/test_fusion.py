@@ -3,12 +3,16 @@
 import copy
 import hashlib
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import three_view_spec, view_of
+from helpers import FINITE_FLOATS, three_view_spec, view_of
 
 from mug import autodiff as ad
 from mug import fusion, metamae, synth
@@ -365,6 +369,46 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     save_checkpoint(load_checkpoint(p1), p2)
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+NONNEGATIVE = st.floats(0, 1e308)
+POSITIVE = st.floats(5e-324, 1e308)
+COUNTS = st.integers(1, 10**6)
+
+VALID_CONFIGS = st.builds(
+    TrainConfig,
+    lambda_align=NONNEGATIVE, lambda_recon=NONNEGATIVE, lambda_scatter=NONNEGATIVE,
+    epochs=st.integers(0, 10**6), learning_rate=POSITIVE, seed=st.integers(0, 2**64 - 1),
+    no_cse=st.booleans(), no_align=st.booleans(), no_scatter=st.booleans(),
+    sample_size=st.integers(1, 4), unified_dim=st.integers(1, 4), gamma=st.floats(1, 1e308),
+    walk=st.builds(WalkConfig, walks_per_node=COUNTS, walk_length=COUNTS, window=COUNTS,
+                   negatives=COUNTS, dim=COUNTS, epochs=COUNTS, lr=POSITIVE, lr_min=FINITE_FLOATS,
+                   neg_distribution=st.sampled_from(["uniform", "freq075"])),
+    mask=st.builds(MaskSpec, edge_mask_rate=st.floats(0, 1), resample_per_epoch=st.booleans()),
+)
+
+
+@st.composite
+def random_models(draw):
+    cfg = draw(VALID_CONFIGS)
+    params = {name: draw(arrays(np.float64, shape, elements=FINITE_FLOATS))
+              for name, shape in fusion.param_shapes(cfg)}
+    return fusion.MugModel(params, cfg)
+
+
+@settings(max_examples=50, deadline=None)
+@given(model=random_models())
+def test_random_checkpoint_round_trips_byte_identical(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = os.path.join(tmp, "m1.ckpt"), os.path.join(tmp, "m2.ckpt")
+        save_checkpoint(model, p1)
+        loaded = load_checkpoint(p1)
+        assert loaded.cfg == model.cfg
+        for name, value in model.params.items():   # every bit, -0.0 included
+            assert loaded.params[name].tobytes() == value.tobytes(), name
+        save_checkpoint(loaded, p2)
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
 
 
 def test_embed_matches_after_checkpoint_round_trip(tmp_path):

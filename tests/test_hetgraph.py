@@ -2,6 +2,7 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def make_graph(counts, relations, edges, metapaths=(), target="T", labels=None, 
 
 
 from oracles import enumerate_pairs  # noqa: E402  (shared with acceptance suite)
-from helpers import is_palindromic, metapath, three_view_spec, view_of  # noqa: E402
+from helpers import FINITE_FLOATS, is_palindromic, metapath, three_view_spec, view_of  # noqa: E402
 
 
 # -- meta-path views -----------------------------------------------------------
@@ -403,6 +404,62 @@ def test_bundle_round_trip_bit_exact(tmp_path):
     for name in sorted(os.listdir(d1)):
         with open(os.path.join(d1, name), "rb") as fh1, open(os.path.join(d2, name), "rb") as fh2:
             assert fh1.read() == fh2.read(), name
+
+
+NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True)
+
+
+@st.composite
+def small_graphs(draw):
+    """A random HetGraph of 2-3 types with 1-5 nodes each; every type may carry features."""
+    types = draw(st.lists(NAMES, min_size=2, max_size=3, unique=True))
+    counts = {t: draw(st.integers(1, 5)) for t in types}
+    n = sum(counts.values())
+    ids = iter(draw(st.lists(NAMES, min_size=n, max_size=n, unique=True)))
+    node_ids = {t: [next(ids) for _ in range(counts[t])] for t in types}
+    relations = [Relation(name, draw(st.sampled_from(types)), draw(st.sampled_from(types)))
+                 for name in draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))]
+    edges = {r.name: np.array(draw(st.lists(st.tuples(st.integers(0, counts[r.src] - 1),
+                                                       st.integers(0, counts[r.dst] - 1)),
+                                             max_size=8)), dtype=np.int64).reshape(-1, 2)
+             for r in relations}
+    attrs = {}
+    for t in types:
+        width = draw(st.integers(0, 3))     # 0: no features file for this type
+        row = st.lists(FINITE_FLOATS, min_size=width, max_size=width)
+        rows = draw(st.lists(row, min_size=counts[t], max_size=counts[t]))
+        attrs[t] = np.array(rows) if width else None
+    target = types[0]
+    labels = draw(st.none() | st.lists(st.integers(0, counts[target] - 1),
+                                       min_size=counts[target], max_size=counts[target]))
+    metapaths = [MetaPath.from_steps(f"M{r.name}", [target, r.name, r.dst, r.name, target])
+                 for r in relations if r.src == target]
+    return HetGraph(node_types=types, relations=relations, counts=counts, node_ids=node_ids,
+                    edges=edges, target_type=target, attrs=attrs,
+                    labels=None if labels is None else np.array(labels, dtype=np.int64),
+                    metapaths=metapaths)
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=small_graphs())
+def test_random_bundle_round_trips_bit_exact(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        d1, d2 = os.path.join(tmp, "b1"), os.path.join(tmp, "b2")
+        bio.save_bundle(g, d1)
+        g2 = bio.load_bundle(d1)
+        assert g2.node_ids == g.node_ids and g2.metapaths == g.metapaths
+        for t in g.node_types:   # every bit, -0.0 included
+            a, b = g.attrs[t], g2.attrs[t]
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), t
+        for rel in g.relations:
+            assert np.array_equal(g.edges[rel.name], g2.edges[rel.name])
+        assert (g.labels is None and g2.labels is None) or np.array_equal(g.labels, g2.labels)
+        bio.save_bundle(g2, d2)
+        assert sorted(os.listdir(d1)) == sorted(os.listdir(d2))
+        for name in os.listdir(d1):
+            with open(os.path.join(d1, name), "rb") as f1:
+                with open(os.path.join(d2, name), "rb") as f2:
+                    assert f1.read() == f2.read(), name
 
 
 # -- synthetic generator ------------------------------------------------------
