@@ -183,6 +183,9 @@ def cmd_eval(args) -> int:
         if name in paths:
             raise ValueError(f"--eval-data {paths[name]} and {d} share the bundle name '{name}'")
         paths[name] = d
+    train_schema = os.path.join(args.train_data, "schema.json")
+    if not os.path.exists(train_schema):   # only its name is reported; it is not loaded
+        raise bio.MissingFileError("file not found", train_schema)
     model = fusion.load_checkpoint(args.model)
     bundles = {name: bio.load_bundle(d) for name, d in paths.items()}
     train_name = os.path.basename(os.path.normpath(args.train_data))
@@ -269,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("eval", help="frozen cross-domain / few-shot evaluation")
     vp.add_argument("--model", required=True)
-    vp.add_argument("--train-data", required=True)
+    vp.add_argument("--train-data", required=True,
+                    help="bundle the model was pre-trained on; must exist, named in the report")
     vp.add_argument("--eval-data", required=True, nargs="+")
     vp.add_argument("--shots", type=int, choices=(1, 3, 5),
                     help="k-shot protocol: k train nodes per class, other settings as configured")

@@ -1,9 +1,11 @@
 """Flat key=value run configuration with three-layer precedence.
 
-Defaults < config file < command-line flags. The defaults and value types
-live on the dataclasses (TrainConfig, WalkConfig, MaskSpec, SplitSpec); this
-module only maps each flat key to its field. Unknown keys are rejected, and
-every run writes a resolved echo file that can replay it.
+Defaults < config file < command-line flags. The keys, defaults and value
+types live on the dataclasses (TrainConfig, WalkConfig, MaskSpec, SplitSpec)
+and are read through fusion.config_fields, so a key is the same name in a
+config file, an echo and a checkpoint. A config file names each key at most
+once and only known keys; every run writes a resolved echo file that can
+replay it.
 """
 
 from __future__ import annotations
@@ -25,44 +27,12 @@ def _bool(text: str) -> bool:
         return True
     if t in ("false", "0", "no"):
         return False
-    raise ConfigError(f"expected a boolean, got '{text}'")
-
-
-# flat key -> TrainConfig field key, as config_fields names it
-TRAIN_FIELDS = {
-    "walks_per_node": "walk.walks_per_node",
-    "walk_length": "walk.walk_length",
-    "window": "walk.window",
-    "negatives": "walk.negatives",
-    "struct_dim": "walk.dim",
-    "struct_epochs": "walk.epochs",
-    "struct_lr": "walk.lr",
-    "struct_lr_min": "walk.lr_min",
-    "neg_distribution": "walk.neg_distribution",
-    "sample_size": "sample_size",
-    "unified_dim": "unified_dim",
-    "edge_mask_rate": "mask.edge_mask_rate",
-    "resample_mask": "mask.resample_per_epoch",
-    "gamma": "gamma",
-    "lambda_align": "lambda_align",
-    "lambda_recon": "lambda_recon",
-    "lambda_scatter": "lambda_scatter",
-    "epochs": "epochs",
-    "learning_rate": "learning_rate",
-    "seed": "seed",
-    "no_cse": "no_cse",
-    "no_align": "no_align",
-    "no_scatter": "no_scatter",
-}
-
-# flat keys that are SplitSpec fields of the same name (seed is shared)
-SPLIT_FIELDS = ("per_class_train", "val_size", "test_size", "repeats")
+    raise ValueError(text)
 
 
 def defaults() -> Dict[str, object]:
-    train = {path: value for path, _, _, value in config_fields(TrainConfig())}
-    out = {key: train[path] for key, path in TRAIN_FIELDS.items()}
-    out.update({key: getattr(SplitSpec(), key) for key in SPLIT_FIELDS})
+    out = {key: value for spec in (TrainConfig(), SplitSpec())   # both have seed
+           for key, _, _, value in config_fields(spec)}
     out["kshot_repeats"] = KSHOT_REPEATS
     return out
 
@@ -79,11 +49,11 @@ def parse_config_file(path: str) -> Dict[str, object]:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: repeated key '{key}'")
         conv = _bool if isinstance(known[key], bool) else type(known[key])
         try:
             out[key] = conv(value)
-        except ConfigError:
-            raise
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': '{value}'")
     return out
@@ -105,9 +75,8 @@ def write_echo(cfg: Dict[str, object], path: str) -> None:
 
 def to_train_config(cfg: Dict[str, object]) -> TrainConfig:
     out = TrainConfig()
-    owners = {path: (owner, name) for path, owner, name, _ in config_fields(out)}
-    for key, path in TRAIN_FIELDS.items():
-        setattr(*owners[path], cfg[key])
+    for key, owner, name, _ in config_fields(out):
+        setattr(owner, name, cfg[key])
     return out
 
 

@@ -16,10 +16,10 @@ training with DivergenceError before the parameters change.
 
 Checkpoint format (UTF-8 text):
 
-    MUG-CKPT v3
+    MUG-CKPT v4
     [meta]
-    <key> <value>          one line per TrainConfig field, in field order;
-                           nested fields read walk.dim, mask.edge_mask_rate
+    <key> <value>          one line per TrainConfig field, in field order,
+                           named by its flat config key (config_fields)
     [params]
     <name> <rows> <cols>   one header per param_shapes entry, in that order,
     <row values>           each followed by its rows of repr(float) values
@@ -27,7 +27,7 @@ Checkpoint format (UTF-8 text):
 load_checkpoint parses [meta] into a TrainConfig first, then requires the
 matrix headers to equal param_shapes of that config, and every value to be
 finite. Any fault raises CheckpointError naming the file and the section;
-other versions are refused.
+other versions are refused (v3 named nested fields walk.dim, mask.*).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .metamae import MaskSpec
 from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream, check_seed
 from .structenc import WalkConfig
 
-CHECKPOINT_MAGIC = "MUG-CKPT v3"
+CHECKPOINT_MAGIC = "MUG-CKPT v4"
 
 
 @dataclass
@@ -268,14 +268,17 @@ def _init_params(cfg: TrainConfig, seed: int) -> Dict[str, np.ndarray]:
 
 
 def config_fields(cfg):
-    """(key, owner, field name, value) per scalar field; nested keys read 'walk.dim'."""
+    """(key, owner, field name, value) per scalar field, nested ones included, in field order.
+
+    The key is the setting's one name, in config files, echoes and checkpoints
+    alike: the field's metadata["key"] if it has one, else the field's name.
+    """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if is_dataclass(value):
-            for key, owner, name, v in config_fields(value):
-                yield f"{f.name}.{key}", owner, name, v
+            yield from config_fields(value)
         else:
-            yield f.name, cfg, f.name, value
+            yield f.metadata.get("key", f.name), cfg, f.name, value
 
 
 def config_echo(cfg: TrainConfig) -> Dict[str, str]:

@@ -17,7 +17,7 @@ memory beyond the operators is O(N * RECON_BLOCK).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -36,7 +36,7 @@ class DegenerateViewError(ValueError):
 @dataclass
 class MaskSpec:
     edge_mask_rate: float = 0.5
-    resample_per_epoch: bool = True
+    resample_per_epoch: bool = field(default=True, metadata={"key": "resample_mask"})
 
     def validate(self):
         if not 0.0 <= self.edge_mask_rate <= 1.0:

@@ -9,7 +9,7 @@ is never part of the transferable checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -21,23 +21,26 @@ from .rng import SGNS, SGNS_INIT, WALKS, RngStream
 
 @dataclass
 class WalkConfig:
+    """Walk and skip-gram settings; metadata["key"] is a field's config key where it differs."""
+
     walks_per_node: int = 10
     walk_length: int = 20          # edges per walk
     window: int = 5
     negatives: int = 5
-    dim: int = 64
-    epochs: int = 5
-    lr: float = 0.025
-    lr_min: float = 0.0001
+    dim: int = field(default=64, metadata={"key": "struct_dim"})
+    epochs: int = field(default=5, metadata={"key": "struct_epochs"})
+    lr: float = field(default=0.025, metadata={"key": "struct_lr"})
+    lr_min: float = field(default=0.0001, metadata={"key": "struct_lr_min"})
     neg_distribution: str = "uniform"   # or "freq075"
 
     def validate(self):
-        for name in ("walks_per_node", "walk_length", "window", "negatives",
-                     "dim", "epochs"):
+        """Errors name the config key."""
+        key = {f.name: f.metadata.get("key", f.name) for f in fields(self)}
+        for name in ("walks_per_node", "walk_length", "window", "negatives", "dim", "epochs"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{key[name]} must be >= 1, got {getattr(self, name)}")
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise ValueError(f"{key['lr']} must be > 0, got {self.lr}")
         if self.neg_distribution not in ("uniform", "freq075"):
             raise ValueError(f"unknown negative distribution '{self.neg_distribution}'")
 

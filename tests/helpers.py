@@ -5,6 +5,7 @@ graph spec, and a strategy for the finite floats that files must round-trip."""
 from typing import Dict
 
 import numpy as np
+from hypothesis import Phase
 from hypothesis import strategies as st
 
 from mug.hetgraph import EdgeList, HetGraph, MetaPath
@@ -12,6 +13,10 @@ from mug.hetgraph import EdgeList, HetGraph, MetaPath
 # finite floats, with -0.0, subnormals and the extremes drawn often
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -2.5e-320, 1e308, -1e308, 1.7976931348623157e308])
+
+# Every phase but shrinking: shrinking a failed file round trip runs for minutes,
+# and the unshrunk example already names the field or cell that differs.
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
 def type_of_global(g: HetGraph, g_idx: int) -> str:

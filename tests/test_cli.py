@@ -256,6 +256,23 @@ def test_unknown_config_key_rejected(tmp_path, bundle, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("epochs = 3\nno_cse = maybe\n", "2: bad value for 'no_cse': 'maybe'"),
+    ("epochs = 3\nno_cse = true\nresample_mask = 2\n", "3: bad value for 'resample_mask': '2'"),
+    ("seed = 1\nepochs = 3\nseed = 2\n", "3: repeated key 'seed'"),
+    ("struct_dim = 8\nstruct_dim = 8\n", "2: repeated key 'struct_dim'"),
+], ids=["bad-boolean", "bad-boolean-keyed-field", "repeated-key", "repeated-same-value"])
+def test_bad_config_line_names_file_line_and_key(tmp_path, monkeypatch, capsys, text, message):
+    from mug import bundle
+    monkeypatch.setattr(bundle, "load_bundle", _no_work)
+    path = str(tmp_path / "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert main(["pretrain", "--data", str(tmp_path / "bundle"), "--config", path,
+                 "--out", str(tmp_path / "x.ckpt")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}:{message}\n"
+
+
 # -- embed ----------------------------------------------------------------------
 
 
@@ -467,6 +484,9 @@ def test_bad_split_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
     ("sample_size = 0", "sample_size must be >= 1, got 0"),
     ("unified_dim = 0", "unified_dim must be >= 1, got 0"),
     ("gamma = 0.5", "gamma must be >= 1, got 0.5"),
+    ("struct_dim = 0", "struct_dim must be >= 1, got 0"),
+    ("struct_epochs = -2", "struct_epochs must be >= 1, got -2"),
+    ("struct_lr = 0", "struct_lr must be > 0, got 0.0"),
 ])
 def test_bad_train_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
                                                  setting, message):
@@ -493,6 +513,20 @@ def test_eval_bundles_sharing_a_name_fail_before_the_work(tmp_path, monkeypatch,
     assert main(argv) == EXIT_DATA
     assert capsys.readouterr().err == (f"error: --eval-data {first} and {second} "
                                        f"share the bundle name 'B'\n")
+
+
+def test_eval_train_data_without_a_schema_fails_before_the_work(tmp_path, monkeypatch,
+                                                                  capsys):
+    # the train bundle is only named in the report, so it is checked, not loaded
+    from mug import bundle, fusion
+    monkeypatch.setattr(bundle, "load_bundle", _no_work)
+    monkeypatch.setattr(fusion, "load_checkpoint", _no_work)
+    missing = str(tmp_path / "no" / "such")
+    argv = ["eval", "--model", str(tmp_path / "model.ckpt"), "--train-data", missing,
+            "--eval-data", str(tmp_path / "bundle")]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (f"error: {os.path.join(missing, 'schema.json')}: "
+                                       f"file not found\n")
 
 
 def test_eval_prints_each_warning_as_one_line(tmp_path, bundle, checkpoint):
@@ -645,8 +679,16 @@ def _swap_matrices(lines, section, first, second):
      "[params] matrix 'att.q': row 1 has a non-finite value"),
     (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size x"),
      "[meta] bad value for 'sample_size': 'x'"),
-    (lambda lines: _edit_line(lines, "meta", "walk.dim", "walk.dim x"),
-     "[meta] bad value for 'walk.dim': 'x'"),
+    (lambda lines: _edit_line(lines, "meta", "struct_dim", "struct_dim x"),
+     "[meta] bad value for 'struct_dim': 'x'"),
+    (lambda lines: _edit_line(lines, "meta", "struct_dim", "walk.dim 16"),
+     "[meta] unknown or repeated key 'walk.dim'"),
+    (lambda lines: _edit_line(lines, "meta", "seed", "resample_mask True"),
+     "[meta] unknown or repeated key 'resample_mask'"),
+    (lambda lines: _edit_line(lines, "meta", "struct_lr_min", "struct_lr_min"),
+     "[meta] bad value for 'struct_lr_min': ''"),
+    (lambda lines: [line for line in lines if not line.startswith("resample_mask ")],
+     "[meta] has no 'resample_mask'"),
     (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size 15"),
      "[params] expected matrix header 'dim.weight 15 16' (shape from [meta]), "
      "found 'dim.weight 16 16'"),
@@ -655,12 +697,15 @@ def _swap_matrices(lines, section, first, second):
     (lambda lines: _swap_matrices(lines, "params", "enc.weight", "enc.bias"),
      "[params] expected matrix header 'enc.weight 16 16' (shape from [meta]), "
      "found 'enc.bias 1 16'"),
-    (lambda lines: ["MUG-CKPT v1"] + lines[1:], "not a 'MUG-CKPT v3' checkpoint"),
-    (lambda lines: ["MUG-CKPT v2"] + lines[1:], "not a 'MUG-CKPT v3' checkpoint"),
+    (lambda lines: ["MUG-CKPT v1"] + lines[1:], "not a 'MUG-CKPT v4' checkpoint"),
+    (lambda lines: ["MUG-CKPT v2"] + lines[1:], "not a 'MUG-CKPT v4' checkpoint"),
+    (lambda lines: ["MUG-CKPT v3"] + lines[1:], "not a 'MUG-CKPT v4' checkpoint"),
 ], ids=["matrix-cut-short", "matrix-missing", "matrix-non-numeric", "matrix-ragged-row",
         "matrix-nan", "matrix-overflow",
-        "sample-size-not-int", "meta-walk-dim-not-int", "meta-sample-size-disagrees",
-        "params-unknown-name", "params-out-of-order", "v1-header", "v2-header"])
+        "sample-size-not-int", "meta-walk-dim-not-int", "meta-dotted-key",
+        "meta-repeated-key", "meta-keyed-field-empty", "meta-keyed-field-missing",
+        "meta-sample-size-disagrees",
+        "params-unknown-name", "params-out-of-order", "v1-header", "v2-header", "v3-header"])
 def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, damage,
                                         message):
     lines = open(checkpoint).read().split("\n")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import FINITE_FLOATS, three_view_spec, view_of
+from helpers import FINITE_FLOATS, NO_SHRINK, three_view_spec, view_of
 
 from mug import autodiff as ad
 from mug import fusion, metamae, synth
@@ -396,7 +396,7 @@ def random_models(draw):
     return fusion.MugModel(params, cfg)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, phases=NO_SHRINK)
 @given(model=random_models())
 def test_random_checkpoint_round_trips_byte_identical(model):
     with tempfile.TemporaryDirectory() as tmp:

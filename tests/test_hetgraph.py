@@ -44,7 +44,8 @@ def make_graph(counts, relations, edges, metapaths=(), target="T", labels=None, 
 
 
 from oracles import enumerate_pairs  # noqa: E402  (shared with acceptance suite)
-from helpers import FINITE_FLOATS, is_palindromic, metapath, three_view_spec, view_of  # noqa: E402
+from helpers import (  # noqa: E402
+    FINITE_FLOATS, NO_SHRINK, is_palindromic, metapath, three_view_spec, view_of)
 
 
 # -- meta-path views -----------------------------------------------------------
@@ -440,7 +441,7 @@ def small_graphs(draw):
                     metapaths=metapaths)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, phases=NO_SHRINK)
 @given(g=small_graphs())
 def test_random_bundle_round_trips_bit_exact(g):
     with tempfile.TemporaryDirectory() as tmp:
