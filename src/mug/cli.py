@@ -158,7 +158,7 @@ def cmd_embed(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("node_id\t" + "\t".join(f"z{i}" for i in range(z.shape[1])) + "\n")
         for nid, row in zip(ids, z):
-            fh.write(nid + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+            fh.write(nid + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
     with open(stem + ".beta.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(repr(float(b)) for b in beta) + "\n")
     cfgmod.write_echo({"seed": args.seed, "model": args.model, "data": args.data},

@@ -44,7 +44,7 @@ from .bundle import read_text
 from .hetgraph import EdgeList, HetGraph, metapath_edges
 from .metamae import MaskSpec
 from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream, check_seed
-from .structenc import WalkConfig
+from .structenc import WalkConfig, check_at_least
 
 CHECKPOINT_MAGIC = "MUG-CKPT v4"
 
@@ -67,12 +67,11 @@ class TrainConfig:
     mask: MaskSpec = field(default_factory=MaskSpec)
 
     def validate(self):
+        """Every number is finite and at least its least value; errors name the config key."""
         for key, least in (("epochs", 0), ("sample_size", 1), ("unified_dim", 1), ("gamma", 1),
                            ("lambda_align", 0), ("lambda_recon", 0), ("lambda_scatter", 0)):
-            if getattr(self, key) < least:
-                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+            check_at_least(key, getattr(self, key), least)
+        check_at_least("learning_rate", self.learning_rate, 0, strict=True)
         check_seed(self.seed)
         self.walk.validate()
         self.mask.validate()
@@ -174,10 +173,19 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
               cfg: TrainConfig) -> Tuple[LossParts, Dict[str, np.ndarray]]:
     """The pre-training loss parts and the gradient of their total.
 
-    masked holds each view's kept edges. Every view's encoder runs, then the
-    attention β, then each decoder with recon_loss weighted by λ_recon·βᵢ, so
-    one pass gives a view's loss and Ẑ gradient; the rest of the gradient runs
-    in reverse order. Returns (parts, grads), grads keyed like params.
+    masked holds each view's kept edges. One view's operator exists at a time,
+    in state.op, and the phases are ordered so that V views take 2V - 1 builds:
+
+    - forward, views V..1: build the view, then run its encoder and decoder;
+      view 1 is left in the buffer;
+    - the attention β, then per view recon_loss weighted by λ_recon·βᵢ, which
+      gives the view's loss and Ẑ gradient from its edges alone;
+    - backward, views 1..V: rebuild each view but the first, and take the
+      gradient back through its decoder and encoder.
+
+    No view's forward reads another's, and every gradient sum runs in view
+    order, so the phase order changes no bit of the result.
+    Returns (parts, grads), grads keyed like params.
     """
     p = params
     sample = state.unified[state.sample_idx]
@@ -185,14 +193,18 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
     l_align, d_align = dimalign.align_loss(basis)
     x = dimalign.project(basis, state.unified)
     xw = x @ p["enc.weight"]
-    ops = [metamae.normalized_operator(m) for m in masked]
-    zs = [metamae.encode(op, xw, p["enc.bias"]) for op in ops]
+    op = state.op
+    zs, z_hats = [None] * len(masked), [None] * len(masked)
+    for i in reversed(range(len(masked))):
+        metamae.normalized_operator(masked[i], out=op)
+        zs[i] = metamae.encode(op, xw, p["enc.bias"])
+        z_hats[i] = metamae.graph_conv(op, zs[i] @ p["dec.weight"], p["dec.bias"])
     beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], zs)
     lam_align, lam_recon, lam_scatter = _lambdas(cfg)
-    # per view: (loss, λ_recon·βᵢ times its gradient with respect to Ẑ)
-    recon = [metamae.recon_loss(view, metamae.graph_conv(op, z @ p["dec.weight"], p["dec.bias"]),
-                                cfg.gamma, lam_recon * b)
-             for view, op, z, b in zip(state.views, ops, zs, beta)]
+    # per view: (loss, λ_recon·βᵢ times its gradient with respect to Ẑ); each Ẑ is
+    # dropped once it is scored, so the gradients take its place in memory
+    recon = [metamae.recon_loss(view, z_hats.pop(0), cfg.gamma, lam_recon * b)
+             for view, b in zip(state.views, beta)]
     l_scatter, d_fused = scatter_loss(fuse(beta, zs))
     view_losses = np.array([loss for loss, _ in recon])
     parts = LossParts(l_align, beta, view_losses, l_scatter,
@@ -203,7 +215,9 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
     d_score = beta * (d_beta - (d_beta * beta).sum())   # through the softmax
     g = {name: np.zeros_like(value) for name, value in p.items()}
     d_xw = np.zeros_like(xw)
-    for i, (op, z, (_, d_z_hat)) in enumerate(zip(ops, zs, recon)):
+    for i, (z, (_, d_z_hat)) in enumerate(zip(zs, recon)):
+        if i:
+            metamae.normalized_operator(masked[i], out=op)
         t = np.tanh(z @ p["att.weight"] + p["att.bias"])
         d_pre = (d_score[i] / len(z)) * p["att.q"].T * (1.0 - t * t)
         g["att.q"] += (d_score[i] / len(z)) * t.sum(axis=0)[:, None]
@@ -290,6 +304,11 @@ class _GraphState:
     unified: np.ndarray
     views: List[EdgeList]    # one per meta-path, in row-major order
     sample_idx: np.ndarray
+    op: np.ndarray = field(init=False, repr=False)   # one view's N x N operator at a time
+
+    def __post_init__(self):
+        n = len(self.unified)
+        self.op = np.empty((n, n))
 
 
 def _prepare_graph(g: HetGraph, cfg: TrainConfig) -> _GraphState:
@@ -369,7 +388,7 @@ def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.n
     basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"],
                                    state.unified[state.sample_idx])
     xw = dimalign.project(basis, state.unified) @ p["enc.weight"]
-    z_views = [metamae.encode(metamae.normalized_operator(view), xw, p["enc.bias"])
+    z_views = [metamae.encode(metamae.normalized_operator(view, out=state.op), xw, p["enc.bias"])
                for view in state.views]
     beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], z_views)
     return fuse(beta, z_views), beta

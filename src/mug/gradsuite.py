@@ -3,10 +3,11 @@
 Each named check draws random toy instances and a function that maps the
 parameters to (loss, gradients) exactly as training computes them;
 autodiff.grad_check compares those gradients with central differences. The
-four loss checks run fusion.objective, each loss alone with the other two
-weights at zero and then all three together; the skip-gram check runs the
-SGNS kernel itself. The CLI runs this suite; the acceptance tests pin its
-tolerances.
+four loss checks run fusion.objective on symmetric views, each loss alone
+with the other two weights at zero and then all three together; one more
+runs all three on asymmetric views, whose operators are not their own
+transposes; the skip-gram check runs the SGNS kernel itself. The CLI runs
+this suite; the acceptance tests pin its tolerances.
 """
 
 from __future__ import annotations
@@ -76,15 +77,22 @@ def _struct_pair_check() -> Check:
     return Check("struct_sgns_pair_loss", make_params, function_for)
 
 
-def _toy_view(n, on):
-    """The symmetric view of the i < j pairs, in np.triu_indices order, where on holds."""
-    rows, cols = (index[on] for index in np.triu_indices(n, 1))
-    return EdgeList.from_pairs(n, np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+def _toy_view(n, pairs, on, symmetric):
+    """The view of the (row, col) pairs where on holds, each listed both ways if symmetric."""
+    rows, cols = (index[on] for index in pairs)
+    if symmetric:
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    return EdgeList.from_pairs(n, rows, cols)
 
 
 def _objective_check(name: str, n_views: int, lambda_align: float,
-                     lambda_recon: float, lambda_scatter: float) -> Check:
-    """fusion.objective on a random toy graph, with the given loss weights."""
+                     lambda_recon: float, lambda_scatter: float,
+                     symmetric: bool = True) -> Check:
+    """fusion.objective on a random toy graph, with the given loss weights.
+
+    Symmetric views draw one coin per i < j pair; asymmetric ones one per
+    i != j entry, so their operators differ from their transposes.
+    """
     n, d, k, ns = 6, 4, 3, 4
     cfg = fusion.TrainConfig(sample_size=ns, unified_dim=k, lambda_align=lambda_align,
                              lambda_recon=lambda_recon, lambda_scatter=lambda_scatter)
@@ -94,14 +102,17 @@ def _objective_check(name: str, n_views: int, lambda_align: float,
                 for key, shape in fusion.param_shapes(cfg)}
 
     def function_for(rng):
-        upper, ons = np.triu_indices(n, 1), []
-        for _ in range(n_views):   # a pair is an edge where either of its draws is < 0.45
+        # row-major either way, so the pair (0, 1) comes first
+        pairs = np.triu_indices(n, 1) if symmetric else np.nonzero(~np.eye(n, dtype=bool))
+        ons = []
+        for _ in range(n_views):   # a pair is an edge where its draw (either, if symmetric) < 0.45
             drawn = rng.random((n, n)) < 0.45
-            ons.append((drawn | drawn.T)[upper])
-            ons[-1][0] = True   # pair (0, 1) comes first, so no view is empty
-        masked = [_toy_view(n, on & (rng.random((n, n)) >= 0.5)[upper]) for on in ons]
+            ons.append((drawn | drawn.T if symmetric else drawn)[pairs])
+            ons[-1][0] = True   # so no view is empty
+        masked = [_toy_view(n, pairs, on & (rng.random((n, n)) >= 0.5)[pairs], symmetric)
+                  for on in ons]
         state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)),
-                                   views=[_toy_view(n, on) for on in ons],
+                                   views=[_toy_view(n, pairs, on, symmetric) for on in ons],
                                    sample_idx=rng.choice(n, size=ns, replace=False))
 
         def fn(p):
@@ -118,7 +129,8 @@ def default_checks() -> List[Check]:
             _objective_check("dim_align_loss", 2, 1.0, 0.0, 0.0),
             _objective_check("view_recon_loss", 1, 0.0, 1.0, 0.0),
             _objective_check("scatter_loss", 2, 0.0, 0.0, 1.0),
-            _objective_check("total_objective", 2, 1.0, 1.0, 0.1)]
+            _objective_check("total_objective", 2, 1.0, 1.0, 0.1),
+            _objective_check("asymmetric_views", 3, 1.0, 1.0, 0.1, symmetric=False)]
 
 
 def run_suite(checks: Sequence[Check] = (), instances: int = 20,

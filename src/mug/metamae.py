@@ -8,17 +8,19 @@ by σ(ẐẐᵀ), compared row-wise against the full unmasked adjacency with a
 scaled cosine loss.
 
 Cost model: a view is an EdgeList built once per graph by hetgraph. Masking
-keeps a shorter list, one uniform per listed pair, and the normalized
-operator, a dense N x N float64 matrix held for the epoch, is scattered from
-it. recon_loss computes σ(ẐẐᵀ) once per call, RECON_BLOCK rows at a time,
-with the same rows of the view as a bool block built from the list, so its
-memory beyond the operators is O(N * RECON_BLOCK).
+keeps a shorter list, one uniform per listed pair. The normalized operator is
+a dense N x N float64 matrix, scattered from that list (a fill and a put)
+into one buffer per graph each time a view needs it, so pre-training's peak
+memory is O(N²) whatever the view count.
+recon_loss computes σ(ẐẐᵀ) once per call, RECON_BLOCK rows at a time, with
+the same rows of the view as a bool block built from the list, so its memory
+beyond the operator is O(N * RECON_BLOCK).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,15 +59,24 @@ def mask_edges(edges: EdgeList, spec: MaskSpec, rng: RngStream) -> EdgeList:
     return EdgeList(edges.shape, rows, cols, edges.symmetric)
 
 
-def normalized_operator(edges: EdgeList) -> np.ndarray:
-    """D^-1/2 (A + I) D^-1/2 of the listed A, built by scattering onto its edges.
+def normalized_operator(edges: EdgeList, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """D^-1/2 (A + I) D^-1/2 of the listed A, written into out when it is given.
 
-    The diagonal's 1/dᵢ is added to what is scattered, so a listed (i, i) weighs 2/dᵢ.
+    out is zero-filled, each listed entry put at its row-major flat index,
+    and then the diagonal's 1/dᵢ added, so a listed (i, i) weighs 2/dᵢ.
     """
-    op = np.zeros(edges.shape)
-    dinv = 1.0 / np.sqrt(np.bincount(edges.rows, minlength=len(op)) + 1.0)
-    op[edges.rows, edges.cols] = dinv[edges.rows] * dinv[edges.cols]
-    op.flat[::len(op) + 1] += dinv * dinv
+    n = edges.shape[0]
+    op = np.empty(edges.shape) if out is None else out
+    dinv = 1.0 / np.sqrt(np.bincount(edges.rows, minlength=n) + 1.0)
+    # both lists are built in place, so each step makes at most one list-sized temporary
+    values = dinv[edges.rows]
+    values *= dinv[edges.cols]
+    flat = edges.rows.astype(np.int64)
+    flat *= n
+    flat += edges.cols
+    op.fill(0.0)
+    np.put(op, flat, values)
+    op.flat[::n + 1] += dinv * dinv
     return op
 
 

@@ -9,6 +9,7 @@ is never part of the transferable checkpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
@@ -19,9 +20,24 @@ from .hetgraph import HetGraph, MetaPath, step_csr
 from .rng import SGNS, SGNS_INIT, WALKS, RngStream
 
 
+def check_at_least(key: str, value, least, strict: bool = False) -> None:
+    """Raise ValueError naming key unless value is finite and >= least (> least if strict).
+
+    The comparison is negated, so NaN fails it.
+    """
+    if not (value > least if strict else value >= least):
+        raise ValueError(f"{key} must be {'>' if strict else '>='} {least}, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{key} must be finite, got {value}")
+
+
 @dataclass
 class WalkConfig:
-    """Walk and skip-gram settings; metadata["key"] is a field's config key where it differs."""
+    """Walk and skip-gram settings; metadata["key"] is a field's config key where it differs.
+
+    The skip-gram rate decays linearly from lr to lr_min over the pairs of all
+    epochs; lr must be finite and > 0, and lr_min finite and >= 0.
+    """
 
     walks_per_node: int = 10
     walk_length: int = 20          # edges per walk
@@ -37,10 +53,9 @@ class WalkConfig:
         """Errors name the config key."""
         key = {f.name: f.metadata.get("key", f.name) for f in fields(self)}
         for name in ("walks_per_node", "walk_length", "window", "negatives", "dim", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{key[name]} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ValueError(f"{key['lr']} must be > 0, got {self.lr}")
+            check_at_least(key[name], getattr(self, name), 1)
+        check_at_least(key["lr"], self.lr, 0, strict=True)
+        check_at_least(key["lr_min"], self.lr_min, 0)
         if self.neg_distribution not in ("uniform", "freq075"):
             raise ValueError(f"unknown negative distribution '{self.neg_distribution}'")
 

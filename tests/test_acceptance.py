@@ -95,8 +95,9 @@ def test_criterion_1_gradient_suite():
     names = {r.name for r in results}
     ok = (len(results) >= 5 and all(r.passed for r in results) and elapsed < 60
           and {"struct_sgns_pair_loss", "dim_align_loss", "view_recon_loss",
-               "scatter_loss", "total_objective"} <= names)
-    report(1, ok, f"4 loss gradients and 1 SGNS kernel step vs finite differences: "
+               "scatter_loss", "total_objective", "asymmetric_views"} <= names)
+    report(1, ok, f"4 loss gradients, the total on asymmetric views and 1 SGNS kernel "
+                  f"step vs finite differences: "
                   f"worst rel err {worst:.2e} <= 1e-4 over 20 instances each, "
                   f"{elapsed:.1f}s < 60s")
 

@@ -296,6 +296,30 @@ def test_embed_outputs(tmp_path, bundle, checkpoint):
     assert abs(sum(beta) - 1.0) <= 1e-9
 
 
+def test_pretrain_and_embed_run_on_a_non_palindromic_metapath(tmp_path):
+    from mug.bundle import load_bundle
+    from mug.hetgraph import metapath_edges
+
+    spec = synth.two_view_spec(attr_dim=5, centroid_scale=1.0, targets_per_class=20)
+    spec["relations"].append({"name": "as", "src": "author", "dst": "subject",
+                              "intra": 0.9, "inter": 0.1, "degree": 1.0})
+    spec["metapaths"][1] = {"name": "PASP",
+                            "steps": ["paper", "pa", "author", "as", "subject", "ps", "paper"]}
+    data, ckpt, out = (str(tmp_path / name) for name in ("bundle", "m.ckpt", "emb.tsv"))
+    assert main(["synth", "--spec", tiny_spec(tmp_path, **spec), "--out", data]) == EXIT_OK
+    g = load_bundle(data)
+    assert not metapath_edges(g, g.metapaths[1]).symmetric
+    assert main(["pretrain", "--data", data, "--config", tiny_config(tmp_path),
+                 "--out", ckpt]) == EXIT_OK
+    trace = np.loadtxt(str(tmp_path / "m.trace.csv"), delimiter=",", skiprows=1)
+    assert trace.shape == (3, 5) and np.isfinite(trace).all()
+    assert main(["embed", "--model", ckpt, "--data", data, "--out", out]) == EXIT_OK
+    z = np.loadtxt(out, delimiter="\t", skiprows=1, usecols=range(1, 17))
+    assert z.shape == (60, 16) and np.isfinite(z).all()
+    beta = [float(v) for v in open(str(tmp_path / "emb.beta.csv")).read().split(",")]
+    assert len(beta) == 2 and abs(sum(beta) - 1.0) <= 1e-9
+
+
 def test_embed_deterministic(tmp_path, bundle, checkpoint):
     o1, o2 = str(tmp_path / "e1.tsv"), str(tmp_path / "e2.tsv")
     for o in (o1, o2):
@@ -487,6 +511,14 @@ def test_bad_split_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
     ("struct_dim = 0", "struct_dim must be >= 1, got 0"),
     ("struct_epochs = -2", "struct_epochs must be >= 1, got -2"),
     ("struct_lr = 0", "struct_lr must be > 0, got 0.0"),
+    ("lambda_align = nan", "lambda_align must be >= 0, got nan"),
+    ("lambda_recon = nan", "lambda_recon must be >= 0, got nan"),
+    ("lambda_scatter = inf", "lambda_scatter must be finite, got inf"),
+    ("gamma = inf", "gamma must be finite, got inf"),
+    ("learning_rate = inf", "learning_rate must be finite, got inf"),
+    ("struct_lr = inf", "struct_lr must be finite, got inf"),
+    ("struct_lr_min = nan", "struct_lr_min must be >= 0, got nan"),
+    ("struct_lr_min = -1", "struct_lr_min must be >= 0, got -1.0"),
 ])
 def test_bad_train_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
                                                  setting, message):

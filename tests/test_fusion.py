@@ -382,7 +382,7 @@ VALID_CONFIGS = st.builds(
     no_cse=st.booleans(), no_align=st.booleans(), no_scatter=st.booleans(),
     sample_size=st.integers(1, 4), unified_dim=st.integers(1, 4), gamma=st.floats(1, 1e308),
     walk=st.builds(WalkConfig, walks_per_node=COUNTS, walk_length=COUNTS, window=COUNTS,
-                   negatives=COUNTS, dim=COUNTS, epochs=COUNTS, lr=POSITIVE, lr_min=FINITE_FLOATS,
+                   negatives=COUNTS, dim=COUNTS, epochs=COUNTS, lr=POSITIVE, lr_min=NONNEGATIVE,
                    neg_distribution=st.sampled_from(["uniform", "freq075"])),
     mask=st.builds(MaskSpec, edge_mask_rate=st.floats(0, 1), resample_per_epoch=st.booleans()),
 )
@@ -462,6 +462,45 @@ def test_one_epoch_peak_memory_is_at_most_four_n_by_n_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * (8 * n * n), f"peak {peak / (8 * n * n):.1f} N x N float64 arrays"
+
+
+def _three_view_objective_inputs(targets_per_class):
+    """A three-view state with its first epoch's masks, and initial parameters."""
+    g = synth.generate(synth.SynthSpec.from_dict(three_view_spec(
+        targets_per_class=targets_per_class)), RngStream(0))
+    cfg = TrainConfig(no_cse=True, seed=0)
+    state = fusion._prepare_graph(g, cfg)
+    masked = [metamae.mask_edges(view, cfg.mask, RngStream(0, MASK, 0, i))
+              for i, view in enumerate(state.views)]
+    return state, masked, fusion._init_params(cfg, 0), cfg
+
+
+def test_objective_peak_memory_holds_one_operator_whatever_the_view_count():
+    state, masked, params, cfg = _three_view_objective_inputs(200)
+    n = len(state.unified)
+    one_view = fusion._GraphState(state.unified, state.views[:1], state.sample_idx)
+    peaks = []
+    for st_, views in ((one_view, masked[:1]), (state, masked)):   # buffers made already
+        tracemalloc.start()
+        try:
+            fusion.objective(params, st_, views, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * n * n, f"{(peaks[1] - peaks[0]) / (8 * n * n):.2f} N x N"
+
+
+def test_objective_does_not_read_what_the_buffer_held_before():
+    state, masked, params, cfg = _three_view_objective_inputs(30)
+    assert len({len(m.rows) for m in masked}) == 3   # three different edge sets
+    want_parts, want_grads = fusion.objective(params, state, masked, cfg)
+    state.op.fill(np.nan)
+    parts, grads = fusion.objective(params, state, masked, cfg)
+    for name in ("l_align", "beta", "view_losses", "l_scatter", "total"):
+        assert np.asarray(getattr(parts, name)).tobytes() == \
+            np.asarray(getattr(want_parts, name)).tobytes(), name
+    for name, value in want_grads.items():
+        assert grads[name].tobytes() == value.tobytes(), name
 
 
 def test_objective_computes_each_row_block_of_scores_once_per_view(monkeypatch):
