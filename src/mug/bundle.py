@@ -1,8 +1,8 @@
 """On-disk graph bundles: schema.json + TSV files, loaded with full validation.
 
-All files are UTF-8, tab-separated, LF line endings, one header line.
-Floats are serialized with repr() (shortest round-tripping decimal), so a
-load/save cycle is bit-exact.
+All files are UTF-8, tab-separated, LF line endings, one header line; a
+leading byte-order mark is allowed. Floats are written by format_floats, with
+repr() (shortest round-tripping decimal), so a load/save cycle is bit-exact.
 """
 
 from __future__ import annotations
@@ -43,12 +43,20 @@ class UnknownNodeError(BundleError):
 
 
 def read_text(path: str) -> str:
-    """The whole of a UTF-8 text file; any other bytes raise an error naming it."""
-    with open(path, encoding="utf-8") as fh:
+    """The whole of a UTF-8 text file, less a leading byte-order mark.
+
+    Bytes that are not UTF-8 raise an error naming the file.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise BundleError(f"not UTF-8 text: {exc}", path) from None
+
+
+def format_floats(values, sep: str) -> str:
+    """One row of floats, each as repr(float(v)): the form every float writer uses."""
+    return sep.join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
 def _read_rows(path: str):
@@ -264,7 +272,7 @@ def save_bundle(g: HetGraph, path: str) -> None:
             header = "\t".join(["node_id"] + [f"f{i}" for i in range(mat.shape[1])])
             fh.write(header + "\n")
             for nid, row in zip(g.node_ids[t], mat):
-                fh.write(nid + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+                fh.write(nid + "\t" + format_floats(row, "\t") + "\n")
 
     if g.labels is not None:
         with open(os.path.join(path, "labels.tsv"), "w", encoding="utf-8") as fh:

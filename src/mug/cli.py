@@ -24,7 +24,7 @@ from . import bundle as bio
 from . import config as cfgmod
 from . import evalkit, fusion, gradsuite, synth
 from .hetgraph import class_frequency_baseline, homophily_report
-from .rng import SYNTH, RngStream, check_seed
+from .rng import SYNTH, RngStream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,16 +54,19 @@ def _check_outputs(*paths: str) -> None:
 
 
 def _resolved(args, flag_keys: Dict[str, str]) -> Dict[str, object]:
+    """Defaults < config file < flags, every setting checked against its bound."""
     file_values = cfgmod.parse_config_file(args.config) if getattr(args, "config", None) else {}
     flags = {key: getattr(args, attr) for attr, key in flag_keys.items()}
-    return cfgmod.resolve(file_values, flags)
+    cfg = cfgmod.resolve(file_values, flags)
+    cfgmod.check(cfg)
+    return cfg
 
 
 # -- synth ------------------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
-    check_seed(args.seed)
+    cfgmod.check({"seed": args.seed})
     if args.spec:
         try:
             raw = json.loads(bio.read_text(args.spec))
@@ -124,11 +127,9 @@ def cmd_pretrain(args) -> int:
     stem, _ = os.path.splitext(args.out)
     _check_outputs(args.out, stem + ".trace.csv", _echo_path(args.out))
     cfg = _resolved(args, _PRETRAIN_FLAGS)
-    train_cfg = cfgmod.to_train_config(cfg)
-    train_cfg.validate()
     g = bio.load_bundle(args.data)
     trace: list = []
-    model = fusion.pretrain(g, train_cfg, trace=trace)
+    model = fusion.pretrain(g, cfgmod.to_train_config(cfg), trace=trace)
     fusion.save_checkpoint(model, args.out)
 
     with open(stem + ".trace.csv", "w", encoding="utf-8") as fh:
@@ -149,7 +150,7 @@ def cmd_pretrain(args) -> int:
 def cmd_embed(args) -> int:
     stem, _ = os.path.splitext(args.out)
     _check_outputs(args.out, stem + ".beta.csv", _echo_path(args.out))
-    check_seed(args.seed)
+    cfgmod.check({"seed": args.seed})
     model = fusion.load_checkpoint(args.model)
     g = bio.load_bundle(args.data)
     z, beta = fusion.embed(model, g, seed=args.seed)
@@ -158,9 +159,9 @@ def cmd_embed(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("node_id\t" + "\t".join(f"z{i}" for i in range(z.shape[1])) + "\n")
         for nid, row in zip(ids, z):
-            fh.write(nid + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
+            fh.write(nid + "\t" + bio.format_floats(row, "\t") + "\n")
     with open(stem + ".beta.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(repr(float(b)) for b in beta) + "\n")
+        fh.write(bio.format_floats(beta, ",") + "\n")
     cfgmod.write_echo({"seed": args.seed, "model": args.model, "data": args.data},
                       _echo_path(args.out))
     print(f"embedded {len(ids)} target nodes into {z.shape[1]} dims; "

@@ -1,27 +1,86 @@
-"""Flat key=value run configuration with three-layer precedence.
+"""The run settings: their schema, their value grammar and their checker.
 
-Defaults < config file < command-line flags. The keys, defaults and value
-types live on the dataclasses (TrainConfig, WalkConfig, MaskSpec, SplitSpec)
-and are read through fusion.config_fields, so a key is the same name in a
-config file, an echo and a checkpoint. A config file names each key at most
-once and only known keys; every run writes a resolved echo file that can
-replay it.
+Every setting is a field of TrainConfig (its nested WalkConfig and MaskSpec
+included) or of evalkit.SplitSpec, and the field is its whole schema: its
+type, its default, its flat key (metadata["key"], else the field's name) and
+its bound. So a key is the same name in a config file, an echo and a
+checkpoint's [meta], and parse_value is the one grammar that reads a value in
+all of them.
+
+A bound is metadata["bound"], an interval such as "[1, inf)", "(0, inf)",
+"[0, 1]" or "[0, 2**64)", or, for a text setting, metadata["choices"], its
+allowed values. check takes settings by flat key and raises ConfigError naming
+the first key outside its bound. A round bracket excludes its end, so a float
+bounded by "[0, inf)" must be finite; every comparison is negated, so NaN
+fails it. Settings are checked where they enter: in the CLI right after
+resolve, in fusion.pretrain, and when a checkpoint's [meta] is read.
+
+Precedence is defaults < config file < command-line flags. A config file
+names each key at most once and only known keys; every run writes a resolved
+echo file that can replay it.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Dict, Optional
 
 from .bundle import read_text
-from .evalkit import KSHOT_REPEATS, SplitSpec
-from .fusion import TrainConfig, config_fields
+from .evalkit import SplitSpec
+from .metamae import MaskSpec
+from .structenc import WalkConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _bool(text: str) -> bool:
+@dataclass
+class TrainConfig:
+    lambda_align: float = field(default=1.0, metadata={"bound": "[0, inf)"})
+    lambda_recon: float = field(default=1.0, metadata={"bound": "[0, inf)"})
+    lambda_scatter: float = field(default=0.1, metadata={"bound": "[0, inf)"})
+    epochs: int = field(default=400, metadata={"bound": "[0, inf)"})
+    learning_rate: float = field(default=1e-3, metadata={"bound": "(0, inf)"})
+    # RngStream folds a seed into [0, 2**64), so a seed outside it would alias another
+    seed: int = field(default=0, metadata={"bound": "[0, 2**64)"})
+    no_cse: bool = False
+    no_align: bool = False
+    no_scatter: bool = False
+    sample_size: int = field(default=128, metadata={"bound": "[1, inf)"})
+    unified_dim: int = field(default=64, metadata={"bound": "[1, inf)"})
+    gamma: float = field(default=2.0, metadata={"bound": "[1, inf)"})
+    walk: WalkConfig = field(default_factory=WalkConfig)
+    mask: MaskSpec = field(default_factory=MaskSpec)
+
+
+def config_fields(cfg):
+    """(key, owner, field, value) per setting, nested dataclasses included, in field order."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            yield from config_fields(value)
+        else:
+            yield f.metadata.get("key", f.name), cfg, f, value
+
+
+def by_key(cfg) -> Dict[str, object]:
+    """Every setting of a dataclass by its flat key, in field order."""
+    return {key: value for key, _, _, value in config_fields(cfg)}
+
+
+def defaults() -> Dict[str, object]:
+    return {**by_key(TrainConfig()), **by_key(SplitSpec())}   # both have seed
+
+
+def parse_value(text: str, default):
+    """text read as a value of default's type; ValueError if it is not one.
+
+    Booleans are true, yes or 1 and false, no or 0, in any case.
+    """
+    if not isinstance(default, bool):
+        return type(default)(text)
     t = text.strip().lower()
     if t in ("true", "1", "yes"):
         return True
@@ -30,11 +89,31 @@ def _bool(text: str) -> bool:
     raise ValueError(text)
 
 
-def defaults() -> Dict[str, object]:
-    out = {key: value for spec in (TrainConfig(), SplitSpec())   # both have seed
-           for key, _, _, value in config_fields(spec)}
-    out["kshot_repeats"] = KSHOT_REPEATS
-    return out
+def _end(text: str):
+    """One end of a bound: an integer, a power such as 2**64, or inf."""
+    base, _, power = text.partition("**")
+    return math.inf if base == "inf" else int(base) ** int(power or 1)
+
+
+def check(values: Dict[str, object]) -> None:
+    """Raise ConfigError naming the first setting outside the bound its field declares."""
+    schema = {key: f.metadata for spec in (TrainConfig(), SplitSpec())
+              for key, _, f, _ in config_fields(spec)}
+    for key, value in values.items():
+        choices, bound = schema[key].get("choices"), schema[key].get("bound")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got '{value}'")
+        if bound is None:
+            continue
+        low, high = bound[1:-1].split(", ")
+        above = value > _end(low) if bound[0] == "(" else value >= _end(low)
+        below = value <= _end(high) if bound[-1] == "]" else value < _end(high)
+        if not above and high == "inf":
+            raise ConfigError(f"{key} must be {'>' if bound[0] == '(' else '>='} {low}, "
+                              f"got {value}")
+        if not (above and below):
+            raise ConfigError(f"{key} must be {'finite' if high == 'inf' else 'in ' + bound}, "
+                              f"got {value}")
 
 
 def parse_config_file(path: str) -> Dict[str, object]:
@@ -51,9 +130,8 @@ def parse_config_file(path: str) -> Dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if key in out:
             raise ConfigError(f"{path}:{lineno}: repeated key '{key}'")
-        conv = _bool if isinstance(known[key], bool) else type(known[key])
         try:
-            out[key] = conv(value)
+            out[key] = parse_value(value, known[key])
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': '{value}'")
     return out
@@ -73,22 +151,21 @@ def write_echo(cfg: Dict[str, object], path: str) -> None:
             fh.write(f"{key} = {cfg[key]}\n")
 
 
+def _filled(spec, cfg: Dict[str, object]):
+    for key, owner, f, _ in config_fields(spec):
+        setattr(owner, f.name, cfg[key])
+    return spec
+
+
 def to_train_config(cfg: Dict[str, object]) -> TrainConfig:
-    out = TrainConfig()
-    for key, owner, name, _ in config_fields(out):
-        setattr(owner, name, cfg[key])
-    return out
+    return _filled(TrainConfig(), cfg)
 
 
 def to_split_spec(cfg: Dict[str, object], shots: int = 0) -> SplitSpec:
-    """The eval split protocol, validated (ValueError naming the bad key).
+    """The eval split protocol.
 
     A k-shot run (shots = k) trains on k nodes per class and takes its repeats
     from kshot_repeats; every other setting is the standard protocol's.
     """
-    repeats_key = "kshot_repeats" if shots else "repeats"
-    spec = SplitSpec(per_class_train=shots or cfg["per_class_train"],
-                     val_size=cfg["val_size"], test_size=cfg["test_size"],
-                     repeats=cfg[repeats_key], seed=cfg["seed"])
-    spec.validate(repeats_key)
-    return spec
+    spec = _filled(SplitSpec(), cfg)
+    return replace(spec, per_class_train=shots, repeats=spec.kshot_repeats) if shots else spec

@@ -22,38 +22,29 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rng import SPLIT, RngStream, check_seed
-
-KSHOT_REPEATS = 20      # the default of config key kshot_repeats
+from .rng import SPLIT, RngStream
 
 
 @dataclass
 class SplitSpec:
-    """One evaluation protocol; a k-shot run has per_class_train = k."""
+    """One evaluation protocol; a k-shot run has per_class_train = k.
 
-    per_class_train: int = 60
-    val_size: int = 1000
-    test_size: int = 1000
-    repeats: int = 50
-    seed: int = 0
+    kshot_repeats is the repeats a k-shot run takes in place of repeats
+    (config.to_split_spec). Each field's metadata holds its bound (see config),
+    which leaves every run a probe to train and a test row to score.
+    """
 
-    def validate(self, repeats_key: str):
-        """Reject settings that leave no probe to train or no test row to score.
-
-        Errors name the config key; repeats_key is the one the repeats came from.
-        """
-        for key, value, low in ((repeats_key, self.repeats, 1),
-                                ("per_class_train", self.per_class_train, 1),
-                                ("val_size", self.val_size, 0),
-                                ("test_size", self.test_size, 1)):
-            if value < low:
-                raise ValueError(f"{key} must be >= {low}, got {value}")
-        check_seed(self.seed)
+    per_class_train: int = field(default=60, metadata={"bound": "[1, inf)"})
+    val_size: int = field(default=1000, metadata={"bound": "[0, inf)"})
+    test_size: int = field(default=1000, metadata={"bound": "[1, inf)"})
+    repeats: int = field(default=50, metadata={"bound": "[1, inf)"})
+    seed: int = field(default=0, metadata={"bound": "[0, 2**64)"})
+    kshot_repeats: int = field(default=20, metadata={"bound": "[1, inf)"})
 
 
 @dataclass

@@ -19,62 +19,36 @@ Checkpoint format (UTF-8 text):
     MUG-CKPT v4
     [meta]
     <key> <value>          one line per TrainConfig field, in field order,
-                           named by its flat config key (config_fields)
+                           named by its flat config key (config.by_key)
     [params]
     <name> <rows> <cols>   one header per param_shapes entry, in that order,
     <row values>           each followed by its rows of repr(float) values
+                           (bundle.format_floats)
 
-load_checkpoint parses [meta] into a TrainConfig first, then requires the
-matrix headers to equal param_shapes of that config, and every value to be
-finite. Any fault raises CheckpointError naming the file and the section;
-other versions are refused (v3 named nested fields walk.dim, mask.*).
+load_checkpoint reads [meta] first: each value with config.parse_value, the
+grammar config files are read with, and then all of them through
+config.check, so a [meta] boolean may also read true, yes or 1. It then
+requires the matrix headers to equal param_shapes of that config, and every
+value to be finite. Any fault raises CheckpointError naming the file and the
+section; other versions are refused (v3 named nested fields walk.dim, mask.*).
 """
 
 from __future__ import annotations
 
 import copy
 import io
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import dimalign, metamae, structenc
-from .bundle import read_text
+from . import config, dimalign, metamae, structenc
+from .bundle import format_floats, read_text
+from .config import TrainConfig
 from .hetgraph import EdgeList, HetGraph, metapath_edges
-from .metamae import MaskSpec
-from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream, check_seed
-from .structenc import WalkConfig, check_at_least
+from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream
 
 CHECKPOINT_MAGIC = "MUG-CKPT v4"
-
-
-@dataclass
-class TrainConfig:
-    lambda_align: float = 1.0
-    lambda_recon: float = 1.0
-    lambda_scatter: float = 0.1
-    epochs: int = 400
-    learning_rate: float = 1e-3
-    seed: int = 0
-    no_cse: bool = False
-    no_align: bool = False
-    no_scatter: bool = False
-    sample_size: int = 128
-    unified_dim: int = 64
-    gamma: float = 2.0
-    walk: WalkConfig = field(default_factory=WalkConfig)
-    mask: MaskSpec = field(default_factory=MaskSpec)
-
-    def validate(self):
-        """Every number is finite and at least its least value; errors name the config key."""
-        for key, least in (("epochs", 0), ("sample_size", 1), ("unified_dim", 1), ("gamma", 1),
-                           ("lambda_align", 0), ("lambda_recon", 0), ("lambda_scatter", 0)):
-            check_at_least(key, getattr(self, key), least)
-        check_at_least("learning_rate", self.learning_rate, 0, strict=True)
-        check_seed(self.seed)
-        self.walk.validate()
-        self.mask.validate()
 
 
 def param_shapes(cfg: TrainConfig) -> List[Tuple[str, Tuple[int, int]]]:
@@ -281,24 +255,6 @@ def _init_params(cfg: TrainConfig, seed: int) -> Dict[str, np.ndarray]:
     return params
 
 
-def config_fields(cfg):
-    """(key, owner, field name, value) per scalar field, nested ones included, in field order.
-
-    The key is the setting's one name, in config files, echoes and checkpoints
-    alike: the field's metadata["key"] if it has one, else the field's name.
-    """
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if is_dataclass(value):
-            yield from config_fields(value)
-        else:
-            yield f.metadata.get("key", f.name), cfg, f.name, value
-
-
-def config_echo(cfg: TrainConfig) -> Dict[str, str]:
-    return {key: str(value) for key, _, _, value in config_fields(cfg)}
-
-
 @dataclass
 class _GraphState:
     unified: np.ndarray
@@ -370,7 +326,7 @@ def pretrain(g: HetGraph, cfg: TrainConfig,
     The per-epoch trace rows hold the loss parts; training aborts with the
     offending epoch if the loss goes non-finite.
     """
-    cfg.validate()
+    config.check(config.by_key(cfg))
     return _train(_prepare_graph(g, cfg), cfg, trace)
 
 
@@ -400,14 +356,14 @@ def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.n
 def save_checkpoint(model: MugModel, path: str) -> None:
     buf = io.StringIO()
     buf.write(CHECKPOINT_MAGIC + "\n[meta]\n")
-    for key, value in config_echo(model.cfg).items():
+    for key, value in config.by_key(model.cfg).items():
         buf.write(f"{key} {value}\n")
     buf.write("[params]\n")
     for name, _ in param_shapes(model.cfg):
         mat = model.params[name]
         buf.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n")
         for row in mat:
-            buf.write(" ".join(repr(float(v)) for v in row) + "\n")
+            buf.write(format_floats(row, " ") + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
 
@@ -417,29 +373,25 @@ class CheckpointError(ValueError):
 
 
 def _read_meta(path: str, lines: List[str]) -> TrainConfig:
-    """Invert config_echo: every TrainConfig field exactly once."""
-    cfg = TrainConfig()
-    todo = {key: (owner, name, default) for key, owner, name, default in config_fields(cfg)}
+    """Invert save_checkpoint's [meta]: every TrainConfig setting exactly once, checked."""
+    defaults = config.by_key(TrainConfig())
+    values: Dict[str, object] = {}
     for line in lines:
         key, _, text = line.partition(" ")
-        if key not in todo:
+        if key not in defaults or key in values:
             raise CheckpointError(f"{path}: [meta] unknown or repeated key '{key}'")
-        owner, name, default = todo.pop(key)
         try:
-            if isinstance(default, bool):
-                value = {"True": True, "False": False}[text]
-            else:
-                value = type(default)(text)
-        except (KeyError, ValueError):
+            values[key] = config.parse_value(text, defaults[key])
+        except ValueError:
             raise CheckpointError(f"{path}: [meta] bad value for '{key}': '{text}'") from None
-        setattr(owner, name, value)
-    if todo:
-        raise CheckpointError(f"{path}: [meta] has no '{next(iter(todo))}'")
+    missing = [key for key in defaults if key not in values]
+    if missing:
+        raise CheckpointError(f"{path}: [meta] has no '{missing[0]}'")
     try:
-        cfg.validate()
-    except ValueError as exc:
+        config.check(values)
+    except config.ConfigError as exc:
         raise CheckpointError(f"{path}: [meta] {exc}") from None
-    return cfg
+    return config.to_train_config(values)
 
 
 def _read_params(path: str, lines: List[str], cfg: TrainConfig) -> Dict[str, np.ndarray]:

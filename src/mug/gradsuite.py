@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import fusion, kernels
+from . import config, fusion, kernels
 from .hetgraph import EdgeList
 
 TOLERANCE = 1e-4
@@ -94,7 +94,7 @@ def _objective_check(name: str, n_views: int, lambda_align: float,
     i != j entry, so their operators differ from their transposes.
     """
     n, d, k, ns = 6, 4, 3, 4
-    cfg = fusion.TrainConfig(sample_size=ns, unified_dim=k, lambda_align=lambda_align,
+    cfg = config.TrainConfig(sample_size=ns, unified_dim=k, lambda_align=lambda_align,
                              lambda_recon=lambda_recon, lambda_scatter=lambda_scatter)
 
     def make_params(rng):

@@ -37,12 +37,8 @@ class DegenerateViewError(ValueError):
 
 @dataclass
 class MaskSpec:
-    edge_mask_rate: float = 0.5
+    edge_mask_rate: float = field(default=0.5, metadata={"bound": "[0, 1]"})
     resample_per_epoch: bool = field(default=True, metadata={"key": "resample_mask"})
-
-    def validate(self):
-        if not 0.0 <= self.edge_mask_rate <= 1.0:
-            raise ValueError(f"edge_mask_rate must be in [0,1], got {self.edge_mask_rate}")
 
 
 def mask_edges(edges: EdgeList, spec: MaskSpec, rng: RngStream) -> EdgeList:

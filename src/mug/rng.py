@@ -26,12 +26,6 @@ _PATH_LEN = (0, 0, 1, 0, 1, 0, 1, 2, 1)
 _MASK64 = (1 << 64) - 1
 
 
-def check_seed(seed: int) -> None:
-    """Reject a seed that RngStream would fold into [0, 2**64) onto another one."""
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-
-
 class RngStream:
     """A named, replayable random stream; stream_id is (purpose, *path)."""
 

@@ -9,8 +9,7 @@ is never part of the transferable checkpoint.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -20,44 +19,24 @@ from .hetgraph import HetGraph, MetaPath, step_csr
 from .rng import SGNS, SGNS_INIT, WALKS, RngStream
 
 
-def check_at_least(key: str, value, least, strict: bool = False) -> None:
-    """Raise ValueError naming key unless value is finite and >= least (> least if strict).
-
-    The comparison is negated, so NaN fails it.
-    """
-    if not (value > least if strict else value >= least):
-        raise ValueError(f"{key} must be {'>' if strict else '>='} {least}, got {value}")
-    if value == math.inf:
-        raise ValueError(f"{key} must be finite, got {value}")
-
-
 @dataclass
 class WalkConfig:
-    """Walk and skip-gram settings; metadata["key"] is a field's config key where it differs.
+    """Walk and skip-gram settings; metadata holds each field's bound and config key (see config).
 
     The skip-gram rate decays linearly from lr to lr_min over the pairs of all
-    epochs; lr must be finite and > 0, and lr_min finite and >= 0.
+    epochs.
     """
 
-    walks_per_node: int = 10
-    walk_length: int = 20          # edges per walk
-    window: int = 5
-    negatives: int = 5
-    dim: int = field(default=64, metadata={"key": "struct_dim"})
-    epochs: int = field(default=5, metadata={"key": "struct_epochs"})
-    lr: float = field(default=0.025, metadata={"key": "struct_lr"})
-    lr_min: float = field(default=0.0001, metadata={"key": "struct_lr_min"})
-    neg_distribution: str = "uniform"   # or "freq075"
-
-    def validate(self):
-        """Errors name the config key."""
-        key = {f.name: f.metadata.get("key", f.name) for f in fields(self)}
-        for name in ("walks_per_node", "walk_length", "window", "negatives", "dim", "epochs"):
-            check_at_least(key[name], getattr(self, name), 1)
-        check_at_least(key["lr"], self.lr, 0, strict=True)
-        check_at_least(key["lr_min"], self.lr_min, 0)
-        if self.neg_distribution not in ("uniform", "freq075"):
-            raise ValueError(f"unknown negative distribution '{self.neg_distribution}'")
+    walks_per_node: int = field(default=10, metadata={"bound": "[1, inf)"})
+    walk_length: int = field(default=20, metadata={"bound": "[1, inf)"})   # edges per walk
+    window: int = field(default=5, metadata={"bound": "[1, inf)"})
+    negatives: int = field(default=5, metadata={"bound": "[1, inf)"})
+    dim: int = field(default=64, metadata={"key": "struct_dim", "bound": "[1, inf)"})
+    epochs: int = field(default=5, metadata={"key": "struct_epochs", "bound": "[1, inf)"})
+    lr: float = field(default=0.025, metadata={"key": "struct_lr", "bound": "(0, inf)"})
+    lr_min: float = field(default=0.0001, metadata={"key": "struct_lr_min", "bound": "[0, inf)"})
+    neg_distribution: str = field(default="uniform",
+                                  metadata={"choices": ("uniform", "freq075")})
 
 
 @dataclass
@@ -74,7 +53,6 @@ def sample_walks(g: HetGraph, mp: MetaPath, cfg: WalkConfig,
     Rows come in start-node order, walks_per_node rows per node, and all their
     uniforms are one draw of shape (rows, walk_length) from rng.
     """
-    cfg.validate()
     steps = [step_csr(g, mp, j) for j in range(mp.length)]
     type_off = np.array([g.offset(t) for t in mp.types[:-1]], dtype=np.int64)
 
@@ -142,7 +120,6 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
     score goes through BLAS, so the same (walks, cfg, seed) gives
     bit-identical tables on one machine.
     """
-    cfg.validate()
     if walks.size == 0 or lens.sum() == 0:
         raise ValueError("empty walk list")
     centers, contexts = _window_pairs(walks, lens, cfg.window)

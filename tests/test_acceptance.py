@@ -20,8 +20,9 @@ from oracles import enumerate_pairs
 from mug import fusion, gradsuite, synth
 from mug.bundle import save_bundle
 from mug.cli import main as cli_main
+from mug.config import TrainConfig
 from mug.evalkit import SplitSpec, evaluate_embedding, f1_scores, make_splits
-from mug.fusion import TrainConfig, attention_scores, attention_weights, softmax
+from mug.fusion import attention_scores, attention_weights, softmax
 from mug.hetgraph import all_views, class_frequency_baseline, homophily_report
 from mug.metamae import MaskSpec, mask_edges
 from mug.rng import RngStream

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mug
+from mug import config as cfgmod
 from mug import gradsuite, kernels, synth
 from mug.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -536,6 +537,49 @@ def test_bad_train_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["pretrain", "eval"])
+@pytest.mark.parametrize("text, message", [
+    ("gamma = nan\nwindow = 0\n", "gamma must be >= 1, got nan"),
+    ("window = 0\n", "window must be >= 1, got 0"),
+    ("neg_distribution = zipf\n",
+     "neg_distribution must be one of uniform, freq075, got 'zipf'"),
+    ("test_size = 0\n", "test_size must be >= 1, got 0"),
+    ("kshot_repeats = 0\n", "kshot_repeats must be >= 1, got 0"),
+], ids=["train-keys", "walk-key", "text-key", "split-key", "kshot-key"])
+def test_every_command_that_reads_a_config_checks_all_of_it(tmp_path, monkeypatch, capsys,
+                                                            command, text, message):
+    from mug import bundle, fusion
+    monkeypatch.setattr(bundle, "load_bundle", _no_work)
+    monkeypatch.setattr(fusion, "load_checkpoint", _no_work)
+    config = str(tmp_path / "bad.cfg")
+    with open(config, "w") as fh:
+        fh.write(text)
+    data, model = str(tmp_path / "bundle"), str(tmp_path / "model.ckpt")
+    argv = {"pretrain": ["pretrain", "--data", data, "--out", model],
+            "eval": ["eval", "--model", model, "--train-data", data, "--eval-data", data,
+                     "--out", str(tmp_path / "report.csv")]}[command]
+    assert main(argv + ["--config", config]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["bad.cfg"]   # no echo written
+
+
+FLOAT_KEYS = [key for key, value in cfgmod.defaults().items() if type(value) is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_setting_refuses_nan_and_inf(tmp_path, monkeypatch, capsys, key, value):
+    from mug import bundle
+    monkeypatch.setattr(bundle, "load_bundle", _no_work)
+    config = str(tmp_path / "bad.cfg")
+    with open(config, "w") as fh:
+        fh.write(f"{key} = {value}\n")
+    assert main(["pretrain", "--data", str(tmp_path / "bundle"), "--config", config,
+                 "--out", str(tmp_path / "m.ckpt")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.endswith(f", got {value}\n"), err
+
+
 def test_eval_bundles_sharing_a_name_fail_before_the_work(tmp_path, monkeypatch, capsys):
     from mug import fusion
     monkeypatch.setattr(fusion, "load_checkpoint", _no_work)
@@ -609,10 +653,12 @@ def test_pretrain_and_embed_bytes_do_not_depend_on_the_blas_thread_count(tmp_pat
 # -- gradcheck ---------------------------------------------------------------------
 
 
-def test_gradcheck_passes_and_covers_five_expressions(capsys):
+def test_gradcheck_prints_a_pass_line_for_each_default_check(capsys):
     assert main(["gradcheck", "--instances", "2"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("pass") >= 5
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["pass", check.name] for check in gradsuite.default_checks()]
+    assert summary == f"{len(lines)}/{len(lines)} gradient checks passed"
 
 
 def test_gradcheck_detects_injected_wrong_gradient():
@@ -897,6 +943,19 @@ def test_directory_path_exit_code(tmp_path, bundle, checkpoint, capsys, flag):
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and folder in err, err
+
+
+@pytest.mark.parametrize("which", ["config", "schema.json"])
+def test_a_leading_byte_order_mark_is_read_past(tmp_path, bundle, which):
+    config = tiny_config(tmp_path)
+    path = os.path.join(bundle, "schema.json") if which == "schema.json" else config
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8-sig") as fh:
+        fh.write(text)
+    assert main(["pretrain", "--data", bundle, "--config", config,
+                 "--out", str(tmp_path / "m.ckpt")]) == EXIT_OK
+    assert "epochs = 3" in open(str(tmp_path / "m.config.txt")).read().splitlines()
 
 
 @pytest.mark.parametrize("which", ["checkpoint", "nodes.tsv", "config", "spec"])

@@ -1,18 +1,14 @@
 """One config schema: each setting has one flat key, on its dataclass field."""
 
+import math
 from dataclasses import asdict
 
+import pytest
+
 from mug import config
+from mug.config import TrainConfig, by_key, config_fields
 from mug.evalkit import SplitSpec
-from mug.fusion import (
-    MugModel,
-    TrainConfig,
-    _init_params,
-    config_echo,
-    config_fields,
-    load_checkpoint,
-    save_checkpoint,
-)
+from mug.fusion import MugModel, _init_params, load_checkpoint, pretrain, save_checkpoint
 from mug.metamae import MaskSpec
 from mug.structenc import WalkConfig
 
@@ -73,9 +69,9 @@ def test_no_two_train_fields_share_a_key():
 
 
 def test_echo_keys_are_the_flat_config_keys():
-    echo = config_echo(TrainConfig())
-    assert set(echo) <= FLAT_KEYS
-    assert echo["struct_dim"] == "64" and echo["resample_mask"] == "True"
+    settings = by_key(TrainConfig())
+    assert set(settings) <= FLAT_KEYS
+    assert settings["struct_dim"] == 64 and settings["resample_mask"] is True
 
 
 def test_checkpoint_meta_names_each_field_by_its_key_in_field_order(tmp_path):
@@ -85,7 +81,7 @@ def test_checkpoint_meta_names_each_field_by_its_key_in_field_order(tmp_path):
     lines = open(path).read().split("\n")
     assert lines[:2] == ["MUG-CKPT v4", "[meta]"]
     meta = lines[2:lines.index("[params]")]
-    assert meta == [f"{key} {value}" for key, value in config_echo(cfg).items()]
+    assert meta == [f"{key} {value}" for key, value in by_key(cfg).items()]
     assert meta[-1] == "resample_mask False"
 
 
@@ -110,3 +106,61 @@ def test_flat_keys_reach_their_fields(tmp_path):
     cfg = config.to_train_config(config.resolve(config.parse_config_file(path)))
     assert cfg.walk.dim == 8 and cfg.mask.resample_per_epoch is False
     assert cfg.walk.lr == 0.5 and cfg.walk.epochs == 3 and cfg.walk.lr_min == 0.25
+
+
+# -- bounds -------------------------------------------------------------------------
+
+
+def _setting_fields():
+    for spec in (TrainConfig(), SplitSpec()):
+        yield from config_fields(spec)
+
+
+def test_every_number_setting_declares_a_bound_and_every_text_setting_its_choices():
+    unbounded = [key for key, _, f, value in _setting_fields()
+                 if (type(value) in (int, float) and "bound" not in f.metadata)
+                 or (type(value) is str and "choices" not in f.metadata)]
+    assert unbounded == []
+
+
+def test_every_bound_is_an_interval_holding_its_default():
+    for key, _, f, value in _setting_fields():
+        if "bound" in f.metadata:
+            bound = f.metadata["bound"]
+            assert bound[0] in "[(" and bound[-1] in "])" and ", " in bound, key
+            config.check({key: value})
+
+
+def test_fields_sharing_a_key_declare_one_default_and_bound():
+    seen = {}
+    for key, _, f, value in _setting_fields():
+        assert seen.setdefault(key, (value, dict(f.metadata))) == (value, dict(f.metadata)), key
+    assert len(seen) == 28
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", 2**64, "seed must be in [0, 2**64), got 18446744073709551616"),
+    ("edge_mask_rate", 1.5, "edge_mask_rate must be in [0, 1], got 1.5"),
+    ("edge_mask_rate", math.nan, "edge_mask_rate must be in [0, 1], got nan"),
+    ("neg_distribution", "zipf", "neg_distribution must be one of uniform, freq075, got 'zipf'"),
+    ("struct_lr_min", -math.inf, "struct_lr_min must be >= 0, got -inf"),
+    ("kshot_repeats", 0, "kshot_repeats must be >= 1, got 0"),
+])
+def test_check_names_the_key_and_its_bound(key, value, message):
+    with pytest.raises(config.ConfigError) as exc:
+        config.check({key: value})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", 2**64 - 1), ("edge_mask_rate", 0.0), ("edge_mask_rate", 1.0), ("epochs", 0),
+    ("val_size", 0), ("struct_lr_min", 0.0), ("neg_distribution", "freq075"),
+])
+def test_check_accepts_the_ends_of_each_range(key, value):
+    config.check({key: value})
+
+
+
+def test_pretrain_checks_its_config_before_the_work():
+    with pytest.raises(config.ConfigError, match=r"^struct_lr_min must be >= 0, got nan$"):
+        pretrain(None, TrainConfig(walk=WalkConfig(lr_min=math.nan)))   # no graph is read

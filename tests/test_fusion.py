@@ -16,8 +16,8 @@ from helpers import FINITE_FLOATS, NO_SHRINK, three_view_spec, view_of
 
 from mug import autodiff as ad
 from mug import fusion, metamae, synth
+from mug.config import TrainConfig
 from mug.fusion import (
-    TrainConfig,
     attention_weights,
     embed,
     fuse,

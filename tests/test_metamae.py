@@ -330,14 +330,14 @@ def test_fused_pass_and_operator_match_the_oracles_on_random_views(
 
 
 def test_full_view_pipeline_gradient_matches_fd():
-    from mug import fusion
+    from mug import config, fusion
 
     rng = np.random.default_rng(10)
     n, d, k, ns = 6, 4, 3, 4
     adj = sym_adj(n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
     masked = mask_edges(view_of(adj), MaskSpec(edge_mask_rate=0.5), RngStream(2))
     # the reconstruction term alone, on one view
-    cfg = fusion.TrainConfig(lambda_align=0.0, lambda_scatter=0.0, sample_size=ns,
+    cfg = config.TrainConfig(lambda_align=0.0, lambda_scatter=0.0, sample_size=ns,
                              unified_dim=k)
     state = fusion._GraphState(unified=rng.uniform(-1, 1, size=(n, d)), views=[view_of(adj)],
                                sample_idx=np.array([0, 1, 3, 4]))
@@ -353,7 +353,7 @@ def test_full_view_pipeline_gradient_matches_fd():
 
 
 def test_recon_loss_drops_twenty_percent_in_200_steps():
-    from mug import fusion, synth
+    from mug import config, fusion, synth
     from mug.structenc import WalkConfig
 
     d = {
@@ -365,7 +365,7 @@ def test_recon_loss_drops_twenty_percent_in_200_steps():
         "metapaths": [{"name": "TAT", "steps": ["T", "ta", "A", "ta", "T"]}],
     }
     g = synth.generate(synth.SynthSpec.from_dict(d), RngStream(0))
-    cfg = fusion.TrainConfig(
+    cfg = config.TrainConfig(
         epochs=200, lambda_align=0.0, lambda_scatter=0.0, seed=0,
         sample_size=16, unified_dim=16,
         walk=WalkConfig(dim=8, epochs=2, walks_per_node=4, walk_length=8),

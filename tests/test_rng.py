@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mug import evalkit, fusion, synth
+from mug.config import TrainConfig
 from mug.evalkit import SplitSpec
-from mug.fusion import TrainConfig
 from mug.rng import (INIT, MASK, SAMPLE, SGNS, SGNS_INIT, SPLIT, STRUCT, SYNTH, WALKS,
                      RngStream)
 from mug.structenc import WalkConfig
