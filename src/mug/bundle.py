@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .hetgraph import HetGraph, MetaPath, Relation
+from .hetgraph import HetGraph, MetaPath, Relation, check_names
 
 
 class BundleError(Exception):
@@ -111,9 +111,9 @@ def load_bundle(path: str) -> HetGraph:
     node_types: List[str] = list(schema["node_types"])
     relations = [Relation(*r) for r in
                  _entries(schema, "relations", ("name", "src", "dst"), schema_path)]
-    rel_names = {r.name for r in relations}
     metapaths = [MetaPath.from_steps(*m) for m in
                  _entries(schema, "metapaths", ("name", "steps"), schema_path)]
+    check_names(node_types, relations, metapaths)   # before any row is read by name
 
     # nodes.tsv: id -> (type, local index)
     nodes_path = os.path.join(path, "nodes.tsv")
@@ -133,13 +133,13 @@ def load_bundle(path: str) -> HetGraph:
 
     # edges.tsv
     edges_path = os.path.join(path, "edges.tsv")
-    rel_by_name = {r.name: r for r in relations}
+    rel_by_name = {r.name: r for r in relations}   # one per name: check_names ran
     edge_lists: Dict[str, List[tuple]] = {r.name: [] for r in relations}
     for lineno, row in _read_rows(edges_path):
         if len(row) != 3:
             raise MalformedRowError(f"expected 3 columns, got {len(row)}", edges_path, lineno)
         src_id, rname, dst_id = row
-        if rname not in rel_names:
+        if rname not in rel_by_name:
             raise UnknownNameError(f"unknown relation '{rname}'", edges_path, lineno)
         rel = rel_by_name[rname]
         for nid, want in ((src_id, rel.src), (dst_id, rel.dst)):

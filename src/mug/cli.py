@@ -5,10 +5,10 @@ Exit codes: 0 success, 1 usage, 2 data/validation error, 3 numerical failure.
 Every run with outputs writes a resolved-config echo next to them. Each
 warning a run raises is printed as one "warning: <message>" line on stderr.
 
-eval --shots k runs the k-shot protocol: k train nodes per class, with
-val_size, test_size and seed as configured, and kshot_repeats repeats.
---repeats sets the repeats of the protocol that runs: repeats without
---shots, kshot_repeats with it.
+A pretrain or eval flag that sets a setting has the setting's flat config key
+as its dest, so the flags and the config file name the same settings; every
+other dest is an input or output path. eval --shots k sets per_class_train = k:
+the k-shot protocol is the standard one with k train nodes per class.
 """
 
 from __future__ import annotations
@@ -53,11 +53,10 @@ def _check_outputs(*paths: str) -> None:
             raise ValueError(f"{path}: parent directory does not exist")
 
 
-def _resolved(args, flag_keys: Dict[str, str]) -> Dict[str, object]:
+def _resolved(args) -> Dict[str, object]:
     """Defaults < config file < flags, every setting checked against its bound."""
-    file_values = cfgmod.parse_config_file(args.config) if getattr(args, "config", None) else {}
-    flags = {key: getattr(args, attr) for attr, key in flag_keys.items()}
-    cfg = cfgmod.resolve(file_values, flags)
+    file_values = cfgmod.parse_config_file(args.config) if args.config else {}
+    cfg = cfgmod.resolve(file_values, vars(args))
     cfgmod.check(cfg)
     return cfg
 
@@ -119,17 +118,13 @@ def cmd_homophily(args) -> int:
 # -- pretrain ----------------------------------------------------------------------
 
 
-_PRETRAIN_FLAGS = {"seed": "seed", "epochs": "epochs", "no_cse": "no_cse",
-                   "no_align": "no_align", "no_scatter": "no_scatter"}
-
-
 def cmd_pretrain(args) -> int:
     stem, _ = os.path.splitext(args.out)
     _check_outputs(args.out, stem + ".trace.csv", _echo_path(args.out))
-    cfg = _resolved(args, _PRETRAIN_FLAGS)
+    cfg = _resolved(args)
     g = bio.load_bundle(args.data)
     trace: list = []
-    model = fusion.pretrain(g, cfgmod.to_train_config(cfg), trace=trace)
+    model = fusion.pretrain(g, cfgmod.filled(cfgmod.TrainConfig(), cfg), trace=trace)
     fusion.save_checkpoint(model, args.out)
 
     with open(stem + ".trace.csv", "w", encoding="utf-8") as fh:
@@ -175,9 +170,9 @@ def cmd_embed(args) -> int:
 def cmd_eval(args) -> int:
     if args.out:
         _check_outputs(args.out, _echo_path(args.out))
-    shots = args.shots or 0
-    cfg = _resolved(args, {"seed": "seed", "repeats": "kshot_repeats" if shots else "repeats"})
-    spec = cfgmod.to_split_spec(cfg, shots=shots)
+    shots = args.per_class_train or 0
+    cfg = _resolved(args)
+    spec = cfgmod.filled(evalkit.SplitSpec(), cfg)
     paths: Dict[str, str] = {}   # reports are keyed by bundle name
     for d in args.eval_data:
         name = os.path.basename(os.path.normpath(d)) or d
@@ -260,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None, help="ablate contextual structural encoding")
     pp.add_argument("--no-align", dest="no_align", action="store_const", const=True,
                     default=None, help="drop the alignment loss, freeze its params")
-    pp.add_argument("--no-scatter", dest="no_scatter", action="store_const",
-                    const=True, default=None, help="drop the scattering loss")
     pp.set_defaults(fn=cmd_pretrain)
 
     ep = sub.add_parser("embed", help="frozen-encoder embedding")
@@ -276,11 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--train-data", required=True,
                     help="bundle the model was pre-trained on; must exist, named in the report")
     vp.add_argument("--eval-data", required=True, nargs="+")
-    vp.add_argument("--shots", type=int, choices=(1, 3, 5),
+    vp.add_argument("--shots", dest="per_class_train", type=int, choices=(1, 3, 5),
                     help="k-shot protocol: k train nodes per class, other settings as configured")
     vp.add_argument("--config", help="key=value config file")
-    vp.add_argument("--repeats", type=int, default=None,
-                    help="repeats of the protocol that runs (sets kshot_repeats with --shots)")
+    vp.add_argument("--repeats", type=int, default=None)
     vp.add_argument("--seed", type=int, default=None)
     vp.add_argument("--out", help="report CSV path (default: print)")
     vp.set_defaults(fn=cmd_eval)

@@ -3,9 +3,10 @@
 Every setting is a field of TrainConfig (its nested WalkConfig and MaskSpec
 included) or of evalkit.SplitSpec, and the field is its whole schema: its
 type, its default, its flat key (metadata["key"], else the field's name) and
-its bound. So a key is the same name in a config file, an echo and a
-checkpoint's [meta], and parse_value is the one grammar that reads a value in
-all of them.
+its bound. So a key is the same name in a config file, a flag's dest, an echo
+and a checkpoint's [meta]. format_settings writes echoes and [meta] as sorted
+"key = value" lines; read_settings reads config files and [meta], with
+parse_value as the one value grammar.
 
 A bound is metadata["bound"], an interval such as "[1, inf)", "(0, inf)",
 "[0, 1]" or "[0, 2**64)", or, for a text setting, metadata["choices"], its
@@ -15,16 +16,15 @@ bounded by "[0, inf)" must be finite; every comparison is negated, so NaN
 fails it. Settings are checked where they enter: in the CLI right after
 resolve, in fusion.pretrain, and when a checkpoint's [meta] is read.
 
-Precedence is defaults < config file < command-line flags. A config file
-names each key at most once and only known keys; every run writes a resolved
-echo file that can replay it.
+Precedence is defaults < config file < command-line flags; every run writes a
+resolved echo file that can replay it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Dict, Iterable, Optional
 
 from .bundle import read_text
 from .evalkit import SplitSpec
@@ -47,7 +47,6 @@ class TrainConfig:
     seed: int = field(default=0, metadata={"bound": "[0, 2**64)"})
     no_cse: bool = False
     no_align: bool = False
-    no_scatter: bool = False
     sample_size: int = field(default=128, metadata={"bound": "[1, inf)"})
     unified_dim: int = field(default=64, metadata={"bound": "[1, inf)"})
     gamma: float = field(default=2.0, metadata={"bound": "[1, inf)"})
@@ -77,8 +76,11 @@ def defaults() -> Dict[str, object]:
 def parse_value(text: str, default):
     """text read as a value of default's type; ValueError if it is not one.
 
-    Booleans are true, yes or 1 and false, no or 0, in any case.
+    Booleans are true, yes or 1 and false, no or 0, in any case. Numbers are
+    ASCII int and float literals without '_' (nan and inf are floats).
     """
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
     if not isinstance(default, bool):
         return type(default)(text)
     t = text.strip().lower()
@@ -116,56 +118,57 @@ def check(values: Dict[str, object]) -> None:
                               f"got {value}")
 
 
-def parse_config_file(path: str) -> Dict[str, object]:
-    known = defaults()
+def read_settings(lines: Iterable[str], where: str, known: Dict[str, object],
+                  first_line: int = 1) -> Dict[str, object]:
+    """Settings from "key = value" lines (lines[0] is line first_line of where).
+
+    known maps each allowed key to its default; "#" starts a comment. An unknown
+    or repeated key, or a bad value, raises ConfigError naming where and the line.
+    """
     out: Dict[str, object] = {}
-    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=first_line):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
+            raise ConfigError(f"{where}:{lineno}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+            raise ConfigError(f"{where}:{lineno}: unknown key '{key}'")
         if key in out:
-            raise ConfigError(f"{path}:{lineno}: repeated key '{key}'")
+            raise ConfigError(f"{where}:{lineno}: repeated key '{key}'")
         try:
             out[key] = parse_value(value, known[key])
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value for '{key}': '{value}'")
+            raise ConfigError(f"{where}:{lineno}: bad value for '{key}': '{value}'") from None
     return out
+
+
+def parse_config_file(path: str) -> Dict[str, object]:
+    return read_settings(read_text(path).split("\n"), path, defaults())
 
 
 def resolve(file_values: Optional[Dict[str, object]] = None,
             flag_values: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+    """Defaults < file values < flag values; a flag that is None or not a key is skipped."""
     cfg = defaults()
     cfg.update(file_values or {})
-    cfg.update({k: v for k, v in (flag_values or {}).items() if v is not None})
+    cfg.update({k: v for k, v in (flag_values or {}).items() if k in cfg and v is not None})
     return cfg
+
+
+def format_settings(cfg: Dict[str, object]) -> str:
+    """One "key = value" line per setting, sorted by key: the echo and [meta] form."""
+    return "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg))
 
 
 def write_echo(cfg: Dict[str, object], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(cfg):
-            fh.write(f"{key} = {cfg[key]}\n")
+        fh.write(format_settings(cfg))
 
 
-def _filled(spec, cfg: Dict[str, object]):
+def filled(spec, cfg: Dict[str, object]):
+    """spec (a TrainConfig or SplitSpec) with each setting set from cfg by its flat key."""
     for key, owner, f, _ in config_fields(spec):
         setattr(owner, f.name, cfg[key])
     return spec
-
-
-def to_train_config(cfg: Dict[str, object]) -> TrainConfig:
-    return _filled(TrainConfig(), cfg)
-
-
-def to_split_spec(cfg: Dict[str, object], shots: int = 0) -> SplitSpec:
-    """The eval split protocol.
-
-    A k-shot run (shots = k) trains on k nodes per class and takes its repeats
-    from kshot_repeats; every other setting is the standard protocol's.
-    """
-    spec = _filled(SplitSpec(), cfg)
-    return replace(spec, per_class_train=shots, repeats=spec.kshot_repeats) if shots else spec

@@ -32,11 +32,10 @@ from .rng import SPLIT, RngStream
 
 @dataclass
 class SplitSpec:
-    """One evaluation protocol; a k-shot run has per_class_train = k.
+    """One evaluation protocol; a k-shot run is per_class_train = k (eval --shots k).
 
-    kshot_repeats is the repeats a k-shot run takes in place of repeats
-    (config.to_split_spec). Each field's metadata holds its bound (see config),
-    which leaves every run a probe to train and a test row to score.
+    Each field's metadata holds its bound (see config), which leaves every run
+    a probe to train and a test row to score.
     """
 
     per_class_train: int = field(default=60, metadata={"bound": "[1, inf)"})
@@ -44,7 +43,6 @@ class SplitSpec:
     test_size: int = field(default=1000, metadata={"bound": "[1, inf)"})
     repeats: int = field(default=50, metadata={"bound": "[1, inf)"})
     seed: int = field(default=0, metadata={"bound": "[0, 2**64)"})
-    kshot_repeats: int = field(default=20, metadata={"bound": "[1, inf)"})
 
 
 @dataclass

@@ -16,21 +16,21 @@ training with DivergenceError before the parameters change.
 
 Checkpoint format (UTF-8 text):
 
-    MUG-CKPT v4
+    MUG-CKPT v5
     [meta]
-    <key> <value>          one line per TrainConfig field, in field order,
-                           named by its flat config key (config.by_key)
+    <key> = <value>        one line per TrainConfig setting, sorted by its flat
+                           config key: config.format_settings, as in an echo
     [params]
     <name> <rows> <cols>   one header per param_shapes entry, in that order,
     <row values>           each followed by its rows of repr(float) values
                            (bundle.format_floats)
 
-load_checkpoint reads [meta] first: each value with config.parse_value, the
-grammar config files are read with, and then all of them through
-config.check, so a [meta] boolean may also read true, yes or 1. It then
-requires the matrix headers to equal param_shapes of that config, and every
-value to be finite. Any fault raises CheckpointError naming the file and the
-section; other versions are refused (v3 named nested fields walk.dim, mask.*).
+load_checkpoint reads [meta] first with config.read_settings, the reader of
+config files, so a fault in one line names the file and the line. It then
+requires every TrainConfig setting to be there and checks them all with
+config.check. It requires the matrix headers to equal param_shapes of that
+config, and every value to be finite. Any fault raises CheckpointError naming
+the file; other versions are refused (v4 had no_scatter and "key value" lines).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .config import TrainConfig
 from .hetgraph import EdgeList, HetGraph, metapath_edges
 from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream
 
-CHECKPOINT_MAGIC = "MUG-CKPT v4"
+CHECKPOINT_MAGIC = "MUG-CKPT v5"
 
 
 def param_shapes(cfg: TrainConfig) -> List[Tuple[str, Tuple[int, int]]]:
@@ -119,9 +119,8 @@ def scatter_loss(z: np.ndarray) -> Tuple[float, np.ndarray]:
 
 
 def _lambdas(cfg: TrainConfig) -> Tuple[float, float, float]:
-    """The weights of the align, reconstruction and scatter terms; ablated terms weigh 0."""
-    return (0.0 if cfg.no_align else cfg.lambda_align, cfg.lambda_recon,
-            0.0 if cfg.no_scatter else cfg.lambda_scatter)
+    """The weights of the align, reconstruction and scatter terms; no_align weighs align 0."""
+    return 0.0 if cfg.no_align else cfg.lambda_align, cfg.lambda_recon, cfg.lambda_scatter
 
 
 def total_loss(l_align: float, beta: np.ndarray, view_losses: np.ndarray,
@@ -309,10 +308,10 @@ def _train(state: _GraphState, cfg: TrainConfig,
         if trace is not None:
             trace.append({
                 "epoch": epoch,
-                "l_align": 0.0 if cfg.no_align else parts.l_align,
+                "l_align": parts.l_align,
                 "l_recon_weighted": float(sum(b * l for b, l in
                                               zip(parts.beta, parts.view_losses))),
-                "l_scatter": 0.0 if cfg.no_scatter else parts.l_scatter,
+                "l_scatter": parts.l_scatter,
                 "total": parts.total,
             })
 
@@ -356,8 +355,7 @@ def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.n
 def save_checkpoint(model: MugModel, path: str) -> None:
     buf = io.StringIO()
     buf.write(CHECKPOINT_MAGIC + "\n[meta]\n")
-    for key, value in config.by_key(model.cfg).items():
-        buf.write(f"{key} {value}\n")
+    buf.write(config.format_settings(config.by_key(model.cfg)))
     buf.write("[params]\n")
     for name, _ in param_shapes(model.cfg):
         mat = model.params[name]
@@ -373,17 +371,12 @@ class CheckpointError(ValueError):
 
 
 def _read_meta(path: str, lines: List[str]) -> TrainConfig:
-    """Invert save_checkpoint's [meta]: every TrainConfig setting exactly once, checked."""
+    """Invert save_checkpoint's [meta], from line 3: every TrainConfig setting once, checked."""
     defaults = config.by_key(TrainConfig())
-    values: Dict[str, object] = {}
-    for line in lines:
-        key, _, text = line.partition(" ")
-        if key not in defaults or key in values:
-            raise CheckpointError(f"{path}: [meta] unknown or repeated key '{key}'")
-        try:
-            values[key] = config.parse_value(text, defaults[key])
-        except ValueError:
-            raise CheckpointError(f"{path}: [meta] bad value for '{key}': '{text}'") from None
+    try:
+        values = config.read_settings(lines, path, defaults, 3)
+    except config.ConfigError as exc:
+        raise CheckpointError(str(exc)) from None
     missing = [key for key in defaults if key not in values]
     if missing:
         raise CheckpointError(f"{path}: [meta] has no '{missing[0]}'")
@@ -391,7 +384,7 @@ def _read_meta(path: str, lines: List[str]) -> TrainConfig:
         config.check(values)
     except config.ConfigError as exc:
         raise CheckpointError(f"{path}: [meta] {exc}") from None
-    return config.to_train_config(values)
+    return config.filled(TrainConfig(), values)
 
 
 def _read_params(path: str, lines: List[str], cfg: TrainConfig) -> Dict[str, np.ndarray]:
@@ -430,9 +423,8 @@ def load_checkpoint(path: str) -> MugModel:
     if lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a '{CHECKPOINT_MAGIC}' checkpoint")
 
-    body = [line for line in lines[1:] if line]
-    if body[:1] != ["[meta]"] or "[params]" not in body:
+    if lines[1:2] != ["[meta]"] or "[params]" not in lines:
         raise CheckpointError(f"{path}: expected a [meta] and then a [params] section")
-    split = body.index("[params]")
-    cfg = _read_meta(path, body[1:split])
-    return MugModel(_read_params(path, body[split + 1:], cfg), cfg)
+    split = lines.index("[params]")
+    cfg = _read_meta(path, lines[2:split])
+    return MugModel(_read_params(path, [line for line in lines[split + 1:] if line], cfg), cfg)

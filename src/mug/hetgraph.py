@@ -61,6 +61,15 @@ class MetaPath:
         return MetaPath(name, tuple(steps[0::2]), tuple(steps[1::2]))
 
 
+def check_names(node_types: Sequence[str], relations: Sequence, metapaths: Sequence) -> None:
+    """Raise SchemaError naming the first node type, relation or meta-path declared twice."""
+    for kind, names in (("node type", node_types), ("relation", [r.name for r in relations]),
+                        ("meta-path", [m.name for m in metapaths])):
+        twice = [name for i, name in enumerate(names) if name in names[:i]]
+        if twice:
+            raise SchemaError(f"{kind} '{twice[0]}' is declared twice")
+
+
 @dataclass
 class HetGraph:
     node_types: List[str]
@@ -79,6 +88,7 @@ class HetGraph:
     # -- invariants ---------------------------------------------------------
 
     def validate(self) -> None:
+        check_names(self.node_types, self.relations, self.metapaths)
         if self.target_type not in self.node_types:
             raise SchemaError(f"target type '{self.target_type}' not declared")
         if len(self.node_types) + len(self.relations) <= 2:

@@ -13,12 +13,13 @@ labels attribute-independent (structure-only signal).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .hetgraph import HetGraph, MetaPath, Relation
+from .hetgraph import HetGraph, MetaPath, Relation, check_names
 from .rng import RngStream
 
 
@@ -88,6 +89,10 @@ class SynthSpec:
         return spec
 
     def validate(self) -> None:
+        """Every float must be finite; each comparison is negated, so NaN fails it."""
+        for name in ("centroid_scale", "noise", "aux_centroid_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise SynthSpecError(f"{name} must be finite, got {getattr(self, name)}")
         if self.classes < 2:
             raise SynthSpecError("need at least 2 classes")
         if self.targets_per_class < 1:
@@ -100,19 +105,18 @@ class SynthSpec:
         for a in self.aux_types:
             if min(a.size, a.attr_dim) < 0:
                 raise SynthSpecError(f"aux type '{a.name}': size and attr_dim must be >= 0")
-        declared = set(names)
-        if len(declared) != 1 + len(self.aux_types):
-            raise SynthSpecError("duplicate type names")
+        check_names(names, self.relations, self.metapaths)
         for r in self.relations:
             for t in (r.src, r.dst):
-                if t not in declared:
+                if t not in names:
                     raise SynthSpecError(
                         f"relation '{r.name}' references undeclared type '{t}'"
                     )
-            if r.intra < 0 or r.inter < 0 or r.intra + r.inter == 0:
+            if not (0 <= r.intra < math.inf and 0 <= r.inter < math.inf
+                    and r.intra + r.inter > 0):
                 raise SynthSpecError(f"relation '{r.name}': bad attach probabilities")
-            if r.degree <= 0:
-                raise SynthSpecError(f"relation '{r.name}': degree must be positive")
+            if not 0 < r.degree < math.inf:
+                raise SynthSpecError(f"relation '{r.name}': degree must be positive and finite")
 
 
 def _centroids(n_classes: int, dim: int, scale: float) -> np.ndarray:

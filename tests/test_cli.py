@@ -199,12 +199,18 @@ def test_homophily_class_id_out_of_range_names_its_line(bundle, capsys, cls):
 # -- pretrain -------------------------------------------------------------------
 
 
-def test_pretrain_no_scatter_zeroes_trace_column(tmp_path, bundle):
+def test_pretrain_zero_scatter_weight_keeps_the_term_in_the_trace(tmp_path, bundle):
     ckpt = str(tmp_path / "m.ckpt")
-    assert main(["pretrain", "--data", bundle, "--config", tiny_config(tmp_path),
-                 "--out", ckpt, "--no-scatter"]) == EXIT_OK
-    rows = open(str(tmp_path / "m.trace.csv")).read().splitlines()[1:]
-    assert rows and all(float(r.split(",")[3]) == 0.0 for r in rows)
+    argv = ["pretrain", "--data", bundle, "--config", tiny_config(tmp_path), "--out", ckpt]
+    assert main(argv + ["--no-scatter"]) == EXIT_USAGE   # the ablation is lambda_scatter = 0
+    with open(str(tmp_path / "run.cfg"), "a") as fh:
+        fh.write("lambda_scatter = 0\n")
+    assert main(argv) == EXIT_OK
+    rows = [[float(v) for v in r.split(",")]
+            for r in open(str(tmp_path / "m.trace.csv")).read().splitlines()[1:]]
+    assert len(rows) == 3 and all(l_scatter < 0 for _, _, _, l_scatter, _ in rows)
+    assert all(total == pytest.approx(l_align + l_recon, rel=1e-12)
+               for _, l_align, l_recon, _, total in rows)
 
 
 def test_pretrain_zero_epochs_writes_initialized_checkpoint(tmp_path, bundle):
@@ -435,19 +441,19 @@ def test_eval_shots_take_val_and_test_sizes_from_the_config(tmp_path, bundle, ch
     sizes = split_sizes(monkeypatch)
     assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,
                  "--shots", "1", "--config", tiny_config(tmp_path)]) == EXIT_OK
-    assert sizes == [(3, 20, 20)] * 20      # 3 classes x 1 shot; kshot_repeats' default
+    assert sizes == [(3, 20, 20)] * 50      # 3 classes x 1 shot; repeats' default
     assert capsys.readouterr().err == ""
 
 
-def test_eval_shots_repeats_flag_sets_kshot_repeats(tmp_path, bundle, checkpoint, monkeypatch):
+def test_eval_shots_repeats_flag_sets_repeats(tmp_path, bundle, checkpoint, monkeypatch):
     sizes = split_sizes(monkeypatch)
     out = str(tmp_path / "report.csv")
     assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,
                  "--shots", "1", "--repeats", "2", "--config", tiny_config(tmp_path),
                  "--out", out]) == EXIT_OK
-    assert len(sizes) == 2
+    assert sizes == [(3, 20, 20)] * 2
     echo = open(str(tmp_path / "report.config.txt")).read().splitlines()
-    assert "kshot_repeats = 2" in echo and "repeats = 50" in echo
+    assert "repeats = 2" in echo and "per_class_train = 1" in echo   # the echo replays --shots
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -482,7 +488,6 @@ def test_seeds_at_the_ends_of_the_range_are_accepted(tmp_path, seed):
     ("--repeats 0", "repeats", 0),
     ("--repeats -1", "repeats", -1),
     ("test_size = 0", "test_size", 0),
-    ("kshot_repeats = 0", "kshot_repeats", 0),
 ])
 def test_bad_split_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
                                                  setting, key, value):
@@ -497,7 +502,7 @@ def test_bad_split_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
         config = str(tmp_path / "split.cfg")
         with open(config, "w") as fh:
             fh.write(setting + "\n")
-        argv += ["--config", config] + (["--shots", "1"] if key == "kshot_repeats" else [])
+        argv += ["--config", config]
     assert main(argv) == EXIT_DATA
     assert capsys.readouterr().err == f"error: {key} must be >= 1, got {value}\n"
 
@@ -544,7 +549,7 @@ def test_bad_train_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
     ("neg_distribution = zipf\n",
      "neg_distribution must be one of uniform, freq075, got 'zipf'"),
     ("test_size = 0\n", "test_size must be >= 1, got 0"),
-    ("kshot_repeats = 0\n", "kshot_repeats must be >= 1, got 0"),
+    ("kshot_repeats = 0\n", "{config}:1: unknown key 'kshot_repeats'"),   # a removed key
 ], ids=["train-keys", "walk-key", "text-key", "split-key", "kshot-key"])
 def test_every_command_that_reads_a_config_checks_all_of_it(tmp_path, monkeypatch, capsys,
                                                             command, text, message):
@@ -559,7 +564,7 @@ def test_every_command_that_reads_a_config_checks_all_of_it(tmp_path, monkeypatc
             "eval": ["eval", "--model", model, "--train-data", data, "--eval-data", data,
                      "--out", str(tmp_path / "report.csv")]}[command]
     assert main(argv + ["--config", config]) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
     assert os.listdir(tmp_path) == ["bad.cfg"]   # no echo written
 
 
@@ -739,51 +744,58 @@ def _swap_matrices(lines, section, first, second):
     return lines[:i] + lines[j:k] + lines[i:j] + lines[k:]
 
 
+# [meta] is sorted by key: edge_mask_rate is line 3, and [params] follows window at line 24
 @pytest.mark.parametrize("damage, message", [
     (lambda lines: lines[:_entry_line(lines, "params", "att.bias") + 1],
-     "[params] matrix 'att.bias' is cut short"),
+     ": [params] matrix 'att.bias' is cut short"),
     (lambda lines: _without_matrix(lines, "params", "att.q"),
-     "[params] expected matrix header 'att.q 16 1' (shape from [meta]), "
+     ": [params] expected matrix header 'att.q 16 1' (shape from [meta]), "
      "found 'att.weight 16 16'"),
     (lambda lines: _edit_matrix_row(lines, "params", "enc.weight",
                                     lambda row: ["abc"] + row[1:]),
-     "[params] matrix 'enc.weight': could not convert"),
+     ": [params] matrix 'enc.weight': could not convert"),
     (lambda lines: _edit_matrix_row(lines, "params", "dec.bias", lambda row: row + row),
-     "[params] matrix 'dec.bias': row 1 has 32 values, expected 16"),
+     ": [params] matrix 'dec.bias': row 1 has 32 values, expected 16"),
     (lambda lines: _edit_matrix_row(lines, "params", "enc.weight",
                                     lambda row: row[:3] + ["nan"] + row[4:]),
-     "[params] matrix 'enc.weight': row 1 has a non-finite value"),
+     ": [params] matrix 'enc.weight': row 1 has a non-finite value"),
     (lambda lines: _edit_matrix_row(lines, "params", "att.q", lambda row: ["-1e400"]),
-     "[params] matrix 'att.q': row 1 has a non-finite value"),
-    (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size x"),
-     "[meta] bad value for 'sample_size': 'x'"),
-    (lambda lines: _edit_line(lines, "meta", "struct_dim", "struct_dim x"),
-     "[meta] bad value for 'struct_dim': 'x'"),
-    (lambda lines: _edit_line(lines, "meta", "struct_dim", "walk.dim 16"),
-     "[meta] unknown or repeated key 'walk.dim'"),
-    (lambda lines: _edit_line(lines, "meta", "seed", "resample_mask True"),
-     "[meta] unknown or repeated key 'resample_mask'"),
-    (lambda lines: _edit_line(lines, "meta", "struct_lr_min", "struct_lr_min"),
-     "[meta] bad value for 'struct_lr_min': ''"),
+     ": [params] matrix 'att.q': row 1 has a non-finite value"),
+    (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size = x"),
+     ":15: bad value for 'sample_size': 'x'"),
+    (lambda lines: _edit_line(lines, "meta", "struct_dim", "struct_dim = x"),
+     ":17: bad value for 'struct_dim': 'x'"),
+    (lambda lines: _edit_line(lines, "meta", "struct_dim", "walk.dim = 16"),
+     ":17: unknown key 'walk.dim'"),
+    (lambda lines: _edit_line(lines, "meta", "seed", "resample_mask = True"),
+     ":16: repeated key 'resample_mask'"),
+    (lambda lines: _edit_line(lines, "meta", "struct_lr_min", "struct_lr_min ="),
+     ":20: bad value for 'struct_lr_min': ''"),
     (lambda lines: [line for line in lines if not line.startswith("resample_mask ")],
-     "[meta] has no 'resample_mask'"),
-    (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size 15"),
-     "[params] expected matrix header 'dim.weight 15 16' (shape from [meta]), "
+     ": [meta] has no 'resample_mask'"),
+    (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size = 15"),
+     ": [params] expected matrix header 'dim.weight 15 16' (shape from [meta]), "
      "found 'dim.weight 16 16'"),
+    (lambda lines: _edit_line(lines, "meta", "gamma", "gamma = 0.5"),
+     ": [meta] gamma must be >= 1, got 0.5"),
+    (lambda lines: _edit_line(lines, "meta", "seed", "seed 0"),
+     ":16: expected key=value"),
     (lambda lines: _edit_line(lines, "params", "enc.bias", "enc.gain 1 16"),
-     "[params] expected matrix header 'enc.bias 1 16'"),
+     ": [params] expected matrix header 'enc.bias 1 16'"),
     (lambda lines: _swap_matrices(lines, "params", "enc.weight", "enc.bias"),
-     "[params] expected matrix header 'enc.weight 16 16' (shape from [meta]), "
+     ": [params] expected matrix header 'enc.weight 16 16' (shape from [meta]), "
      "found 'enc.bias 1 16'"),
-    (lambda lines: ["MUG-CKPT v1"] + lines[1:], "not a 'MUG-CKPT v4' checkpoint"),
-    (lambda lines: ["MUG-CKPT v2"] + lines[1:], "not a 'MUG-CKPT v4' checkpoint"),
-    (lambda lines: ["MUG-CKPT v3"] + lines[1:], "not a 'MUG-CKPT v4' checkpoint"),
+    (lambda lines: ["MUG-CKPT v1"] + lines[1:], ": not a 'MUG-CKPT v5' checkpoint"),
+    (lambda lines: ["MUG-CKPT v2"] + lines[1:], ": not a 'MUG-CKPT v5' checkpoint"),
+    (lambda lines: ["MUG-CKPT v3"] + lines[1:], ": not a 'MUG-CKPT v5' checkpoint"),
+    (lambda lines: ["MUG-CKPT v4"] + lines[1:], ": not a 'MUG-CKPT v5' checkpoint"),
 ], ids=["matrix-cut-short", "matrix-missing", "matrix-non-numeric", "matrix-ragged-row",
         "matrix-nan", "matrix-overflow",
         "sample-size-not-int", "meta-walk-dim-not-int", "meta-dotted-key",
         "meta-repeated-key", "meta-keyed-field-empty", "meta-keyed-field-missing",
-        "meta-sample-size-disagrees",
-        "params-unknown-name", "params-out-of-order", "v1-header", "v2-header", "v3-header"])
+        "meta-sample-size-disagrees", "meta-out-of-bound", "meta-v4-line",
+        "params-unknown-name", "params-out-of-order", "v1-header", "v2-header", "v3-header",
+        "v4-header"])
 def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, damage,
                                         message):
     lines = open(checkpoint).read().split("\n")
@@ -793,7 +805,7 @@ def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, da
     assert main(["embed", "--model", bad, "--data", bundle,
                  "--out", str(tmp_path / "z.tsv")]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: {message}"), err
+    assert err.startswith(f"error: {bad}{message}"), err
 
 
 # -- malformed input, at random ----------------------------------------------------
@@ -854,7 +866,7 @@ def _not_a_number(token):
 def test_embed_with_one_corrupt_checkpoint_line_exits_with_data_error(tiny_run, line,
                                                                       token):
     """A non-numeric token without spaces leaves no checkpoint line valid: not a
-    header, a section name, a 'key value' pair or a row of numbers."""
+    header, a section name, the 'key = value' line it replaces or a row of numbers."""
     data, ckpt = tiny_run
     with open(ckpt, encoding="utf-8") as fh:
         lines = fh.read().split("\n")[:-1]
@@ -918,6 +930,69 @@ def test_malformed_schema_exit_code(bundle, capsys, damage):
     assert main(["homophily", "--data", bundle]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error:") and "schema.json" in err
+
+
+def _rename(entries, old, new):
+    next(e for e in entries if e["name"] == old)["name"] = new
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda s: s["node_types"].append("author"), "node type 'author' is declared twice"),
+    (lambda s: _rename(s["relations"], "ps", "pa"), "relation 'pa' is declared twice"),
+    (lambda s: _rename(s["metapaths"], "PSP", "PAP"), "meta-path 'PAP' is declared twice"),
+], ids=["node-type", "relation", "meta-path"])
+def test_a_schema_name_declared_twice_exits_with_data_error(bundle, capsys, damage, message):
+    path = os.path.join(bundle, "schema.json")
+    with open(path) as fh:
+        schema = json.load(fh)
+    damage(schema)
+    with open(path, "w") as fh:
+        json.dump(schema, fh)
+    assert main(["homophily", "--data", bundle]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda s: s.update(noise=float("nan")), "noise must be finite, got nan"),
+    (lambda s: s.update(centroid_scale=float("inf")), "centroid_scale must be finite, got inf"),
+    (lambda s: s.update(aux_centroid_scale=float("-inf")),
+     "aux_centroid_scale must be finite, got -inf"),
+    (lambda s: s["relations"][1].update(degree=float("nan")),
+     "relation 'ps': degree must be positive and finite"),
+    (lambda s: s["relations"][0].update(degree=float("inf")),
+     "relation 'pa': degree must be positive and finite"),
+    (lambda s: s["relations"][0].update(intra=float("nan")),
+     "relation 'pa': bad attach probabilities"),
+    (lambda s: s["relations"][0].update(inter=float("inf")),
+     "relation 'pa': bad attach probabilities"),
+], ids=["noise-nan", "centroid-scale-inf", "aux-centroid-scale-minus-inf", "degree-nan",
+        "degree-inf", "intra-nan", "inter-inf"])
+def test_synth_spec_with_a_non_finite_float_writes_no_bundle(tmp_path, capsys, damage,
+                                                             message):
+    spec = synth.two_view_spec()
+    damage(spec)
+    path = str(tmp_path / "spec.json")
+    with open(path, "w") as fh:
+        json.dump(spec, fh)   # NaN and Infinity, as JSON readers take them
+    out = str(tmp_path / "b")
+    assert main(["synth", "--spec", path, "--out", out]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
+
+
+IO_DESTS = {"data", "out", "config", "model", "train_data", "eval_data"}
+
+
+def test_every_setting_flag_is_named_by_its_config_key():
+    import argparse
+    from mug.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    keys = {command: {a.dest for a in sub.choices[command]._actions if a.dest != "help"} - IO_DESTS
+            for command in ("pretrain", "eval")}
+    assert all(dests <= set(cfgmod.defaults()) for dests in keys.values()), keys
+    assert keys == {"pretrain": {"seed", "epochs", "no_cse", "no_align"},
+                    "eval": {"per_class_train", "repeats", "seed"}}
 
 
 def test_threads_config_key_rejected(tmp_path, bundle, capsys):

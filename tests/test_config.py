@@ -17,10 +17,10 @@ from mug.structenc import WalkConfig
 # perfbench's walk.cfg writes walks_per_node, walk_length, window and struct_epochs.
 FLAT_KEYS = {
     "lambda_align", "lambda_recon", "lambda_scatter", "epochs", "learning_rate", "seed",
-    "no_cse", "no_align", "no_scatter", "sample_size", "unified_dim", "gamma",
+    "no_cse", "no_align", "sample_size", "unified_dim", "gamma",
     "walks_per_node", "walk_length", "window", "negatives", "struct_dim", "struct_epochs",
     "struct_lr", "struct_lr_min", "neg_distribution", "edge_mask_rate", "resample_mask",
-    "per_class_train", "val_size", "test_size", "repeats", "kshot_repeats",
+    "per_class_train", "val_size", "test_size", "repeats",
 }
 
 
@@ -35,7 +35,7 @@ def _leaves(d, prefix=""):
 def off_default_config():
     return TrainConfig(
         lambda_align=0.5, lambda_recon=2.0, lambda_scatter=0.3, epochs=7,
-        learning_rate=0.01, seed=11, no_cse=True, no_align=True, no_scatter=True,
+        learning_rate=0.01, seed=11, no_cse=True, no_align=True,
         sample_size=32, unified_dim=24, gamma=3.0,
         walk=WalkConfig(walks_per_node=3, walk_length=9, window=2, negatives=4,
                         dim=16, epochs=2, lr=0.05, lr_min=0.001,
@@ -59,13 +59,13 @@ def test_checkpoint_echo_round_trips_every_field(tmp_path):
 
 
 def test_flat_keys_are_exactly_the_pinned_ones():
-    assert len(FLAT_KEYS) == 28
+    assert len(FLAT_KEYS) == 26
     assert set(config.defaults()) == FLAT_KEYS
 
 
 def test_no_two_train_fields_share_a_key():
     keys = [key for key, _, _, _ in config_fields(TrainConfig())]
-    assert len(keys) == len(set(keys)) == 23
+    assert len(keys) == len(set(keys)) == 22
 
 
 def test_echo_keys_are_the_flat_config_keys():
@@ -74,28 +74,37 @@ def test_echo_keys_are_the_flat_config_keys():
     assert settings["struct_dim"] == 64 and settings["resample_mask"] is True
 
 
-def test_checkpoint_meta_names_each_field_by_its_key_in_field_order(tmp_path):
+def test_checkpoint_meta_is_the_echo_of_the_config(tmp_path):
     cfg = off_default_config()
-    path = str(tmp_path / "m.ckpt")
+    path, echo = str(tmp_path / "m.ckpt"), str(tmp_path / "m.config.txt")
     save_checkpoint(MugModel(_init_params(cfg, 0), cfg), path)
+    config.write_echo(by_key(cfg), echo)
     lines = open(path).read().split("\n")
-    assert lines[:2] == ["MUG-CKPT v4", "[meta]"]
+    assert lines[:2] == ["MUG-CKPT v5", "[meta]"]
     meta = lines[2:lines.index("[params]")]
-    assert meta == [f"{key} {value}" for key, value in by_key(cfg).items()]
-    assert meta[-1] == "resample_mask False"
+    assert meta == open(echo).read().splitlines()
+    assert meta == [f"{key} = {value}" for key, value in sorted(by_key(cfg).items())]
+    assert meta[0] == "edge_mask_rate = 0.25" and meta[-1] == "window = 2"
 
 
 def test_defaults_give_default_train_config():
-    assert config.to_train_config(config.defaults()) == TrainConfig()
+    assert config.filled(TrainConfig(), config.defaults()) == TrainConfig()
 
 
 def test_defaults_give_default_split_spec():
-    assert config.to_split_spec(config.defaults()) == SplitSpec()
+    assert config.filled(SplitSpec(), config.defaults()) == SplitSpec()
 
 
 def test_kshot_repeats_default_comes_from_split_spec():
-    spec = config.to_split_spec(config.defaults(), shots=3)
-    assert spec == SplitSpec(per_class_train=3, repeats=20)
+    # eval --shots 3 sets per_class_train and nothing else: a k-shot run takes repeats
+    spec = config.filled(SplitSpec(), config.resolve(None, {"per_class_train": 3}))
+    assert spec == SplitSpec(per_class_train=3) and spec.repeats == 50
+
+
+def test_resolve_takes_the_flags_that_are_keys_and_not_none():
+    flags = {"data": "bundle", "out": "r.csv", "fn": print, "seed": None, "repeats": 2}
+    cfg = config.resolve({"seed": 4, "repeats": 3}, flags)
+    assert cfg == {**config.defaults(), "seed": 4, "repeats": 2}
 
 
 def test_flat_keys_reach_their_fields(tmp_path):
@@ -103,7 +112,7 @@ def test_flat_keys_reach_their_fields(tmp_path):
     with open(path, "w") as fh:
         fh.write("struct_dim = 8\nresample_mask = no\nstruct_lr = 0.5\n"
                  "struct_epochs = 3\nstruct_lr_min = 0.25\n")
-    cfg = config.to_train_config(config.resolve(config.parse_config_file(path)))
+    cfg = config.filled(TrainConfig(), config.resolve(config.parse_config_file(path)))
     assert cfg.walk.dim == 8 and cfg.mask.resample_per_epoch is False
     assert cfg.walk.lr == 0.5 and cfg.walk.epochs == 3 and cfg.walk.lr_min == 0.25
 
@@ -135,7 +144,7 @@ def test_fields_sharing_a_key_declare_one_default_and_bound():
     seen = {}
     for key, _, f, value in _setting_fields():
         assert seen.setdefault(key, (value, dict(f.metadata))) == (value, dict(f.metadata)), key
-    assert len(seen) == 28
+    assert len(seen) == 26
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -144,7 +153,7 @@ def test_fields_sharing_a_key_declare_one_default_and_bound():
     ("edge_mask_rate", math.nan, "edge_mask_rate must be in [0, 1], got nan"),
     ("neg_distribution", "zipf", "neg_distribution must be one of uniform, freq075, got 'zipf'"),
     ("struct_lr_min", -math.inf, "struct_lr_min must be >= 0, got -inf"),
-    ("kshot_repeats", 0, "kshot_repeats must be >= 1, got 0"),
+    ("repeats", 0, "repeats must be >= 1, got 0"),
 ])
 def test_check_names_the_key_and_its_bound(key, value, message):
     with pytest.raises(config.ConfigError) as exc:
@@ -164,3 +173,32 @@ def test_check_accepts_the_ends_of_each_range(key, value):
 def test_pretrain_checks_its_config_before_the_work():
     with pytest.raises(config.ConfigError, match=r"^struct_lr_min must be >= 0, got nan$"):
         pretrain(None, TrainConfig(walk=WalkConfig(lr_min=math.nan)))   # no graph is read
+
+
+# -- the value grammar and the settings reader ------------------------------------
+
+
+@pytest.mark.parametrize("line", [
+    "epochs = 1_0", "seed = \u0663", "struct_lr = \uff11", "struct_lr = 1_0.5",
+], ids=["underscore", "arabic-indic-digit", "fullwidth-digit", "float-underscore"])
+def test_values_are_ascii_literals_without_underscores(tmp_path, line):
+    path = str(tmp_path / "run.cfg")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    key, value = line.split(" = ")
+    with pytest.raises(config.ConfigError) as exc:
+        config.parse_config_file(path)
+    assert str(exc.value) == f"{path}:1: bad value for '{key}': '{value}'"
+
+
+def test_read_settings_numbers_lines_from_first_line():
+    known = config.defaults()
+    lines = ["", "# comment", "epochs = 3  # trailing", "seed=7"]
+    assert config.read_settings(lines, "x", known, 10) == {"epochs": 3, "seed": 7}
+    for bad, message in [("epochs", "x:12: expected key=value"),
+                         ("seed = 1", "x:12: repeated key 'seed'"),
+                         ("threads = 1", "x:12: unknown key 'threads'"),
+                         ("no_cse = maybe", "x:12: bad value for 'no_cse': 'maybe'")]:
+        with pytest.raises(config.ConfigError) as exc:
+            config.read_settings(["seed = 0", "", bad], "x", known, 10)
+        assert str(exc.value) == message

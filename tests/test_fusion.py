@@ -274,14 +274,26 @@ def test_pretrain_deterministic_checkpoints(tmp_path):
         assert f1.read() == f2.read()
 
 
-def test_pretrain_ablation_flags_zero_trace_columns():
+def test_pretrain_trace_holds_the_unweighted_terms_under_an_ablation():
+    # epoch 0 starts from the same parameters, so every term is the same in all three
+    # runs; an ablation shows only in total, where its term weighs 0
     g = planted()
-    trace = []
-    pretrain(g, small_cfg(epochs=3, no_scatter=True), trace=trace)
-    assert all(row["l_scatter"] == 0.0 for row in trace)
-    trace2 = []
-    pretrain(g, small_cfg(epochs=3, no_align=True), trace=trace2)
-    assert all(row["l_align"] == 0.0 for row in trace2)
+    first = {}
+    for name, cfg in [("full", small_cfg(epochs=1)),
+                      ("no_align", small_cfg(epochs=1, no_align=True)),
+                      ("zero_scatter", small_cfg(epochs=1, lambda_scatter=0.0))]:
+        trace = []
+        pretrain(g, cfg, trace=trace)
+        first[name] = trace[0]
+    terms = ("l_align", "l_recon_weighted", "l_scatter")
+    full = first["full"]
+    assert full["l_align"] > 0 and full["l_scatter"] < 0
+    for row in first.values():
+        assert [row[t] for t in terms] == [full[t] for t in terms]
+    assert first["no_align"]["total"] == pytest.approx(
+        full["l_recon_weighted"] + 0.1 * full["l_scatter"], rel=1e-12)
+    assert first["zero_scatter"]["total"] == pytest.approx(
+        full["l_align"] + full["l_recon_weighted"], rel=1e-12)
 
 
 def test_pretrain_no_align_freezes_dim_encoder():
@@ -379,7 +391,7 @@ VALID_CONFIGS = st.builds(
     TrainConfig,
     lambda_align=NONNEGATIVE, lambda_recon=NONNEGATIVE, lambda_scatter=NONNEGATIVE,
     epochs=st.integers(0, 10**6), learning_rate=POSITIVE, seed=st.integers(0, 2**64 - 1),
-    no_cse=st.booleans(), no_align=st.booleans(), no_scatter=st.booleans(),
+    no_cse=st.booleans(), no_align=st.booleans(),
     sample_size=st.integers(1, 4), unified_dim=st.integers(1, 4), gamma=st.floats(1, 1e308),
     walk=st.builds(WalkConfig, walks_per_node=COUNTS, walk_length=COUNTS, window=COUNTS,
                    negatives=COUNTS, dim=COUNTS, epochs=COUNTS, lr=POSITIVE, lr_min=NONNEGATIVE,

@@ -238,6 +238,20 @@ def test_unsatisfiable_step_orientation():
         )
 
 
+@pytest.mark.parametrize("repeat, message", [
+    (lambda g: g.node_types.append("author"), "node type 'author' is declared twice"),
+    (lambda g: g.relations.append(Relation("pa", "paper", "subject")),
+     "relation 'pa' is declared twice"),
+    (lambda g: g.metapaths.append(MetaPath.from_steps("PAP", g.metapaths[1].steps)),
+     "meta-path 'PAP' is declared twice"),
+], ids=["node-type", "relation", "meta-path"])
+def test_a_name_declared_twice_is_refused(repeat, message):
+    g = synth.generate(synth.SynthSpec.from_dict(synth.two_view_spec()), RngStream(0))
+    repeat(g)
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        g.validate()
+
+
 # -- homophily ----------------------------------------------------------------
 
 
