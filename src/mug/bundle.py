@@ -1,5 +1,8 @@
 """On-disk graph bundles: schema.json + TSV files, loaded with full validation.
 
+schema.json is checked in full (hetgraph.check_schema) before any row is
+read, so a schema fault is reported against schema.json, never as a row error.
+
 All files are UTF-8, tab-separated, LF line endings, one header line; a
 leading byte-order mark is allowed. Floats are written by format_floats, with
 repr() (shortest round-tripping decimal), so a load/save cycle is bit-exact.
@@ -14,7 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .hetgraph import HetGraph, MetaPath, Relation, check_names
+from .hetgraph import HetGraph, MetaPath, Relation, SchemaError, check_schema
 
 
 class BundleError(Exception):
@@ -101,6 +104,8 @@ def load_bundle(path: str) -> HetGraph:
     except json.JSONDecodeError as exc:
         raise MalformedRowError(f"invalid JSON: {exc.msg}", schema_path, exc.lineno)
 
+    if not isinstance(schema, dict):
+        raise MalformedRowError("schema must be a JSON object", schema_path)
     for key in ("node_types", "relations", "target_type", "metapaths"):
         if key not in schema:
             raise MalformedRowError(f"schema missing key '{key}'", schema_path)
@@ -111,9 +116,12 @@ def load_bundle(path: str) -> HetGraph:
     node_types: List[str] = list(schema["node_types"])
     relations = [Relation(*r) for r in
                  _entries(schema, "relations", ("name", "src", "dst"), schema_path)]
-    metapaths = [MetaPath.from_steps(*m) for m in
-                 _entries(schema, "metapaths", ("name", "steps"), schema_path)]
-    check_names(node_types, relations, metapaths)   # before any row is read by name
+    entries = _entries(schema, "metapaths", ("name", "steps"), schema_path)
+    try:
+        metapaths = [MetaPath.from_steps(*m) for m in entries]
+        check_schema(node_types, relations, schema["target_type"], metapaths)
+    except SchemaError as exc:
+        raise MalformedRowError(str(exc), schema_path) from None
 
     # nodes.tsv: id -> (type, local index)
     nodes_path = os.path.join(path, "nodes.tsv")
@@ -133,7 +141,7 @@ def load_bundle(path: str) -> HetGraph:
 
     # edges.tsv
     edges_path = os.path.join(path, "edges.tsv")
-    rel_by_name = {r.name: r for r in relations}   # one per name: check_names ran
+    rel_by_name = {r.name: r for r in relations}   # one per name: check_schema ran
     edge_lists: Dict[str, List[tuple]] = {r.name: [] for r in relations}
     for lineno, row in _read_rows(edges_path):
         if len(row) != 3:
@@ -200,7 +208,7 @@ def load_bundle(path: str) -> HetGraph:
     lpath = os.path.join(path, "labels.tsv")
     if os.path.exists(lpath):
         target = schema["target_type"]
-        lab = np.full(counts.get(target, 0), -1, dtype=np.int64)
+        lab = np.full(counts[target], -1, dtype=np.int64)
         for lineno, row in _read_rows(lpath):
             if len(row) != 2:
                 raise MalformedRowError(f"expected 2 columns, got {len(row)}", lpath, lineno)

@@ -68,13 +68,14 @@ def cmd_synth(args) -> int:
     cfgmod.check({"seed": args.seed})
     if args.spec:
         try:
-            raw = json.loads(bio.read_text(args.spec))
+            spec = synth.SynthSpec.from_dict(json.loads(bio.read_text(args.spec)))
         except json.JSONDecodeError as exc:
             raise bio.MalformedRowError(f"invalid JSON: {exc.msg}", args.spec,
                                         exc.lineno) from None
+        except synth.SynthSpecError as exc:
+            raise bio.MalformedRowError(str(exc), args.spec) from None
     else:
-        raw = synth.two_view_spec(centroid_scale=1.0)
-    spec = synth.SynthSpec.from_dict(raw)
+        spec = synth.SynthSpec.from_dict(synth.two_view_spec(centroid_scale=1.0))
     g = synth.generate(spec, RngStream(args.seed, SYNTH))
     bio.save_bundle(g, args.out)
     cfg = {"seed": args.seed, "spec": args.spec or "<built-in two-view default>"}

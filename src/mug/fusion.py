@@ -266,19 +266,25 @@ class _GraphState:
         self.op = np.empty((n, n))
 
 
-def _prepare_graph(g: HetGraph, cfg: TrainConfig) -> _GraphState:
+def _prepare_graph(g: HetGraph, cfg: TrainConfig, training: bool = False) -> _GraphState:
     """The per-graph inputs that pre-training and frozen embedding share.
 
-    Struct table (unless ablated), unified attributes, meta-path views and
-    the dimension-encoder node sample, all keyed by cfg.seed.
+    Meta-path views, struct table (unless ablated), unified attributes and
+    the dimension-encoder node sample, all keyed by cfg.seed. The views come
+    first, so training refuses an edgeless view before any table is trained;
+    embedding takes one, as its operator is the identity.
     """
     if not g.metapaths:
         raise ValueError("graph declares no meta-paths")
+    views = [metapath_edges(g, mp) for mp in g.metapaths]
+    for mp, view in zip(g.metapaths, views):
+        if training and len(view.rows) == 0:
+            raise ValueError(f"meta-path '{mp.name}' has no instances: "
+                             "pre-training needs an edge in every view")
     table = None
     if not cfg.no_cse:
         table = structenc.train_struct_table(g, cfg.walk, RngStream(cfg.seed, STRUCT))
     unified = structenc.unify_attrs(g, table)
-    views = [metapath_edges(g, mp) for mp in g.metapaths]
     sample_idx = dimalign.draw_node_sample(
         g.counts[g.target_type], cfg.sample_size, RngStream(cfg.seed, SAMPLE))
     return _GraphState(unified=unified, views=views, sample_idx=sample_idx)
@@ -326,7 +332,7 @@ def pretrain(g: HetGraph, cfg: TrainConfig,
     offending epoch if the loss goes non-finite.
     """
     config.check(config.by_key(cfg))
-    return _train(_prepare_graph(g, cfg), cfg, trace)
+    return _train(_prepare_graph(g, cfg, training=True), cfg, trace)
 
 
 # -- frozen-encoder embedding ----------------------------------------------------

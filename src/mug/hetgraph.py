@@ -4,6 +4,11 @@ Nodes are grouped by type and addressed by (type, local index); a global
 index (type offset + local) addresses every node in the whole graph, which
 is the ordering the structural embedding table uses.
 
+A schema (node types, relations, target type, meta-paths) is checked by one
+function, check_schema, which every producer of a graph calls: the bundle
+loader, the synthetic generator's spec and HetGraph.validate. Readers (views,
+walks, offsets) trust a built graph and check nothing again.
+
 Cost model: one meta-path step is a CSR built from its relation's edge list
 (step_csr), the one step representation that walks and views share. A
 meta-path view is an EdgeList of target x target pairs, joined step by step
@@ -61,13 +66,38 @@ class MetaPath:
         return MetaPath(name, tuple(steps[0::2]), tuple(steps[1::2]))
 
 
-def check_names(node_types: Sequence[str], relations: Sequence, metapaths: Sequence) -> None:
-    """Raise SchemaError naming the first node type, relation or meta-path declared twice."""
+def check_schema(node_types: Sequence[str], relations: Sequence, target_type: str,
+                 metapaths: Sequence[MetaPath]) -> None:
+    """Raise SchemaError naming the first fault: a name declared twice, an undeclared
+    type, a meta-path that does not start and end at the target type, or a step
+    whose relation is undeclared or does not join the step's two types.
+    """
     for kind, names in (("node type", node_types), ("relation", [r.name for r in relations]),
                         ("meta-path", [m.name for m in metapaths])):
         twice = [name for i, name in enumerate(names) if name in names[:i]]
         if twice:
             raise SchemaError(f"{kind} '{twice[0]}' is declared twice")
+    if target_type not in node_types:
+        raise SchemaError(f"target type '{target_type}' not declared")
+    for rel in relations:
+        for t in (rel.src, rel.dst):
+            if t not in node_types:
+                raise SchemaError(f"relation '{rel.name}' references unknown type '{t}'")
+    rel_by_name = {r.name: r for r in relations}
+    for mp in metapaths:
+        if mp.types[0] != target_type or mp.types[-1] != target_type:
+            raise SchemaError(
+                f"meta-path '{mp.name}' must start and end at the target type '{target_type}'")
+        for i, rname in enumerate(mp.relations):
+            rel = rel_by_name.get(rname)
+            if rel is None:
+                raise SchemaError(f"meta-path '{mp.name}' uses unknown relation '{rname}'")
+            a, b = mp.types[i], mp.types[i + 1]
+            if (a, b) not in ((rel.src, rel.dst), (rel.dst, rel.src)):
+                raise SchemaError(
+                    f"meta-path '{mp.name}' step {i}: relation '{rname}' "
+                    f"({rel.src}-{rel.dst}) cannot connect {a} to {b}"
+                )
 
 
 @dataclass
@@ -88,15 +118,10 @@ class HetGraph:
     # -- invariants ---------------------------------------------------------
 
     def validate(self) -> None:
-        check_names(self.node_types, self.relations, self.metapaths)
-        if self.target_type not in self.node_types:
-            raise SchemaError(f"target type '{self.target_type}' not declared")
+        """The schema (check_schema), then the data: endpoint ranges, attribute rows, labels."""
+        check_schema(self.node_types, self.relations, self.target_type, self.metapaths)
         if len(self.node_types) + len(self.relations) <= 2:
             warnings.warn("graph has a single node and relation type; it is homogeneous")
-        for rel in self.relations:
-            for t in (rel.src, rel.dst):
-                if t not in self.node_types:
-                    raise SchemaError(f"relation '{rel.name}' references unknown type '{t}'")
         for rel in self.relations:
             e = self.edges.get(rel.name)
             if e is None:
@@ -117,26 +142,6 @@ class HetGraph:
                 f"labels cover {len(self.labels)} nodes, expected "
                 f"{self.counts[self.target_type]} {self.target_type} nodes"
             )
-        for mp in self.metapaths:
-            self._validate_metapath(mp)
-
-    def _validate_metapath(self, mp: MetaPath) -> None:
-        if mp.types[0] != self.target_type or mp.types[-1] != self.target_type:
-            raise SchemaError(
-                f"meta-path '{mp.name}' must start and end at the target type "
-                f"'{self.target_type}'"
-            )
-        rel_by_name = {r.name: r for r in self.relations}
-        for i, rname in enumerate(mp.relations):
-            rel = rel_by_name.get(rname)
-            if rel is None:
-                raise SchemaError(f"meta-path '{mp.name}' uses unknown relation '{rname}'")
-            a, b = mp.types[i], mp.types[i + 1]
-            if not ((rel.src, rel.dst) == (a, b) or (rel.src, rel.dst) == (b, a)):
-                raise SchemaError(
-                    f"meta-path '{mp.name}' step {i}: relation '{rname}' "
-                    f"({rel.src}-{rel.dst}) cannot connect {a} to {b}"
-                )
 
     # -- indexing -----------------------------------------------------------
 
@@ -145,13 +150,8 @@ class HetGraph:
         return sum(self.counts[t] for t in self.node_types)
 
     def offset(self, node_type: str) -> int:
-        off = 0
-        for t in self.node_types:
-            if t == node_type:
-                return off
-            off += self.counts[t]
-        raise SchemaError(f"unknown node type '{node_type}'")
-
+        before = self.node_types[:self.node_types.index(node_type)]
+        return sum(self.counts[t] for t in before)
 
 
 @dataclass(frozen=True)
@@ -194,19 +194,9 @@ def step_csr(g: HetGraph, mp: MetaPath, step: int) -> Tuple[np.ndarray, np.ndarr
     and deduplicated, and both arrays are int64.
     """
     rel_name, src, dst = mp.relations[step], mp.types[step], mp.types[step + 1]
-    rel = next((r for r in g.relations if r.name == rel_name), None)
-    if rel is None:
-        raise SchemaError(f"unknown relation '{rel_name}'")
+    rel = next(r for r in g.relations if r.name == rel_name)
     e = g.edges.get(rel_name, np.zeros((0, 2), dtype=np.int64)).astype(np.int64)
-    if (rel.src, rel.dst) == (src, dst):
-        rows, cols = e[:, 0], e[:, 1]
-    elif (rel.src, rel.dst) == (dst, src):
-        rows, cols = e[:, 1], e[:, 0]
-    else:
-        raise SchemaError(
-            f"relation '{rel_name}' ({rel.src}-{rel.dst}) cannot be oriented "
-            f"{src} -> {dst}"
-        )
+    rows, cols = (e[:, 0], e[:, 1]) if rel.src == src else (e[:, 1], e[:, 0])
     n_src, n_dst = g.counts[src], g.counts[dst]
     keys = _sorted_unique(rows * n_dst + cols)
     indptr = np.zeros(n_src + 1, dtype=np.int64)
@@ -220,7 +210,6 @@ def metapath_edges(g: HetGraph, mp: MetaPath) -> EdgeList:
     Every (start, node) pair reached so far is extended by the node's neighbours
     under the next step's CSR, then deduplicated by key; path counts are discarded.
     """
-    g._validate_metapath(mp)
     n = g.counts[g.target_type]
     indptr, dst = step_csr(g, mp, 0)
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))

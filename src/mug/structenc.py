@@ -39,11 +39,6 @@ class WalkConfig:
                                   metadata={"choices": ("uniform", "freq075")})
 
 
-@dataclass
-class StructTable:
-    embeddings: np.ndarray   # num_nodes x dim, global index order
-
-
 def sample_walks(g: HetGraph, mp: MetaPath, cfg: WalkConfig,
                  rng: RngStream) -> Tuple[np.ndarray, np.ndarray]:
     """walks_per_node walks from every target node, following mp cyclically.
@@ -112,7 +107,7 @@ def _negative_sampler(walks, n_nodes, cfg):
 
 def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
                cfg: WalkConfig, rng: RngStream,
-               loss_trace: Optional[list] = None) -> StructTable:
+               loss_trace: Optional[list] = None) -> np.ndarray:
     """Skip-gram with negative sampling over window pairs from the walks.
 
     Center table is the published embedding; the context table is discarded.
@@ -139,11 +134,11 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
                                   cfg.lr, cfg.lr_min, epoch * len(centers), total)
         if loss_trace is not None:
             loss_trace.append(loss / len(centers))
-    return StructTable(embeddings=center)
+    return center
 
 
 def train_struct_table(g: HetGraph, cfg: WalkConfig, rng: RngStream,
-                       loss_trace: Optional[list] = None) -> StructTable:
+                       loss_trace: Optional[list] = None) -> np.ndarray:
     walks, lens = sample_all_walks(g, cfg, rng)
     return train_sgns(walks, lens, g.num_nodes, cfg, rng, loss_trace)
 
@@ -153,7 +148,7 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms > 0, norms, 1.0)
 
 
-def unify_attrs(g: HetGraph, table: Optional[StructTable]) -> np.ndarray:
+def unify_attrs(g: HetGraph, table: Optional[np.ndarray]) -> np.ndarray:
     """Per-target-node concat of row-normalized attributes and struct rows.
 
     table=None (structural encoding ablated) gives the attribute block alone;
@@ -165,7 +160,7 @@ def unify_attrs(g: HetGraph, table: Optional[StructTable]) -> np.ndarray:
         blocks.append(_normalize_rows(attrs))
     if table is not None:
         off = g.offset(g.target_type)
-        rows = table.embeddings[off:off + g.counts[g.target_type]]
+        rows = table[off:off + g.counts[g.target_type]]
         blocks.append(_normalize_rows(rows))
     if not blocks:
         raise ValueError("no attributes and no struct table: nothing to encode")

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .hetgraph import HetGraph, MetaPath, Relation, check_names
+from .hetgraph import HetGraph, MetaPath, Relation, SchemaError, check_schema
 from .rng import RngStream
 
 
@@ -105,13 +105,11 @@ class SynthSpec:
         for a in self.aux_types:
             if min(a.size, a.attr_dim) < 0:
                 raise SynthSpecError(f"aux type '{a.name}': size and attr_dim must be >= 0")
-        check_names(names, self.relations, self.metapaths)
+        try:
+            check_schema(names, self.relations, self.target_type, self.metapaths)
+        except SchemaError as exc:
+            raise SynthSpecError(str(exc)) from None
         for r in self.relations:
-            for t in (r.src, r.dst):
-                if t not in names:
-                    raise SynthSpecError(
-                        f"relation '{r.name}' references undeclared type '{t}'"
-                    )
             if not (0 <= r.intra < math.inf and 0 <= r.inter < math.inf
                     and r.intra + r.inter > 0):
                 raise SynthSpecError(f"relation '{r.name}': bad attach probabilities")

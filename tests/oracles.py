@@ -229,9 +229,9 @@ def metapath_adjacency(g, mp):
     deduplicated by a boolean scatter. Path counts are discarded and the
     diagonal is cleared (self-reachability via a palindromic path is trivial).
     """
-    from mug.hetgraph import step_csr
+    from mug.hetgraph import check_schema, step_csr
 
-    g._validate_metapath(mp)
+    check_schema(g.node_types, g.relations, g.target_type, [mp])
     n = g.counts[g.target_type]
     indptr, dst = step_csr(g, mp, 0)
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))

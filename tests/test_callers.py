@@ -180,6 +180,23 @@ def _rng_names(tree):
             for a in n.names}
 
 
+def test_schema_errors_are_raised_by_the_schema_check_and_the_graph_alone():
+    """Readers trust a checked graph; only these functions may find it at fault."""
+    raisers = set()
+    for mod, tree in _modules().items():
+        for top in tree.body:
+            for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+                for node in ast.walk(fn):
+                    if not isinstance(node, ast.Raise) or node.exc is None:
+                        continue
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if "SchemaError" in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                        owner = [top.name] if fn is not top else []
+                        raisers.add(".".join([mod, *owner, getattr(fn, "name", "<module>")]))
+    assert raisers == {"hetgraph.check_schema", "hetgraph.HetGraph.validate",
+                       "hetgraph.MetaPath.from_steps"}
+
+
 def test_every_stream_is_keyed_by_a_named_purpose_without_arithmetic():
     """RngStream(seed, PURPOSE, *path): a purpose imported from .rng, no packed index."""
     bad = []

@@ -142,14 +142,18 @@ def test_synth_bad_spec_json_has_the_error_prefix(tmp_path, capsys):
                                   {"name": "subject", "size": 3, "attr_dim": -2}]),
      "aux type 'subject': size and attr_dim must be >= 0"),
     (lambda s: dict(s, target_type=["paper"]), "type names must be strings"),
+    (lambda s: dict(s, relations=[dict(s["relations"][0], dst="ghost"), s["relations"][1]]),
+     "relation 'pa' references unknown type 'ghost'"),
+    (lambda s: dict(s, metapaths=[{"name": "PA", "steps": ["paper", "pa", "author"]}]),
+     "meta-path 'PA' must start and end at the target type 'paper'"),
 ], ids=["relations-not-a-list", "top-level-list", "negative-aux-size",
-        "negative-aux-attr-dim", "target-type-list"])
+        "negative-aux-attr-dim", "target-type-list", "undeclared-type", "metapath-off-target"])
 def test_synth_malformed_spec_exits_with_data_error(tmp_path, capsys, damage, message):
     path, out = str(tmp_path / "spec.json"), str(tmp_path / "b")
     with open(path, "w") as fh:
         json.dump(damage(synth.two_view_spec(targets_per_class=5)), fh)
     assert main(["synth", "--spec", path, "--out", out]) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not os.path.exists(out)
 
 
@@ -325,6 +329,23 @@ def test_pretrain_and_embed_run_on_a_non_palindromic_metapath(tmp_path):
     assert z.shape == (60, 16) and np.isfinite(z).all()
     beta = [float(v) for v in open(str(tmp_path / "emb.beta.csv")).read().split(",")]
     assert len(beta) == 2 and abs(sum(beta) - 1.0) <= 1e-9
+
+
+def test_pretrain_refuses_an_edgeless_view_before_the_work(tmp_path, bundle, checkpoint,
+                                                          monkeypatch, capsys):
+    from mug import structenc
+    edges = os.path.join(bundle, "edges.tsv")
+    with open(edges) as fh:
+        rows = [row for row in fh if row.split("\t")[1] != "ps"]
+    with open(edges, "w") as fh:
+        fh.writelines(rows)
+    out = str(tmp_path / "emb.tsv")
+    assert main(["embed", "--model", checkpoint, "--data", bundle, "--out", out]) == EXIT_OK
+    monkeypatch.setattr(structenc, "train_struct_table", _no_work)
+    capsys.readouterr()
+    assert main(["pretrain", "--data", bundle, "--out", str(tmp_path / "m.ckpt")]) == EXIT_DATA
+    assert capsys.readouterr().err == ("error: meta-path 'PSP' has no instances: "
+                                       "pre-training needs an edge in every view\n")
 
 
 def test_embed_deterministic(tmp_path, bundle, checkpoint):
@@ -911,6 +932,17 @@ def test_second_row_for_a_node_names_its_line(bundle, capsys, table, message):
     assert capsys.readouterr().err == f"error: {path}:{len(rows)}: {message}\n"
 
 
+def _damage_schema(bundle, damage):
+    """Edit a bundle's schema.json in place; returns its path."""
+    path = os.path.join(bundle, "schema.json")
+    with open(path) as fh:
+        schema = json.load(fh)
+    damage(schema)
+    with open(path, "w") as fh:
+        json.dump(schema, fh)
+    return path
+
+
 @pytest.mark.parametrize("damage", [
     lambda s: s["relations"][0].pop("src"),
     lambda s: s["relations"][0].pop("dst"),
@@ -921,15 +953,18 @@ def test_second_row_for_a_node_names_its_line(bundle, capsys, table, message):
 ], ids=["relation-no-src", "relation-no-dst", "metapath-no-steps", "node-types-not-list",
         "metapath-steps-not-list", "target-type-list"])
 def test_malformed_schema_exit_code(bundle, capsys, damage):
-    path = os.path.join(bundle, "schema.json")
-    with open(path) as fh:
-        schema = json.load(fh)
-    damage(schema)
-    with open(path, "w") as fh:
-        json.dump(schema, fh)
+    _damage_schema(bundle, damage)
     assert main(["homophily", "--data", bundle]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error:") and "schema.json" in err
+
+
+def test_a_schema_that_is_not_an_object_exits_with_data_error(bundle, capsys):
+    path = os.path.join(bundle, "schema.json")
+    with open(path, "w") as fh:
+        json.dump("node_types relations target_type metapaths", fh)   # each key is "in" it
+    assert main(["homophily", "--data", bundle]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: schema must be a JSON object\n"
 
 
 def _rename(entries, old, new):
@@ -942,14 +977,28 @@ def _rename(entries, old, new):
     (lambda s: _rename(s["metapaths"], "PSP", "PAP"), "meta-path 'PAP' is declared twice"),
 ], ids=["node-type", "relation", "meta-path"])
 def test_a_schema_name_declared_twice_exits_with_data_error(bundle, capsys, damage, message):
-    path = os.path.join(bundle, "schema.json")
-    with open(path) as fh:
-        schema = json.load(fh)
-    damage(schema)
-    with open(path, "w") as fh:
-        json.dump(schema, fh)
+    path = _damage_schema(bundle, damage)
     assert main(["homophily", "--data", bundle]) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda s: s["relations"][0].update(src="autor"),
+     "relation 'pa' references unknown type 'autor'"),
+    (lambda s: s.update(target_type="ghost"), "target type 'ghost' not declared"),
+    (lambda s: s["metapaths"][0]["steps"].pop(),
+     "meta-path 'PAP': steps must alternate type,rel,...,type (odd length >= 3), got 4 entries"),
+    (lambda s: s["metapaths"][1].update(steps=["paper", "ps", "paper", "ps", "subject"]),
+     "meta-path 'PSP' must start and end at the target type 'paper'"),
+    (lambda s: s["metapaths"][1].update(steps=["paper", "pa", "subject", "pa", "paper"]),
+     "meta-path 'PSP' step 0: relation 'pa' (paper-author) cannot connect paper to subject"),
+], ids=["relation-unknown-type", "target-type-undeclared", "steps-even-length",
+        "metapath-off-target", "step-orientation"])
+def test_a_schema_fault_is_reported_against_schema_json_before_any_row(bundle, capsys,
+                                                                       damage, message):
+    path = _damage_schema(bundle, damage)
+    assert main(["homophily", "--data", bundle]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -976,7 +1025,7 @@ def test_synth_spec_with_a_non_finite_float_writes_no_bundle(tmp_path, capsys, d
         json.dump(spec, fh)   # NaN and Infinity, as JSON readers take them
     out = str(tmp_path / "b")
     assert main(["synth", "--spec", path, "--out", out]) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not os.path.exists(out)
 
 

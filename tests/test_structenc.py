@@ -9,7 +9,7 @@ from helpers import type_of_global
 from mug import kernels, structenc, synth
 from mug.hetgraph import HetGraph, MetaPath, Relation, step_csr
 from mug.rng import RngStream
-from mug.structenc import StructTable, WalkConfig, sample_walks, train_sgns, unify_attrs
+from mug.structenc import WalkConfig, sample_walks, train_sgns, unify_attrs
 
 
 def star_graph(n_papers=3):
@@ -297,7 +297,7 @@ def test_sgns_separates_planted_blocks():
     cfg = WalkConfig(dim=32, epochs=5)
     trace = []
     table = structenc.train_struct_table(g, cfg, RngStream(0), loss_trace=trace)
-    emb = table.embeddings[:g.counts["T"]]
+    emb = table[:g.counts["T"]]
     emb = emb / np.linalg.norm(emb, axis=1, keepdims=True).clip(min=1e-12)
     sims = emb @ emb.T
     labels = g.labels
@@ -322,7 +322,7 @@ def test_train_sgns_deterministic():
     cfg = WalkConfig(dim=8, epochs=2, walks_per_node=3, walk_length=6)
     t1 = structenc.train_struct_table(g, cfg, RngStream(7))
     t2 = structenc.train_struct_table(g, cfg, RngStream(7))
-    assert np.array_equal(t1.embeddings, t2.embeddings)
+    assert np.array_equal(t1, t2)
 
 
 # -- unification ---------------------------------------------------------------
@@ -337,7 +337,7 @@ def _graph_with_attrs(attrs):
 
 def test_unify_width():
     g = _graph_with_attrs(np.ones((3, 3)))
-    table = StructTable(np.ones((4, 64)))
+    table = np.ones((4, 64))
     out = unify_attrs(g, table)
     assert out.shape == (3, 67)
 
@@ -345,7 +345,7 @@ def test_unify_width():
 def test_unify_zero_attr_row_keeps_normalized_struct_block():
     attrs = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
     g = _graph_with_attrs(attrs)
-    table = StructTable(np.arange(1, 17, dtype=float).reshape(4, 4))
+    table = np.arange(1, 17, dtype=float).reshape(4, 4)
     out = unify_attrs(g, table)
     assert np.all(out[0, :2] == 0.0)
     assert np.linalg.norm(out[0, 2:]) == pytest.approx(1.0)
@@ -354,7 +354,7 @@ def test_unify_zero_attr_row_keeps_normalized_struct_block():
 def test_unify_block_norms_zero_or_one():
     rng = np.random.default_rng(3)
     g = _graph_with_attrs(rng.normal(size=(3, 5)))
-    table = StructTable(rng.normal(size=(4, 7)))
+    table = rng.normal(size=(4, 7))
     out = unify_attrs(g, table)
     for row in out:
         for block in (row[:5], row[5:]):
@@ -364,6 +364,6 @@ def test_unify_block_norms_zero_or_one():
 
 def test_unify_without_attrs_is_struct_block_alone():
     g = star_graph()
-    table = StructTable(np.ones((4, 6)))
+    table = np.ones((4, 6))
     out = unify_attrs(g, table)
     assert out.shape == (3, 6)
