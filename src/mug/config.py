@@ -1,20 +1,20 @@
 """The run settings: their schema, their value grammar and their checker.
 
-Every setting is a field of TrainConfig (its nested WalkConfig and MaskSpec
-included) or of evalkit.SplitSpec, and the field is its whole schema: its
-type, its default, its flat key (metadata["key"], else the field's name) and
-its bound. So a key is the same name in a config file, a flag's dest, an echo
-and a checkpoint's [meta]. format_settings writes echoes and [meta] as sorted
+Every setting is a field of TrainConfig (its nested WalkConfig included) or
+of evalkit.SplitSpec, and the field is its whole schema: its type, its
+default, its flat key (metadata["key"], else the field's name) and its bound.
+So a key is the same name in a config file, a flag's dest, an echo and a
+checkpoint's [meta]. format_settings writes echoes and [meta] as sorted
 "key = value" lines; read_settings reads config files and [meta], with
 parse_value as the one value grammar.
 
-A bound is metadata["bound"], an interval such as "[1, inf)", "(0, inf)",
-"[0, 1]" or "[0, 2**64)", or, for a text setting, metadata["choices"], its
-allowed values. check takes settings by flat key and raises ConfigError naming
-the first key outside its bound. A round bracket excludes its end, so a float
-bounded by "[0, inf)" must be finite; every comparison is negated, so NaN
-fails it. Settings are checked where they enter: in the CLI right after
-resolve, in fusion.pretrain, and when a checkpoint's [meta] is read.
+Every setting is a bool or a number. A number's bound is metadata["bound"],
+an interval such as "[1, inf)", "(0, inf)", "[0, 1]" or "[0, 2**64)". check
+takes settings by flat key and raises ConfigError naming the first key
+outside its bound. A round bracket excludes its end, so a float bounded by
+"[0, inf)" must be finite; every comparison is negated, so NaN fails it.
+Settings are checked where they enter: in the CLI right after resolve, in
+fusion.pretrain, and when a checkpoint's [meta] is read.
 
 Precedence is defaults < config file < command-line flags; every run writes a
 resolved echo file that can replay it.
@@ -28,7 +28,6 @@ from typing import Dict, Iterable, Optional
 
 from .bundle import read_text
 from .evalkit import SplitSpec
-from .metamae import MaskSpec
 from .structenc import WalkConfig
 
 
@@ -50,8 +49,8 @@ class TrainConfig:
     sample_size: int = field(default=128, metadata={"bound": "[1, inf)"})
     unified_dim: int = field(default=64, metadata={"bound": "[1, inf)"})
     gamma: float = field(default=2.0, metadata={"bound": "[1, inf)"})
+    edge_mask_rate: float = field(default=0.5, metadata={"bound": "[0, 1]"})
     walk: WalkConfig = field(default_factory=WalkConfig)
-    mask: MaskSpec = field(default_factory=MaskSpec)
 
 
 def config_fields(cfg):
@@ -102,9 +101,7 @@ def check(values: Dict[str, object]) -> None:
     schema = {key: f.metadata for spec in (TrainConfig(), SplitSpec())
               for key, _, f, _ in config_fields(spec)}
     for key, value in values.items():
-        choices, bound = schema[key].get("choices"), schema[key].get("bound")
-        if choices is not None and value not in choices:
-            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got '{value}'")
+        bound = schema[key].get("bound")
         if bound is None:
             continue
         low, high = bound[1:-1].split(", ")

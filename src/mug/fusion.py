@@ -16,7 +16,7 @@ training with DivergenceError before the parameters change.
 
 Checkpoint format (UTF-8 text):
 
-    MUG-CKPT v5
+    MUG-CKPT v6
     [meta]
     <key> = <value>        one line per TrainConfig setting, sorted by its flat
                            config key: config.format_settings, as in an echo
@@ -30,7 +30,8 @@ config files, so a fault in one line names the file and the line. It then
 requires every TrainConfig setting to be there and checks them all with
 config.check. It requires the matrix headers to equal param_shapes of that
 config, and every value to be finite. Any fault raises CheckpointError naming
-the file; other versions are refused (v4 had no_scatter and "key value" lines).
+the file; other versions are refused (v5 also had neg_distribution and
+resample_mask, v4 no_scatter and "key value" lines).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .config import TrainConfig
 from .hetgraph import EdgeList, HetGraph, metapath_edges
 from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream
 
-CHECKPOINT_MAGIC = "MUG-CKPT v5"
+CHECKPOINT_MAGIC = "MUG-CKPT v6"
 
 
 def param_shapes(cfg: TrainConfig) -> List[Tuple[str, Tuple[int, int]]]:
@@ -297,11 +298,9 @@ def _train(state: _GraphState, cfg: TrainConfig,
                  if not (cfg.no_align and k.startswith("dim."))]
     opt = Optimizer(params, cfg, trainable)
 
-    masked = None
     for epoch in range(cfg.epochs):
-        if cfg.mask.resample_per_epoch or masked is None:
-            masked = [metamae.mask_edges(view, cfg.mask, RngStream(cfg.seed, MASK, epoch, i))
-                      for i, view in enumerate(state.views)]
+        masked = [metamae.mask_edges(view, cfg.edge_mask_rate, RngStream(cfg.seed, MASK, epoch, i))
+                  for i, view in enumerate(state.views)]
 
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             parts, grads = objective(params, state, masked, cfg)

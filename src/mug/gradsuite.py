@@ -135,6 +135,8 @@ def default_checks() -> List[Check]:
 
 def run_suite(checks: Sequence[Check] = (), instances: int = 20,
               seed: int = 0) -> List[CheckResult]:
+    if instances < 1:
+        raise ValueError(f"--instances must be >= 1, got {instances}")
     results = []
     for check in checks or default_checks():
         worst = 0.0

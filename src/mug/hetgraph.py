@@ -236,15 +236,11 @@ def all_views(g: HetGraph) -> Dict[str, np.ndarray]:
     return views
 
 
-class UndefinedRatioError(ValueError):
-    """Homophily ratio is undefined for an edgeless view."""
-
-
-def homophily_ratio(edges: EdgeList, labels: np.ndarray) -> float:
-    """Fraction of view edges joining same-label nodes (unordered pairs if symmetric)."""
+def homophily_ratio(edges: EdgeList, labels: np.ndarray) -> Optional[float]:
+    """Share of view edges joining same-label nodes (unordered if symmetric); None if edgeless."""
     rows, cols = edges.pairs()
     if len(rows) == 0:
-        raise UndefinedRatioError("view has no edges; homophily undefined")
+        return None
     return float((labels[rows] == labels[cols]).mean())
 
 
@@ -252,12 +248,7 @@ def homophily_report(g: HetGraph) -> Tuple[Dict[str, Optional[float]], Optional[
     """Per-view ratio (None where undefined) and the average over defined views."""
     if g.labels is None:
         raise ValueError("graph has no labels")
-    ratios: Dict[str, Optional[float]] = {}
-    for mp in g.metapaths:
-        try:
-            ratios[mp.name] = homophily_ratio(metapath_edges(g, mp), g.labels)
-        except UndefinedRatioError:
-            ratios[mp.name] = None
+    ratios = {mp.name: homophily_ratio(metapath_edges(g, mp), g.labels) for mp in g.metapaths}
     defined = [r for r in ratios.values() if r is not None]
     avg = float(np.mean(defined)) if defined else None
     return ratios, avg

@@ -3,9 +3,9 @@
 One symmetric-normalized graph-convolution layer each for encoder and
 decoder; every view uses the same encoder and decoder parameters.
 Masking removes each present edge with probability edge_mask_rate, one coin
-per unordered pair on symmetric views. The decoded embeddings Ẑ are scored
-by σ(ẐẐᵀ), compared row-wise against the full unmasked adjacency with a
-scaled cosine loss.
+per unordered pair on symmetric views; training draws a fresh mask for every
+view in every epoch. The decoded embeddings Ẑ are scored by σ(ẐẐᵀ), compared
+row-wise against the full unmasked adjacency with a scaled cosine loss.
 
 Cost model: a view is an EdgeList built once per graph by hetgraph. Masking
 keeps a shorter list, one uniform per listed pair. The normalized operator is
@@ -19,7 +19,6 @@ beyond the operator is O(N * RECON_BLOCK).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,20 +34,14 @@ class DegenerateViewError(ValueError):
     """Every row of the view is empty; the reconstruction loss is undefined."""
 
 
-@dataclass
-class MaskSpec:
-    edge_mask_rate: float = field(default=0.5, metadata={"bound": "[0, 1]"})
-    resample_per_epoch: bool = field(default=True, metadata={"key": "resample_mask"})
-
-
-def mask_edges(edges: EdgeList, spec: MaskSpec, rng: RngStream) -> EdgeList:
-    """The edges kept, each with probability 1 - edge_mask_rate; never an absent one.
+def mask_edges(edges: EdgeList, rate: float, rng: RngStream) -> EdgeList:
+    """The edges kept, each with probability 1 - rate; never an absent one.
 
     One uniform per edges.pairs() entry, in their order. A kept symmetric pair
     is listed as its row < col entry and then, after all of those, its transpose.
     """
     rows, cols = edges.pairs()
-    keep = rng.uniform(len(rows)) >= spec.edge_mask_rate
+    keep = rng.uniform(len(rows)) >= rate
     rows, cols = rows[keep], cols[keep]
     if edges.symmetric:
         rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])

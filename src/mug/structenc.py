@@ -4,7 +4,8 @@ Walks visit every node type along the pattern; the embedding table covers
 the whole graph (one row per node, global index order). Only target rows
 are consumed downstream, where they are concatenated to the node attributes.
 The table is per-graph preprocessing: it is retrained on every new graph and
-is never part of the transferable checkpoint.
+is never part of the transferable checkpoint. Skip-gram negatives are drawn
+uniformly over all nodes of the graph.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ class WalkConfig:
     epochs: int = field(default=5, metadata={"key": "struct_epochs", "bound": "[1, inf)"})
     lr: float = field(default=0.025, metadata={"key": "struct_lr", "bound": "(0, inf)"})
     lr_min: float = field(default=0.0001, metadata={"key": "struct_lr_min", "bound": "[0, inf)"})
-    neg_distribution: str = field(default="uniform",
-                                  metadata={"choices": ("uniform", "freq075")})
 
 
 def sample_walks(g: HetGraph, mp: MetaPath, cfg: WalkConfig,
@@ -91,20 +90,6 @@ def _window_pairs(walks: np.ndarray, lens: np.ndarray,
     return centers, cand[keep]
 
 
-def _negative_sampler(walks, n_nodes, cfg):
-    if cfg.neg_distribution == "uniform":
-        def draw(stream: RngStream, shape):
-            return stream.integers(0, n_nodes, shape).astype(np.int64)
-    else:
-        weights = np.bincount(walks[walks >= 0], minlength=n_nodes) ** 0.75
-        cum = np.cumsum(weights / weights.sum())
-
-        def draw(stream: RngStream, shape):
-            u = stream.uniform(shape)
-            return np.minimum(np.searchsorted(cum, u), n_nodes - 1).astype(np.int64)
-    return draw
-
-
 def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
                cfg: WalkConfig, rng: RngStream,
                loss_trace: Optional[list] = None) -> np.ndarray:
@@ -125,11 +110,10 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
     center = (init.uniform((n_nodes, cfg.dim)) - 0.5) / cfg.dim
     context = np.zeros((n_nodes, cfg.dim))
 
-    draw_negatives = _negative_sampler(walks, n_nodes, cfg)
     total = len(centers) * cfg.epochs
     for epoch in range(cfg.epochs):
-        stream = RngStream(rng.seed, SGNS, epoch)
-        negatives = draw_negatives(stream, (len(centers), cfg.negatives))
+        negatives = RngStream(rng.seed, SGNS, epoch).integers(
+            0, n_nodes, (len(centers), cfg.negatives)).astype(np.int64)
         loss = kernels.sgns_epoch(center, context, centers, contexts, negatives,
                                   cfg.lr, cfg.lr_min, epoch * len(centers), total)
         if loss_trace is not None:

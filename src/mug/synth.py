@@ -102,6 +102,10 @@ class SynthSpec:
         names = [self.target_type] + [a.name for a in self.aux_types]
         if not all(isinstance(n, str) for n in names):
             raise SynthSpecError("type names must be strings")
+        named = [n for r in self.relations for n in (r.name, r.src, r.dst)]
+        named += [n for m in self.metapaths for n in (m.name, *m.steps)]
+        if not all(isinstance(n, str) for n in named):
+            raise SynthSpecError("type, relation and meta-path names must be strings")
         for a in self.aux_types:
             if min(a.size, a.attr_dim) < 0:
                 raise SynthSpecError(f"aux type '{a.name}': size and attr_dim must be >= 0")

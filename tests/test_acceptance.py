@@ -24,7 +24,7 @@ from mug.config import TrainConfig
 from mug.evalkit import SplitSpec, evaluate_embedding, f1_scores, make_splits
 from mug.fusion import attention_scores, attention_weights, softmax
 from mug.hetgraph import all_views, class_frequency_baseline, homophily_report
-from mug.metamae import MaskSpec, mask_edges
+from mug.metamae import mask_edges
 from mug.rng import RngStream
 
 warnings.filterwarnings("ignore", message=".*shrunk.*")
@@ -140,7 +140,7 @@ def test_criterion_4_mask_statistics():
     edges = view_of(adj)
     hits = 0
     for trial in range(100):
-        masked = mask_edges(edges, MaskSpec(edge_mask_rate=0.5), RngStream(trial))
+        masked = mask_edges(edges, 0.5, RngStream(trial))
         removed = 1.0 - len(masked.pairs()[0]) / n_edges   # kept upper-triangle edges
         hits += 0.48 <= removed <= 0.52
     ok = hits >= 99

@@ -146,8 +146,16 @@ def test_synth_bad_spec_json_has_the_error_prefix(tmp_path, capsys):
      "relation 'pa' references unknown type 'ghost'"),
     (lambda s: dict(s, metapaths=[{"name": "PA", "steps": ["paper", "pa", "author"]}]),
      "meta-path 'PA' must start and end at the target type 'paper'"),
+    (lambda s: dict(s, relations=[dict(s["relations"][0], name=["pa"]), s["relations"][1]]),
+     "type, relation and meta-path names must be strings"),
+    (lambda s: dict(s, metapaths=[{"name": "PAP", "steps": ["paper", ["pa"], "author", "pa",
+                                                            "paper"]}]),
+     "type, relation and meta-path names must be strings"),
+    (lambda s: dict(s, relations=[dict(s["relations"][0], src=["paper"]), s["relations"][1]]),
+     "type, relation and meta-path names must be strings"),
 ], ids=["relations-not-a-list", "top-level-list", "negative-aux-size",
-        "negative-aux-attr-dim", "target-type-list", "undeclared-type", "metapath-off-target"])
+        "negative-aux-attr-dim", "target-type-list", "undeclared-type", "metapath-off-target",
+        "relation-name-list", "metapath-step-list", "relation-src-list"])
 def test_synth_malformed_spec_exits_with_data_error(tmp_path, capsys, damage, message):
     path, out = str(tmp_path / "spec.json"), str(tmp_path / "b")
     with open(path, "w") as fh:
@@ -269,10 +277,10 @@ def test_unknown_config_key_rejected(tmp_path, bundle, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("epochs = 3\nno_cse = maybe\n", "2: bad value for 'no_cse': 'maybe'"),
-    ("epochs = 3\nno_cse = true\nresample_mask = 2\n", "3: bad value for 'resample_mask': '2'"),
+    ("epochs = 3\nno_cse = true\nstruct_epochs = x\n", "3: bad value for 'struct_epochs': 'x'"),
     ("seed = 1\nepochs = 3\nseed = 2\n", "3: repeated key 'seed'"),
     ("struct_dim = 8\nstruct_dim = 8\n", "2: repeated key 'struct_dim'"),
-], ids=["bad-boolean", "bad-boolean-keyed-field", "repeated-key", "repeated-same-value"])
+], ids=["bad-boolean", "bad-keyed-field", "repeated-key", "repeated-same-value"])
 def test_bad_config_line_names_file_line_and_key(tmp_path, monkeypatch, capsys, text, message):
     from mug import bundle
     monkeypatch.setattr(bundle, "load_bundle", _no_work)
@@ -567,8 +575,8 @@ def test_bad_train_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("text, message", [
     ("gamma = nan\nwindow = 0\n", "gamma must be >= 1, got nan"),
     ("window = 0\n", "window must be >= 1, got 0"),
-    ("neg_distribution = zipf\n",
-     "neg_distribution must be one of uniform, freq075, got 'zipf'"),
+    # neg_distribution was the one text setting; it is removed like kshot_repeats
+    ("neg_distribution = uniform\n", "{config}:1: unknown key 'neg_distribution'"),
     ("test_size = 0\n", "test_size must be >= 1, got 0"),
     ("kshot_repeats = 0\n", "{config}:1: unknown key 'kshot_repeats'"),   # a removed key
 ], ids=["train-keys", "walk-key", "text-key", "split-key", "kshot-key"])
@@ -687,6 +695,14 @@ def test_gradcheck_prints_a_pass_line_for_each_default_check(capsys):
     assert summary == f"{len(lines)}/{len(lines)} gradient checks passed"
 
 
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_gradcheck_refuses_fewer_than_one_instance(capsys, instances):
+    assert main(["gradcheck", "--instances", instances]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --instances must be >= 1, got {instances}\n"
+    assert captured.out == ""
+
+
 def test_gradcheck_detects_injected_wrong_gradient():
     # a loss of 2 * sum(X) whose gradient is deliberately wrong: it is dropped
     def make_params(rng):
@@ -765,7 +781,7 @@ def _swap_matrices(lines, section, first, second):
     return lines[:i] + lines[j:k] + lines[i:j] + lines[k:]
 
 
-# [meta] is sorted by key: edge_mask_rate is line 3, and [params] follows window at line 24
+# [meta] is sorted by key: edge_mask_rate is line 3, and [params] follows window at line 22
 @pytest.mark.parametrize("damage, message", [
     (lambda lines: lines[:_entry_line(lines, "params", "att.bias") + 1],
      ": [params] matrix 'att.bias' is cut short"),
@@ -783,40 +799,41 @@ def _swap_matrices(lines, section, first, second):
     (lambda lines: _edit_matrix_row(lines, "params", "att.q", lambda row: ["-1e400"]),
      ": [params] matrix 'att.q': row 1 has a non-finite value"),
     (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size = x"),
-     ":15: bad value for 'sample_size': 'x'"),
+     ":13: bad value for 'sample_size': 'x'"),
     (lambda lines: _edit_line(lines, "meta", "struct_dim", "struct_dim = x"),
-     ":17: bad value for 'struct_dim': 'x'"),
+     ":15: bad value for 'struct_dim': 'x'"),
     (lambda lines: _edit_line(lines, "meta", "struct_dim", "walk.dim = 16"),
-     ":17: unknown key 'walk.dim'"),
-    (lambda lines: _edit_line(lines, "meta", "seed", "resample_mask = True"),
-     ":16: repeated key 'resample_mask'"),
+     ":15: unknown key 'walk.dim'"),
+    (lambda lines: _edit_line(lines, "meta", "seed", "struct_epochs = 5"),
+     ":16: repeated key 'struct_epochs'"),
     (lambda lines: _edit_line(lines, "meta", "struct_lr_min", "struct_lr_min ="),
-     ":20: bad value for 'struct_lr_min': ''"),
-    (lambda lines: [line for line in lines if not line.startswith("resample_mask ")],
-     ": [meta] has no 'resample_mask'"),
+     ":18: bad value for 'struct_lr_min': ''"),
+    (lambda lines: [line for line in lines if not line.startswith("struct_epochs ")],
+     ": [meta] has no 'struct_epochs'"),
     (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size = 15"),
      ": [params] expected matrix header 'dim.weight 15 16' (shape from [meta]), "
      "found 'dim.weight 16 16'"),
     (lambda lines: _edit_line(lines, "meta", "gamma", "gamma = 0.5"),
      ": [meta] gamma must be >= 1, got 0.5"),
     (lambda lines: _edit_line(lines, "meta", "seed", "seed 0"),
-     ":16: expected key=value"),
+     ":14: expected key=value"),
     (lambda lines: _edit_line(lines, "params", "enc.bias", "enc.gain 1 16"),
      ": [params] expected matrix header 'enc.bias 1 16'"),
     (lambda lines: _swap_matrices(lines, "params", "enc.weight", "enc.bias"),
      ": [params] expected matrix header 'enc.weight 16 16' (shape from [meta]), "
      "found 'enc.bias 1 16'"),
-    (lambda lines: ["MUG-CKPT v1"] + lines[1:], ": not a 'MUG-CKPT v5' checkpoint"),
-    (lambda lines: ["MUG-CKPT v2"] + lines[1:], ": not a 'MUG-CKPT v5' checkpoint"),
-    (lambda lines: ["MUG-CKPT v3"] + lines[1:], ": not a 'MUG-CKPT v5' checkpoint"),
-    (lambda lines: ["MUG-CKPT v4"] + lines[1:], ": not a 'MUG-CKPT v5' checkpoint"),
+    (lambda lines: ["MUG-CKPT v1"] + lines[1:], ": not a 'MUG-CKPT v6' checkpoint"),
+    (lambda lines: ["MUG-CKPT v2"] + lines[1:], ": not a 'MUG-CKPT v6' checkpoint"),
+    (lambda lines: ["MUG-CKPT v3"] + lines[1:], ": not a 'MUG-CKPT v6' checkpoint"),
+    (lambda lines: ["MUG-CKPT v4"] + lines[1:], ": not a 'MUG-CKPT v6' checkpoint"),
+    (lambda lines: ["MUG-CKPT v5"] + lines[1:], ": not a 'MUG-CKPT v6' checkpoint"),
 ], ids=["matrix-cut-short", "matrix-missing", "matrix-non-numeric", "matrix-ragged-row",
         "matrix-nan", "matrix-overflow",
         "sample-size-not-int", "meta-walk-dim-not-int", "meta-dotted-key",
         "meta-repeated-key", "meta-keyed-field-empty", "meta-keyed-field-missing",
         "meta-sample-size-disagrees", "meta-out-of-bound", "meta-v4-line",
         "params-unknown-name", "params-out-of-order", "v1-header", "v2-header", "v3-header",
-        "v4-header"])
+        "v4-header", "v5-header"])
 def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, damage,
                                         message):
     lines = open(checkpoint).read().split("\n")

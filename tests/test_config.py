@@ -5,11 +5,11 @@ from dataclasses import asdict
 
 import pytest
 
-from mug import config
+from mug import config, synth
 from mug.config import TrainConfig, by_key, config_fields
 from mug.evalkit import SplitSpec
 from mug.fusion import MugModel, _init_params, load_checkpoint, pretrain, save_checkpoint
-from mug.metamae import MaskSpec
+from mug.rng import RngStream
 from mug.structenc import WalkConfig
 
 
@@ -17,9 +17,9 @@ from mug.structenc import WalkConfig
 # perfbench's walk.cfg writes walks_per_node, walk_length, window and struct_epochs.
 FLAT_KEYS = {
     "lambda_align", "lambda_recon", "lambda_scatter", "epochs", "learning_rate", "seed",
-    "no_cse", "no_align", "sample_size", "unified_dim", "gamma",
+    "no_cse", "no_align", "sample_size", "unified_dim", "gamma", "edge_mask_rate",
     "walks_per_node", "walk_length", "window", "negatives", "struct_dim", "struct_epochs",
-    "struct_lr", "struct_lr_min", "neg_distribution", "edge_mask_rate", "resample_mask",
+    "struct_lr", "struct_lr_min",
     "per_class_train", "val_size", "test_size", "repeats",
 }
 
@@ -36,11 +36,9 @@ def off_default_config():
     return TrainConfig(
         lambda_align=0.5, lambda_recon=2.0, lambda_scatter=0.3, epochs=7,
         learning_rate=0.01, seed=11, no_cse=True, no_align=True,
-        sample_size=32, unified_dim=24, gamma=3.0,
+        sample_size=32, unified_dim=24, gamma=3.0, edge_mask_rate=0.25,
         walk=WalkConfig(walks_per_node=3, walk_length=9, window=2, negatives=4,
-                        dim=16, epochs=2, lr=0.05, lr_min=0.001,
-                        neg_distribution="freq075"),
-        mask=MaskSpec(edge_mask_rate=0.25, resample_per_epoch=False),
+                        dim=16, epochs=2, lr=0.05, lr_min=0.001),
     )
 
 
@@ -59,19 +57,19 @@ def test_checkpoint_echo_round_trips_every_field(tmp_path):
 
 
 def test_flat_keys_are_exactly_the_pinned_ones():
-    assert len(FLAT_KEYS) == 26
+    assert len(FLAT_KEYS) == 24
     assert set(config.defaults()) == FLAT_KEYS
 
 
 def test_no_two_train_fields_share_a_key():
     keys = [key for key, _, _, _ in config_fields(TrainConfig())]
-    assert len(keys) == len(set(keys)) == 22
+    assert len(keys) == len(set(keys)) == 20
 
 
 def test_echo_keys_are_the_flat_config_keys():
     settings = by_key(TrainConfig())
     assert set(settings) <= FLAT_KEYS
-    assert settings["struct_dim"] == 64 and settings["resample_mask"] is True
+    assert settings["struct_dim"] == 64 and settings["struct_epochs"] == 5
 
 
 def test_checkpoint_meta_is_the_echo_of_the_config(tmp_path):
@@ -80,7 +78,7 @@ def test_checkpoint_meta_is_the_echo_of_the_config(tmp_path):
     save_checkpoint(MugModel(_init_params(cfg, 0), cfg), path)
     config.write_echo(by_key(cfg), echo)
     lines = open(path).read().split("\n")
-    assert lines[:2] == ["MUG-CKPT v5", "[meta]"]
+    assert lines[:2] == ["MUG-CKPT v6", "[meta]"]
     meta = lines[2:lines.index("[params]")]
     assert meta == open(echo).read().splitlines()
     assert meta == [f"{key} = {value}" for key, value in sorted(by_key(cfg).items())]
@@ -107,13 +105,42 @@ def test_resolve_takes_the_flags_that_are_keys_and_not_none():
     assert cfg == {**config.defaults(), "seed": 4, "repeats": 2}
 
 
+# One valid value per TrainConfig setting, off the base run's value below
+OFF_BASE = {
+    "lambda_align": 0.5, "lambda_recon": 2.0, "lambda_scatter": 0.3, "epochs": 3,
+    "learning_rate": 0.01, "seed": 11, "no_cse": True, "no_align": True, "sample_size": 6,
+    "unified_dim": 6, "gamma": 3.0, "edge_mask_rate": 0.25, "walks_per_node": 2,
+    "walk_length": 5, "window": 2, "negatives": 4, "struct_dim": 6, "struct_epochs": 2,
+    "struct_lr": 0.05, "struct_lr_min": 0.001,
+}
+
+
+def test_every_train_setting_reaches_the_computation():
+    spec = synth.SynthSpec.from_dict(synth.two_view_spec(attr_dim=4, targets_per_class=10))
+    g = synth.generate(spec, RngStream(0))
+    # three struct epochs: a single SGNS batch meets an all-zero context table and
+    # moves no center row, so on one epoch of so few pairs the walk settings do nothing
+    base = by_key(TrainConfig(epochs=2, sample_size=8, unified_dim=8,
+                              walk=WalkConfig(walks_per_node=1, walk_length=3, window=1,
+                                              negatives=2, dim=8, epochs=3)))
+
+    def run(values):
+        trace = []
+        model = pretrain(g, config.filled(TrainConfig(), values), trace)
+        return [value.tobytes() for value in model.params.values()], trace
+
+    assert list(OFF_BASE) == list(by_key(TrainConfig()))
+    want = run(base)
+    assert [key for key, value in OFF_BASE.items() if run({**base, key: value}) == want] == []
+
+
 def test_flat_keys_reach_their_fields(tmp_path):
     path = str(tmp_path / "run.cfg")
     with open(path, "w") as fh:
-        fh.write("struct_dim = 8\nresample_mask = no\nstruct_lr = 0.5\n"
+        fh.write("struct_dim = 8\nstruct_lr = 0.5\n"
                  "struct_epochs = 3\nstruct_lr_min = 0.25\n")
     cfg = config.filled(TrainConfig(), config.resolve(config.parse_config_file(path)))
-    assert cfg.walk.dim == 8 and cfg.mask.resample_per_epoch is False
+    assert cfg.walk.dim == 8
     assert cfg.walk.lr == 0.5 and cfg.walk.epochs == 3 and cfg.walk.lr_min == 0.25
 
 
@@ -125,10 +152,10 @@ def _setting_fields():
         yield from config_fields(spec)
 
 
-def test_every_number_setting_declares_a_bound_and_every_text_setting_its_choices():
+def test_every_setting_is_a_bounded_number_or_a_bool():
     unbounded = [key for key, _, f, value in _setting_fields()
-                 if (type(value) in (int, float) and "bound" not in f.metadata)
-                 or (type(value) is str and "choices" not in f.metadata)]
+                 if not (type(value) is bool
+                         or (type(value) in (int, float) and "bound" in f.metadata))]
     assert unbounded == []
 
 
@@ -144,14 +171,13 @@ def test_fields_sharing_a_key_declare_one_default_and_bound():
     seen = {}
     for key, _, f, value in _setting_fields():
         assert seen.setdefault(key, (value, dict(f.metadata))) == (value, dict(f.metadata)), key
-    assert len(seen) == 26
+    assert len(seen) == 24
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("seed", 2**64, "seed must be in [0, 2**64), got 18446744073709551616"),
     ("edge_mask_rate", 1.5, "edge_mask_rate must be in [0, 1], got 1.5"),
     ("edge_mask_rate", math.nan, "edge_mask_rate must be in [0, 1], got nan"),
-    ("neg_distribution", "zipf", "neg_distribution must be one of uniform, freq075, got 'zipf'"),
     ("struct_lr_min", -math.inf, "struct_lr_min must be >= 0, got -inf"),
     ("repeats", 0, "repeats must be >= 1, got 0"),
 ])
@@ -163,7 +189,7 @@ def test_check_names_the_key_and_its_bound(key, value, message):
 
 @pytest.mark.parametrize("key, value", [
     ("seed", 2**64 - 1), ("edge_mask_rate", 0.0), ("edge_mask_rate", 1.0), ("epochs", 0),
-    ("val_size", 0), ("struct_lr_min", 0.0), ("neg_distribution", "freq075"),
+    ("val_size", 0), ("struct_lr_min", 0.0),
 ])
 def test_check_accepts_the_ends_of_each_range(key, value):
     config.check({key: value})

@@ -28,7 +28,6 @@ from mug.fusion import (
     softmax,
     total_loss,
 )
-from mug.metamae import MaskSpec
 from mug.rng import MASK, RngStream
 from mug.structenc import WalkConfig
 
@@ -393,10 +392,9 @@ VALID_CONFIGS = st.builds(
     epochs=st.integers(0, 10**6), learning_rate=POSITIVE, seed=st.integers(0, 2**64 - 1),
     no_cse=st.booleans(), no_align=st.booleans(),
     sample_size=st.integers(1, 4), unified_dim=st.integers(1, 4), gamma=st.floats(1, 1e308),
+    edge_mask_rate=st.floats(0, 1),
     walk=st.builds(WalkConfig, walks_per_node=COUNTS, walk_length=COUNTS, window=COUNTS,
-                   negatives=COUNTS, dim=COUNTS, epochs=COUNTS, lr=POSITIVE, lr_min=NONNEGATIVE,
-                   neg_distribution=st.sampled_from(["uniform", "freq075"])),
-    mask=st.builds(MaskSpec, edge_mask_rate=st.floats(0, 1), resample_per_epoch=st.booleans()),
+                   negatives=COUNTS, dim=COUNTS, epochs=COUNTS, lr=POSITIVE, lr_min=NONNEGATIVE),
 )
 
 
@@ -482,7 +480,7 @@ def _three_view_objective_inputs(targets_per_class):
         targets_per_class=targets_per_class)), RngStream(0))
     cfg = TrainConfig(no_cse=True, seed=0)
     state = fusion._prepare_graph(g, cfg)
-    masked = [metamae.mask_edges(view, cfg.mask, RngStream(0, MASK, 0, i))
+    masked = [metamae.mask_edges(view, cfg.edge_mask_rate, RngStream(0, MASK, 0, i))
               for i, view in enumerate(state.views)]
     return state, masked, fusion._init_params(cfg, 0), cfg
 
@@ -524,7 +522,7 @@ def test_objective_computes_each_row_block_of_scores_once_per_view(monkeypatch):
         adjs.append(a | a.T)
     state = fusion._GraphState(unified=rng.normal(size=(n, 5)),
                                views=[view_of(a) for a in adjs], sample_idx=np.arange(4))
-    masked = [metamae.mask_edges(e, MaskSpec(), RngStream(0, MASK, 0, i))
+    masked = [metamae.mask_edges(e, 0.5, RngStream(0, MASK, 0, i))
               for i, e in enumerate(state.views)]
     cfg = small_cfg(sample_size=4, unified_dim=3)
     calls = []

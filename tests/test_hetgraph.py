@@ -17,7 +17,6 @@ from mug.hetgraph import (
     MetaPath,
     Relation,
     SchemaError,
-    UndefinedRatioError,
     all_views,
     class_frequency_baseline,
     homophily_ratio,
@@ -274,8 +273,7 @@ def test_homophily_hand_case_two_thirds():
 
 
 def test_homophily_edgeless_view():
-    with pytest.raises(UndefinedRatioError):
-        homophily_ratio(view_of(np.zeros((3, 3), dtype=bool)), np.array([0, 1, 2]))
+    assert homophily_ratio(view_of(np.zeros((3, 3), dtype=bool)), np.array([0, 1, 2])) is None
 
 
 def test_homophily_report_excludes_undefined_view():

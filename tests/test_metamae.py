@@ -12,7 +12,6 @@ from mug import autodiff as ad
 from mug import metamae
 from mug.metamae import (
     DegenerateViewError,
-    MaskSpec,
     encode,
     graph_conv,
     mask_edges,
@@ -42,13 +41,13 @@ def sym_adj(n, pairs):
 
 def test_mask_rate_zero_keeps_everything():
     adj = sym_adj(5, [(0, 1), (1, 2), (3, 4)])
-    masked = dense_edges(mask_edges(view_of(adj), MaskSpec(edge_mask_rate=0.0), RngStream(0)))
+    masked = dense_edges(mask_edges(view_of(adj), 0.0, RngStream(0)))
     assert np.array_equal(masked, adj)
 
 
 def test_mask_rate_one_removes_everything():
     adj = sym_adj(5, [(0, 1), (1, 2), (3, 4)])
-    masked = dense_edges(mask_edges(view_of(adj), MaskSpec(edge_mask_rate=1.0), RngStream(0)))
+    masked = dense_edges(mask_edges(view_of(adj), 1.0, RngStream(0)))
     assert masked.sum() == 0
 
 
@@ -59,7 +58,7 @@ def test_mask_half_removes_half_within_binomial_band():
     adj = adj | adj.T
     n_edges = np.triu(adj, 1).sum()
     assert n_edges >= 10_000
-    masked = dense_edges(mask_edges(view_of(adj), MaskSpec(edge_mask_rate=0.5), RngStream(7)))
+    masked = dense_edges(mask_edges(view_of(adj), 0.5, RngStream(7)))
     removed = 1.0 - np.triu(masked, 1).sum() / n_edges
     assert 0.48 <= removed <= 0.52
 
@@ -68,7 +67,7 @@ def test_mask_symmetric_view_stays_symmetric():
     rng = np.random.default_rng(1)
     adj = sym_adj(30, [(i, j) for i in range(30) for j in range(i + 1, 30)
                        if rng.random() < 0.3])
-    masked = dense_edges(mask_edges(view_of(adj), MaskSpec(edge_mask_rate=0.5), RngStream(3)))
+    masked = dense_edges(mask_edges(view_of(adj), 0.5, RngStream(3)))
     assert np.array_equal(masked, masked.T)
     assert not (masked & ~adj).any()  # never creates edges
 
@@ -79,7 +78,7 @@ def test_mask_asymmetric_view_draws_one_uniform_per_edge_in_row_major_order():
     adj[0, 1], adj[1, 0] = True, False
     edges = view_of(adj)
     assert not edges.symmetric
-    masked = dense_edges(mask_edges(edges, MaskSpec(edge_mask_rate=0.5), RngStream(4)))
+    masked = dense_edges(mask_edges(edges, 0.5, RngStream(4)))
     rows, cols = np.nonzero(adj)
     keep = RngStream(4).uniform(len(rows)) >= 0.5
     expected = np.zeros_like(adj)
@@ -291,8 +290,7 @@ def test_fused_recon_loss_and_scattered_operator_equal_the_oracles_bytewise(offs
         edges = view_of(adj)
         assert np.array_equal(dense_edges(edges), adj), name
         _assert_operator_equals_dense(edges)
-        _assert_operator_equals_dense(mask_edges(edges, MaskSpec(edge_mask_rate=0.5),
-                                                 RngStream(offset + 1)))
+        _assert_operator_equals_dense(mask_edges(edges, 0.5, RngStream(offset + 1)))
         z_arr = rng.uniform(-1.5, 1.5, size=(n, 4))
         for gamma in (1.0, 2.0, 2.5):
             for g in (0.0, 1.0, 0.73):
@@ -313,8 +311,7 @@ def test_fused_pass_and_operator_match_the_oracles_on_random_views(
         np.fill_diagonal(adj, False)
     edges = view_of(adj)
     _assert_operator_equals_dense(edges)
-    _assert_operator_equals_dense(mask_edges(edges, MaskSpec(edge_mask_rate=0.5),
-                                             RngStream(seed)))
+    _assert_operator_equals_dense(mask_edges(edges, 0.5, RngStream(seed)))
     if not adj.any():
         return
     z_arr = rng.normal(scale=2.0, size=(n, 3))
@@ -335,7 +332,7 @@ def test_full_view_pipeline_gradient_matches_fd():
     rng = np.random.default_rng(10)
     n, d, k, ns = 6, 4, 3, 4
     adj = sym_adj(n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-    masked = mask_edges(view_of(adj), MaskSpec(edge_mask_rate=0.5), RngStream(2))
+    masked = mask_edges(view_of(adj), 0.5, RngStream(2))
     # the reconstruction term alone, on one view
     cfg = config.TrainConfig(lambda_align=0.0, lambda_scatter=0.0, sample_size=ns,
                              unified_dim=k)
