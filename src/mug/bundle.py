@@ -1,5 +1,11 @@
 """On-disk graph bundles: schema.json + TSV files, loaded with full validation.
 
+Every text input of mug is read here, by four readers: read_text opens a
+file, read_json parses JSON, _read_rows splits a table whose header and rows
+are one width, and read_floats makes a float matrix of numbered rows. Each
+fault names its file, and its line where it has one. write_text writes every
+output file.
+
 schema.json is checked in full (hetgraph.check_schema) before any row is
 read, so a schema fault is reported against schema.json, never as a row error.
 
@@ -11,16 +17,15 @@ repr() (shortest round-tripping decimal), so a load/save cycle is bit-exact.
 from __future__ import annotations
 
 import json
-import math
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .hetgraph import HetGraph, MetaPath, Relation, SchemaError, check_schema
 
 
-class BundleError(Exception):
+class BundleError(ValueError):
     """Base for problems reading a bundle or another text input; carries file and line."""
 
     def __init__(self, message: str, file: str, line: int = 0):
@@ -48,13 +53,52 @@ class UnknownNodeError(BundleError):
 def read_text(path: str) -> str:
     """The whole of a UTF-8 text file, less a leading byte-order mark.
 
-    Bytes that are not UTF-8 raise an error naming the file.
+    A missing file, or bytes that are not UTF-8, raise an error naming the file.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
-        except UnicodeDecodeError as exc:
-            raise BundleError(f"not UTF-8 text: {exc}", path) from None
+    except FileNotFoundError:
+        raise MissingFileError("file not found", path) from None
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"not UTF-8 text: {exc}", path) from None
+
+
+def write_text(path: str, text: str) -> None:
+    """Replace the file at path with text, as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def read_json(path: str):
+    """The JSON value in a text file; a syntax fault names its path:line."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise MalformedRowError(f"invalid JSON: {exc.msg}", path, exc.lineno) from None
+
+
+def read_floats(rows: Sequence[Tuple[int, List[str]]], path: str,
+                width: Optional[int] = None) -> np.ndarray:
+    """A float64 matrix of (line number, cells) rows, each width cells wide (the
+    first row's width when None). A row of another width, a cell that is not a
+    number or a non-finite value raises MalformedRowError at that row's path:line;
+    finiteness is checked once per matrix."""
+    if width is None:
+        width = len(rows[0][1]) if rows else 0
+    values = []
+    for lineno, cells in rows:
+        if len(cells) != width:
+            raise MalformedRowError(f"expected {width} values, got {len(cells)}", path, lineno)
+        try:
+            values.append([float(v) for v in cells])
+        except ValueError:
+            raise MalformedRowError("non-numeric value", path, lineno) from None
+    mat = np.array(values, dtype=np.float64).reshape(len(values), width)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if len(bad):
+        raise MalformedRowError("non-finite value", path, rows[bad[0]][0])
+    return mat
 
 
 def format_floats(values, sep: str) -> str:
@@ -62,16 +106,21 @@ def format_floats(values, sep: str) -> str:
     return sep.join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
-def _read_rows(path: str):
-    if not os.path.exists(path):
-        raise MissingFileError("file not found", path)
+def _read_rows(path: str, width: int = 0):
+    """(line number, cells) of every row after the header; the header and each
+    row must be width cells wide, or as wide as the header when width is 0."""
     lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise MalformedRowError("empty file (missing header)", path, 1)
-    for lineno, line in enumerate(lines[1:], start=2):
-        yield lineno, line.split("\t")
+    width = width or lines[0].count("\t") + 1
+    for lineno, line in enumerate(lines, start=1):
+        cells = line.split("\t")
+        if len(cells) != width:
+            raise MalformedRowError(f"expected {width} columns, got {len(cells)}", path, lineno)
+        if lineno > 1:
+            yield lineno, cells
 
 
 def _is_names(value) -> bool:
@@ -97,13 +146,7 @@ def _entries(schema: dict, key: str, fields: tuple, path: str) -> List[tuple]:
 def load_bundle(path: str) -> HetGraph:
     """Load and fully validate a bundle directory."""
     schema_path = os.path.join(path, "schema.json")
-    if not os.path.exists(schema_path):
-        raise MissingFileError("file not found", schema_path)
-    try:
-        schema = json.loads(read_text(schema_path))
-    except json.JSONDecodeError as exc:
-        raise MalformedRowError(f"invalid JSON: {exc.msg}", schema_path, exc.lineno)
-
+    schema = read_json(schema_path)
     if not isinstance(schema, dict):
         raise MalformedRowError("schema must be a JSON object", schema_path)
     for key in ("node_types", "relations", "target_type", "metapaths"):
@@ -127,9 +170,7 @@ def load_bundle(path: str) -> HetGraph:
     nodes_path = os.path.join(path, "nodes.tsv")
     node_ids: Dict[str, List[str]] = {t: [] for t in node_types}
     lookup: Dict[str, tuple] = {}
-    for lineno, row in _read_rows(nodes_path):
-        if len(row) != 2:
-            raise MalformedRowError(f"expected 2 columns, got {len(row)}", nodes_path, lineno)
+    for lineno, row in _read_rows(nodes_path, 2):
         nid, ntype = row
         if ntype not in node_ids:
             raise UnknownNameError(f"unknown node type '{ntype}'", nodes_path, lineno)
@@ -143,9 +184,7 @@ def load_bundle(path: str) -> HetGraph:
     edges_path = os.path.join(path, "edges.tsv")
     rel_by_name = {r.name: r for r in relations}   # one per name: check_schema ran
     edge_lists: Dict[str, List[tuple]] = {r.name: [] for r in relations}
-    for lineno, row in _read_rows(edges_path):
-        if len(row) != 3:
-            raise MalformedRowError(f"expected 3 columns, got {len(row)}", edges_path, lineno)
+    for lineno, row in _read_rows(edges_path, 3):
         src_id, rname, dst_id = row
         if rname not in rel_by_name:
             raise UnknownNameError(f"unknown relation '{rname}'", edges_path, lineno)
@@ -171,37 +210,24 @@ def load_bundle(path: str) -> HetGraph:
         fpath = os.path.join(path, f"features.{t}.tsv")
         if not os.path.exists(fpath):
             continue
-        rows: Dict[int, List[float]] = {}
-        width = None
+        rows: Dict[int, tuple] = {}   # local index -> (line, values), in file order
         for lineno, row in _read_rows(fpath):
             if len(row) < 2:
                 raise MalformedRowError("expected node_id plus at least one value", fpath, lineno)
-            nid, vals = row[0], row[1:]
+            nid = row[0]
             got = lookup.get(nid)
             if got is None or got[0] != t:
                 raise UnknownNodeError(f"node id '{nid}' is not a '{t}' node", fpath, lineno)
             if got[1] in rows:
                 raise MalformedRowError(f"second feature row for node '{nid}'", fpath, lineno)
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise MalformedRowError(
-                    f"expected {width} values, got {len(vals)}", fpath, lineno
-                )
-            try:
-                rows[got[1]] = [float(v) for v in vals]
-            except ValueError:
-                raise MalformedRowError("non-numeric feature value", fpath, lineno)
-            if not all(map(math.isfinite, rows[got[1]])):
-                raise MalformedRowError("non-finite feature value", fpath, lineno)
+            rows[got[1]] = (lineno, row[1:])
+        values = read_floats(list(rows.values()), fpath)
         if len(rows) != counts[t]:
             raise MalformedRowError(
                 f"features cover {len(rows)} of {counts[t]} '{t}' nodes", fpath
             )
-        mat = np.zeros((counts[t], width or 0), dtype=np.float64)
-        for local, vals in rows.items():
-            mat[local] = vals
-        attrs[t] = mat
+        attrs[t] = np.empty_like(values)
+        attrs[t][list(rows)] = values
 
     # labels.tsv (optional, target type only, must cover all target nodes)
     labels = None
@@ -209,9 +235,7 @@ def load_bundle(path: str) -> HetGraph:
     if os.path.exists(lpath):
         target = schema["target_type"]
         lab = np.full(counts[target], -1, dtype=np.int64)
-        for lineno, row in _read_rows(lpath):
-            if len(row) != 2:
-                raise MalformedRowError(f"expected 2 columns, got {len(row)}", lpath, lineno)
+        for lineno, row in _read_rows(lpath, 2):
             nid, cls = row
             got = lookup.get(nid)
             if got is None or got[0] != target:
@@ -254,36 +278,18 @@ def save_bundle(g: HetGraph, path: str) -> None:
         "target_type": g.target_type,
         "metapaths": [{"name": m.name, "steps": list(m.steps)} for m in g.metapaths],
     }
-    with open(os.path.join(path, "schema.json"), "w", encoding="utf-8") as fh:
-        json.dump(schema, fh, indent=2)
-        fh.write("\n")
-
-    with open(os.path.join(path, "nodes.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("node_id\ttype\n")
-        for t in g.node_types:
-            for nid in g.node_ids[t]:
-                fh.write(f"{nid}\t{t}\n")
-
-    with open(os.path.join(path, "edges.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("src_id\trelation\tdst_id\n")
-        for rel in g.relations:
-            ids_src = g.node_ids[rel.src]
-            ids_dst = g.node_ids[rel.dst]
-            for s, d in g.edges.get(rel.name, ()):
-                fh.write(f"{ids_src[s]}\t{rel.name}\t{ids_dst[d]}\n")
-
-    for t in g.node_types:
-        mat = g.attrs.get(t)
-        if mat is None:
-            continue
-        with open(os.path.join(path, f"features.{t}.tsv"), "w", encoding="utf-8") as fh:
-            header = "\t".join(["node_id"] + [f"f{i}" for i in range(mat.shape[1])])
-            fh.write(header + "\n")
-            for nid, row in zip(g.node_ids[t], mat):
-                fh.write(nid + "\t" + format_floats(row, "\t") + "\n")
-
+    write_text(os.path.join(path, "schema.json"), json.dumps(schema, indent=2) + "\n")
+    write_text(os.path.join(path, "nodes.tsv"), "node_id\ttype\n" + "".join(
+        f"{nid}\t{t}\n" for t in g.node_types for nid in g.node_ids[t]))
+    write_text(os.path.join(path, "edges.tsv"), "src_id\trelation\tdst_id\n" + "".join(
+        f"{g.node_ids[r.src][s]}\t{r.name}\t{g.node_ids[r.dst][d]}\n"
+        for r in g.relations for s, d in g.edges.get(r.name, ())))
+    for t, mat in g.attrs.items():
+        if mat is not None:
+            header = "\t".join(["node_id"] + [f"f{i}" for i in range(mat.shape[1])]) + "\n"
+            rows = (nid + "\t" + format_floats(row, "\t") + "\n"
+                    for nid, row in zip(g.node_ids[t], mat))
+            write_text(os.path.join(path, f"features.{t}.tsv"), header + "".join(rows))
     if g.labels is not None:
-        with open(os.path.join(path, "labels.tsv"), "w", encoding="utf-8") as fh:
-            fh.write("node_id\tclass_id\n")
-            for nid, cls in zip(g.node_ids[g.target_type], g.labels):
-                fh.write(f"{nid}\t{int(cls)}\n")
+        write_text(os.path.join(path, "labels.tsv"), "node_id\tclass_id\n" + "".join(
+            f"{nid}\t{int(cls)}\n" for nid, cls in zip(g.node_ids[g.target_type], g.labels)))

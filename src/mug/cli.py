@@ -4,6 +4,9 @@ Subcommands: synth, homophily, pretrain, embed, eval, gradcheck.
 Exit codes: 0 success, 1 usage, 2 data/validation error, 3 numerical failure.
 Every run with outputs writes a resolved-config echo next to them. Each
 warning a run raises is printed as one "warning: <message>" line on stderr.
+Every fault in an input file (missing, not UTF-8, bad JSON, a bad row, setting
+or checkpoint value) exits 2 with "error: <file>: ..." or, where the fault has
+a line, "error: <file>:<line>: ..."; mug.bundle's readers report them.
 
 A pretrain or eval flag that sets a setting has the setting's flat config key
 as its dest, so the flags and the config file name the same settings; every
@@ -14,7 +17,6 @@ the k-shot protocol is the standard one with k train nodes per class.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -68,10 +70,7 @@ def cmd_synth(args) -> int:
     cfgmod.check({"seed": args.seed})
     if args.spec:
         try:
-            spec = synth.SynthSpec.from_dict(json.loads(bio.read_text(args.spec)))
-        except json.JSONDecodeError as exc:
-            raise bio.MalformedRowError(f"invalid JSON: {exc.msg}", args.spec,
-                                        exc.lineno) from None
+            spec = synth.SynthSpec.from_dict(bio.read_json(args.spec))
         except synth.SynthSpecError as exc:
             raise bio.MalformedRowError(str(exc), args.spec) from None
     else:
@@ -109,8 +108,7 @@ def cmd_homophily(args) -> int:
     lines.append(f"average,{'' if avg is None else f'{avg:.6f}'}")
     csv_text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        bio.write_text(args.out, csv_text)
     else:
         print(csv_text, end="")
     return EXIT_OK
@@ -128,11 +126,10 @@ def cmd_pretrain(args) -> int:
     model = fusion.pretrain(g, cfgmod.filled(cfgmod.TrainConfig(), cfg), trace=trace)
     fusion.save_checkpoint(model, args.out)
 
-    with open(stem + ".trace.csv", "w", encoding="utf-8") as fh:
-        fh.write("epoch,l_align,l_recon_weighted,l_scatter,total\n")
-        for row in trace:
-            fh.write(f"{row['epoch']},{row['l_align']!r},{row['l_recon_weighted']!r},"
-                     f"{row['l_scatter']!r},{row['total']!r}\n")
+    header = "epoch,l_align,l_recon_weighted,l_scatter,total\n"
+    bio.write_text(stem + ".trace.csv", header + "".join(
+        f"{row['epoch']},{row['l_align']!r},{row['l_recon_weighted']!r},"
+        f"{row['l_scatter']!r},{row['total']!r}\n" for row in trace))
     cfgmod.write_echo(cfg, _echo_path(args.out))
     final = trace[-1]["total"] if trace else float("nan")
     print(f"pre-trained {cfg['epochs']} epochs on {args.data}; "
@@ -152,12 +149,10 @@ def cmd_embed(args) -> int:
     z, beta = fusion.embed(model, g, seed=args.seed)
 
     ids = g.node_ids[g.target_type]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("node_id\t" + "\t".join(f"z{i}" for i in range(z.shape[1])) + "\n")
-        for nid, row in zip(ids, z):
-            fh.write(nid + "\t" + bio.format_floats(row, "\t") + "\n")
-    with open(stem + ".beta.csv", "w", encoding="utf-8") as fh:
-        fh.write(bio.format_floats(beta, ",") + "\n")
+    header = "\t".join(["node_id"] + [f"z{i}" for i in range(z.shape[1])]) + "\n"
+    bio.write_text(args.out, header + "".join(
+        nid + "\t" + bio.format_floats(row, "\t") + "\n" for nid, row in zip(ids, z)))
+    bio.write_text(stem + ".beta.csv", bio.format_floats(beta, ",") + "\n")
     cfgmod.write_echo({"seed": args.seed, "model": args.model, "data": args.data},
                       _echo_path(args.out))
     print(f"embedded {len(ids)} target nodes into {z.shape[1]} dims; "
@@ -180,9 +175,8 @@ def cmd_eval(args) -> int:
         if name in paths:
             raise ValueError(f"--eval-data {paths[name]} and {d} share the bundle name '{name}'")
         paths[name] = d
-    train_schema = os.path.join(args.train_data, "schema.json")
-    if not os.path.exists(train_schema):   # only its name is reported; it is not loaded
-        raise bio.MissingFileError("file not found", train_schema)
+    # the train bundle is only named in the report: its schema must be there, not loaded
+    bio.read_text(os.path.join(args.train_data, "schema.json"))
     model = fusion.load_checkpoint(args.model)
     bundles = {name: bio.load_bundle(d) for name, d in paths.items()}
     train_name = os.path.basename(os.path.normpath(args.train_data))
@@ -205,8 +199,7 @@ def cmd_eval(args) -> int:
     print("\n".join(table))
     csv_text = "\n".join(rows) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        bio.write_text(args.out, csv_text)
         cfgmod.write_echo(cfg, _echo_path(args.out))
     else:
         print(csv_text, end="")
@@ -298,7 +291,7 @@ def main(argv: Optional[list] = None) -> int:
         except fusion.DivergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
-        except (bio.BundleError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
 

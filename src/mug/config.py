@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, Iterable, Optional
 
-from .bundle import read_text
+from .bundle import read_text, write_text
 from .evalkit import SplitSpec
 from .structenc import WalkConfig
 
@@ -160,8 +160,7 @@ def format_settings(cfg: Dict[str, object]) -> str:
 
 
 def write_echo(cfg: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_settings(cfg))
+    write_text(path, format_settings(cfg))
 
 
 def filled(spec, cfg: Dict[str, object]):

@@ -29,9 +29,10 @@ load_checkpoint reads [meta] first with config.read_settings, the reader of
 config files, so a fault in one line names the file and the line. It then
 requires every TrainConfig setting to be there and checks them all with
 config.check. It requires the matrix headers to equal param_shapes of that
-config, and every value to be finite. Any fault raises CheckpointError naming
-the file; other versions are refused (v5 also had neg_distribution and
-resample_mask, v4 no_scatter and "key value" lines).
+config, and reads each matrix with bundle.read_floats, which reports a bad row
+at its path:line. Any other fault raises CheckpointError naming the file;
+other versions are refused (v5 also had neg_distribution and resample_mask,
+v4 no_scatter and "key value" lines).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import config, dimalign, metamae, structenc
-from .bundle import format_floats, read_text
+from .bundle import format_floats, read_floats, read_text, write_text
 from .config import TrainConfig
 from .hetgraph import EdgeList, HetGraph, metapath_edges
 from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream
@@ -367,8 +368,7 @@ def save_checkpoint(model: MugModel, path: str) -> None:
         buf.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n")
         for row in mat:
             buf.write(format_floats(row, " ") + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    write_text(path, buf.getvalue())
 
 
 class CheckpointError(ValueError):
@@ -392,34 +392,24 @@ def _read_meta(path: str, lines: List[str]) -> TrainConfig:
     return config.filled(TrainConfig(), values)
 
 
-def _read_params(path: str, lines: List[str], cfg: TrainConfig) -> Dict[str, np.ndarray]:
-    """The param_shapes(cfg) matrices, in order, each with exactly its shape."""
+def _read_params(path: str, lines: List[Tuple[int, str]],
+                 cfg: TrainConfig) -> Dict[str, np.ndarray]:
+    """The param_shapes(cfg) matrices, each with its shape, from the numbered lines."""
     params: Dict[str, np.ndarray] = {}
     i = 0
     for name, (r, c) in param_shapes(cfg):
-        header = lines[i] if i < len(lines) else "the end of the file"
+        header = lines[i][1] if i < len(lines) else "the end of the file"
         if header != f"{name} {r} {c}":
             raise CheckpointError(f"{path}: [params] expected matrix header "
                                   f"'{name} {r} {c}' (shape from [meta]), found '{header}'")
-        where = f"{path}: [params] matrix '{name}'"
-        rows = [row.split(" ") for row in lines[i + 1:i + 1 + r]]
+        rows = [(lineno, text.split(" ")) for lineno, text in lines[i + 1:i + 1 + r]]
         if len(rows) < r:
-            raise CheckpointError(f"{where} is cut short")
-        for j, row in enumerate(rows):
-            if len(row) != c:
-                raise CheckpointError(
-                    f"{where}: row {j + 1} has {len(row)} values, expected {c}")
-        try:
-            params[name] = np.array([[float(v) for v in row] for row in rows])
-        except ValueError as exc:
-            raise CheckpointError(f"{where}: {exc}") from None
-        bad = np.flatnonzero(~np.isfinite(params[name]).all(axis=1))
-        if len(bad):
-            raise CheckpointError(f"{where}: row {bad[0] + 1} has a non-finite value")
+            raise CheckpointError(f"{path}: [params] matrix '{name}' is cut short")
+        params[name] = read_floats(rows, path, c)
         i += 1 + r
     if i < len(lines):
-        raise CheckpointError(f"{path}: [params] unexpected line after the last "
-                              f"matrix: '{lines[i]}'")
+        raise CheckpointError(f"{path}:{lines[i][0]}: [params] unexpected line after the "
+                              f"last matrix: '{lines[i][1]}'")
     return params
 
 
@@ -432,4 +422,5 @@ def load_checkpoint(path: str) -> MugModel:
         raise CheckpointError(f"{path}: expected a [meta] and then a [params] section")
     split = lines.index("[params]")
     cfg = _read_meta(path, lines[2:split])
-    return MugModel(_read_params(path, [line for line in lines[split + 1:] if line], cfg), cfg)
+    numbered = [(n, line) for n, line in enumerate(lines[split + 1:], start=split + 2) if line]
+    return MugModel(_read_params(path, numbered, cfg), cfg)

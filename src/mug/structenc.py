@@ -99,6 +99,10 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
     Mini-batch SGD over the pairs in walk order (kernels.sgns_epoch). No
     score goes through BLAS, so the same (walks, cfg, seed) gives
     bit-identical tables on one machine.
+
+    The context table starts at zero, so the first batch of a run
+    (kernels.SGNS_BATCH pairs) moves no center row: a table trained on at
+    most one batch in all is its random init.
     """
     if walks.size == 0 or lens.sum() == 0:
         raise ValueError("empty walk list")

@@ -214,3 +214,31 @@ def test_every_stream_is_keyed_by_a_named_purpose_without_arithmetic():
                                     for arg in node.args for n in ast.walk(arg)):
                 bad.append(f"{where}: arithmetic or keywords in the key")
     assert not bad, bad
+
+
+def _calls_by_function(tree):
+    """(qualified name, call) for every call inside a module-level function or method."""
+    for top in tree.body:
+        for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if isinstance(fn, ast.FunctionDef):
+                owner = [top.name] if fn is not top else []
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        yield ".".join([*owner, fn.name]), node
+
+
+def test_text_is_read_and_written_in_one_place():
+    """bundle.read_text and bundle.write_text open every file and bundle.read_json parses
+    all JSON, so a missing file, bad bytes or bad JSON are reported one way everywhere."""
+    allowed = {"open": {"bundle.read_text", "bundle.write_text"},
+               "json.load": set(), "json.loads": {"bundle.read_json"}}
+    bad = []
+    for mod, tree in _modules().items():
+        for fn, call in _calls_by_function(tree):
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else (
+                f"{f.value.id}.{f.attr}" if isinstance(f, ast.Attribute)
+                and isinstance(f.value, ast.Name) else None)
+            if name in allowed and f"{mod}.{fn}" not in allowed[name]:
+                bad.append(f"{mod}.{fn}:{call.lineno}: {name}")
+    assert not bad, bad

@@ -451,6 +451,21 @@ def test_eval_csv_row_format(tmp_path, bundle, checkpoint):
     assert all(re.fullmatch(r"\d\.\d{6}", cell) for cell in cells[4:]), row
 
 
+def test_eval_reports_the_f1_of_the_embedding_its_seed_gives(tmp_path, bundle, checkpoint):
+    from mug import bundle as bio, evalkit, fusion
+    out, config = str(tmp_path / "report.csv"), tiny_config(tmp_path)
+    assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,
+                 "--repeats", "3", "--seed", "3", "--config", config, "--out", out]) == EXIT_OK
+    cfg = cfgmod.resolve(cfgmod.parse_config_file(config), {"repeats": 3, "seed": 3})
+    g = bio.load_bundle(bundle)
+    z, _ = fusion.embed(fusion.load_checkpoint(checkpoint), g, seed=3)
+    macro, micro = evalkit.evaluate_embedding(z, g.labels,
+                                              cfgmod.filled(evalkit.SplitSpec(), cfg))
+    assert macro.mean() < 1.0           # so an embedding of another seed shows
+    assert open(out).read().splitlines()[1].split(",")[4:] == [
+        f"{value:.6f}" for value in (macro.mean(), macro.std(), micro.mean(), micro.std())]
+
+
 def split_sizes(monkeypatch):
     """(train, val, test) sizes of every split the run draws, in order."""
     from mug import evalkit
@@ -781,6 +796,11 @@ def _swap_matrices(lines, section, first, second):
     return lines[:i] + lines[j:k] + lines[i:j] + lines[k:]
 
 
+def _at_first_row(name, text):
+    """The message for a fault in matrix name's first row, at that row's line."""
+    return lambda lines: f":{_entry_line(lines, 'params', name) + 2}: {text}"
+
+
 # [meta] is sorted by key: edge_mask_rate is line 3, and [params] follows window at line 22
 @pytest.mark.parametrize("damage, message", [
     (lambda lines: lines[:_entry_line(lines, "params", "att.bias") + 1],
@@ -790,14 +810,14 @@ def _swap_matrices(lines, section, first, second):
      "found 'att.weight 16 16'"),
     (lambda lines: _edit_matrix_row(lines, "params", "enc.weight",
                                     lambda row: ["abc"] + row[1:]),
-     ": [params] matrix 'enc.weight': could not convert"),
+     _at_first_row("enc.weight", "non-numeric value")),
     (lambda lines: _edit_matrix_row(lines, "params", "dec.bias", lambda row: row + row),
-     ": [params] matrix 'dec.bias': row 1 has 32 values, expected 16"),
+     _at_first_row("dec.bias", "expected 16 values, got 32")),
     (lambda lines: _edit_matrix_row(lines, "params", "enc.weight",
                                     lambda row: row[:3] + ["nan"] + row[4:]),
-     ": [params] matrix 'enc.weight': row 1 has a non-finite value"),
+     _at_first_row("enc.weight", "non-finite value")),
     (lambda lines: _edit_matrix_row(lines, "params", "att.q", lambda row: ["-1e400"]),
-     ": [params] matrix 'att.q': row 1 has a non-finite value"),
+     _at_first_row("att.q", "non-finite value")),
     (lambda lines: _edit_line(lines, "meta", "sample_size", "sample_size = x"),
      ":13: bad value for 'sample_size': 'x'"),
     (lambda lines: _edit_line(lines, "meta", "struct_dim", "struct_dim = x"),
@@ -837,6 +857,8 @@ def _swap_matrices(lines, section, first, second):
 def test_malformed_checkpoint_exit_code(tmp_path, bundle, checkpoint, capsys, damage,
                                         message):
     lines = open(checkpoint).read().split("\n")
+    if callable(message):
+        message = message(lines)
     bad = str(tmp_path / "bad.ckpt")
     with open(bad, "w") as fh:
         fh.write("\n".join(damage(lines)))
@@ -928,7 +950,75 @@ def test_non_finite_feature_names_its_file_and_line(tmp_path, bundle, capsys, va
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
     assert main(["pretrain", "--data", bundle, "--out", str(tmp_path / "m.ckpt")]) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {path}:6: non-finite feature value\n"
+    assert capsys.readouterr().err == f"error: {path}:6: non-finite value\n"
+
+
+def _edit_table(tmp_path, data, table, edit):
+    """A copy of bundle data whose table has each line's cells replaced by edit(i, cells)."""
+    copy = shutil.copytree(data, str(tmp_path / "edited"))
+    path = os.path.join(copy, table)
+    with open(path, encoding="utf-8") as fh:
+        rows = [edit(i, line.split("\t")) for i, line in enumerate(fh.read().splitlines())]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join("\t".join(cells) + "\n" for cells in rows))
+    return copy, path
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cells: cells[:-1], ":2: expected 5 columns, got 6"),
+    (lambda cells: cells + ["f5"], ":2: expected 7 columns, got 6"),
+], ids=["narrower", "wider"])
+def test_feature_header_of_another_width_than_its_rows_names_line_2(tmp_path, tiny_run,
+                                                                     capsys, edit, message):
+    data, path = _edit_table(tmp_path, tiny_run[0], "features.paper.tsv",
+                             lambda i, cells: edit(cells) if i == 0 else cells)
+    assert main(["homophily", "--data", data]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+@pytest.mark.parametrize("table, width", [("nodes.tsv", 2), ("edges.tsv", 3),
+                                          ("labels.tsv", 2)])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["narrower", "wider"])
+def test_table_header_of_the_wrong_width_names_line_1(tmp_path, tiny_run, capsys, table,
+                                                      width, extra):
+    data, path = _edit_table(tmp_path, tiny_run[0], table, lambda i, cells: (
+        (cells + ["x"])[:width + extra] if i == 0 else cells))
+    assert main(["homophily", "--data", data]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"error: {path}:1: expected {width} columns, "
+                                       f"got {width + extra}\n")
+
+
+def test_one_column_features_file_is_refused(tmp_path, tiny_run, capsys):
+    data, path = _edit_table(tmp_path, tiny_run[0], "features.paper.tsv",
+                             lambda i, cells: cells[:1])
+    assert main(["homophily", "--data", data]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"error: {path}:2: expected node_id plus at least "
+                                       f"one value\n")
+
+
+@pytest.mark.parametrize("flag", ["--model", "--config", "--spec"])
+def test_missing_input_file_is_named(tmp_path, tiny_run, capsys, flag):
+    nope = str(tmp_path / "nope")
+    argv = {"--model": ["embed", "--model", nope, "--data", tiny_run[0],
+                        "--out", str(tmp_path / "z.tsv")],
+            "--config": ["pretrain", "--data", tiny_run[0], "--config", nope,
+                         "--out", str(tmp_path / "m.ckpt")],
+            "--spec": ["synth", "--spec", nope, "--out", str(tmp_path / "b")]}[flag]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {nope}: file not found\n"
+
+
+def test_line_after_the_last_checkpoint_matrix_names_its_line(tmp_path, tiny_run, capsys):
+    data, ckpt = tiny_run
+    with open(ckpt, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")[:-1]
+    bad = str(tmp_path / "bad.ckpt")
+    with open(bad, "w", encoding="utf-8") as fh:   # the blank line is counted, not read
+        fh.write("\n".join(lines + ["", "0.5"]) + "\n")
+    assert main(["embed", "--model", bad, "--data", data,
+                 "--out", str(tmp_path / "z.tsv")]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"error: {bad}:{len(lines) + 2}: [params] unexpected "
+                                       f"line after the last matrix: '0.5'\n")
 
 
 @pytest.mark.parametrize("table, message", [

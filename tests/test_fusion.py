@@ -2,9 +2,11 @@
 
 import copy
 import hashlib
+import math
 import os
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import FINITE_FLOATS, NO_SHRINK, three_view_spec, view_of
 
 from mug import autodiff as ad
-from mug import fusion, metamae, synth
+from mug import dimalign, fusion, metamae, synth
 from mug.config import TrainConfig
 from mug.fusion import (
     attention_weights,
@@ -244,6 +246,32 @@ def test_full_objective_gradient_matches_fd_on_toy_instance():
     assert max(report.values()) <= 1e-4, report
 
 
+# -- optimizer ----------------------------------------------------------------------
+
+
+def test_adam_two_steps_follow_kingma_and_ba():
+    """Algorithm 1 of Kingma & Ba (ICLR 2015), one scalar at a time: biased moments with
+    beta1 and beta2, their bias corrections, and eps added outside the square root."""
+    lr, beta1, beta2, eps = 0.1, 0.9, 0.999, 1e-8
+    theta = [1.0, -2.0, 0.5]
+    # the tiny gradients make eps matter: sqrt(v_hat) is 1e-9 against eps's 1e-8
+    grads = [[0.5, -3.0, 1e-9], [-1.0, 2e-4, 1e-9]]
+    params = {"w": np.array([theta])}
+    opt = fusion.Optimizer(params, TrainConfig(learning_rate=lr), ["w"])
+    m, v = [0.0] * 3, [0.0] * 3
+    for t, g in enumerate(grads, start=1):
+        opt.step({"w": np.array([g])})
+        for i, g_i in enumerate(g):
+            m[i] = beta1 * m[i] + (1 - beta1) * g_i
+            v[i] = beta2 * v[i] + (1 - beta2) * g_i * g_i
+            m_hat = m[i] / (1 - beta1 ** t)
+            v_hat = v[i] / (1 - beta2 ** t)
+            theta[i] -= lr * m_hat / (math.sqrt(v_hat) + eps)
+        assert np.allclose(params["w"][0], theta, rtol=1e-12, atol=0), t
+    # step 1 moves each weight by lr * g / (|g| + eps): by lr, or lr/11 for the tiny one
+    assert np.allclose(opt.t, 2) and theta[2] == pytest.approx(0.5 - 2 * lr / 11, rel=1e-3)
+
+
 # -- pretrain ---------------------------------------------------------------------
 
 
@@ -357,6 +385,41 @@ def test_embed_transfers_to_different_schema():
     assert z.shape == (75, 16)
     assert len(beta) == 3
     assert model_digest(model) == before
+
+
+def _views_and_encodings(model, g, seed):
+    """Each view's frozen encoding, computed here from the model's parameters."""
+    state = fusion._prepare_graph(g, replace(model.cfg, seed=seed))
+    p = model.params
+    basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"],
+                                   state.unified[state.sample_idx])
+    xw = dimalign.project(basis, state.unified) @ p["enc.weight"]
+    return [metamae.encode(metamae.normalized_operator(view), xw, p["enc.bias"])
+            for view in state.views]
+
+
+def test_embed_fuses_its_views_by_their_attention_weights():
+    g = planted(spec=three_view_spec(attr_dim=5, targets_per_class=25))
+    model = pretrain(g, small_cfg(epochs=2, no_cse=True))
+    model.params["att.q"] = 3.0 * np.random.default_rng(0).normal(size=(16, 1))
+    z_views = _views_and_encodings(model, g, seed=4)
+    z, beta = embed(model, g, seed=4)
+    want = attention_weights(model.params["att.q"], model.params["att.weight"],
+                             model.params["att.bias"], z_views)
+    assert np.ptp(want) > 0.01          # not uniform, so 1/V would not pass
+    assert np.allclose(beta, want, rtol=1e-12, atol=0)
+    assert np.allclose(z, sum(b * zv for b, zv in zip(want, z_views)), rtol=1e-12, atol=1e-15)
+
+
+def test_embed_is_keyed_by_its_seed_not_the_checkpoints():
+    g = planted()
+    model = pretrain(g, small_cfg(epochs=2, seed=0))
+    other = fusion.MugModel(model.params, replace(model.cfg, seed=9))
+    z1, b1 = embed(model, g, seed=1)
+    z2, _ = embed(model, g, seed=2)
+    assert not np.array_equal(z1, z2)
+    z9, b9 = embed(other, g, seed=1)
+    assert np.array_equal(z1, z9) and np.array_equal(b1, b9)
 
 
 def test_model_keeps_its_own_copy_of_the_config():

@@ -8,7 +8,7 @@ import oracles
 from helpers import type_of_global
 from mug import kernels, structenc, synth
 from mug.hetgraph import HetGraph, MetaPath, Relation, step_csr
-from mug.rng import RngStream
+from mug.rng import SGNS, SGNS_INIT, RngStream
 from mug.structenc import WalkConfig, sample_walks, train_sgns, unify_attrs
 
 
@@ -323,6 +323,28 @@ def test_train_sgns_deterministic():
     t1 = structenc.train_struct_table(g, cfg, RngStream(7))
     t2 = structenc.train_struct_table(g, cfg, RngStream(7))
     assert np.array_equal(t1, t2)
+
+
+def test_train_sgns_decays_the_rate_over_the_pairs_of_all_epochs(monkeypatch):
+    """Epoch e of P pairs continues the decay at pair offset e * P, to lr_min at 3P."""
+    monkeypatch.setattr(kernels, "SGNS_BATCH", 16)
+    walks = np.array([[0, 3, 1, 4, 2, 5], [1, 5, 0, 4, -1, -1], [2, 3, 2, -1, -1, -1]])
+    lens = np.array([6, 4, 3])
+    n_nodes, seed = 6, 11
+    cfg = WalkConfig(dim=4, epochs=3, window=2, negatives=2, lr=1.0, lr_min=0.001)
+    got = train_sgns(walks, lens, n_nodes, cfg, RngStream(seed))
+
+    centers, contexts = oracles.window_pairs(walks, lens, cfg.window)
+    n_pairs = len(centers)
+    center = (RngStream(seed, SGNS_INIT).uniform((n_nodes, cfg.dim)) - 0.5) / cfg.dim
+    context = np.zeros((n_nodes, cfg.dim))
+    for epoch in range(cfg.epochs):
+        negatives = RngStream(seed, SGNS, epoch).integers(
+            0, n_nodes, (n_pairs, cfg.negatives)).astype(np.int64)
+        oracles.sgns_epoch(center, context, centers, contexts, negatives, cfg.lr,
+                           cfg.lr_min, epoch * n_pairs, cfg.epochs * n_pairs, 16)
+    assert n_pairs > 16                 # more than one batch per epoch
+    assert np.allclose(got, center, rtol=1e-12, atol=0)
 
 
 # -- unification ---------------------------------------------------------------
