@@ -53,7 +53,7 @@ class UnknownNodeError(BundleError):
 def read_text(path: str) -> str:
     """The whole of a UTF-8 text file, less a leading byte-order mark.
 
-    A missing file, or bytes that are not UTF-8, raise an error naming the file.
+    A missing file, a directory or bytes that are not UTF-8 raise an error naming it.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -62,6 +62,8 @@ def read_text(path: str) -> str:
         raise MissingFileError("file not found", path) from None
     except UnicodeDecodeError as exc:
         raise BundleError(f"not UTF-8 text: {exc}", path) from None
+    except OSError as exc:
+        raise BundleError((exc.strerror or str(exc)).lower(), path) from None
 
 
 def write_text(path: str, text: str) -> None:

@@ -3,9 +3,11 @@
 Both kernels are plain NumPy, and the caller pre-draws all their randomness
 into arrays. The walk kernel reproduces its scalar reference
 (tests/oracles.py) bit for bit. The skip-gram kernel updates the tables in
-mini-batches; its scores and center steps are ``np.einsum`` contractions
-without ``optimize``, so no BLAS call is involved, and the same inputs give
-the same bits on one machine.
+mini-batches; its scores and steps are ``np.einsum`` products without
+``optimize``, so no BLAS call is involved. One ``np.bincount`` per table sums
+each row's steps from 0.0 in pair order, so the same inputs give the same
+bits on one machine. A call's batches reuse one buffer of gathered context
+rows (then context steps); no array grows with the pair count.
 """
 
 from __future__ import annotations
@@ -52,17 +54,12 @@ def run_walks(steps, type_off, starts, uniforms):
     return walks, lens
 
 
-def _scatter_add(table, rows, steps):
-    """table[r] += sum of the steps of row r, for every r in rows (repeats too).
-
-    A stable sort groups equal rows in their original order and
-    ``np.add.reduceat`` sums each group, so the result does not depend on
-    anything but the inputs.
-    """
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    table[rows[starts]] += np.add.reduceat(steps[order], starts, axis=0)
+def _add_steps(table, rows, steps, bins):
+    """table[r] += the steps of r in rows, summed from 0.0 in order, by bins r * dim + lane."""
+    dim = table.shape[1]
+    bins = bins.reshape(-1)[:steps.size]
+    np.add((rows * dim).reshape(-1, 1), np.arange(dim), out=bins.reshape(-1, dim))
+    table += np.bincount(bins, steps.reshape(-1), table.size).reshape(table.shape)
 
 
 def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
@@ -74,13 +71,18 @@ def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
     target has label 1 and its negatives label 0, and a target's step is
     (label - σ(score)) * lr, with lr decaying linearly over total_pairs pair
     by pair. A center row then gains the sum over its pairs and targets of
-    step * context row, and a context row the sum of step * center row.
-    Returns the summed pair loss (computed before the updates).
+    step * context row, and a context row the sum of step * center row, each
+    sum in pair order before it meets the table. A context table at zero, as
+    a run starts, moves no center row in the first batch. Returns the summed
+    pair loss (computed before the updates).
     """
     n_pairs, n_neg = negatives.shape
     dim = center.shape[1]
     sign = np.full(n_neg + 1, -1.0)
     sign[0] = 1.0
+    # a batch's context rows, overwritten by its context steps, and their bins
+    shape = (min(SGNS_BATCH, n_pairs), n_neg + 1, dim)
+    ctx_buf, bins = np.empty(shape), np.empty(shape, dtype=np.int64)
     loss = 0.0
     for start in range(0, n_pairs, SGNS_BATCH):
         stop = min(start + SGNS_BATCH, n_pairs)
@@ -90,12 +92,12 @@ def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
         lr = lr_start + (lr_end - lr_start) * (
             (pair_offset + np.arange(start, stop)) / total_pairs)
         cv = center[rows]
-        ctx = context[targets]
+        # clip skips take's bounds check; a target out of range fails the bincount
+        ctx = np.take(context, targets, axis=0, out=ctx_buf[:stop - start], mode="clip")
         z = sign * np.einsum("ptd,pd->pt", ctx, cv)
         loss += float(np.logaddexp(0.0, -z).sum())        # -log σ(z)
         # label - σ(score) = sign * σ(-z)
         g = sign * np.exp(-np.logaddexp(0.0, z)) * lr[:, None]
-        _scatter_add(center, rows, np.einsum("pt,ptd->pd", g, ctx))
-        _scatter_add(context, targets.ravel(),
-                     (g[:, :, None] * cv[:, None, :]).reshape(-1, dim))
+        _add_steps(center, rows, np.einsum("pt,ptd->pd", g, ctx), bins)
+        _add_steps(context, targets, np.einsum("pt,pd->ptd", g, cv, out=ctx), bins)
     return loss

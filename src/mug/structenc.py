@@ -96,9 +96,9 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
     """Skip-gram with negative sampling over window pairs from the walks.
 
     Center table is the published embedding; the context table is discarded.
-    Mini-batch SGD over the pairs in walk order (kernels.sgns_epoch). No
-    score goes through BLAS, so the same (walks, cfg, seed) gives
-    bit-identical tables on one machine.
+    Mini-batch SGD over the pairs in walk order (kernels.sgns_epoch). No BLAS
+    call, and sums in pair order (np.bincount), so the same (walks, cfg, seed)
+    gives bit-identical tables on one machine.
 
     The context table starts at zero, so the first batch of a run
     (kernels.SGNS_BATCH pairs) moves no center row: a table trained on at

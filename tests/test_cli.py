@@ -1008,6 +1008,21 @@ def test_missing_input_file_is_named(tmp_path, tiny_run, capsys, flag):
     assert capsys.readouterr().err == f"error: {nope}: file not found\n"
 
 
+@pytest.mark.parametrize("command", ["embed", "pretrain", "homophily"])
+def test_input_path_that_is_no_readable_file_is_named(tmp_path, tiny_run, capsys, command):
+    data, ckpt = tiny_run
+    folder = str(tmp_path)
+    argv, path, reason = {
+        "embed": (["embed", "--model", folder, "--data", data,
+                   "--out", str(tmp_path / "z.tsv")], folder, "is a directory"),
+        "pretrain": (["pretrain", "--data", data, "--config", folder,
+                      "--out", str(tmp_path / "m.ckpt")], folder, "is a directory"),
+        "homophily": (["homophily", "--data", ckpt], os.path.join(ckpt, "schema.json"),
+                      "not a directory")}[command]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+
 def test_line_after_the_last_checkpoint_matrix_names_its_line(tmp_path, tiny_run, capsys):
     data, ckpt = tiny_run
     with open(ckpt, encoding="utf-8") as fh:

@@ -1,6 +1,8 @@
 """Walk sampling, skip-gram training, input unification, kernel parity with the
 scalar oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,68 @@ def test_sgns_matches_oracle_across_batches(monkeypatch):
     center, context = _tables(5, n_nodes=20)
     _sgns_both(center, context, rng.integers(0, 20, 60), rng.integers(0, 20, 60),
                rng.integers(0, 20, (60, 3)), lr_start=0.5)
+
+
+def _sgns_in_pair_order(center, context, centers, contexts, negatives, lr_start, lr_end,
+                        batch):
+    """The kernel's batch steps, with each row's steps summed from 0.0 one pair (and
+    target) at a time, in pair order, and then added to its table."""
+    n_pairs, n_neg = negatives.shape
+    sign = np.array([1.0] + [-1.0] * n_neg)
+    for start in range(0, n_pairs, batch):
+        stop = min(start + batch, n_pairs)
+        rows = centers[start:stop]
+        targets = np.concatenate([contexts[start:stop, None], negatives[start:stop]], axis=1)
+        lr = lr_start + (lr_end - lr_start) * (np.arange(start, stop) / n_pairs)
+        cv, ctx = center[rows], context[targets]
+        z = sign * np.einsum("ptd,pd->pt", ctx, cv)
+        g = sign * np.exp(-np.logaddexp(0.0, z)) * lr[:, None]
+        center_steps = np.einsum("pt,ptd->pd", g, ctx)
+        context_steps = (g[:, :, None] * cv[:, None, :]).reshape(targets.size, -1)
+        for table, idx, steps in ((center, rows, center_steps),
+                                  (context, targets.ravel(), context_steps)):
+            sums = np.zeros_like(table)
+            for row, step in zip(idx, steps):
+                sums[row] += step
+            table += sums
+
+
+def test_sgns_sums_each_rows_steps_from_zero_in_pair_order(monkeypatch):
+    """Rows repeated 9+ times in a batch, where a pairwise sum would add in another order."""
+    monkeypatch.setattr(kernels, "SGNS_BATCH", 16)
+    rng = np.random.default_rng(8)
+    n_nodes, n_pairs = 10, 37                      # batches of 16, 16 and 5 pairs
+    centers = rng.integers(0, n_nodes, n_pairs)
+    contexts = rng.integers(0, n_nodes, n_pairs)
+    negatives = rng.integers(0, n_nodes, (n_pairs, 2))
+    centers[16:28] = 3                             # 12 times in the second batch
+    contexts[2:14] = 5                             # 12 times in the first
+    center, context = _tables(8, n_nodes)
+    want_c, want_x = center.copy(), context.copy()
+    _sgns_in_pair_order(want_c, want_x, centers, contexts, negatives, 0.5, 0.01, 16)
+    kernels.sgns_epoch(center, context, centers, contexts, negatives, 0.5, 0.01, 0, n_pairs)
+    assert center.tobytes() == want_c.tobytes()
+    assert context.tobytes() == want_x.tobytes()
+
+
+def test_sgns_scratch_does_not_grow_with_the_pair_count():
+    """One call's peak over 200 batches is that of 20: no array sized by the pair count."""
+    rng = np.random.default_rng(9)
+    n_nodes, dim, n_neg = 100, 16, 5
+    peaks = []
+    for n_batches in (20, 200):
+        n_pairs = n_batches * kernels.SGNS_BATCH
+        pairs = rng.integers(0, n_nodes, (2, n_pairs))
+        negatives = rng.integers(0, n_nodes, (n_pairs, n_neg))
+        center, context = _tables(9, n_nodes, dim)
+        tracemalloc.start()
+        try:
+            kernels.sgns_epoch(center, context, pairs[0], pairs[1], negatives,
+                               0.025, 0.0001, 0, n_pairs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def _walk_steps(adjacencies):
