@@ -11,7 +11,9 @@ a line, "error: <file>:<line>: ..."; mug.bundle's readers report them.
 A pretrain or eval flag that sets a setting has the setting's flat config key
 as its dest, so the flags and the config file name the same settings; every
 other dest is an input or output path. eval --shots k sets per_class_train = k:
-the k-shot protocol is the standard one with k train nodes per class.
+the k-shot protocol is the standard one with k train nodes per class. The eval
+report's shots column is that k, set by the flag or a config, and 0 when it is
+the standard protocol's.
 """
 
 from __future__ import annotations
@@ -166,9 +168,10 @@ def cmd_embed(args) -> int:
 def cmd_eval(args) -> int:
     if args.out:
         _check_outputs(args.out, _echo_path(args.out))
-    shots = args.per_class_train or 0
     cfg = _resolved(args)
     spec = cfgmod.filled(evalkit.SplitSpec(), cfg)
+    k, standard = spec.per_class_train, evalkit.SplitSpec().per_class_train
+    shots = 0 if k == standard else k
     paths: Dict[str, str] = {}   # reports are keyed by bundle name
     for d in args.eval_data:
         name = os.path.basename(os.path.normpath(d)) or d

@@ -11,11 +11,20 @@ streams; everything downstream of the embedding is deterministic.
 All repeats of an evaluation train as one stack on one thread: make_splits
 gives every repeat of a spec the same train, val and test sizes, so each
 gradient step is one stacked matmul over (repeats, rows, dims). Per slice,
-the stacked matmul runs the same BLAS product as a single probe would. The
-softmax, the bias add and the validation argmax run on the few class columns
-one at a time, with the bits of NumPy's reductions over that axis, and every
-repeat's validation Macro-F1 comes from one bincount of confusion slots. So
-every repeat's predictions have the bytes a probe trained alone would give.
+the stacked matmul runs the same BLAS product as a single probe would, and
+the softmax and bias add run on the few class columns one at a time, with the
+bits of NumPy's reductions over that axis. So every step's parameters have
+the bytes a probe trained alone would give.
+
+The validation rows are scored VAL_BLOCK steps at a time. The block's
+weights, one row per (step, class), make one stacked product with the
+transposed val rows, so each class's scores land in one contiguous row: the
+bias add runs in place and the argmax reads whole rows. The block's steps are
+then judged in step order, every repeat's validation Macro-F1 coming from one
+bincount of confusion slots, so the first step with the best Macro-F1 wins
+across blocks. BLAS rounds this product differently from a lone probe's
+x_val @ w, so a val score may differ in its last bits: a prediction can then
+change only where two classes' scores tie within rounding.
 """
 
 from __future__ import annotations
@@ -120,6 +129,7 @@ PROBE_STEPS = 500       # full-batch gradient steps
 PROBE_LR = 0.5          # learning rate, decayed linearly towards PROBE_LR_END
 PROBE_LR_END = 0.01
 PROBE_L2 = 1e-4         # weight decay on the probe weights
+VAL_BLOCK = 10          # steps whose validation rows one product scores
 
 
 def linear_probe(z: np.ndarray, labels: np.ndarray,
@@ -130,6 +140,10 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     validation Macro-F1 (the first such step), or its final step when there
     is no validation set. Every split must have the same train, val and test
     sizes, which make_splits gives all repeats of a spec.
+
+    Validation scores are kept for one block of VAL_BLOCK steps at a time,
+    (R, VAL_BLOCK * C, n_val) floats, and each step is judged after its block
+    closes (at every VAL_BLOCK-th step and at the last one).
     """
     y = np.asarray(labels)
     if len({(len(s.train), len(s.val), len(s.test)) for s in splits}) != 1:
@@ -145,7 +159,8 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     x_train = z[train]                                  # (R, n, d)
     x_train_t = x_train.transpose(0, 2, 1)             # a view, as x.T is: a copy changes bits
     onehot = np.eye(n_classes)[y[train]]
-    x_val = z[val]
+    x_val_t = z[val].transpose(0, 2, 1)      # (R, d, n_val): a view, for a copy would
+                                              # hold the val rows twice
     # bincount slots repeat * n_classes + class count every repeat at once, and
     # slots (repeat * n_classes + true class) * n_classes + predicted class give
     # every repeat's confusion matrix
@@ -163,8 +178,11 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     # malloc maps fresh pages for each one, and a step would fault on them all.
     p = np.empty((repeats, n, n_classes))                       # logits, then probabilities
     p_cols = list(np.moveaxis(p, -1, 0))
-    val_scores = np.empty((repeats, val.shape[1], n_classes))
-    val_cols = np.empty((n_classes, repeats, val.shape[1]))     # class-major: contiguous columns
+    # A block's steps, class-major: (repeat, step, class) rows of weights and of scores.
+    block, n_val, d = min(VAL_BLOCK, PROBE_STEPS), val.shape[1], z.shape[1]
+    w_rows = np.empty((repeats, block, n_classes, d))
+    b_rows = np.empty((repeats, block, n_classes, 1))
+    scores = np.empty(repeats * block * n_classes * n_val)
     top, slots = np.empty(val.shape), np.empty(val.shape, dtype=np.intp)
     for t in range(PROBE_STEPS):
         np.matmul(x_train, w, out=p)
@@ -183,10 +201,21 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
         lr = PROBE_LR + (PROBE_LR_END - PROBE_LR) * (t / PROBE_STEPS)
         w -= lr * gw
         b -= lr * gb
-        if val.shape[1]:
-            np.matmul(x_val, w, out=val_scores)
-            np.add(val_scores.transpose(2, 0, 1), b.transpose(2, 0, 1), out=val_cols)
-            _argmax_cols(val_cols, slots, top)
+        if not n_val:
+            continue
+        k = t % block
+        w_rows[:, k], b_rows[:, k] = w.transpose(0, 2, 1), b.transpose(0, 2, 1)
+        if k + 1 < block and t + 1 < PROBE_STEPS:
+            continue
+        # The block is full, or training ends: score its steps with one product, then
+        # judge them in step order, so the first step with the best val Macro-F1 wins.
+        block_scores = scores[:repeats * (k + 1) * n_classes * n_val].reshape(
+            repeats, k + 1, n_classes, n_val)
+        np.matmul(w_rows[:, :k + 1].reshape(repeats, -1, d), x_val_t,
+                  out=block_scores.reshape(repeats, -1, n_val))
+        block_scores += b_rows[:, :k + 1]
+        for step in range(k + 1):
+            _argmax_cols(block_scores[:, step].transpose(1, 0, 2), slots, top)
             slots += confusion_slots
             confusion = np.bincount(slots.ravel(), minlength=repeats * n_classes ** 2)
             confusion = confusion.reshape(repeats, n_classes, n_classes)
@@ -194,11 +223,11 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
             macro = _per_class_f1(tp, confusion.sum(axis=1) - tp, true_counts - tp).mean(axis=1)
             better = macro > best_macro
             best_macro[better] = macro[better]
-            best_w[better] = w[better]
-            best_b[better] = b[better]
-    if not val.shape[1]:  # no validation set: use the final parameters
+            best_w[better] = w_rows[better, step].transpose(0, 2, 1)
+            best_b[better] = b_rows[better, step].transpose(0, 2, 1)
+    if not n_val:  # no validation set: use the final parameters
         best_w, best_b = w, b
-    del x_val, x_train, x_train_t, onehot   # so the test stack reuses their memory
+    del x_val_t, x_train, x_train_t, onehot, scores   # so the test stack reuses their memory
     return np.argmax(z[test] @ best_w + best_b, axis=2)
 
 

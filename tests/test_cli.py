@@ -374,7 +374,7 @@ def test_eval_standard_single_bundle(tmp_path, bundle, checkpoint, capsys):
     csv_rows = [l for l in capsys.readouterr().out.splitlines()
                 if l.startswith("full,")]
     assert len(csv_rows) == 1
-    assert csv_rows[0].split(",")[3] == "0"
+    assert csv_rows[0].split(",")[3] == "5"     # tiny_config's per_class_train
 
 
 def test_eval_shots_flag(tmp_path, bundle, checkpoint, capsys):
@@ -419,7 +419,7 @@ def test_eval_reports_a_bundle_against_itself_and_leaves_the_model_untouched(
     assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,
                  "--repeats", "3", "--config", tiny_config(tmp_path)]) == EXIT_OK
     rows = [l.split(",") for l in capsys.readouterr().out.splitlines() if l.startswith("full,")]
-    assert [row[:4] for row in rows] == [["full", "bundle", "bundle", "0"]]
+    assert [row[:4] for row in rows] == [["full", "bundle", "bundle", "5"]]   # tiny_config's shots
     assert [(len(macro), len(micro)) for macro, micro in scored] == [(3, 3)]
     (model, params), = loaded
     assert all(np.array_equal(model.params[name], value) for name, value in params.items())
@@ -447,7 +447,7 @@ def test_eval_csv_row_format(tmp_path, bundle, checkpoint):
     assert header == ("variant,train_bundle,eval_bundle,shots,"
                       "macro_mean,macro_std,micro_mean,micro_std")
     cells = row.split(",")
-    assert cells[:4] == ["full", "bundle", "bundle", "0"] and len(cells) == 8
+    assert cells[:4] == ["full", "bundle", "bundle", "5"] and len(cells) == 8
     assert all(re.fullmatch(r"\d\.\d{6}", cell) for cell in cells[4:]), row
 
 
@@ -498,6 +498,35 @@ def test_eval_shots_repeats_flag_sets_repeats(tmp_path, bundle, checkpoint, monk
     assert sizes == [(3, 20, 20)] * 2
     echo = open(str(tmp_path / "report.config.txt")).read().splitlines()
     assert "repeats = 2" in echo and "per_class_train = 1" in echo   # the echo replays --shots
+
+
+def test_eval_replayed_through_its_echo_reports_the_same_shots(tmp_path, bundle, checkpoint):
+    first, again = str(tmp_path / "r.csv"), str(tmp_path / "again.csv")
+    assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,
+                 "--shots", "1", "--repeats", "2", "--config", tiny_config(tmp_path),
+                 "--out", first]) == EXIT_OK
+    assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,
+                 "--config", str(tmp_path / "r.config.txt"), "--out", again]) == EXIT_OK
+    assert open(first).read().splitlines()[1].split(",")[3] == "1"
+    assert open(again).read() == open(first).read()
+
+
+@pytest.mark.parametrize("config_text, flags, shots", [
+    ("", [], "0"), ("per_class_train = 60\n", [], "0"), ("per_class_train = 3\n", [], "3"),
+    ("", ["--shots", "5"], "5")], ids=["default", "standard-k", "config-k", "flag-k"])
+def test_eval_reports_the_resolved_shots(tmp_path, monkeypatch, capsys, bundle, config_text,
+                                         flags, shots):
+    from mug import evalkit, fusion
+    monkeypatch.setattr(fusion, "load_checkpoint", lambda path: None)
+    monkeypatch.setattr(fusion, "embed", lambda *args, **kwargs: (None, None))
+    monkeypatch.setattr(evalkit, "evaluate_embedding", lambda *args: (np.ones(2), np.ones(2)))
+    config = str(tmp_path / "eval.cfg")
+    with open(config, "w") as fh:
+        fh.write(config_text)
+    assert main(["eval", "--model", "unread.ckpt", "--train-data", bundle, "--eval-data", bundle,
+                 "--config", config, *flags]) == EXIT_OK
+    rows = [l for l in capsys.readouterr().out.splitlines() if l.startswith("full,")]
+    assert [row.split(",")[3] for row in rows] == [shots]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

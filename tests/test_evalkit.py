@@ -1,5 +1,7 @@
 """Split protocols, probe behaviour, F1 arithmetic, per-repeat scores of an embedding."""
 
+import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -241,13 +243,76 @@ ORACLE_CASES = ["standard", "one_shot", "no_val", "unbalanced_4_classes", "zero_
                 "mirror_classes"]
 
 
-@pytest.mark.parametrize("name", ORACLE_CASES)
-def test_stacked_probe_matches_per_repeat_oracle(name):
+@functools.lru_cache(maxsize=None)
+def oracle_predictions(name):
+    z, labels, splits = oracle_case(name)
+    return [oracles.linear_probe(z, labels, s) for s in splits]
+
+
+def assert_probe_matches_oracle(name):
     z, labels, splits = oracle_case(name)
     got = linear_probe(z, labels, splits)
     assert got.shape == (len(splits), len(splits[0].test))
-    for r, s in enumerate(splits):
-        assert np.array_equal(got[r], oracles.linear_probe(z, labels, s)), r
+    for r, want in enumerate(oracle_predictions(name)):
+        assert np.array_equal(got[r], want), r
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_stacked_probe_matches_per_repeat_oracle(name):
+    assert_probe_matches_oracle(name)
+
+
+@pytest.mark.parametrize("block", [1, 7, evalkit.PROBE_STEPS])   # 7 leaves a ragged last block
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_every_validation_block_size_matches_per_repeat_oracle(name, block, monkeypatch):
+    monkeypatch.setattr(evalkit, "VAL_BLOCK", block)
+    assert_probe_matches_oracle(name)
+
+
+def probe_with_val_macro(monkeypatch, macro_at_step):
+    """Stacked probe on the standard case, every repeat's val Macro-F1 at step t set to
+    macro_at_step(t); the probe judges each step once, in step order."""
+    z, labels, splits = oracle_case("standard")
+    steps = iter(range(evalkit.PROBE_STEPS))
+    monkeypatch.setattr(evalkit, "_per_class_f1",
+                        lambda tp, fp, fn: np.full(tp.shape, macro_at_step(next(steps))))
+    pred = linear_probe(z, labels, splits)
+    assert next(steps, None) is None
+    return pred
+
+
+@pytest.mark.parametrize("block", [1, 7, 10])    # 7 leaves a ragged last block
+def test_a_best_val_macro_tied_in_the_next_block_keeps_the_first_step(monkeypatch, block):
+    monkeypatch.setattr(evalkit, "VAL_BLOCK", block)
+    first, second = block - 1, 2 * block - 1        # the last steps of the first two blocks
+
+    def best_at(*best_steps):
+        return probe_with_val_macro(monkeypatch, lambda t: 0.9 if t in best_steps else 0.5)
+
+    first_only, second_only = best_at(first), best_at(second)
+    assert not np.array_equal(first_only, second_only)    # the two steps predict differently
+    assert np.array_equal(best_at(first, second), first_only)
+
+
+def test_probe_scratch_is_the_gathered_rows_and_one_block_of_scores():
+    # 50 repeats x 960 val rows, as a standard eval on a 2,100-target bundle
+    z, labels = noisy_embedding([700, 700, 700], d=64, seed=4)
+    spec = SplitSpec(val_size=960, test_size=960)
+    splits = [make_splits(labels, spec, RngStream(0, SPLIT, r)) for r in range(spec.repeats)]
+    repeats, d = spec.repeats, z.shape[1]
+    n_train, n_val = len(splits[0].train), len(splits[0].val)
+    tracemalloc.start()
+    try:
+        linear_probe(z, labels, splits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = 8 * repeats * (n_train + n_val) * d
+    scores = 8 * repeats * evalkit.VAL_BLOCK * 3 * n_val
+    slack = 16 * 8 * repeats * n_val     # split indices, slots and one step's argmax scratch
+    assert peak <= rows + scores + slack, (
+        f"{(peak - rows - scores) / (8 * repeats * n_val):.1f} (repeats, val rows) arrays "
+        "beyond the gathered rows and one block of scores")
 
 
 def test_probe_with_eight_or_more_classes_matches_per_repeat_oracle():
