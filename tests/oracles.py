@@ -140,24 +140,21 @@ def recon_loss(adj, z_hat, gamma):
     return float(np.mean((1.0 - cos) ** gamma))
 
 
-# -- two-pass reconstruction loss and dense operator, as they were ------------------
-# The loss once over every row block, then back(g) over every block again,
-# and the operator normalized in place on a dense float64 copy of the view.
-# The fused pass and the scattered operator must equal them byte for byte.
+# -- two-pass strip reconstruction loss, and the dense operator as it was ------------
+# Both passes sweep the upper strips S[lo:hi, lo:] of S = σ(ẐẐᵀ) in
+# metamae.RECON_BLOCK rows, reading a dense bool adjacency; the loss sums A∘S
+# left to right (a cumulative sum), in the order metamae's entry lists are
+# listed. The operator is normalized in place on a dense float64 copy of the
+# view. metamae.recon_loss and normalized_operator must equal them byte for byte.
 
 
-def _sigmoid_rows_two_pass(z, lo, hi):
-    e = z[lo:hi] @ z.T
-    positive = e >= 0
-    np.exp(np.negative(np.abs(e, out=e), out=e), out=e)
-    s = np.where(positive, 1.0, e)
-    e += 1.0
-    s /= e
-    return s
+def _sigmoid_strip(z, lo, hi):
+    e = np.exp(-(z[lo:hi] @ z[lo:].T))
+    return 1.0 / (1.0 + e)
 
 
 def recon_loss_two_pass(adj, z_hat, gamma):
-    """(loss, back) as two passes over rows of σ(ẐẐᵀ) in metamae.RECON_BLOCK blocks."""
+    """(loss, back): pass 1 gives the loss, back(g) runs pass 2 for g times its gradient."""
     from mug import metamae
 
     adj = np.asarray(adj, dtype=bool)
@@ -166,14 +163,19 @@ def recon_loss_two_pass(adj, z_hat, gamma):
     n_valid = int(valid.sum())
     n = len(adj)
     block = metamae.RECON_BLOCK
-    blocks = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
-    dot = np.empty(n)
-    norm = np.empty(n)
-    for lo, hi in blocks:
-        s = _sigmoid_rows_two_pass(z_hat, lo, hi)
-        dot[lo:hi] = (adj[lo:hi] * s).sum(axis=1)
-        norm[lo:hi] = np.sqrt(np.multiply(s, s, out=s).sum(axis=1))
-    denom = np.sqrt(deg) * norm
+    strips = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    dot = np.zeros(n)
+    sq_sum = np.zeros(n)
+    with np.errstate(over="ignore"):
+        for lo, hi in strips:
+            b = hi - lo
+            s = _sigmoid_strip(z_hat, lo, hi)
+            dot[lo:hi] += np.where(adj[lo:hi, lo:], s, 0.0).cumsum(axis=1)[:, -1]
+            dot[hi:] += np.where(adj[hi:, lo:hi].T, s[:, b:], 0.0).cumsum(axis=0)[-1]
+            s *= s
+            sq_sum[lo:hi] += s.sum(axis=1)
+            sq_sum[hi:] += s[:, b:].sum(axis=0)
+    denom = np.sqrt(deg) * np.sqrt(sq_sum)
     defined = denom > 0
     cos = np.where(defined, dot / np.where(defined, denom, 1.0), 0.0)
     base = np.maximum(1.0 - cos, 0.0)
@@ -183,19 +185,40 @@ def recon_loss_two_pass(adj, z_hat, gamma):
         d_cos = (-g / n_valid) * gamma * np.power(base, gamma - 1.0) * valid
         d_cos = np.where(defined, d_cos, 0.0)
         on_edge = d_cos / np.where(defined, denom, 1.0)
-        on_self = d_cos * cos / np.where(defined, norm * norm, 1.0)
+        off_self = -d_cos * cos / np.where(defined, sq_sum, 1.0)
         grad = np.zeros_like(z_hat)
-        for lo, hi in blocks:
-            s = _sigmoid_rows_two_pass(z_hat, lo, hi)
-            dx = s * -on_self[lo:hi, None]
-            np.add(dx, on_edge[lo:hi, None], out=dx, where=adj[lo:hi])
-            dx *= s
-            dx *= np.subtract(1.0, s, out=s)
-            grad[lo:hi] += dx @ z_hat
-            grad += dx.T @ z_hat[lo:hi]
+        with np.errstate(over="ignore"):
+            for lo, hi in strips:
+                b = hi - lo
+                s = _sigmoid_strip(z_hat, lo, hi)
+                # M = dX[lo:hi, lo:] + dX[lo:, lo:hi]ᵀ
+                m = (off_self[lo:hi, None] + off_self[None, lo:]) * s
+                np.add(m, on_edge[lo:hi, None], out=m, where=adj[lo:hi, lo:])
+                np.add(m, on_edge[None, lo:], out=m, where=adj[lo:, lo:hi].T)
+                m *= s
+                m *= 1.0 - s
+                grad[lo:hi] += m @ z_hat[lo:]
+                grad[hi:] += m[:, b:].T @ z_hat[lo:hi]
         return grad
 
     return float(loss), back
+
+
+def recon_grad(adj, z_hat, gamma, g):
+    """g times the gradient of recon_loss, as dX Ẑ + dXᵀ Ẑ on the whole N x N dX."""
+    adj = np.asarray(adj, dtype=bool)
+    a = adj.astype(np.float64)
+    s = 1.0 / (1.0 + np.exp(-(z_hat @ z_hat.T)))
+    deg = a.sum(axis=1)
+    valid = deg > 0
+    norm = np.linalg.norm(s, axis=1)
+    denom = np.sqrt(deg) * norm
+    cos = np.where(valid, (a * s).sum(axis=1) / np.where(valid, denom, 1.0), 0.0)
+    d_cos = (-g / valid.sum()) * gamma * (1.0 - cos) ** (gamma - 1.0) * valid
+    d_s = (d_cos / np.where(valid, denom, 1.0))[:, None] * a \
+        - (d_cos * cos / norm**2)[:, None] * s
+    dx = d_s * s * (1.0 - s)
+    return dx @ z_hat + dx.T @ z_hat
 
 
 def dense_normalized_operator(adj):

@@ -576,7 +576,9 @@ def test_objective_does_not_read_what_the_buffer_held_before():
         assert grads[name].tobytes() == value.tobytes(), name
 
 
-def test_objective_computes_each_row_block_of_scores_once_per_view(monkeypatch):
+def test_objective_computes_n_squared_plus_the_diagonal_blocks_of_scores_per_view(monkeypatch):
+    # each pass of recon_loss computes the upper strips S[lo:hi, lo:] once:
+    # (N² + Σ bᵢ²) / 2 entries of σ(ẐẐᵀ), not a full row block's N·bᵢ each
     rng = np.random.default_rng(8)
     n, n_views = 2 * metamae.RECON_BLOCK + 1, 2
     adjs = []
@@ -588,15 +590,19 @@ def test_objective_computes_each_row_block_of_scores_once_per_view(monkeypatch):
     masked = [metamae.mask_edges(e, 0.5, RngStream(0, MASK, 0, i))
               for i, e in enumerate(state.views)]
     cfg = small_cfg(sample_size=4, unified_dim=3)
-    calls = []
-    sigmoid_rows = metamae._sigmoid_rows
+    entries = []
+    sigmoid_strip = metamae._sigmoid_strip
 
     def counting(z, lo, hi):
-        calls.append((lo, hi))
-        return sigmoid_rows(z, lo, hi)
+        s = sigmoid_strip(z, lo, hi)
+        entries[-1] += s.size
+        return s
 
-    monkeypatch.setattr(metamae, "_sigmoid_rows", counting)
-    fusion.objective(fusion._init_params(cfg, 0), state, masked, cfg)
-    blocks = -(-n // metamae.RECON_BLOCK)
-    assert len(calls) == n_views * blocks
-    assert len(set(calls)) == blocks
+    monkeypatch.setattr(metamae, "_sigmoid_strip", counting)
+    blocks = [min(metamae.RECON_BLOCK, n - lo) for lo in range(0, n, metamae.RECON_BLOCK)]
+    assert blocks[-1] == 1   # a ragged last strip
+    params = fusion._init_params(cfg, 0)
+    for _ in range(2):
+        entries.append(0)
+        fusion.objective(params, state, masked, cfg)
+    assert entries == [n_views * (n * n + sum(b * b for b in blocks))] * 2

@@ -1,5 +1,7 @@
 """Edge masking, shared graph-conv encode/decode, fused scaled cosine reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,12 +122,12 @@ def test_three_node_path_matches_hand_computation():
 
 
 # -- reconstruction ---------------------------------------------------------------
-# recon_loss(view, Ẑ) scores S = σ(ẐẐᵀ) row-blocked; these pin S itself.
+# recon_loss(view, Ẑ) scores S = σ(ẐẐᵀ) in upper strips; these pin S itself.
 
 
 def decoded_scores(z_hat):
-    """All rows of S = σ(ẐẐᵀ) as the fused loss computes them."""
-    return metamae._sigmoid_rows(z_hat, 0, len(z_hat))
+    """All of S = σ(ẐẐᵀ), as the fused loss computes a strip: the one from row 0."""
+    return metamae._sigmoid_strip(z_hat, 0, len(z_hat))
 
 
 def test_zero_decoded_embeddings_give_half_everywhere():
@@ -250,6 +252,46 @@ def test_fused_recon_gradient_does_not_depend_on_block(monkeypatch):
         grads.append(recon_loss(view_of(adj), z_arr, 2.0)[1])
     for g in grads[1:]:
         assert np.max(np.abs(g - grads[0])) <= 1e-12 * np.max(np.abs(grads[0]))
+
+
+@pytest.mark.parametrize("block", ["1", "3", "n-1", "n"])
+def test_recon_gradient_matches_the_order_free_reference(block, monkeypatch):
+    # dXẐ + dXᵀẐ on the whole N x N dX: a strip's column half (rows hi:, read
+    # through Aᵀ) taken from the wrong side of the diagonal fails here, at any block
+    default = metamae.RECON_BLOCK
+    for offset in (-1, 1):
+        n = 2 * default + offset
+        monkeypatch.setattr(metamae, "RECON_BLOCK",
+                            {"1": 1, "3": 3, "n-1": n - 1, "n": n}[block])
+        rng = np.random.default_rng(30 + offset)
+        for name, adj in _oracle_views(n, rng).items():
+            z_arr = rng.uniform(-1.5, 1.5, size=(n, 4))
+            for gamma, g in ((2.0, 1.0), (2.5, -0.73)):
+                grad = recon_loss(view_of(adj), z_arr, gamma, g)[1]
+                want = oracles.recon_grad(adj, z_arr, gamma, g)
+                # entries that cancel to ~1e-4 of the largest get its rounding as slack
+                np.testing.assert_allclose(grad, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max(),
+                                           err_msg=(name, offset))
+
+
+def test_recon_loss_holds_a_few_strips_at_once():
+    # one strip is RECON_BLOCK x N floats; a call that kept every strip's entry
+    # list (~2.4 strips here) or any N x N float array (~8) would exceed the bound
+    n = 1000
+    rng = np.random.default_rng(14)
+    adj = np.triu(rng.random((n, n)) < 0.3, 1)
+    view = view_of(adj | adj.T)
+    z_arr = rng.normal(size=(n, 64))
+    recon_loss(view, z_arr)
+    tracemalloc.start()
+    try:
+        recon_loss(view, z_arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    strip = metamae.RECON_BLOCK * n * 8
+    assert peak <= 5 * strip, f"{peak / strip:.2f} strips"
 
 
 # -- byte-level oracles: the two-pass loss and the dense operator ----------------------
