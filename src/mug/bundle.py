@@ -2,9 +2,10 @@
 
 Every text input of mug is read here, by four readers: read_text opens a
 file, read_json parses JSON, _read_rows splits a table whose header and rows
-are one width, and read_floats makes a float matrix of numbered rows. Each
-fault names its file, and its line where it has one. write_text writes every
-output file.
+are one width, and read_floats makes a float matrix of numbered rows. Every
+fault they find, like every fault load_bundle and config.read_settings find,
+raises BundleError, which names the file and the line where the fault has one;
+the CLI reports it as a ValueError, exit 2. write_text writes every output file.
 
 schema.json is checked in full (hetgraph.check_schema) before any row is
 read, so a schema fault is reported against schema.json, never as a row error.
@@ -26,28 +27,14 @@ from .hetgraph import HetGraph, MetaPath, Relation, SchemaError, check_schema
 
 
 class BundleError(ValueError):
-    """Base for problems reading a bundle or another text input; carries file and line."""
+    """Any fault in an input file: missing, unreadable, bad JSON, a bad row, an
+    undeclared name or node, a bad setting line. Carries the file and the line
+    (0 when the fault has none) and reads "file:line: message" or "file: message"."""
 
     def __init__(self, message: str, file: str, line: int = 0):
         super().__init__(f"{file}:{line}: {message}" if line else f"{file}: {message}")
         self.file = file
         self.line = line
-
-
-class MissingFileError(BundleError):
-    pass
-
-
-class MalformedRowError(BundleError):
-    pass
-
-
-class UnknownNameError(BundleError):
-    """A row references an undeclared node type or relation."""
-
-
-class UnknownNodeError(BundleError):
-    """A row references a node id that does not exist (or has the wrong type)."""
 
 
 def read_text(path: str) -> str:
@@ -59,7 +46,7 @@ def read_text(path: str) -> str:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except FileNotFoundError:
-        raise MissingFileError("file not found", path) from None
+        raise BundleError("file not found", path) from None
     except UnicodeDecodeError as exc:
         raise BundleError(f"not UTF-8 text: {exc}", path) from None
     except OSError as exc:
@@ -77,29 +64,29 @@ def read_json(path: str):
     try:
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise MalformedRowError(f"invalid JSON: {exc.msg}", path, exc.lineno) from None
+        raise BundleError(f"invalid JSON: {exc.msg}", path, exc.lineno) from None
 
 
 def read_floats(rows: Sequence[Tuple[int, List[str]]], path: str,
                 width: Optional[int] = None) -> np.ndarray:
     """A float64 matrix of (line number, cells) rows, each width cells wide (the
     first row's width when None). A row of another width, a cell that is not a
-    number or a non-finite value raises MalformedRowError at that row's path:line;
+    number or a non-finite value raises BundleError at that row's path:line;
     finiteness is checked once per matrix."""
     if width is None:
         width = len(rows[0][1]) if rows else 0
     values = []
     for lineno, cells in rows:
         if len(cells) != width:
-            raise MalformedRowError(f"expected {width} values, got {len(cells)}", path, lineno)
+            raise BundleError(f"expected {width} values, got {len(cells)}", path, lineno)
         try:
             values.append([float(v) for v in cells])
         except ValueError:
-            raise MalformedRowError("non-numeric value", path, lineno) from None
+            raise BundleError("non-numeric value", path, lineno) from None
     mat = np.array(values, dtype=np.float64).reshape(len(values), width)
     bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
     if len(bad):
-        raise MalformedRowError("non-finite value", path, rows[bad[0]][0])
+        raise BundleError("non-finite value", path, rows[bad[0]][0])
     return mat
 
 
@@ -115,12 +102,12 @@ def _read_rows(path: str, width: int = 0):
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        raise MalformedRowError("empty file (missing header)", path, 1)
+        raise BundleError("empty file (missing header)", path, 1)
     width = width or lines[0].count("\t") + 1
     for lineno, line in enumerate(lines, start=1):
         cells = line.split("\t")
         if len(cells) != width:
-            raise MalformedRowError(f"expected {width} columns, got {len(cells)}", path, lineno)
+            raise BundleError(f"expected {width} columns, got {len(cells)}", path, lineno)
         if lineno > 1:
             yield lineno, cells
 
@@ -140,7 +127,7 @@ def _entries(schema: dict, key: str, fields: tuple, path: str) -> List[tuple]:
         rows = None
     if rows is None or not all(_is_names(v) if f == "steps" else isinstance(v, str)
                                for row in rows for f, v in zip(fields, row)):
-        raise MalformedRowError(
+        raise BundleError(
             f"'{key}' must be a list of objects with {', '.join(fields)}", path)
     return rows
 
@@ -150,14 +137,14 @@ def load_bundle(path: str) -> HetGraph:
     schema_path = os.path.join(path, "schema.json")
     schema = read_json(schema_path)
     if not isinstance(schema, dict):
-        raise MalformedRowError("schema must be a JSON object", schema_path)
+        raise BundleError("schema must be a JSON object", schema_path)
     for key in ("node_types", "relations", "target_type", "metapaths"):
         if key not in schema:
-            raise MalformedRowError(f"schema missing key '{key}'", schema_path)
+            raise BundleError(f"schema missing key '{key}'", schema_path)
     if not _is_names(schema["node_types"]):
-        raise MalformedRowError("'node_types' must be a list of names", schema_path)
+        raise BundleError("'node_types' must be a list of names", schema_path)
     if not isinstance(schema["target_type"], str):
-        raise MalformedRowError("'target_type' must be a name", schema_path)
+        raise BundleError("'target_type' must be a name", schema_path)
     node_types: List[str] = list(schema["node_types"])
     relations = [Relation(*r) for r in
                  _entries(schema, "relations", ("name", "src", "dst"), schema_path)]
@@ -166,7 +153,7 @@ def load_bundle(path: str) -> HetGraph:
         metapaths = [MetaPath.from_steps(*m) for m in entries]
         check_schema(node_types, relations, schema["target_type"], metapaths)
     except SchemaError as exc:
-        raise MalformedRowError(str(exc), schema_path) from None
+        raise BundleError(str(exc), schema_path) from None
 
     # nodes.tsv: id -> (type, local index)
     nodes_path = os.path.join(path, "nodes.tsv")
@@ -175,9 +162,9 @@ def load_bundle(path: str) -> HetGraph:
     for lineno, row in _read_rows(nodes_path, 2):
         nid, ntype = row
         if ntype not in node_ids:
-            raise UnknownNameError(f"unknown node type '{ntype}'", nodes_path, lineno)
+            raise BundleError(f"unknown node type '{ntype}'", nodes_path, lineno)
         if nid in lookup:
-            raise MalformedRowError(f"duplicate node id '{nid}'", nodes_path, lineno)
+            raise BundleError(f"duplicate node id '{nid}'", nodes_path, lineno)
         lookup[nid] = (ntype, len(node_ids[ntype]))
         node_ids[ntype].append(nid)
     counts = {t: len(ids) for t, ids in node_ids.items()}
@@ -189,14 +176,14 @@ def load_bundle(path: str) -> HetGraph:
     for lineno, row in _read_rows(edges_path, 3):
         src_id, rname, dst_id = row
         if rname not in rel_by_name:
-            raise UnknownNameError(f"unknown relation '{rname}'", edges_path, lineno)
+            raise BundleError(f"unknown relation '{rname}'", edges_path, lineno)
         rel = rel_by_name[rname]
         for nid, want in ((src_id, rel.src), (dst_id, rel.dst)):
             got = lookup.get(nid)
             if got is None:
-                raise UnknownNodeError(f"node id '{nid}' not in nodes.tsv", edges_path, lineno)
+                raise BundleError(f"node id '{nid}' not in nodes.tsv", edges_path, lineno)
             if got[0] != want:
-                raise UnknownNodeError(
+                raise BundleError(
                     f"node '{nid}' has type '{got[0]}', relation '{rname}' needs '{want}'",
                     edges_path, lineno,
                 )
@@ -215,19 +202,17 @@ def load_bundle(path: str) -> HetGraph:
         rows: Dict[int, tuple] = {}   # local index -> (line, values), in file order
         for lineno, row in _read_rows(fpath):
             if len(row) < 2:
-                raise MalformedRowError("expected node_id plus at least one value", fpath, lineno)
+                raise BundleError("expected node_id plus at least one value", fpath, lineno)
             nid = row[0]
             got = lookup.get(nid)
             if got is None or got[0] != t:
-                raise UnknownNodeError(f"node id '{nid}' is not a '{t}' node", fpath, lineno)
+                raise BundleError(f"node id '{nid}' is not a '{t}' node", fpath, lineno)
             if got[1] in rows:
-                raise MalformedRowError(f"second feature row for node '{nid}'", fpath, lineno)
+                raise BundleError(f"second feature row for node '{nid}'", fpath, lineno)
             rows[got[1]] = (lineno, row[1:])
         values = read_floats(list(rows.values()), fpath)
         if len(rows) != counts[t]:
-            raise MalformedRowError(
-                f"features cover {len(rows)} of {counts[t]} '{t}' nodes", fpath
-            )
+            raise BundleError(f"features cover {len(rows)} of {counts[t]} '{t}' nodes", fpath)
         attrs[t] = np.empty_like(values)
         attrs[t][list(rows)] = values
 
@@ -241,21 +226,19 @@ def load_bundle(path: str) -> HetGraph:
             nid, cls = row
             got = lookup.get(nid)
             if got is None or got[0] != target:
-                raise UnknownNodeError(f"node id '{nid}' is not a target node", lpath, lineno)
+                raise BundleError(f"node id '{nid}' is not a target node", lpath, lineno)
             if lab[got[1]] >= 0:
-                raise MalformedRowError(f"second label row for node '{nid}'", lpath, lineno)
+                raise BundleError(f"second label row for node '{nid}'", lpath, lineno)
             try:
                 c = int(cls)
             except ValueError:
-                raise MalformedRowError(f"non-integer class id '{cls}'", lpath, lineno)
+                raise BundleError(f"non-integer class id '{cls}'", lpath, lineno)
             if not 0 <= c < len(lab):
-                raise MalformedRowError(f"class id {c} is outside [0, {len(lab)})",
-                                        lpath, lineno)
+                raise BundleError(f"class id {c} is outside [0, {len(lab)})", lpath, lineno)
             lab[got[1]] = c
         if (lab < 0).any():
-            raise MalformedRowError(
-                f"labels cover {(lab >= 0).sum()} of {len(lab)} target nodes", lpath
-            )
+            raise BundleError(f"labels cover {(lab >= 0).sum()} of {len(lab)} target nodes",
+                              lpath)
         labels = lab
 
     return HetGraph(

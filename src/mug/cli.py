@@ -5,8 +5,12 @@ Exit codes: 0 success, 1 usage, 2 data/validation error, 3 numerical failure.
 Every run with outputs writes a resolved-config echo next to them. Each
 warning a run raises is printed as one "warning: <message>" line on stderr.
 Every fault in an input file (missing, not UTF-8, bad JSON, a bad row, setting
-or checkpoint value) exits 2 with "error: <file>: ..." or, where the fault has
-a line, "error: <file>:<line>: ..."; mug.bundle's readers report them.
+or checkpoint value, a bad synth spec) is a ValueError and exits 2 with
+"error: <file>: ..." or, where the fault has a line, "error: <file>:<line>: ...".
+A fault in a file's text is a bundle.BundleError, raised by mug.bundle's
+readers, by config.read_settings, or by cmd_synth for a spec; a setting outside
+its bound is a config.ConfigError. mug synth writes into a new or empty --out
+directory only, so no file of an earlier bundle is left beside its own.
 
 A pretrain or eval flag that sets a setting has the setting's flat config key
 as its dest, so the flags and the config file name the same settings; every
@@ -70,11 +74,14 @@ def _resolved(args) -> Dict[str, object]:
 
 def cmd_synth(args) -> int:
     cfgmod.check({"seed": args.seed})
+    if os.path.lexists(args.out) and not (os.path.isdir(args.out) and not os.listdir(args.out)):
+        raise ValueError(f"{args.out}: exists and is not an empty directory")
     if args.spec:
+        values = bio.read_json(args.spec)   # its faults name the spec already
         try:
-            spec = synth.SynthSpec.from_dict(bio.read_json(args.spec))
-        except synth.SynthSpecError as exc:
-            raise bio.MalformedRowError(str(exc), args.spec) from None
+            spec = synth.SynthSpec.from_dict(values)
+        except ValueError as exc:
+            raise bio.BundleError(str(exc), args.spec) from None
     else:
         spec = synth.SynthSpec.from_dict(synth.two_view_spec(centroid_scale=1.0))
     g = synth.generate(spec, RngStream(args.seed, SYNTH))

@@ -6,7 +6,8 @@ default, its flat key (metadata["key"], else the field's name) and its bound.
 So a key is the same name in a config file, a flag's dest, an echo and a
 checkpoint's [meta]. format_settings writes echoes and [meta] as sorted
 "key = value" lines; read_settings reads config files and [meta], with
-parse_value as the one value grammar.
+parse_value as the one value grammar, and reports a bad line as a
+bundle.BundleError at its file:line, like any other input fault.
 
 Every setting is a bool or a number. A number's bound is metadata["bound"],
 an interval such as "[1, inf)", "(0, inf)", "[0, 1]" or "[0, 2**64)". check
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, Iterable, Optional
 
-from .bundle import read_text, write_text
+from .bundle import BundleError, read_text, write_text
 from .evalkit import SplitSpec
 from .structenc import WalkConfig
 
@@ -120,7 +121,7 @@ def read_settings(lines: Iterable[str], where: str, known: Dict[str, object],
     """Settings from "key = value" lines (lines[0] is line first_line of where).
 
     known maps each allowed key to its default; "#" starts a comment. An unknown
-    or repeated key, or a bad value, raises ConfigError naming where and the line.
+    or repeated key, or a bad value, raises BundleError naming where and the line.
     """
     out: Dict[str, object] = {}
     for lineno, raw in enumerate(lines, start=first_line):
@@ -128,16 +129,16 @@ def read_settings(lines: Iterable[str], where: str, known: Dict[str, object],
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{where}:{lineno}: expected key=value")
+            raise BundleError("expected key=value", where, lineno)
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in known:
-            raise ConfigError(f"{where}:{lineno}: unknown key '{key}'")
+            raise BundleError(f"unknown key '{key}'", where, lineno)
         if key in out:
-            raise ConfigError(f"{where}:{lineno}: repeated key '{key}'")
+            raise BundleError(f"repeated key '{key}'", where, lineno)
         try:
             out[key] = parse_value(value, known[key])
         except ValueError:
-            raise ConfigError(f"{where}:{lineno}: bad value for '{key}': '{value}'") from None
+            raise BundleError(f"bad value for '{key}': '{value}'", where, lineno) from None
     return out
 
 

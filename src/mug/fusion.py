@@ -26,13 +26,13 @@ Checkpoint format (UTF-8 text):
                            (bundle.format_floats)
 
 load_checkpoint reads [meta] first with config.read_settings, the reader of
-config files, so a fault in one line names the file and the line. It then
-requires every TrainConfig setting to be there and checks them all with
-config.check. It requires the matrix headers to equal param_shapes of that
-config, and reads each matrix with bundle.read_floats, which reports a bad row
-at its path:line. Any other fault raises CheckpointError naming the file;
-other versions are refused (v5 also had neg_distribution and resample_mask,
-v4 no_scatter and "key value" lines).
+config files, so a bad line raises that reader's bundle.BundleError naming the
+file and the line. It then requires every TrainConfig setting to be there and
+checks them all with config.check. It requires the matrix headers to equal
+param_shapes of that config, and reads each matrix with bundle.read_floats,
+which reports a bad row at its path:line. Any other fault raises
+CheckpointError naming the file; other versions are refused (v5 also had
+neg_distribution and resample_mask, v4 no_scatter and "key value" lines).
 """
 
 from __future__ import annotations
@@ -378,10 +378,7 @@ class CheckpointError(ValueError):
 def _read_meta(path: str, lines: List[str]) -> TrainConfig:
     """Invert save_checkpoint's [meta], from line 3: every TrainConfig setting once, checked."""
     defaults = config.by_key(TrainConfig())
-    try:
-        values = config.read_settings(lines, path, defaults, 3)
-    except config.ConfigError as exc:
-        raise CheckpointError(str(exc)) from None
+    values = config.read_settings(lines, path, defaults, 3)
     missing = [key for key in defaults if key not in values]
     if missing:
         raise CheckpointError(f"{path}: [meta] has no '{missing[0]}'")

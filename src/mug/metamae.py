@@ -35,10 +35,6 @@ RECON_BLOCK = 128   # rows of each strip of σ(ẐẐᵀ) that recon_loss holds 
 LEAKY_SLOPE = 0.25  # the encoder's negative slope
 
 
-class DegenerateViewError(ValueError):
-    """Every row of the view is empty; the reconstruction loss is undefined."""
-
-
 def mask_edges(edges: EdgeList, rate: float, rng: RngStream) -> EdgeList:
     """The edges kept, each with probability 1 - rate; never an absent one.
 
@@ -133,7 +129,7 @@ def recon_loss(view: EdgeList, z_hat: np.ndarray, gamma: float = 2.0,
     valid = deg > 0
     n_valid = int(valid.sum())
     if n_valid == 0:
-        raise DegenerateViewError("view has no non-empty rows")
+        raise ValueError("view has no non-empty rows")   # fusion refuses an edgeless view first
     t_view = view if view.symmetric else EdgeList.from_pairs(n, view.cols, view.rows)
     starts = np.array([*range(0, n, RECON_BLOCK), n], dtype=view.rows.dtype)
     # each block's entries; a needle of the rows' dtype spares a cast of the whole list

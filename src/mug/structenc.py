@@ -117,7 +117,7 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
     total = len(centers) * cfg.epochs
     for epoch in range(cfg.epochs):
         negatives = RngStream(rng.seed, SGNS, epoch).integers(
-            0, n_nodes, (len(centers), cfg.negatives)).astype(np.int64)
+            0, n_nodes, (len(centers), cfg.negatives))
         loss = kernels.sgns_epoch(center, context, centers, contexts, negatives,
                                   cfg.lr, cfg.lr_min, epoch * len(centers), total)
         if loss_trace is not None:

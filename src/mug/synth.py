@@ -9,22 +9,26 @@ frequency baseline; pushing intra above inter plants homophilous views.
 
 Attributes are class centroid + Gaussian noise; centroid_scale = 0 makes
 labels attribute-independent (structure-only signal).
+
+SynthSpec.from_dict reads a spec strictly: each key of the spec and of its
+aux_types, relations and metapaths entries must be a field (a metapath entry
+has name and steps), an int field must be a JSON integer and a float field a
+JSON number. A key not given takes its field's default. Every fault raises
+ValueError; mug synth reports it against the spec file.
 """
 
 from __future__ import annotations
 
+import inspect
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .hetgraph import HetGraph, MetaPath, Relation, SchemaError, check_schema
+from .hetgraph import HetGraph, MetaPath, Relation, check_schema
 from .rng import RngStream
-
-
-class SynthSpecError(ValueError):
-    pass
 
 
 @dataclass
@@ -44,47 +48,55 @@ class RelationSpec:
     degree: float = 3.0
 
 
+def _build(make, d, where: str, **lists):
+    """make(**d) for the JSON object d, whose keys must be make's parameters.
+
+    A parameter without a default must be given; an int one must be a JSON
+    integer and a float one a JSON number, passed as a float. lists maps a key
+    to the maker of each entry of its list.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
+    params = inspect.signature(make).parameters
+    args = {}
+    for key, value in d.items():
+        if key not in params:
+            raise ValueError(f"{where} has unknown key '{key}'")
+        kind = params[key].annotation
+        if kind == "int" and type(value) is not int:
+            raise ValueError(f"{where} key '{key}' must be an integer, got {json.dumps(value)}")
+        if kind == "float" and type(value) not in (int, float):
+            raise ValueError(f"{where} key '{key}' must be a number, got {json.dumps(value)}")
+        if key in lists:
+            value = [_build(lists[key], e, f"{key}[{i}]") for i, e in enumerate(value)]
+        args[key] = float(value) if kind == "float" else value
+    missing = [p.name for p in params.values() if p.default is p.empty and p.name not in d]
+    if missing:
+        raise ValueError(f"{where} missing key '{missing[0]}'")
+    return make(**args)
+
+
 @dataclass
 class SynthSpec:
     classes: int
     target_type: str
     targets_per_class: int
     attr_dim: int
-    aux_types: List[AuxType]
     relations: List[RelationSpec]
     metapaths: List[MetaPath]
+    aux_types: List[AuxType] = field(default_factory=list)
     centroid_scale: float = 1.0
     noise: float = 0.5
     aux_centroid_scale: float = 0.0
 
     @staticmethod
     def from_dict(d: Dict) -> "SynthSpec":
-        if not isinstance(d, dict):
-            raise SynthSpecError(f"spec must be a JSON object, got {type(d).__name__}")
+        """The spec in a JSON object; each key not given takes its field's default."""
         try:
-            aux = [AuxType(a["name"], int(a["size"]), int(a.get("attr_dim", 0)))
-                   for a in d.get("aux_types", [])]
-            rels = [RelationSpec(r["name"], r["src"], r["dst"],
-                                 float(r["intra"]), float(r["inter"]),
-                                 float(r.get("degree", 3.0)))
-                    for r in d["relations"]]
-            mps = [MetaPath.from_steps(m["name"], m["steps"]) for m in d["metapaths"]]
-            spec = SynthSpec(
-                classes=int(d["classes"]),
-                target_type=d["target_type"],
-                targets_per_class=int(d["targets_per_class"]),
-                attr_dim=int(d["attr_dim"]),
-                aux_types=aux,
-                relations=rels,
-                metapaths=mps,
-                centroid_scale=float(d.get("centroid_scale", 1.0)),
-                noise=float(d.get("noise", 0.5)),
-                aux_centroid_scale=float(d.get("aux_centroid_scale", 0.0)),
-            )
-        except KeyError as exc:
-            raise SynthSpecError(f"spec missing key {exc}") from None
-        except (TypeError, AttributeError, ValueError) as exc:
-            raise SynthSpecError(f"malformed spec: {exc}") from None
+            spec = _build(SynthSpec, d, "spec", aux_types=AuxType, relations=RelationSpec,
+                          metapaths=MetaPath.from_steps)
+        except TypeError as exc:
+            raise ValueError(f"malformed spec: {exc}") from None
         spec.validate()
         return spec
 
@@ -92,33 +104,30 @@ class SynthSpec:
         """Every float must be finite; each comparison is negated, so NaN fails it."""
         for name in ("centroid_scale", "noise", "aux_centroid_scale"):
             if not math.isfinite(getattr(self, name)):
-                raise SynthSpecError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.classes < 2:
-            raise SynthSpecError("need at least 2 classes")
+            raise ValueError("need at least 2 classes")
         if self.targets_per_class < 1:
-            raise SynthSpecError("need at least 1 target node per class")
+            raise ValueError("need at least 1 target node per class")
         if self.attr_dim < 0:
-            raise SynthSpecError("attr_dim must be >= 0")
+            raise ValueError("attr_dim must be >= 0")
         names = [self.target_type] + [a.name for a in self.aux_types]
         if not all(isinstance(n, str) for n in names):
-            raise SynthSpecError("type names must be strings")
+            raise ValueError("type names must be strings")
         named = [n for r in self.relations for n in (r.name, r.src, r.dst)]
         named += [n for m in self.metapaths for n in (m.name, *m.steps)]
         if not all(isinstance(n, str) for n in named):
-            raise SynthSpecError("type, relation and meta-path names must be strings")
+            raise ValueError("type, relation and meta-path names must be strings")
         for a in self.aux_types:
             if min(a.size, a.attr_dim) < 0:
-                raise SynthSpecError(f"aux type '{a.name}': size and attr_dim must be >= 0")
-        try:
-            check_schema(names, self.relations, self.target_type, self.metapaths)
-        except SchemaError as exc:
-            raise SynthSpecError(str(exc)) from None
+                raise ValueError(f"aux type '{a.name}': size and attr_dim must be >= 0")
+        check_schema(names, self.relations, self.target_type, self.metapaths)
         for r in self.relations:
             if not (0 <= r.intra < math.inf and 0 <= r.inter < math.inf
                     and r.intra + r.inter > 0):
-                raise SynthSpecError(f"relation '{r.name}': bad attach probabilities")
+                raise ValueError(f"relation '{r.name}': bad attach probabilities")
             if not 0 < r.degree < math.inf:
-                raise SynthSpecError(f"relation '{r.name}': degree must be positive and finite")
+                raise ValueError(f"relation '{r.name}': degree must be positive and finite")
 
 
 def _centroids(n_classes: int, dim: int, scale: float) -> np.ndarray:

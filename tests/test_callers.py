@@ -1,5 +1,5 @@
 """Static guard: every public function has a caller, every dataclass field is
-read, and every import is used.
+read, every import is used, and every exception class is caught by name.
 
 No linter ships with the package, so this test enforces the rule with
 ``ast``. A module-level function counts as called when its own module names
@@ -11,6 +11,7 @@ loads an attribute of its name (fields are not resolved to their class either).
 """
 
 import ast
+import importlib
 import os
 
 import mug
@@ -26,6 +27,12 @@ ALLOWED = {
 
 # Dataclass fields kept without a read in src/mug, each for a stated reason.
 ALLOWED_FIELDS: dict = {}
+
+
+# Exception classes kept without an except clause that names them, each for a stated reason.
+ALLOWED_UNCAUGHT = {
+    "bundle.BundleError": "the class of every input fault; cli reports it as a ValueError",
+}
 
 
 def _modules():
@@ -171,6 +178,52 @@ def test_every_dataclass_field_is_read():
 
 def test_field_allowlist_names_real_fields():
     assert set(ALLOWED_FIELDS) <= {qual for qual, *_ in _fields(_modules())}
+
+
+def _exception_classes(modules):
+    """Qualified name of every exception class src/mug defines."""
+    for mod, tree in modules.items():
+        module = importlib.import_module(f"mug.{mod}")
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) \
+                    and issubclass(getattr(module, node.name), BaseException):
+                yield f"{mod}.{node.name}"
+
+
+def _caught_names():
+    """Every name an except clause in src/mug or perfbench/ gives, bare or as an attribute."""
+    bench = os.path.join(os.path.dirname(SRC), os.pardir, "perfbench")
+    paths = [os.path.join(d, name) for d in (SRC, bench)
+             for name in sorted(os.listdir(d)) if name.endswith(".py")]
+    names = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    for exc in ast.walk(node.type):
+                        names.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return names
+
+
+def test_every_exception_class_is_caught_by_name():
+    """A class that no except clause names is told apart by nothing: raise its base."""
+    caught = _caught_names()
+    classes = set(_exception_classes(_modules()))
+    uncaught = {q for q in classes if q.rsplit(".", 1)[1] not in caught}
+    orphans = sorted(uncaught - set(ALLOWED_UNCAUGHT))
+    assert not orphans, f"exception classes that no except clause names: {orphans}"
+    stale = sorted(set(ALLOWED_UNCAUGHT) - uncaught)
+    assert not stale, f"allowlisted classes that are now caught or gone: {stale}"
+
+
+def test_one_exception_class_per_kind_of_fault():
+    assert set(_exception_classes(_modules())) == {
+        "bundle.BundleError",         # any fault in an input file, at its file:line
+        "config.ConfigError",         # a setting outside its bound
+        "hetgraph.SchemaError",       # a schema fault, raised by the schema check alone
+        "fusion.CheckpointError",     # a checkpoint's structure or shapes
+        "fusion.DivergenceError",     # a non-finite loss, exit 3
+    }
 
 
 def _rng_names(tree):

@@ -165,6 +165,73 @@ def test_synth_malformed_spec_exits_with_data_error(tmp_path, capsys, damage, me
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda s: s.update(targets_per_class=2.7),
+     "spec key 'targets_per_class' must be an integer, got 2.7"),
+    (lambda s: s.update(classes=True), "spec key 'classes' must be an integer, got true"),
+    (lambda s: s["aux_types"][0].update(size="60"),
+     "aux_types[0] key 'size' must be an integer, got \"60\""),
+    (lambda s: s["relations"][1].update(intra="0.9"),
+     "relations[1] key 'intra' must be a number, got \"0.9\""),
+    (lambda s: s.update(noise=True), "spec key 'noise' must be a number, got true"),
+    (lambda s: s.update(centroid_scal=2.0), "spec has unknown key 'centroid_scal'"),
+    (lambda s: s["aux_types"][1].update(attr_dims=2), "aux_types[1] has unknown key 'attr_dims'"),
+    (lambda s: s["relations"][0].update(degre=2.0), "relations[0] has unknown key 'degre'"),
+    (lambda s: s["metapaths"][1].update(length=2), "metapaths[1] has unknown key 'length'"),
+    (lambda s: s["relations"][0].pop("inter"), "relations[0] missing key 'inter'"),
+    (lambda s: s["aux_types"].append(5), "aux_types[2] must be a JSON object, got int"),
+], ids=["float-count", "bool-count", "string-size", "string-intra", "bool-noise",
+        "misspelt-key", "aux-key", "relation-key", "metapath-key", "relation-missing-key",
+        "aux-not-an-object"])
+def test_synth_spec_is_read_strictly(tmp_path, capsys, damage, message):
+    spec = synth.two_view_spec(targets_per_class=5)
+    damage(spec)
+    path, out = str(tmp_path / "spec.json"), str(tmp_path / "b")
+    with open(path, "w") as fh:
+        json.dump(spec, fh)
+    assert main(["synth", "--spec", path, "--out", out]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not os.path.exists(out)
+
+
+def test_synth_spec_numbers_and_defaults_give_the_same_bundle(tmp_path):
+    """A float given as a JSON integer, or a key left to its default, changes no byte."""
+    spelled = synth.two_view_spec(attr_dim=5, centroid_scale=1.0, targets_per_class=20)
+    spelled.update(aux_centroid_scale=0.0)
+    spelled["aux_types"][0]["attr_dim"] = 0
+    short = json.loads(json.dumps(spelled))
+    del short["noise"], short["aux_centroid_scale"], short["aux_types"][0]["attr_dim"]
+    del short["relations"][0]["degree"]             # 3.0, its field's default
+    short["centroid_scale"], short["relations"][1]["degree"] = 1, 2
+    outs = []
+    for i, spec in enumerate((spelled, short)):
+        outs.append(str(tmp_path / f"b{i}"))
+        assert main(["synth", "--spec", tiny_spec(tmp_path, **spec), "--out", outs[-1]]) == EXIT_OK
+    assert dir_sha(outs[0]) == dir_sha(outs[1])
+
+
+@pytest.mark.parametrize("kind", ["bundle", "file"])
+def test_synth_refuses_an_out_that_is_not_an_empty_directory(tmp_path, capsys, kind):
+    out = str(tmp_path / "b")
+    if kind == "bundle":
+        assert main(["synth", "--spec", tiny_spec(tmp_path), "--out", out]) == EXIT_OK
+    else:
+        with open(out, "w") as fh:
+            fh.write("kept\n")
+    before = dir_sha(out) if kind == "bundle" else file_sha(out)
+    capsys.readouterr()
+    assert main(["synth", "--spec", tiny_spec(tmp_path, attr_dim=0), "--out", out]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {out}: exists and is not an empty directory\n"
+    assert (dir_sha(out) if kind == "bundle" else file_sha(out)) == before
+
+
+def test_synth_writes_into_an_empty_directory(tmp_path):
+    out = str(tmp_path / "b")
+    os.mkdir(out)
+    assert main(["synth", "--spec", tiny_spec(tmp_path), "--out", out]) == EXIT_OK
+    assert os.path.isfile(os.path.join(out, "schema.json"))
+
+
 # -- homophily ------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from dataclasses import asdict
 import pytest
 
 from mug import config, synth
+from mug.bundle import BundleError
 from mug.config import TrainConfig, by_key, config_fields
 from mug.evalkit import SplitSpec
 from mug.fusion import MugModel, _init_params, load_checkpoint, pretrain, save_checkpoint
@@ -212,7 +213,7 @@ def test_values_are_ascii_literals_without_underscores(tmp_path, line):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(line + "\n")
     key, value = line.split(" = ")
-    with pytest.raises(config.ConfigError) as exc:
+    with pytest.raises(BundleError) as exc:
         config.parse_config_file(path)
     assert str(exc.value) == f"{path}:1: bad value for '{key}': '{value}'"
 
@@ -225,6 +226,6 @@ def test_read_settings_numbers_lines_from_first_line():
                          ("seed = 1", "x:12: repeated key 'seed'"),
                          ("threads = 1", "x:12: unknown key 'threads'"),
                          ("no_cse = maybe", "x:12: bad value for 'no_cse': 'maybe'")]:
-        with pytest.raises(config.ConfigError) as exc:
+        with pytest.raises(BundleError) as exc:
             config.read_settings(["seed = 0", "", bad], "x", known, 10)
         assert str(exc.value) == message

@@ -13,7 +13,6 @@ from oracles import dense_edges
 from mug import autodiff as ad
 from mug import metamae
 from mug.metamae import (
-    DegenerateViewError,
     encode,
     graph_conv,
     mask_edges,
@@ -196,7 +195,7 @@ def test_recon_loss_hand_case_with_zero_row_and_fd():
 
 
 def test_recon_loss_degenerate_view_errors():
-    with pytest.raises(DegenerateViewError):
+    with pytest.raises(ValueError, match="^view has no non-empty rows$"):
         recon_loss(view_of(np.zeros((3, 3), dtype=bool)), np.ones((3, 2)), 2.0)
 
 
@@ -237,7 +236,7 @@ def test_fused_recon_loss_matches_dense_oracle(block, monkeypatch):
             assert abs(got - oracles.recon_loss(adj, z_arr, gamma)) <= 1e-12, (name, gamma)
             report = ad.grad_check(recon_fn(adj, gamma), {"Z": z_arr})
             assert report["Z"] <= 1e-4, (name, gamma, report)
-    with pytest.raises(DegenerateViewError):
+    with pytest.raises(ValueError, match="^view has no non-empty rows$"):
         recon_loss(view_of(np.zeros((n, n), dtype=bool)), np.ones((n, k)), 2.0)
 
 

@@ -246,6 +246,24 @@ def test_sgns_scratch_does_not_grow_with_the_pair_count():
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+def test_train_sgns_holds_one_negatives_array_at_a_time():
+    """Each epoch's (pairs x negatives) draw goes to the kernel as drawn, not copied."""
+    rng = np.random.default_rng(4)
+    n_nodes, n_walks, width = 50, 50, 41
+    walks = rng.integers(0, n_nodes, (n_walks, width))
+    lens = np.full(n_walks, width)
+    cfg = WalkConfig(window=5, negatives=50, dim=2, epochs=1)
+    n_pairs = len(structenc._window_pairs(walks, lens, cfg.window)[0])
+    negatives_bytes = n_pairs * cfg.negatives * 8      # int64, the dominant array here
+    tracemalloc.start()
+    try:
+        train_sgns(walks, lens, n_nodes, cfg, RngStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * negatives_bytes, (peak, negatives_bytes)
+
+
 def _walk_steps(adjacencies):
     """(indptr, indices) per pattern step from dense 0/1 matrices."""
     out = []
