@@ -9,6 +9,8 @@ the CLI reports it as a ValueError, exit 2. write_text writes every output file.
 
 schema.json is checked in full (hetgraph.check_schema) before any row is
 read, so a schema fault is reported against schema.json, never as a row error.
+A key it does not define, at its top level or in a relations or metapaths
+entry, is a fault, named as mug synth names one in a spec.
 
 All files are UTF-8, tab-separated, LF line endings, one header line; a
 leading byte-order mark is allowed. Floats are written by format_floats, with
@@ -117,10 +119,14 @@ def _is_names(value) -> bool:
 
 
 def _entries(schema: dict, key: str, fields: tuple, path: str) -> List[tuple]:
-    """The required fields of every object in the schema list schema[key].
+    """The fields of every object in the schema list schema[key], which has no others.
 
     Every field is a name, except 'steps', which is a list of names.
     """
+    for i, entry in enumerate(schema[key] if isinstance(schema[key], list) else ()):
+        unknown = [k for k in entry if k not in fields] if isinstance(entry, dict) else ()
+        if unknown:
+            raise BundleError(f"{key}[{i}] has unknown key '{unknown[0]}'", path)
     try:
         rows = [tuple(entry[f] for f in fields) for entry in schema[key]]
     except (KeyError, TypeError):
@@ -138,7 +144,11 @@ def load_bundle(path: str) -> HetGraph:
     schema = read_json(schema_path)
     if not isinstance(schema, dict):
         raise BundleError("schema must be a JSON object", schema_path)
-    for key in ("node_types", "relations", "target_type", "metapaths"):
+    keys = ("node_types", "relations", "target_type", "metapaths")
+    unknown = [key for key in schema if key not in keys]
+    if unknown:
+        raise BundleError(f"schema has unknown key '{unknown[0]}'", schema_path)
+    for key in keys:
         if key not in schema:
             raise BundleError(f"schema missing key '{key}'", schema_path)
     if not _is_names(schema["node_types"]):

@@ -8,9 +8,10 @@ Every fault in an input file (missing, not UTF-8, bad JSON, a bad row, setting
 or checkpoint value, a bad synth spec) is a ValueError and exits 2 with
 "error: <file>: ..." or, where the fault has a line, "error: <file>:<line>: ...".
 A fault in a file's text is a bundle.BundleError, raised by mug.bundle's
-readers, by config.read_settings, or by cmd_synth for a spec; a setting outside
-its bound is a config.ConfigError. mug synth writes into a new or empty --out
-directory only, so no file of an earlier bundle is left beside its own.
+readers, by config.read_settings (a value outside its bound too), or by
+cmd_synth for a spec; a flag outside its bound is a config.ConfigError. mug
+synth writes into a new or empty --out directory only, so no file of an
+earlier bundle is left beside its own.
 
 A pretrain or eval flag that sets a setting has the setting's flat config key
 as its dest, so the flags and the config file name the same settings; every

@@ -14,8 +14,9 @@ an interval such as "[1, inf)", "(0, inf)", "[0, 1]" or "[0, 2**64)". check
 takes settings by flat key and raises ConfigError naming the first key
 outside its bound. A round bracket excludes its end, so a float bounded by
 "[0, inf)" must be finite; every comparison is negated, so NaN fails it.
-Settings are checked where they enter: in the CLI right after resolve, in
-fusion.pretrain, and when a checkpoint's [meta] is read.
+Settings are checked where they enter: each line of a config file or of a
+checkpoint's [meta] as it is read, so a fault names its file:line; the
+resolved settings in the CLI, which adds the flags; and in fusion.pretrain.
 
 Precedence is defaults < config file < command-line flags; every run writes a
 resolved echo file that can replay it.
@@ -121,7 +122,8 @@ def read_settings(lines: Iterable[str], where: str, known: Dict[str, object],
     """Settings from "key = value" lines (lines[0] is line first_line of where).
 
     known maps each allowed key to its default; "#" starts a comment. An unknown
-    or repeated key, or a bad value, raises BundleError naming where and the line.
+    or repeated key, a bad value or one outside its bound raises BundleError
+    naming where and the line.
     """
     out: Dict[str, object] = {}
     for lineno, raw in enumerate(lines, start=first_line):
@@ -139,6 +141,10 @@ def read_settings(lines: Iterable[str], where: str, known: Dict[str, object],
             out[key] = parse_value(value, known[key])
         except ValueError:
             raise BundleError(f"bad value for '{key}': '{value}'", where, lineno) from None
+        try:
+            check({key: out[key]})
+        except ConfigError as exc:
+            raise BundleError(str(exc), where, lineno) from None
     return out
 
 

@@ -26,9 +26,9 @@ Checkpoint format (UTF-8 text):
                            (bundle.format_floats)
 
 load_checkpoint reads [meta] first with config.read_settings, the reader of
-config files, so a bad line raises that reader's bundle.BundleError naming the
-file and the line. It then requires every TrainConfig setting to be there and
-checks them all with config.check. It requires the matrix headers to equal
+config files, so a bad line or a value outside its bound raises that reader's
+bundle.BundleError naming the file and the line. It then requires every
+TrainConfig setting to be there. It requires the matrix headers to equal
 param_shapes of that config, and reads each matrix with bundle.read_floats,
 which reports a bad row at its path:line. Any other fault raises
 CheckpointError naming the file; other versions are refused (v5 also had
@@ -376,16 +376,13 @@ class CheckpointError(ValueError):
 
 
 def _read_meta(path: str, lines: List[str]) -> TrainConfig:
-    """Invert save_checkpoint's [meta], from line 3: every TrainConfig setting once, checked."""
+    """Invert save_checkpoint's [meta], from line 3: every TrainConfig setting once, each
+    checked against its bound as it is read."""
     defaults = config.by_key(TrainConfig())
     values = config.read_settings(lines, path, defaults, 3)
     missing = [key for key in defaults if key not in values]
     if missing:
         raise CheckpointError(f"{path}: [meta] has no '{missing[0]}'")
-    try:
-        config.check(values)
-    except config.ConfigError as exc:
-        raise CheckpointError(f"{path}: [meta] {exc}") from None
     return config.filled(TrainConfig(), values)
 
 

@@ -168,17 +168,32 @@ class EdgeList:
     @staticmethod
     def from_pairs(n: int, rows: np.ndarray, cols: np.ndarray) -> "EdgeList":
         """The n x n view of the given (row, col) pairs, deduplicated, in row-major order."""
-        key = np.int32 if n * n <= 2**31 else np.int64   # int32 keys sort twice as fast
+        key = _key_type(n)
         keys = _sorted_unique(np.asarray(rows, dtype=key) * key(n) + np.asarray(cols, dtype=key))
         rows, cols = np.divmod(keys, key(n))
         symmetric = np.array_equal(np.sort(cols * key(n) + rows), keys)
         # int32 halves what pre-training holds for the whole run; a view has < 2**31 rows
         return EdgeList((n, n), rows.astype(np.int32), cols.astype(np.int32), symmetric)
 
+    def transposed(self) -> "EdgeList":
+        """The view's transpose, in row-major order: its entries are unique already, so
+        one sort of their transposed keys lists them."""
+        n = self.shape[0]
+        key = _key_type(n)
+        keys = np.sort(self.cols.astype(key) * key(n) + self.rows)
+        rows, cols = np.divmod(keys, key(n))
+        return EdgeList(self.shape, rows.astype(np.int32, copy=False),
+                        cols.astype(np.int32, copy=False), self.symmetric)
+
     def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """(rows, cols) with each symmetric pair once, as its row < col entry."""
         listed = self.rows < self.cols if self.symmetric else slice(None)
         return self.rows[listed], self.cols[listed]
+
+
+def _key_type(n: int):
+    """The type of an n x n view's row * n + col keys: int32 ones sort twice as fast."""
+    return np.int32 if n * n <= 2**31 else np.int64
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:

@@ -130,7 +130,7 @@ def recon_loss(view: EdgeList, z_hat: np.ndarray, gamma: float = 2.0,
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ValueError("view has no non-empty rows")   # fusion refuses an edgeless view first
-    t_view = view if view.symmetric else EdgeList.from_pairs(n, view.cols, view.rows)
+    t_view = view if view.symmetric else view.transposed()
     starts = np.array([*range(0, n, RECON_BLOCK), n], dtype=view.rows.dtype)
     # each block's entries; a needle of the rows' dtype spares a cast of the whole list
     bounds = np.searchsorted(view.rows, starts)

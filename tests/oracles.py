@@ -291,23 +291,16 @@ def edge_list(adj):
 # -- per-repeat linear probe ----------------------------------------------------------
 
 
-def linear_probe(z, labels, splits):
-    """Per-repeat reference for evalkit.linear_probe: one split, one probe."""
-    from mug.evalkit import PROBE_L2, PROBE_LR, PROBE_LR_END, PROBE_STEPS, f1_scores
+def probe_steps(z, labels, splits):
+    """The per-repeat reference probe's (w, b) after each step, updated in place."""
+    from mug.evalkit import PROBE_L2, PROBE_LR, PROBE_LR_END, PROBE_STEPS
 
     y = np.asarray(labels)
-    if np.count_nonzero(np.bincount(y[splits.train])) < 2:
-        raise ValueError("probe needs at least two classes in the train split")
     n_classes = int(y.max()) + 1
     x_train = z[splits.train]
-    y_train = y[splits.train]
-    onehot = np.eye(n_classes)[y_train]
-    x_val, y_val = z[splits.val], y[splits.val]
-
-    d = z.shape[1]
-    w = np.zeros((d, n_classes))
+    onehot = np.eye(n_classes)[y[splits.train]]
+    w = np.zeros((z.shape[1], n_classes))
     b = np.zeros((1, n_classes))
-    best = (-1.0, w.copy(), b.copy())
     n = len(x_train)
     for t in range(PROBE_STEPS):
         logits = x_train @ w + b
@@ -319,6 +312,22 @@ def linear_probe(z, labels, splits):
         lr = PROBE_LR + (PROBE_LR_END - PROBE_LR) * (t / PROBE_STEPS)
         w -= lr * gw
         b -= lr * gb
+        yield w, b
+
+
+def linear_probe(z, labels, splits):
+    """Per-repeat reference for evalkit.linear_probe: one split, one probe."""
+    from mug.evalkit import f1_scores
+
+    y = np.asarray(labels)
+    if np.count_nonzero(np.bincount(y[splits.train])) < 2:
+        raise ValueError("probe needs at least two classes in the train split")
+    n_classes = int(y.max()) + 1
+    x_val, y_val = z[splits.val], y[splits.val]
+
+    d = z.shape[1]
+    best = (-1.0, np.zeros((d, n_classes)), np.zeros((1, n_classes)))
+    for w, b in probe_steps(z, labels, splits):
         if len(x_val):
             val_pred = np.argmax(x_val @ w + b, axis=1)
             macro, _ = f1_scores(val_pred, y_val, n_classes)

@@ -636,6 +636,7 @@ def test_bad_split_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
     data = str(tmp_path / "bundle")
     argv = ["eval", "--model", str(tmp_path / "model.ckpt"), "--train-data", data,
             "--eval-data", data]
+    where = ""                   # a flag's fault names no file; a config line's names it
     if setting.startswith("--"):
         argv += setting.split()
     else:
@@ -643,8 +644,9 @@ def test_bad_split_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
         with open(config, "w") as fh:
             fh.write(setting + "\n")
         argv += ["--config", config]
+        where = f"{config}:1: "
     assert main(argv) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {key} must be >= 1, got {value}\n"
+    assert capsys.readouterr().err == f"error: {where}{key} must be >= 1, got {value}\n"
 
 
 @pytest.mark.parametrize("setting, message", [
@@ -671,6 +673,7 @@ def test_bad_train_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
     from mug import bundle
     monkeypatch.setattr(bundle, "load_bundle", _no_work)
     argv = ["pretrain", "--data", str(tmp_path / "bundle"), "--out", str(tmp_path / "m.ckpt")]
+    where = ""                   # a flag's fault names no file; a config line's names it
     if setting.startswith("--"):
         argv += setting.split()
     else:
@@ -678,17 +681,18 @@ def test_bad_train_setting_fails_before_the_work(tmp_path, monkeypatch, capsys,
         with open(config, "w") as fh:
             fh.write(setting + "\n")
         argv += ["--config", config]
+        where = f"{config}:1: "
     assert main(argv) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
 
 
 @pytest.mark.parametrize("command", ["pretrain", "eval"])
 @pytest.mark.parametrize("text, message", [
-    ("gamma = nan\nwindow = 0\n", "gamma must be >= 1, got nan"),
-    ("window = 0\n", "window must be >= 1, got 0"),
+    ("gamma = nan\nwindow = 0\n", "{config}:1: gamma must be >= 1, got nan"),
+    ("window = 0\n", "{config}:1: window must be >= 1, got 0"),
     # neg_distribution was the one text setting; it is removed like kshot_repeats
     ("neg_distribution = uniform\n", "{config}:1: unknown key 'neg_distribution'"),
-    ("test_size = 0\n", "test_size must be >= 1, got 0"),
+    ("test_size = 0\n", "{config}:1: test_size must be >= 1, got 0"),
     ("kshot_repeats = 0\n", "{config}:1: unknown key 'kshot_repeats'"),   # a removed key
 ], ids=["train-keys", "walk-key", "text-key", "split-key", "kshot-key"])
 def test_every_command_that_reads_a_config_checks_all_of_it(tmp_path, monkeypatch, capsys,
@@ -722,7 +726,8 @@ def test_every_float_setting_refuses_nan_and_inf(tmp_path, monkeypatch, capsys, 
     assert main(["pretrain", "--data", str(tmp_path / "bundle"), "--config", config,
                  "--out", str(tmp_path / "m.ckpt")]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must be ") and err.endswith(f", got {value}\n"), err
+    assert err.startswith(f"error: {config}:1: {key} must be "), err
+    assert err.endswith(f", got {value}\n"), err
 
 
 def test_eval_bundles_sharing_a_name_fail_before_the_work(tmp_path, monkeypatch, capsys):
@@ -930,7 +935,7 @@ def _at_first_row(name, text):
      ": [params] expected matrix header 'dim.weight 15 16' (shape from [meta]), "
      "found 'dim.weight 16 16'"),
     (lambda lines: _edit_line(lines, "meta", "gamma", "gamma = 0.5"),
-     ": [meta] gamma must be >= 1, got 0.5"),
+     ":5: gamma must be >= 1, got 0.5"),
     (lambda lines: _edit_line(lines, "meta", "seed", "seed 0"),
      ":14: expected key=value"),
     (lambda lines: _edit_line(lines, "params", "enc.bias", "enc.gain 1 16"),
@@ -1214,6 +1219,20 @@ def test_a_schema_name_declared_twice_exits_with_data_error(bundle, capsys, dama
         "metapath-off-target", "step-orientation"])
 def test_a_schema_fault_is_reported_against_schema_json_before_any_row(bundle, capsys,
                                                                        damage, message):
+    path = _damage_schema(bundle, damage)
+    assert main(["homophily", "--data", bundle]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda s: s.update(target_typ="paper"), "schema has unknown key 'target_typ'"),
+    (lambda s: s["relations"][0].update(dts="paper"), "relations[0] has unknown key 'dts'"),
+    (lambda s: s["relations"][1].update(dts=s["relations"][1].pop("dst")),
+     "relations[1] has unknown key 'dts'"),
+    (lambda s: s["metapaths"][1].update(weight=2), "metapaths[1] has unknown key 'weight'"),
+], ids=["top-level", "relation", "relation-misspelt", "meta-path"])
+def test_a_schema_key_it_does_not_define_exits_with_data_error(bundle, capsys, damage,
+                                                               message):
     path = _damage_schema(bundle, damage)
     assert main(["homophily", "--data", bundle]) == EXIT_DATA
     assert capsys.readouterr().err == f"error: {path}: {message}\n"

@@ -116,6 +116,15 @@ def test_node_sample_replacement_rule():
     assert len(big) == 16 and len(set(big.tolist())) == 16  # without replacement
 
 
+def test_node_sample_of_exactly_sample_size_targets_is_a_permutation():
+    # the edge of the replacement rule: sample_size targets are each drawn once, and
+    # one target fewer forces a repeat
+    exact = dimalign.draw_node_sample(16, 16, RngStream(3, SAMPLE))
+    assert sorted(exact.tolist()) == list(range(16))
+    fewer = dimalign.draw_node_sample(15, 16, RngStream(3, SAMPLE))
+    assert len(fewer) == 16 and fewer.max() < 15
+
+
 def test_transfer_shape_law_same_encoder_two_widths():
     weight, bias = dimalign.glorot(RngStream(0, INIT, 0), 8, 5), np.zeros((1, 5))
     rng = np.random.default_rng(4)

@@ -186,12 +186,12 @@ def test_probe_never_mutates_embedding():
 # -- the stacked probe against the per-repeat oracle ----------------------------------
 
 
-def noisy_embedding(counts, d=8, seed=0):
+def noisy_embedding(counts, d=8, seed=0, shift=1.5):
     # class means on the first dimensions, under noise that makes some rows hard
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(len(counts)), counts)
     z = rng.normal(size=(len(labels), d))
-    z[np.arange(len(labels)), labels] += 1.5
+    z[np.arange(len(labels)), labels] += shift
     return z, labels
 
 
@@ -313,6 +313,180 @@ def test_probe_scratch_is_the_gathered_rows_and_one_block_of_scores():
     assert peak <= rows + scores + slack, (
         f"{(peak - rows - scores) / (8 * repeats * n_val):.1f} (repeats, val rows) arrays "
         "beyond the gathered rows and one block of scores")
+
+
+# -- the margin certificate ---------------------------------------------------------
+
+
+def test_the_certificate_spares_most_val_scores_of_a_standard_eval(monkeypatch):
+    # 50 repeats x 960 val rows, d = 64, as in the scratch test above, but with each class
+    # shifted by 3 on its axis: val Macro-F1 is then ~0.96, as on a dense-views embedding,
+    # where 21.5% of the scores are computed. (At the shift of 1.5, Macro-F1 ~0.70, 58%.)
+    z, labels = noisy_embedding([700, 700, 700], d=64, seed=4, shift=3.0)
+    spec = SplitSpec(val_size=960, test_size=960)
+    splits = [make_splits(labels, spec, RngStream(0, SPLIT, r)) for r in range(spec.repeats)]
+    scored, argmax_cols = [], evalkit._argmax_cols
+
+    def counting(cols, out, top):
+        scored.append(cols[0].size)         # the (repeat, row) pairs scored at a step
+        argmax_cols(cols, out, top)
+
+    monkeypatch.setattr(evalkit, "_argmax_cols", counting)
+    linear_probe(z, labels, splits)
+    assert len(scored) == evalkit.PROBE_STEPS
+    assert sum(scored) <= 0.30 * spec.repeats * len(splits[0].val) * evalkit.PROBE_STEPS
+
+
+def oracle_val_counts(z, labels, splits):
+    """(steps, 3, R, C): every step's val tp, fp and fn of the per-repeat oracle."""
+    y = np.asarray(labels)
+    c = int(y.max()) + 1
+    per_repeat = []
+    for s in splits:
+        truth, steps = y[s.val], []
+        for w, b in oracles.probe_steps(z, labels, s):
+            pred = np.argmax(z[s.val] @ w + b, axis=1)
+            tp = np.bincount(truth[pred == truth], minlength=c)
+            steps.append([tp, np.bincount(pred, minlength=c) - tp,
+                          np.bincount(truth, minlength=c) - tp])
+        per_repeat.append(steps)
+    return np.array(per_repeat).transpose(1, 2, 0, 3)
+
+
+def assert_every_step_matches_oracle(monkeypatch, z, labels, splits):
+    """The stacked probe's val confusion counts at every step and its test predictions
+    equal the oracle's; returns the widths of the val blocks it scored."""
+    want = oracle_val_counts(z, labels, splits)
+    want_pred = [oracles.linear_probe(z, labels, s) for s in splits]
+    seen, widths = [], []
+    per_class_f1, argmax_cols = evalkit._per_class_f1, evalkit._argmax_cols
+
+    def recording(tp, fp, fn):
+        seen.append(np.stack([tp, fp, fn]))
+        return per_class_f1(tp, fp, fn)
+
+    def width(cols, out, top):
+        widths.append(cols.shape[-1])
+        argmax_cols(cols, out, top)
+
+    monkeypatch.setattr(evalkit, "_per_class_f1", recording)
+    monkeypatch.setattr(evalkit, "_argmax_cols", width)
+    got = linear_probe(z, labels, splits)
+    for t, (a, b) in enumerate(zip(seen, want)):
+        assert np.array_equal(a, b), t
+    assert len(seen) == len(want)
+    for r, pred in enumerate(want_pred):
+        assert np.array_equal(got[r], pred), r
+    return widths
+
+
+def with_val_rows(z, labels, splits, rows, row_labels):
+    """z and labels with rows appended; repeat r's val gains rows[r] (one list per repeat)."""
+    base = len(z)
+    z = np.concatenate([z, np.concatenate(rows)])
+    labels = np.concatenate([labels, np.concatenate(row_labels)])
+    starts = np.cumsum([base] + [len(r) for r in rows])
+    splits = [Splits(train=s.train, val=np.concatenate([s.val, np.arange(a, b)]), test=s.test)
+              for s, a, b in zip(splits, starts[:-1], starts[1:])]
+    return z, labels, splits
+
+
+def boundary_rows(z, labels, split, n, rng, spread):
+    """n rows on the boundary of classes 0 and 1 at the oracle probe's last step, spread
+    around the midpoint of their means; that step's (w, b) and the boundary's normal."""
+    for w, b in oracles.probe_steps(z, labels, split):
+        pass
+    v, c = w[:, 0] - w[:, 1], b[0, 0] - b[0, 1]
+    mid = (z[labels == 0].mean(axis=0) + z[labels == 1].mean(axis=0)) / 2
+    x = mid + rng.normal(scale=spread, size=(n, len(mid)))
+    return x - np.outer(x @ v + c, v) / (v @ v), w, b, v / (v @ v)
+
+
+@pytest.mark.parametrize("name", [n for n in ORACLE_CASES if n != "no_val"])
+def test_every_steps_val_counts_match_per_repeat_oracle(name, monkeypatch):
+    assert_every_step_matches_oracle(monkeypatch, *oracle_case(name))
+
+
+def test_rows_within_a_few_rounding_allowances_of_a_tie_match_the_oracle(monkeypatch):
+    # Weight decay 1 settles the probe to a fixed point by step ~350, so its drift falls
+    # below the rounding allowance. Each repeat's val rows gain 12 rows on the settled
+    # boundary of classes 0 and 1, whose crit is 1/4 to 4 times the allowance.
+    monkeypatch.setattr(evalkit, "PROBE_L2", 1.0)
+    z, labels = noisy_embedding([50, 50, 50])
+    spec = SplitSpec(per_class_train=10, val_size=24, test_size=30, repeats=3)
+    splits = [make_splits(labels, spec, RngStream(11, SPLIT, r)) for r in range(spec.repeats)]
+    d, rng = z.shape[1], np.random.default_rng(8)
+    ratios = np.array([0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 1.1, 2.2])
+    side = np.where(np.arange(len(ratios)) % 2, 1, -1)     # class 0 ahead, or class 1
+    rows = []
+    for s in splits:
+        x, w, b, normal = boundary_rows(z, labels, s, len(ratios), rng, 0.3)
+        allowance = 2 * evalkit._gamma(d + 1) * evalkit._max_norm(np.vstack([w, b]).T)
+        x += np.outer(side * ratios * allowance * 2 * np.sqrt((x * x).sum(axis=1) + 1), normal)
+        scores = x @ w + b
+        assert (scores[:, 2] < scores[:, :2].min(axis=1) - 1e-3).all()
+        rows.append(x)
+    z, labels, splits = with_val_rows(z, labels, splits, rows,
+                                      [np.arange(len(ratios)) % 2] * len(splits))
+    widths = assert_every_step_matches_oracle(monkeypatch, z, labels, splits)
+    assert min(widths) < len(splits[0].val)       # some blocks scored only a prefix
+
+
+def test_a_block_whose_weights_swing_back_is_judged_by_its_largest_drift(monkeypatch):
+    # Weight decay 1 and a rate of 1.9 make gradient descent overshoot: the weights swing
+    # to and fro, so a block's last step lies near the anchor while its other steps do
+    # not. Rows near the settled boundary flip at every swing.
+    monkeypatch.setattr(evalkit, "PROBE_L2", 1.0)
+    monkeypatch.setattr(evalkit, "PROBE_LR", 1.9)
+    monkeypatch.setattr(evalkit, "PROBE_LR_END", 1.9)
+    z, labels = noisy_embedding([40, 40], d=2, seed=5)
+    z *= 0.3
+    spec = SplitSpec(per_class_train=10, val_size=20, test_size=20, repeats=3)
+    splits = [make_splits(labels, spec, RngStream(3, SPLIT, r)) for r in range(spec.repeats)]
+    rng, rows = np.random.default_rng(0), []
+    for s in splits:
+        x, _, _, normal = boundary_rows(z, labels, s, 60, rng, 0.6)
+        rows.append(x + np.outer(rng.normal(scale=1e-3, size=len(x)), normal))
+    z, labels, splits = with_val_rows(z, labels, splits, rows,
+                                      [rng.integers(0, 2, 60) for _ in splits])
+    assert_every_step_matches_oracle(monkeypatch, z, labels, splits)
+
+
+def test_the_certificate_is_sound_and_within_a_factor_two_of_tight():
+    # One feature, two classes moving in opposite directions: at the anchor, class 0 leads
+    # on rows x > 100 by 2 (x - 100); the block's class-0 weight falls by up to 1e-3
+    # (0.4, 1 and 0.3 of it), which cuts that lead by up to 2e-3 x, the most a drift
+    # of 1e-3 can do to a row of norm ~x. The middle step flips the rows below
+    # 100 / (1 - 1e-3); a crit half as strict as the certificate's would keep them.
+    x = 100 + np.linspace(0.005, 0.3, 60)
+    # the anchor's rows [w_c; b_c], (R, C, 2), and the block's, (R, steps, C, 2)
+    anchor = np.array([[[1.0, -100.0], [-1.0, 100.0]]])
+    steps = anchor[:, None] + np.array([0.4, 1.0, 0.3])[:, None, None] * [[-1e-3, 0], [1e-3, 0]]
+
+    def scores(wb):    # (R, C, n), as the probe's block product and bias add give them
+        return wb[..., :1] @ x[None, None] + wb[..., 1:]
+
+    pred, top = np.empty((1, len(x)), dtype=np.intp), np.empty((1, len(x)))
+    evalkit._argmax_cols(scores(anchor).transpose(1, 0, 2), pred, top)
+    crit = evalkit._crit(scores(anchor), pred, top, 0.5 / np.sqrt(x * x + 1))[0]
+    slope, floor = evalkit._certificate(anchor)
+    limit = evalkit._limit(steps, anchor, slope, floor)[0]
+    flips = (np.argmax(scores(steps), axis=2) != pred[:, None]).any(axis=1)[0]
+    assert not (flips & (crit > limit)).any()
+    assert (flips & (crit > limit / 2)).any()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nan_and_inf_val_rows_match_the_oracle_at_every_step(monkeypatch):
+    z, labels = noisy_embedding([60, 60, 60], shift=3.0, seed=3)
+    spec = SplitSpec(per_class_train=10, val_size=40, test_size=30, repeats=4)
+    splits = [make_splits(labels, spec, RngStream(12, SPLIT, r)) for r in range(spec.repeats)]
+    bad = np.zeros((2, z.shape[1]))
+    bad[0], bad[1, 3] = np.nan, np.inf
+    z, labels, splits = with_val_rows(z, labels, splits, [bad] * len(splits),
+                                      [np.array([0, 1])] * len(splits))
+    widths = assert_every_step_matches_oracle(monkeypatch, z, labels, splits)
+    assert min(widths) < len(splits[0].val)
 
 
 def test_probe_with_eight_or_more_classes_matches_per_repeat_oracle():

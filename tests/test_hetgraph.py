@@ -13,6 +13,7 @@ import oracles
 from mug import bundle as bio
 from mug import synth
 from mug.hetgraph import (
+    EdgeList,
     HetGraph,
     MetaPath,
     Relation,
@@ -215,6 +216,18 @@ def test_all_views_densify_the_lists():
     for mp in g.metapaths:
         assert views[mp.name].dtype == bool
         assert np.array_equal(views[mp.name], oracles.metapath_adjacency(g, mp))
+
+
+@pytest.mark.parametrize("n, entries", [(40, 300), (700, 60_000), (50_000, 5_000)])
+def test_transposed_view_is_the_view_of_the_swapped_pairs(n, entries):
+    # 50,000 targets take int64 keys, the others int32 keys
+    rng = np.random.default_rng(n)
+    view = EdgeList.from_pairs(n, rng.integers(0, n, entries), rng.integers(0, n, entries))
+    assert not view.symmetric
+    got, want = view.transposed(), EdgeList.from_pairs(n, view.cols, view.rows)
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert got.cols.tobytes() == want.cols.tobytes()
+    assert (got.shape, got.symmetric) == (want.shape, want.symmetric)
 
 
 def test_metapath_must_be_target_to_target():
