@@ -194,7 +194,7 @@ def load_bundle(path: str) -> HetGraph:
                 raise BundleError(f"node id '{nid}' not in nodes.tsv", edges_path, lineno)
             if got[0] != want:
                 raise BundleError(
-                    f"node '{nid}' has type '{got[0]}', relation '{rname}' needs '{want}'",
+                    f"nodes.tsv gives '{nid}' type '{got[0]}', relation '{rname}' needs '{want}'",
                     edges_path, lineno,
                 )
         edge_lists[rname].append((lookup[src_id][1], lookup[dst_id][1]))
@@ -216,13 +216,13 @@ def load_bundle(path: str) -> HetGraph:
             nid = row[0]
             got = lookup.get(nid)
             if got is None or got[0] != t:
-                raise BundleError(f"node id '{nid}' is not a '{t}' node", fpath, lineno)
+                raise BundleError(f"nodes.tsv has no '{t}' node '{nid}'", fpath, lineno)
             if got[1] in rows:
                 raise BundleError(f"second feature row for node '{nid}'", fpath, lineno)
             rows[got[1]] = (lineno, row[1:])
         values = read_floats(list(rows.values()), fpath)
         if len(rows) != counts[t]:
-            raise BundleError(f"features cover {len(rows)} of {counts[t]} '{t}' nodes", fpath)
+            raise BundleError(f"{len(rows)} rows for nodes.tsv's {counts[t]} '{t}' nodes", fpath)
         attrs[t] = np.empty_like(values)
         attrs[t][list(rows)] = values
 
@@ -236,7 +236,7 @@ def load_bundle(path: str) -> HetGraph:
             nid, cls = row
             got = lookup.get(nid)
             if got is None or got[0] != target:
-                raise BundleError(f"node id '{nid}' is not a target node", lpath, lineno)
+                raise BundleError(f"nodes.tsv has no target node '{nid}'", lpath, lineno)
             if lab[got[1]] >= 0:
                 raise BundleError(f"second label row for node '{nid}'", lpath, lineno)
             try:
@@ -247,8 +247,8 @@ def load_bundle(path: str) -> HetGraph:
                 raise BundleError(f"class id {c} is outside [0, {len(lab)})", lpath, lineno)
             lab[got[1]] = c
         if (lab < 0).any():
-            raise BundleError(f"labels cover {(lab >= 0).sum()} of {len(lab)} target nodes",
-                              lpath)
+            raise BundleError(f"labels cover {(lab >= 0).sum()} of nodes.tsv's {len(lab)} "
+                              "target nodes", lpath)
         labels = lab
 
     return HetGraph(

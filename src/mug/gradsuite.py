@@ -6,8 +6,9 @@ autodiff.grad_check compares those gradients with central differences. The
 four loss checks run fusion.objective on symmetric views, each loss alone
 with the other two weights at zero and then all three together; one more
 runs all three on asymmetric views, whose operators are not their own
-transposes; the skip-gram check runs the SGNS kernel itself. The CLI runs
-this suite; the acceptance tests pin its tolerances.
+transposes; two more run all three on symmetric and asymmetric edge-list
+views; the skip-gram check runs the SGNS kernel itself. The CLI runs this
+suite; the acceptance tests pin its tolerances.
 """
 
 from __future__ import annotations
@@ -87,13 +88,13 @@ def _toy_view(n, pairs, on, symmetric):
 
 def _objective_check(name: str, n_views: int, lambda_align: float,
                      lambda_recon: float, lambda_scatter: float,
-                     symmetric: bool = True) -> Check:
+                     symmetric: bool = True, lists: bool = False) -> Check:
     """fusion.objective on a random toy graph, with the given loss weights.
 
     Symmetric views draw one coin per i < j pair; asymmetric ones one per
     i != j entry, so their operators differ from their transposes.
     """
-    n, d, k, ns = 6, 4, 3, 4
+    n, d, k, ns = 48 if lists else 6, 4, 3, 4
     cfg = config.TrainConfig(sample_size=ns, unified_dim=k, lambda_align=lambda_align,
                              lambda_recon=lambda_recon, lambda_scatter=lambda_scatter)
 
@@ -108,6 +109,8 @@ def _objective_check(name: str, n_views: int, lambda_align: float,
         for _ in range(n_views):   # a pair is an edge where its draw (either, if symmetric) < 0.45
             drawn = rng.random((n, n)) < 0.45
             ons.append((drawn | drawn.T if symmetric else drawn)[pairs])
+            if lists:   # 7 pairs and (0, 1), at most 16 entries: under 48² · LIST_SHARE
+                ons[-1] = np.isin(np.arange(len(ons[-1])), rng.choice(len(ons[-1]), 7, False))
             ons[-1][0] = True   # so no view is empty
         masked = [_toy_view(n, pairs, on & (rng.random((n, n)) >= 0.5)[pairs], symmetric)
                   for on in ons]
@@ -130,7 +133,9 @@ def default_checks() -> List[Check]:
             _objective_check("view_recon_loss", 1, 0.0, 1.0, 0.0),
             _objective_check("scatter_loss", 2, 0.0, 0.0, 1.0),
             _objective_check("total_objective", 2, 1.0, 1.0, 0.1),
-            _objective_check("asymmetric_views", 3, 1.0, 1.0, 0.1, symmetric=False)]
+            _objective_check("asymmetric_views", 3, 1.0, 1.0, 0.1, symmetric=False),
+            _objective_check("list_views", 2, 1.0, 1.0, 0.1, lists=True),
+            _objective_check("asymmetric_list_views", 3, 1.0, 1.0, 0.1, False, lists=True)]
 
 
 def run_suite(checks: Sequence[Check] = (), instances: int = 20,

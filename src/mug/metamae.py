@@ -8,10 +8,11 @@ view in every epoch. The decoded embeddings Ẑ are scored by σ(ẐẐᵀ), com
 row-wise against the full unmasked adjacency with a scaled cosine loss.
 
 Cost model: a view is an EdgeList built once per graph by hetgraph. Masking
-keeps a shorter list, one uniform per listed pair. The normalized operator is
-a dense N x N float64 matrix, scattered from that list (a fill and a put)
-into one buffer per graph each time a view needs it, so pre-training's peak
-memory is O(N²) whatever the view count.
+keeps a shorter list, one uniform per listed pair. view_operator makes a list
+of fewer than N² · LIST_SHARE entries an EdgeOperator (24 bytes per entry,
+O(entries · k) per product with an N x k matrix) and scatters any other into
+one dense N x N buffer per graph, made when a view first needs it. So peak
+memory is O(N²), or O(N · (k + RECON_BLOCK) + entries) when all views are lists.
 recon_loss sweeps only the upper strips S[lo:hi, lo:] of the symmetric
 S = σ(ẐẐᵀ), bᵢ = RECON_BLOCK rows each (the last may be shorter), twice:
 once for the loss and once for the gradient. For Ẑ of width k a call
@@ -24,7 +25,8 @@ view, its transposed list of 8 bytes per entry.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +35,8 @@ from .rng import RngStream
 
 RECON_BLOCK = 128   # rows of each strip of σ(ẐẐᵀ) that recon_loss holds at once
 LEAKY_SLOPE = 0.25  # the encoder's negative slope
+LIST_SHARE = 1 / 128   # measured: below it a list beats a dense build + 4 products, N ≤ 3,000
+LIST_COLS = 16      # the columns of x one np.bincount of an EdgeOperator product sums
 
 
 def mask_edges(edges: EdgeList, rate: float, rng: RngStream) -> EdgeList:
@@ -70,12 +74,52 @@ def normalized_operator(edges: EdgeList, out: Optional[np.ndarray] = None) -> np
     return op
 
 
-def graph_conv(adj_op: np.ndarray, xw: np.ndarray, bias: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class EdgeOperator:
+    """normalized_operator's matrix as its list: entry e at (rows[e], cols[e]) weighs vals[e],
+    plus the diagonal diag. op @ x sums each row's entries in list order; op.T swaps both."""
+
+    rows: np.ndarray   # intp, so that np.bincount and np.take cast nothing
+    cols: np.ndarray
+    vals: np.ndarray
+    diag: np.ndarray
+
+    @property
+    def T(self) -> EdgeOperator:
+        return EdgeOperator(self.cols, self.rows, self.vals, self.diag)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n, k = x.shape
+        out = np.multiply(x, self.diag[:, None], order="C")
+        bins = None
+        for lo in range(0, k, LIST_COLS):
+            part = np.take(x[:, lo:lo + LIST_COLS], self.cols, axis=0)
+            part *= self.vals[:, None]
+            w = part.shape[1]
+            if bins is None or bins.shape[1] != w:   # bin row·w + j sums column lo + j of row
+                bins = self.rows[:, None] * w + np.arange(w)
+            out[:, lo:lo + w] += np.bincount(bins.ravel(), part.ravel(), n * w).reshape(n, w)
+        return out
+
+
+def view_operator(edges: EdgeList, buffer: Callable[[], np.ndarray]) -> np.ndarray | EdgeOperator:
+    """The view's normalized operator: an EdgeOperator if it lists fewer than
+    N² · LIST_SHARE entries, else normalized_operator written into buffer()."""
+    n = edges.shape[0]
+    if len(edges.rows) >= n * n * LIST_SHARE:
+        return normalized_operator(edges, out=buffer())
+    dinv = 1.0 / np.sqrt(np.bincount(edges.rows, minlength=n) + 1.0)
+    rows, cols = edges.rows.astype(np.intp), edges.cols.astype(np.intp)
+    return EdgeOperator(rows, cols, dinv[rows] * dinv[cols], dinv * dinv)
+
+
+def graph_conv(adj_op: np.ndarray | EdgeOperator, xw: np.ndarray,
+               bias: np.ndarray) -> np.ndarray:
     """adj_op @ xw + b, where xw is the layer input already multiplied by its weight."""
     return adj_op @ xw + bias
 
 
-def encode(adj_op: np.ndarray, xw: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def encode(adj_op: np.ndarray | EdgeOperator, xw: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """The shared encoder: leaky_relu (slope LEAKY_SLOPE) over one graph convolution."""
     h = graph_conv(adj_op, xw, bias)
     return np.where(h > 0, h, LEAKY_SLOPE * h)

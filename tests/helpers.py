@@ -9,6 +9,7 @@ from hypothesis import Phase
 from hypothesis import strategies as st
 
 from mug.hetgraph import EdgeList, HetGraph, MetaPath
+from mug.synth import two_view_spec
 
 # finite floats, with -0.0, subnormals and the extremes drawn often
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -73,3 +74,16 @@ def three_view_spec(attr_dim: int = 19, centroid_scale: float = 0.0,
             {"name": "MWM", "steps": ["movie", "mw", "writer", "mw", "movie"]},
         ],
     }
+
+
+def sparse_two_view_spec(targets_per_class: int, degree: float, **kw) -> Dict:
+    """two_view_spec with three authors and three subjects per target, each target
+    linked to `degree` of each on average: few enough shared neighbours that every
+    view lists well under N² · metamae.LIST_SHARE entries (about N²/200 at degree
+    1 with 75 targets, 2 with 300, 3 with 2,001)."""
+    spec = two_view_spec(targets_per_class=targets_per_class, **kw)
+    n = spec["classes"] * targets_per_class
+    spec["aux_types"] = [{"name": "author", "size": 3 * n}, {"name": "subject", "size": 3 * n}]
+    for rel in spec["relations"]:
+        rel["degree"] = degree
+    return spec

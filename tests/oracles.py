@@ -231,6 +231,34 @@ def dense_normalized_operator(adj):
     return op
 
 
+def edge_operator_product(edges, x, transpose=False):
+    """Row-loop reference for metamae.view_operator's list form: op @ x, or op.T @ x.
+
+    With dᵢ = 1 + row i's listed entries, row i of the product is x[i]/dᵢ plus
+    the sum, from 0.0 and in list order, of dᵢ^-½ dⱼ^-½ x[j] over its entries
+    (i, j): the order of np.bincount, so the kernel must match it byte for byte.
+    The transpose swaps each entry's row and column, and keeps its value.
+    """
+    n, k = x.shape
+    rows, cols = edges.rows.tolist(), edges.cols.tolist()
+    deg = [1.0] * n
+    for r in rows:
+        deg[r] += 1.0
+    dinv = [1.0 / math.sqrt(d) for d in deg]
+    vals = [dinv[r] * dinv[c] for r, c in zip(rows, cols)]
+    if transpose:
+        rows, cols = cols, rows
+    out = np.empty((n, k))
+    for i in range(n):
+        mine = [e for e, r in enumerate(rows) if r == i]
+        for j in range(k):
+            acc = 0.0
+            for e in mine:
+                acc += vals[e] * float(x[cols[e], j])
+            out[i, j] = float(x[i, j]) * (dinv[i] * dinv[i]) + acc
+    return out
+
+
 def dense_edges(edges):
     """The bool adjacency an EdgeList stands for."""
     out = np.zeros(edges.shape, dtype=bool)

@@ -14,11 +14,11 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import three_view_spec, view_of
+from helpers import sparse_two_view_spec, three_view_spec, view_of
 from oracles import enumerate_pairs
 
-from mug import fusion, gradsuite, synth
-from mug.bundle import save_bundle
+from mug import fusion, gradsuite, metamae, synth
+from mug.bundle import load_bundle, save_bundle
 from mug.cli import main as cli_main
 from mug.config import TrainConfig
 from mug.evalkit import SplitSpec, evaluate_embedding, f1_scores, make_splits
@@ -96,9 +96,10 @@ def test_criterion_1_gradient_suite():
     names = {r.name for r in results}
     ok = (len(results) >= 5 and all(r.passed for r in results) and elapsed < 60
           and {"struct_sgns_pair_loss", "dim_align_loss", "view_recon_loss",
-               "scatter_loss", "total_objective", "asymmetric_views"} <= names)
-    report(1, ok, f"4 loss gradients, the total on asymmetric views and 1 SGNS kernel "
-                  f"step vs finite differences: "
+               "scatter_loss", "total_objective", "asymmetric_views", "list_views",
+               "asymmetric_list_views"} <= names)
+    report(1, ok, f"4 loss gradients, the total on asymmetric views and on symmetric and "
+                  f"asymmetric edge-list views, and 1 SGNS kernel step vs finite differences: "
                   f"worst rel err {worst:.2e} <= 1e-4 over 20 instances each, "
                   f"{elapsed:.1f}s < 60s")
 
@@ -219,8 +220,8 @@ def test_criterion_8_few_shot_protocol(graph_b, z_b_full):
                   f"{means[5]:.3f} > 1-shot {means[1]:.3f} over 20 repeats")
 
 
-def test_criterion_9_cli_determinism(tmp_path):
-    spec = synth.two_view_spec(attr_dim=5, centroid_scale=1.0, targets_per_class=25)
+def _two_cli_runs(tmp_path, spec):
+    """Bytes of the checkpoint and embedding of each of two pretrain + embed runs."""
     bundle_dir = str(tmp_path / "bundle")
     save_bundle(synth.generate(synth.SynthSpec.from_dict(spec), RngStream(9)),
                 bundle_dir)
@@ -240,10 +241,25 @@ def test_criterion_9_cli_determinism(tmp_path):
         with open(ckpt, "rb") as f1, open(emb, "rb") as f2:
             return f1.read(), f2.read()
 
-    ckpt1, emb1 = one_run("r1")
-    ckpt2, emb2 = one_run("r2")
+    return bundle_dir, one_run("r1"), one_run("r2")
+
+
+def test_criterion_9_cli_determinism(tmp_path):
+    spec = synth.two_view_spec(attr_dim=5, centroid_scale=1.0, targets_per_class=25)
+    _, (ckpt1, emb1), (ckpt2, emb2) = _two_cli_runs(tmp_path, spec)
     ok = ckpt1 == ckpt2 and emb1 == emb2
     report(9, ok, "mug pretrain + mug embed, fixed seed, two runs: "
+                  "byte-identical checkpoint and embedding files")
+
+
+def test_criterion_9_cli_determinism_on_edge_list_views(tmp_path):
+    spec = sparse_two_view_spec(25, 1.0, attr_dim=5, centroid_scale=1.0)
+    bundle_dir, (ckpt1, emb1), (ckpt2, emb2) = _two_cli_runs(tmp_path, spec)
+    views = fusion._prepare_graph(load_bundle(bundle_dir), TrainConfig(no_cse=True)).views
+    n = views[0].shape[0]
+    lists = all(len(view.rows) < n * n * metamae.LIST_SHARE for view in views)
+    ok = lists and ckpt1 == ckpt2 and emb1 == emb2
+    report(9, ok, f"the same on {n} targets whose views all take the edge-list path: "
                   "byte-identical checkpoint and embedding files")
 
 

@@ -1,6 +1,8 @@
 """Command-line surface: outputs, determinism, exit codes, config precedence."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import mug
 from mug import config as cfgmod
-from mug import gradsuite, kernels, synth
+from mug import gradsuite, kernels, metamae, synth
 from mug.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -811,6 +813,23 @@ def test_gradcheck_prints_a_pass_line_for_each_default_check(capsys):
     assert summary == f"{len(lines)}/{len(lines)} gradient checks passed"
 
 
+def test_list_view_checks_run_the_edge_list_operator(monkeypatch):
+    kinds = []
+    view_operator = metamae.view_operator
+
+    def recording(edges, buffer):
+        op = view_operator(edges, buffer)
+        kinds.append(type(op))
+        return op
+
+    monkeypatch.setattr(metamae, "view_operator", recording)
+    for check in gradsuite.default_checks():
+        if check.name.endswith("list_views"):
+            rng = np.random.default_rng(0)
+            check.function_for(rng)(check.make_params(rng))
+    assert kinds == [metamae.EdgeOperator] * (2 + 3)   # one build per view, kept for backward
+
+
 @pytest.mark.parametrize("instances", ["0", "-3"])
 def test_gradcheck_refuses_fewer_than_one_instance(capsys, instances):
     assert main(["gradcheck", "--instances", instances]) == EXIT_DATA
@@ -1374,3 +1393,94 @@ def test_unwritable_output_fails_before_the_work(tmp_path, monkeypatch, capsys, 
     assert main(argv) == EXIT_DATA
     reason = "parent directory does not exist" if what == "no parent" else "is a directory"
     assert capsys.readouterr().err == f"error: {blocked}: {reason}\n"
+
+
+# -- single-edit fuzz of every input file ------------------------------------------
+
+FUZZ_BUNDLE = ("schema.json", "nodes.tsv", "edges.tsv", "features.paper.tsv", "labels.tsv")
+# bounded values only, so that no edit of a setting makes a run long or large
+FUZZ_TOKENS = st.one_of(
+    st.integers(-3, 64).map(str),
+    st.sampled_from(["", "nan", "inf", "-inf", "-0", "0.5", "1e-300", "1e400", "True",
+                     "False", "paper", "author", "subject", "pa", "ps", "paper0", "author5",
+                     "PAP", "\t", "\r", " ", "=", "\ufeff", "[meta]", "[params]"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6))
+FUZZ_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["delete", "duplicate", "cut"]), st.integers(0, 10**6)),
+    st.tuples(st.just("token"), st.integers(0, 10**6), st.integers(0, 10**6), FUZZ_TOKENS),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.integers(0, 255)))
+
+
+def _edited(data, edit):
+    """data with one edit: a line deleted or duplicated, a token put in a field
+    (the text between separators), the file cut short, or a byte inserted."""
+    kind, at, *rest = edit
+    if kind == "cut":
+        return data[:at % len(data)]
+    if kind == "insert":
+        at %= len(data) + 1
+        return data[:at] + bytes([rest[0]]) + data[at:]
+    lines = data.decode("utf-8").split("\n")
+    i = at % len(lines)
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        fields = re.split(r"([\t =,:\"\[\]{}])", lines[i])   # separators at odd indices
+        fields[2 * (rest[0] % ((len(fields) + 1) // 2))] = rest[1]
+        lines[i] = "".join(fields)
+    return "\n".join(lines).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tiny_run, tmp_path_factory):
+    """tiny_run's bundle, a config with a small walk (so an edit that turns the struct
+    encoder on stays fast), and a checkpoint trained with it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = str(root / "run.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("epochs = 1\nsample_size = 4\nunified_dim = 3\nno_cse = True\n"
+                 "struct_dim = 4\nstruct_epochs = 1\nwalks_per_node = 1\nwalk_length = 4\n"
+                 "window = 2\n")
+    ckpt = str(root / "model.ckpt")
+    assert main(["pretrain", "--data", tiny_run[0], "--config", cfg,
+                 "--out", ckpt]) == EXIT_OK
+    return tiny_run[0], cfg, ckpt
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(FUZZ_BUNDLE + ("checkpoint", "config")),
+       command=st.sampled_from(["homophily", "pretrain", "embed"]), edit=FUZZ_EDITS)
+def test_one_edit_of_any_input_file_exits_0_or_2_naming_the_file(fuzz_run, target, command,
+                                                                 edit):
+    data, cfg, ckpt = fuzz_run
+    with tempfile.TemporaryDirectory() as tmp:
+        if target in FUZZ_BUNDLE:
+            data = shutil.copytree(data, os.path.join(tmp, "b"))
+            source = path = os.path.join(data, target)
+        elif target == "config":
+            source, cfg = cfg, os.path.join(tmp, "run.cfg")
+            path, command = cfg, "pretrain"
+        else:
+            source, ckpt = ckpt, os.path.join(tmp, "model.ckpt")
+            path, command = ckpt, "embed"
+        with open(source, "rb") as fh:
+            edited = _edited(fh.read(), edit)
+        with open(path, "wb") as fh:
+            fh.write(edited)
+        args = {"homophily": ["homophily", "--data", data],
+                "pretrain": ["pretrain", "--data", data, "--config", cfg, "--epochs", "1",
+                             "--no-cse", "--out", os.path.join(tmp, "m.ckpt")],
+                "embed": ["embed", "--model", ckpt, "--data", data,
+                          "--out", os.path.join(tmp, "z.tsv")]}[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code in (EXIT_OK, EXIT_DATA), err.getvalue()
+    if code == EXIT_DATA:   # a reference from another file to a row the edit removed is
+        # reported at the reference, naming the edited file there; pretrain refuses a view
+        # the edit left edgeless by its meta-path's name alone
+        error = next(line for line in err.getvalue().splitlines() if line.startswith("error: "))
+        assert (error.startswith(f"error: {path}") or f" {os.path.basename(path)}" in error
+                or error.endswith("pre-training needs an edge in every view")), (error, edited)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import FINITE_FLOATS, NO_SHRINK, three_view_spec, view_of
+from helpers import FINITE_FLOATS, NO_SHRINK, sparse_two_view_spec, three_view_spec, view_of
 
 from mug import autodiff as ad
 from mug import dimalign, fusion, metamae, synth
@@ -537,6 +537,98 @@ def test_one_epoch_peak_memory_is_at_most_four_n_by_n_arrays():
     assert peak <= 4 * (8 * n * n), f"peak {peak / (8 * n * n):.1f} N x N float64 arrays"
 
 
+def _sparse_objective_inputs(targets_per_class, degree):
+    """A two-view state whose views all take the list path, its first epoch's masks,
+    and initial parameters."""
+    g = synth.generate(synth.SynthSpec.from_dict(sparse_two_view_spec(
+        targets_per_class, degree, centroid_scale=1.0)), RngStream(0))
+    cfg = TrainConfig(no_cse=True, seed=0)
+    state = fusion._prepare_graph(g, cfg)
+    n = len(state.unified)
+    assert all(len(view.rows) < n * n * metamae.LIST_SHARE for view in state.views)
+    masked = [metamae.mask_edges(view, cfg.edge_mask_rate, RngStream(0, MASK, 0, i))
+              for i, view in enumerate(state.views)]
+    return state, masked, fusion._init_params(cfg, 0), cfg
+
+
+def test_objective_on_list_views_holds_memory_linear_in_n():
+    # the live set is O(N·k + N·RECON_BLOCK): at 2,001 nodes about half of the
+    # 8·N² bytes one dense operator would take, and twice what 999 nodes hold
+    peaks = []
+    for targets_per_class in (333, 667):
+        state, masked, params, cfg = _sparse_objective_inputs(targets_per_class, 3.0)
+        tracemalloc.start()
+        try:
+            fusion.objective(params, state, masked, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert state.op is None   # no view asked for the dense buffer
+    n = len(state.unified)
+    assert n == 2001
+    assert peaks[1] < 8 * n * n * 0.6, f"peak {peaks[1] / (8 * n * n):.2f} N x N arrays"
+    assert peaks[1] < 2.2 * peaks[0], f"{peaks[1] / peaks[0]:.2f} times the peak at 999 nodes"
+
+
+def _assert_close(got, want, name):
+    scale = np.abs(want).max()
+    assert np.abs(np.asarray(got) - want).max() <= 1e-12 * scale, name
+
+
+def test_list_views_give_the_dense_path_objective_and_embedding_to_rounding(monkeypatch):
+    state, masked, params, cfg = _sparse_objective_inputs(100, 2.0)
+    g = synth.generate(synth.SynthSpec.from_dict(sparse_two_view_spec(
+        100, 2.0, centroid_scale=1.0)), RngStream(0))
+    model = fusion.MugModel(params, cfg)
+    got = fusion.objective(params, state, masked, cfg), embed(model, g)
+    assert state.op is None
+    monkeypatch.setattr(metamae, "LIST_SHARE", 0.0)   # every view dense
+    (want_parts, want_grads), want_embed = fusion.objective(params, state, masked, cfg), \
+        embed(model, g)
+    (parts, grads), embedded = got
+    for name in ("l_align", "beta", "view_losses", "l_scatter", "total"):
+        _assert_close(getattr(parts, name), np.asarray(getattr(want_parts, name)), name)
+    for name, value in want_grads.items():
+        _assert_close(grads[name], value, name)
+    for got_part, want_part in zip(embedded, want_embed):
+        _assert_close(got_part, want_part, "embed")
+
+
+def test_mixed_views_rebuild_only_the_dense_views_the_buffer_lost(monkeypatch):
+    # view 0 takes the list path and views 1, 2 the dense one: the forward pass
+    # leaves view 1 in the buffer, so the backward pass rebuilds view 2 alone
+    rng = np.random.default_rng(12)
+    n = 64
+    adjs = []
+    for density in (0.002, 0.2, 0.3):
+        a = np.triu(rng.random((n, n)) < density, 1)
+        a[0, 1] = True
+        adjs.append(a | a.T)
+    state = fusion._GraphState(unified=rng.normal(size=(n, 5)),
+                               views=[view_of(a) for a in adjs], sample_idx=np.arange(4))
+    masked = [metamae.mask_edges(e, 0.5, RngStream(0, MASK, 0, i))
+              for i, e in enumerate(state.views)]
+    cfg = small_cfg(sample_size=4, unified_dim=3, lambda_scatter=0.1)
+    params = fusion._init_params(cfg, 0)
+    kinds = [isinstance(metamae.view_operator(m, state.buffer), np.ndarray) for m in masked]
+    assert kinds == [False, True, True]
+    builds = []
+    normalized_operator = metamae.normalized_operator
+
+    def counting(edges, out=None):
+        builds.append(len(edges.rows))
+        return normalized_operator(edges, out)
+
+    monkeypatch.setattr(metamae, "normalized_operator", counting)
+    parts, grads = fusion.objective(params, state, masked, cfg)
+    assert builds == [len(masked[2].rows), len(masked[1].rows), len(masked[2].rows)]
+    monkeypatch.setattr(metamae, "LIST_SHARE", 0.0)
+    want_parts, want_grads = fusion.objective(params, state, masked, cfg)
+    _assert_close(parts.total, want_parts.total, "total")
+    for name, value in want_grads.items():
+        _assert_close(grads[name], value, name)
+
+
 def _three_view_objective_inputs(targets_per_class):
     """A three-view state with its first epoch's masks, and initial parameters."""
     g = synth.generate(synth.SynthSpec.from_dict(three_view_spec(
@@ -553,7 +645,8 @@ def test_objective_peak_memory_holds_one_operator_whatever_the_view_count():
     n = len(state.unified)
     one_view = fusion._GraphState(state.unified, state.views[:1], state.sample_idx)
     peaks = []
-    for st_, views in ((one_view, masked[:1]), (state, masked)):   # buffers made already
+    for st_, views in ((one_view, masked[:1]), (state, masked)):
+        st_.buffer()   # each state makes its buffer once, before this call
         tracemalloc.start()
         try:
             fusion.objective(params, st_, views, cfg)

@@ -1,5 +1,6 @@
 """Edge masking, shared graph-conv encode/decode, fused scaled cosine reconstruction."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from mug.metamae import (
     normalized_operator,
     recon_loss,
 )
+from mug.hetgraph import EdgeList
 from mug.rng import RngStream
 
 
@@ -118,6 +120,82 @@ def test_three_node_path_matches_hand_computation():
     want = hand_op @ x @ w
     out = graph_conv(normalized_operator(view_of(adj)), x @ w, np.zeros((1, 2)))
     assert np.allclose(out, want)
+
+
+# -- the edge-list operator ------------------------------------------------------
+# A view listing fewer than N² · LIST_SHARE entries is multiplied from its list.
+
+LIST_N = 64   # N² · LIST_SHARE is 32 entries at the default share
+
+
+def _no_buffer():
+    raise AssertionError("a list view asked for the dense buffer")
+
+
+def _list_views(rng):
+    """Views of LIST_N nodes, each listing fewer than N² · LIST_SHARE entries."""
+    n = LIST_N
+    sym = np.zeros((n, n), dtype=bool)
+    for i, j in rng.choice(n, size=(12, 2)):
+        sym[i, j] = sym[j, i] = i != j
+    asym = np.zeros((n, n), dtype=bool)
+    asym[rng.integers(n, size=25), rng.integers(n, size=25)] = True
+    np.fill_diagonal(asym, False)
+    asym[0, 1], asym[1, 0] = True, False
+    diag = asym.copy()
+    diag[[3, 5, 7], [3, 5, 7]] = True   # a listed (i, i) weighs 2/dᵢ
+    return {"symmetric": sym, "asymmetric": asym, "asymmetric_diagonal": diag,
+            "empty": np.zeros((n, n), dtype=bool)}
+
+
+@pytest.mark.parametrize("k", [3, 16, 37])
+def test_list_operator_products_equal_the_row_loop_oracle_bytewise(k):
+    rng = np.random.default_rng(30 + k)
+    for name, adj in _list_views(rng).items():
+        edges = view_of(adj)
+        for view in (edges, mask_edges(edges, 0.5, RngStream(k))):
+            op = metamae.view_operator(view, _no_buffer)
+            assert isinstance(op, metamae.EdgeOperator), name
+            x = rng.normal(size=(LIST_N, k))
+            for got, transpose in ((op @ x, False), (op.T @ x, True)):
+                assert got.flags.c_contiguous and got.shape == x.shape
+                want = oracles.edge_operator_product(view, x, transpose)
+                assert got.tobytes() == want.tobytes(), (name, transpose)
+
+
+def test_list_operator_products_are_within_a_few_ulps_of_the_dense_ones():
+    rng = np.random.default_rng(31)
+    eps = np.finfo(np.float64).eps
+    for name, adj in _list_views(rng).items():
+        edges = view_of(adj)
+        op = metamae.view_operator(edges, _no_buffer)
+        dense = oracles.dense_normalized_operator(adj)
+        x = rng.normal(size=(LIST_N, 20))
+        for got, mat in ((op @ x, dense), (op.T @ x, dense.T)):
+            terms = (mat != 0).sum(axis=1, keepdims=True)   # summands per row
+            bound = (terms + 1) * eps * (np.abs(mat) @ np.abs(x))
+            assert (np.abs(got - mat @ x) <= bound).all(), name
+
+
+def test_empty_list_operator_is_the_identity():
+    x = np.random.default_rng(32).normal(size=(LIST_N, 5))
+    op = metamae.view_operator(view_of(np.zeros((LIST_N, LIST_N), dtype=bool)), _no_buffer)
+    assert (op @ x).tobytes() == x.tobytes()
+    assert (op.T @ x).tobytes() == x.tobytes()
+
+
+def test_a_list_just_under_n_squared_times_list_share_takes_the_list_path():
+    n = LIST_N
+    at = math.ceil(n * n * metamae.LIST_SHARE)
+    flat = np.random.default_rng(33).choice(n * n, size=at, replace=False)
+    buffer = np.empty((n, n))
+    under = EdgeList.from_pairs(n, *np.divmod(flat[:-1], n))
+    on = EdgeList.from_pairs(n, *np.divmod(flat, n))
+    assert (len(under.rows), len(on.rows)) == (at - 1, at)
+    assert isinstance(metamae.view_operator(under, _no_buffer), metamae.EdgeOperator)
+    op = metamae.view_operator(on, lambda: buffer)
+    assert op is buffer
+    assert op.tobytes() == normalized_operator(on).tobytes()
 
 
 # -- reconstruction ---------------------------------------------------------------
