@@ -12,9 +12,12 @@ read, so a schema fault is reported against schema.json, never as a row error.
 A key it does not define, at its top level or in a relations or metapaths
 entry, is a fault, named as mug synth names one in a spec.
 
-All files are UTF-8, tab-separated, LF line endings, one header line; a
-leading byte-order mark is allowed. Floats are written by format_floats, with
-repr() (shortest round-tripping decimal), so a load/save cycle is bit-exact.
+All files are UTF-8, tab-separated, LF line endings; a leading byte-order mark
+is allowed. Each table's header names its columns, else line 1 is at fault:
+node_id, type (nodes.tsv); src_id, relation, dst_id (edges.tsv); node_id,
+class_id (labels.tsv); node_id, then one name per value (features.<type>.tsv).
+Floats are written with repr() (shortest round-tripping decimal) by
+format_floats, so a load/save cycle is bit-exact.
 """
 
 from __future__ import annotations
@@ -97,9 +100,9 @@ def format_floats(values, sep: str) -> str:
     return sep.join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
-def _read_rows(path: str, width: int = 0):
-    """(line number, cells) of every row after the header; the header and each
-    row must be width cells wide, or as wide as the header when width is 0."""
+def _read_rows(path: str, names: Tuple[str, ...], width: int = 0):
+    """(line number, cells) of every row after the header, which must start with names;
+    the header and each row are width cells wide, or as wide as the header when 0."""
     lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -112,6 +115,8 @@ def _read_rows(path: str, width: int = 0):
             raise BundleError(f"expected {width} columns, got {len(cells)}", path, lineno)
         if lineno > 1:
             yield lineno, cells
+        elif cells[:len(names)] != list(names):
+            raise BundleError(f"expected a header of {', '.join(names)}", path, 1)
 
 
 def _is_names(value) -> bool:
@@ -169,7 +174,7 @@ def load_bundle(path: str) -> HetGraph:
     nodes_path = os.path.join(path, "nodes.tsv")
     node_ids: Dict[str, List[str]] = {t: [] for t in node_types}
     lookup: Dict[str, tuple] = {}
-    for lineno, row in _read_rows(nodes_path, 2):
+    for lineno, row in _read_rows(nodes_path, ("node_id", "type"), 2):
         nid, ntype = row
         if ntype not in node_ids:
             raise BundleError(f"unknown node type '{ntype}'", nodes_path, lineno)
@@ -183,7 +188,7 @@ def load_bundle(path: str) -> HetGraph:
     edges_path = os.path.join(path, "edges.tsv")
     rel_by_name = {r.name: r for r in relations}   # one per name: check_schema ran
     edge_lists: Dict[str, List[tuple]] = {r.name: [] for r in relations}
-    for lineno, row in _read_rows(edges_path, 3):
+    for lineno, row in _read_rows(edges_path, ("src_id", "relation", "dst_id"), 3):
         src_id, rname, dst_id = row
         if rname not in rel_by_name:
             raise BundleError(f"unknown relation '{rname}'", edges_path, lineno)
@@ -210,7 +215,7 @@ def load_bundle(path: str) -> HetGraph:
         if not os.path.exists(fpath):
             continue
         rows: Dict[int, tuple] = {}   # local index -> (line, values), in file order
-        for lineno, row in _read_rows(fpath):
+        for lineno, row in _read_rows(fpath, ("node_id",)):
             if len(row) < 2:
                 raise BundleError("expected node_id plus at least one value", fpath, lineno)
             nid = row[0]
@@ -232,7 +237,7 @@ def load_bundle(path: str) -> HetGraph:
     if os.path.exists(lpath):
         target = schema["target_type"]
         lab = np.full(counts[target], -1, dtype=np.int64)
-        for lineno, row in _read_rows(lpath, 2):
+        for lineno, row in _read_rows(lpath, ("node_id", "class_id"), 2):
             nid, cls = row
             got = lookup.get(nid)
             if got is None or got[0] != target:

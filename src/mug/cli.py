@@ -32,7 +32,7 @@ from typing import Dict, Optional
 from . import bundle as bio
 from . import config as cfgmod
 from . import evalkit, fusion, gradsuite, synth
-from .hetgraph import class_frequency_baseline, homophily_report
+from .hetgraph import class_frequency_baseline, homophily_report, metapath_edges
 from .rng import SYNTH, RngStream
 
 EXIT_OK = 0
@@ -133,7 +133,12 @@ def cmd_pretrain(args) -> int:
     cfg = _resolved(args)
     g = bio.load_bundle(args.data)
     trace: list = []
-    model = fusion.pretrain(g, cfgmod.filled(cfgmod.TrainConfig(), cfg), trace=trace)
+    try:
+        model = fusion.pretrain(g, cfgmod.filled(cfgmod.TrainConfig(), cfg), trace=trace)
+    except ValueError as exc:   # a view with no instances is a fault of edges.tsv
+        if all(len(metapath_edges(g, mp).rows) for mp in g.metapaths):
+            raise
+        raise bio.BundleError(str(exc), os.path.join(args.data, "edges.tsv")) from None
     fusion.save_checkpoint(model, args.out)
 
     header = "epoch,l_align,l_recon_weighted,l_scatter,total\n"

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import copy
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -148,19 +148,11 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
               cfg: TrainConfig) -> Tuple[LossParts, Dict[str, np.ndarray]]:
     """The pre-training loss parts and the gradient of their total.
 
-    masked holds each view's kept edges. metamae.view_operator gives each an
-    edge-list operator, kept for the backward pass, or a dense one in the one
-    buffer, state.op; the phases are ordered so that D dense views take 2D - 1 builds:
-
-    - forward, views V..1: build the view, then run its encoder and decoder;
-      the first dense view is left in the buffer;
-    - the attention β, then per view recon_loss weighted by λ_recon·βᵢ, which
-      gives the view's loss and Ẑ gradient from its edges alone;
-    - backward, views 1..V: rebuild each dense view but the first, and take
-      the gradient back through its decoder and encoder.
-
-    No view's forward reads another's, and every gradient sum runs in view
-    order, so the phase order changes no bit of the result.
+    masked holds each view's kept edges. Each view's metamae.normalized_operator is
+    built once, runs its encoder and decoder forward, in view order, and serves the
+    backward pass; in between come the attention β and, per view, recon_loss weighted
+    by λ_recon·βᵢ, which gives the view's loss and Ẑ gradient from its edges alone.
+    Every gradient sum runs in view order.
     Returns (parts, grads), grads keyed like params.
     """
     p = params
@@ -169,11 +161,9 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
     l_align, d_align = dimalign.align_loss(basis)
     x = dimalign.project(basis, state.unified)
     xw = x @ p["enc.weight"]
-    ops, zs, z_hats = [None] * len(masked), [None] * len(masked), [None] * len(masked)
-    for i in reversed(range(len(masked))):
-        ops[i] = metamae.view_operator(masked[i], state.buffer)
-        zs[i] = metamae.encode(ops[i], xw, p["enc.bias"])
-        z_hats[i] = metamae.graph_conv(ops[i], zs[i] @ p["dec.weight"], p["dec.bias"])
+    ops = [metamae.normalized_operator(view) for view in masked]
+    zs = [metamae.encode(op, xw, p["enc.bias"]) for op in ops]
+    z_hats = [metamae.graph_conv(op, z @ p["dec.weight"], p["dec.bias"]) for op, z in zip(ops, zs)]
     beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], zs)
     lam_align, lam_recon, lam_scatter = _lambdas(cfg)
     # per view: (loss, λ_recon·βᵢ times its gradient with respect to Ẑ); each Ẑ is
@@ -191,8 +181,6 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
     g = {name: np.zeros_like(value) for name, value in p.items()}
     d_xw = np.zeros_like(xw)
     for i, (op, z, (_, d_z_hat)) in enumerate(zip(ops, zs, recon)):
-        if op is state.op and any(earlier is op for earlier in ops[:i]):   # overwritten since
-            metamae.view_operator(masked[i], state.buffer)
         t = np.tanh(z @ p["att.weight"] + p["att.bias"])
         d_pre = (d_score[i] / len(z)) * p["att.q"].T * (1.0 - t * t)
         g["att.q"] += (d_score[i] / len(z)) * t.sum(axis=0)[:, None]
@@ -261,12 +249,6 @@ class _GraphState:
     unified: np.ndarray
     views: List[EdgeList]    # one per meta-path, in row-major order
     sample_idx: np.ndarray
-    op: Optional[np.ndarray] = field(default=None, init=False, repr=False)   # see buffer
-
-    def buffer(self) -> np.ndarray:
-        if self.op is None:   # one dense view's N x N operator at a time, made on first use
-            self.op = np.empty((len(self.unified),) * 2)
-        return self.op
 
 
 def _prepare_graph(g: HetGraph, cfg: TrainConfig, training: bool = False) -> _GraphState:
@@ -350,7 +332,7 @@ def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.n
     basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"],
                                    state.unified[state.sample_idx])
     xw = dimalign.project(basis, state.unified) @ p["enc.weight"]
-    z_views = [metamae.encode(metamae.view_operator(view, state.buffer), xw, p["enc.bias"])
+    z_views = [metamae.encode(metamae.normalized_operator(view), xw, p["enc.bias"])
                for view in state.views]
     beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], z_views)
     return fuse(beta, z_views), beta

@@ -8,11 +8,11 @@ view in every epoch. The decoded embeddings Ẑ are scored by σ(ẐẐᵀ), com
 row-wise against the full unmasked adjacency with a scaled cosine loss.
 
 Cost model: a view is an EdgeList built once per graph by hetgraph. Masking
-keeps a shorter list, one uniform per listed pair. view_operator makes a list
-of fewer than N² · LIST_SHARE entries an EdgeOperator (24 bytes per entry,
-O(entries · k) per product with an N x k matrix) and scatters any other into
-one dense N x N buffer per graph, made when a view first needs it. So peak
-memory is O(N²), or O(N · (k + RECON_BLOCK) + entries) when all views are lists.
+keeps a shorter list, one uniform per listed pair. normalized_operator makes
+every list an EdgeOperator of 16 or 24 bytes per entry: one of fewer than
+N² · LIST_SHARE entries takes O(entries · k) per product with an N x k matrix,
+a longer one O(N² · k) by BLAS, a strip of RECON_BLOCK rows at a time. So peak
+memory is O(N · (k + RECON_BLOCK) + entries).
 recon_loss sweeps only the upper strips S[lo:hi, lo:] of the symmetric
 S = σ(ẐẐᵀ), bᵢ = RECON_BLOCK rows each (the last may be shorter), twice:
 once for the loss and once for the gradient. For Ẑ of width k a call
@@ -25,17 +25,17 @@ view, its transposed list of 8 bytes per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .hetgraph import EdgeList
 from .rng import RngStream
 
-RECON_BLOCK = 128   # rows of each strip of σ(ẐẐᵀ) that recon_loss holds at once
+RECON_BLOCK = 128   # rows of a strip held at once, of σ(ẐẐᵀ) or of an operator
 LEAKY_SLOPE = 0.25  # the encoder's negative slope
-LIST_SHARE = 1 / 128   # measured: below it a list beats a dense build + 4 products, N ≤ 3,000
+LIST_SHARE = 1 / 128   # measured: below it 4 list products beat a dense build + 4, N ≤ 3,000
 LIST_COLS = 16      # the columns of x one np.bincount of an EdgeOperator product sums
 
 
@@ -53,43 +53,47 @@ def mask_edges(edges: EdgeList, rate: float, rng: RngStream) -> EdgeList:
     return EdgeList(edges.shape, rows, cols, edges.symmetric)
 
 
-def normalized_operator(edges: EdgeList, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """D^-1/2 (A + I) D^-1/2 of the listed A, written into out when it is given.
-
-    out is zero-filled, each listed entry put at its row-major flat index,
-    and then the diagonal's 1/dᵢ added, so a listed (i, i) weighs 2/dᵢ.
-    """
-    n = edges.shape[0]
-    op = np.empty(edges.shape) if out is None else out
-    dinv = 1.0 / np.sqrt(np.bincount(edges.rows, minlength=n) + 1.0)
-    # both lists are built in place, so each step makes at most one list-sized temporary
-    values = dinv[edges.rows]
-    values *= dinv[edges.cols]
-    flat = edges.rows.astype(np.int64)
-    flat *= n
-    flat += edges.cols
-    op.fill(0.0)
-    np.put(op, flat, values)
-    op.flat[::n + 1] += dinv * dinv
-    return op
-
-
 @dataclass(frozen=True)
 class EdgeOperator:
-    """normalized_operator's matrix as its list: entry e at (rows[e], cols[e]) weighs vals[e],
-    plus the diagonal diag. op @ x sums each row's entries in list order; op.T swaps both."""
+    """normalized_operator's matrix: the diagonal diag, plus entry e weighing vals[e].
 
-    rows: np.ndarray   # intp, so that np.bincount and np.take cast nothing
+    Listed (starts None): entry e is at (rows[e], cols[e]); op @ x sums each row's
+    entries in list order, LIST_COLS columns per np.bincount, and op.T swaps rows and
+    cols. In strips: strip s of RECON_BLOCK rows holds entries starts[s]:starts[s + 1],
+    at flat indices cols into it; op @ x multiplies each strip by BLAS, with the bits of
+    the dense product, and op.T adds strip.T @ x[lo:hi] over them, or is op if symmetric.
+    """
+
+    rows: Optional[np.ndarray]   # intp, so that np.bincount and np.take cast nothing
     cols: np.ndarray
     vals: np.ndarray
     diag: np.ndarray
+    starts: Optional[np.ndarray] = None
+    symmetric: bool = False
+    transposed: bool = False     # in strips: op @ x multiplies by the transpose
 
     @property
     def T(self) -> EdgeOperator:
-        return EdgeOperator(self.cols, self.rows, self.vals, self.diag)
+        if self.starts is None:
+            return replace(self, rows=self.cols, cols=self.rows)
+        return self if self.symmetric else replace(self, transposed=not self.transposed)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         n, k = x.shape
+        if self.starts is not None:
+            out = np.zeros(x.shape) if self.transposed else np.empty(x.shape)
+            scratch = np.empty((min(RECON_BLOCK, n), n))
+            for lo, a, b in zip(range(0, n, RECON_BLOCK), self.starts, self.starts[1:]):
+                hi = min(lo + RECON_BLOCK, n)
+                strip = scratch[:hi - lo]
+                strip.fill(0.0)
+                strip.put(self.cols[a:b], self.vals[a:b])
+                strip.reshape(-1)[lo::n + 1] += self.diag[lo:hi]   # at (i - lo, i)
+                if self.transposed:
+                    out += strip.T @ x[lo:hi]
+                else:
+                    np.matmul(strip, x, out=out[lo:hi])
+            return out
         out = np.multiply(x, self.diag[:, None], order="C")
         bins = None
         for lo in range(0, k, LIST_COLS):
@@ -102,24 +106,27 @@ class EdgeOperator:
         return out
 
 
-def view_operator(edges: EdgeList, buffer: Callable[[], np.ndarray]) -> np.ndarray | EdgeOperator:
-    """The view's normalized operator: an EdgeOperator if it lists fewer than
-    N² · LIST_SHARE entries, else normalized_operator written into buffer()."""
+def normalized_operator(edges: EdgeList) -> EdgeOperator:
+    """D^-1/2 (A + I) D^-1/2 of the listed A, where a listed (i, i) weighs 2/dᵢ: in list
+    order if A lists fewer than N² · LIST_SHARE entries, else in strips."""
     n = edges.shape[0]
-    if len(edges.rows) >= n * n * LIST_SHARE:
-        return normalized_operator(edges, out=buffer())
     dinv = 1.0 / np.sqrt(np.bincount(edges.rows, minlength=n) + 1.0)
     rows, cols = edges.rows.astype(np.intp), edges.cols.astype(np.intp)
-    return EdgeOperator(rows, cols, dinv[rows] * dinv[cols], dinv * dinv)
+    if len(rows) < n * n * LIST_SHARE:
+        return EdgeOperator(rows, cols, dinv[rows] * dinv[cols], dinv * dinv)
+    order = np.argsort(rows // RECON_BLOCK, kind="stable")
+    rows, cols = rows[order], cols[order]
+    starts = np.searchsorted(rows // RECON_BLOCK, np.arange(len(range(0, n, RECON_BLOCK)) + 1))
+    return EdgeOperator(None, rows % RECON_BLOCK * n + cols, dinv[rows] * dinv[cols],
+                        dinv * dinv, starts, edges.symmetric)
 
 
-def graph_conv(adj_op: np.ndarray | EdgeOperator, xw: np.ndarray,
-               bias: np.ndarray) -> np.ndarray:
+def graph_conv(adj_op: EdgeOperator, xw: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """adj_op @ xw + b, where xw is the layer input already multiplied by its weight."""
     return adj_op @ xw + bias
 
 
-def encode(adj_op: np.ndarray | EdgeOperator, xw: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def encode(adj_op: EdgeOperator, xw: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """The shared encoder: leaky_relu (slope LEAKY_SLOPE) over one graph convolution."""
     h = graph_conv(adj_op, xw, bias)
     return np.where(h > 0, h, LEAKY_SLOPE * h)

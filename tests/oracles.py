@@ -232,7 +232,7 @@ def dense_normalized_operator(adj):
 
 
 def edge_operator_product(edges, x, transpose=False):
-    """Row-loop reference for metamae.view_operator's list form: op @ x, or op.T @ x.
+    """Row-loop reference for metamae.normalized_operator's list form: op @ x, or op.T @ x.
 
     With dᵢ = 1 + row i's listed entries, row i of the product is x[i]/dᵢ plus
     the sum, from 0.0 and in list order, of dᵢ^-½ dⱼ^-½ x[j] over its entries

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mug import autodiff as ad
-from mug import dimalign, fusion, gradsuite
+from mug import dimalign, fusion, gradsuite, metamae
 
 TOL = 1e-4
 
@@ -87,3 +87,13 @@ def test_op_gradient_matches_finite_differences(op):
         assert max(report.values()) <= TOL, (op, trial, report)
     # the path is live: its gradient is well above the oracle's 1e-6 floor
     assert min(largest.values()) > 1e-3, (op, largest)
+
+
+@pytest.mark.parametrize("name", ["asymmetric_views", "total_objective"])
+def test_objective_gradient_over_several_operator_strips(monkeypatch, name):
+    # the checks' 6-node views fit one strip; at RECON_BLOCK 2 each takes three,
+    # and the asymmetric views' transposed products add up across them
+    monkeypatch.setattr(metamae, "RECON_BLOCK", 2)
+    check = next(c for c in gradsuite.default_checks() if c.name == name)
+    [result] = gradsuite.run_suite([check], instances=5)
+    assert result.passed, result

@@ -10,9 +10,11 @@ import os
 import subprocess
 import sys
 
-from mug import synth
+from helpers import sparse_two_view_spec
+from mug import metamae, synth
 from mug.bundle import save_bundle
 from mug.cli import main
+from mug.hetgraph import metapath_edges
 from mug.rng import RngStream
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -57,6 +59,22 @@ def test_traced_pretrain_records_struct_encoder_spans(tmp_path):
     steps = [span for span in spans if span[0] == "fusion.Optimizer.step"]
     assert len(steps) == 2
     assert all(spans[parent][0] == "fusion._train" for _, parent, *_ in steps)
+
+
+def test_traced_pretrain_on_list_views_records_operator_spans(tmp_path):
+    # every view of this bundle takes the list path; its builds still go through
+    # normalized_operator, whose spans perfbench's metamae.operator_s sums
+    spec = sparse_two_view_spec(25, 1.0, attr_dim=4, centroid_scale=1.0)
+    g = synth.generate(synth.SynthSpec.from_dict(spec), RngStream(3))
+    n = g.counts[g.target_type]
+    assert all(len(metapath_edges(g, mp).rows) < n * n * metamae.LIST_SHARE
+               for mp in g.metapaths)
+    bundle = str(tmp_path / "sparse")
+    save_bundle(g, bundle)
+    record = traced(tmp_path, "pretrain", "--data", bundle, "--no-cse", "--epochs", "2",
+                    "--out", str(tmp_path / "m.ckpt"))
+    builds = [span for span in record["spans"] if span[0] == "metamae.normalized_operator"]
+    assert len(builds) == 2 * 2   # one per view and epoch
 
 
 def test_traced_eval_records_probe_spans(tmp_path):

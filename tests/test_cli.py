@@ -421,7 +421,7 @@ def test_pretrain_refuses_an_edgeless_view_before_the_work(tmp_path, bundle, che
     monkeypatch.setattr(structenc, "train_struct_table", _no_work)
     capsys.readouterr()
     assert main(["pretrain", "--data", bundle, "--out", str(tmp_path / "m.ckpt")]) == EXIT_DATA
-    assert capsys.readouterr().err == ("error: meta-path 'PSP' has no instances: "
+    assert capsys.readouterr().err == (f"error: {edges}: meta-path 'PSP' has no instances: "
                                        "pre-training needs an edge in every view\n")
 
 
@@ -815,19 +815,19 @@ def test_gradcheck_prints_a_pass_line_for_each_default_check(capsys):
 
 def test_list_view_checks_run_the_edge_list_operator(monkeypatch):
     kinds = []
-    view_operator = metamae.view_operator
+    normalized_operator = metamae.normalized_operator
 
-    def recording(edges, buffer):
-        op = view_operator(edges, buffer)
-        kinds.append(type(op))
+    def recording(edges):
+        op = normalized_operator(edges)
+        kinds.append(op.starts is None)
         return op
 
-    monkeypatch.setattr(metamae, "view_operator", recording)
+    monkeypatch.setattr(metamae, "normalized_operator", recording)
     for check in gradsuite.default_checks():
         if check.name.endswith("list_views"):
             rng = np.random.default_rng(0)
             check.function_for(rng)(check.make_params(rng))
-    assert kinds == [metamae.EdgeOperator] * (2 + 3)   # one build per view, kept for backward
+    assert kinds == [True] * (2 + 3)   # one list build per view, kept for backward
 
 
 @pytest.mark.parametrize("instances", ["0", "-3"])
@@ -1106,6 +1106,20 @@ def test_table_header_of_the_wrong_width_names_line_1(tmp_path, tiny_run, capsys
     assert main(["homophily", "--data", data]) == EXIT_DATA
     assert capsys.readouterr().err == (f"error: {path}:1: expected {width} columns, "
                                        f"got {width + extra}\n")
+
+
+@pytest.mark.parametrize("table, header", [
+    ("nodes.tsv", "node_id, type"), ("edges.tsv", "src_id, relation, dst_id"),
+    ("labels.tsv", "node_id, class_id"), ("features.paper.tsv", "node_id")])
+def test_table_without_its_header_line_names_line_1(tmp_path, tiny_run, capsys, table,
+                                                    header):
+    data, path = _edit_table(tmp_path, tiny_run[0], table, lambda i, cells: cells)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[1:])
+    assert main(["homophily", "--data", data]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}:1: expected a header of {header}\n"
 
 
 def test_one_column_features_file_is_refused(tmp_path, tiny_run, capsys):
@@ -1479,8 +1493,7 @@ def test_one_edit_of_any_input_file_exits_0_or_2_naming_the_file(fuzz_run, targe
             code = main(args)
     assert code in (EXIT_OK, EXIT_DATA), err.getvalue()
     if code == EXIT_DATA:   # a reference from another file to a row the edit removed is
-        # reported at the reference, naming the edited file there; pretrain refuses a view
-        # the edit left edgeless by its meta-path's name alone
+        # reported at the reference, naming the edited file there
         error = next(line for line in err.getvalue().splitlines() if line.startswith("error: "))
-        assert (error.startswith(f"error: {path}") or f" {os.path.basename(path)}" in error
-                or error.endswith("pre-training needs an edge in every view")), (error, edited)
+        assert (error.startswith(f"error: {path}")
+                or f" {os.path.basename(path)}" in error), (error, edited)

@@ -563,11 +563,35 @@ def test_objective_on_list_views_holds_memory_linear_in_n():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert state.op is None   # no view asked for the dense buffer
+        assert all(metamae.normalized_operator(m).starts is None for m in masked)   # lists
     n = len(state.unified)
     assert n == 2001
     assert peaks[1] < 8 * n * n * 0.6, f"peak {peaks[1] / (8 * n * n):.2f} N x N arrays"
     assert peaks[1] < 2.2 * peaks[0], f"{peaks[1] / peaks[0]:.2f} times the peak at 999 nodes"
+
+
+def test_objective_on_dense_views_holds_less_than_one_n_by_n_array():
+    # two views of ~15% density, each multiplied in strips: the live set is their
+    # entry lists, a few RECON_BLOCK x N strips and the N x k activations, which
+    # at 1,000 nodes still come to 1.35 N x N arrays and at 2,000 to 0.82
+    rng = np.random.default_rng(14)
+    n = 2000
+    adjs = [np.triu(rng.random((n, n)) < 0.15, 1) for _ in range(2)]
+    state = fusion._GraphState(unified=rng.normal(size=(n, 16)),
+                               views=[view_of(a | a.T) for a in adjs],
+                               sample_idx=np.arange(128))
+    cfg = TrainConfig(no_cse=True, seed=0)
+    masked = [metamae.mask_edges(e, cfg.edge_mask_rate, RngStream(0, MASK, 0, i))
+              for i, e in enumerate(state.views)]
+    assert all(metamae.normalized_operator(m).starts is not None for m in masked)
+    params = fusion._init_params(cfg, 0)
+    tracemalloc.start()
+    try:
+        fusion.objective(params, state, masked, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n, f"peak {peak / (8 * n * n):.2f} N x N arrays"
 
 
 def _assert_close(got, want, name):
@@ -581,8 +605,7 @@ def test_list_views_give_the_dense_path_objective_and_embedding_to_rounding(monk
         100, 2.0, centroid_scale=1.0)), RngStream(0))
     model = fusion.MugModel(params, cfg)
     got = fusion.objective(params, state, masked, cfg), embed(model, g)
-    assert state.op is None
-    monkeypatch.setattr(metamae, "LIST_SHARE", 0.0)   # every view dense
+    monkeypatch.setattr(metamae, "LIST_SHARE", 0.0)   # every view multiplied in strips
     (want_parts, want_grads), want_embed = fusion.objective(params, state, masked, cfg), \
         embed(model, g)
     (parts, grads), embedded = got
@@ -594,9 +617,9 @@ def test_list_views_give_the_dense_path_objective_and_embedding_to_rounding(monk
         _assert_close(got_part, want_part, "embed")
 
 
-def test_mixed_views_rebuild_only_the_dense_views_the_buffer_lost(monkeypatch):
-    # view 0 takes the list path and views 1, 2 the dense one: the forward pass
-    # leaves view 1 in the buffer, so the backward pass rebuilds view 2 alone
+def test_objective_builds_each_view_operator_once(monkeypatch):
+    # view 0 takes the list path and views 1, 2 the strip one; each operator is
+    # built once, in view order, and serves the forward and backward passes
     rng = np.random.default_rng(12)
     n = 64
     adjs = []
@@ -610,18 +633,24 @@ def test_mixed_views_rebuild_only_the_dense_views_the_buffer_lost(monkeypatch):
               for i, e in enumerate(state.views)]
     cfg = small_cfg(sample_size=4, unified_dim=3, lambda_scatter=0.1)
     params = fusion._init_params(cfg, 0)
-    kinds = [isinstance(metamae.view_operator(m, state.buffer), np.ndarray) for m in masked]
-    assert kinds == [False, True, True]
+    kinds = [metamae.normalized_operator(m).starts is None for m in masked]
+    assert kinds == [True, False, False]
     builds = []
     normalized_operator = metamae.normalized_operator
 
-    def counting(edges, out=None):
+    def counting(edges):
         builds.append(len(edges.rows))
-        return normalized_operator(edges, out)
+        return normalized_operator(edges)
 
     monkeypatch.setattr(metamae, "normalized_operator", counting)
-    parts, grads = fusion.objective(params, state, masked, cfg)
-    assert builds == [len(masked[2].rows), len(masked[1].rows), len(masked[2].rows)]
+    calls = []
+    for _ in range(2):   # no state carries over: the second call repeats the first's bits
+        builds.clear()
+        calls.append(fusion.objective(params, state, masked, cfg))
+        assert builds == [len(m.rows) for m in masked]
+    (parts, grads), (again, grads_again) = calls
+    assert again.total == parts.total
+    assert all(grads_again[name].tobytes() == value.tobytes() for name, value in grads.items())
     monkeypatch.setattr(metamae, "LIST_SHARE", 0.0)
     want_parts, want_grads = fusion.objective(params, state, masked, cfg)
     _assert_close(parts.total, want_parts.total, "total")
@@ -646,7 +675,6 @@ def test_objective_peak_memory_holds_one_operator_whatever_the_view_count():
     one_view = fusion._GraphState(state.unified, state.views[:1], state.sample_idx)
     peaks = []
     for st_, views in ((one_view, masked[:1]), (state, masked)):
-        st_.buffer()   # each state makes its buffer once, before this call
         tracemalloc.start()
         try:
             fusion.objective(params, st_, views, cfg)
@@ -654,19 +682,6 @@ def test_objective_peak_memory_holds_one_operator_whatever_the_view_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 8 * n * n, f"{(peaks[1] - peaks[0]) / (8 * n * n):.2f} N x N"
-
-
-def test_objective_does_not_read_what_the_buffer_held_before():
-    state, masked, params, cfg = _three_view_objective_inputs(30)
-    assert len({len(m.rows) for m in masked}) == 3   # three different edge sets
-    want_parts, want_grads = fusion.objective(params, state, masked, cfg)
-    state.op.fill(np.nan)
-    parts, grads = fusion.objective(params, state, masked, cfg)
-    for name in ("l_align", "beta", "view_losses", "l_scatter", "total"):
-        assert np.asarray(getattr(parts, name)).tobytes() == \
-            np.asarray(getattr(want_parts, name)).tobytes(), name
-    for name, value in want_grads.items():
-        assert grads[name].tobytes() == value.tobytes(), name
 
 
 def test_objective_computes_n_squared_plus_the_diagonal_blocks_of_scores_per_view(monkeypatch):

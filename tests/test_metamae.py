@@ -95,7 +95,7 @@ def test_mask_asymmetric_view_draws_one_uniform_per_edge_in_row_major_order():
 def test_single_isolated_node_identity_conv():
     adj = np.zeros((1, 1), dtype=bool)
     op = normalized_operator(view_of(adj))
-    assert op[0, 0] == 1.0  # self-loop over degree one
+    assert (op @ np.eye(1))[0, 0] == 1.0  # self-loop over degree one
     x = np.array([[2.0, -3.0]])
     out = graph_conv(op, x @ np.eye(2), np.zeros((1, 2)))
     assert np.array_equal(out, [[2.0, -3.0]])
@@ -128,10 +128,6 @@ def test_three_node_path_matches_hand_computation():
 LIST_N = 64   # N² · LIST_SHARE is 32 entries at the default share
 
 
-def _no_buffer():
-    raise AssertionError("a list view asked for the dense buffer")
-
-
 def _list_views(rng):
     """Views of LIST_N nodes, each listing fewer than N² · LIST_SHARE entries."""
     n = LIST_N
@@ -154,8 +150,8 @@ def test_list_operator_products_equal_the_row_loop_oracle_bytewise(k):
     for name, adj in _list_views(rng).items():
         edges = view_of(adj)
         for view in (edges, mask_edges(edges, 0.5, RngStream(k))):
-            op = metamae.view_operator(view, _no_buffer)
-            assert isinstance(op, metamae.EdgeOperator), name
+            op = normalized_operator(view)
+            assert op.starts is None, name
             x = rng.normal(size=(LIST_N, k))
             for got, transpose in ((op @ x, False), (op.T @ x, True)):
                 assert got.flags.c_contiguous and got.shape == x.shape
@@ -168,7 +164,7 @@ def test_list_operator_products_are_within_a_few_ulps_of_the_dense_ones():
     eps = np.finfo(np.float64).eps
     for name, adj in _list_views(rng).items():
         edges = view_of(adj)
-        op = metamae.view_operator(edges, _no_buffer)
+        op = normalized_operator(edges)
         dense = oracles.dense_normalized_operator(adj)
         x = rng.normal(size=(LIST_N, 20))
         for got, mat in ((op @ x, dense), (op.T @ x, dense.T)):
@@ -179,7 +175,7 @@ def test_list_operator_products_are_within_a_few_ulps_of_the_dense_ones():
 
 def test_empty_list_operator_is_the_identity():
     x = np.random.default_rng(32).normal(size=(LIST_N, 5))
-    op = metamae.view_operator(view_of(np.zeros((LIST_N, LIST_N), dtype=bool)), _no_buffer)
+    op = normalized_operator(view_of(np.zeros((LIST_N, LIST_N), dtype=bool)))
     assert (op @ x).tobytes() == x.tobytes()
     assert (op.T @ x).tobytes() == x.tobytes()
 
@@ -188,14 +184,56 @@ def test_a_list_just_under_n_squared_times_list_share_takes_the_list_path():
     n = LIST_N
     at = math.ceil(n * n * metamae.LIST_SHARE)
     flat = np.random.default_rng(33).choice(n * n, size=at, replace=False)
-    buffer = np.empty((n, n))
     under = EdgeList.from_pairs(n, *np.divmod(flat[:-1], n))
     on = EdgeList.from_pairs(n, *np.divmod(flat, n))
     assert (len(under.rows), len(on.rows)) == (at - 1, at)
-    assert isinstance(metamae.view_operator(under, _no_buffer), metamae.EdgeOperator)
-    op = metamae.view_operator(on, lambda: buffer)
-    assert op is buffer
-    assert op.tobytes() == normalized_operator(on).tobytes()
+    assert normalized_operator(under).starts is None
+    assert normalized_operator(on).starts is not None
+
+
+# -- the strip operator -------------------------------------------------------------
+# A view listing N² · LIST_SHARE entries or more is multiplied in strips of RECON_BLOCK rows.
+
+
+def _strip_views(n, rng):
+    """Views of n nodes: symmetric, asymmetric and with listed (i, i), each drawn on both
+    sides of N² · LIST_SHARE, and the empty view."""
+    views = {"empty": np.zeros((n, n), dtype=bool)}
+    self_loops = np.zeros((n, n), dtype=bool)
+    self_loops[np.arange(0, n, 3), np.arange(0, n, 3)] = True
+    for side, density in (("sparse", 0.4 * metamae.LIST_SHARE), ("dense", 0.3)):
+        sym = np.triu(rng.random((n, n)) < density, 1)
+        sym = sym | sym.T
+        asym = rng.random((n, n)) < density
+        np.fill_diagonal(asym, False)
+        views.update({f"symmetric_{side}": sym, f"asymmetric_{side}": asym,
+                      f"symmetric_diagonal_{side}": sym | self_loops,
+                      f"asymmetric_diagonal_{side}": asym | self_loops})
+    return views
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 257])
+def test_strip_and_list_operators_equal_the_dense_oracle(monkeypatch, n, block):
+    if block is not None:
+        monkeypatch.setattr(metamae, "RECON_BLOCK", block)
+    rng = np.random.default_rng(n)
+    paths = set()
+    for name, adj in _strip_views(n, rng).items():
+        edges = view_of(adj)
+        for view in (edges, mask_edges(edges, 0.5, RngStream(n))):
+            op = normalized_operator(view)
+            paths.add(op.starts is None)
+            if op.starts is not None and view.symmetric:
+                assert op.T is op, name
+            _assert_operator_equals_dense(view)
+            dense = oracles.dense_normalized_operator(dense_edges(view))
+            x = rng.normal(size=(n, 19))
+            for got, mat in ((op @ x, dense), (op.T @ x, dense.T)):
+                assert got.flags.c_contiguous and got.shape == x.shape
+                scale = np.abs(mat) @ np.abs(x)   # the sum of the terms' sizes
+                assert (np.abs(got - mat @ x) <= 1e-12 * scale).all(), name
+    assert paths == {True, False}   # both sides of LIST_SHARE
 
 
 # -- reconstruction ---------------------------------------------------------------
@@ -397,8 +435,11 @@ def _assert_fused_equals_two_pass(adj, z_arr, gamma, g):
 
 
 def _assert_operator_equals_dense(edges):
+    # each entry of op @ I has one nonzero term, so it is exact in any summation order
     want = oracles.dense_normalized_operator(dense_edges(edges))
-    assert normalized_operator(edges).tobytes() == want.tobytes()
+    op, eye = normalized_operator(edges), np.eye(edges.shape[0])
+    assert (op @ eye).tobytes() == want.tobytes()
+    assert (op.T @ eye).tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
