@@ -19,6 +19,13 @@ other dest is an input or output path. eval --shots k sets per_class_train = k:
 the k-shot protocol is the standard one with k train nodes per class. The eval
 report's shots column is that k, set by the flag or a config, and 0 when it is
 the standard protocol's.
+
+Each command imports only the modules it runs: at module level cli imports
+bundle and hetgraph alone, and each cmd_* imports the rest it calls. A command
+is one process, and a pipeline runs several per graph, so a module a command
+does not run would be paid for in every start (homophily needs no training,
+probe or gradient-check code). That is why cmd_pretrain, the one command whose
+training can diverge, maps fusion.DivergenceError to exit 3 itself.
 """
 
 from __future__ import annotations
@@ -30,10 +37,7 @@ import warnings
 from typing import Dict, Optional
 
 from . import bundle as bio
-from . import config as cfgmod
-from . import evalkit, fusion, gradsuite, synth
 from .hetgraph import class_frequency_baseline, homophily_report, metapath_edges
-from .rng import SYNTH, RngStream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,6 +68,7 @@ def _check_outputs(*paths: str) -> None:
 
 def _resolved(args) -> Dict[str, object]:
     """Defaults < config file < flags, every setting checked against its bound."""
+    from . import config as cfgmod
     file_values = cfgmod.parse_config_file(args.config) if args.config else {}
     cfg = cfgmod.resolve(file_values, vars(args))
     cfgmod.check(cfg)
@@ -74,6 +79,8 @@ def _resolved(args) -> Dict[str, object]:
 
 
 def cmd_synth(args) -> int:
+    from . import config as cfgmod, synth
+    from .rng import SYNTH, RngStream
     cfgmod.check({"seed": args.seed})
     if os.path.lexists(args.out) and not (os.path.isdir(args.out) and not os.listdir(args.out)):
         raise ValueError(f"{args.out}: exists and is not an empty directory")
@@ -128,6 +135,7 @@ def cmd_homophily(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    from . import config as cfgmod, fusion
     stem, _ = os.path.splitext(args.out)
     _check_outputs(args.out, stem + ".trace.csv", _echo_path(args.out))
     cfg = _resolved(args)
@@ -135,6 +143,9 @@ def cmd_pretrain(args) -> int:
     trace: list = []
     try:
         model = fusion.pretrain(g, cfgmod.filled(cfgmod.TrainConfig(), cfg), trace=trace)
+    except fusion.DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:   # a view with no instances is a fault of edges.tsv
         if all(len(metapath_edges(g, mp).rows) for mp in g.metapaths):
             raise
@@ -156,6 +167,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from . import config as cfgmod, fusion
     stem, _ = os.path.splitext(args.out)
     _check_outputs(args.out, stem + ".beta.csv", _echo_path(args.out))
     cfgmod.check({"seed": args.seed})
@@ -179,6 +191,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import config as cfgmod, evalkit, fusion
     if args.out:
         _check_outputs(args.out, _echo_path(args.out))
     cfg = _resolved(args)
@@ -226,6 +239,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import gradsuite
     results = gradsuite.run_suite(instances=args.instances, seed=args.seed)
     failures = 0
     for res in results:
@@ -304,9 +318,6 @@ def main(argv: Optional[list] = None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return args.fn(args)
-        except fusion.DivergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA

@@ -162,6 +162,24 @@ def test_evalkit_imports_neither_fusion_nor_hetgraph():
     assert not {part for name in names for part in name.split(".")} & {"fusion", "hetgraph"}
 
 
+def test_cli_imports_at_module_level_no_module_but_bundle_and_hetgraph():
+    # a command is one process, so a module cli imports at its top is paid for by every
+    # command, homophily included; each command imports the rest of what it runs
+    todo, imported = list(_modules()["cli"].body), set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").split(".")[0] == "mug"):
+            inner = node.module or "" if node.level else node.module.partition(".")[2]
+            imported.update([inner] if inner else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name[4:] for a in node.names if a.name.startswith("mug."))
+    assert imported <= {"bundle", "hetgraph"}, sorted(imported - {"bundle", "hetgraph"})
+
+
 def test_every_dataclass_field_is_read():
     modules = _modules()
     unread = []

@@ -783,6 +783,31 @@ def test_cli_import_loads_no_heavy_module():
     assert proc.stdout.strip() == "[]"
 
 
+# a command's fresh process, its exit code and the mug modules it imported
+IMPORTS_RUN = ("import json, sys; from mug import cli; code = cli.main(sys.argv[1:]); "
+               "print(json.dumps(sorted(m for m in sys.modules if m.startswith('mug.')))); "
+               "sys.exit(code)")
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    ("homophily", ("config", "fusion", "metamae", "structenc", "kernels", "dimalign",
+                   "evalkit", "gradsuite", "autodiff", "synth")),
+    ("pretrain", ("gradsuite", "autodiff", "synth")),
+])
+def test_a_command_imports_only_the_modules_it_runs(tmp_path, tiny_run, command, unloaded):
+    # each command is a process of its own, which pays for every module it imports
+    argv = {"homophily": ["homophily", "--data", tiny_run[0], "--out", str(tmp_path / "h.csv")],
+            "pretrain": ["pretrain", "--data", tiny_run[0], "--no-cse", "--epochs", "1",
+                         "--out", str(tmp_path / "m.ckpt")]}[command]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mug.__file__)))
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_RUN, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "mug.bundle" in loaded and "mug.hetgraph" in loaded
+    assert not loaded & {f"mug.{name}" for name in unloaded}, sorted(loaded)
+
+
 # -- determinism across BLAS thread counts --------------------------------------------
 
 
@@ -1118,6 +1143,19 @@ def test_table_without_its_header_line_names_line_1(tmp_path, tiny_run, capsys, 
         lines = fh.read().splitlines(keepends=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines[1:])
+    assert main(["homophily", "--data", data]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}:1: expected a header of {header}\n"
+
+
+@pytest.mark.parametrize("table, cells, header", [
+    ("nodes.tsv", ["node_id", "kind"], "node_id, type"),
+    ("edges.tsv", ["src_id", "dst_id", "relation"], "src_id, relation, dst_id"),
+    ("labels.tsv", ["node_id", "class"], "node_id, class_id")])
+def test_a_header_whose_first_name_is_right_and_a_later_one_wrong_names_line_1(
+        tmp_path, tiny_run, capsys, table, cells, header):
+    # every name of the header is checked, not just the first
+    data, path = _edit_table(tmp_path, tiny_run[0], table,
+                             lambda i, row: cells if i == 0 else row)
     assert main(["homophily", "--data", data]) == EXIT_DATA
     assert capsys.readouterr().err == f"error: {path}:1: expected a header of {header}\n"
 

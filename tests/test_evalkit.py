@@ -476,6 +476,22 @@ def test_the_certificate_is_sound_and_within_a_factor_two_of_tight():
     assert (flips & (crit > limit / 2)).any()
 
 
+@pytest.mark.parametrize("d", [1, 7, 64, 513])
+def test_the_certificate_floor_holds_the_whole_rounding_allowance(d):
+    # With no drift at all, a computed score may still lie 2 g ||w~(a)|| ||x~|| from the
+    # anchor's computed one, g = gamma(d + 1) (module docstring), so a crit m / (2 ||x~||)
+    # must exceed 2 g ||w~(a)||. No probe in these tests rounds that far, so only this
+    # check catches a floor that drops or cuts the allowance. Norms span 1e-6 to 1e9.
+    u = 2.0 ** -53
+    g = (d + 1) * u / (1 - (d + 1) * u)
+    scale = 10.0 ** np.array([-6, -1, 0, 3, 9])[:, None, None]
+    anchor = np.random.default_rng(d).normal(size=(len(scale), 4, d + 1)) * scale
+    _, floor = evalkit._certificate(anchor)
+    norm = np.linalg.norm(anchor, axis=2).max(axis=1)     # ||w~(a)|| = max_c ||w~_c||
+    assert floor.shape == norm.shape
+    assert (floor >= 2 * g * norm).all(), floor / (2 * g * norm)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_nan_and_inf_val_rows_match_the_oracle_at_every_step(monkeypatch):
     z, labels = noisy_embedding([60, 60, 60], shift=3.0, seed=3)
