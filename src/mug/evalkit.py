@@ -127,6 +127,9 @@ def make_splits(labels: np.ndarray, spec: SplitSpec, rng: RngStream) -> Splits:
     train = np.concatenate(train_parts)
 
     rest = np.setdiff1d(np.arange(len(labels)), train)
+    if len(rest) == 0:   # else the shrink below leaves a test row
+        raise ValueError(f"no labeled node left to test: the train draw of {k} per class "
+                         f"takes all {len(labels)}")
     val_n, test_n = spec.val_size, spec.test_size
     if len(rest) < val_n + test_n:
         total = val_n + test_n

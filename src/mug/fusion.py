@@ -7,12 +7,13 @@ the sample size and the unified dimension k, never on a dataset's attribute
 width or view count. Structural embeddings are retrained per graph and are
 not part of the model.
 
-objective runs the forward helpers that embed runs too (dimalign's basis
-and projection, metamae's encoder, the semantic attention and fusion here),
-adds the alignment, reconstruction and scattering terms, and then computes
-the gradient of their weighted total by hand, in reverse order. _train hands
-that gradient to Adam once per epoch; a non-finite total or gradient stops
-training with DivergenceError before the parameters change.
+_forward is the one forward pass: dimalign's basis and projection, metamae's
+shared encoder over each view's operator, and the semantic attention. embed runs
+it on the unmasked views, streaming their operators, and fuses. objective runs it
+on the masked views, adds the decoder and the alignment, reconstruction and
+scattering terms, and computes the gradient of their weighted total by hand, in
+reverse order; _train hands it to Adam once per epoch. A non-finite total or
+gradient stops training with DivergenceError before the parameters change.
 
 Checkpoint format (UTF-8 text):
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 import copy
 import io
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class MugModel:
     params: Dict[str, np.ndarray]    # keyed as param_shapes names them
     cfg: TrainConfig                 # the config the parameters were trained with
 
-    @property
+    @property   # perfbench/run.py reads it from each checkpoint it reloads
     def unified_dim(self) -> int:
         return self.cfg.unified_dim
 
@@ -143,28 +144,38 @@ class LossParts:
     total: float
 
 
+def _forward(p: Dict[str, np.ndarray], state: _GraphState,
+             ops: Iterable[metamae.EdgeOperator]) -> tuple:
+    """The one forward pass, what the backward pass reads: the sample rows, the basis,
+    xw = x W_enc of the projection x, the shared encoding zs of each op in order, and β."""
+    sample = state.unified[state.sample_idx]
+    basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"], sample)
+    # x is dropped here, not held while operators are built: that left the allocator
+    # with 14 MB more resident for the probe after embed (`mug eval` on dense views)
+    xw = dimalign.project(basis, state.unified) @ p["enc.weight"]
+    # map drops each operator once it is encoded, before it builds the next; a loop
+    # variable would hold it while the next is built, two operators at once
+    zs = list(map(lambda op: metamae.encode(op, xw, p["enc.bias"]), ops))
+    return sample, basis, xw, zs, attention_weights(p["att.q"], p["att.weight"],
+                                                    p["att.bias"], zs)
+
+
 def objective(params: Dict[str, np.ndarray], state: _GraphState,
               masked: Sequence[EdgeList],
               cfg: TrainConfig) -> Tuple[LossParts, Dict[str, np.ndarray]]:
     """The pre-training loss parts and the gradient of their total.
 
-    masked holds each view's kept edges. Each view's metamae.normalized_operator is
-    built once, runs its encoder and decoder forward, in view order, and serves the
-    backward pass; in between come the attention β and, per view, recon_loss weighted
-    by λ_recon·βᵢ, which gives the view's loss and Ẑ gradient from its edges alone.
-    Every gradient sum runs in view order.
+    masked holds each view's kept edges. Each view's metamae.normalized_operator is built
+    once, in view order; it runs through _forward, the one forward pass, and its decoder,
+    and serves the backward pass. recon_loss, weighted by λ_recon·βᵢ, gives each view's
+    loss and Ẑ gradient from its edges alone. Every gradient sum runs in view order.
     Returns (parts, grads), grads keyed like params.
     """
     p = params
-    sample = state.unified[state.sample_idx]
-    basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"], sample)
-    l_align, d_align = dimalign.align_loss(basis)
-    x = dimalign.project(basis, state.unified)
-    xw = x @ p["enc.weight"]
     ops = [metamae.normalized_operator(view) for view in masked]
-    zs = [metamae.encode(op, xw, p["enc.bias"]) for op in ops]
+    sample, basis, xw, zs, beta = _forward(p, state, ops)
+    l_align, d_align = dimalign.align_loss(basis)
     z_hats = [metamae.graph_conv(op, z @ p["dec.weight"], p["dec.bias"]) for op, z in zip(ops, zs)]
-    beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], zs)
     lam_align, lam_recon, lam_scatter = _lambdas(cfg)
     # per view: (loss, λ_recon·βᵢ times its gradient with respect to Ẑ); each Ẑ is
     # dropped once it is scored, so the gradients take its place in memory
@@ -194,7 +205,7 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
         d_h = d_z * np.where(z > 0, 1.0, metamae.LEAKY_SLOPE)
         g["enc.bias"] += d_h.sum(axis=0, keepdims=True)
         d_xw += op.T @ d_h
-    g["enc.weight"] = x.T @ d_xw
+    g["enc.weight"] = dimalign.project(basis, state.unified).T @ d_xw   # x, once more
     d_basis = state.unified.T @ (d_xw @ p["enc.weight"].T) + lam_align * d_align
     g["dim.weight"] = sample @ d_basis
     g["dim.bias"] = d_basis.sum(axis=0, keepdims=True)
@@ -235,13 +246,9 @@ class Optimizer:
 
 
 def _init_params(cfg: TrainConfig, seed: int) -> Dict[str, np.ndarray]:
-    params = {}
-    for i, (name, shape) in enumerate(param_shapes(cfg)):
-        if name.endswith(".bias"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = dimalign.glorot(RngStream(seed, INIT, i), *shape)
-    return params
+    return {name: np.zeros(shape) if name.endswith(".bias")
+            else dimalign.glorot(RngStream(seed, INIT, i), *shape)
+            for i, (name, shape) in enumerate(param_shapes(cfg))}
 
 
 @dataclass
@@ -295,14 +302,9 @@ def _train(state: _GraphState, cfg: TrainConfig,
         opt.step(grads)
 
         if trace is not None:
-            trace.append({
-                "epoch": epoch,
-                "l_align": parts.l_align,
-                "l_recon_weighted": float(sum(b * l for b, l in
-                                              zip(parts.beta, parts.view_losses))),
-                "l_scatter": parts.l_scatter,
-                "total": parts.total,
-            })
+            l_recon = float(sum(b * l for b, l in zip(parts.beta, parts.view_losses)))
+            trace.append({"epoch": epoch, "l_align": parts.l_align, "l_recon_weighted": l_recon,
+                          "l_scatter": parts.l_scatter, "total": parts.total})
 
     return MugModel(params, copy.deepcopy(cfg))
 
@@ -325,17 +327,12 @@ def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.n
     """Frozen transfer: retrain the struct table on g, apply frozen parameters.
 
     Returns (fused embedding |V_target| x k, per-view attention weights).
-    No masking at embedding time and no parameter updates of any kind.
+    No masking at embedding time and no parameter updates of any kind. _forward, the
+    pass objective runs, streams the unmasked views' operators: one is alive at a time.
     """
     state = _prepare_graph(g, replace(model.cfg, seed=seed))
-    p = model.params
-    basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"],
-                                   state.unified[state.sample_idx])
-    xw = dimalign.project(basis, state.unified) @ p["enc.weight"]
-    z_views = [metamae.encode(metamae.normalized_operator(view), xw, p["enc.bias"])
-               for view in state.views]
-    beta = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], z_views)
-    return fuse(beta, z_views), beta
+    *_, zs, beta = _forward(model.params, state, map(metamae.normalized_operator, state.views))
+    return fuse(beta, zs), beta
 
 
 # -- checkpoint I/O ---------------------------------------------------------------

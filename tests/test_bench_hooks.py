@@ -1,8 +1,8 @@
 """The benchmark's traced run still finds the stages it times.
 
 perfbench/tracer.py wraps functions by name; if one of these is renamed, the
-per-layer walk, pair, SGNS, mask, operator, epoch and probe metrics read
-zero without any other failure.
+per-layer walk, pair, SGNS, mask, operator, epoch, prepare, alignment, embed,
+attention and probe metrics read zero without any other failure.
 """
 
 import json
@@ -52,7 +52,10 @@ def test_traced_pretrain_records_struct_encoder_spans(tmp_path):
     names = {span[0] for span in spans}
     for stage in ("structenc.sample_all_walks", "structenc._window_pairs",
                   "structenc.train_sgns", "fusion._train", "metamae.mask_edges",
-                  "metamae.normalized_operator"):
+                  "metamae.normalized_operator",
+                  # perfbench's fusion.prepare_s, fusion.attention_s and dimalign.s
+                  "fusion._prepare_graph", "fusion.attention_weights",
+                  "dimalign.basis_vectors"):
         assert stage in names, stage
     assert record["counts"]["structenc.pairs"] > 0
     # fusion.epoch_s times each epoch up to the end of its optimizer step
@@ -75,6 +78,21 @@ def test_traced_pretrain_on_list_views_records_operator_spans(tmp_path):
                     "--out", str(tmp_path / "m.ckpt"))
     builds = [span for span in record["spans"] if span[0] == "metamae.normalized_operator"]
     assert len(builds) == 2 * 2   # one per view and epoch
+
+
+def test_traced_embed_records_the_forward_pass_spans(tmp_path):
+    # fusion._forward is private and not wrapped: perfbench's fusion.embed_s,
+    # metamae.operator_s and fusion.attention_s read the public calls inside it
+    bundle, config = small_inputs(tmp_path)
+    model = str(tmp_path / "m.ckpt")
+    assert main(["pretrain", "--data", bundle, "--config", config, "--epochs", "1",
+                 "--out", model]) == 0
+    record = traced(tmp_path, "embed", "--model", model, "--data", bundle,
+                    "--out", str(tmp_path / "z.tsv"))
+    names = [span[0] for span in record["spans"]]
+    for stage in ("fusion.embed", "metamae.encode", "fusion.attention_weights"):
+        assert stage in names, stage
+    assert names.count("metamae.normalized_operator") == 2   # once per view
 
 
 def test_traced_eval_records_probe_spans(tmp_path):

@@ -508,6 +508,17 @@ def test_eval_skips_an_unlabeled_bundle_with_a_warning(tmp_path, bundle, checkpo
                                        "error: no labeled eval bundles\n")
 
 
+def test_eval_names_a_train_draw_that_leaves_no_node_to_test(tmp_path, checkpoint, capsys):
+    small = str(tmp_path / "small")
+    assert main(["synth", "--spec", tiny_spec(tmp_path, targets_per_class=5), "--out", small,
+                 "--seed", "2"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--model", checkpoint, "--train-data", small, "--eval-data", small,
+                 "--shots", "5"]) == EXIT_DATA
+    assert capsys.readouterr().err == ("error: no labeled node left to test: "
+                                       "the train draw of 5 per class takes all 15\n")
+
+
 def test_eval_csv_row_format(tmp_path, bundle, checkpoint):
     out = str(tmp_path / "report.csv")
     assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,

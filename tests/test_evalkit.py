@@ -61,6 +61,17 @@ def test_splits_disjoint_and_shrunk_with_warning():
     assert not set(s.val) & set(s.test)
 
 
+def test_split_error_when_the_train_draw_takes_every_labeled_node():
+    with pytest.raises(ValueError) as caught:
+        make_splits(balanced_labels(5), SplitSpec(per_class_train=5), RngStream(0))
+    assert str(caught.value) == ("no labeled node left to test: "
+                                 "the train draw of 5 per class takes all 15")
+    with warnings.catch_warnings():   # one node left: the shrink gives it to test
+        warnings.simplefilter("ignore")
+        s = make_splits(np.array([0, 0, 1]), SplitSpec(per_class_train=1), RngStream(0))
+    assert (len(s.train), len(s.val), len(s.test)) == (2, 0, 1)
+
+
 def test_split_error_on_empty_class():
     labels = np.array([0, 0, 2, 2])  # class 1 missing
     with pytest.raises(ValueError):

@@ -411,6 +411,25 @@ def test_embed_fuses_its_views_by_their_attention_weights():
     assert np.allclose(z, sum(b * zv for b, zv in zip(want, z_views)), rtol=1e-12, atol=1e-15)
 
 
+def test_objective_on_the_unmasked_views_gives_the_attention_weights_embed_gives():
+    # one forward pass serves both callers, so no rounding may tell them apart;
+    # PAP takes the list path and PSP the strip one
+    spec = sparse_two_view_spec(50, 1.0, attr_dim=5)
+    spec["aux_types"][1]["size"] = 30
+    spec["relations"][1]["degree"] = 2.0
+    g = synth.generate(synth.SynthSpec.from_dict(spec), RngStream(0))
+    cfg = small_cfg(no_cse=True, seed=4)
+    state = fusion._prepare_graph(g, cfg)
+    n = len(state.unified)
+    assert [len(v.rows) < n * n * metamae.LIST_SHARE for v in state.views] == [True, False]
+    model = fusion.MugModel(fusion._init_params(cfg, 0), cfg)
+    model.params["att.q"] = 3.0 * np.random.default_rng(0).normal(size=(16, 1))
+    parts, _ = fusion.objective(model.params, state, state.views, cfg)
+    _, beta = embed(model, g, seed=4)
+    assert np.ptp(beta) > 0.01
+    assert parts.beta.tobytes() == beta.tobytes()
+
+
 def test_embed_is_keyed_by_its_seed_not_the_checkpoints():
     g = planted()
     model = pretrain(g, small_cfg(epochs=2, seed=0))
@@ -682,6 +701,37 @@ def test_objective_peak_memory_holds_one_operator_whatever_the_view_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 8 * n * n, f"{(peaks[1] - peaks[0]) / (8 * n * n):.2f} N x N"
+
+
+def test_embed_peak_memory_holds_one_operator_whatever_the_view_count(monkeypatch):
+    # MAM over 6 actors lists 63% of N²: building an operator is the peak of embed.
+    # Three copies of it grow the peak by the two more encodings only; an operator kept
+    # alive while the next is built would add its 0.9 MB
+    spec = three_view_spec(targets_per_class=100)
+    spec["aux_types"][0]["size"] = 6
+    g = synth.generate(synth.SynthSpec.from_dict(spec), RngStream(0))
+    cfg = TrainConfig(no_cse=True, seed=0)
+    state = fusion._prepare_graph(g, cfg)
+    view = state.views[0]
+    n = len(state.unified)
+    assert len(view.rows) > 0.5 * n * n
+    op = metamae.normalized_operator(view)
+    op_bytes = op.cols.nbytes + op.vals.nbytes
+    del op
+    model = fusion.MugModel(fusion._init_params(cfg, 0), cfg)
+    peaks = []
+    for views in ([view], [view] * 3):
+        prepared = fusion._GraphState(state.unified, views, state.sample_idx)
+        monkeypatch.setattr(fusion, "_prepare_graph", lambda *_: prepared)
+        tracemalloc.start()
+        try:
+            embed(model, g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    encodings = 2 * n * cfg.unified_dim * 8
+    assert peaks[1] - peaks[0] < encodings + op_bytes / 2, \
+        f"{(peaks[1] - peaks[0] - encodings) / op_bytes:.2f} operators"
 
 
 def test_objective_computes_n_squared_plus_the_diagonal_blocks_of_scores_per_view(monkeypatch):
