@@ -1,16 +1,16 @@
 """On-disk graph bundles: schema.json + TSV files, loaded with full validation.
 
-Every text input of mug is read here, by four readers: read_text opens a
-file, read_json parses JSON, _read_rows splits a table whose header and rows
-are one width, and read_floats makes a float matrix of numbered rows. Every
-fault they find, like every fault load_bundle and config.read_settings find,
-raises BundleError, which names the file and the line where the fault has one;
-the CLI reports it as a ValueError, exit 2. write_text writes every output file.
+Every text input of mug is read here, by five readers: read_text opens a
+file, read_json parses JSON, read_object turns a JSON object (schema.json or
+a synth spec) into a constructor's checked arguments, _read_rows splits a
+table whose header and rows are one width, and read_floats makes a float
+matrix of numbered rows. Every fault they find, like every fault load_bundle
+and config.read_settings find, raises BundleError, which names the file and
+the line where the fault has one; the CLI reports it as a ValueError, exit 2.
+write_text writes every output file.
 
 schema.json is checked in full (hetgraph.check_schema) before any row is
 read, so a schema fault is reported against schema.json, never as a row error.
-A key it does not define, at its top level or in a relations or metapaths
-entry, is a fault, named as mug synth names one in a spec.
 
 All files are UTF-8, tab-separated, LF line endings; a leading byte-order mark
 is allowed. Each table's header names its columns, else line 1 is at fault:
@@ -22,6 +22,7 @@ format_floats, so a load/save cycle is bit-exact.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,10 +35,12 @@ from .hetgraph import HetGraph, MetaPath, Relation, SchemaError, check_schema
 class BundleError(ValueError):
     """Any fault in an input file: missing, unreadable, bad JSON, a bad row, an
     undeclared name or node, a bad setting line. Carries the file and the line
-    (0 when the fault has none) and reads "file:line: message" or "file: message"."""
+    (0 when the fault has none) and reads "file:line: message" or "file: message";
+    a JSON object built in code, with the file "", reads "message"."""
 
     def __init__(self, message: str, file: str, line: int = 0):
-        super().__init__(f"{file}:{line}: {message}" if line else f"{file}: {message}")
+        super().__init__(f"{file}:{line}: {message}" if line
+                         else f"{file}: {message}" if file else message)
         self.file = file
         self.line = line
 
@@ -119,55 +122,58 @@ def _read_rows(path: str, names: Tuple[str, ...], width: int = 0):
             raise BundleError(f"expected a header of {', '.join(names)}", path, 1)
 
 
-def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+# the JSON value of each annotation ("list": a key of entries): (what it must be, its check)
+_NAMES = ("a list of names", lambda v: type(v) is list and all(type(n) is str for n in v))
+_KINDS = {"int": ("an integer", lambda v: type(v) is int),
+          "float": ("a number", lambda v: type(v) in (int, float)),
+          "str": ("a name", lambda v: type(v) is str), "List[str]": _NAMES,
+          "Sequence[str]": _NAMES, "list": ("a list", lambda v: type(v) is list)}
 
 
-def _entries(schema: dict, key: str, fields: tuple, path: str) -> List[tuple]:
-    """The fields of every object in the schema list schema[key], which has no others.
+def read_object(make, d, where: str, path: str = "", **lists):
+    """make(**d) for the JSON object d, whose keys must be make's parameters.
 
-    Every field is a name, except 'steps', which is a list of names.
+    A parameter without a default must be given; its annotation sets its JSON
+    type: int an integer, float a number (passed as a float), str a name and
+    List[str] or Sequence[str] a list of names. lists maps a key to the maker of
+    each entry of its list, read as "key[i]". A fault raises BundleError naming
+    the file path and the key: "<where> key 'k' must be a name, got <JSON>".
     """
-    for i, entry in enumerate(schema[key] if isinstance(schema[key], list) else ()):
-        unknown = [k for k in entry if k not in fields] if isinstance(entry, dict) else ()
-        if unknown:
-            raise BundleError(f"{key}[{i}] has unknown key '{unknown[0]}'", path)
-    try:
-        rows = [tuple(entry[f] for f in fields) for entry in schema[key]]
-    except (KeyError, TypeError):
-        rows = None
-    if rows is None or not all(_is_names(v) if f == "steps" else isinstance(v, str)
-                               for row in rows for f, v in zip(fields, row)):
-        raise BundleError(
-            f"'{key}' must be a list of objects with {', '.join(fields)}", path)
-    return rows
+    if not isinstance(d, dict):
+        raise BundleError(f"{where} must be a JSON object, got {type(d).__name__}", path)
+    params = inspect.signature(make).parameters
+    args = {}
+    for key, value in d.items():
+        if key not in params:
+            raise BundleError(f"{where} has unknown key '{key}'", path)
+        kind = "list" if key in lists else params[key].annotation
+        if kind in _KINDS and not _KINDS[kind][1](value):
+            raise BundleError(f"{where} key '{key}' must be {_KINDS[kind][0]}, "
+                              f"got {json.dumps(value)}", path)
+        if key in lists:
+            value = [read_object(lists[key], e, f"{key}[{i}]", path) for i, e in enumerate(value)]
+        args[key] = float(value) if kind == "float" else value
+    missing = [p.name for p in params.values() if p.default is p.empty and p.name not in d]
+    if missing:
+        raise BundleError(f"{where} missing key '{missing[0]}'", path)
+    return make(**args)
+
+
+def _schema(node_types: List[str], relations: List[Relation], target_type: str,
+            metapaths: List[MetaPath]):
+    """schema.json's four keys, once check_schema finds no fault in them."""
+    check_schema(node_types, relations, target_type, metapaths)
+    return node_types, relations, target_type, metapaths
 
 
 def load_bundle(path: str) -> HetGraph:
     """Load and fully validate a bundle directory."""
     schema_path = os.path.join(path, "schema.json")
-    schema = read_json(schema_path)
-    if not isinstance(schema, dict):
-        raise BundleError("schema must be a JSON object", schema_path)
-    keys = ("node_types", "relations", "target_type", "metapaths")
-    unknown = [key for key in schema if key not in keys]
-    if unknown:
-        raise BundleError(f"schema has unknown key '{unknown[0]}'", schema_path)
-    for key in keys:
-        if key not in schema:
-            raise BundleError(f"schema missing key '{key}'", schema_path)
-    if not _is_names(schema["node_types"]):
-        raise BundleError("'node_types' must be a list of names", schema_path)
-    if not isinstance(schema["target_type"], str):
-        raise BundleError("'target_type' must be a name", schema_path)
-    node_types: List[str] = list(schema["node_types"])
-    relations = [Relation(*r) for r in
-                 _entries(schema, "relations", ("name", "src", "dst"), schema_path)]
-    entries = _entries(schema, "metapaths", ("name", "steps"), schema_path)
     try:
-        metapaths = [MetaPath.from_steps(*m) for m in entries]
-        check_schema(node_types, relations, schema["target_type"], metapaths)
-    except SchemaError as exc:
+        node_types, relations, target_type, metapaths = read_object(
+            _schema, read_json(schema_path), "schema", schema_path,
+            relations=Relation, metapaths=MetaPath.from_steps)
+    except SchemaError as exc:   # from MetaPath.from_steps or check_schema
         raise BundleError(str(exc), schema_path) from None
 
     # nodes.tsv: id -> (type, local index)
@@ -235,12 +241,11 @@ def load_bundle(path: str) -> HetGraph:
     labels = None
     lpath = os.path.join(path, "labels.tsv")
     if os.path.exists(lpath):
-        target = schema["target_type"]
-        lab = np.full(counts[target], -1, dtype=np.int64)
+        lab = np.full(counts[target_type], -1, dtype=np.int64)
         for lineno, row in _read_rows(lpath, ("node_id", "class_id"), 2):
             nid, cls = row
             got = lookup.get(nid)
-            if got is None or got[0] != target:
+            if got is None or got[0] != target_type:
                 raise BundleError(f"nodes.tsv has no target node '{nid}'", lpath, lineno)
             if lab[got[1]] >= 0:
                 raise BundleError(f"second label row for node '{nid}'", lpath, lineno)
@@ -262,7 +267,7 @@ def load_bundle(path: str) -> HetGraph:
         counts=counts,
         node_ids=node_ids,
         edges=edges,
-        target_type=schema["target_type"],
+        target_type=target_type,
         attrs=attrs,
         labels=labels,
         metapaths=metapaths,

@@ -195,8 +195,8 @@ def cmd_eval(args) -> int:
     if args.out:
         _check_outputs(args.out, _echo_path(args.out))
     cfg = _resolved(args)
-    spec = cfgmod.filled(evalkit.SplitSpec(), cfg)
-    k, standard = spec.per_class_train, evalkit.SplitSpec().per_class_train
+    spec = cfgmod.filled(cfgmod.SplitSpec(), cfg)
+    k, standard = spec.per_class_train, cfgmod.SplitSpec().per_class_train
     shots = 0 if k == standard else k
     paths: Dict[str, str] = {}   # reports are keyed by bundle name
     for d in args.eval_data:
@@ -208,23 +208,25 @@ def cmd_eval(args) -> int:
     bio.read_text(os.path.join(args.train_data, "schema.json"))
     model = fusion.load_checkpoint(args.model)
     bundles = {name: bio.load_bundle(d) for name, d in paths.items()}
-    train_name = os.path.basename(os.path.normpath(args.train_data))
-    table = [f"{'eval bundle':<16} {'shots':>5} {'Macro-F1':>16} {'Micro-F1':>16}"]
-    rows = ["variant,train_bundle,eval_bundle,shots,macro_mean,macro_std,micro_mean,micro_std"]
+    splits = {}   # drawn before any embedding, so labels that cannot be split fail first
     for name, g in bundles.items():
         if g.labels is None:
             warnings.warn(f"bundle '{name}' has no labels; skipped")
-            continue
-        z, _ = fusion.embed(model, g, seed=cfg["seed"])
-        macro, micro = evalkit.evaluate_embedding(z, g.labels, spec)
+        else:
+            splits[name] = evalkit.draw_splits(g.labels, spec)
+    if not splits:
+        print("error: no labeled eval bundles", file=sys.stderr)
+        return EXIT_DATA
+    train_name = os.path.basename(os.path.normpath(args.train_data))
+    table = [f"{'eval bundle':<16} {'shots':>5} {'Macro-F1':>16} {'Micro-F1':>16}"]
+    rows = ["variant,train_bundle,eval_bundle,shots,macro_mean,macro_std,micro_mean,micro_std"]
+    for name, drawn in splits.items():
+        z, _ = fusion.embed(model, bundles[name], seed=cfg["seed"])
+        macro, micro = evalkit.evaluate_embedding(z, bundles[name].labels, drawn)
         table.append(f"{name:<16} {shots:>5} {macro.mean():>8.4f} ± {macro.std():<5.4f} "
                      f"{micro.mean():>8.4f} ± {micro.std():<5.4f}")
         rows.append(f"full,{train_name},{name},{shots},{macro.mean():.6f},{macro.std():.6f},"
                     f"{micro.mean():.6f},{micro.std():.6f}")
-    if len(rows) == 1:
-        print("error: no labeled eval bundles", file=sys.stderr)
-        return EXIT_DATA
-
     print("\n".join(table))
     csv_text = "\n".join(rows) + "\n"
     if args.out:

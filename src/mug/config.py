@@ -1,13 +1,14 @@
 """The run settings: their schema, their value grammar and their checker.
 
-Every setting is a field of TrainConfig (its nested WalkConfig included) or
-of evalkit.SplitSpec, and the field is its whole schema: its type, its
-default, its flat key (metadata["key"], else the field's name) and its bound.
-So a key is the same name in a config file, a flag's dest, an echo and a
-checkpoint's [meta]. format_settings writes echoes and [meta] as sorted
-"key = value" lines; read_settings reads config files and [meta], with
-parse_value as the one value grammar, and reports a bad line as a
-bundle.BundleError at its file:line, like any other input fault.
+Every setting is a field of a dataclass in this module: TrainConfig (its
+nested WalkConfig included) or SplitSpec. The field is its whole schema: its
+type, its default, its flat key (metadata["key"], else the field's name) and
+its bound. So a key is the same name in a config file, a flag's dest, an echo
+and a checkpoint's [meta], and config imports only bundle: a command loads
+neither structenc nor evalkit for their settings. format_settings writes
+echoes and [meta] as sorted "key = value" lines; read_settings reads config
+files and [meta], with parse_value as the one value grammar, and reports a bad
+line as a bundle.BundleError at its file:line, like any other input fault.
 
 Every setting is a bool or a number. A number's bound is metadata["bound"],
 an interval such as "[1, inf)", "(0, inf)", "[0, 1]" or "[0, 2**64)". check
@@ -29,12 +30,37 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, Iterable, Optional
 
 from .bundle import BundleError, read_text, write_text
-from .evalkit import SplitSpec
-from .structenc import WalkConfig
 
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass
+class WalkConfig:
+    """Walk and skip-gram settings of structenc; the skip-gram rate decays linearly
+    from lr to lr_min over the pairs of all epochs."""
+
+    walks_per_node: int = field(default=10, metadata={"bound": "[1, inf)"})
+    walk_length: int = field(default=20, metadata={"bound": "[1, inf)"})   # edges per walk
+    window: int = field(default=5, metadata={"bound": "[1, inf)"})
+    negatives: int = field(default=5, metadata={"bound": "[1, inf)"})
+    dim: int = field(default=64, metadata={"key": "struct_dim", "bound": "[1, inf)"})
+    epochs: int = field(default=5, metadata={"key": "struct_epochs", "bound": "[1, inf)"})
+    lr: float = field(default=0.025, metadata={"key": "struct_lr", "bound": "(0, inf)"})
+    lr_min: float = field(default=0.0001, metadata={"key": "struct_lr_min", "bound": "[0, inf)"})
+
+
+@dataclass
+class SplitSpec:
+    """One evaluation protocol of evalkit; a k-shot run is per_class_train = k (eval
+    --shots k). The bounds leave every run a probe to train and a test row to score."""
+
+    per_class_train: int = field(default=60, metadata={"bound": "[1, inf)"})
+    val_size: int = field(default=1000, metadata={"bound": "[0, inf)"})
+    test_size: int = field(default=1000, metadata={"bound": "[1, inf)"})
+    repeats: int = field(default=50, metadata={"bound": "[1, inf)"})
+    seed: int = field(default=0, metadata={"bound": "[0, 2**64)"})
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """Frozen-embedding evaluation: stratified splits, linear probe, Macro/Micro-F1.
 
-evaluate_embedding maps (embedding, labels, SplitSpec) to per-repeat scores;
-it never sees a model or a graph, and its caller names and formats the report.
+draw_splits maps (labels, SplitSpec) to the splits of every repeat, which
+need no embedding, so a caller can find labels that cannot be split before
+it embeds; evaluate_embedding maps (embedding, labels, splits) to per-repeat
+scores. Neither sees a model or a graph, and their caller names and formats
+the report.
 
 The probe is L2-regularized multinomial logistic regression trained by
 full-batch gradient descent on frozen embeddings, with model selection on
@@ -76,27 +79,13 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import SplitSpec
 from .rng import SPLIT, RngStream
-
-
-@dataclass
-class SplitSpec:
-    """One evaluation protocol; a k-shot run is per_class_train = k (eval --shots k).
-
-    Each field's metadata holds its bound (see config), which leaves every run
-    a probe to train and a test row to score.
-    """
-
-    per_class_train: int = field(default=60, metadata={"bound": "[1, inf)"})
-    val_size: int = field(default=1000, metadata={"bound": "[0, inf)"})
-    test_size: int = field(default=1000, metadata={"bound": "[1, inf)"})
-    repeats: int = field(default=50, metadata={"bound": "[1, inf)"})
-    seed: int = field(default=0, metadata={"bound": "[0, 2**64)"})
 
 
 @dataclass
@@ -107,7 +96,8 @@ class Splits:
 
 
 def make_splits(labels: np.ndarray, spec: SplitSpec, rng: RngStream) -> Splits:
-    """Stratified train draw, then disjoint uniform val/test from the rest."""
+    """Stratified train draw, then disjoint uniform val/test from the rest (found by
+    bincount: np.setdiff1d would import numpy.ma, 1.5 MB of RSS, before the embed)."""
     labels = np.asarray(labels)
     n_classes = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=n_classes)
@@ -126,7 +116,7 @@ def make_splits(labels: np.ndarray, spec: SplitSpec, rng: RngStream) -> Splits:
         train_parts[-1] = idx[train_parts[-1]]
     train = np.concatenate(train_parts)
 
-    rest = np.setdiff1d(np.arange(len(labels)), train)
+    rest = np.flatnonzero(np.bincount(train, minlength=len(labels)) == 0)
     if len(rest) == 0:   # else the shrink below leaves a test row
         raise ValueError(f"no labeled node left to test: the train draw of {k} per class "
                          f"takes all {len(labels)}")
@@ -408,11 +398,15 @@ def _argmax_cols(cols: np.ndarray, out: np.ndarray, top: np.ndarray) -> None:
         np.maximum(top, cols[c], out=top)
 
 
+def draw_splits(labels: np.ndarray, spec: SplitSpec) -> List[Splits]:
+    """The spec.repeats splits of labels, each from its own random stream."""
+    return [make_splits(labels, spec, RngStream(spec.seed, SPLIT, r))
+            for r in range(spec.repeats)]
+
+
 def evaluate_embedding(z: np.ndarray, labels: np.ndarray,
-                       spec: SplitSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-repeat (Macro-F1, Micro-F1) arrays of spec.repeats split/probe/score rounds."""
-    splits = [make_splits(labels, spec, RngStream(spec.seed, SPLIT, r))
-              for r in range(spec.repeats)]
+                       splits: Sequence[Splits]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-split (Macro-F1, Micro-F1) arrays: one probe and score round per split."""
     n_classes = int(labels.max()) + 1
     scores = [f1_scores(pred, labels[s.test], n_classes)
               for s, pred in zip(splits, linear_probe(z, labels, splits))]

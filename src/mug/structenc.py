@@ -10,32 +10,14 @@ uniformly over all nodes of the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import kernels
+from .config import WalkConfig
 from .hetgraph import HetGraph, MetaPath, step_csr
 from .rng import SGNS, SGNS_INIT, WALKS, RngStream
-
-
-@dataclass
-class WalkConfig:
-    """Walk and skip-gram settings; metadata holds each field's bound and config key (see config).
-
-    The skip-gram rate decays linearly from lr to lr_min over the pairs of all
-    epochs.
-    """
-
-    walks_per_node: int = field(default=10, metadata={"bound": "[1, inf)"})
-    walk_length: int = field(default=20, metadata={"bound": "[1, inf)"})   # edges per walk
-    window: int = field(default=5, metadata={"bound": "[1, inf)"})
-    negatives: int = field(default=5, metadata={"bound": "[1, inf)"})
-    dim: int = field(default=64, metadata={"key": "struct_dim", "bound": "[1, inf)"})
-    epochs: int = field(default=5, metadata={"key": "struct_epochs", "bound": "[1, inf)"})
-    lr: float = field(default=0.025, metadata={"key": "struct_lr", "bound": "(0, inf)"})
-    lr_min: float = field(default=0.0001, metadata={"key": "struct_lr_min", "bound": "[0, inf)"})
 
 
 def sample_walks(g: HetGraph, mp: MetaPath, cfg: WalkConfig,

@@ -14,23 +14,23 @@ chunk size moves no bit of a bundle.
 Attributes are class centroid + Gaussian noise; centroid_scale = 0 makes
 labels attribute-independent (structure-only signal).
 
-SynthSpec.from_dict reads a spec strictly: each key of the spec and of its
-aux_types, relations and metapaths entries must be a field (a metapath entry
-has name and steps), an int field must be a JSON integer and a float field a
-JSON number. A key not given takes its field's default. Every fault raises
-ValueError; mug synth reports it against the spec file.
+SynthSpec.from_dict reads a spec strictly, with bundle.read_object, the
+reader of schema.json too: each key of the spec and of its aux_types,
+relations and metapaths entries must be a field (a metapath entry has name and
+steps), and its value must be of the field's JSON type: an integer, a number,
+a name or a list of names. A key not given takes its field's default. Every
+fault raises ValueError; mug synth reports it against the spec file.
 """
 
 from __future__ import annotations
 
-import inspect
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from .bundle import read_object
 from .hetgraph import HetGraph, MetaPath, Relation, check_schema
 from .rng import RngStream
 
@@ -54,34 +54,6 @@ class RelationSpec:
     degree: float = 3.0
 
 
-def _build(make, d, where: str, **lists):
-    """make(**d) for the JSON object d, whose keys must be make's parameters.
-
-    A parameter without a default must be given; an int one must be a JSON
-    integer and a float one a JSON number, passed as a float. lists maps a key
-    to the maker of each entry of its list.
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
-    params = inspect.signature(make).parameters
-    args = {}
-    for key, value in d.items():
-        if key not in params:
-            raise ValueError(f"{where} has unknown key '{key}'")
-        kind = params[key].annotation
-        if kind == "int" and type(value) is not int:
-            raise ValueError(f"{where} key '{key}' must be an integer, got {json.dumps(value)}")
-        if kind == "float" and type(value) not in (int, float):
-            raise ValueError(f"{where} key '{key}' must be a number, got {json.dumps(value)}")
-        if key in lists:
-            value = [_build(lists[key], e, f"{key}[{i}]") for i, e in enumerate(value)]
-        args[key] = float(value) if kind == "float" else value
-    missing = [p.name for p in params.values() if p.default is p.empty and p.name not in d]
-    if missing:
-        raise ValueError(f"{where} missing key '{missing[0]}'")
-    return make(**args)
-
-
 @dataclass
 class SynthSpec:
     classes: int
@@ -98,11 +70,8 @@ class SynthSpec:
     @staticmethod
     def from_dict(d: Dict) -> "SynthSpec":
         """The spec in a JSON object; each key not given takes its field's default."""
-        try:
-            spec = _build(SynthSpec, d, "spec", aux_types=AuxType, relations=RelationSpec,
-                          metapaths=MetaPath.from_steps)
-        except TypeError as exc:
-            raise ValueError(f"malformed spec: {exc}") from None
+        spec = read_object(SynthSpec, d, "spec", aux_types=AuxType, relations=RelationSpec,
+                           metapaths=MetaPath.from_steps)
         spec.validate()
         return spec
 
@@ -118,12 +87,6 @@ class SynthSpec:
         if self.attr_dim < 0:
             raise ValueError("attr_dim must be >= 0")
         names = [self.target_type] + [a.name for a in self.aux_types]
-        if not all(isinstance(n, str) for n in names):
-            raise ValueError("type names must be strings")
-        named = [n for r in self.relations for n in (r.name, r.src, r.dst)]
-        named += [n for m in self.metapaths for n in (m.name, *m.steps)]
-        if not all(isinstance(n, str) for n in named):
-            raise ValueError("type, relation and meta-path names must be strings")
         for a in self.aux_types:
             if min(a.size, a.attr_dim) < 0:
                 raise ValueError(f"aux type '{a.name}': size and attr_dim must be >= 0")

@@ -21,7 +21,7 @@ from mug import fusion, gradsuite, metamae, synth
 from mug.bundle import load_bundle, save_bundle
 from mug.cli import main as cli_main
 from mug.config import TrainConfig
-from mug.evalkit import SplitSpec, evaluate_embedding, f1_scores, make_splits
+from mug.evalkit import SplitSpec, draw_splits, evaluate_embedding, f1_scores, make_splits
 from mug.fusion import attention_scores, attention_weights, softmax
 from mug.hetgraph import all_views, class_frequency_baseline, homophily_report
 from mug.metamae import mask_edges
@@ -190,10 +190,10 @@ def test_criterion_6_transfer_shape_law(model_full, graph_a, graph_b, z_b_full):
 def test_criterion_7_cross_domain_transfer(model_full, model_nocse, graph_b,
                                            z_b_full):
     t0 = time.monotonic()
-    spec = SplitSpec(repeats=20, seed=0)
-    macro_full = evaluate_embedding(z_b_full, graph_b.labels, spec)[0].mean()
+    splits = draw_splits(graph_b.labels, SplitSpec(repeats=20, seed=0))
+    macro_full = evaluate_embedding(z_b_full, graph_b.labels, splits)[0].mean()
     z_nocse, _ = fusion.embed(model_nocse, graph_b, seed=0)
-    macro_nocse = evaluate_embedding(z_nocse, graph_b.labels, spec)[0].mean()
+    macro_nocse = evaluate_embedding(z_nocse, graph_b.labels, splits)[0].mean()
     eval_time = time.monotonic() - t0
     total = (TIMINGS["pretrain_full"] + TIMINGS["pretrain_nocse"]
              + TIMINGS["embed_b_full"] + eval_time)
@@ -214,7 +214,8 @@ def test_criterion_8_few_shot_protocol(graph_b, z_b_full):
     means = {}
     for k in (1, 5):
         spec = SplitSpec(per_class_train=k, repeats=20, seed=0)
-        means[k] = evaluate_embedding(z_b_full, graph_b.labels, spec)[0].mean()
+        splits = draw_splits(graph_b.labels, spec)
+        means[k] = evaluate_embedding(z_b_full, graph_b.labels, splits)[0].mean()
     ok = sizes_ok and means[5] > means[1]
     report(8, ok, f"k-shot splits have exactly C*k train nodes; 5-shot Macro-F1 "
                   f"{means[5]:.3f} > 1-shot {means[1]:.3f} over 20 repeats")

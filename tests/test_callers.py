@@ -5,7 +5,10 @@ No linter ships with the package, so this test enforces the rule with
 ``ast``. A module-level function counts as called when its own module names
 it, or when another module names it through ``from .mod import f`` or
 ``mod.f``. A method counts as called when any attribute access in ``src/mug``
-uses its name (methods are not resolved to their class). A dataclass field
+calls its name, or uses it while no dataclass field in ``src/mug`` has that
+name: a load such as ``cfg.unified_dim`` reads the field of that name, and
+must not keep a property alive (methods and fields are not resolved to their
+class). A dataclass field
 counts as read when its own module, or a module that imports that module,
 loads an attribute of its name (fields are not resolved to their class either).
 """
@@ -22,6 +25,8 @@ SRC = os.path.dirname(mug.__file__)
 ALLOWED = {
     "cli._Parser.error": "argparse calls it on a usage error",
     "hetgraph.all_views": "perfbench's tests read every view as a dense matrix from it",
+    "fusion.MugModel.unified_dim": "perfbench/run.py reads it from each checkpoint it "
+                                   "reloads; ROADMAP item 1 deletes it",
 }
 
 
@@ -78,17 +83,19 @@ def _definitions(modules):
 def _is_called(modules, mod, cls, fn):
     """Whether any code outside fn's own body refers to it."""
     own = {id(n) for n in ast.walk(fn)}
+    field_names = {name for *_, name in _fields(modules)}
     for other, tree in modules.items():
         aliases = _module_aliases(tree)
         imported = other == mod or any(
             isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == mod
             and any(a.name == fn.name for a in n.names) for n in ast.walk(tree))
+        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
         for node in ast.walk(tree):
             if id(node) in own:
                 continue
             if isinstance(node, ast.Attribute) and node.attr == fn.name:
-                if cls is not None or (isinstance(node.value, ast.Name)
-                                       and aliases.get(node.value.id) == mod):
+                if (cls is not None and (fn.name not in field_names or id(node) in called)) or (
+                        isinstance(node.value, ast.Name) and aliases.get(node.value.id) == mod):
                     return True
             elif isinstance(node, ast.Name) and node.id == fn.name \
                     and cls is None and imported:
@@ -299,10 +306,12 @@ def _calls_by_function(tree):
 
 
 def test_text_is_read_and_written_in_one_place():
-    """bundle.read_text and bundle.write_text open every file and bundle.read_json parses
-    all JSON, so a missing file, bad bytes or bad JSON are reported one way everywhere."""
+    """bundle.read_text and bundle.write_text open every file, bundle.read_json parses
+    all JSON and bundle.read_object alone maps a JSON object onto a signature, so a
+    missing file, bad bytes, bad JSON or a bad key are reported one way everywhere."""
     allowed = {"open": {"bundle.read_text", "bundle.write_text"},
-               "json.load": set(), "json.loads": {"bundle.read_json"}}
+               "json.load": set(), "json.loads": {"bundle.read_json"},
+               "inspect.signature": {"bundle.read_object"}}
     bad = []
     for mod, tree in _modules().items():
         for fn, call in _calls_by_function(tree):

@@ -135,7 +135,7 @@ def test_synth_bad_spec_json_has_the_error_prefix(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage, message", [
-    (lambda s: dict(s, relations=5), "malformed spec: 'int' object is not iterable"),
+    (lambda s: dict(s, relations=5), "spec key 'relations' must be a list, got 5"),
     (lambda s: [s], "spec must be a JSON object, got list"),
     (lambda s: dict(s, aux_types=[{"name": "author", "size": -4},
                                   {"name": "subject", "size": 3}]),
@@ -143,18 +143,20 @@ def test_synth_bad_spec_json_has_the_error_prefix(tmp_path, capsys):
     (lambda s: dict(s, aux_types=[{"name": "author", "size": 4},
                                   {"name": "subject", "size": 3, "attr_dim": -2}]),
      "aux type 'subject': size and attr_dim must be >= 0"),
-    (lambda s: dict(s, target_type=["paper"]), "type names must be strings"),
+    (lambda s: dict(s, target_type=["paper"]),
+     "spec key 'target_type' must be a name, got [\"paper\"]"),
     (lambda s: dict(s, relations=[dict(s["relations"][0], dst="ghost"), s["relations"][1]]),
      "relation 'pa' references unknown type 'ghost'"),
     (lambda s: dict(s, metapaths=[{"name": "PA", "steps": ["paper", "pa", "author"]}]),
      "meta-path 'PA' must start and end at the target type 'paper'"),
     (lambda s: dict(s, relations=[dict(s["relations"][0], name=["pa"]), s["relations"][1]]),
-     "type, relation and meta-path names must be strings"),
+     "relations[0] key 'name' must be a name, got [\"pa\"]"),
     (lambda s: dict(s, metapaths=[{"name": "PAP", "steps": ["paper", ["pa"], "author", "pa",
                                                             "paper"]}]),
-     "type, relation and meta-path names must be strings"),
+     "metapaths[0] key 'steps' must be a list of names, "
+     "got [\"paper\", [\"pa\"], \"author\", \"pa\", \"paper\"]"),
     (lambda s: dict(s, relations=[dict(s["relations"][0], src=["paper"]), s["relations"][1]]),
-     "type, relation and meta-path names must be strings"),
+     "relations[0] key 'src' must be a name, got [\"paper\"]"),
 ], ids=["relations-not-a-list", "top-level-list", "negative-aux-size",
         "negative-aux-attr-dim", "target-type-list", "undeclared-type", "metapath-off-target",
         "relation-name-list", "metapath-step-list", "relation-src-list"])
@@ -519,6 +521,23 @@ def test_eval_names_a_train_draw_that_leaves_no_node_to_test(tmp_path, checkpoin
                                        "the train draw of 5 per class takes all 15\n")
 
 
+def test_eval_draws_its_splits_before_it_embeds(tmp_path, checkpoint, capsys, monkeypatch):
+    from mug import fusion
+    small = str(tmp_path / "small")
+    assert main(["synth", "--spec", tiny_spec(tmp_path, targets_per_class=5), "--out", small,
+                 "--seed", "2"]) == EXIT_OK
+    capsys.readouterr()
+
+    def no_embed(*args, **kwargs):
+        raise AssertionError("embedded a bundle whose labels cannot be split")
+
+    monkeypatch.setattr(fusion, "embed", no_embed)
+    assert main(["eval", "--model", checkpoint, "--train-data", small, "--eval-data", small,
+                 "--shots", "5"]) == EXIT_DATA
+    assert capsys.readouterr().err == ("error: no labeled node left to test: "
+                                       "the train draw of 5 per class takes all 15\n")
+
+
 def test_eval_csv_row_format(tmp_path, bundle, checkpoint):
     out = str(tmp_path / "report.csv")
     assert main(["eval", "--model", checkpoint, "--train-data", bundle, "--eval-data", bundle,
@@ -539,8 +558,8 @@ def test_eval_reports_the_f1_of_the_embedding_its_seed_gives(tmp_path, bundle, c
     cfg = cfgmod.resolve(cfgmod.parse_config_file(config), {"repeats": 3, "seed": 3})
     g = bio.load_bundle(bundle)
     z, _ = fusion.embed(fusion.load_checkpoint(checkpoint), g, seed=3)
-    macro, micro = evalkit.evaluate_embedding(z, g.labels,
-                                              cfgmod.filled(evalkit.SplitSpec(), cfg))
+    splits = evalkit.draw_splits(g.labels, cfgmod.filled(cfgmod.SplitSpec(), cfg))
+    macro, micro = evalkit.evaluate_embedding(z, g.labels, splits)
     assert macro.mean() < 1.0           # so an embedding of another seed shows
     assert open(out).read().splitlines()[1].split(",")[4:] == [
         f"{value:.6f}" for value in (macro.mean(), macro.std(), micro.mean(), micro.std())]
@@ -599,6 +618,7 @@ def test_eval_reports_the_resolved_shots(tmp_path, monkeypatch, capsys, bundle, 
     from mug import evalkit, fusion
     monkeypatch.setattr(fusion, "load_checkpoint", lambda path: None)
     monkeypatch.setattr(fusion, "embed", lambda *args, **kwargs: (None, None))
+    monkeypatch.setattr(evalkit, "draw_splits", lambda *args: [])
     monkeypatch.setattr(evalkit, "evaluate_embedding", lambda *args: (np.ones(2), np.ones(2)))
     config = str(tmp_path / "eval.cfg")
     with open(config, "w") as fh:
@@ -803,13 +823,19 @@ IMPORTS_RUN = ("import json, sys; from mug import cli; code = cli.main(sys.argv[
 @pytest.mark.parametrize("command, unloaded", [
     ("homophily", ("config", "fusion", "metamae", "structenc", "kernels", "dimalign",
                    "evalkit", "gradsuite", "autodiff", "synth")),
-    ("pretrain", ("gradsuite", "autodiff", "synth")),
+    ("pretrain", ("gradsuite", "autodiff", "synth", "evalkit")),
+    ("embed", ("gradsuite", "autodiff", "synth", "evalkit")),
+    ("synth", ("fusion", "metamae", "structenc", "kernels", "dimalign", "evalkit", "gradsuite",
+               "autodiff")),
 ])
 def test_a_command_imports_only_the_modules_it_runs(tmp_path, tiny_run, command, unloaded):
     # each command is a process of its own, which pays for every module it imports
     argv = {"homophily": ["homophily", "--data", tiny_run[0], "--out", str(tmp_path / "h.csv")],
             "pretrain": ["pretrain", "--data", tiny_run[0], "--no-cse", "--epochs", "1",
-                         "--out", str(tmp_path / "m.ckpt")]}[command]
+                         "--out", str(tmp_path / "m.ckpt")],
+            "embed": ["embed", "--model", tiny_run[1], "--data", tiny_run[0],
+                      "--out", str(tmp_path / "z.tsv")],
+            "synth": ["synth", "--out", str(tmp_path / "b")]}[command]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mug.__file__)))
     proc = subprocess.run([sys.executable, "-c", IMPORTS_RUN, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
@@ -1269,7 +1295,60 @@ def test_a_schema_that_is_not_an_object_exits_with_data_error(bundle, capsys):
     with open(path, "w") as fh:
         json.dump("node_types relations target_type metapaths", fh)   # each key is "in" it
     assert main(["homophily", "--data", bundle]) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {path}: schema must be a JSON object\n"
+    assert capsys.readouterr().err == f"error: {path}: schema must be a JSON object, got str\n"
+
+
+def _set_step(entry, i, value):
+    entry["steps"][i] = value
+
+
+@pytest.mark.parametrize("where, damage, message", [
+    ("spec", lambda s: s.update(relations=5), "spec key 'relations' must be a list, got 5"),
+    ("schema", lambda s: s.update(relations=5), "schema key 'relations' must be a list, got 5"),
+    ("spec", lambda s: s.update(metapaths={"name": "PAP"}),
+     "spec key 'metapaths' must be a list, got {\"name\": \"PAP\"}"),
+    ("schema", lambda s: s.update(metapaths=7), "schema key 'metapaths' must be a list, got 7"),
+    ("spec", lambda s: s.update(target_type=["paper"]),
+     "spec key 'target_type' must be a name, got [\"paper\"]"),
+    ("schema", lambda s: s.update(target_type=["paper"]),
+     "schema key 'target_type' must be a name, got [\"paper\"]"),
+    ("spec", lambda s: s["aux_types"][1].update(name=["subject"]),
+     "aux_types[1] key 'name' must be a name, got [\"subject\"]"),
+    ("schema", lambda s: s["relations"][1].update(dst=["subject"]),
+     "relations[1] key 'dst' must be a name, got [\"subject\"]"),
+    ("spec", lambda s: s.update(noise="0.5"), "spec key 'noise' must be a number, got \"0.5\""),
+    ("schema", lambda s: s.update(node_types="paper"),
+     "schema key 'node_types' must be a list of names, got \"paper\""),
+    ("schema", lambda s: s["node_types"].append(5),
+     "schema key 'node_types' must be a list of names, got [\"paper\", \"author\", "
+     "\"subject\", 5]"),
+    ("spec", lambda s: _set_step(s["metapaths"][1], 2, 2),
+     "metapaths[1] key 'steps' must be a list of names, "
+     "got [\"paper\", \"ps\", 2, \"ps\", \"paper\"]"),
+    ("schema", lambda s: _set_step(s["metapaths"][1], 2, None),
+     "metapaths[1] key 'steps' must be a list of names, "
+     "got [\"paper\", \"ps\", null, \"ps\", \"paper\"]"),
+], ids=["spec-relations-number", "schema-relations-number", "spec-metapaths-object",
+        "schema-metapaths-number", "spec-target-list", "schema-target-list",
+        "spec-aux-name-list", "schema-relation-dst-list", "spec-noise-string",
+        "schema-node-types-string", "schema-node-types-number",
+        "spec-step-number", "schema-step-null"])
+def test_a_value_of_the_wrong_json_type_is_named_by_its_key(tmp_path, capsys, where, damage,
+                                                             message):
+    """The spec and schema.json are read by one reader, which names a key whose value
+    is of the wrong JSON type the same way in both."""
+    spec = synth.two_view_spec(targets_per_class=5)
+    if where == "spec":
+        damage(spec)
+    path = tiny_spec(tmp_path, **spec)
+    argv = ["synth", "--spec", path, "--out", str(tmp_path / "b")]
+    if where == "schema":
+        assert main(argv) == EXIT_OK
+        path = _damage_schema(str(tmp_path / "b"), damage)
+        argv = ["homophily", "--data", str(tmp_path / "b")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def _rename(entries, old, new):
@@ -1546,3 +1625,21 @@ def test_one_edit_of_any_input_file_exits_0_or_2_naming_the_file(fuzz_run, targe
         error = next(line for line in err.getvalue().splitlines() if line.startswith("error: "))
         assert (error.startswith(f"error: {path}")
                 or f" {os.path.basename(path)}" in error), (error, edited)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edit=FUZZ_EDITS)
+def test_one_edit_of_a_synth_spec_exits_0_or_2_naming_it(edit):
+    spec = synth.two_view_spec(attr_dim=2, targets_per_class=4)
+    spec["aux_types"] = [{"name": "author", "size": 6}, {"name": "subject", "size": 3}]
+    edited = _edited(json.dumps(spec, indent=2).encode("utf-8"), edit)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "wb") as fh:
+            fh.write(edited)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["synth", "--spec", path, "--out", os.path.join(tmp, "b")])
+    assert code in (EXIT_OK, EXIT_DATA), (err.getvalue(), edited)
+    if code == EXIT_DATA:
+        assert err.getvalue().startswith(f"error: {path}:"), (err.getvalue(), edited)

@@ -12,6 +12,7 @@ from mug import evalkit
 from mug.evalkit import (
     SplitSpec,
     Splits,
+    draw_splits,
     evaluate_embedding,
     f1_scores,
     linear_probe,
@@ -568,7 +569,7 @@ def test_evaluate_embedding_scores_each_repeat_of_the_spec():
     z, labels = noisy_embedding([40, 40, 40])
     spec = SplitSpec(per_class_train=5, val_size=20, test_size=30, repeats=4, seed=3)
     snapshot = z.copy()
-    macro, micro = evaluate_embedding(z, labels, spec)
+    macro, micro = evaluate_embedding(z, labels, draw_splits(labels, spec))
     splits = [make_splits(labels, spec, RngStream(3, SPLIT, r)) for r in range(4)]
     want = [f1_scores(pred, labels[s.test], 3)
             for s, pred in zip(splits, linear_probe(z, labels, splits))]

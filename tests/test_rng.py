@@ -129,7 +129,7 @@ def test_no_key_is_drawn_twice_in_an_embed_and_its_eval(registry):
     registry.clear()
     z, _ = fusion.embed(model, g, seed=6)
     spec = SplitSpec(per_class_train=3, val_size=6, test_size=12, repeats=4, seed=6)
-    evalkit.evaluate_embedding(z, g.labels, spec)
+    evalkit.evaluate_embedding(z, g.labels, evalkit.draw_splits(g.labels, spec))
     expected = preparation_keys(6, len(g.metapaths)) + [(6, (SPLIT, r)) for r in range(4)]
     assert len(set(registry)) == len(registry)
     assert sorted(registry) == sorted(expected)
