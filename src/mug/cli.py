@@ -1,17 +1,20 @@
 """Command-line entry point.
 
-Subcommands: synth, homophily, pretrain, embed, eval, gradcheck.
-Exit codes: 0 success, 1 usage, 2 data/validation error, 3 numerical failure.
-Every run with outputs writes a resolved-config echo next to them. Each
-warning a run raises is printed as one "warning: <message>" line on stderr.
-Every fault in an input file (missing, not UTF-8, bad JSON, a bad row, setting
-or checkpoint value, a bad synth spec) is a ValueError and exits 2 with
-"error: <file>: ..." or, where the fault has a line, "error: <file>:<line>: ...".
-A fault in a file's text is a bundle.BundleError, raised by mug.bundle's
-readers, by config.read_settings (a value outside its bound too), or by
-cmd_synth for a spec; a flag outside its bound is a config.ConfigError. mug
-synth writes into a new or empty --out directory only, so no file of an
-earlier bundle is left beside its own.
+Subcommands: synth, homophily, pretrain, embed, eval, gradcheck. Exit codes: 0
+success, 1 usage, 2 data/validation error (a ValueError or OSError), 3 numerical
+failure (a FloatingPointError, as a diverged training raises, or a failed
+gradient check). main alone maps what a cmd_* raises to its code and prints it
+as one "error: <message>" line on stderr, as it prints each warning as one
+"warning: <message>" line. Every run with outputs writes a resolved-config echo
+next to them. A fault in an input file (missing, not UTF-8, bad JSON, a bad row,
+setting or checkpoint value, a bad synth spec) reads "error: <file>: ..." or,
+where it has a line, "error: <file>:<line>: ...". A fault in a file's text is a
+bundle.BundleError, raised by mug.bundle's readers, by config.read_settings (a
+value outside its bound too), or by the cmd_* that names the file: cmd_synth a
+spec, cmd_pretrain edges.tsv for a view with no edge, cmd_eval labels.tsv for
+labels it cannot split. A flag outside its bound is a config.ConfigError. mug
+synth writes into a new or empty --out directory only, so no file of an earlier
+bundle is left beside its own.
 
 A pretrain or eval flag that sets a setting has the setting's flat config key
 as its dest, so the flags and the config file name the same settings; every
@@ -23,9 +26,7 @@ the standard protocol's.
 Each command imports only the modules it runs: at module level cli imports
 bundle and hetgraph alone, and each cmd_* imports the rest it calls. A command
 is one process, and a pipeline runs several per graph, so a module a command
-does not run would be paid for in every start (homophily needs no training,
-probe or gradient-check code). That is why cmd_pretrain, the one command whose
-training can diverge, maps fusion.DivergenceError to exit 3 itself.
+does not run would be paid for in every start.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import warnings
 from typing import Dict, Optional
 
 from . import bundle as bio
-from .hetgraph import class_frequency_baseline, homophily_report, metapath_edges
+from .hetgraph import class_frequency_baseline, homophily_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,8 +111,7 @@ def cmd_homophily(args) -> int:
         _check_outputs(args.out)
     g = bio.load_bundle(args.data)
     if g.labels is None:
-        print(f"error: bundle {args.data} has no labels.tsv", file=sys.stderr)
-        return EXIT_DATA
+        raise ValueError(f"bundle {args.data} has no labels.tsv")
     ratios, avg = homophily_report(g)
     baseline = class_frequency_baseline(g.labels)
     print(f"{'meta-path':<12} homophily")
@@ -143,12 +143,7 @@ def cmd_pretrain(args) -> int:
     trace: list = []
     try:
         model = fusion.pretrain(g, cfgmod.filled(cfgmod.TrainConfig(), cfg), trace=trace)
-    except fusion.DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:   # a view with no instances is a fault of edges.tsv
-        if all(len(metapath_edges(g, mp).rows) for mp in g.metapaths):
-            raise
+    except bio.BundleError as exc:   # a view with no instances is a fault of edges.tsv
         raise bio.BundleError(str(exc), os.path.join(args.data, "edges.tsv")) from None
     fusion.save_checkpoint(model, args.out)
 
@@ -212,11 +207,13 @@ def cmd_eval(args) -> int:
     for name, g in bundles.items():
         if g.labels is None:
             warnings.warn(f"bundle '{name}' has no labels; skipped")
-        else:
+            continue
+        try:
             splits[name] = evalkit.draw_splits(g.labels, spec)
+        except ValueError as exc:   # labels that cannot be split are labels.tsv's fault
+            raise bio.BundleError(str(exc), os.path.join(paths[name], "labels.tsv")) from None
     if not splits:
-        print("error: no labeled eval bundles", file=sys.stderr)
-        return EXIT_DATA
+        raise ValueError("no labeled eval bundles")
     train_name = os.path.basename(os.path.normpath(args.train_data))
     table = [f"{'eval bundle':<16} {'shots':>5} {'Macro-F1':>16} {'Micro-F1':>16}"]
     rows = ["variant,train_bundle,eval_bundle,shots,macro_mean,macro_std,micro_mean,micro_std"]
@@ -241,16 +238,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from . import gradsuite
+    from . import config as cfgmod, gradsuite
+    cfgmod.check({"seed": args.seed})
     results = gradsuite.run_suite(instances=args.instances, seed=args.seed)
-    failures = 0
     for res in results:
         status = "pass" if res.passed else "FAIL"
         print(f"{status}  {res.name:<24} max rel err {res.max_rel_err:.2e} "
               f"over {res.instances} instances (tol {gradsuite.TOLERANCE:.0e})")
-        failures += 0 if res.passed else 1
-    print(f"{len(results) - failures}/{len(results)} gradient checks passed")
-    return EXIT_OK if failures == 0 else EXIT_NUMERIC
+    passed = sum(res.passed for res in results)
+    print(f"{passed}/{len(results)} gradient checks passed")
+    return EXIT_OK if passed == len(results) else EXIT_NUMERIC
 
 
 # -- wiring -------------------------------------------------------------------------
@@ -311,18 +308,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return args.fn(args)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, FloatingPointError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            return EXIT_NUMERIC if isinstance(exc, FloatingPointError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -100,6 +100,8 @@ def make_splits(labels: np.ndarray, spec: SplitSpec, rng: RngStream) -> Splits:
     bincount: np.setdiff1d would import numpy.ma, 1.5 MB of RSS, before the embed)."""
     labels = np.asarray(labels)
     n_classes = int(labels.max()) + 1
+    if n_classes < 2:
+        raise ValueError("every labeled node is in class 0: the probe needs two classes")
     counts = np.bincount(labels, minlength=n_classes)
     if (counts == 0).any():
         missing = int(np.where(counts == 0)[0][0])

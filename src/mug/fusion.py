@@ -13,7 +13,7 @@ it on the unmasked views, streaming their operators, and fuses. objective runs i
 on the masked views, adds the decoder and the alignment, reconstruction and
 scattering terms, and computes the gradient of their weighted total by hand, in
 reverse order; _train hands it to Adam once per epoch. A non-finite total or
-gradient stops training with DivergenceError before the parameters change.
+gradient stops training with a FloatingPointError before the parameters change.
 
 Checkpoint format (UTF-8 text):
 
@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import config, dimalign, metamae, structenc
-from .bundle import format_floats, read_floats, read_text, write_text
+from .bundle import BundleError, format_floats, read_floats, read_text, write_text
 from .config import TrainConfig
 from .hetgraph import EdgeList, HetGraph, metapath_edges
 from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream
@@ -73,12 +73,6 @@ class MugModel:
     @property   # perfbench/run.py reads it from each checkpoint it reloads
     def unified_dim(self) -> int:
         return self.cfg.unified_dim
-
-
-class DivergenceError(FloatingPointError):
-    def __init__(self, epoch: int):
-        super().__init__(f"training diverged (non-finite loss) at epoch {epoch}")
-        self.epoch = epoch
 
 
 # -- attention / fusion / losses ----------------------------------------------
@@ -263,16 +257,16 @@ def _prepare_graph(g: HetGraph, cfg: TrainConfig, training: bool = False) -> _Gr
 
     Meta-path views, struct table (unless ablated), unified attributes and
     the dimension-encoder node sample, all keyed by cfg.seed. The views come
-    first, so training refuses an edgeless view before any table is trained;
-    embedding takes one, as its operator is the identity.
+    first, so training refuses an edgeless view before any table is trained, as a
+    BundleError with no file; embedding takes one, as its operator is the identity.
     """
     if not g.metapaths:
         raise ValueError("graph declares no meta-paths")
     views = [metapath_edges(g, mp) for mp in g.metapaths]
     for mp, view in zip(g.metapaths, views):
         if training and len(view.rows) == 0:
-            raise ValueError(f"meta-path '{mp.name}' has no instances: "
-                             "pre-training needs an edge in every view")
+            raise BundleError(f"meta-path '{mp.name}' has no instances: "
+                              "pre-training needs an edge in every view", "")
     table = None
     if not cfg.no_cse:
         table = structenc.train_struct_table(g, cfg.walk, RngStream(cfg.seed, STRUCT))
@@ -298,7 +292,7 @@ def _train(state: _GraphState, cfg: TrainConfig,
         finite = np.isfinite(parts.total) and all(np.isfinite(g).all()
                                                   for g in grads.values())
         if not finite:
-            raise DivergenceError(epoch)
+            raise FloatingPointError(f"training diverged (non-finite loss) at epoch {epoch}")
         opt.step(grads)
 
         if trace is not None:

@@ -35,9 +35,7 @@ ALLOWED_FIELDS: dict = {}
 
 
 # Exception classes kept without an except clause that names them, each for a stated reason.
-ALLOWED_UNCAUGHT = {
-    "bundle.BundleError": "the class of every input fault; cli reports it as a ValueError",
-}
+ALLOWED_UNCAUGHT: dict = {}
 
 
 def _modules():
@@ -247,8 +245,34 @@ def test_one_exception_class_per_kind_of_fault():
         "config.ConfigError",         # a setting outside its bound
         "hetgraph.SchemaError",       # a schema fault, raised by the schema check alone
         "fusion.CheckpointError",     # a checkpoint's structure or shapes
-        "fusion.DivergenceError",     # a non-finite loss, exit 3
     }
+
+
+def test_main_alone_maps_a_fault_to_an_exit_code():
+    """A cmd_* raises; only main prints an "error:" line and returns the data or numeric
+    code, and a failed gradient check is cmd_gradcheck's result, not a fault."""
+    printers, named = set(), {"EXIT_DATA": set(), "EXIT_NUMERIC": set()}
+    tree = _modules()["cli"]
+    for top in tree.body:
+        for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            qual = f"{top.name}.{fn.name}" if fn is not top else fn.name
+            returned = {id(n) for r in ast.walk(fn) if isinstance(r, ast.Return)
+                        for n in ast.walk(r)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print" \
+                        and node.args:
+                    text = node.args[0]
+                    if isinstance(text, ast.JoinedStr) and text.values:
+                        text = text.values[0]
+                    if isinstance(text, ast.Constant) and str(text.value).startswith("error:"):
+                        printers.add(qual)
+                if isinstance(node, ast.Name) and node.id in named:
+                    named[node.id].add(qual + (" result" if id(node) in returned else ""))
+    assert printers == {"main", "_Parser.error"}
+    assert named == {"EXIT_DATA": {"main result"},
+                     "EXIT_NUMERIC": {"main result", "cmd_gradcheck result"}}
 
 
 def _rng_names(tree):

@@ -262,9 +262,11 @@ def test_homophily_average_is_mean_of_views(tmp_path, capsys, bundle):
     assert avg == pytest.approx((float(rows["PAP"]) + float(rows["PSP"])) / 2, abs=1e-6)
 
 
-def test_homophily_unlabeled_bundle_errors(tmp_path, bundle):
+def test_homophily_unlabeled_bundle_errors(tmp_path, bundle, capsys):
     os.remove(os.path.join(bundle, "labels.tsv"))
+    capsys.readouterr()
     assert main(["homophily", "--data", bundle]) == EXIT_DATA
+    assert capsys.readouterr() == ("", f"error: bundle {bundle} has no labels.tsv\n")
 
 
 @pytest.mark.parametrize("cls", ["100000000000", "-5", "60"])
@@ -412,7 +414,7 @@ def test_pretrain_and_embed_run_on_a_non_palindromic_metapath(tmp_path):
 
 def test_pretrain_refuses_an_edgeless_view_before_the_work(tmp_path, bundle, checkpoint,
                                                           monkeypatch, capsys):
-    from mug import structenc
+    from mug import cli, fusion, hetgraph, structenc
     edges = os.path.join(bundle, "edges.tsv")
     with open(edges) as fh:
         rows = [row for row in fh if row.split("\t")[1] != "ps"]
@@ -421,10 +423,15 @@ def test_pretrain_refuses_an_edgeless_view_before_the_work(tmp_path, bundle, che
     out = str(tmp_path / "emb.tsv")
     assert main(["embed", "--model", checkpoint, "--data", bundle, "--out", out]) == EXIT_OK
     monkeypatch.setattr(structenc, "train_struct_table", _no_work)
+    built = []   # telling this fault from others needs no second build of every view
+    monkeypatch.setattr(fusion, "metapath_edges",
+                        lambda g, mp: built.append(mp.name) or hetgraph.metapath_edges(g, mp))
+    monkeypatch.setattr(cli, "metapath_edges", fusion.metapath_edges, raising=False)
     capsys.readouterr()
     assert main(["pretrain", "--data", bundle, "--out", str(tmp_path / "m.ckpt")]) == EXIT_DATA
     assert capsys.readouterr().err == (f"error: {edges}: meta-path 'PSP' has no instances: "
                                        "pre-training needs an edge in every view\n")
+    assert built == ["PAP", "PSP"]
 
 
 def test_embed_deterministic(tmp_path, bundle, checkpoint):
@@ -517,8 +524,8 @@ def test_eval_names_a_train_draw_that_leaves_no_node_to_test(tmp_path, checkpoin
     capsys.readouterr()
     assert main(["eval", "--model", checkpoint, "--train-data", small, "--eval-data", small,
                  "--shots", "5"]) == EXIT_DATA
-    assert capsys.readouterr().err == ("error: no labeled node left to test: "
-                                       "the train draw of 5 per class takes all 15\n")
+    assert capsys.readouterr().err == (f"error: {small}/labels.tsv: no labeled node left to "
+                                       "test: the train draw of 5 per class takes all 15\n")
 
 
 def test_eval_draws_its_splits_before_it_embeds(tmp_path, checkpoint, capsys, monkeypatch):
@@ -534,8 +541,33 @@ def test_eval_draws_its_splits_before_it_embeds(tmp_path, checkpoint, capsys, mo
     monkeypatch.setattr(fusion, "embed", no_embed)
     assert main(["eval", "--model", checkpoint, "--train-data", small, "--eval-data", small,
                  "--shots", "5"]) == EXIT_DATA
-    assert capsys.readouterr().err == ("error: no labeled node left to test: "
-                                       "the train draw of 5 per class takes all 15\n")
+    assert capsys.readouterr().err == (f"error: {small}/labels.tsv: no labeled node left to "
+                                       "test: the train draw of 5 per class takes all 15\n")
+
+
+@pytest.mark.parametrize("relabel, message", [
+    ({1: 2}, "class 1 has no labeled nodes"),
+    ({1: 0, 2: 0}, "every labeled node is in class 0: the probe needs two classes"),
+], ids=["class-id-gap", "one-class"])
+def test_eval_names_labels_tsv_for_labels_it_cannot_split(tmp_path, bundle, capsys, monkeypatch,
+                                                          relabel, message):
+    from mug import fusion
+
+    def no_embed(*args, **kwargs):
+        raise AssertionError("embedded a bundle whose labels cannot be split")
+
+    monkeypatch.setattr(fusion, "load_checkpoint", lambda path: None)
+    monkeypatch.setattr(fusion, "embed", no_embed)
+    labels = os.path.join(bundle, "labels.tsv")
+    with open(labels) as fh:
+        header, *rows = fh.read().splitlines()
+    rows = [f"{node}\t{relabel.get(int(c), int(c))}" for node, c in (r.split("\t") for r in rows)]
+    with open(labels, "w") as fh:
+        fh.write("\n".join([header] + rows) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--model", "unread.ckpt", "--train-data", bundle,
+                 "--eval-data", bundle]) == EXIT_DATA
+    assert capsys.readouterr() == ("", f"error: {labels}: {message}\n")
 
 
 def test_eval_csv_row_format(tmp_path, bundle, checkpoint):
@@ -630,7 +662,8 @@ def test_eval_reports_the_resolved_shots(tmp_path, monkeypatch, capsys, bundle, 
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
-@pytest.mark.parametrize("command", ["synth", "pretrain", "embed", "eval", "eval --shots"])
+@pytest.mark.parametrize("command", ["synth", "pretrain", "embed", "eval", "eval --shots",
+                                     "gradcheck"])
 def test_seed_outside_64_bits_fails_before_the_work(tmp_path, monkeypatch, capsys, command,
                                                      seed):
     # RngStream keys on the seed mod 2**64: -1 would alias 2**64 - 1, and 2**64 alias 0
@@ -638,6 +671,7 @@ def test_seed_outside_64_bits_fails_before_the_work(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(bundle, "load_bundle", _no_work)
     monkeypatch.setattr(fusion, "load_checkpoint", _no_work)
     monkeypatch.setattr(synth, "generate", _no_work)
+    monkeypatch.setattr(gradsuite, "run_suite", _no_work)
     data, model = str(tmp_path / "bundle"), str(tmp_path / "model.ckpt")
     argv = {
         "synth": ["synth", "--out", data],
@@ -646,6 +680,7 @@ def test_seed_outside_64_bits_fails_before_the_work(tmp_path, monkeypatch, capsy
         "eval": ["eval", "--model", model, "--train-data", data, "--eval-data", data],
         "eval --shots": ["eval", "--model", model, "--train-data", data, "--eval-data", data,
                          "--shots", "1"],
+        "gradcheck": ["gradcheck"],
     }[command]
     assert main(argv + ["--seed", str(seed)]) == EXIT_DATA
     assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
@@ -1588,15 +1623,25 @@ def fuzz_run(tiny_run, tmp_path_factory):
     ckpt = str(root / "model.ckpt")
     assert main(["pretrain", "--data", tiny_run[0], "--config", cfg,
                  "--out", ckpt]) == EXIT_OK
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(_fuzz_eval(ckpt, tiny_run[0])) == EXIT_OK   # the unedited bundle splits
     return tiny_run[0], cfg, ckpt
 
 
+def _fuzz_eval(ckpt, data):
+    """eval on tiny_run's 4 targets per class: one train node each, one split."""
+    return ["eval", "--model", ckpt, "--train-data", data, "--eval-data", data,
+            "--shots", "1", "--repeats", "1"]
+
+
 @settings(max_examples=200, deadline=None)
-@given(target=st.sampled_from(FUZZ_BUNDLE + ("checkpoint", "config")),
+@given(target=st.sampled_from(FUZZ_BUNDLE + ("checkpoint", "config", "eval labels")),
        command=st.sampled_from(["homophily", "pretrain", "embed"]), edit=FUZZ_EDITS)
 def test_one_edit_of_any_input_file_exits_0_or_2_naming_the_file(fuzz_run, target, command,
                                                                  edit):
     data, cfg, ckpt = fuzz_run
+    if target == "eval labels":
+        target, command = "labels.tsv", "eval"
     with tempfile.TemporaryDirectory() as tmp:
         if target in FUZZ_BUNDLE:
             data = shutil.copytree(data, os.path.join(tmp, "b"))
@@ -1615,7 +1660,8 @@ def test_one_edit_of_any_input_file_exits_0_or_2_naming_the_file(fuzz_run, targe
                 "pretrain": ["pretrain", "--data", data, "--config", cfg, "--epochs", "1",
                              "--no-cse", "--out", os.path.join(tmp, "m.ckpt")],
                 "embed": ["embed", "--model", ckpt, "--data", data,
-                          "--out", os.path.join(tmp, "z.tsv")]}[command]
+                          "--out", os.path.join(tmp, "z.tsv")],
+                "eval": _fuzz_eval(ckpt, data)}[command]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(args)
