@@ -8,7 +8,9 @@ the report.
 
 The probe is L2-regularized multinomial logistic regression trained by
 full-batch gradient descent on frozen embeddings, with model selection on
-validation Macro-F1. Repeats draw fresh splits from per-repeat random
+validation Macro-F1. It trains in float64, whatever the embedding's dtype: an
+embedding of another float dtype is cast on entry, as the certificate below
+assumes float64 rounding. Repeats draw fresh splits from per-repeat random
 streams; everything downstream of the embedding is deterministic.
 
 All repeats of an evaluation train as one stack on one thread: make_splits
@@ -191,6 +193,7 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     rows sorted by certified margin; when that prefix is over PREFIX_SHARE of
     the rows, the block scores them all and becomes the next anchor.
     """
+    z = np.asarray(z, dtype=np.float64)   # the certificate assumes u = 2**-53
     y = np.asarray(labels)
     if len({(len(s.train), len(s.val), len(s.test)) for s in splits}) != 1:
         raise ValueError("the probe needs one or more splits of equal "

@@ -15,6 +15,13 @@ scattering terms, and computes the gradient of their weighted total by hand, in
 reverse order; _train hands it to Adam once per epoch. A non-finite total or
 gradient stops training with a FloatingPointError before the parameters change.
 
+Pre-training and embedding compute in COMPUTE, float32: _prepare_graph makes the
+unified attributes in it, _init_params and embed make the parameters in it, and
+every function after them follows the dtype of its inputs, so the same code runs in
+float64 on float64 inputs (the gradient suite's). The attention scores, their
+softmax β and embed's result are float64: β sums to 1 within 1e-12, and the
+embedding meets the probe in the dtype its certificate assumes.
+
 Checkpoint format (UTF-8 text):
 
     MUG-CKPT v6
@@ -24,14 +31,16 @@ Checkpoint format (UTF-8 text):
     [params]
     <name> <rows> <cols>   one header per param_shapes entry, in that order,
     <row values>           each followed by its rows of repr(float) values
-                           (bundle.format_floats)
+                           (bundle.format_floats): a float32 parameter is written
+                           as the float64 of its value, which reads back exactly
 
 load_checkpoint reads [meta] first with config.read_settings, the reader of
 config files, so a bad line or a value outside its bound raises that reader's
 bundle.BundleError naming the file and the line. It then requires every
 TrainConfig setting to be there. It requires the matrix headers to equal
 param_shapes of that config, and reads each matrix with bundle.read_floats,
-which reports a bad row at its path:line. Any other fault raises
+which reports a bad row at its path:line, as float64 arrays that embed casts to
+COMPUTE without rounding. Any other fault raises
 CheckpointError naming the file; other versions are refused (v5 also had
 neg_distribution and resample_mask, v4 no_scatter and "key value" lines).
 """
@@ -52,6 +61,7 @@ from .hetgraph import EdgeList, HetGraph, metapath_edges
 from .rng import INIT, MASK, SAMPLE, STRUCT, RngStream
 
 CHECKPOINT_MAGIC = "MUG-CKPT v6"
+COMPUTE = np.float32   # of pre-training and embedding: SGEMM strips and float32 σ, ~2x float64's
 
 
 def param_shapes(cfg: TrainConfig) -> List[Tuple[str, Tuple[int, int]]]:
@@ -87,7 +97,7 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 def attention_scores(q: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                      views: Sequence[np.ndarray]) -> np.ndarray:
     """Per-view scalar: node-mean of qᵀ tanh(z W + b)."""
-    return np.array([(np.tanh(z @ weight + bias) @ q).mean() for z in views])
+    return np.array([(np.tanh(z @ weight + bias) @ q).mean(dtype=np.float64) for z in views])
 
 
 def attention_weights(q: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -99,7 +109,7 @@ def attention_weights(q: np.ndarray, weight: np.ndarray, bias: np.ndarray,
 
 
 def fuse(beta: np.ndarray, views: Sequence[np.ndarray]) -> np.ndarray:
-    """Convex combination of the view embeddings."""
+    """Convex combination of the view embeddings, in the dtype they take with beta."""
     if len(beta) != len(views):
         raise ValueError(f"{len(beta)} weights for {len(views)} views")
     acc = views[0] * beta[0]
@@ -166,7 +176,7 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
     Returns (parts, grads), grads keyed like params.
     """
     p = params
-    ops = [metamae.normalized_operator(view) for view in masked]
+    ops = [metamae.normalized_operator(view, state.unified.dtype) for view in masked]
     sample, basis, xw, zs, beta = _forward(p, state, ops)
     l_align, d_align = dimalign.align_loss(basis)
     z_hats = [metamae.graph_conv(op, z @ p["dec.weight"], p["dec.bias"]) for op, z in zip(ops, zs)]
@@ -174,8 +184,8 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
     # per view: (loss, λ_recon·βᵢ times its gradient with respect to Ẑ); each Ẑ is
     # dropped once it is scored, so the gradients take its place in memory
     recon = [metamae.recon_loss(view, z_hats.pop(0), cfg.gamma, lam_recon * b)
-             for view, b in zip(state.views, beta)]
-    l_scatter, d_fused = scatter_loss(fuse(beta, zs))
+             for view, b in zip(state.views, beta.tolist())]
+    l_scatter, d_fused = scatter_loss(fuse(beta.astype(xw.dtype), zs))   # not β's float64
     view_losses = np.array([loss for loss, _ in recon])
     parts = LossParts(l_align, beta, view_losses, l_scatter,
                       total_loss(l_align, beta, view_losses, l_scatter, cfg))
@@ -185,18 +195,19 @@ def objective(params: Dict[str, np.ndarray], state: _GraphState,
     d_score = beta * (d_beta - (d_beta * beta).sum())   # through the softmax
     g = {name: np.zeros_like(value) for name, value in p.items()}
     d_xw = np.zeros_like(xw)
-    for i, (op, z, (_, d_z_hat)) in enumerate(zip(ops, zs, recon)):
+    # β and d_score as Python floats, which take the dtype of the arrays they scale
+    for op, z, (_, d_z_hat), b, d_s in zip(ops, zs, recon, beta.tolist(), d_score.tolist()):
         t = np.tanh(z @ p["att.weight"] + p["att.bias"])
-        d_pre = (d_score[i] / len(z)) * p["att.q"].T * (1.0 - t * t)
-        g["att.q"] += (d_score[i] / len(z)) * t.sum(axis=0)[:, None]
+        d_pre = (d_s / len(z)) * p["att.q"].T * (1.0 - t * t)
+        g["att.q"] += (d_s / len(z)) * t.sum(axis=0)[:, None]
         g["att.weight"] += z.T @ d_pre
         g["att.bias"] += d_pre.sum(axis=0, keepdims=True)
-        d_z = beta[i] * d_fused + d_pre @ p["att.weight"].T
+        d_z = b * d_fused + d_pre @ p["att.weight"].T
         d_zw = op.T @ d_z_hat
         g["dec.weight"] += z.T @ d_zw
         g["dec.bias"] += d_z_hat.sum(axis=0, keepdims=True)
         d_z += d_zw @ p["dec.weight"].T
-        d_h = d_z * np.where(z > 0, 1.0, metamae.LEAKY_SLOPE)
+        d_h = np.where(z > 0, d_z, metamae.LEAKY_SLOPE * d_z)
         g["enc.bias"] += d_h.sum(axis=0, keepdims=True)
         d_xw += op.T @ d_h
     g["enc.weight"] = dimalign.project(basis, state.unified).T @ d_xw   # x, once more
@@ -240,8 +251,8 @@ class Optimizer:
 
 
 def _init_params(cfg: TrainConfig, seed: int) -> Dict[str, np.ndarray]:
-    return {name: np.zeros(shape) if name.endswith(".bias")
-            else dimalign.glorot(RngStream(seed, INIT, i), *shape)
+    return {name: np.zeros(shape, COMPUTE) if name.endswith(".bias")
+            else dimalign.glorot(RngStream(seed, INIT, i), *shape).astype(COMPUTE)
             for i, (name, shape) in enumerate(param_shapes(cfg))}
 
 
@@ -270,7 +281,7 @@ def _prepare_graph(g: HetGraph, cfg: TrainConfig, training: bool = False) -> _Gr
     table = None
     if not cfg.no_cse:
         table = structenc.train_struct_table(g, cfg.walk, RngStream(cfg.seed, STRUCT))
-    unified = structenc.unify_attrs(g, table)
+    unified = structenc.unify_attrs(g, table).astype(COMPUTE)
     sample_idx = dimalign.draw_node_sample(
         g.counts[g.target_type], cfg.sample_size, RngStream(cfg.seed, SAMPLE))
     return _GraphState(unified=unified, views=views, sample_idx=sample_idx)
@@ -320,13 +331,15 @@ def pretrain(g: HetGraph, cfg: TrainConfig,
 def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Frozen transfer: retrain the struct table on g, apply frozen parameters.
 
-    Returns (fused embedding |V_target| x k, per-view attention weights).
+    Returns (fused embedding |V_target| x k, per-view attention weights), both float64.
     No masking at embedding time and no parameter updates of any kind. _forward, the
     pass objective runs, streams the unmasked views' operators: one is alive at a time.
     """
     state = _prepare_graph(g, replace(model.cfg, seed=seed))
-    *_, zs, beta = _forward(model.params, state, map(metamae.normalized_operator, state.views))
-    return fuse(beta, zs), beta
+    params = {name: value.astype(COMPUTE) for name, value in model.params.items()}
+    ops = (metamae.normalized_operator(view, state.unified.dtype) for view in state.views)
+    *_, zs, beta = _forward(params, state, ops)
+    return fuse(beta, zs), beta   # float64, as β is: no float32 copy is made
 
 
 # -- checkpoint I/O ---------------------------------------------------------------

@@ -8,7 +8,9 @@ with the other two weights at zero and then all three together; one more
 runs all three on asymmetric views, whose operators are not their own
 transposes; two more run all three on symmetric and asymmetric edge-list
 views; the skip-gram check runs the SGNS kernel itself. The CLI runs this
-suite; the acceptance tests pin its tolerances.
+suite; the acceptance tests pin its tolerances. The checks run objective in
+float64; training runs the same code in float32, whose gradients a test compares
+with these on the suite's own instances.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ row-wise against the full unmasked adjacency with a scaled cosine loss.
 
 Cost model: a view is an EdgeList built once per graph by hetgraph. Masking
 keeps a shorter list, one uniform per listed pair. normalized_operator makes
-every list an EdgeOperator of 16 or 24 bytes per entry: one of fewer than
+every list an EdgeOperator of 20 bytes per entry, or 12 in strips (intp rows
+and cols, values of the compute dtype, float32 in training): one of fewer than
 N² · LIST_SHARE entries takes O(entries · k) per product with an N x k matrix,
 a longer one O(N² · k) by BLAS, a strip of RECON_BLOCK rows at a time. So peak
 memory is O(N · (k + RECON_BLOCK) + entries).
@@ -35,7 +36,7 @@ from .rng import RngStream
 
 RECON_BLOCK = 128   # rows of a strip held at once, of σ(ẐẐᵀ) or of an operator
 LEAKY_SLOPE = 0.25  # the encoder's negative slope
-LIST_SHARE = 1 / 128   # measured: below it 4 list products beat a dense build + 4, N ≤ 3,000
+LIST_SHARE = 1 / 128   # float32 build + 4 products: lists win below ~N²/208 (N ≥ 1,000), lose ≤ 1.8x up to it
 LIST_COLS = 16      # the columns of x one np.bincount of an EdgeOperator product sums
 
 
@@ -81,8 +82,8 @@ class EdgeOperator:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         n, k = x.shape
         if self.starts is not None:
-            out = np.zeros(x.shape) if self.transposed else np.empty(x.shape)
-            scratch = np.empty((min(RECON_BLOCK, n), n))
+            out = (np.zeros if self.transposed else np.empty)(x.shape, x.dtype)
+            scratch = np.empty((min(RECON_BLOCK, n), n), self.vals.dtype)
             for lo, a, b in zip(range(0, n, RECON_BLOCK), self.starts, self.starts[1:]):
                 hi = min(lo + RECON_BLOCK, n)
                 strip = scratch[:hi - lo]
@@ -106,11 +107,12 @@ class EdgeOperator:
         return out
 
 
-def normalized_operator(edges: EdgeList) -> EdgeOperator:
-    """D^-1/2 (A + I) D^-1/2 of the listed A, where a listed (i, i) weighs 2/dᵢ: in list
-    order if A lists fewer than N² · LIST_SHARE entries, else in strips."""
+def normalized_operator(edges: EdgeList, dtype=np.float64) -> EdgeOperator:
+    """D^-1/2 (A + I) D^-1/2 of the listed A, where a listed (i, i) weighs 2/dᵢ, with
+    values of dtype: in list order if A lists fewer than N² · LIST_SHARE entries, else
+    in strips."""
     n = edges.shape[0]
-    dinv = 1.0 / np.sqrt(np.bincount(edges.rows, minlength=n) + 1.0)
+    dinv = (1.0 / np.sqrt(np.bincount(edges.rows, minlength=n) + 1.0)).astype(dtype)
     rows, cols = edges.rows.astype(np.intp), edges.cols.astype(np.intp)
     if len(rows) < n * n * LIST_SHARE:
         return EdgeOperator(rows, cols, dinv[rows] * dinv[cols], dinv * dinv)
@@ -135,7 +137,8 @@ def encode(adj_op: EdgeOperator, xw: np.ndarray, bias: np.ndarray) -> np.ndarray
 def _sigmoid_strip(z: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The strip S[lo:hi, lo:] of S = σ(z zᵀ), as 1 / (1 + exp(-x)) in place.
 
-    Where exp(-x) overflows to inf, x < -709 and σ(x) < 1e-308 reads 0.0.
+    Where exp(-x) overflows to inf, σ(x) reads 0.0: in float32 at x < -88.7, where
+    σ(x) < 1.2e-38, and in float64 at x < -709, where σ(x) < 1e-308.
     """
     e = z[lo:hi] @ z[lo:].T
     np.negative(e, out=e)
@@ -161,7 +164,7 @@ def recon_loss(view: EdgeList, z_hat: np.ndarray, gamma: float = 2.0,
 
     A is the view, in row-major order. Rows with no edges have no direction
     and are excluded, also from the normalizer. Returns (loss, g times its
-    gradient with respect to Ẑ).
+    gradient with respect to Ẑ, in Ẑ's dtype).
 
     S = σ(ẐẐᵀ) is symmetric, so both passes sweep only its upper strips
     S[lo:hi, lo:], RECON_BLOCK rows each. Pass 1 adds a strip's row sums of
@@ -196,8 +199,8 @@ def recon_loss(view: EdgeList, z_hat: np.ndarray, gamma: float = 2.0,
                 t_view, t_bounds[k], t_bounds[k + 1], lo, width)
             yield lo, hi, a, t
 
-    dot = np.zeros(n)
-    sq_sum = np.zeros(n)
+    dot = np.zeros(n, z_hat.dtype)
+    sq_sum = np.zeros(n, z_hat.dtype)
     for lo, hi, (rows, _, flat), (_, t_cols, t_flat) in strips():
         b = hi - lo
         s = _sigmoid_strip(z_hat, lo, hi)
@@ -208,7 +211,7 @@ def recon_loss(view: EdgeList, z_hat: np.ndarray, gamma: float = 2.0,
         s *= s
         sq_sum[lo:hi] += s.sum(axis=1)
         sq_sum[hi:] += s[:, b:].sum(axis=0)
-    denom = np.sqrt(deg) * np.sqrt(sq_sum)
+    denom = np.sqrt(deg, dtype=z_hat.dtype) * np.sqrt(sq_sum)
     defined = denom > 0
     cos = np.where(defined, dot / np.where(defined, denom, 1.0), 0.0)
     base = np.maximum(1.0 - cos, 0.0)

@@ -914,8 +914,8 @@ def test_list_view_checks_run_the_edge_list_operator(monkeypatch):
     kinds = []
     normalized_operator = metamae.normalized_operator
 
-    def recording(edges):
-        op = normalized_operator(edges)
+    def recording(edges, dtype):
+        op = normalized_operator(edges, dtype)
         kinds.append(op.starts is None)
         return op
 

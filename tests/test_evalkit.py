@@ -546,6 +546,15 @@ def test_argmax_cols_matches_numpys_argmax(width):
     assert np.array_equal(out, np.argmax(np.moveaxis(scores, 0, -1), axis=-1))
 
 
+@pytest.mark.parametrize("name", ["standard", "one_shot", "unbalanced_4_classes"])
+def test_a_float32_embedding_predicts_as_its_float64_cast(name):
+    # the probe trains in float64 whatever it is given, as its certificate assumes
+    z, labels, splits = oracle_case(name)
+    z32 = z.astype(np.float32)
+    assert np.array_equal(linear_probe(z32, labels, splits),
+                          linear_probe(z32.astype(np.float64), labels, splits))
+
+
 def test_reversed_splits_reverse_the_predictions():
     z, labels, splits = oracle_case("one_shot")
     assert np.array_equal(linear_probe(z, labels, splits[::-1]),

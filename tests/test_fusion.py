@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import FINITE_FLOATS, NO_SHRINK, sparse_two_view_spec, three_view_spec, view_of
 
 from mug import autodiff as ad
-from mug import dimalign, fusion, metamae, synth
+from mug import dimalign, fusion, gradsuite, metamae, synth
 from mug.config import TrainConfig
 from mug.fusion import (
     attention_weights,
@@ -389,24 +389,24 @@ def test_embed_transfers_to_different_schema():
 
 
 def _views_and_encodings(model, g, seed):
-    """Each view's frozen encoding, computed here from the model's parameters."""
+    """The model's parameters in the compute dtype and each view's frozen encoding,
+    computed here from them."""
     state = fusion._prepare_graph(g, replace(model.cfg, seed=seed))
-    p = model.params
+    p = {name: value.astype(fusion.COMPUTE) for name, value in model.params.items()}
     basis = dimalign.basis_vectors(p["dim.weight"], p["dim.bias"],
                                    state.unified[state.sample_idx])
     xw = dimalign.project(basis, state.unified) @ p["enc.weight"]
-    return [metamae.encode(metamae.normalized_operator(view), xw, p["enc.bias"])
-            for view in state.views]
+    return p, [metamae.encode(metamae.normalized_operator(view, fusion.COMPUTE), xw,
+                              p["enc.bias"]) for view in state.views]
 
 
 def test_embed_fuses_its_views_by_their_attention_weights():
     g = planted(spec=three_view_spec(attr_dim=5, targets_per_class=25))
     model = pretrain(g, small_cfg(epochs=2, no_cse=True))
     model.params["att.q"] = 3.0 * np.random.default_rng(0).normal(size=(16, 1))
-    z_views = _views_and_encodings(model, g, seed=4)
+    p, z_views = _views_and_encodings(model, g, seed=4)
     z, beta = embed(model, g, seed=4)
-    want = attention_weights(model.params["att.q"], model.params["att.weight"],
-                             model.params["att.bias"], z_views)
+    want = attention_weights(p["att.q"], p["att.weight"], p["att.bias"], z_views)
     assert np.ptp(want) > 0.01          # not uniform, so 1/V would not pass
     assert np.allclose(beta, want, rtol=1e-12, atol=0)
     assert np.allclose(z, sum(b * zv for b, zv in zip(want, z_views)), rtol=1e-12, atol=1e-15)
@@ -424,7 +424,9 @@ def test_objective_on_the_unmasked_views_gives_the_attention_weights_embed_gives
     n = len(state.unified)
     assert [len(v.rows) < n * n * metamae.LIST_SHARE for v in state.views] == [True, False]
     model = fusion.MugModel(fusion._init_params(cfg, 0), cfg)
-    model.params["att.q"] = 3.0 * np.random.default_rng(0).normal(size=(16, 1))
+    # in the compute dtype, as pre-training keeps it and embed casts it
+    model.params["att.q"] = (3.0 * np.random.default_rng(0).normal(size=(16, 1))).astype(
+        fusion.COMPUTE)
     parts, _ = fusion.objective(model.params, state, state.views, cfg)
     _, beta = embed(model, g, seed=4)
     assert np.ptp(beta) > 0.01
@@ -620,14 +622,21 @@ def _assert_close(got, want, name):
 
 
 def test_list_views_give_the_dense_path_objective_and_embedding_to_rounding(monkeypatch):
+    # in float64, whose rounding the bound is set for: a float64 state and parameters
+    # run the objective and the forward pass embed runs, on the unmasked views
     state, masked, params, cfg = _sparse_objective_inputs(100, 2.0)
-    g = synth.generate(synth.SynthSpec.from_dict(sparse_two_view_spec(
-        100, 2.0, centroid_scale=1.0)), RngStream(0))
-    model = fusion.MugModel(params, cfg)
-    got = fusion.objective(params, state, masked, cfg), embed(model, g)
+    state = fusion._GraphState(state.unified.astype(np.float64), state.views,
+                               state.sample_idx)
+    params = {name: value.astype(np.float64) for name, value in params.items()}
+
+    def objective_and_embedding():
+        ops = (metamae.normalized_operator(view, np.float64) for view in state.views)
+        *_, zs, beta = fusion._forward(params, state, ops)
+        return fusion.objective(params, state, masked, cfg), (fuse(beta, zs), beta)
+
+    got = objective_and_embedding()
     monkeypatch.setattr(metamae, "LIST_SHARE", 0.0)   # every view multiplied in strips
-    (want_parts, want_grads), want_embed = fusion.objective(params, state, masked, cfg), \
-        embed(model, g)
+    (want_parts, want_grads), want_embed = objective_and_embedding()
     (parts, grads), embedded = got
     for name in ("l_align", "beta", "view_losses", "l_scatter", "total"):
         _assert_close(getattr(parts, name), np.asarray(getattr(want_parts, name)), name)
@@ -635,6 +644,59 @@ def test_list_views_give_the_dense_path_objective_and_embedding_to_rounding(monk
         _assert_close(grads[name], value, name)
     for got_part, want_part in zip(embedded, want_embed):
         _assert_close(got_part, want_part, "embed")
+
+
+def test_float32_objective_gradients_are_the_float64_ones_on_the_gradient_suites_instances(
+        monkeypatch):
+    # the suite checks objective's float64 gradients by central differences; training
+    # runs it in float32, whose gradients must stay within 1e-4 of the largest entry of
+    # any parameter's: a parameter's own largest entry can be a cancellation residue,
+    # as enc.bias's is under the scatter term, which no shift of every row moves
+    objective = fusion.objective
+
+    def compare(fn, params):   # in place of ad.grad_check, on the same instances
+        calls = []
+        monkeypatch.setattr(fusion, "objective", lambda *args: calls.append(args) or
+                            objective(*args))
+        _, want = fn(params)
+        monkeypatch.setattr(fusion, "objective", objective)
+        _, state, masked, cfg = calls[0]
+        state32 = fusion._GraphState(state.unified.astype(np.float32), state.views,
+                                     state.sample_idx)
+        _, got = objective({name: value.astype(np.float32) for name, value in params.items()},
+                           state32, masked, cfg)
+        assert all(value.dtype == np.float32 for value in got.values())
+        scale = max(np.abs(value).max() for value in want.values())
+        return {name: np.abs(got[name] - value).max() / scale for name, value in want.items()}
+
+    monkeypatch.setattr(gradsuite.ad, "grad_check", compare)
+    checks = [check for check in gradsuite.default_checks()
+              if check.name != "struct_sgns_pair_loss"]
+    assert len(checks) == 7
+    for result in gradsuite.run_suite(checks):
+        assert result.max_rel_err <= 1e-4, (result.name, result.max_rel_err)
+
+
+def test_float32_inputs_give_float32_gradients_and_a_float64_embedding_and_beta():
+    g = planted(spec=three_view_spec(attr_dim=5, targets_per_class=25))
+    cfg = small_cfg(epochs=2, no_cse=True)
+    state = fusion._prepare_graph(g, cfg, training=True)
+    params = fusion._init_params(cfg, 0)
+    assert state.unified.dtype == np.float32
+    assert all(value.dtype == np.float32 for value in params.values())
+    masked = [metamae.mask_edges(view, cfg.edge_mask_rate, RngStream(0, MASK, 0, i))
+              for i, view in enumerate(state.views)]
+    parts, grads = fusion.objective(params, state, masked, cfg)
+    assert {name: value.dtype for name, value in grads.items()} == \
+        {name: np.dtype(np.float32) for name in params}
+    assert parts.beta.dtype == np.float64
+    z_hat = np.random.default_rng(0).normal(size=(len(state.unified), 16)).astype(np.float32)
+    assert metamae.recon_loss(state.views[0], z_hat, 2.0, 0.5)[1].dtype == np.float32
+    model = pretrain(g, cfg)
+    assert all(value.dtype == np.float32 for value in model.params.values())
+    z, beta = embed(model, g, seed=4)
+    assert z.dtype == np.float64 and beta.dtype == np.float64
+    assert abs(beta.sum() - 1.0) <= 1e-12
 
 
 def test_objective_builds_each_view_operator_once(monkeypatch):
@@ -658,9 +720,9 @@ def test_objective_builds_each_view_operator_once(monkeypatch):
     builds = []
     normalized_operator = metamae.normalized_operator
 
-    def counting(edges):
+    def counting(edges, dtype):
         builds.append(len(edges.rows))
-        return normalized_operator(edges)
+        return normalized_operator(edges, dtype)
 
     monkeypatch.setattr(metamae, "normalized_operator", counting)
     calls = []
