@@ -23,9 +23,8 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / m
 
 
-def grad_check(fn: Callable[[Params], Tuple[float, Params]], params: Params,
-               step: float = FD_STEP) -> Dict[str, float]:
-    """Compare the gradients fn returns with central differences of its loss.
+def grad_check(fn: Callable[[Params], Tuple[float, Params]], params: Params) -> Dict[str, float]:
+    """Compare the gradients fn returns with central differences of its loss, step FD_STEP.
 
     fn(params) returns (loss, grads) with grads keyed like params. Returns
     the max relative error per parameter (the report never raises; callers
@@ -38,16 +37,14 @@ def grad_check(fn: Callable[[Params], Tuple[float, Params]], params: Params,
     for name, arr in arrays.items():
         analytic = grads[name]
         worst = 0.0
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
+        for idx in np.ndindex(arr.shape):
             orig = arr[idx]
-            arr[idx] = orig + step
+            arr[idx] = orig + FD_STEP
             f_plus = fn(arrays)[0]
-            arr[idx] = orig - step
+            arr[idx] = orig - FD_STEP
             f_minus = fn(arrays)[0]
             arr[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             worst = max(worst, _rel_err(analytic[idx], numeric))
         report[name] = worst
     return report

@@ -1,20 +1,19 @@
 """Command-line entry point.
 
 Subcommands: synth, homophily, pretrain, embed, eval, gradcheck. Exit codes: 0
-success, 1 usage, 2 data/validation error (a ValueError or OSError), 3 numerical
-failure (a FloatingPointError, as a diverged training raises, or a failed
-gradient check). main alone maps what a cmd_* raises to its code and prints it
-as one "error: <message>" line on stderr, as it prints each warning as one
-"warning: <message>" line. Every run with outputs writes a resolved-config echo
-next to them. A fault in an input file (missing, not UTF-8, bad JSON, a bad row,
-setting or checkpoint value, a bad synth spec) reads "error: <file>: ..." or,
-where it has a line, "error: <file>:<line>: ...". A fault in a file's text is a
-bundle.BundleError, raised by mug.bundle's readers, by config.read_settings (a
-value outside its bound too), or by the cmd_* that names the file: cmd_synth a
-spec, cmd_pretrain edges.tsv for a view with no edge, cmd_eval labels.tsv for
-labels it cannot split. A flag outside its bound is a config.ConfigError. mug
-synth writes into a new or empty --out directory only, so no file of an earlier
-bundle is left beside its own.
+success, 1 usage, 2 data/validation error (a ValueError or OSError), 3
+numerical failure (a FloatingPointError, as a diverged training raises, or a
+failed gradient check). main alone maps what a cmd_* raises to its code and
+prints it as one "error: <message>" line on stderr, as it prints each warning
+as one "warning: <message>" line. A fault in an input file (missing, not UTF-8,
+bad JSON, a bad row, setting or checkpoint value, a bad synth spec) reads
+"error: <file>: ..." or, where it has a line, "error: <file>:<line>: ...". A
+fault in a file's text is a bundle.BundleError, raised by mug.bundle's readers,
+by config.read_settings (a value outside its bound too), or by the cmd_* that
+names the file: cmd_synth a spec, cmd_pretrain edges.tsv for a view with no
+edge, cmd_eval labels.tsv for labels it cannot split. A flag outside its bound
+is a config.ConfigError. mug synth writes into a new or empty --out directory
+only, so no file of an earlier bundle is left beside its own.
 
 A pretrain or eval flag that sets a setting has the setting's flat config key
 as its dest, so the flags and the config file name the same settings; every
@@ -22,6 +21,22 @@ other dest is an input or output path. eval --shots k sets per_class_train = k:
 the k-shot protocol is the standard one with k train nodes per class. The eval
 report's shots column is that k, set by the flag or a config, and 0 when it is
 the standard protocol's.
+
+Outputs. A float written with repr is repr of its float64 (bundle.format_floats);
+an echo is config.format_settings' sorted "key = value" lines.
+  synth: the bundle in --out, and the echo synth.config.txt (seed, spec).
+  homophily: CSV "metapath,homophily", a row per meta-path, then "average",
+    6 decimals, an empty cell where undefined; to --out or stdout; no echo.
+  pretrain: the checkpoint --out (fusion's format); <stem>.trace.csv
+    "epoch,l_align,l_recon_weighted,l_scatter,total", a row per epoch, losses
+    with repr, total last (perfbench reads the final loss from the last cell);
+    <stem>.config.txt, the echo of every TrainConfig setting.
+  embed: TSV --out "node_id", then "z0", "z1", ..., a row per target node in
+    bundle order, with repr; <stem>.beta.csv, one row, no header, β per meta-path
+    in declared order, with repr; <stem>.config.txt, the echo of seed, model, data.
+  eval: CSV "variant,train_bundle,eval_bundle,shots,macro_mean,macro_std,
+    micro_mean,micro_std", a row per labeled eval bundle, variant "full",
+    6 decimals; to --out, with the echo <stem>.config.txt, or to stdout.
 
 Each command imports only the modules it runs: at module level cli imports
 bundle and hetgraph alone, and each cmd_* imports the rest it calls. A command

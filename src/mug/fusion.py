@@ -335,7 +335,10 @@ def embed(model: MugModel, g: HetGraph, seed: int = 0) -> Tuple[np.ndarray, np.n
     No masking at embedding time and no parameter updates of any kind. _forward, the
     pass objective runs, streams the unmasked views' operators: one is alive at a time.
     """
-    state = _prepare_graph(g, replace(model.cfg, seed=seed))
+    return _embed_state(model, _prepare_graph(g, replace(model.cfg, seed=seed)))
+
+
+def _embed_state(model: MugModel, state: _GraphState) -> Tuple[np.ndarray, np.ndarray]:
     params = {name: value.astype(COMPUTE) for name, value in model.params.items()}
     ops = (metamae.normalized_operator(view, state.unified.dtype) for view in state.views)
     *_, zs, beta = _forward(params, state, ops)

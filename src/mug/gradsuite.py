@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import config, fusion, kernels
+from . import config, fusion, kernels, metamae
 from .hetgraph import EdgeList
 
 TOLERANCE = 1e-4
@@ -96,7 +96,7 @@ def _objective_check(name: str, n_views: int, lambda_align: float,
     Symmetric views draw one coin per i < j pair; asymmetric ones one per
     i != j entry, so their operators differ from their transposes.
     """
-    n, d, k, ns = 48 if lists else 6, 4, 3, 4
+    n, d, k, ns = int(np.ceil(np.sqrt(18 / metamae.LIST_SHARE))) if lists else 6, 4, 3, 4
     cfg = config.TrainConfig(sample_size=ns, unified_dim=k, lambda_align=lambda_align,
                              lambda_recon=lambda_recon, lambda_scatter=lambda_scatter)
 
@@ -111,7 +111,7 @@ def _objective_check(name: str, n_views: int, lambda_align: float,
         for _ in range(n_views):   # a pair is an edge where its draw (either, if symmetric) < 0.45
             drawn = rng.random((n, n)) < 0.45
             ons.append((drawn | drawn.T if symmetric else drawn)[pairs])
-            if lists:   # 7 pairs and (0, 1), at most 16 entries: under 48² · LIST_SHARE
+            if lists:   # 7 pairs and (0, 1), at most 16 entries: N² · LIST_SHARE ≥ 18 (48² / 128)
                 ons[-1] = np.isin(np.arange(len(ons[-1])), rng.choice(len(ons[-1]), 7, False))
             ons[-1][0] = True   # so no view is empty
         masked = [_toy_view(n, pairs, on & (rng.random((n, n)) >= 0.5)[pairs], symmetric)

@@ -73,8 +73,7 @@ def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
     by pair. A center row then gains the sum over its pairs and targets of
     step * context row, and a context row the sum of step * center row, each
     sum in pair order before it meets the table. A context table at zero, as
-    a run starts, moves no center row in the first batch. Returns the summed
-    pair loss (computed before the updates).
+    a run starts, moves no center row in the first batch.
     """
     n_pairs, n_neg = negatives.shape
     dim = center.shape[1]
@@ -83,7 +82,6 @@ def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
     # a batch's context rows, overwritten by its context steps, and their bins
     shape = (min(SGNS_BATCH, n_pairs), n_neg + 1, dim)
     ctx_buf, bins = np.empty(shape), np.empty(shape, dtype=np.int64)
-    loss = 0.0
     for start in range(0, n_pairs, SGNS_BATCH):
         stop = min(start + SGNS_BATCH, n_pairs)
         rows = centers_idx[start:stop]
@@ -95,9 +93,7 @@ def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
         # clip skips take's bounds check; a target out of range fails the bincount
         ctx = np.take(context, targets, axis=0, out=ctx_buf[:stop - start], mode="clip")
         z = sign * np.einsum("ptd,pd->pt", ctx, cv)
-        loss += float(np.logaddexp(0.0, -z).sum())        # -log σ(z)
         # label - σ(score) = sign * σ(-z)
         g = sign * np.exp(-np.logaddexp(0.0, z)) * lr[:, None]
         _add_steps(center, rows, np.einsum("pt,ptd->pd", g, ctx), bins)
         _add_steps(context, targets, np.einsum("pt,pd->ptd", g, cv, out=ctx), bins)
-    return loss

@@ -73,8 +73,7 @@ def _window_pairs(walks: np.ndarray, lens: np.ndarray,
 
 
 def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
-               cfg: WalkConfig, rng: RngStream,
-               loss_trace: Optional[list] = None) -> np.ndarray:
+               cfg: WalkConfig, rng: RngStream) -> np.ndarray:
     """Skip-gram with negative sampling over window pairs from the walks.
 
     Center table is the published embedding; the context table is discarded.
@@ -100,17 +99,14 @@ def train_sgns(walks: np.ndarray, lens: np.ndarray, n_nodes: int,
     for epoch in range(cfg.epochs):
         negatives = RngStream(rng.seed, SGNS, epoch).integers(
             0, n_nodes, (len(centers), cfg.negatives))
-        loss = kernels.sgns_epoch(center, context, centers, contexts, negatives,
-                                  cfg.lr, cfg.lr_min, epoch * len(centers), total)
-        if loss_trace is not None:
-            loss_trace.append(loss / len(centers))
+        kernels.sgns_epoch(center, context, centers, contexts, negatives,
+                           cfg.lr, cfg.lr_min, epoch * len(centers), total)
     return center
 
 
-def train_struct_table(g: HetGraph, cfg: WalkConfig, rng: RngStream,
-                       loss_trace: Optional[list] = None) -> np.ndarray:
+def train_struct_table(g: HetGraph, cfg: WalkConfig, rng: RngStream) -> np.ndarray:
     walks, lens = sample_all_walks(g, cfg, rng)
-    return train_sgns(walks, lens, g.num_nodes, cfg, rng, loss_trace)
+    return train_sgns(walks, lens, g.num_nodes, cfg, rng)
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:

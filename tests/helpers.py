@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import Phase
 from hypothesis import strategies as st
 
+from mug import metamae
 from mug.hetgraph import EdgeList, HetGraph, MetaPath
 from mug.synth import two_view_spec
 
@@ -77,13 +78,15 @@ def three_view_spec(attr_dim: int = 19, centroid_scale: float = 0.0,
 
 
 def sparse_two_view_spec(targets_per_class: int, degree: float, **kw) -> Dict:
-    """two_view_spec with three authors and three subjects per target, each target
-    linked to `degree` of each on average: few enough shared neighbours that every
-    view lists well under N² · metamae.LIST_SHARE entries (about N²/200 at degree
-    1 with 75 targets, 2 with 300, 3 with 2,001)."""
+    """two_view_spec with 3 / (128 · metamae.LIST_SHARE) authors and as many subjects
+    per target (three at the share of 1/128), each target linked to `degree` of each
+    on average. A view's entries go as N² · degree² / authors, so every view lists
+    well under N² · LIST_SHARE entries, wherever the share is set (at 1/128, between
+    N²/141 and N²/690 on the sizes, degrees and seeds the tests use)."""
     spec = two_view_spec(targets_per_class=targets_per_class, **kw)
     n = spec["classes"] * targets_per_class
-    spec["aux_types"] = [{"name": "author", "size": 3 * n}, {"name": "subject", "size": 3 * n}]
+    size = round(3 * n / (128 * metamae.LIST_SHARE))
+    spec["aux_types"] = [{"name": "author", "size": size}, {"name": "subject", "size": size}]
     for rel in spec["relations"]:
         rel["degree"] = degree
     return spec

@@ -90,7 +90,6 @@ def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
     n_pairs = centers_idx.shape[0]
     n_neg = negatives.shape[1]
     dim = center.shape[1]
-    loss = 0.0
     for start in range(0, n_pairs, batch):
         cen, ctx = center.copy(), context.copy()
         for p in range(start, min(start + batch, n_pairs)):
@@ -109,20 +108,13 @@ def sgns_epoch(center, context, centers_idx, contexts_idx, negatives,
                     score += cen[v, d] * ctx[target, d]
                 if score >= 0.0:
                     sig = 1.0 / (1.0 + math.exp(-score))
-                    logsig = -math.log1p(math.exp(-score))
                 else:
                     e = math.exp(score)
                     sig = e / (1.0 + e)
-                    logsig = score - math.log1p(e)
-                if label == 1.0:
-                    loss -= logsig
-                else:
-                    loss -= logsig - score
                 g = (label - sig) * lr
                 for d in range(dim):
                     center[v, d] += g * ctx[target, d]
                     context[target, d] += g * cen[v, d]
-    return loss
 
 
 # -- dense reconstruction-loss reference --------------------------------------------

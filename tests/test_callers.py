@@ -1,5 +1,6 @@
-"""Static guard: every public function has a caller, every dataclass field is
-read, every import is used, and every exception class is caught by name.
+"""Static guard: every public function has a caller, every defaulted parameter
+is passed, every dataclass field is read, every import is used, and every
+exception class is caught by name.
 
 No linter ships with the package, so this test enforces the rule with
 ``ast``. A module-level function counts as called when its own module names
@@ -11,6 +12,9 @@ must not keep a property alive (methods and fields are not resolved to their
 class). A dataclass field
 counts as read when its own module, or a module that imports that module,
 loads an attribute of its name (fields are not resolved to their class either).
+A parameter with a default counts as passed when a call that refers to its
+function, as above, gives it by keyword or by position, or spreads *args or
+**kwargs where it could sit.
 """
 
 import ast
@@ -27,6 +31,22 @@ ALLOWED = {
     "hetgraph.all_views": "perfbench's tests read every view as a dense matrix from it",
     "fusion.MugModel.unified_dim": "perfbench/run.py reads it from each checkpoint it "
                                    "reloads; ROADMAP item 1 deletes it",
+}
+
+
+# Defaulted parameters that no call in src/mug passes, each for a stated reason.
+ALLOWED_PARAMS = {
+    "cli.main(argv)": "test_cli passes argv, e.g. test_synth_default_spec_round_trips",
+    "gradsuite.run_suite(checks)": "test_cli::test_sgns_check_fails_on_a_wrong_kernel_step "
+                                   "passes a subset of the checks",
+    "synth.two_view_spec(attr_dim)": "test_cli::test_synth_spec_numbers_and_defaults_give_"
+                                     "the_same_bundle passes it",
+    "synth.two_view_spec(targets_per_class)": "test_cli::test_synth_spec_numbers_and_"
+                                              "defaults_give_the_same_bundle passes it",
+    "synth.two_view_spec(intra)": "test_hetgraph::test_null_wiring_matches_class_"
+                                  "frequency_baseline passes it",
+    "synth.two_view_spec(inter)": "test_hetgraph::test_null_wiring_matches_class_"
+                                  "frequency_baseline passes it",
 }
 
 
@@ -78,8 +98,9 @@ def _definitions(modules):
                         yield f"{mod}.{node.name}.{item.name}", mod, node.name, item
 
 
-def _is_called(modules, mod, cls, fn):
-    """Whether any code outside fn's own body refers to it."""
+def _references(modules, mod, cls, fn):
+    """(node, the call it is the function of, or None) for every node outside fn's own
+    body that refers to fn."""
     own = {id(n) for n in ast.walk(fn)}
     field_names = {name for *_, name in _fields(modules)}
     for other, tree in modules.items():
@@ -87,18 +108,22 @@ def _is_called(modules, mod, cls, fn):
         imported = other == mod or any(
             isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == mod
             and any(a.name == fn.name for a in n.names) for n in ast.walk(tree))
-        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
         for node in ast.walk(tree):
             if id(node) in own:
                 continue
             if isinstance(node, ast.Attribute) and node.attr == fn.name:
-                if (cls is not None and (fn.name not in field_names or id(node) in called)) or (
+                if (cls is not None and (fn.name not in field_names or id(node) in calls)) or (
                         isinstance(node.value, ast.Name) and aliases.get(node.value.id) == mod):
-                    return True
+                    yield node, calls.get(id(node))
             elif isinstance(node, ast.Name) and node.id == fn.name \
                     and cls is None and imported:
-                return True
-    return False
+                yield node, calls.get(id(node))
+
+
+def _is_called(modules, mod, cls, fn):
+    """Whether any code outside fn's own body refers to it."""
+    return any(True for _ in _references(modules, mod, cls, fn))
 
 
 def test_every_public_function_has_a_caller():
@@ -118,6 +143,36 @@ def test_allowlist_entries_still_have_no_caller():
     stale = [qual for qual, mod, cls, fn in _definitions(modules)
              if qual in ALLOWED and _is_called(modules, mod, cls, fn)]
     assert not stale, f"allowlisted functions that now have a caller: {stale}"
+
+
+def _unpassed_params(modules):
+    """Yields "mod.fn(param)" for each defaulted parameter of a public function or method
+    that no call in src/mug passes, by keyword or by position (*args and **kwargs pass all)."""
+    for qual, mod, cls, fn in _definitions(modules):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        bound = cls is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                            for d in fn.decorator_list)
+        defaulted = [(i - bound, p.arg) for i, p in enumerate(positional)
+                     if i >= len(positional) - len(a.defaults)]
+        defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+        calls = [call for _, call in _references(modules, mod, cls, fn) if call is not None]
+        for index, name in defaulted:
+            if not any(any(k.arg in (name, None) for k in call.keywords)
+                       or (index is not None and (len(call.args) > index or any(
+                           isinstance(x, ast.Starred) for x in call.args)))
+                       for call in calls):
+                yield f"{qual}({name})"
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = [p for p in _unpassed_params(_modules()) if p not in ALLOWED_PARAMS]
+    assert not unpassed, f"defaulted parameters that no call in src/mug passes: {unpassed}"
+
+
+def test_param_allowlist_entries_are_still_unpassed():
+    stale = set(ALLOWED_PARAMS) - set(_unpassed_params(_modules()))
+    assert not stale, f"allowlisted parameters that are now passed or gone: {sorted(stale)}"
 
 
 def test_every_import_is_used():

@@ -125,7 +125,9 @@ def test_three_node_path_matches_hand_computation():
 # -- the edge-list operator ------------------------------------------------------
 # A view listing fewer than N² · LIST_SHARE entries is multiplied from its list.
 
-LIST_N = 64   # N² · LIST_SHARE is 32 entries at the default share
+# N² · LIST_SHARE is at least 32 entries (64 nodes at a share of 1/128); a view of
+# _list_views lists at most 29
+LIST_N = math.ceil(math.sqrt(32 / metamae.LIST_SHARE))
 
 
 def _list_views(rng):

@@ -120,10 +120,9 @@ def _sgns_both(center, context, centers, contexts, negatives, lr_start=0.025,
     args = (np.asarray(centers, dtype=np.int64), np.asarray(contexts, dtype=np.int64),
             np.asarray(negatives, dtype=np.int64), lr_start, lr_end, pair_offset, total)
     c1, x1 = center.copy(), context.copy()
-    loss1 = oracles.sgns_epoch(c1, x1, *args, kernels.SGNS_BATCH)
+    oracles.sgns_epoch(c1, x1, *args, kernels.SGNS_BATCH)
     c2, x2 = center.copy(), context.copy()
-    loss2 = kernels.sgns_epoch(c2, x2, *args)
-    assert np.allclose(loss2, loss1, rtol=1e-12, atol=0)
+    kernels.sgns_epoch(c2, x2, *args)
     assert np.allclose(c2, c1, rtol=1e-12, atol=0)
     assert np.allclose(x2, x1, rtol=1e-12, atol=0)
     return c2, x2
@@ -321,19 +320,6 @@ def test_window_pairs_of_single_node_walks_are_empty():
     assert centers.shape == contexts.shape == (0,)
 
 
-def test_sgns_loss_at_zero_embeddings():
-    n_nodes, dim, n_neg = 6, 4, 5
-    center = np.zeros((n_nodes, dim))
-    context = np.zeros((n_nodes, dim))
-    centers = np.array([0, 1, 2], dtype=np.int64)
-    contexts = np.array([1, 2, 3], dtype=np.int64)
-    negatives = np.array([[4, 5, 0, 1, 2]] * 3, dtype=np.int64)
-    loss = kernels.sgns_epoch(center, context, centers, contexts, negatives,
-                              0.0, 0.0, 0, 3)
-    per_pair = loss / 3
-    assert per_pair == pytest.approx((1 + n_neg) * np.log(2.0), rel=1e-12)
-
-
 def test_sgns_single_pair_gradient_matches_fd():
     rng = np.random.default_rng(42)
     n_nodes, dim = 5, 3
@@ -377,8 +363,7 @@ def test_sgns_single_pair_gradient_matches_fd():
 def test_sgns_separates_planted_blocks():
     g = planted_graph(0)
     cfg = WalkConfig(dim=32, epochs=5)
-    trace = []
-    table = structenc.train_struct_table(g, cfg, RngStream(0), loss_trace=trace)
+    table = structenc.train_struct_table(g, cfg, RngStream(0))
     emb = table[:g.counts["T"]]
     emb = emb / np.linalg.norm(emb, axis=1, keepdims=True).clip(min=1e-12)
     sims = emb @ emb.T
@@ -388,9 +373,6 @@ def test_sgns_separates_planted_blocks():
     intra = sims[same & off_diag].mean()
     inter = sims[~same].mean()
     assert intra - inter >= 0.2, (intra, inter)
-    # epoch losses non-increasing over the first three epochs (1% slack)
-    assert trace[1] <= trace[0] * 1.01
-    assert trace[2] <= trace[1] * 1.01
 
 
 def test_train_sgns_rejects_empty_walks():
