@@ -8,18 +8,19 @@ the report.
 
 The probe is L2-regularized multinomial logistic regression trained by
 full-batch gradient descent on frozen embeddings, with model selection on
-validation Macro-F1. It trains in float64, whatever the embedding's dtype: an
-embedding of another float dtype is cast on entry, as the certificate below
-assumes float64 rounding. Repeats draw fresh splits from per-repeat random
+validation Macro-F1. It computes in PROBE_DTYPE, float32, whatever the
+embedding's dtype: the embedding is cast on entry, and the certificate below
+assumes float32 scores. Repeats draw fresh splits from per-repeat random
 streams; everything downstream of the embedding is deterministic.
 
 All repeats of an evaluation train as one stack on one thread: make_splits
-gives every repeat of a spec the same train, val and test sizes, so each
-gradient step is one stacked matmul over (repeats, rows, dims). Per slice,
-the stacked matmul runs the same BLAS product as a single probe would, and
-the softmax and bias add run on the few class columns one at a time, with the
-bits of NumPy's reductions over that axis. So every step's parameters have
-the bytes a probe trained alone would give.
+gives every repeat of a spec the same train, val and test sizes. The weights
+are class-major, (R, C, d): a step's logits are one stacked matmul into
+(R, C, n), whose bias add and softmax run on whole rows of n, and its gradient
+is one (C x n) (n x d) product per repeat. Per slice, the stacked matmul runs
+the same BLAS product as a lone probe would, and NumPy sums the class axis left
+to right, as it sums axis 0 of a lone probe's (C, n) probabilities, so every
+step's parameters have the bytes a probe trained alone would give.
 
 The validation rows are scored VAL_BLOCK steps at a time. The block's
 weights, one row per (step, class), make one stacked product with the
@@ -27,35 +28,39 @@ transposed val rows, so each class's scores land in one contiguous row: the
 bias add runs in place and the argmax reads whole rows. The block's steps are
 then judged in step order, every repeat's validation Macro-F1 coming from one
 bincount of confusion slots, so the first step with the best Macro-F1 wins
-across blocks. BLAS rounds this product differently from a lone probe's
-x_val @ w, so a val score may differ in its last bits: a prediction can then
-change only where two classes' scores tie within rounding.
+across blocks. BLAS may round this product differently from a lone probe's
+w @ x_val.T, so a val score may differ in its last bits: a prediction can
+then change only where two classes' scores tie within rounding.
 
 A block scores only the val rows whose prediction may have changed since the
 anchor, the last step of the last block scored in full: a margin certificate
 proves that every other row still predicts its anchor class.
 
 Why the certificate holds. With x~ = [x, 1] and w~_c = [w_c; b_c], a score
-is w~_c . x~, a sum of d + 1 terms. In whatever order BLAS adds them, with or
-without FMA, the computed score is within g ||w~_c|| ||x~|| of the exact one,
-where g = gamma(d + 1), gamma(n) = n u / (1 - n u) and u = 2**-53 (Higham,
-Accuracy and Stability of Numerical Algorithms, sec. 3.1, then Cauchy-Schwarz).
-At the anchor step a, a row's computed scores give it the class p, ahead of
-the runner-up by m. At a later step t each exact score has moved by at most
-drift ||x~||, drift = max_c ||w~_c(t) - w~_c(a)||, and ||w~(t)|| <=
-||w~(a)|| + drift, with ||w~|| = max_c ||w~_c||. So each computed score at t
-lies within ||x~|| (drift + g (2 ||w~(a)|| + drift)) of the anchor's computed
-one, and p still wins by a positive margin when
+is w~_c . x~, a sum of d + 1 float32 terms. In whatever order BLAS adds them,
+with or without FMA, the computed score is within g ||w~_c|| ||x~|| + e of the
+exact one, where g = gamma(d + 1), gamma(n) = n u / (1 - n u), u = 2**-24, and
+e < (d + 1) 2**-149 is what underflow adds, at most 2**-150 per product that
+rounds to a subnormal (Higham, Accuracy and Stability of Numerical Algorithms,
+secs. 2.1 and 3.1, then Cauchy-Schwarz). At the anchor step a, a row's
+computed scores give it the class p, ahead of the runner-up by m. At a later
+step t each exact score has moved by at most drift ||x~||, drift = max_c
+||w~_c(t) - w~_c(a)||, and ||w~(t)|| <= ||w~(a)|| + drift, with ||w~|| =
+max_c ||w~_c||. So each computed score at t lies within ||x~|| (drift +
+g (2 ||w~(a)|| + drift)) + 2 e of the anchor's computed one, and, as ||x~||
+>= 1, p still wins by a positive margin when
 
-    crit = m / (2 ||x~||)  >  drift + g (2 ||w~(a)|| + drift).
+    crit = m / (2 ||x~||)  >  drift + g (2 ||w~(a)|| + drift) + 2 e.
 
-Then the block product, a lone probe's x_val @ w and any other summation
-order all predict p, and the row need not be scored. The test itself runs on
-computed values, each with at most d + 5 roundings, so its right side is
-widened by the factor 1 + gamma(4 (d + 5)) and by 2**-500 for underflow. A row
-with ||x~|| >= 2**500, a repeat with ||w~(a)|| >= 2**499, and a crit or drift
-that is NaN or infinite certify nothing; so no certified row's score can
-overflow, for ||w~(t)|| ||x~|| < 2**1001.
+Then the block product, a lone probe's w @ x_val.T and any other summation
+order all predict p, and the row need not be scored. The test itself runs in
+float64 on casts of the float32 values, each with at most d + 5 roundings at
+u = 2**-53, so its right side is widened by the factor 1 + gamma(4 (d + 5)) at
+that u, and by 2**-100 for 2 e and float64's underflow (d + 1 < 2**24). A row
+with ||x~|| >= 2**60, a repeat with ||w~(a)|| >= 2**59, a crit >= 2**60 and a
+NaN crit or drift certify nothing. So a certified row has drift < crit < 2**60
+and ||w~(t)|| < 2**61, and every partial sum of its score is below (1 + g)
+||w~(t)|| ||x~|| < 2**122: none can overflow float32, whose values are < 2**128.
 
 Every block after an anchor checks the limit at its last step, a lower bound
 of the block's, and then at all its steps; K, the most unsure rows of any
@@ -74,15 +79,14 @@ certificate adds O(R s C d) per block for the drift, O(R n) to count the
 unsure rows, O(R C n) per anchor for the crits, and per sort one argsort of
 each repeat's crits and two copies of the val rows, which pass through the
 block's score buffer. Beyond the probe's other scratch it holds three (R, n)
-arrays: the crits, the scales and the anchor slots.
+arrays of 8-byte entries: the float64 crits and scales and the anchor slots.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -139,7 +143,7 @@ def make_splits(labels: np.ndarray, spec: SplitSpec, rng: RngStream) -> Splits:
 
 
 def f1_scores(predictions: Sequence[int], truth: Sequence[int],
-              num_classes: Optional[int] = None) -> Tuple[float, float]:
+              num_classes: int) -> Tuple[float, float]:
     """(macro, micro) F1. Classes absent from truth and prediction score 0."""
     pred = np.asarray(predictions)
     true = np.asarray(truth)
@@ -147,7 +151,7 @@ def f1_scores(predictions: Sequence[int], truth: Sequence[int],
         raise ValueError("empty input")
     if len(pred) != len(true):
         raise ValueError(f"length mismatch: {len(pred)} vs {len(true)}")
-    c = num_classes or int(max(pred.max(), true.max())) + 1
+    c = num_classes
 
     def count(x):   # occurrences of each class 0..c-1; other values are ignored
         return np.bincount(x[(x >= 0) & (x < c)], minlength=c).astype(np.float64)
@@ -167,13 +171,14 @@ def _per_class_f1(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
     return np.where(denom > 0, 2 * tp / np.where(denom > 0, denom, 1.0), 0.0)
 
 
+PROBE_DTYPE = np.float32   # of the probe's rows, weights and scores
 PROBE_STEPS = 500       # full-batch gradient steps
 PROBE_LR = 0.5          # learning rate, decayed linearly towards PROBE_LR_END
 PROBE_LR_END = 0.01
 PROBE_L2 = 1e-4         # weight decay on the probe weights
 VAL_BLOCK = 10          # steps whose validation rows one product scores
 PREFIX_SHARE = 0.25     # the most val rows a block scores as a prefix; above it, all
-_TINY, _HUGE = 2.0 ** -500, 2.0 ** 500   # the certificate's underflow and overflow guards
+_TINY, _HUGE = 2.0 ** -100, 2.0 ** 60   # the certificate's underflow and overflow guards
 
 
 def linear_probe(z: np.ndarray, labels: np.ndarray,
@@ -183,7 +188,8 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     Each probe trains on its train rows and keeps the step with the best
     validation Macro-F1 (the first such step), or its final step when there
     is no validation set. Every split must have the same train, val and test
-    sizes, which make_splits gives all repeats of a spec.
+    sizes, which make_splits gives all repeats of a spec. z is cast to
+    PROBE_DTYPE, and the weights are class-major, (R, C, d).
 
     Validation scores are kept for one block of VAL_BLOCK steps at a time,
     (R, VAL_BLOCK * C, n_val) floats, and each step is judged after its block
@@ -193,7 +199,7 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     rows sorted by certified margin; when that prefix is over PREFIX_SHARE of
     the rows, the block scores them all and becomes the next anchor.
     """
-    z = np.asarray(z, dtype=np.float64)   # the certificate assumes u = 2**-53
+    z = np.asarray(z, dtype=PROBE_DTYPE)   # the certificate assumes float32 scores
     y = np.asarray(labels)
     if len({(len(s.train), len(s.val), len(s.test)) for s in splits}) != 1:
         raise ValueError("the probe needs one or more splits of equal "
@@ -207,11 +213,12 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     test = np.stack([s.test for s in splits])
     x_train = z[train]                                  # (R, n, d)
     x_train_t = x_train.transpose(0, 2, 1)             # a view, as x.T is: a copy changes bits
-    onehot = np.eye(n_classes)[y[train]]
+    onehot = (y[train][:, None] == np.arange(n_classes)[:, None]).astype(PROBE_DTYPE)
     x_val = z[val]                                      # (R, n_val, d), sorted by crit
     x_val_t = x_val.transpose(0, 2, 1)      # a view, for a copy would hold the val rows twice
-    # 1 / (2 ||[x, 1]||) per val row, NaN where a score might overflow
-    x_scale = np.sqrt(np.einsum("rnd,rnd->rn", x_val, x_val) + 1.0)
+    # 1 / (2 ||[x, 1]||) per val row in float64, NaN where a score might overflow; einsum
+    # casts the rows through its buffers, so no float64 copy of them is made
+    x_scale = np.sqrt(np.einsum("rnd,rnd->rn", x_val, x_val, dtype=np.float64) + 1.0)
     x_scale[~(x_scale < _HUGE)] = np.nan
     np.divide(0.5, x_scale, out=x_scale)
     # bincount slots repeat * n_classes + class count every repeat at once, and
@@ -223,44 +230,41 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
     confusion_slots = true_slots * n_classes
     del val, true_slots
 
-    w = np.zeros((repeats, z.shape[1], n_classes))
-    b = np.zeros((repeats, 1, n_classes))
+    n, d = train.shape[1], z.shape[1]
+    w = np.zeros((repeats, n_classes, d), dtype=PROBE_DTYPE)
+    b = np.zeros((repeats, n_classes, 1), dtype=PROBE_DTYPE)
     best_macro = np.full(repeats, -1.0)
     best_w, best_b = w.copy(), b.copy()
-    n, b_cols = train.shape[1], list(np.moveaxis(b, -1, 0))
     # The loop's large arrays are made once: until a large block has been freed,
     # malloc maps fresh pages for each one, and a step would fault on them all.
-    p = np.empty((repeats, n, n_classes))                       # logits, then probabilities
-    p_cols = list(np.moveaxis(p, -1, 0))
+    p = np.empty((repeats, n_classes, n), dtype=PROBE_DTYPE)    # logits, then probabilities
+    peak = np.empty((repeats, 1, n), dtype=PROBE_DTYPE)         # their max, then their sum
     # A block's steps, class-major: (repeat, step, class) rows [w_c; b_c] and of scores.
-    block, n_val, d = min(VAL_BLOCK, PROBE_STEPS), x_val.shape[1], z.shape[1]
-    wb_rows = np.empty((repeats, block, n_classes, d + 1))
+    block, n_val = min(VAL_BLOCK, PROBE_STEPS), x_val.shape[1]
+    wb_rows = np.empty((repeats, block, n_classes, d + 1), dtype=PROBE_DTYPE)
     # a block's scores; between blocks, scratch that holds one repeat's val rows at least
-    scores = np.empty(max(repeats * block * n_classes * n_val, n_val * d))
-    top, slots = np.empty(repeats * n_val), np.empty(repeats * n_val, dtype=np.intp)
+    scores = np.empty(max(repeats * block * n_classes * n_val, n_val * d), dtype=PROBE_DTYPE)
+    top, slots = np.empty(repeats * n_val, PROBE_DTYPE), np.empty(repeats * n_val, np.intp)
     n_slots, row_base = repeats * n_classes ** 2, np.arange(repeats)[:, None] * n_val
     crit = None                      # each val row's certified margin at the anchor
     for t in range(PROBE_STEPS):
-        np.matmul(x_train, w, out=p)
-        for col, bias in zip(p_cols, b_cols):
-            col += bias
-        peak = functools.reduce(np.maximum, p_cols)
-        for col in p_cols:
-            col -= peak
+        np.matmul(w, x_train_t, out=p)
+        p += b
+        np.max(p, axis=1, out=peak, keepdims=True)
+        p -= peak
         np.exp(p, out=p)
-        total = _sum_last(p)
-        for col in p_cols:
-            col /= total
+        np.sum(p, axis=1, out=peak, keepdims=True)     # left to right over the classes
+        p /= peak
         p -= onehot                                     # now p - onehot
-        gw = x_train_t @ p / n + PROBE_L2 * w
-        gb = p.mean(axis=1, keepdims=True)
+        gw = p @ x_train / n + PROBE_L2 * w
+        gb = p.mean(axis=2, keepdims=True)
         lr = PROBE_LR + (PROBE_LR_END - PROBE_LR) * (t / PROBE_STEPS)
         w -= lr * gw
         b -= lr * gb
         if not n_val:
             continue
         k = t % block
-        wb_rows[:, k, :, :d], wb_rows[:, k, :, d:] = w.transpose(0, 2, 1), b.transpose(0, 2, 1)
+        wb_rows[:, k, :, :d], wb_rows[:, k, :, d:] = w, b
         if k + 1 < block and t + 1 < PROBE_STEPS:
             continue
         # The block is full, or training ends: score the first `width` val rows of its
@@ -310,24 +314,25 @@ def linear_probe(z: np.ndarray, labels: np.ndarray,
             better = macro > best_macro
             if better.any():    # late in training most steps improve no repeat
                 best_macro[better] = macro[better]
-                best_w[better] = wb_rows[better, step, :, :d].transpose(0, 2, 1)
-                best_b[better] = wb_rows[better, step, :, d:].transpose(0, 2, 1)
+                best_w[better] = wb_rows[better, step, :, :d]
+                best_b[better] = wb_rows[better, step, :, d:]
         if width == n_val:      # scored in full: the block's last step is the new anchor
             crit = anchor_slots = None      # free the last anchor's first
             crit = _crit(block_scores[:, k], step_slots - confusion_slots, step_top, x_scale)
             anchor_slots, anchor_counts, ordered = step_slots.copy(), counts, False
-            anchor = wb_rows[:, k].copy()
+            anchor = wb_rows[:, k].astype(np.float64)
             slope, floor = _certificate(anchor)
     if not n_val:  # no validation set: use the final parameters
         best_w, best_b = w, b
     # so the test stack reuses their memory
     del x_val, x_val_t, x_scale, x_train, x_train_t, onehot, scores, crit
-    return np.argmax(z[test] @ best_w + best_b, axis=2)
+    return np.argmax(best_w @ z[test].transpose(0, 2, 1) + best_b, axis=1)
 
 
-def _gamma(n: int) -> float:
-    """gamma(n) = n u / (1 - n u): n roundings, u = 2**-53, compound to at most this."""
-    return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+def _gamma(n: int, dtype: type) -> float:
+    """n u / (1 - n u), u the unit roundoff of dtype: n roundings compound to at most this."""
+    u = float(np.finfo(dtype).eps) / 2
+    return n * u / (1 - n * u)
 
 
 def _max_norm(wb: np.ndarray) -> np.ndarray:
@@ -336,11 +341,11 @@ def _max_norm(wb: np.ndarray) -> np.ndarray:
 
 
 def _certificate(anchor: np.ndarray) -> Tuple[float, np.ndarray]:
-    """(slope, floor) of an anchor's rows [w_c; b_c], (R, C, d + 1): a row keeps its
-    anchor class at a later step if its crit exceeds slope * drift + floor (see the
+    """(slope, floor) of an anchor's float64 rows [w_c; b_c], (R, C, d + 1): a row keeps
+    its anchor class at a later step if its crit exceeds slope * drift + floor (see the
     module docstring); floor is inf, certifying nothing, where a score might overflow."""
     d = anchor.shape[-1] - 1
-    allow, widen = _gamma(d + 1), 1 + _gamma(4 * (d + 5))
+    allow, widen = _gamma(d + 1, PROBE_DTYPE), 1 + _gamma(4 * (d + 5), np.float64)
     norm = _max_norm(anchor)
     floor = norm * (2 * allow * widen) + _TINY
     floor[~(norm < _HUGE / 2)] = np.inf
@@ -350,18 +355,19 @@ def _certificate(anchor: np.ndarray) -> Tuple[float, np.ndarray]:
 def _limit(block_wb: np.ndarray, anchor: np.ndarray, slope: float,
            floor: np.ndarray) -> np.ndarray:
     """Per repeat, the crit above which a row keeps its anchor class at every step of
-    block_wb, (R, steps, C, d + 1): NaN where a drift is."""
+    block_wb, (R, steps, C, d + 1), computed in float64 from the float64 anchor: NaN
+    where a drift is."""
     return _max_norm(block_wb - anchor[:, None]).max(axis=1) * slope + floor
 
 
 def _crit(scores: np.ndarray, pred: np.ndarray, top: np.ndarray,
           x_scale: np.ndarray) -> np.ndarray:
-    """m x_scale per row, m its top score less its runner-up's, from the (R, C, n)
-    scores, their argmax pred and max top; -inf where that certifies nothing. Each
-    row's top score is overwritten with -inf."""
+    """m x_scale per row in float64, m its top score less its runner-up's, from the
+    (R, C, n) scores, their argmax pred and max top; -inf where that certifies nothing.
+    Each row's top score is overwritten with -inf."""
     scores[pred[:, None] == np.arange(scores.shape[1])[:, None]] = -np.inf
     with np.errstate(invalid="ignore"):     # inf - inf: NaN, which certifies nothing
-        crit = np.subtract(top, scores.max(axis=1))
+        crit = np.subtract(top, scores.max(axis=1), dtype=np.float64)
     crit *= x_scale
     crit[~(crit < _HUGE)] = -np.inf         # NaN and inf too
     return crit
@@ -379,13 +385,6 @@ def _sort_rows(x: np.ndarray, order: np.ndarray, scratch: np.ndarray) -> None:
         buf = scratch[:len(rows) * d].reshape(-1, d)
         np.take(flat, rows, axis=0, out=buf, mode="clip")   # not "raise", which buffers
         flat[r * n:r * n + len(rows)] = buf
-
-
-def _sum_last(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1), bit for bit: NumPy adds fewer than 8 terms left to right."""
-    if a.shape[-1] >= 8:    # and more pairwise
-        return a.sum(axis=-1)
-    return functools.reduce(np.add, a.transpose(a.ndim - 1, *range(a.ndim - 1)))
 
 
 def _argmax_cols(cols: np.ndarray, out: np.ndarray, top: np.ndarray) -> None:

@@ -20,7 +20,8 @@ unified attributes in it, _init_params and embed make the parameters in it, and
 every function after them follows the dtype of its inputs, so the same code runs in
 float64 on float64 inputs (the gradient suite's). The attention scores, their
 softmax β and embed's result are float64: β sums to 1 within 1e-12, and the
-embedding meets the probe in the dtype its certificate assumes.
+embedding TSV writes the float64 values. The probe casts the embedding to its own
+dtype, evalkit.PROBE_DTYPE, on entry.
 
 Checkpoint format (UTF-8 text):
 

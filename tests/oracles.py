@@ -312,23 +312,25 @@ def edge_list(adj):
 
 
 def probe_steps(z, labels, splits):
-    """The per-repeat reference probe's (w, b) after each step, updated in place."""
-    from mug.evalkit import PROBE_L2, PROBE_LR, PROBE_LR_END, PROBE_STEPS
+    """The per-repeat reference probe's class-major (w, b), (C, d) and (C, 1), after each
+    step, updated in place; it computes in the probe's dtype."""
+    from mug.evalkit import PROBE_DTYPE, PROBE_L2, PROBE_LR, PROBE_LR_END, PROBE_STEPS
 
+    z = np.asarray(z, dtype=PROBE_DTYPE)
     y = np.asarray(labels)
     n_classes = int(y.max()) + 1
     x_train = z[splits.train]
-    onehot = np.eye(n_classes)[y[splits.train]]
-    w = np.zeros((z.shape[1], n_classes))
-    b = np.zeros((1, n_classes))
+    onehot = np.eye(n_classes, dtype=PROBE_DTYPE)[:, y[splits.train]]
+    w = np.zeros((n_classes, z.shape[1]), dtype=PROBE_DTYPE)
+    b = np.zeros((n_classes, 1), dtype=PROBE_DTYPE)
     n = len(x_train)
     for t in range(PROBE_STEPS):
-        logits = x_train @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
+        logits = w @ x_train.T + b
+        logits -= logits.max(axis=0)
         e = np.exp(logits)
-        p = e / e.sum(axis=1, keepdims=True)
-        gw = x_train.T @ (p - onehot) / n + PROBE_L2 * w
-        gb = (p - onehot).mean(axis=0, keepdims=True)
+        p = e / e.sum(axis=0)
+        gw = (p - onehot) @ x_train / n + PROBE_L2 * w
+        gb = (p - onehot).mean(axis=1, keepdims=True)
         lr = PROBE_LR + (PROBE_LR_END - PROBE_LR) * (t / PROBE_STEPS)
         w -= lr * gw
         b -= lr * gb
@@ -337,8 +339,9 @@ def probe_steps(z, labels, splits):
 
 def linear_probe(z, labels, splits):
     """Per-repeat reference for evalkit.linear_probe: one split, one probe."""
-    from mug.evalkit import f1_scores
+    from mug.evalkit import PROBE_DTYPE, f1_scores
 
+    z = np.asarray(z, dtype=PROBE_DTYPE)
     y = np.asarray(labels)
     if np.count_nonzero(np.bincount(y[splits.train])) < 2:
         raise ValueError("probe needs at least two classes in the train split")
@@ -346,14 +349,14 @@ def linear_probe(z, labels, splits):
     x_val, y_val = z[splits.val], y[splits.val]
 
     d = z.shape[1]
-    best = (-1.0, np.zeros((d, n_classes)), np.zeros((1, n_classes)))
+    best = (-1.0, np.zeros((n_classes, d)), np.zeros((n_classes, 1)))
     for w, b in probe_steps(z, labels, splits):
         if len(x_val):
-            val_pred = np.argmax(x_val @ w + b, axis=1)
+            val_pred = np.argmax(w @ x_val.T + b, axis=0)
             macro, _ = f1_scores(val_pred, y_val, n_classes)
             if macro > best[0]:
                 best = (macro, w.copy(), b.copy())
     if best[0] < 0:  # no validation set: use the final parameters
         best = (0.0, w, b)
     _, w, b = best
-    return np.argmax(z[splits.test] @ w + b, axis=1)
+    return np.argmax(w @ z[splits.test].T + b, axis=0)

@@ -283,10 +283,10 @@ def test_criterion_9_cli_determinism_on_edge_list_views(tmp_path):
 
 
 def test_criterion_10_f1_correctness():
-    macro, micro = f1_scores([0, 1, 1, 1], [0, 0, 1, 1])
+    macro, micro = f1_scores([0, 1, 1, 1], [0, 0, 1, 1], 2)
     micro_ok = abs(micro - 0.75) <= 1e-9
     macro_ok = abs(macro - (2 / 3 + 4 / 5) / 2) <= 1e-9
-    perfect = f1_scores([1, 0, 2], [1, 0, 2]) == (1.0, 1.0)
+    perfect = f1_scores([1, 0, 2], [1, 0, 2], 3) == (1.0, 1.0)
     ok = micro_ok and macro_ok and perfect
     report(10, ok, f"hand confusion-matrix case: micro {micro:.6f} == 0.75, "
                    f"macro {macro:.6f} == 0.733333 (tol 1e-9)")

@@ -83,14 +83,14 @@ def test_split_error_on_empty_class():
 
 
 def test_f1_perfect_predictions():
-    macro, micro = f1_scores([0, 1, 2, 1], [0, 1, 2, 1])
+    macro, micro = f1_scores([0, 1, 2, 1], [0, 1, 2, 1], 3)
     assert macro == 1.0 and micro == 1.0
 
 
 def test_f1_hand_confusion_case():
     truth = [0, 0, 1, 1]
     pred = [0, 1, 1, 1]
-    macro, micro = f1_scores(pred, truth)
+    macro, micro = f1_scores(pred, truth, 2)
     assert micro == pytest.approx(0.75, abs=1e-9)
     assert macro == pytest.approx((2 / 3 + 4 / 5) / 2, abs=1e-9)
 
@@ -98,7 +98,7 @@ def test_f1_hand_confusion_case():
 def test_f1_single_class_predictions():
     truth = [0, 0, 1, 1]
     pred = [0, 0, 0, 0]
-    macro, micro = f1_scores(pred, truth)
+    macro, micro = f1_scores(pred, truth, 2)
     assert micro == pytest.approx(0.5)
     assert macro == pytest.approx((2 / 3 + 0) / 2)
 
@@ -124,7 +124,7 @@ def test_macro_invariant_under_class_relabeling():
 
 def test_f1_empty_input_errors():
     with pytest.raises(ValueError):
-        f1_scores([], [])
+        f1_scores([], [], 2)
 
 
 def test_f1_absent_class_counts_zero():
@@ -319,9 +319,10 @@ def test_probe_scratch_is_the_gathered_rows_and_one_block_of_scores():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = 8 * repeats * (n_train + n_val) * d
-    scores = 8 * repeats * evalkit.VAL_BLOCK * 3 * n_val
-    slack = 16 * 8 * repeats * n_val     # split indices, slots and one step's argmax scratch
+    size = np.dtype(evalkit.PROBE_DTYPE).itemsize
+    rows = size * repeats * (n_train + n_val) * d
+    scores = size * repeats * evalkit.VAL_BLOCK * 3 * n_val
+    slack = 16 * 8 * repeats * n_val     # split indices, crits, scales, slots, argmax scratch
     assert peak <= rows + scores + slack, (
         f"{(peak - rows - scores) / (8 * repeats * n_val):.1f} (repeats, val rows) arrays "
         "beyond the gathered rows and one block of scores")
@@ -351,13 +352,13 @@ def test_the_certificate_spares_most_val_scores_of_a_standard_eval(monkeypatch):
 
 def oracle_val_counts(z, labels, splits):
     """(steps, 3, R, C): every step's val tp, fp and fn of the per-repeat oracle."""
-    y = np.asarray(labels)
+    y, x = np.asarray(labels), np.asarray(z, dtype=evalkit.PROBE_DTYPE)
     c = int(y.max()) + 1
     per_repeat = []
     for s in splits:
         truth, steps = y[s.val], []
         for w, b in oracles.probe_steps(z, labels, s):
-            pred = np.argmax(z[s.val] @ w + b, axis=1)
+            pred = np.argmax(w @ x[s.val].T + b, axis=0)
             tp = np.bincount(truth[pred == truth], minlength=c)
             steps.append([tp, np.bincount(pred, minlength=c) - tp,
                           np.bincount(truth, minlength=c) - tp])
@@ -405,10 +406,12 @@ def with_val_rows(z, labels, splits, rows, row_labels):
 
 def boundary_rows(z, labels, split, n, rng, spread):
     """n rows on the boundary of classes 0 and 1 at the oracle probe's last step, spread
-    around the midpoint of their means; that step's (w, b) and the boundary's normal."""
+    around the midpoint of their means; that step's class-major (w, b) and the boundary's
+    normal."""
     for w, b in oracles.probe_steps(z, labels, split):
         pass
-    v, c = w[:, 0] - w[:, 1], b[0, 0] - b[0, 1]
+    w, b = w.astype(np.float64), b.astype(np.float64)
+    v, c = w[0] - w[1], b[0, 0] - b[1, 0]
     mid = (z[labels == 0].mean(axis=0) + z[labels == 1].mean(axis=0)) / 2
     x = mid + rng.normal(scale=spread, size=(n, len(mid)))
     return x - np.outer(x @ v + c, v) / (v @ v), w, b, v / (v @ v)
@@ -433,9 +436,10 @@ def test_rows_within_a_few_rounding_allowances_of_a_tie_match_the_oracle(monkeyp
     rows = []
     for s in splits:
         x, w, b, normal = boundary_rows(z, labels, s, len(ratios), rng, 0.3)
-        allowance = 2 * evalkit._gamma(d + 1) * evalkit._max_norm(np.vstack([w, b]).T)
+        allowance = 2 * evalkit._gamma(d + 1, evalkit.PROBE_DTYPE) * evalkit._max_norm(
+            np.hstack([w, b]))
         x += np.outer(side * ratios * allowance * 2 * np.sqrt((x * x).sum(axis=1) + 1), normal)
-        scores = x @ w + b
+        scores = x @ w.T + b.T
         assert (scores[:, 2] < scores[:, :2].min(axis=1) - 1e-3).all()
         rows.append(x)
     z, labels, splits = with_val_rows(z, labels, splits, rows,
@@ -494,7 +498,7 @@ def test_the_certificate_floor_holds_the_whole_rounding_allowance(d):
     # anchor's computed one, g = gamma(d + 1) (module docstring), so a crit m / (2 ||x~||)
     # must exceed 2 g ||w~(a)||. No probe in these tests rounds that far, so only this
     # check catches a floor that drops or cuts the allowance. Norms span 1e-6 to 1e9.
-    u = 2.0 ** -53
+    u = float(np.finfo(evalkit.PROBE_DTYPE).eps) / 2     # scores round to the probe's dtype
     g = (d + 1) * u / (1 - (d + 1) * u)
     scale = 10.0 ** np.array([-6, -1, 0, 3, 9])[:, None, None]
     anchor = np.random.default_rng(d).normal(size=(len(scale), 4, d + 1)) * scale
@@ -517,6 +521,40 @@ def test_nan_and_inf_val_rows_match_the_oracle_at_every_step(monkeypatch):
     assert min(widths) < len(splits[0].val)
 
 
+def test_huge_and_subnormal_val_rows_match_the_oracle_at_every_step(monkeypatch):
+    # Each repeat's val rows gain rows 2**k e_a of norm 2**k, k = 58 to 64, across the
+    # certificate's overflow guard ||x~|| >= 2**60, and rows of norm ~2**-140, whose
+    # score products are subnormal in float32. A row 2**k e_a has one nonzero term, so
+    # its scores are exact in any summation order and name it among a step's scored
+    # columns: the rows at or above the guard must be scored at every step.
+    z, labels = noisy_embedding([60, 60, 60], shift=3.0, seed=3)
+    spec = SplitSpec(per_class_train=10, val_size=40, test_size=30, repeats=4)
+    splits = [make_splits(labels, spec, RngStream(12, SPLIT, r)) for r in range(spec.repeats)]
+    powers = np.array([58, 59, 60, 61, 64])
+    huge = np.zeros((len(powers), z.shape[1]))
+    huge[np.arange(len(powers)), np.arange(len(powers)) % 3] = 2.0 ** powers
+    tiny = np.random.default_rng(9).normal(size=(4, z.shape[1])) * 2.0 ** -140
+    rows = np.concatenate([huge, tiny])
+    z, labels, splits = with_val_rows(z, labels, splits, [rows] * len(splits),
+                                      [np.arange(len(rows)) % 3] * len(splits))
+    guarded = huge[powers >= 60].astype(evalkit.PROBE_DTYPE).T
+    want = [[w @ guarded + b for w, b in oracles.probe_steps(z, labels, s)] for s in splits]
+    scored, argmax_cols = [], evalkit._argmax_cols
+
+    def recording(cols, out, top):
+        scored.append(cols.copy())          # (C, R, width)
+        argmax_cols(cols, out, top)
+
+    monkeypatch.setattr(evalkit, "_argmax_cols", recording)
+    widths = assert_every_step_matches_oracle(monkeypatch, z, labels, splits)
+    assert min(widths) < len(splits[0].val)
+    assert len(scored) == evalkit.PROBE_STEPS
+    for t, cols in enumerate(scored):
+        for r, steps in enumerate(want):
+            same = (cols[:, r, :, None] == steps[t][:, None]).all(axis=0)   # (width, rows)
+            assert same.any(axis=0).all(), (t, r)
+
+
 def test_probe_with_eight_or_more_classes_matches_per_repeat_oracle():
     # from 8 classes NumPy sums a row of probabilities pairwise, not left to right
     z, labels = noisy_embedding([20] * 9, d=10, seed=2)
@@ -529,8 +567,15 @@ def test_probe_with_eight_or_more_classes_matches_per_repeat_oracle():
 
 @pytest.mark.parametrize("width", range(1, 13))
 def test_column_sum_has_the_bits_of_numpys_sum(width):
-    a = np.exp(np.random.default_rng(width).normal(scale=4.0, size=(3, 50, width)))
-    assert evalkit._sum_last(a).tobytes() == a.sum(axis=-1).tobytes()
+    # The probe sums its (R, C, n) probabilities over the C = width classes, with NumPy's
+    # reduction of a middle axis: it must give the bits of a lone probe's (C, n) sum over
+    # axis 0, and both must add the classes left to right, for every class count.
+    a = np.exp(np.random.default_rng(width).normal(scale=4.0, size=(3, width, 50)))
+    a = a.astype(evalkit.PROBE_DTYPE)
+    total = np.empty((3, 1, 50), dtype=evalkit.PROBE_DTYPE)
+    np.sum(a, axis=1, out=total, keepdims=True)
+    assert total[:, 0].tobytes() == np.stack([r.sum(axis=0) for r in a]).tobytes()
+    assert total[:, 0].tobytes() == functools.reduce(np.add, a.transpose(1, 0, 2)).tobytes()
 
 
 @pytest.mark.parametrize("width", [2, 3, 4, 9])
@@ -547,12 +592,12 @@ def test_argmax_cols_matches_numpys_argmax(width):
 
 
 @pytest.mark.parametrize("name", ["standard", "one_shot", "unbalanced_4_classes"])
-def test_a_float32_embedding_predicts_as_its_float64_cast(name):
-    # the probe trains in float64 whatever it is given, as its certificate assumes
+def test_a_float64_embedding_predicts_as_its_float32_cast(name):
+    # the probe computes in float32 whatever it is given, as its certificate assumes
     z, labels, splits = oracle_case(name)
-    z32 = z.astype(np.float32)
-    assert np.array_equal(linear_probe(z32, labels, splits),
-                          linear_probe(z32.astype(np.float64), labels, splits))
+    assert evalkit.PROBE_DTYPE == np.float32
+    assert np.array_equal(linear_probe(z, labels, splits),
+                          linear_probe(z.astype(np.float32), labels, splits))
 
 
 def test_reversed_splits_reverse_the_predictions():
